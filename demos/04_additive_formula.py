@@ -32,7 +32,9 @@ print()
 # --- a factor with no wandering vectors ------------------------------------------
 # The ideal (z - 0.3) inside C[z]/((z-0.3)(z+0.5)) is invariant but the
 # restricted operator acts invertibly on it, so S_1 (-) T_1 S_1 = 0 and the
-# generating-wandering hypothesis fails.  The certified multiplicity of S is
+# generating-wandering hypothesis fails.  The factor is not zero-based either:
+# Q_1 carries only the adjoint eigenvalue 0.3, so the zero_based hypothesis
+# fails too.  The certified multiplicity of S is
 # 1, which equals dim S_1 (-) T_1 S_1 + dim S_2 (-) T_2 S_2 = 0 + 1 but is
 # strictly below the per-factor count n = 2 the paper gives for zero-based
 # factors.

@@ -8,8 +8,9 @@ Subcommands:
 * ``closure <spec> <vectors.json>`` -- Krylov closure of given columns
   under a single model operator.
 
-Exit codes: 0 all checks passed, 1 some check failed or a multiplicity was
-left uncertified, 2 configuration or usage error.
+Exit codes: 0 all checks passed, 1 some check failed, a multiplicity was
+left uncertified or a numerical routine did not converge, 2 configuration or
+usage error.
 """
 
 import argparse
@@ -17,26 +18,25 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, ShiftlabError
 from .models import (
     SpaceKind,
     complex_to_pair,
     load_matrix,
-    make_quotient,
     make_shift,
     matrix_to_json,
 )
 from .multiplicity import krylov_closure
 from .scenarios import (
+    _NAMED_KINDS,
     _resolve_kind,
     load_scenario,
-    parse_roots,
     report_to_text,
     run_scenario,
 )
 from .subspaces import DEFAULT_TOL
-
-_NAMED = {"hardy": SpaceKind.hardy, "bergman": SpaceKind.bergman, "dirichlet": SpaceKind.dirichlet}
 
 
 def _parse_model_spec(spec):
@@ -47,8 +47,8 @@ def _parse_model_spec(spec):
             m = int(m_s)
         except ValueError:
             raise ConfigError(f"model spec {spec!r}: size after ':' must be an integer")
-        if kind_s in _NAMED:
-            model = make_shift(_NAMED[kind_s](), m)
+        if kind_s in _NAMED_KINDS:
+            model = make_shift(_NAMED_KINDS[kind_s](), m)
         elif kind_s.startswith("wb"):
             try:
                 alpha = float(kind_s[2:])
@@ -217,12 +217,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ShiftlabError as exc:
+    except (ShiftlabError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-cli_main = main
 
 
 if __name__ == "__main__":

@@ -106,16 +106,24 @@ def _rank(M, tol):
 
 
 def _closure_local(ops, G_cols, tol):
-    """Iterate span <- span + sum_i A_i(span) until the dimension stabilizes."""
-    d = ops[0].shape[0] if ops else G_cols.shape[0]
-    cur = orthonormalize(G_cols, tol=tol, ambient_dim=d)
-    while 0 < cur.dim < d:
-        stacked = np.hstack([cur.basis] + [A @ cur.basis for A in ops])
-        nxt = orthonormalize(stacked, tol=tol, ambient_dim=d)
-        if nxt.dim == cur.dim:
-            return nxt
-        cur = nxt
-    return cur
+    """Grow span(G) block by block until every A_i maps it into itself.
+
+    Only the newest block is mapped; its images are projected against the
+    basis twice (DGKS reorthogonalization) and ranked by their own residual.
+    """
+    d = G_cols.shape[0]
+    B = orthonormalize(G_cols, tol=tol, ambient_dim=d).basis
+    new = B
+    while new.shape[1] and B.shape[1] < d:
+        R = np.hstack([A @ new for A in ops])
+        for _ in range(2):
+            R = R - B @ (B.conj().T @ R)
+        U, s, _ = np.linalg.svd(R, full_matrices=False)
+        rank = min(int(np.sum(s > tol * max(1.0, float(s[0])))), d - B.shape[1])
+        new = U[:, :rank] - B @ (B.conj().T @ U[:, :rank])
+        new, _ = np.linalg.qr(new)
+        B = np.hstack([B, new])
+    return Subspace(B, tol=tol, _checked=True)
 
 
 def krylov_closure(A, G, restrict_to=None, tol=None):
@@ -173,9 +181,7 @@ def has_gws(A, L):
     """Does the wandering subspace of L generate L under the compressed tuple?"""
     if L.dim == 0:
         return True
-    W = wandering_subspace(A, L)
-    closure = krylov_closure(A, W.basis, restrict_to=L)
-    return closure.dim == L.dim
+    return krylov_closure(A, wandering_subspace(A, L).basis, restrict_to=L).dim == L.dim
 
 
 def local_corank(A, L, lam):
@@ -351,13 +357,7 @@ def semi_invariant_bound_check(A, L1, L2, trials=64, seed=42, max_degree=3, samp
     vs = L1.basis @ (
         rng.standard_normal((L1.dim, samples)) + 1j * rng.standard_normal((L1.dim, samples))
     ) if L1.dim else np.zeros((t.dim, 0))
-    for kk in _multi_indices(t.n, max_degree):
-        lhs = eye
-        mono = eye
-        for op_c, op, p in zip(comp_ops, t.ops, kk):
-            for _ in range(p):
-                lhs = op_c @ lhs
-                mono = op @ mono
+    for lhs, mono in _compressed_powers(comp_ops, t.ops, max_degree):
         rhs = P_L @ mono @ P_L1
         for j in range(vs.shape[1]):
             v = vs[:, j]
@@ -374,10 +374,15 @@ def semi_invariant_bound_check(A, L1, L2, trials=64, seed=42, max_degree=3, samp
     )
 
 
-def _multi_indices(n, max_total):
-    """All k in Z_+^n with 1 <= |k| <= max_total."""
-    return [
-        kk
-        for kk in itertools.product(range(max_total + 1), repeat=n)
-        if 1 <= sum(kk) <= max_total
-    ]
+def _compressed_powers(comp_ops, ops, max_total):
+    """(C^k, A^k) for every k in Z_+^n with 1 <= |k| <= max_total."""
+    eye = np.eye(ops[0].shape[0], dtype=complex)
+    for kk in itertools.product(range(max_total + 1), repeat=len(ops)):
+        if not 1 <= sum(kk) <= max_total:
+            continue
+        lhs = mono = eye
+        for c_op, op, p in zip(comp_ops, ops, kk):
+            for _ in range(p):
+                lhs = c_op @ lhs
+                mono = op @ mono
+        yield lhs, mono

@@ -9,7 +9,9 @@ check exactly once, recording pass/fail verdicts and worst-case residuals.
 
 When every factor satisfies the hypotheses of the additive multiplicity
 formula (cyclic factor, wandering subspace of the restriction generates,
-a usable adjoint eigenvector in the co-invariant part), the run certifies
+a usable adjoint eigenvector in the co-invariant part, and a zero-based
+factor: Q_i contains a kernel vector of T_i^*, so that S_i (-) T_i S_i is
+based at 0), the run certifies
 
     mult(S) = mult(F) = sum_i dim(S_i (-) T_i S_i).
 
@@ -38,6 +40,7 @@ from .models import (
 from .multiplicity import (
     OperatorTuple,
     has_gws,
+    krylov_closure,
     multiplicity,
     shifted_closure_check,
     wandering_subspace,
@@ -358,6 +361,9 @@ class Report:
         return out
 
 
+_HYPOTHESES = ("cyclic", "gws_restriction", "eigen_ok", "proper_coinvariant", "zero_based")
+
+
 def _factor_hypotheses(resolved, scn):
     """Evaluate the additive-formula hypotheses factor by factor."""
     hyp = {}
@@ -373,6 +379,13 @@ def _factor_hypotheses(resolved, scn):
         eigen_ok = bool(eigen_residual <= max(scn.tol, 1e-10))
         m = f.T.shape[0]
         proper = bool(0 < f.Q.dim < m)
+        # zero-based: Q_i holds a kernel vector of T_i^*, i.e. conj(0) is an
+        # adjoint eigenvalue on Q_i (for C[z]/(p) with ideal (q): q(0) = 0)
+        zero_based = bool(
+            f.Q.dim > 0
+            and np.linalg.svd(f.T.conj().T @ f.Q.basis, compute_uv=False)[-1]
+            <= max(scn.tol, 1e-10)
+        )
         record = {
             "label": rf.description,
             "cyclic": cyclic,
@@ -381,17 +394,11 @@ def _factor_hypotheses(resolved, scn):
             "eigen_residual": float(eigen_residual),
             "eigen_ok": eigen_ok,
             "proper_coinvariant": proper,
+            "zero_based": zero_based,
         }
-        record["ok"] = cyclic and gws_i and eigen_ok and proper
+        record["ok"] = all(record[name] for name in _HYPOTHESES)
         hyp[f"factor_{i}"] = record
-        for name, value in (
-            ("cyclic", cyclic),
-            ("gws_restriction", gws_i),
-            ("eigen_ok", eigen_ok),
-            ("proper_coinvariant", proper),
-        ):
-            if not value:
-                failed.append(f"factor_{i}:{name}")
+        failed += [f"factor_{i}:{name}" for name in _HYPOTHESES if not record[name]]
     return hyp, failed
 
 
@@ -474,7 +481,7 @@ def run_scenario(scn):
         trials=scn.trials, seed=scn.seed, tol=scn.tol,
     )
     W_S = wandering_subspace(A, chain.S)
-    gws_S = bool(has_gws(A, chain.S))
+    gws_S = krylov_closure(A, W_S.basis, restrict_to=chain.S).dim == chain.S.dim
 
     verdicts = {}
     for name in scn.checks:

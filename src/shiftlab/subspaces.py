@@ -5,6 +5,11 @@ columns.  Every rank decision in the package funnels through one rule: after
 a singular value decomposition, a direction survives when its singular value
 exceeds ``tol * max(1, sigma_max)``.  The zero subspace (k = 0) is a
 first-class value, so downstream code never special-cases empty bases.
+
+Krylov closures grow a basis B block by block and apply that rule to the
+residual of the newest block's images after projecting them against B twice.
+Subspaces of equal dimension are equal when ``||B - A(A^H B)||_2``, the sine
+of their largest principal angle, is at most ``sin(tol)``.
 """
 
 import numpy as np
@@ -129,11 +134,6 @@ def orthonormalize(vectors, tol=DEFAULT_TOL, ambient_dim=None):
     return Subspace(B, tol=tol, _checked=True)
 
 
-def project(s, v):
-    """Orthogonal projection of vector ``v`` onto subspace ``s``."""
-    return s.project(v)
-
-
 def complement_within(ambient, sub, tol=None):
     """The orthogonal complement of ``sub`` inside ``ambient``.
 
@@ -201,12 +201,19 @@ def max_principal_angle(a, b):
 
 
 def same_subspace(a, b, tol=None):
-    """Whether two subspaces are equal: same dimension and max angle within tol."""
+    """Same dimension and ||B - A(A^H B)||_2, the sine of the largest principal
+    angle, at most sin(tol); two zero or two full subspaces are equal outright."""
     if tol is None:
         tol = min(a.tol, b.tol)
     if a.dim != b.dim:
         return False
-    return max_principal_angle(a, b) <= tol
+    if a.dim == 0:
+        return True
+    if a.ambient_dim != b.ambient_dim:
+        raise InputError("subspaces live in different ambient spaces")
+    if a.dim == a.ambient_dim:
+        return True
+    return opnorm(b.basis - a.basis @ (a.basis.conj().T @ b.basis)) <= np.sin(tol)
 
 
 def opnorm(A):

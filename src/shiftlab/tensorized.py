@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenError, InputError, InternalConsistencyError, ModelError
-from .multiplicity import OperatorTuple, _multi_indices
+from .multiplicity import OperatorTuple, _compressed_powers
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -283,11 +283,8 @@ class StructureReport:
         }
 
     def max_residual(self):
-        worst = 0.0
-        for fam in self.families().values():
-            for v in fam.values():
-                worst = max(worst, float(v))
-        return worst
+        return max((float(v) for fam in self.families().values() for v in fam.values()),
+                   default=0.0)
 
     def ok(self, tol):
         return self.max_residual() <= tol
@@ -392,13 +389,7 @@ def verify_compression_structure(sys, chain=None, seed=42, max_degree=3, samples
         V /= np.linalg.norm(V, axis=0)
         comp_ops = [P_F @ T @ P_F for T in sys.ops]
         worst = 0.0
-        for kk in _multi_indices(sys.n, max_degree):
-            lhs = eye
-            mono = eye
-            for c_op, op, p in zip(comp_ops, sys.ops, kk):
-                for _ in range(p):
-                    lhs = c_op @ lhs
-                    mono = op @ mono
+        for lhs, mono in _compressed_powers(comp_ops, sys.ops, max_degree):
             rhs = sum(Pm @ mono @ Pm for Pm in M_projs)
             worst = max(worst, float(np.max(np.linalg.norm(lhs @ V - rhs @ V, axis=0))))
         power["summandwise_powers"] = worst
@@ -500,21 +491,15 @@ def wandering_E(sys, eigen_choices=None, tol=None):
 
     summands = []
     for i in range(sys.n):
-        cols = []
-        for j, f in enumerate(sys.factors):
-            if j == i:
-                cols.append(wanderers[i].basis)
-            else:
-                cols.append(eigens[j][1].reshape(-1, 1))
+        cols = [wanderers[i].basis if j == i else eigens[j][1].reshape(-1, 1)
+                for j in range(sys.n)]
         summands.append(Subspace(_kron_chain(cols), ambient_dim=sys.N, tol=sys.tol,
                                  _checked=True))
     E = Subspace(np.hstack([s.basis for s in summands]), tol=sys.tol, _checked=False)
 
-    shift_points = []
-    for i in range(sys.n):
-        shift_points.append(tuple(
-            0.0 + 0.0j if j == i else eigens[j][0] for j in range(sys.n)
-        ))
+    shift_points = [
+        tuple(0.0 + 0.0j if j == i else eigens[j][0] for j in range(sys.n)) for i in range(sys.n)
+    ]
 
     align = 0.0
     for i in range(sys.n):

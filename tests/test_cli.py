@@ -74,6 +74,17 @@ def test_failed_check_is_exit_1(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_linalg_error_is_exit_1(monkeypatch, capsys):
+    """A numerical routine that does not converge ends in an error line, not a traceback."""
+    def fail(scn):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr("shiftlab.cli.run_scenario", fail)
+    assert main(["run", HARDY]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "SVD did not converge" in err
+
+
 def test_model_dump_shorthand(capsys):
     assert main(["model", "dump", "wb2:4"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -11,8 +11,11 @@ from shiftlab import (
     run_scenario,
     scenario_from_json,
 )
+import oracle
+from shiftlab.cli import main
 from shiftlab.models import dump_matrix, matrix_to_json
-from shiftlab.scenarios import parse_roots, report_to_text
+from shiftlab.scenarios import parse_roots, report_to_text, resolve_factor
+from shiftlab.tensorized import build_system, f_chain
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -111,13 +114,68 @@ def test_run_quotient_zeros_downgrades_honestly():
     rep = run_scenario(scenario_from_json(obj))
     assert rep.dim_S == 6
     assert rep.mode == "inequality_only"
-    assert rep.failed_hypotheses == ["factor_0:gws_restriction"]
+    assert rep.failed_hypotheses == ["factor_0:gws_restriction", "factor_0:zero_based"]
     assert rep.factor_wandering_dims == [0, 1]
     ms, mf = rep.multiplicities["S"], rep.multiplicities["F"]
     assert ms["certified"] and mf["certified"]
     assert ms["upper"] == 1 and mf["upper"] == 1
     assert rep.verdicts["additive_formula"]["status"] == "pass"
     assert rep.verdicts["additive_formula"]["mode"] == "inequality_only"
+    assert rep.passed
+
+
+def test_non_zero_based_quotient_downgrades(tmp_path):
+    """p = z(z+0.5) with ideal (z+0.5): T_1|S_1 = 0, so the restriction has a
+    wandering vector, but Q_1 holds no kernel vector of T_1^* (its adjoint
+    eigenvalue is -0.5), so the factor is not zero-based.  The run must not
+    claim the formula's 1 + 1 = 2; it certifies the true mult(S) = 1."""
+    obj = {
+        "label": "quotient-not-zero-based",
+        "factors": [
+            {
+                "kind": {"quotient_roots": [[[0.0, 0.0], 1], [[-0.5, 0.0], 1]]},
+                "coinvariant": {"ideal_roots": [[[-0.5, 0.0], 1]]},
+            },
+            {"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}},
+        ],
+    }
+    scn = scenario_from_json(obj)
+    rep = run_scenario(scn)
+    assert rep.mode == "inequality_only"
+    assert rep.failed_hypotheses == ["factor_0:zero_based"]
+    assert rep.hypotheses["factor_0"]["zero_based"] is False
+    assert rep.hypotheses["factor_1"]["zero_based"] is True
+    ms = rep.multiplicities["S"]
+    assert ms["certified"] and ms["lower"] == ms["upper"] == 1
+
+    resolved = [resolve_factor(spec, scn.tol) for spec in scn.factor_specs]
+    sys_ = build_system([rf.factor for rf in resolved], tol=scn.tol)
+    S = f_chain(sys_).S
+    assert oracle.mult_bruteforce(list(sys_.ops), S.basis) == (1, 1)
+    assert rep.verdicts["additive_formula"]["status"] == "pass"
+    assert rep.passed
+
+    path = tmp_path / "not-zero-based.json"
+    path.write_text(json.dumps(obj))
+    assert main(["run", str(path)]) == 0
+
+
+def test_weighted_bergman_pair_regression():
+    """weighted_bergman(1.5) x bergman, m = 12, prefixes 6: the shift-lemma
+    closure once raised LinAlgError (SVD did not converge); it must certify
+    mult(S) = mult(F) = 2 and pass."""
+    rep = run_scenario(scenario_from_json({
+        "factors": [
+            {"kind": {"weighted_bergman": 1.5}, "m": 12, "coinvariant": {"prefix": 6}},
+            {"kind": "bergman", "m": 12, "coinvariant": {"prefix": 6}},
+        ],
+        "seed": 42,
+    }))
+    ms, mf = rep.multiplicities["S"], rep.multiplicities["F"]
+    assert ms["certified"] and ms["upper"] == 2
+    assert mf["certified"] and mf["upper"] == 2
+    assert rep.mode == "equality"
+    assert rep.verdicts["shift_lemma"]["agreed"] == 6
     assert rep.passed
 
 

@@ -143,6 +143,41 @@ def test_same_subspace_invariant_under_basis_change():
     assert not same_subspace(B, other)
 
 
+def test_same_subspace_agrees_with_largest_principal_angle():
+    """Rotate one basis direction by theta just under or over tol, re-mix the
+    basis, and compare the sine test with the principal-angle test."""
+    rng = np.random.default_rng(43)
+    tol = 1e-8
+    thetas = (0.0, 0.5 * tol, 0.9 * tol, 1.1 * tol, 2 * tol, 1e-3, 0.7)
+    for trial in range(42):
+        N = int(rng.integers(2, 9))
+        k = int(rng.integers(1, N))
+        a = orthonormalize(rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k)))
+        out = complement_within(Subspace.full(N), a).basis[:, 0]
+        theta = thetas[trial % len(thetas)]
+        B = a.basis.copy()
+        B[:, 0] = np.cos(theta) * B[:, 0] + np.sin(theta) * out
+        U, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        b = Subspace(B @ U, _checked=True)
+        same = same_subspace(a, b, tol=tol)
+        assert same == (max_principal_angle(a, b) <= tol)
+        assert same == (theta <= tol)
+        other = orthonormalize(rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k)))
+        assert same_subspace(a, other, tol=tol) == (max_principal_angle(a, other) <= tol)
+
+
+def test_same_subspace_zero_and_full():
+    rng = np.random.default_rng(47)
+    U, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    zero, full = Subspace.zero(5), Subspace.full(5)
+    line = orthonormalize(rng.standard_normal((5, 1)))
+    assert same_subspace(zero, Subspace.zero(5))
+    assert same_subspace(full, Subspace(U, _checked=True))
+    assert not same_subspace(zero, full)
+    assert not same_subspace(zero, line)
+    assert not same_subspace(line, full)
+
+
 def test_containment_residual_scales_with_leakage():
     big = Subspace(np.eye(4)[:, :2], _checked=True)
     v = np.array([1.0, 0.0, 1e-3, 0.0])
