@@ -4,9 +4,9 @@ Certifying how many generators a subspace needs
 
 The multiplicity of a commuting tuple on an invariant subspace L is the
 least number of vectors whose joint Krylov closure fills L.  Exact values
-are certified by bracketing: corank lower bounds at sampled points (valid
-because closures ignore scalar shifts of the tuple) against random
-generating sets that provably exhaust L.
+are certified by bracketing: corank lower bounds at eigenvalue points of
+the compressed tuple (valid because closures ignore scalar shifts of the
+tuple) against random generating sets that provably exhaust L.
 """
 
 import numpy as np

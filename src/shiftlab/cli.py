@@ -21,13 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ShiftlabError
-from .models import (
-    SpaceKind,
-    complex_to_pair,
-    load_matrix,
-    make_shift,
-    matrix_to_json,
-)
+from .models import complex_to_pair, load_matrix, matrix_to_json
 from .multiplicity import krylov_closure
 from .scenarios import (
     _NAMED_KINDS,
@@ -41,6 +35,7 @@ from .subspaces import DEFAULT_TOL
 
 def _parse_model_spec(spec):
     """Accept 'hardy:4' / 'wb2.5:3' shorthands or a JSON factor-kind file."""
+    base_dir = "."
     if ":" in spec and not spec.lower().endswith(".json"):
         kind_s, _, m_s = spec.partition(":")
         try:
@@ -48,29 +43,35 @@ def _parse_model_spec(spec):
         except ValueError:
             raise ConfigError(f"model spec {spec!r}: size after ':' must be an integer")
         if kind_s in _NAMED_KINDS:
-            model = make_shift(_NAMED_KINDS[kind_s](), m)
+            obj = {"kind": kind_s, "m": m}
         elif kind_s.startswith("wb"):
             try:
                 alpha = float(kind_s[2:])
             except ValueError:
                 raise ConfigError(f"model spec {spec!r}: cannot parse weight parameter")
-            model = make_shift(SpaceKind.weighted_bergman(alpha), m)
+            obj = {"kind": {"weighted_bergman": alpha}, "m": m}
         else:
             raise ConfigError(
                 f"unknown model shorthand {kind_s!r}; use hardy/bergman/dirichlet/wb<alpha>"
             )
-        return model.operator, model, model.label()
-    path = Path(spec)
+    else:
+        path = Path(spec)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read model spec {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"model spec {path} is not valid JSON: {exc}") from exc
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise ConfigError(f"model spec file {path} must be an object with a 'kind'")
+        base_dir = path.parent
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read model spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"model spec {path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError(f"model spec file {path} must be an object with a 'kind'")
-    return _resolve_kind(obj, base_dir=path.parent)
+        return _resolve_kind(obj, base_dir)
+    except ConfigError:
+        raise
+    except ShiftlabError as exc:
+        raise ConfigError(f"invalid model spec {spec!r}: {exc}") from exc
 
 
 def _emit(text, out):
@@ -150,7 +151,7 @@ def _cmd_closure(args):
     T, _, desc = _parse_model_spec(args.spec)
     try:
         cols = load_matrix(args.vectors)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read vectors file {args.vectors}: {exc}") from exc
     if cols.shape[0] != T.shape[0]:
         raise ConfigError(

@@ -7,8 +7,13 @@ A on L is the least cardinality of a generating set whose closure is all of
 L.  Certification brackets that integer:
 
 * lower bounds come from local coranks dim(L (-) sum_i (C_i - lam_i) L) of
-  the compressed tuple at sampled points lam (closures are invariant under
-  scalar shifts of the tuple, so every sample point yields a valid bound);
+  the compressed tuple at points lam (closures are invariant under scalar
+  shifts of the tuple, so every point yields a valid bound).  The corank is
+  nonzero only when conj(lam) is a joint eigenvalue of the compressed
+  adjoint tuple, so the points are the origin and combinations of the
+  compressed operators' eigenvalues, plus any the caller supplies.  No
+  random points are used: off the joint spectrum their corank is 0, and in
+  floating point they can only add pseudospectral false positives;
 * upper bounds come from seeded random generating sets whose closure is
   verified to exhaust L.
 
@@ -196,6 +201,9 @@ def local_corank(A, L, lam):
     return k - _rank(stacked, L.tol)
 
 
+_MAX_COMBOS = 200
+
+
 def _dedup_complex(values, tol=1e-7):
     """Cluster nearly-equal complex values; representatives are cluster means."""
     vals = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
@@ -208,36 +216,31 @@ def _dedup_complex(values, tol=1e-7):
     return [sum(c) / len(c) for c in clusters]
 
 
-def default_lambda_samples(A, L, rng, n_random=32, radius=0.9, max_combos=200):
-    """Sample points for corank lower bounds.
+def default_lambda_samples(A, L):
+    """Corank sample points for the compression of A to L.
 
-    Always contains the origin; adds all combinations of (deduplicated)
-    eigenvalues of the compressed tuple's components, capped deterministically;
-    then ``n_random`` uniform draws from the polydisc of the given radius.
+    The origin, then the combinations of the deduplicated eigenvalues of the
+    compressed operators, at most ``_MAX_COMBOS`` of them (the eigenvalues
+    nearest 0 first).  The corank at lam is nonzero only when conj(lam) is a
+    joint eigenvalue of the compressed adjoint tuple, so no random points are
+    drawn: off the joint spectrum their corank is 0 in exact arithmetic, and
+    in floating point they can only add false coranks from pseudospectra.
     """
     t = _as_tuple(A)
     n = t.n
-    pts = [tuple(0.0 + 0.0j for _ in range(n))]
+    pts = [(0j,) * n]
     if L.dim > 0:
-        per_factor = max(1, int(round(max_combos ** (1.0 / n))))
+        per_factor = max(1, int(round(_MAX_COMBOS ** (1.0 / n))))
         spectra = []
         for op in t.ops:
             evs = _dedup_complex(np.linalg.eigvals(compress(op, L)))
             evs.sort(key=lambda z: (abs(z), z.real, z.imag))
             spectra.append(evs[:per_factor])
-        pts.extend(itertools.islice(itertools.product(*spectra), max_combos))
-    for _ in range(n_random):
-        r = radius * np.sqrt(rng.uniform(size=n))
-        th = rng.uniform(0.0, 2 * np.pi, size=n)
-        pts.append(tuple(r * np.exp(1j * th)))
-    seen = set()
-    out = []
+        pts.extend(itertools.islice(itertools.product(*spectra), _MAX_COMBOS))
+    out = {}
     for p in pts:
-        key = tuple((round(z.real, 12), round(z.imag, 12)) for z in p)
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
+        out.setdefault(tuple((round(z.real, 12), round(z.imag, 12)) for z in p), p)
+    return list(out.values())
 
 
 def _search_upper(t, L, r, trials, rng, tol):
@@ -273,7 +276,8 @@ def multiplicity(A, L=None, lambda_samples=None, trials=64, seed=42, tol=None):
 
     ``lambda_samples`` are extra corank sample points merged with the default
     set.  The result is certified when the best corank lower bound meets the
-    smallest random-generator count that exhausts L.
+    smallest random-generator count that exhausts L; ``seed`` drives only
+    that generator search.
     """
     t = _as_tuple(A)
     if L is None:
@@ -283,8 +287,7 @@ def multiplicity(A, L=None, lambda_samples=None, trials=64, seed=42, tol=None):
     k = L.dim
     if k == 0:
         return MultiplicityResult(0, 0, True, [], None, 0, seed)
-    rng = np.random.default_rng(seed)
-    pts = default_lambda_samples(t, L, rng)
+    pts = default_lambda_samples(t, L)
     if lambda_samples is not None:
         pts = pts + [_as_point(p, t.n) for p in lambda_samples]
     best_corank = 0

@@ -577,10 +577,6 @@ def run_scenario(scn):
     )
 
 
-def run_scenario_file(path):
-    return run_scenario(load_scenario(path))
-
-
 def report_to_text(report):
     """Human-oriented one-screen summary of a report."""
     lines = []

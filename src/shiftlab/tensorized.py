@@ -228,9 +228,6 @@ class ChainDecomposition:
     F: Subspace
     M_summands: list  # block subspaces M_1, ..., M_n of F
 
-    def chain_summands_kinds(self, n, i):
-        return [_chain_slot_kinds(n, i, j) for j in range(1, n + 1)]
-
 
 def f_chain(sys):
     """Build S, the X projections, the nested F_i family, and F's summands.

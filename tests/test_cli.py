@@ -113,6 +113,24 @@ def test_model_dump_bad_shorthand(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spec", ["hardy:0", "wb0:3", "dirichlet:-2", "zero-size.json"])
+def test_model_dump_invalid_model_is_exit_2(spec, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zero-size.json").write_text(json.dumps({"kind": "hardy", "m": 0}))
+    assert main(["model", "dump", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["not json", "[[1, 2], [3]]"])
+def test_closure_undecodable_vectors_is_exit_2(text, tmp_path, capsys):
+    vectors = tmp_path / "vectors.json"
+    vectors.write_text(text)
+    assert main(["closure", "hardy:2", str(vectors)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read vectors file") and err.count("\n") == 1
+
+
 def test_closure_command(tmp_path, capsys):
     gen = tmp_path / "gen.json"
     dump_matrix(np.eye(4)[:, :1], gen)

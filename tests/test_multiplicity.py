@@ -7,6 +7,7 @@ from shiftlab import (
     OperatorTuple,
     SpaceKind,
     Subspace,
+    default_lambda_samples,
     has_gws,
     krylov_closure,
     local_corank,
@@ -210,6 +211,23 @@ def test_multiplicity_respects_extra_lambda_samples():
     res2 = multiplicity((T,), lambda_samples=[(0.7,)])
     assert res.certified and res2.certified
     assert res.upper == res2.upper == 2
+
+
+def test_pseudospectral_points_add_no_corank():
+    """J_20 (+) (J_20 + 0.5 I) is cyclic; near 0 both blocks are nearly singular.
+
+    Random polydisc points |lam| < 1 give sigma_min ~ |lam|^20 on both blocks
+    and so a false corank 2; the eigenvalue points give the true 1 at every seed.
+    """
+    J = np.diag(np.ones(19), -1)
+    T = np.zeros((40, 40))
+    T[:20, :20] = J
+    T[20:, 20:] = J + 0.5 * np.eye(20)
+    for s in range(20):
+        res = multiplicity((T,), seed=s)
+        assert (res.lower, res.upper, res.certified) == (1, 1, True), s
+    L = Subspace.full(40)
+    assert default_lambda_samples((T,), L) == default_lambda_samples((T,), L)
 
 
 def test_multiplicity_matches_bruteforce():

@@ -23,6 +23,7 @@ from shiftlab import (
     wandering_E,
     x_projections,
 )
+from shiftlab.tensorized import _chain_slot_kinds
 
 RESID = 1e-11
 
@@ -171,7 +172,7 @@ def test_block_diagonality_is_specific_to_F():
     )
     assert worst < RESID
     # F_1's second summand has a full slot; couplings are expected
-    kinds = chain.chain_summands_kinds(3, 1)
+    kinds = [_chain_slot_kinds(3, 1, j) for j in (1, 2, 3)]
     subs = [sys_.summand_subspace(k) for k in kinds]
     cross = max(
         opnorm(subs[p].projector() @ T @ subs[q].projector())
