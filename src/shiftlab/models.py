@@ -19,6 +19,7 @@ Matrices cross the process boundary as JSON with complex entries encoded as
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,17 +167,40 @@ def kernel_vector(model, lam, tol=DEFAULT_TOL):
     return v, defect
 
 
-def _expand_roots(roots):
-    """Normalize a root spec into a list of (complex root, multiplicity)."""
+def _root_value(x):
+    """A number or an [re, im] pair of reals as a complex value; None otherwise."""
+    if isinstance(x, numbers.Number) and not isinstance(x, bool):
+        return complex(x)
+    if isinstance(x, (list, tuple)) and len(x) == 2 and all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in x
+    ):
+        return complex(x[0], x[1])
+    return None
+
+
+def parse_roots(obj):
+    """Read a root list into (complex value, multiplicity) pairs.
+
+    Each entry is a number (complex included), an [re, im] pair of reals, or
+    [value, mult] with value a number or an [re, im] pair and mult an integer
+    >= 1.  A pair of two reals is always a complex value, never a value with
+    a multiplicity.  The library and the JSON scenario format both read roots
+    through this function.
+    """
+    if not isinstance(obj, (list, tuple)) or not obj:
+        raise InputError(f"expected a non-empty list of roots, got {obj!r}")
     out = []
-    for item in roots:
-        if isinstance(item, (tuple, list)) and len(item) == 2 and isinstance(item[1], int):
-            lam, mult = complex(item[0]), item[1]
-        else:
-            lam, mult = complex(item), 1
+    for entry in obj:
+        lam, mult = _root_value(entry), 1
+        if lam is None and isinstance(entry, (list, tuple)) and len(entry) == 2:
+            lam, mult = _root_value(entry[0]), entry[1]
+        if lam is None or not isinstance(mult, numbers.Integral) or isinstance(mult, bool):
+            raise InputError(
+                f"cannot parse root entry {entry!r}: use a number, [re, im], or [value, mult]"
+            )
         if mult < 1:
             raise InputError(f"root multiplicity must be >= 1, got {mult}")
-        out.append((lam, mult))
+        out.append((lam, int(mult)))
     return out
 
 
@@ -204,10 +228,11 @@ def _poly_from_roots(roots_with_mult):
 
 
 def make_quotient(p_roots):
-    """Build the quotient model for p(z) = prod (z - lam_j)^{mult_j}, |lam_j| < 1."""
-    roots = _expand_roots(p_roots)
-    if not roots:
-        raise InputError("quotient model needs at least one root")
+    """Build the quotient model for p(z) = prod (z - lam_j)^{mult_j}, |lam_j| < 1.
+
+    ``p_roots`` is a root list in the forms ``parse_roots`` reads.
+    """
+    roots = parse_roots(p_roots)
     for lam, _ in roots:
         if abs(lam) >= 1:
             raise InputError(f"quotient roots must lie in the open unit disc, got |{lam}| >= 1")
@@ -238,7 +263,8 @@ def _subtract_roots(p_roots, q_roots, match_tol=1e-9):
 def ideal_subspace(model, q_roots, tol=DEFAULT_TOL):
     """The ideal (q)/(p) inside a quotient model, as a subspace.
 
-    q is given by its roots, which must form a proper sub-multiset of p's.
+    q is given by its roots in the forms ``parse_roots`` reads; they must
+    form a proper sub-multiset of p's.
     The basis consists of the coefficient vectors of q(z) z^j for
     j = 0 .. deg(p) - deg(q) - 1; the resulting subspace is exactly
     invariant under the companion operator and its members vanish at the
@@ -246,7 +272,7 @@ def ideal_subspace(model, q_roots, tol=DEFAULT_TOL):
     """
     if not isinstance(model, QuotientModel):
         raise InputError("ideal_subspace needs a QuotientModel")
-    q = _expand_roots(q_roots)
+    q = parse_roots(q_roots)
     deg_q = sum(mult for _, mult in q)
     if deg_q >= model.m:
         raise InputError("q must be a proper divisor of p")

@@ -20,8 +20,9 @@ L.  Certification brackets that integer:
 A result is certified exactly when the two bounds meet.
 """
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .subspaces import (
     as_operator,
     complement_within,
     compress,
+    numerical_rank,
     opnorm,
     orthonormalize,
     same_subspace,
@@ -41,10 +43,9 @@ from .subspaces import (
 
 @dataclass(eq=False)
 class OperatorTuple:
-    """A tuple of same-size square operators with a recorded commutation certificate."""
+    """A tuple of same-size square operators."""
 
     ops: tuple
-    commutator_residual: float = field(init=False)
 
     def __post_init__(self):
         ops = tuple(as_operator(A) for A in self.ops)
@@ -55,11 +56,12 @@ class OperatorTuple:
             if A.shape[0] != d:
                 raise InputError("operators in a tuple must share one ambient dimension")
         object.__setattr__(self, "ops", ops)
-        resid = 0.0
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                resid = max(resid, opnorm(ops[i] @ ops[j] - ops[j] @ ops[i]))
-        object.__setattr__(self, "commutator_residual", resid)
+
+    @functools.cached_property
+    def commutator_residual(self):
+        """Largest ||A_i A_j - A_j A_i||_2 over pairs, computed when first read."""
+        return max((opnorm(a @ b - b @ a) for a, b in itertools.combinations(self.ops, 2)),
+                   default=0.0)
 
     @property
     def dim(self):
@@ -102,14 +104,6 @@ def _as_point(lam, n):
     return lam
 
 
-def _rank(M, tol):
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    cutoff = tol * max(1.0, float(s[0]))
-    return int(np.sum(s > cutoff))
-
-
 def _closure_local(ops, G_cols, tol):
     """Grow span(G) block by block until every A_i maps it into itself.
 
@@ -124,7 +118,7 @@ def _closure_local(ops, G_cols, tol):
         for _ in range(2):
             R = R - B @ (B.conj().T @ R)
         U, s, _ = np.linalg.svd(R, full_matrices=False)
-        rank = min(int(np.sum(s > tol * max(1.0, float(s[0])))), d - B.shape[1])
+        rank = min(numerical_rank(s, tol), d - B.shape[1])
         new = U[:, :rank] - B @ (B.conj().T @ U[:, :rank])
         new, _ = np.linalg.qr(new)
         B = np.hstack([B, new])
@@ -198,7 +192,7 @@ def local_corank(A, L, lam):
         return 0
     eye = np.eye(k, dtype=complex)
     stacked = np.hstack([compress(op, L) - l * eye for op, l in zip(t.ops, lam)])
-    return k - _rank(stacked, L.tol)
+    return k - numerical_rank(np.linalg.svd(stacked, compute_uv=False), L.tol)
 
 
 _MAX_COMBOS = 200

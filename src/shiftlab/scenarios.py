@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EigenError, InputError, ShiftlabError
+from .errors import ConfigError, EigenError, ShiftlabError
 from .models import (
     QuotientModel,
     SpaceKind,
@@ -80,49 +80,18 @@ _NAMED_KINDS = {
 }
 
 
-def parse_roots(obj):
-    """Decode a JSON root list into (complex, multiplicity) pairs.
-
-    Accepted entry forms: a real number, an [re, im] pair, or
-    [[re, im], mult] attaching an integer multiplicity.
-    """
-    if not isinstance(obj, list) or not obj:
-        raise ConfigError(f"expected a non-empty list of roots, got {obj!r}")
-    out = []
-    for entry in obj:
-        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            out.append((complex(entry), 1))
-        elif (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-        ):
-            out.append((complex(entry[0], entry[1]), 1))
-        elif (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and isinstance(entry[0], list)
-            and isinstance(entry[1], int)
-            and not isinstance(entry[1], bool)
-        ):
-            if not (
-                len(entry[0]) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry[0])
-            ):
-                raise ConfigError(f"root value must be an [re, im] pair, got {entry[0]!r}")
-            out.append((complex(entry[0][0], entry[0][1]), entry[1]))
-        else:
-            raise ConfigError(
-                f"cannot parse root entry {entry!r}: use a number, [re, im], or [[re, im], mult]"
-            )
-    return out
-
-
 @dataclass(eq=False)
 class ResolvedFactor:
     factor: object  # TensorFactor
     model: object   # ShiftModel | QuotientModel | None
     description: str
+
+
+def _real(value, what):
+    """A JSON number (not a bool) as a float; ConfigError otherwise."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _resolve_kind(spec, base_dir):
@@ -144,12 +113,12 @@ def _resolve_kind(spec, base_dir):
             m = spec.get("m")
             if not isinstance(m, int) or isinstance(m, bool):
                 raise ConfigError("weighted_bergman factors need an integer 'm'")
-            model = make_shift(SpaceKind.weighted_bergman(float(value)), m)
+            model = make_shift(SpaceKind.weighted_bergman(_real(value, "weighted_bergman")), m)
             return model.operator, model, model.label()
         if key == "custom_weights":
             if not isinstance(value, list) or not value:
                 raise ConfigError("custom_weights must be a non-empty list")
-            weights = [float(w) for w in value]
+            weights = [_real(w, "custom_weights entry") for w in value]
             model = make_shift(SpaceKind.custom(weights), len(weights) + 1)
             if "m" in spec and spec["m"] != model.m:
                 raise ConfigError(
@@ -158,7 +127,7 @@ def _resolve_kind(spec, base_dir):
                 )
             return model.operator, model, model.label()
         if key == "quotient_roots":
-            model = make_quotient(parse_roots(value))
+            model = make_quotient(value)
             if "m" in spec and spec["m"] != model.m:
                 raise ConfigError(
                     f"quotient roots imply m = {model.m}, not {spec['m']}"
@@ -193,7 +162,7 @@ def _resolve_coinvariant(spec, T, model, tol, base_dir):
     if key == "ideal_roots":
         if not isinstance(model, QuotientModel):
             raise ConfigError("ideal_roots only applies to quotient_roots factors")
-        S = ideal_subspace(model, parse_roots(value), tol=tol)
+        S = ideal_subspace(model, value, tol=tol)
         return complement_within(Subspace.full(m, tol=tol), S)
     if key == "basis":
         cols = matrix_from_json(value)

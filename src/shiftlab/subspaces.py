@@ -1,10 +1,11 @@
 """Orthonormal-basis arithmetic for subspaces of complex coordinate space.
 
 A subspace of C^N is carried around as an N x k matrix with orthonormal
-columns.  Every rank decision in the package funnels through one rule: after
-a singular value decomposition, a direction survives when its singular value
-exceeds ``tol * max(1, sigma_max)``.  The zero subspace (k = 0) is a
-first-class value, so downstream code never special-cases empty bases.
+columns.  Every rank decision in the package funnels through one rule,
+``numerical_rank``: after a singular value decomposition, a direction
+survives when its singular value exceeds ``tol * max(1, sigma_max)``.  The
+zero subspace (k = 0) is a first-class value, so downstream code never
+special-cases empty bases.
 
 Krylov closures grow a basis B block by block and apply that rule to the
 residual of the newest block's images after projecting them against B twice.
@@ -115,19 +116,27 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
+def numerical_rank(s, tol):
+    """How many of the descending singular values ``s`` exceed ``tol * max(1, s[0])``.
+
+    A value exactly at the cutoff counts as zero; an empty ``s`` has rank 0.
+    """
+    if len(s) == 0:
+        return 0
+    return int(np.sum(s > tol * max(1.0, float(s[0]))))
+
+
 def orthonormalize(vectors, tol=DEFAULT_TOL, ambient_dim=None):
     """Rank-revealing orthonormalization of a spanning set.
 
-    Singular values at or below ``tol * max(1, sigma_max)`` are treated as
-    zero; the surviving left singular vectors get one re-orthogonalization
-    pass before they are returned as the basis.
+    ``numerical_rank`` decides how many left singular vectors survive; they
+    get one re-orthogonalization pass before they are returned as the basis.
     """
     M = as_columns(vectors, ambient_dim)
     if M.shape[1] == 0:
         return Subspace.zero(M.shape[0], tol=tol)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    cutoff = tol * max(1.0, float(s[0]) if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
+    rank = numerical_rank(s, tol)
     if rank == 0:
         return Subspace.zero(M.shape[0], tol=tol)
     B, _ = np.linalg.qr(U[:, :rank])

@@ -18,8 +18,10 @@ M_i = ran(P~_i prod_{j != i} Q~_j).  Compressions of the big tuple to F are
 simultaneously block diagonal along that decomposition, which is what makes
 F useful for multiplicity bookkeeping.
 
-Everything here is exact linear algebra on kron-structured bases; the
-verification routine re-checks each claimed identity numerically and reports
+Everything here is exact linear algebra on kron-structured bases: S is
+computed once, as the orthogonal complement of the kron basis of
+Q_1 (x) ... (x) Q_n.  The verification routine re-checks each claimed
+identity numerically, P_S = I - Q~_1 ... Q~_n among them, and reports
 worst-case residuals.
 """
 
@@ -160,33 +162,15 @@ def build_system(factors, tol=None):
 
 
 def joint_invariant_S(sys):
-    """S = (Q_1 (x) ... (x) Q_n)-perp, computed two independent ways.
+    """S = (Q_1 (x) ... (x) Q_n)-perp, the complement of the kron basis of the Q_i.
 
-    Route one: spectral basis of the projector I - Q~_1 ... Q~_n.  Route two:
-    orthogonal complement of the kron basis of Q_1 (x) ... (x) Q_n.  The two
-    must agree within tolerance or InternalConsistencyError is raised.
+    A kron product of orthonormal bases is orthonormal, and by the
+    mixed-product property its range is the range of Q~_1 ... Q~_n, so this
+    is also ran(I - Q~_1 ... Q~_n); verify_compression_structure re-checks
+    that projector identity.
     """
-    N = sys.N
-    prod = np.eye(N, dtype=complex)
-    for Qt in sys.Qp:
-        prod = prod @ Qt
-    P_S = np.eye(N, dtype=complex) - prod
-    w, V = np.linalg.eigh((P_S + P_S.conj().T) / 2)
-    route_a = Subspace(V[:, w > 0.5], tol=sys.tol, _checked=True)
-
     big_Q = sys.summand_subspace(["Q"] * sys.n)
-    route_b = complement_within(Subspace.full(N, tol=sys.tol), big_Q)
-
-    if route_a.dim != route_b.dim:
-        raise InternalConsistencyError(
-            f"joint invariant subspace dimensions disagree: {route_a.dim} vs {route_b.dim}"
-        )
-    angle = max_principal_angle(route_a, route_b)
-    if angle > max(sys.tol, 1e-12):
-        raise InternalConsistencyError(
-            f"joint invariant subspace routes disagree (principal angle {angle:.3e})"
-        )
-    return route_b
+    return complement_within(Subspace.full(sys.N, tol=sys.tol), big_Q)
 
 
 def x_projections(sys):

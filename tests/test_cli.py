@@ -122,6 +122,22 @@ def test_model_dump_invalid_model_is_exit_2(spec, tmp_path, monkeypatch, capsys)
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["run", "model dump"])
+@pytest.mark.parametrize("kind", [
+    {"weighted_bergman": "x"}, {"custom_weights": ["a"]}, {"weighted_bergman": True},
+], ids=["alpha-string", "weight-string", "alpha-bool"])
+def test_non_numeric_kind_value_is_exit_2(command, kind, tmp_path, capsys):
+    factor = {"kind": kind, "m": 3, "coinvariant": {"prefix": 1}}
+    path = tmp_path / "spec.json"
+    if command == "run":
+        path.write_text(json.dumps({"factors": [factor, factor]}))
+    else:
+        path.write_text(json.dumps(factor))
+    assert main(command.split() + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text", ["not json", "[[1, 2], [3]]"])
 def test_closure_undecodable_vectors_is_exit_2(text, tmp_path, capsys):
     vectors = tmp_path / "vectors.json"

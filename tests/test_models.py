@@ -161,7 +161,7 @@ def test_ideal_subspace_rejects_bad_divisors():
     with pytest.raises(InputError):
         ideal_subspace(model, [0.3, -0.5])  # not a proper divisor
     with pytest.raises(InputError):
-        ideal_subspace(model, [(0.3, 2)])  # multiplicity too high
+        ideal_subspace(model, [([0.3, 0.0], 2)])  # multiplicity too high
 
 
 def test_matrix_json_roundtrip():

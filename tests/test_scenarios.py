@@ -7,14 +7,16 @@ import pytest
 from shiftlab import (
     ALL_CHECKS,
     ConfigError,
+    InputError,
     load_scenario,
+    make_quotient,
     run_scenario,
     scenario_from_json,
 )
 import oracle
 from shiftlab.cli import main
-from shiftlab.models import dump_matrix, matrix_to_json
-from shiftlab.scenarios import parse_roots, report_to_text, resolve_factor
+from shiftlab.models import dump_matrix, matrix_to_json, parse_roots
+from shiftlab.scenarios import report_to_text, resolve_factor
 from shiftlab.tensorized import build_system, f_chain
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -34,8 +36,32 @@ def test_parse_roots_forms():
     got = parse_roots([0.3, [0.1, -0.2], [[0.5, 0.0], 2]])
     assert got == [(0.3 + 0j, 1), (0.1 - 0.2j, 1), (0.5 + 0j, 2)]
     for bad in ([], "roots", [True], [[1, 2, 3]], [[[0.1], 2]], [[[0.1, 0.2], 0.5]]):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             parse_roots(bad)
+        with pytest.raises(ConfigError):
+            resolve_factor({"kind": {"quotient_roots": bad}, "coinvariant": {"prefix": 1}}, 1e-10)
+
+
+@pytest.mark.parametrize("roots, expected", [
+    ([0.3], ((0.3, 1),)),
+    ([[0.1, -0.2]], ((0.1 - 0.2j, 1),)),
+    ([[[0.5, 0.0], 2]], ((0.5, 2),)),
+    ([(0.2j, 2)], ((0.2j, 2),)),
+    ([[0.3, 0]], ((0.3, 1),)),  # a pair of reals is a complex value
+    ([[0.5, 2]], None),  # 0.5 + 2i lies outside the disc
+], ids=["number", "pair", "pair-mult", "complex-mult", "pair-zero-imag", "pair-not-mult"])
+def test_library_and_json_read_roots_alike(roots, expected):
+    """make_quotient and a quotient_roots factor spec read every root form the same way."""
+    roots = roots + [-0.5]
+    spec = {"kind": {"quotient_roots": roots}, "coinvariant": {"ideal_roots": [-0.5]}}
+    if expected is None:
+        with pytest.raises(InputError):
+            make_quotient(roots)
+        with pytest.raises(ConfigError):
+            resolve_factor(spec, 1e-10)
+        return
+    assert make_quotient(roots).roots == expected + ((-0.5, 1),)
+    assert resolve_factor(spec, 1e-10).model.roots == expected + ((-0.5, 1),)
 
 
 def test_scenario_validation_errors():

@@ -15,7 +15,7 @@ from shiftlab import (
     same_subspace,
     sum_subspaces,
 )
-from shiftlab.subspaces import as_columns, as_operator
+from shiftlab.subspaces import as_columns, as_operator, numerical_rank
 
 
 def test_as_operator_rejects_nonsquare_and_nonfinite():
@@ -77,6 +77,14 @@ def test_orthonormalize_detects_rank():
 def test_orthonormalize_zero_input():
     s = orthonormalize(np.zeros((5, 2)))
     assert s.dim == 0 and s.ambient_dim == 5
+
+
+def test_numerical_rank_cuts_at_tol_times_max_one_sigma_max():
+    # the cutoff 0.25 * 2 = 0.5 is exact in binary; a value at it is dropped
+    assert numerical_rank(np.array([2.0, 0.75, 0.5, 0.25]), 0.25) == 2
+    # below sigma_max = 1 the cutoff is tol itself
+    assert numerical_rank(np.array([0.5, 0.25, 0.125]), 0.25) == 1
+    assert numerical_rank(np.zeros(0), 0.25) == 0
 
 
 def test_complement_within_dimensions_and_orthogonality():

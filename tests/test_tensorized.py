@@ -16,6 +16,7 @@ from shiftlab import (
     joint_invariant_S,
     make_quotient,
     make_shift,
+    max_principal_angle,
     opnorm,
     prefix_coinvariant,
     tensor_factor,
@@ -83,11 +84,28 @@ def test_slot_matrix_embedding():
     assert np.allclose(embedded, np.kron(np.eye(4), M))
 
 
+def complex_quotient_system():
+    qmodel = make_quotient([0.3, [0.2, 0.4], -0.5])
+    S1 = ideal_subspace(qmodel, [[0.2, 0.4]])
+    f1 = tensor_factor(qmodel.operator, complement_within(Subspace.full(3), S1))
+    return build_system([f1, hardy_factor(3, 2)])
+
+
 def test_joint_invariant_S_dimension_formula():
-    for sys_, expect in ((hardy_2x2_system(), 12), (mixed_3_system(), 26), (quotient_system(), 6)):
+    for sys_, expect in ((hardy_2x2_system(), 12), (mixed_3_system(), 26), (quotient_system(), 6),
+                         (complex_quotient_system(), 7)):
         S = joint_invariant_S(sys_)
         q_prod = int(np.prod([f.Q.dim for f in sys_.factors]))
         assert S.dim == sys_.N - q_prod == expect
+        # reference: S = ran(I - Q~_1 ... Q~_n), from the spectrum of that projector
+        prod = np.eye(sys_.N, dtype=complex)
+        for Qt in sys_.Qp:
+            prod = prod @ Qt
+        P_S = np.eye(sys_.N) - prod
+        w, V = np.linalg.eigh((P_S + P_S.conj().T) / 2)
+        ref = Subspace(V[:, w > 0.5], _checked=True)
+        assert ref.dim == S.dim
+        assert max_principal_angle(ref, S) <= 1e-12
         # invariance of S under every embedded operator
         P = S.projector()
         eye = np.eye(sys_.N)
