@@ -25,6 +25,8 @@ from .models import complex_to_pair, load_matrix, matrix_to_json
 from .multiplicity import krylov_closure
 from .scenarios import (
     _NAMED_KINDS,
+    _count,
+    _positive,
     _resolve_kind,
     load_scenario,
     report_to_text,
@@ -85,13 +87,19 @@ def _emit(text, out):
 
 
 def _apply_overrides(scn, args):
+    """Command-line settings override the file's, under the scenario JSON rules."""
     if args.tol is not None:
-        scn.tol = args.tol
+        scn.tol = _positive(args.tol, "--tol")
     if args.trials is not None:
-        scn.trials = args.trials
+        scn.trials = _count(args.trials, "--trials")
     if args.seed is not None:
-        scn.seed = args.seed
+        scn.seed = _count(args.seed, "--seed")
     return scn
+
+
+def _succeeded(report):
+    """Every check passed and both multiplicities are certified."""
+    return report.passed and all(m["certified"] for m in report.multiplicities.values())
 
 
 def _cmd_run(args):
@@ -101,7 +109,7 @@ def _cmd_run(args):
         _emit(json.dumps(report.to_json(), indent=2, sort_keys=True), args.out)
     else:
         _emit(report_to_text(report), args.out)
-    return 0 if report.passed else 1
+    return 0 if _succeeded(report) else 1
 
 
 def _cmd_suite(args):
@@ -130,7 +138,7 @@ def _cmd_suite(args):
         total = sum(r.passed for r in reports)
         lines.append(f"{total}/{len(reports)} scenarios passed")
         _emit("\n".join(lines), args.out)
-    return 0 if all(r.passed for r in reports) else 1
+    return 0 if all(_succeeded(r) for r in reports) else 1
 
 
 def _cmd_model_dump(args):
@@ -157,7 +165,8 @@ def _cmd_closure(args):
         raise ConfigError(
             f"vectors live in C^{cols.shape[0]} but {desc} acts on C^{T.shape[0]}"
         )
-    closed = krylov_closure((T,), cols, tol=args.tol or DEFAULT_TOL)
+    tol = DEFAULT_TOL if args.tol is None else _positive(args.tol, "--tol")
+    closed = krylov_closure((T,), cols, tol=tol)
     payload = {
         "model": desc,
         "generators": cols.shape[1],

@@ -17,6 +17,7 @@ Matrices cross the process boundary as JSON with complex entries encoded as
 ``[re, im]`` pairs, row-major.
 """
 
+import cmath
 import json
 import math
 import numbers
@@ -296,13 +297,13 @@ def complex_to_pair(z):
 
 
 def pair_to_complex(obj):
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(
-        isinstance(x, (int, float)) for x in obj
-    ):
-        return complex(obj[0], obj[1])
-    raise InputError(f"expected a real number or an [re, im] pair, got {obj!r}")
+    """A finite real number or [re, im] pair as a complex; booleans are not numbers."""
+    if not _is_scalar_entry(obj):
+        raise InputError(f"expected a real number or an [re, im] pair, got {obj!r}")
+    z = complex(*obj) if isinstance(obj, (list, tuple)) else complex(obj)
+    if not cmath.isfinite(z):
+        raise InputError(f"matrix entry {obj!r} is not finite")
+    return z
 
 
 def _is_scalar_entry(x):
@@ -357,10 +358,7 @@ def matrix_from_json(obj):
     if len(flat) != r * c:
         raise InputError(f"matrix claims {r} x {c} = {r * c} entries, found {len(flat)}")
     data = np.array([pair_to_complex(z) for z in flat], dtype=complex)
-    M = data.reshape(r, c)
-    if not np.all(np.isfinite(M)):
-        raise InputError("matrix has non-finite entries")
-    return M
+    return data.reshape(r, c)
 
 
 def load_matrix(path):

@@ -20,6 +20,7 @@ mult(S) >= mult(F) and flags which hypothesis failed, but claims no equality.
 """
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -92,6 +93,28 @@ def _real(value, what):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+def _positive(value, what):
+    """A finite positive number (not a bool) as a float; ConfigError otherwise.
+
+    The one rule for tolerances, from scenario JSON and the command line alike.
+    """
+    v = _real(value, what)
+    if not math.isfinite(v) or v <= 0:
+        raise ConfigError(f"{what} must be a finite positive number, got {value!r}")
+    return v
+
+
+def _count(value, what):
+    """A non-negative integer (not a bool); ConfigError otherwise.
+
+    The one rule for trial counts and seeds, from scenario JSON and the
+    command line alike.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _resolve_kind(spec, base_dir):
@@ -223,25 +246,14 @@ def scenario_from_json(obj, base_dir="."):
     seen = set()
     ordered = [c for c in checks if not (c in seen or seen.add(c))]
 
-    def _num(key, default):
-        v = obj.get(key, default)
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-            raise ConfigError(f"'{key}' must be a positive number")
-        return float(v)
-
-    trials = obj.get("trials", 64)
-    seed = obj.get("seed", 42)
-    for name, v in (("trials", trials), ("seed", seed)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ConfigError(f"'{name}' must be a non-negative integer")
     return Scenario(
         factor_specs=factors,
         label=str(obj.get("label", "")),
-        tol=_num("tol", DEFAULT_TOL),
-        check_tol=_num("check_tol", 1e-9),
-        angle_tol=_num("angle_tol", 1e-8),
-        trials=trials,
-        seed=seed,
+        tol=_positive(obj.get("tol", DEFAULT_TOL), "'tol'"),
+        check_tol=_positive(obj.get("check_tol", 1e-9), "'check_tol'"),
+        angle_tol=_positive(obj.get("angle_tol", 1e-8), "'angle_tol'"),
+        trials=_count(obj.get("trials", 64), "'trials'"),
+        seed=_count(obj.get("seed", 42), "'seed'"),
         checks=tuple(ordered),
         base_dir=str(base_dir),
     )
@@ -371,7 +383,7 @@ def _factor_hypotheses(resolved, scn):
     return hyp, failed
 
 
-def _structural_verdicts(scn, sys, struct):
+def _structural_verdicts(scn, struct):
     verdicts = {}
     fams = struct.families()
     for name in (
@@ -385,8 +397,6 @@ def _structural_verdicts(scn, sys, struct):
         if name not in scn.checks:
             continue
         worst = max(fams[name].values(), default=0.0)
-        if name == "commutativity":
-            worst = max(worst, sys.doubly_commuting_residual)
         verdicts[name] = {
             "status": "pass" if worst <= scn.check_tol else "fail",
             "max_residual": float(worst),
@@ -492,7 +502,7 @@ def run_scenario(scn):
                 "mult_S": _mult_to_json(mult_S),
                 "mult_F": _mult_to_json(mult_F),
             }
-    structural = _structural_verdicts(scn, sys, struct)
+    structural = _structural_verdicts(scn, struct)
     ordered_verdicts = {}
     for name in scn.checks:
         ordered_verdicts[name] = structural.get(name, verdicts.get(name))

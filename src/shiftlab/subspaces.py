@@ -9,12 +9,12 @@ special-cases empty bases.
 
 Krylov closures grow a basis B block by block and apply that rule to the
 residual of the newest block's images after projecting them against B twice.
-Subspaces of equal dimension are equal when ``||B - A(A^H B)||_2``, the sine
-of their largest principal angle, is at most ``sin(tol)``.
+Subspaces of equal dimension are compared by ``subspace_sine``,
+``||B - A(A^H B)||_2``, the sine of their largest principal angle; they are
+equal when it is at most ``sin(tol)``.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContainmentError, InputError
 
@@ -191,27 +191,15 @@ def compress(T, s):
     return s.basis.conj().T @ T @ s.basis
 
 
-def principal_angles(a, b):
-    """Principal angles (radians, ascending) between two subspaces."""
-    if a.ambient_dim != b.ambient_dim:
-        raise InputError("subspaces live in different ambient spaces")
-    if a.dim == 0 or b.dim == 0:
-        return np.zeros(0)
-    return np.sort(scipy.linalg.subspace_angles(a.basis, b.basis))
-
-
-def max_principal_angle(a, b):
-    """Largest principal angle; 0 for two zero subspaces, pi/2 if only one is zero."""
-    if a.dim == 0 and b.dim == 0:
-        return 0.0
-    if a.dim == 0 or b.dim == 0:
-        return float(np.pi / 2)
-    return float(principal_angles(a, b).max())
+def subspace_sine(a, b):
+    """||B - A(A^H B)||_2: for subspaces of equal dimension, the sine of their
+    largest principal angle."""
+    return opnorm(b.basis - a.basis @ (a.basis.conj().T @ b.basis))
 
 
 def same_subspace(a, b, tol=None):
-    """Same dimension and ||B - A(A^H B)||_2, the sine of the largest principal
-    angle, at most sin(tol); two zero or two full subspaces are equal outright."""
+    """Same dimension and ``subspace_sine`` at most sin(tol); two zero or two
+    full subspaces are equal outright."""
     if tol is None:
         tol = min(a.tol, b.tol)
     if a.dim != b.dim:
@@ -222,7 +210,7 @@ def same_subspace(a, b, tol=None):
         raise InputError("subspaces live in different ambient spaces")
     if a.dim == a.ambient_dim:
         return True
-    return opnorm(b.basis - a.basis @ (a.basis.conj().T @ b.basis)) <= np.sin(tol)
+    return subspace_sine(a, b) <= np.sin(tol)
 
 
 def opnorm(A):

@@ -20,9 +20,13 @@ F useful for multiplicity bookkeeping.
 
 Everything here is exact linear algebra on kron-structured bases: S is
 computed once, as the orthogonal complement of the kron basis of
-Q_1 (x) ... (x) Q_n.  The verification routine re-checks each claimed
-identity numerically, P_S = I - Q~_1 ... Q~_n among them, and reports
-worst-case residuals.
+Q_1 (x) ... (x) Q_n.  The embedded operators of distinct slots doubly
+commute exactly, by the mixed-product property, so that residual is recorded
+as 0.  The verification routine re-checks every other claimed identity
+numerically and reports worst-case residuals.  Only the projection
+identities (P_S = I - Q~_1 ... Q~_n among them) use dense N x N projectors,
+each one kron chain; every other residual comes from orthonormal bases and
+compressions.
 """
 
 import itertools
@@ -39,8 +43,8 @@ from .subspaces import (
     complement_within,
     compress,
     image,
-    max_principal_angle,
     opnorm,
+    subspace_sine,
 )
 
 
@@ -92,10 +96,10 @@ class TensorSystem:
     dims: tuple
     N: int
     ops: tuple  # embedded operators T~_i
-    P: tuple    # embedded projectors P~_i onto S_i in slot i
-    Qp: tuple   # embedded projectors Q~_i = I - P~_i
     tol: float
-    doubly_commuting_residual: float
+    # Distinct slots act on distinct tensor factors, so by the mixed-product
+    # property T~_p T~_q = T~_q T~_p and T~_p^H T~_q = T~_q T~_p^H hold exactly.
+    doubly_commuting_residual: float = 0.0
 
     @property
     def n(self):
@@ -126,39 +130,20 @@ class TensorSystem:
 
 
 def build_system(factors, tol=None):
-    """Embed the factors into their tensor product and certify double commutation."""
+    """Embed the factors into their tensor product as a doubly commuting tuple."""
     factors = tuple(factors)
     if not factors:
         raise InputError("a tensor system needs at least one factor")
     if tol is None:
         tol = min(f.tol for f in factors)
     dims = tuple(f.T.shape[0] for f in factors)
-    N = int(np.prod(dims))
-    ops, P, Qp = [], [], []
+    ops = []
     for i, f in enumerate(factors):
         mats = [np.eye(d, dtype=complex) for d in dims]
         mats[i] = f.T
         ops.append(_kron_chain(mats))
-        mats[i] = f.S.projector()
-        P.append(_kron_chain(mats))
-        mats[i] = f.Q.projector()
-        Qp.append(_kron_chain(mats))
-    resid = 0.0
-    for p in range(len(factors)):
-        for q in range(p + 1, len(factors)):
-            resid = max(resid, opnorm(ops[p] @ ops[q] - ops[q] @ ops[p]))
-            resid = max(resid, opnorm(ops[p].conj().T @ ops[q] - ops[q] @ ops[p].conj().T))
-            resid = max(resid, opnorm(ops[q].conj().T @ ops[p] - ops[p] @ ops[q].conj().T))
-    return TensorSystem(
-        factors=factors,
-        dims=dims,
-        N=N,
-        ops=tuple(ops),
-        P=tuple(P),
-        Qp=tuple(Qp),
-        tol=tol,
-        doubly_commuting_residual=float(resid),
-    )
+    return TensorSystem(factors=factors, dims=dims, N=int(np.prod(dims)), ops=tuple(ops),
+                        tol=tol)
 
 
 def joint_invariant_S(sys):
@@ -174,13 +159,17 @@ def joint_invariant_S(sys):
 
 
 def x_projections(sys):
-    """X_i = P~_i Q~_{i+1} ... Q~_n: commuting projections with orthogonal ranges."""
+    """X_i = P~_i Q~_{i+1} ... Q~_n: commuting projections with orthogonal ranges.
+
+    By the mixed-product property each X_i is the single kron chain
+    I (x) ... (x) I (x) P_{S_i} (x) P_{Q_{i+1}} (x) ... (x) P_{Q_n}.
+    """
     out = []
     for i in range(sys.n):
-        X = sys.P[i].copy()
-        for t in range(i + 1, sys.n):
-            X = X @ sys.Qp[t]
-        out.append(X)
+        mats = [np.eye(d, dtype=complex) for d in sys.dims[:i]]
+        mats.append(sys.factors[i].S.projector())
+        mats += [f.Q.projector() for f in sys.factors[i + 1:]]
+        out.append(_kron_chain(mats))
     return out
 
 
@@ -209,14 +198,16 @@ class ChainDecomposition:
     S: Subspace
     X: list
     F_chain: list  # [F_1, ..., F_{n-1}]
-    F: Subspace
+    F: Subspace  # basis: the M_i bases side by side, in order
     M_summands: list  # block subspaces M_1, ..., M_n of F
 
 
 def f_chain(sys):
     """Build S, the X projections, the nested F_i family, and F's summands.
 
-    Each F_i is an orthogonal direct sum of n kron-structured summands; the
+    Each F_i is an orthogonal direct sum of n kron-structured summands, and
+    its basis is their bases side by side, so a compression to F has the
+    M_i blocks in order (verify_compression_structure reads them off); the
     containments S >= F_1 >= ... >= F_{n-1} are re-verified numerically.
     """
     if sys.n < 2:
@@ -279,28 +270,28 @@ def verify_compression_structure(sys, chain=None, seed=42, max_degree=3, samples
     * projection_identities -- the inclusion-exclusion expansion of P_S, the
       X_i being Hermitian idempotents with orthogonal ranges, sum X_i = P_S;
     * chain -- containments S >= F_1 >= ... and the identity
-      F_1 = S (-) ran(P~_{n-1} P~_n);
+      F_1 = S (-) ran(P~_{n-1} P~_n), by the sine of the largest angle;
     * semi_invariance -- each gap G_{i-1} (-) G_i (with G_0 = S) is invariant
-      under the tuple compressed to the bigger space;
+      under the tuple compressed to the bigger space (small^H T~ G = 0 on
+      the gap's basis G);
     * commutativity -- compressions to S and to each F_i pairwise commute;
     * block_structure -- compressions to F are block diagonal along the
       M summands;
     * power_identity -- compressed powers act summand-by-summand:
       (P_F T~ P_F)^k = sum_i P_{M_i} T~^k P_{M_i} on F for 1 <= |k| <= 3.
+
+    Everything but the projection identities works on bases and
+    compressions, never on N x N projectors.
     """
     if chain is None:
         chain = f_chain(sys)
-    N = sys.N
-    eye = np.eye(N, dtype=complex)
+    eye = np.eye(sys.N, dtype=complex)
 
     proj = {}
-    prod = eye.copy()
-    for Qt in sys.Qp:
-        prod = prod @ Qt
     sumX = sum(chain.X)
-    P_S = chain.S.projector()
+    prod = _kron_chain([f.Q.projector() for f in sys.factors])  # Q~_1 ... Q~_n
     proj["inclusion_exclusion"] = opnorm((eye - prod) - sumX)
-    proj["sum_equals_PS"] = opnorm(sumX - P_S)
+    proj["sum_equals_PS"] = opnorm(sumX - chain.S.projector())
     proj["idempotent"] = max(opnorm(X @ X - X) for X in chain.X)
     proj["hermitian"] = max(opnorm(X - X.conj().T) for X in chain.X)
     proj["orthogonal_ranges"] = max(
@@ -318,64 +309,56 @@ def verify_compression_structure(sys, chain=None, seed=42, max_degree=3, samples
     tail_kinds[sys.n - 1] = "S"
     tail = sys.summand_subspace(tail_kinds)
     chain_res["head_gap_dim_match"] = float(abs(head_gap.dim - tail.dim))
-    chain_res["head_gap_angle"] = (
-        max_principal_angle(head_gap, tail) if head_gap.dim == tail.dim else float("inf")
+    chain_res["head_gap_sine"] = (
+        subspace_sine(head_gap, tail) if head_gap.dim == tail.dim else float("inf")
     )
 
     semi = {}
     for idx, (big, small) in enumerate(zip(spaces, spaces[1:])):
+        # P_big - P_gap = P_small, so P_big T G - P_gap T G = P_small T G
         gap = complement_within(big, small)
-        if gap.dim == 0:
-            semi[f"gap_{idx}"] = 0.0
-            continue
-        P_big = big.projector()
-        P_gap = gap.projector()
-        semi[f"gap_{idx}"] = max(
-            opnorm(P_big @ T @ gap.basis - P_gap @ T @ gap.basis) for T in sys.ops
-        )
+        semi[f"gap_{idx}"] = max(opnorm(small.basis.conj().T @ T @ gap.basis) for T in sys.ops)
 
-    comm = {}
-    for name, space in [("S", chain.S)] + [
-        (f"F_{i + 1}", Fi) for i, Fi in enumerate(chain.F_chain)
-    ]:
-        comps = [compress(T, space) for T in sys.ops]
-        comm[name] = max(
-            (opnorm(a @ b - b @ a) for a, b in itertools.combinations(comps, 2)),
-            default=0.0,
-        )
+    comps = [[compress(T, space) for T in sys.ops] for space in spaces]
+    names = ["S"] + [f"F_{i + 1}" for i in range(len(chain.F_chain))]
+    comm = {
+        name: max((opnorm(a @ b - b @ a) for a, b in itertools.combinations(cs, 2)),
+                  default=0.0)
+        for name, cs in zip(names, comps)
+    }
 
     # Block diagonality is a statement about the final F = M_1 (+) ... (+) M_n;
     # intermediate F_i summands carry full slots that the tuple may couple.
-    block = {}
-    P_F = chain.F.projector()
-    M_projs = [M.projector() for M in chain.M_summands]
-    cross = 0.0
-    for p in range(sys.n):
-        for q in range(sys.n):
-            if p == q:
-                continue
-            cross = max(cross, max(opnorm(M_projs[p] @ T @ M_projs[q]) for T in sys.ops))
-    block["off_diagonal"] = cross
-    block["diagonal_sum"] = max(
-        opnorm(P_F @ T @ P_F - sum(Pm @ T @ Pm for Pm in M_projs)) for T in sys.ops
-    )
+    # F's basis is the M_i bases side by side, so its M blocks are the
+    # diagonal blocks of each compression to F, the chain's last space.
+    comp_F = comps[-1]
+    edges = np.cumsum([0] + [M.dim for M in chain.M_summands])
+    blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    off_diagonal = diagonal_sum = 0.0
+    for C in comp_F:
+        off_diagonal = max(off_diagonal, max(
+            opnorm(C[blocks[p], blocks[q]]) for p in range(sys.n) for q in range(sys.n) if p != q
+        ))
+        D = C.copy()
+        for b in blocks:
+            D[b, b] = 0.0
+        diagonal_sum = max(diagonal_sum, opnorm(D))
+    block = {"off_diagonal": off_diagonal, "diagonal_sum": diagonal_sum}
 
-    power = {}
+    # In F coordinates the right side's block i is M_i^H T~^k M_i x_i.
+    worst = 0.0
     rng = np.random.default_rng(seed)
     if chain.F.dim:
-        V = chain.F.basis @ (
-            rng.standard_normal((chain.F.dim, samples))
-            + 1j * rng.standard_normal((chain.F.dim, samples))
-        )
-        V /= np.linalg.norm(V, axis=0)
-        comp_ops = [P_F @ T @ P_F for T in sys.ops]
-        worst = 0.0
-        for lhs, mono in _compressed_powers(comp_ops, sys.ops, max_degree):
-            rhs = sum(Pm @ mono @ Pm for Pm in M_projs)
-            worst = max(worst, float(np.max(np.linalg.norm(lhs @ V - rhs @ V, axis=0))))
-        power["summandwise_powers"] = worst
-    else:
-        power["summandwise_powers"] = 0.0
+        X = (rng.standard_normal((chain.F.dim, samples))
+             + 1j * rng.standard_normal((chain.F.dim, samples)))
+        X /= np.linalg.norm(X, axis=0)
+        Ms = [M.basis for M in chain.M_summands]
+        per_summand = [_compressed_powers(sys.ops, M @ X[b], max_degree)
+                       for M, b in zip(Ms, blocks)]
+        for lhs, *parts in zip(_compressed_powers(comp_F, X, max_degree), *per_summand):
+            rhs = np.vstack([M.conj().T @ W for M, W in zip(Ms, parts)])
+            worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=0))))
+    power = {"summandwise_powers": worst}
 
     return StructureReport(
         projection_identities={k: float(v) for k, v in proj.items()},
@@ -430,9 +413,11 @@ def wandering_E(sys, eigen_choices=None, tol=None):
     default.  EigenError is raised when the best available residual exceeds
     tolerance.  Also computes, for every i and j, the residual of
 
-        P_{E_i} (P_{M_i} T~_j P_{M_i} - lam^{(i)}_j P_{M_i}) = 0,
+        E_i^H T~_j M_i - lam^{(i)}_j E_i^H M_i = 0
 
-    where lam^{(i)} has alpha_j off slot i and 0 at slot i.
+    on the bases of E_i and M_i (the basis form of
+    P_{E_i} (P_{M_i} T~_j P_{M_i} - lam^{(i)}_j P_{M_i}) = 0, as E_i lies in
+    M_i), where lam^{(i)} has alpha_j off slot i and 0 at slot i.
     """
     if tol is None:
         tol = sys.tol
@@ -486,11 +471,11 @@ def wandering_E(sys, eigen_choices=None, tol=None):
     for i in range(sys.n):
         kinds = ["Q"] * sys.n
         kinds[i] = "S"
-        M_i = sys.summand_subspace(kinds)
-        P_M = M_i.projector()
-        P_E = summands[i].projector()
+        M_i = sys.summand_subspace(kinds).basis
+        E_h = summands[i].basis.conj().T
+        EM = E_h @ M_i
         for j, lam in enumerate(shift_points[i]):
-            align = max(align, opnorm(P_E @ (P_M @ sys.ops[j] @ P_M - lam * P_M)))
+            align = max(align, opnorm(E_h @ sys.ops[j] @ M_i - lam * EM))
 
     return WanderingDecomposition(
         E=E,

@@ -1,14 +1,17 @@
 """Brute-force cross-checks, kept independent of the package on purpose.
 
-Only raw numpy here: orbit spans are enumerated degree layer by degree layer
-(valid for commuting tuples) with np.linalg.matrix_rank deciding dimensions,
-and multiplicities are bracketed by exhaustive corank sampling plus random
-generator search.  Slow but simple, for ambient dimensions up to ~10.
+Only raw numpy and scipy here: orbit spans are enumerated degree layer by
+degree layer (valid for commuting tuples) with np.linalg.matrix_rank deciding
+dimensions, and multiplicities are bracketed by exhaustive corank sampling
+plus random generator search.  Slow but simple, for ambient dimensions up to
+~10.  Principal angles come from scipy.linalg.subspace_angles; the package
+itself does not import scipy.
 """
 
 import itertools
 
 import numpy as np
+import scipy.linalg
 
 
 def orbit_dim(ops, G, tol=1e-8, max_degree=None):
@@ -86,3 +89,21 @@ def mult_bruteforce(ops, basis, seed=0, attempts=40, tol=1e-8):
             if orbit_dim(local, G, tol=tol) == k:
                 return lower, r
     return lower, None
+
+
+def principal_angles(a, b):
+    """Principal angles (radians, ascending) between two Subspaces, via scipy."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("subspaces live in different ambient spaces")
+    if a.dim == 0 or b.dim == 0:
+        return np.zeros(0)
+    return np.sort(scipy.linalg.subspace_angles(a.basis, b.basis))
+
+
+def max_principal_angle(a, b):
+    """Largest principal angle; 0 for two zero subspaces, pi/2 if only one is zero."""
+    if a.dim == 0 and b.dim == 0:
+        return 0.0
+    if a.dim == 0 or b.dim == 0:
+        return float(np.pi / 2)
+    return float(principal_angles(a, b).max())

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -177,3 +180,79 @@ def test_seed_and_trials_overrides(capsys):
     assert rep["settings"]["seed"] == 7
     assert rep["settings"]["trials"] == 8
     assert rep["multiplicities"]["S"]["upper"] == 2  # answer is seed-independent
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_uncertified_multiplicity_is_exit_1(capsys):
+    """No generator trials leave mult(S) an uncertified bracket: exit 1."""
+    assert main(["run", HARDY, "--trials", "0"]) == 1
+    assert "(not certified)" in capsys.readouterr().out
+
+
+def test_suite_with_uncertified_multiplicity_is_exit_1(tmp_path, capsys):
+    (tmp_path / "hardy-2x2.json").write_text((SCENARIO_DIR / "hardy-2x2.json").read_text())
+    assert main(["suite", str(tmp_path), "--trials", "0"]) == 1
+    assert "mult(S) = [" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["tol", "check_tol", "angle_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_tolerance_in_json_is_exit_2(key, value, tmp_path, capsys):
+    obj = json.loads(Path(HARDY).read_text())
+    obj[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    assert main(["run", str(path)]) == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("override", [
+    ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol=-1e-9"],
+    ["--trials", "-3"], ["--seed", "-1"],
+], ids=lambda o: " ".join(o))
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_bad_setting_override_is_exit_2(command, override, capsys):
+    target = HARDY if command == "run" else str(SCENARIO_DIR)
+    assert main([command, target] + override) == 2
+    assert _one_error_line(capsys)
+
+
+def test_closure_bad_tol_is_exit_2(tmp_path, capsys):
+    gen = tmp_path / "gen.json"
+    dump_matrix(np.eye(4)[:, :1], gen)
+    for tol in ("nan", "0"):
+        assert main(["closure", "hardy:4", str(gen), "--tol", tol]) == 2
+        assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("where", ["matrix", "basis", "closure"])
+def test_bool_in_nested_rows_is_exit_2(where, tmp_path, capsys):
+    hardy = {"kind": "hardy", "m": 2, "coinvariant": {"prefix": 1}}
+    if where == "matrix":
+        factor = {"kind": {"matrix": [[0, 0], [True, 0]]}, "coinvariant": {"prefix": 1}}
+    else:
+        factor = {"kind": "hardy", "m": 2, "coinvariant": {"basis": [[True], [0]]}}
+    path = tmp_path / "scenario.json"
+    if where == "closure":
+        path.write_text(json.dumps([[True], [0]]))
+        argv = ["closure", "hardy:2", str(path)]
+    else:
+        path.write_text(json.dumps({"factors": [factor, hardy]}))
+        argv = ["run", str(path)]
+    assert main(argv) == 2
+    assert _one_error_line(capsys)
+
+
+def test_cli_import_does_not_load_scipy():
+    """scipy is a test-only dependency: the program never imports it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, shiftlab.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -202,6 +202,15 @@ def test_matrix_from_json_dim_shorthand_and_errors():
         matrix_from_json({"rows": 1, "cols": 1, "entries": [float("nan")]})
 
 
+def test_matrix_from_json_rejects_bools_and_non_finite_in_every_form():
+    for bad in (True, [0, False], float("nan"), [0, float("inf")]):
+        for obj in ([[bad, 0], [0, 0]],
+                    {"rows": 2, "cols": 2, "entries": [bad, 0, 0, 0]},
+                    {"rows": 2, "cols": 2, "entries": [[bad, 0], [0, 0]]}):
+            with pytest.raises(InputError):
+                matrix_from_json(obj)
+
+
 def test_matrix_file_roundtrip(tmp_path):
     A = np.array([[0, 1], [1j, 0]], dtype=complex)
     path = tmp_path / "mat.json"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from shiftlab import (
     OperatorTuple,
     SpaceKind,
     Subspace,
+    complement_within,
     default_lambda_samples,
     has_gws,
     krylov_closure,
@@ -268,3 +271,48 @@ def test_semi_invariant_bound_check():
     assert rep.mult_gap.upper <= rep.mult_big.upper
     assert max(rep.invariance_residuals) < 1e-12
     assert rep.identity_residual < 1e-12
+
+
+def dense_semi_invariant_residuals(ops, L1, L2, seed=42, max_degree=3, samples=4):
+    """Invariance and power-identity residuals from N x N projector products."""
+    N = L1.ambient_dim
+    eye = np.eye(N)
+    inv = [max(np.linalg.norm((eye - P) @ A @ P, 2) for A in ops)
+           for P in (L1.projector(), L2.projector())]
+    P_L1 = L1.projector()
+    gap_basis = complement_within(L1, L2).basis
+    P_L = gap_basis @ gap_basis.conj().T
+    rng = np.random.default_rng(seed)
+    vs = L1.basis @ (rng.standard_normal((L1.dim, samples))
+                     + 1j * rng.standard_normal((L1.dim, samples)))
+    resid = 0.0
+    for kk in itertools.product(range(max_degree + 1), repeat=len(ops)):
+        if not 1 <= sum(kk) <= max_degree:
+            continue
+        lhs = mono = eye
+        for A, p in zip(ops, kk):
+            lhs = np.linalg.matrix_power(P_L @ A @ P_L, p) @ lhs
+            mono = np.linalg.matrix_power(A, p) @ mono
+        rhs = P_L @ mono @ P_L1
+        resid = max(resid, (np.linalg.norm((lhs - rhs) @ vs, axis=0)
+                            / np.linalg.norm(vs, axis=0)).max())
+    return inv, resid
+
+
+def test_semi_invariant_bound_check_matches_dense_projector_forms():
+    """Basis forms agree with the projector sandwiches, on invariant subspaces
+    (residuals near 0) and on a non-invariant L2 (residuals of order 1), in
+    coordinates scrambled by a random unitary."""
+    rng = np.random.default_rng(61)
+    U, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+    T = make_shift(SpaceKind.hardy(), 3).operator
+    ops = [U @ np.kron(T, np.eye(3)) @ U.conj().T, U @ np.kron(np.eye(3), T) @ U.conj().T]
+    L1 = Subspace(U[:, 1:], _checked=True)  # (e_0 (x) e_0)-perp
+    for cols, invariant in (([4, 5, 7, 8], True), ([1, 3], False)):
+        L2 = Subspace(U[:, cols], _checked=True)
+        rep = semi_invariant_bound_check(ops, L1, L2, trials=8)
+        inv, resid = dense_semi_invariant_residuals(ops, L1, L2)
+        assert np.allclose(rep.invariance_residuals, inv, rtol=0, atol=1e-13)
+        assert abs(rep.identity_residual - resid) <= 1e-13
+        assert (max(inv) < 1e-13) == invariant
+        assert (resid < 1e-13) == invariant

@@ -316,3 +316,13 @@ def test_load_scenario_errors(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ConfigError):
         load_scenario(bad)
+
+
+@pytest.mark.parametrize("key", ["tol", "check_tol", "angle_tol"])
+def test_scenario_from_json_rejects_non_finite_tolerances(key):
+    """json reads NaN and Infinity; a tolerance must still be finite."""
+    for value in ("NaN", "Infinity", "-Infinity"):
+        obj = hardy_obj()
+        obj[key] = json.loads(value)
+        with pytest.raises(ConfigError):
+            scenario_from_json(obj)

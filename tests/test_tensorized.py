@@ -1,6 +1,10 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
+from oracle import max_principal_angle
 from shiftlab import (
     EigenError,
     InputError,
@@ -16,7 +20,6 @@ from shiftlab import (
     joint_invariant_S,
     make_quotient,
     make_shift,
-    max_principal_angle,
     opnorm,
     prefix_coinvariant,
     tensor_factor,
@@ -91,6 +94,96 @@ def complex_quotient_system():
     return build_system([f1, hardy_factor(3, 2)])
 
 
+def four_factor_system():
+    factors = []
+    for kind, m, k in ((SpaceKind.hardy(), 3, 1), (SpaceKind.bergman(), 3, 2),
+                       (SpaceKind.dirichlet(), 2, 1), (SpaceKind.weighted_bergman(1.5), 2, 1)):
+        model = make_shift(kind, m)
+        factors.append(tensor_factor(model.operator, prefix_coinvariant(model, k)))
+    return build_system(factors)
+
+
+def dense_structure_residuals(sys_, chain, seed=42, max_degree=3, samples=4):
+    """block_structure, semi_invariance and power_identity as products of
+    N x N projectors, the reference for the basis forms."""
+    P_F = chain.F.projector()
+    Pm = [M.projector() for M in chain.M_summands]
+    n = len(Pm)
+    block = {
+        "off_diagonal": max(opnorm(Pm[p] @ T @ Pm[q])
+                            for p in range(n) for q in range(n) if p != q for T in sys_.ops),
+        "diagonal_sum": max(opnorm(P_F @ T @ P_F - sum(P @ T @ P for P in Pm))
+                            for T in sys_.ops),
+    }
+    semi = {}
+    spaces = [chain.S] + chain.F_chain
+    for idx, (big, small) in enumerate(zip(spaces, spaces[1:])):
+        gap = complement_within(big, small)
+        P_big, P_gap = big.projector(), gap.projector()
+        semi[f"gap_{idx}"] = max(opnorm(P_big @ T @ gap.basis - P_gap @ T @ gap.basis)
+                                 for T in sys_.ops)
+    rng = np.random.default_rng(seed)
+    V = chain.F.basis @ (rng.standard_normal((chain.F.dim, samples))
+                         + 1j * rng.standard_normal((chain.F.dim, samples)))
+    V /= np.linalg.norm(V, axis=0)
+    worst = 0.0
+    for kk in itertools.product(range(max_degree + 1), repeat=sys_.n):
+        if not 1 <= sum(kk) <= max_degree:
+            continue
+        lhs = mono = np.eye(sys_.N)
+        for T, p in zip(sys_.ops, kk):
+            lhs = np.linalg.matrix_power(P_F @ T @ P_F, p) @ lhs
+            mono = np.linalg.matrix_power(T, p) @ mono
+        rhs = sum(P @ mono @ P for P in Pm)
+        worst = max(worst, np.linalg.norm((lhs - rhs) @ V, axis=0).max())
+    return {"block_structure": block, "semi_invariance": semi,
+            "power_identity": {"summandwise_powers": worst}}
+
+
+def dense_alignment(sys_, wd):
+    """max ||P_{E_i} (P_{M_i} T~_j P_{M_i} - lam_j P_{M_i})||_2 from N x N projectors."""
+    align = 0.0
+    for i in range(sys_.n):
+        kinds = ["Q"] * sys_.n
+        kinds[i] = "S"
+        P_M = sys_.summand_subspace(kinds).projector()
+        P_E = wd.summands[i].projector()
+        for j, lam in enumerate(wd.shift_points[i]):
+            align = max(align, opnorm(P_E @ (P_M @ sys_.ops[j] @ P_M - lam * P_M)))
+    return align
+
+
+@pytest.mark.parametrize("builder", [hardy_2x2_system, mixed_3_system,
+                                     complex_quotient_system, four_factor_system])
+def test_basis_residuals_match_dense_projector_forms(builder):
+    sys_ = builder()
+    chain = f_chain(sys_)
+    report = verify_compression_structure(sys_, chain)
+    for family, want in dense_structure_residuals(sys_, chain).items():
+        got = getattr(report, family)
+        assert set(got) == set(want)
+        for key in want:
+            assert abs(got[key] - want[key]) <= 1e-13, (family, key)
+    wd = wandering_E(sys_)
+    assert abs(wd.alignment_residual - dense_alignment(sys_, wd)) <= 1e-13
+
+
+def test_block_structure_sees_coupled_summands():
+    """With F_1 and its summands, which the tuple couples, in place of F and
+    the M_i, the basis check reports the coupling the dense form reports."""
+    sys_ = mixed_3_system()
+    chain = f_chain(sys_)
+    F_1 = chain.F_chain[0]
+    coupled = [sys_.summand_subspace(_chain_slot_kinds(3, 1, j)) for j in (1, 2, 3)]
+    assert np.array_equal(F_1.basis, np.hstack([M.basis for M in coupled]))
+    wrong = dataclasses.replace(chain, F_chain=[F_1], F=F_1, M_summands=coupled)
+    got = verify_compression_structure(sys_, wrong).block_structure
+    want = dense_structure_residuals(sys_, wrong)["block_structure"]
+    assert got["off_diagonal"] > 0.1
+    for key in want:
+        assert abs(got[key] - want[key]) <= 1e-13, key
+
+
 def test_joint_invariant_S_dimension_formula():
     for sys_, expect in ((hardy_2x2_system(), 12), (mixed_3_system(), 26), (quotient_system(), 6),
                          (complex_quotient_system(), 7)):
@@ -99,8 +192,8 @@ def test_joint_invariant_S_dimension_formula():
         assert S.dim == sys_.N - q_prod == expect
         # reference: S = ran(I - Q~_1 ... Q~_n), from the spectrum of that projector
         prod = np.eye(sys_.N, dtype=complex)
-        for Qt in sys_.Qp:
-            prod = prod @ Qt
+        for i, f in enumerate(sys_.factors):
+            prod = prod @ sys_.slot_matrix(i, f.Q.projector())
         P_S = np.eye(sys_.N) - prod
         w, V = np.linalg.eigh((P_S + P_S.conj().T) / 2)
         ref = Subspace(V[:, w > 0.5], _checked=True)
@@ -162,7 +255,7 @@ def test_head_gap_identity():
     for sys_ in (hardy_2x2_system(), mixed_3_system(), quotient_system()):
         report = verify_compression_structure(sys_)
         assert report.chain["head_gap_dim_match"] == 0
-        assert report.chain["head_gap_angle"] < RESID
+        assert report.chain["head_gap_sine"] < RESID
 
 
 @pytest.mark.parametrize("builder", [hardy_2x2_system, mixed_3_system, quotient_system])
