@@ -97,11 +97,6 @@ def _apply_overrides(scn, args):
     return scn
 
 
-def _succeeded(report):
-    """Every check passed and both multiplicities are certified."""
-    return report.passed and all(m["certified"] for m in report.multiplicities.values())
-
-
 def _cmd_run(args):
     scn = _apply_overrides(load_scenario(args.scenario), args)
     report = run_scenario(scn)
@@ -109,7 +104,7 @@ def _cmd_run(args):
         _emit(json.dumps(report.to_json(), indent=2, sort_keys=True), args.out)
     else:
         _emit(report_to_text(report), args.out)
-    return 0 if _succeeded(report) else 1
+    return 0 if report.succeeded else 1
 
 
 def _cmd_suite(args):
@@ -132,13 +127,13 @@ def _cmd_suite(args):
             ms = r.multiplicities["S"]
             mult = str(ms["upper"]) if ms["certified"] else f"[{ms['lower']},{ms['upper']}]"
             lines.append(
-                f"[{'PASS' if r.passed else 'FAIL'}] {r.label}: dim S = {r.dim_S}, "
+                f"[{'PASS' if r.succeeded else 'FAIL'}] {r.label}: dim S = {r.dim_S}, "
                 f"mult(S) = {mult}, mode = {r.mode} ({r.elapsed_seconds:.2f}s)"
             )
-        total = sum(r.passed for r in reports)
+        total = sum(r.succeeded for r in reports)
         lines.append(f"{total}/{len(reports)} scenarios passed")
         _emit("\n".join(lines), args.out)
-    return 0 if all(_succeeded(r) for r in reports) else 1
+    return 0 if all(r.succeeded for r in reports) else 1
 
 
 def _cmd_model_dump(args):

@@ -10,10 +10,12 @@ L.  Certification brackets that integer:
   the compressed tuple at points lam (closures are invariant under scalar
   shifts of the tuple, so every point yields a valid bound).  The corank is
   nonzero only when conj(lam) is a joint eigenvalue of the compressed
-  adjoint tuple, so the points are the origin and combinations of the
-  compressed operators' eigenvalues, plus any the caller supplies.  No
-  random points are used: off the joint spectrum their corank is 0, and in
-  floating point they can only add pseudospectral false positives;
+  adjoint tuple.  A scenario passes the product of its exact slot spectra,
+  and only those points are used, each once (see ``multiplicity``); a bare
+  tuple gets the origin and combinations of the compressed operators'
+  eigenvalues.  No random points are used: off the joint spectrum their
+  corank is 0, and in floating point they can only add pseudospectral false
+  positives;
 * upper bounds come from seeded random generating sets whose closure is
   verified to exhaust L.
 
@@ -183,8 +185,11 @@ def has_gws(A, L):
     return krylov_closure(A, wandering_subspace(A, L).basis, restrict_to=L).dim == L.dim
 
 
-def local_corank(A, L, lam):
-    """dim( L (-) sum_i (P_L A_i|_L - lam_i) L ): a lower bound for the multiplicity."""
+def local_corank(A, L, lam, tol=None):
+    """dim( L (-) sum_i (P_L A_i|_L - lam_i) L ), ranked at tol (default L.tol).
+
+    A lower bound for the multiplicity.
+    """
     t = _as_tuple(A)
     lam = _as_point(lam, t.n)
     k = L.dim
@@ -192,7 +197,7 @@ def local_corank(A, L, lam):
         return 0
     eye = np.eye(k, dtype=complex)
     stacked = np.hstack([compress(op, L) - l * eye for op, l in zip(t.ops, lam)])
-    return k - numerical_rank(np.linalg.svd(stacked, compute_uv=False), L.tol)
+    return k - numerical_rank(np.linalg.svd(stacked, compute_uv=False), tol or L.tol)
 
 
 _MAX_COMBOS = 200
@@ -211,7 +216,7 @@ def _dedup_complex(values, tol=1e-7):
 
 
 def default_lambda_samples(A, L):
-    """Corank sample points for the compression of A to L.
+    """Corank sample points for the compression of A to L, when none are given.
 
     The origin, then the combinations of the deduplicated eigenvalues of the
     compressed operators, at most ``_MAX_COMBOS`` of them (the eigenvalues
@@ -268,10 +273,20 @@ def mult_upper(A, L, r, trials=64, seed=42, tol=None):
 def multiplicity(A, L=None, lambda_samples=None, trials=64, seed=42, tol=None):
     """Bracket the multiplicity of the compression of A to L.
 
-    ``lambda_samples`` are extra corank sample points merged with the default
-    set.  The result is certified when the best corank lower bound meets the
-    smallest random-generator count that exhausts L; ``seed`` drives only
-    that generator search.
+    Coranks are evaluated only at ``lambda_samples``, each distinct point
+    once (default: ``default_lambda_samples``), so the points must hold every
+    joint eigenvalue of the compressed tuple.  For a scenario the product of
+    slot spectra sigma(T_1) x ... x sigma(T_n) does, for S and for F alike.
+    S is invariant, so the compression to S is a restriction of the
+    kron-embedded tuple, whose joint spectrum is that product.  F is not
+    invariant, but each M_i = S_i (x) (x)_{j != i} Q_j is the difference
+    (S_i (x) (x)_{j != i} C^{m_j}) (-) (S_i (x) ((x)_{j != i} Q_j)-perp) of
+    two invariant subspaces, so its compression's joint eigenvalues lie in
+    the product too; and the compression to F is block diagonal along the M_i.
+
+    Coranks and closures decide ranks at ``tol`` (default ``L.tol``).  The
+    result is certified when the best corank lower bound meets the smallest
+    random-generator count that exhausts L; ``seed`` drives only that search.
     """
     t = _as_tuple(A)
     if L is None:
@@ -281,13 +296,14 @@ def multiplicity(A, L=None, lambda_samples=None, trials=64, seed=42, tol=None):
     k = L.dim
     if k == 0:
         return MultiplicityResult(0, 0, True, [], None, 0, seed)
-    pts = default_lambda_samples(t, L)
-    if lambda_samples is not None:
-        pts = pts + [_as_point(p, t.n) for p in lambda_samples]
+    if lambda_samples is None:
+        pts = default_lambda_samples(t, L)
+    else:
+        pts = dict.fromkeys(_as_point(p, t.n) for p in lambda_samples)
     best_corank = 0
     witness_point = None
     for p in pts:
-        c = local_corank(t, L, p)
+        c = local_corank(t, L, p, tol=tol)
         if c > best_corank:
             best_corank, witness_point = c, p
     # a nonzero subspace always needs at least one generator

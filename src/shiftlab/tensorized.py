@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenError, InputError, InternalConsistencyError, ModelError
-from .multiplicity import OperatorTuple, _compressed_powers
+from .multiplicity import OperatorTuple, _compressed_powers, _dedup_complex
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -65,12 +65,16 @@ class TensorFactor:
     label: str
     tol: float
     coinvariance_residual: float
+    spectrum: tuple  # the distinct eigenvalues of T, by modulus
 
 
-def tensor_factor(T, Q, tol=DEFAULT_TOL, label=""):
+def tensor_factor(T, Q, tol=DEFAULT_TOL, label="", spectrum=None):
     """Validate co-invariance of Q under T^H and package the factor.
 
-    Raises ModelError when T^H Q reaches outside Q beyond tolerance.
+    ``spectrum`` lists T's eigenvalues when they are known exactly; by default
+    a triangular T (every weighted shift) gives its diagonal and any other T
+    its clustered eigvals.  Raises ModelError when T^H Q reaches outside Q
+    beyond tolerance.
     """
     T = as_operator(T)
     m = T.shape[0]
@@ -84,8 +88,12 @@ def tensor_factor(T, Q, tol=DEFAULT_TOL, label=""):
             f"subspace is not invariant under the adjoint (residual {resid:.3e} > {tol:.1e})"
         )
     S = complement_within(Subspace.full(m, tol=tol), Q)
+    if spectrum is None:
+        triangular = not np.triu(T, 1).any() or not np.tril(T, -1).any()
+        spectrum = np.diag(T) if triangular else _dedup_complex(np.linalg.eigvals(T))
+    spectrum = tuple(sorted(set(map(complex, spectrum)), key=lambda z: (abs(z), z.real, z.imag)))
     return TensorFactor(T=T, Q=Q, S=S, label=label or f"factor:{m}", tol=tol,
-                        coinvariance_residual=float(resid))
+                        coinvariance_residual=float(resid), spectrum=spectrum)
 
 
 @dataclass(eq=False)
@@ -107,6 +115,10 @@ class TensorSystem:
 
     def op_tuple(self):
         return OperatorTuple(self.ops)
+
+    def joint_spectrum(self):
+        """sigma(T_1) x ... x sigma(T_n): the joint eigenvalues of the embedded tuple."""
+        return list(itertools.product(*(f.spectrum for f in self.factors)))
 
     def slot_matrix(self, i, M):
         """Embed an m_i x m_i matrix into slot i of the tensor product."""
@@ -417,7 +429,8 @@ def wandering_E(sys, eigen_choices=None, tol=None):
 
     on the bases of E_i and M_i (the basis form of
     P_{E_i} (P_{M_i} T~_j P_{M_i} - lam^{(i)}_j P_{M_i}) = 0, as E_i lies in
-    M_i), where lam^{(i)} has alpha_j off slot i and 0 at slot i.
+    M_i), where lam^{(i)} has alpha_j off slot i and 0 at slot i.  These
+    ``shift_points`` go into the report only; coranks use joint_spectrum.
     """
     if tol is None:
         tol = sys.tol

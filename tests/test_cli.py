@@ -188,15 +188,20 @@ def _one_error_line(capsys):
 
 
 def test_uncertified_multiplicity_is_exit_1(capsys):
-    """No generator trials leave mult(S) an uncertified bracket: exit 1."""
+    """No generator trials leave mult(S) an uncertified bracket: exit 1, and the text says FAIL."""
     assert main(["run", HARDY, "--trials", "0"]) == 1
-    assert "(not certified)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "(not certified)" in out
+    assert "result: FAIL" in out and "result: PASS" not in out
 
 
 def test_suite_with_uncertified_multiplicity_is_exit_1(tmp_path, capsys):
     (tmp_path / "hardy-2x2.json").write_text((SCENARIO_DIR / "hardy-2x2.json").read_text())
     assert main(["suite", str(tmp_path), "--trials", "0"]) == 1
-    assert "mult(S) = [" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "mult(S) = [" in out
+    assert "[FAIL] hardy-2x2" in out and "[PASS]" not in out
+    assert "0/1 scenarios passed" in out
 
 
 @pytest.mark.parametrize("key", ["tol", "check_tol", "angle_tol"])

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -206,14 +207,57 @@ def test_multiplicity_on_invariant_subspace():
 
 
 def test_multiplicity_respects_extra_lambda_samples():
-    # diagonal with a repeated eigenvalue away from the default grid: the
-    # repeated point is found by eigenvalue combos either way; passing it
-    # explicitly must not change the certified answer
+    # diagonal with a repeated eigenvalue away from the origin: the default
+    # points find it among the eigenvalue combinations; passed alone, it is
+    # the only point evaluated and must give the same certified answer
     T = np.diag([0.7, 0.7, -0.2])
     res = multiplicity((T,))
     res2 = multiplicity((T,), lambda_samples=[(0.7,)])
     assert res.certified and res2.certified
     assert res.upper == res2.upper == 2
+
+
+def test_multiplicity_uses_exactly_the_given_points(monkeypatch):
+    """Given points replace the defaults, and each distinct point is evaluated once."""
+    mm = importlib.import_module("shiftlab.multiplicity")  # the package exports a function of that name
+    T = two_jordan_blocks()
+    # 0.5 is not an eigenvalue: without the default origin the bound is only 1
+    res = multiplicity((T,), lambda_samples=[(0.5,)])
+    assert (res.lower, res.upper, res.certified) == (1, 2, False)
+    calls = []
+    real = mm.local_corank
+
+    def counting(A, L, lam, tol=None):
+        calls.append(lam)
+        return real(A, L, lam, tol=tol)
+
+    def no_defaults(A, L):
+        raise AssertionError("default points evaluated although points were given")
+
+    monkeypatch.setattr(mm, "local_corank", counting)
+    monkeypatch.setattr(mm, "default_lambda_samples", no_defaults)
+    res = multiplicity((T,), lambda_samples=[(0,), (0j,), 0.0, (0.5,)])
+    assert (res.lower, res.upper, res.certified) == (2, 2, True)
+    assert calls == [(0j,), (0.5 + 0j,)]
+
+
+def test_one_tolerance_per_multiplicity_call():
+    """Coranks and the generator search decide ranks at the same tol.
+
+    T[2, 1] = 1e-6 is a rank at tol 1e-10 but not at 1e-3.  With the coranks
+    ranked at L.tol = 1e-3 the bound 2 met a search at 1e-10 and certified a
+    2 that is wrong at 1e-10.
+    """
+    T = two_jordan_blocks()
+    T[2, 1] = 1e-6
+    loose = Subspace.full(4, tol=1e-3)
+    assert local_corank((T,), loose, (0.0,)) == 2
+    assert local_corank((T,), loose, (0.0,), tol=1e-10) == 1
+    for L in (loose, Subspace.full(4, tol=1e-10)):
+        res = multiplicity((T,), L, tol=1e-10)
+        assert (res.lower, res.upper, res.certified) == (1, 1, True)
+    res = multiplicity((T,), loose)
+    assert (res.lower, res.upper, res.certified) == (2, 2, True)
 
 
 def test_pseudospectral_points_add_no_corank():

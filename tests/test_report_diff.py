@@ -1,0 +1,43 @@
+"""tools/report_diff.py: dumps of the same tree agree, and compare names what moved."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+from test_acceptance import _random_prefix_scenario
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_diff.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("report_diff", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_dumps_of_the_shipped_scenarios_agree(tmp_path):
+    tool = _tool()
+    a = tool.dump(tmp_path / "a.json", tool.shipped_scenarios())
+    b = tool.dump(tmp_path / "b.json", tool.shipped_scenarios())
+    assert sorted(a) == [f"shipped/{n}" for n in (
+        "hardy-2x2", "mixed-3", "noncyclic-inequality", "quotient-zeros")]
+    assert all("elapsed_seconds" not in rep for rep in a.values())
+    assert tool.compare(a, b) == {}
+    assert tool.main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
+
+    moved = json.loads((tmp_path / "b.json").read_text())
+    moved["shipped/mixed-3"]["multiplicities"]["S"]["witness_point"] = [[0.5, 0.0]] * 3
+    del moved["shipped/hardy-2x2"]["residuals"]["chain"]
+    assert tool.compare(a, moved) == {
+        "multiplicities.S.witness_point": 1,
+        "residuals.chain": 1,
+    }
+
+
+def test_criterion_4_scenarios_match_the_acceptance_test():
+    rng = np.random.default_rng(20250815)
+    want = [_random_prefix_scenario(rng, 2 + trial % 2) for trial in range(20)]
+    assert _tool().criterion_4_objects() == want

@@ -1,3 +1,4 @@
+import importlib
 import json
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from shiftlab import (
 import oracle
 from shiftlab.cli import main
 from shiftlab.models import dump_matrix, matrix_to_json, parse_roots
+from shiftlab.multiplicity import local_corank
 from shiftlab.scenarios import report_to_text, resolve_factor
 from shiftlab.tensorized import build_system, f_chain
 
@@ -326,3 +328,84 @@ def test_scenario_from_json_rejects_non_finite_tolerances(key):
         obj[key] = json.loads(value)
         with pytest.raises(ConfigError):
             scenario_from_json(obj)
+
+
+def _quotient(p_roots, q_roots):
+    return {"kind": {"quotient_roots": p_roots}, "coinvariant": {"ideal_roots": q_roots}}
+
+
+R3 = [[0.3, 0.0], 3]  # (z - 0.3)^3
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ({"kind": "bergman", "m": 5, "coinvariant": {"prefix": 2}}, {0j}),
+    ({"kind": {"weighted_bergman": 2.5}, "m": 4, "coinvariant": {"prefix": 1}}, {0j}),
+    (_quotient([R3, [[0.2, 0.4], 1], [[-0.5, 0.0], 2]], [[[0.3, 0.0], 2]]),
+     {0.3, complex(0.2, 0.4), -0.5}),
+    ({"kind": {"matrix": [[0.5, 0, 0], [1, -0.2, 0], [0.3, 1, 0.5]]},
+      "coinvariant": {"prefix": 1}}, {0.5, -0.2}),
+])
+def test_slot_spectrum_per_factor_kind(spec, expected):
+    """Shifts give {0}, quotients their roots bit for bit, triangular matrices the diagonal."""
+    spectrum = resolve_factor(spec, 1e-10).factor.spectrum
+    assert len(spectrum) == len(expected)
+    assert set(spectrum) == expected
+
+
+@pytest.mark.parametrize("factors, want", [
+    ([_quotient([R3], [[[0.3, 0.0], 2]]), {"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}}],
+     2),
+    ([_quotient([R3, [[-0.5, 0.0], 2]], [[[0.3, 0.0], 1]]),
+      {"kind": "bergman", "m": 3, "coinvariant": {"prefix": 2}}], 2),
+    ([_quotient([R3], [[[0.3, 0.0], 1]]), _quotient([R3], [[[0.3, 0.0], 2]])], 2),
+    ([_quotient([R3, [[0.0, 0.0], 1]], [[[0.0, 0.0], 1]]),
+      {"kind": "hardy", "m": 3, "coinvariant": {"prefix": 1}}], 1),
+])
+def test_repeated_roots_certify_from_exact_slot_spectra(factors, want):
+    """A triple root's companion eigvals scatter by ~4e-6, where the corank is
+    1; the roots themselves give the corank that certifies."""
+    rep = run_scenario(scenario_from_json({"factors": factors, "seed": 1}))
+    for which in ("S", "F"):
+        m = rep.multiplicities[which]
+        assert (m["lower"], m["upper"], m["certified"]) == (want, want, True), which
+
+
+def test_slot_points_alone_give_full_corank():
+    """small-sweep's sweep-108 at seed 2: corank 3 at a point of the product of
+    slot spectra (a nilpotent matrix slot next to two quotient slots)."""
+    nilpotent = [[0.0] * 5 for _ in range(5)]
+    nilpotent[1][0], nilpotent[2][0], nilpotent[2][1], nilpotent[3][2] = 0.925, 0.366, 1.176, 1.47
+    factors = [
+        _quotient([[[0.2, 0.4], 1], [[-0.5, 0.0], 1]], [[[0.2, 0.4], 1]]),
+        _quotient([[[0.5, -0.3], 2], [[0.6, 0.0], 1]], [[[0.5, -0.3], 1], [[0.6, 0.0], 1]]),
+        {"kind": {"matrix": nilpotent}, "coinvariant": {"prefix": 3}},
+    ]
+    sys_ = build_system([resolve_factor(f, 1e-10).factor for f in factors])
+    S = f_chain(sys_).S
+    points = sys_.joint_spectrum()
+    assert len(points) == 4
+    assert max(local_corank(sys_.op_tuple(), S, p) for p in points) == 3
+    rep = run_scenario(scenario_from_json({"factors": factors, "seed": 2}))
+    for m in rep.multiplicities.values():
+        assert (m["lower"], m["upper"], m["certified"]) == (3, 3, True)
+
+
+def test_scenario_evaluates_each_joint_eigenvalue_once(monkeypatch):
+    """hardy-2x2: every slot spectrum is {0}, so each of the four multiplicity
+    calls (two cyclic tests, mult(S), mult(F)) evaluates one corank."""
+    mm = importlib.import_module("shiftlab.multiplicity")  # the package exports a function of that name
+    calls = []
+    real = mm.local_corank
+
+    def counting(A, L, lam, tol=None):
+        calls.append(lam)
+        return real(A, L, lam, tol=tol)
+
+    def no_defaults(A, L):
+        raise AssertionError("a scenario evaluated the generic default points")
+
+    monkeypatch.setattr(mm, "local_corank", counting)
+    monkeypatch.setattr(mm, "default_lambda_samples", no_defaults)
+    rep = run_scenario(load_scenario(SCENARIO_DIR / "hardy-2x2.json"))
+    assert rep.succeeded
+    assert calls == [(0j,), (0j,), (0j, 0j), (0j, 0j)]

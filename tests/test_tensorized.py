@@ -27,6 +27,7 @@ from shiftlab import (
     wandering_E,
     x_projections,
 )
+from shiftlab.multiplicity import _dedup_complex
 from shiftlab.tensorized import _chain_slot_kinds
 
 RESID = 1e-11
@@ -350,3 +351,22 @@ def test_wandering_E_explicit_eigen_choices():
         wandering_E(sys_, eigen_choices=[(0.0, np.zeros(4)), None])
     with pytest.raises(InputError):
         wandering_E(sys_, eigen_choices=[(0.0, np.ones(5)), None])
+
+
+def test_slot_spectrum_of_matrices():
+    """Triangular matrices give their diagonal exactly; others their clustered eigvals."""
+    upper = np.array([[0.25, 3.0, 1.0], [0.0, -0.5, 2.0], [0.0, 0.0, 0.25]])
+    assert tensor_factor(upper, Subspace.full(3)).spectrum == (0.25, -0.5)
+    general = np.array([[0.5, 1.0], [0.2, -0.1]], dtype=complex)
+    want = _dedup_complex(np.linalg.eigvals(general))
+    spectrum = tensor_factor(general, Subspace.full(2)).spectrum
+    assert len(spectrum) == len(want) == 2
+    assert set(spectrum) == set(want)
+
+
+def test_joint_spectrum_is_the_product_of_slot_spectra():
+    sys_ = quotient_system()
+    spectra = [f.spectrum for f in sys_.factors]
+    assert sys_.joint_spectrum() == list(itertools.product(*spectra))
+    assert len(sys_.joint_spectrum()) == np.prod([len(s) for s in spectra])
+    assert hardy_2x2_system().joint_spectrum() == [(0j, 0j)]
