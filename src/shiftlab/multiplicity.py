@@ -19,7 +19,9 @@ L.  Certification brackets that integer:
 * upper bounds come from seeded random generating sets whose closure is
   verified to exhaust L.
 
-A result is certified exactly when the two bounds meet.
+A result is certified exactly when the two bounds meet.  Work on L happens
+in L's coordinates, with the tuple compressed once per call, or not at all
+when it is an ``OperatorTuple`` whose ``space`` is L.
 """
 
 import functools
@@ -32,6 +34,7 @@ from .errors import InputError
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
+    _svd,
     as_columns,
     as_operator,
     complement_within,
@@ -45,9 +48,10 @@ from .subspaces import (
 
 @dataclass(eq=False)
 class OperatorTuple:
-    """A tuple of same-size square operators."""
+    """Same-size square operators; with ``space`` = L, their compression to L."""
 
     ops: tuple
+    space: Subspace | None = None
 
     def __post_init__(self):
         ops = tuple(as_operator(A) for A in self.ops)
@@ -97,6 +101,15 @@ def _as_tuple(A):
     return OperatorTuple(tuple(A))
 
 
+def _compressed(t, L):
+    """The tuple compressed to L, in L's coordinates."""
+    if t.space is L:
+        return t
+    if L.ambient_dim != t.dim:
+        raise InputError("subspace lives in the wrong ambient space")
+    return OperatorTuple(tuple(compress(op, L) for op in t.ops), space=L)
+
+
 def _as_point(lam, n):
     if np.isscalar(lam):
         lam = (lam,)
@@ -119,7 +132,7 @@ def _closure_local(ops, G_cols, tol):
         R = np.hstack([A @ new for A in ops])
         for _ in range(2):
             R = R - B @ (B.conj().T @ R)
-        U, s, _ = np.linalg.svd(R, full_matrices=False)
+        U, s, _ = _svd(R)
         rank = min(numerical_rank(s, tol), d - B.shape[1])
         new = U[:, :rank] - B @ (B.conj().T @ U[:, :rank])
         new, _ = np.linalg.qr(new)
@@ -130,9 +143,9 @@ def _closure_local(ops, G_cols, tol):
 def krylov_closure(A, G, restrict_to=None, tol=None):
     """Smallest A-invariant subspace containing G.
 
-    With ``restrict_to = L`` the tuple is first compressed to L and the
-    closure is taken inside L (G is projected onto L); the result is still
-    expressed in ambient coordinates.
+    With ``restrict_to = L`` the closure is taken inside L, under the tuple
+    compressed to L (G is projected onto L); the result is still expressed
+    in ambient coordinates.
     """
     t = _as_tuple(A)
     if restrict_to is None:
@@ -140,16 +153,14 @@ def krylov_closure(A, G, restrict_to=None, tol=None):
             tol = DEFAULT_TOL
         return _closure_local(list(t.ops), as_columns(G, t.dim), tol)
     L = restrict_to
-    if L.ambient_dim != t.dim:
-        raise InputError("restriction subspace lives in the wrong ambient space")
     if tol is None:
         tol = L.tol
     if L.dim == 0:
-        return Subspace.zero(t.dim, tol=tol)
-    comp = [compress(op, L) for op in t.ops]
-    G_loc = L.basis.conj().T @ as_columns(G, t.dim)
-    local = _closure_local(comp, G_loc, tol)
-    return Subspace(L.basis @ local.basis, tol=tol, _checked=True)
+        return Subspace.zero(L.ambient_dim, tol=tol)
+    local = _compressed(t, L)
+    G_loc = L.basis.conj().T @ as_columns(G, L.ambient_dim)
+    closure = _closure_local(list(local.ops), G_loc, tol)
+    return Subspace(L.basis @ closure.basis, tol=tol, _checked=True)
 
 
 def shifted_closure_check(A, G, lam, tol=DEFAULT_TOL):
@@ -166,23 +177,26 @@ def shifted_closure_check(A, G, lam, tol=DEFAULT_TOL):
 
 
 def wandering_subspace(A, L):
-    """W = L (-) sum_i (P_L A_i|_L) L, the orthogonal complement of the images."""
-    t = _as_tuple(A)
-    if L.ambient_dim != t.dim:
-        raise InputError("subspace lives in the wrong ambient space")
+    """W = L (-) sum_i (P_L A_i|_L) L, the orthogonal complement of the images.
+
+    In L's coordinates, the left singular vectors of [C_1 ... C_n] past its
+    numerical rank, from R^H for [C_1 ... C_n]^H = QR (a k x k SVD, not k x nk).
+    """
     if L.dim == 0:
-        return Subspace.zero(t.dim, tol=L.tol)
-    comp = [compress(op, L) for op in t.ops]
-    img = orthonormalize(np.hstack(comp), tol=L.tol, ambient_dim=L.dim)
-    w_local = complement_within(Subspace.full(L.dim, tol=L.tol), img)
-    return Subspace(L.basis @ w_local.basis, tol=L.tol, _checked=True)
+        return Subspace.zero(L.ambient_dim, tol=L.tol)
+    local = _compressed(_as_tuple(A), L)
+    R = np.linalg.qr(np.hstack(local.ops).conj().T, mode="r")
+    U, s, _ = _svd(R.conj().T)
+    rank = numerical_rank(s, L.tol)
+    return Subspace(L.basis @ U[:, rank:], tol=L.tol, _checked=True)
 
 
 def has_gws(A, L):
     """Does the wandering subspace of L generate L under the compressed tuple?"""
     if L.dim == 0:
         return True
-    return krylov_closure(A, wandering_subspace(A, L).basis, restrict_to=L).dim == L.dim
+    local = _compressed(_as_tuple(A), L)
+    return krylov_closure(local, wandering_subspace(local, L).basis, restrict_to=L).dim == L.dim
 
 
 def local_corank(A, L, lam, tol=None):
@@ -196,8 +210,9 @@ def local_corank(A, L, lam, tol=None):
     if k == 0:
         return 0
     eye = np.eye(k, dtype=complex)
-    stacked = np.hstack([compress(op, L) - l * eye for op, l in zip(t.ops, lam)])
-    return k - numerical_rank(np.linalg.svd(stacked, compute_uv=False), tol or L.tol)
+    local = _compressed(t, L)
+    stacked = np.hstack([C - l * eye for C, l in zip(local.ops, lam)])
+    return k - numerical_rank(_svd(stacked, compute_uv=False), tol or L.tol)
 
 
 _MAX_COMBOS = 200
@@ -231,8 +246,8 @@ def default_lambda_samples(A, L):
     if L.dim > 0:
         per_factor = max(1, int(round(_MAX_COMBOS ** (1.0 / n))))
         spectra = []
-        for op in t.ops:
-            evs = _dedup_complex(np.linalg.eigvals(compress(op, L)))
+        for C in _compressed(t, L).ops:
+            evs = _dedup_complex(np.linalg.eigvals(C))
             evs.sort(key=lambda z: (abs(z), z.real, z.imag))
             spectra.append(evs[:per_factor])
         pts.extend(itertools.islice(itertools.product(*spectra), _MAX_COMBOS))
@@ -266,7 +281,8 @@ def mult_upper(A, L, r, trials=64, seed=42, tol=None):
         return []
     if r == 0:
         return None
-    witness, _ = _search_upper(t, L, r, trials, np.random.default_rng(seed), tol or L.tol)
+    witness, _ = _search_upper(_compressed(t, L), L, r, trials, np.random.default_rng(seed),
+                               tol or L.tol)
     return witness
 
 
@@ -284,18 +300,22 @@ def multiplicity(A, L=None, lambda_samples=None, trials=64, seed=42, tol=None):
     two invariant subspaces, so its compression's joint eigenvalues lie in
     the product too; and the compression to F is block diagonal along the M_i.
 
-    Coranks and closures decide ranks at ``tol`` (default ``L.tol``).  The
-    result is certified when the best corank lower bound meets the smallest
-    random-generator count that exhausts L; ``seed`` drives only that search.
+    A is compressed to L once, or not at all if it already is that
+    compression.  Coranks and closures decide ranks at ``tol`` (default
+    ``L.tol``).  The result is certified when the best corank lower bound
+    meets the smallest random-generator count that exhausts L; ``seed``
+    drives only that search.
     """
     t = _as_tuple(A)
     if L is None:
         L = Subspace.full(t.dim, tol=tol or DEFAULT_TOL)
+        t = OperatorTuple(t.ops, space=L)  # already in the identity basis
     if tol is None:
         tol = L.tol
     k = L.dim
     if k == 0:
         return MultiplicityResult(0, 0, True, [], None, 0, seed)
+    t = _compressed(t, L)
     if lambda_samples is None:
         pts = default_lambda_samples(t, L)
     else:
@@ -353,10 +373,11 @@ def semi_invariant_bound_check(A, L1, L2, trials=64, seed=42, max_degree=3, samp
     """
     t = _as_tuple(A)
     gap = complement_within(L1, L2)
-    inv_resid = [max(opnorm(op @ sub.basis - sub.basis @ compress(op, sub)) for op in t.ops)
-                 for sub in (L1, L2)]
-    mult_big = multiplicity(t, L1, trials=trials, seed=seed)
-    mult_gap = multiplicity(t, gap, trials=trials, seed=seed)
+    local = {sub: _compressed(t, sub) for sub in (L1, L2, gap)}
+    inv_resid = [max(opnorm(op @ sub.basis - sub.basis @ C)
+                     for op, C in zip(t.ops, local[sub].ops)) for sub in (L1, L2)]
+    mult_big = multiplicity(local[L1], L1, trials=trials, seed=seed)
+    mult_gap = multiplicity(local[gap], gap, trials=trials, seed=seed)
     bound = None
     if mult_big.certified and mult_gap.certified:
         bound = mult_gap.upper <= mult_big.upper
@@ -367,9 +388,8 @@ def semi_invariant_bound_check(A, L1, L2, trials=64, seed=42, max_degree=3, samp
             rng.standard_normal((L1.dim, samples)) + 1j * rng.standard_normal((L1.dim, samples))
         )
         G_h = gap.basis.conj().T
-        comp_ops = [compress(op, gap) for op in t.ops]
         norms = np.linalg.norm(vs, axis=0)
-        for lhs, mono in zip(_compressed_powers(comp_ops, G_h @ vs, max_degree),
+        for lhs, mono in zip(_compressed_powers(local[gap].ops, G_h @ vs, max_degree),
                              _compressed_powers(t.ops, vs, max_degree)):
             diff = np.linalg.norm(lhs - G_h @ mono, axis=0) / norms
             resid = max(resid, float(diff.max()))
@@ -388,9 +408,9 @@ def semi_invariant_bound_check(A, L1, L2, trials=64, seed=42, max_degree=3, samp
 def _compressed_powers(ops, V, max_total):
     """A^k V for every k in Z_+^n with 1 <= |k| <= max_total.
 
-    The multi-indices come in one fixed order, so calls on compressed
-    operators (with V in basis coordinates) and on the ambient operators can
-    be zipped term by term.
+    Each A_i is a matrix or a map W -> A_i W.  The multi-indices come in one
+    fixed order, so calls on compressed operators (with V in basis
+    coordinates) and on the ambient operators can be zipped term by term.
     """
     for kk in itertools.product(range(max_total + 1), repeat=len(ops)):
         if not 1 <= sum(kk) <= max_total:
@@ -398,5 +418,5 @@ def _compressed_powers(ops, V, max_total):
         W = V
         for op, p in zip(ops, kk):
             for _ in range(p):
-                W = op @ W
+                W = op(W) if callable(op) else op @ W
         yield W

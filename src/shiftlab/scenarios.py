@@ -19,10 +19,11 @@ Otherwise the run downgrades to ``inequality_only`` mode: it still verifies
 mult(S) >= mult(F) and flags which hypothesis failed, but claims no equality.
 """
 
+import copy
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +50,8 @@ from .multiplicity import (
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
+    _svd,
     complement_within,
-    compress,
     orthonormalize,
 )
 from .tensorized import (
@@ -322,31 +323,7 @@ class Report:
         return self.passed and all(m["certified"] for m in self.multiplicities.values())
 
     def to_json(self):
-        out = {
-            "label": self.label,
-            "dims": list(self.dims),
-            "factor_labels": list(self.factor_labels),
-            "dim_S": self.dim_S,
-            "dim_F": self.dim_F,
-            "chain_dims": list(self.chain_dims),
-            "x_ranks": list(self.x_ranks),
-            "wandering_dim_S": self.wandering_dim_S,
-            "factor_wandering_dims": self.factor_wandering_dims,
-            "distinguished_dim": self.distinguished_dim,
-            "eigenvalues": self.eigenvalues,
-            "shift_points": self.shift_points,
-            "mode": self.mode,
-            "hypotheses": self.hypotheses,
-            "failed_hypotheses": list(self.failed_hypotheses),
-            "multiplicities": self.multiplicities,
-            "verdicts": self.verdicts,
-            "residuals": self.residuals,
-            "settings": self.settings,
-            "elapsed_seconds": self.elapsed_seconds,
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
-        return out
+        return {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
 
 
 _HYPOTHESES = ("cyclic", "gws_restriction", "eigen_ok", "proper_coinvariant", "zero_based")
@@ -372,7 +349,7 @@ def _factor_hypotheses(resolved, scn):
         # adjoint eigenvalue on Q_i (for C[z]/(p) with ideal (q): q(0) = 0)
         zero_based = bool(
             f.Q.dim > 0
-            and np.linalg.svd(f.T.conj().T @ f.Q.basis, compute_uv=False)[-1]
+            and _svd(f.T.conj().T @ f.Q.basis, compute_uv=False)[-1]
             <= max(scn.tol, 1e-10)
         )
         record = {
@@ -393,18 +370,8 @@ def _factor_hypotheses(resolved, scn):
 
 def _structural_verdicts(scn, struct):
     verdicts = {}
-    fams = struct.families()
-    for name in (
-        "projection_identities",
-        "chain",
-        "semi_invariance",
-        "commutativity",
-        "block_structure",
-        "power_identity",
-    ):
-        if name not in scn.checks:
-            continue
-        worst = max(fams[name].values(), default=0.0)
+    for name, fam in struct.families().items():
+        worst = max(fam.values(), default=0.0)
         verdicts[name] = {
             "status": "pass" if worst <= scn.check_tol else "fail",
             "max_residual": float(worst),
@@ -445,7 +412,7 @@ def run_scenario(scn):
     sys = build_system([rf.factor for rf in resolved], tol=scn.tol)
     chain = f_chain(sys)
     struct = verify_compression_structure(sys, chain, seed=scn.seed)
-    A = sys.op_tuple()
+    comp_S, comp_F = struct.compressions[0], struct.compressions[-1]
 
     hyp, failed = _factor_hypotheses(resolved, scn)
     mode = "equality" if not failed else "inequality_only"
@@ -459,24 +426,18 @@ def run_scenario(scn):
 
     points = sys.joint_spectrum()
     mult_S = multiplicity(
-        A, chain.S, lambda_samples=points,
+        comp_S, chain.S, lambda_samples=points,
         trials=scn.trials, seed=scn.seed, tol=scn.tol,
     )
-    comp_F = OperatorTuple(tuple(compress(T, chain.F) for T in sys.ops))
     mult_F = multiplicity(
-        comp_F, lambda_samples=points,
+        comp_F, chain.F, lambda_samples=points,
         trials=scn.trials, seed=scn.seed, tol=scn.tol,
     )
-    W_S = wandering_subspace(A, chain.S)
-    gws_S = krylov_closure(A, W_S.basis, restrict_to=chain.S).dim == chain.S.dim
+    W_S = wandering_subspace(comp_S, chain.S)
+    gws_S = krylov_closure(comp_S, W_S.basis, restrict_to=chain.S).dim == chain.S.dim
 
-    verdicts = {}
+    verdicts = _structural_verdicts(scn, struct)
     for name in scn.checks:
-        if name in (
-            "projection_identities", "chain", "semi_invariance",
-            "commutativity", "block_structure", "power_identity",
-        ):
-            continue  # handled as a batch below, in scenario order
         if name == "shift_lemma":
             verdicts[name] = _shift_lemma_verdict(scn, sys, chain.S)
         elif name == "gws":
@@ -510,10 +471,7 @@ def run_scenario(scn):
                 "mult_S": _mult_to_json(mult_S),
                 "mult_F": _mult_to_json(mult_F),
             }
-    structural = _structural_verdicts(scn, struct)
-    ordered_verdicts = {}
-    for name in scn.checks:
-        ordered_verdicts[name] = structural.get(name, verdicts.get(name))
+    ordered_verdicts = {name: verdicts[name] for name in scn.checks}
 
     residuals = {name: max(fam.values(), default=0.0) for name, fam in struct.families().items()}
     residuals["doubly_commuting"] = float(sys.doubly_commuting_residual)
@@ -522,7 +480,6 @@ def run_scenario(scn):
         residuals["distinguished_alignment"] = float(wdec.alignment_residual)
         residuals["eigen"] = max(e[2] for e in wdec.eigen_data)
 
-    x_ranks = [int(round(np.trace(X).real)) for X in chain.X]
     passed = all(v["status"] == "pass" for v in ordered_verdicts.values())
 
     return Report(
@@ -532,7 +489,7 @@ def run_scenario(scn):
         dim_S=int(chain.S.dim),
         dim_F=int(chain.F.dim),
         chain_dims=[int(Fi.dim) for Fi in chain.F_chain],
-        x_ranks=x_ranks,
+        x_ranks=list(chain.x_ranks),
         wandering_dim_S=int(W_S.dim),
         factor_wandering_dims=(
             None if wdec is None else [int(w) for w in wdec.factor_wandering_dims]

@@ -7,6 +7,8 @@ survives when its singular value exceeds ``tol * max(1, sigma_max)``.  The
 zero subspace (k = 0) is a first-class value, so downstream code never
 special-cases empty bases.
 
+Every SVD goes through ``_svd``, which survives LAPACK non-convergence.
+
 Krylov closures grow a basis B block by block and apply that rule to the
 residual of the newest block's images after projecting them against B twice.
 Subspaces of equal dimension are compared by ``subspace_sine``,
@@ -126,6 +128,24 @@ def numerical_rank(s, tol):
     return int(np.sum(s > tol * max(1.0, float(s[0]))))
 
 
+def _svd(M, full_matrices=False, compute_uv=True):
+    """``np.linalg.svd``, retried if it does not converge as M = QR (M^H = QR
+    when M is wide) and the SVD of R = U s Vh: M = (QU) s Vh, the complete Q
+    supplying the remaining left singular vectors for ``full_matrices``."""
+    try:
+        return np.linalg.svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        pass
+    wide = M.shape[0] < M.shape[1]
+    Q, R = np.linalg.qr(M.conj().T if wide else M, mode="complete" if full_matrices else "reduced")
+    n = R.shape[1]
+    if not compute_uv:
+        return np.linalg.svd(R[:n], compute_uv=False)
+    U, s, Vh = np.linalg.svd(R[:n])
+    U = np.hstack([Q[:, :n] @ U, Q[:, n:]])
+    return (Vh.conj().T, s, U.conj().T) if wide else (U, s, Vh)
+
+
 def orthonormalize(vectors, tol=DEFAULT_TOL, ambient_dim=None):
     """Rank-revealing orthonormalization of a spanning set.
 
@@ -135,7 +155,7 @@ def orthonormalize(vectors, tol=DEFAULT_TOL, ambient_dim=None):
     M = as_columns(vectors, ambient_dim)
     if M.shape[1] == 0:
         return Subspace.zero(M.shape[0], tol=tol)
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    U, s, _ = _svd(M)
     rank = numerical_rank(s, tol)
     if rank == 0:
         return Subspace.zero(M.shape[0], tol=tol)
@@ -163,7 +183,7 @@ def complement_within(ambient, sub, tol=None):
     if sub.dim == 0:
         return Subspace(ambient.basis.copy(), tol=tol, _checked=True)
     coords = ambient.basis.conj().T @ sub.basis
-    U, _, _ = np.linalg.svd(coords, full_matrices=True)
+    U, _, _ = _svd(coords, full_matrices=True)
     B = ambient.basis @ U[:, sub.dim:]
     return Subspace(B, tol=tol, _checked=True)
 
@@ -218,4 +238,4 @@ def opnorm(A):
     A = np.asarray(A, dtype=complex)
     if A.size == 0:
         return 0.0
-    return float(np.linalg.norm(A, 2))
+    return float(_svd(A, compute_uv=False)[0])

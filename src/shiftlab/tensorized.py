@@ -20,17 +20,19 @@ F useful for multiplicity bookkeeping.
 
 Everything here is exact linear algebra on kron-structured bases: S is
 computed once, as the orthogonal complement of the kron basis of
-Q_1 (x) ... (x) Q_n.  The embedded operators of distinct slots doubly
-commute exactly, by the mixed-product property, so that residual is recorded
-as 0.  The verification routine re-checks every other claimed identity
-numerically and reports worst-case residuals.  Only the projection
-identities (P_S = I - Q~_1 ... Q~_n among them) use dense N x N projectors,
-each one kron chain; every other residual comes from orthonormal bases and
-compressions.
+Q_1 (x) ... (x) Q_n.  T~_i acts by mode-i products (``TensorSystem.apply``);
+the dense T~_i are a view built on first use.  The embedded operators of
+distinct slots doubly commute exactly, by the mixed-product property, so
+that residual is recorded as 0.  The verification routine re-checks every
+other claimed identity numerically and reports worst-case residuals: the
+projection identities from per-slot norms, the rest from orthonormal bases
+and compressions.
 """
 
+import functools
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,10 +51,7 @@ from .subspaces import (
 
 
 def _kron_chain(mats):
-    out = np.ones((1, 1), dtype=complex)
-    for M in mats:
-        out = np.kron(out, M)
-    return out
+    return functools.reduce(np.kron, mats, np.ones((1, 1), dtype=complex))
 
 
 @dataclass(eq=False)
@@ -103,15 +102,34 @@ class TensorSystem:
     factors: tuple
     dims: tuple
     N: int
-    ops: tuple  # embedded operators T~_i
     tol: float
     # Distinct slots act on distinct tensor factors, so by the mixed-product
     # property T~_p T~_q = T~_q T~_p and T~_p^H T~_q = T~_q T~_p^H hold exactly.
     doubly_commuting_residual: float = 0.0
 
+    def __post_init__(self):  # rows before slot i, for apply
+        self._lead = tuple(math.prod(self.dims[:i]) for i in range(len(self.dims)))
+
     @property
     def n(self):
         return len(self.factors)
+
+    def apply(self, i, V):
+        """T~_i V for V of shape (N,) or (N, k), by a mode-i product: V reshaped to
+        (m_1 .. m_{i-1}, m_i, rest) and one matmul, O(N k m_i) instead of O(N^2 k)."""
+        W = self.factors[i].T @ V.reshape(self._lead[i], self.dims[i], -1)
+        return W.reshape(V.shape)
+
+    def compressed(self, space):
+        """The tuple compressed to ``space``, in its basis coordinates, by slot products."""
+        Bh = space.basis.conj().T
+        return OperatorTuple(tuple(Bh @ self.apply(i, space.basis) for i in range(self.n)),
+                             space=space)
+
+    @functools.cached_property
+    def ops(self):
+        """The dense N x N T~_i, built on first use, for ambient closures only."""
+        return tuple(self.slot_matrix(i, f.T) for i, f in enumerate(self.factors))
 
     def op_tuple(self):
         return OperatorTuple(self.ops)
@@ -128,16 +146,10 @@ class TensorSystem:
 
     def summand_subspace(self, kinds):
         """Subspace with slot content 'S', 'Q' or 'I' per factor, via kron bases."""
-        cols = []
-        for f, kind in zip(self.factors, kinds):
-            if kind == "S":
-                cols.append(f.S.basis)
-            elif kind == "Q":
-                cols.append(f.Q.basis)
-            elif kind == "I":
-                cols.append(np.eye(f.T.shape[0], dtype=complex))
-            else:
-                raise InputError(f"unknown slot kind {kind!r}")
+        if not set(kinds) <= {"S", "Q", "I"}:
+            raise InputError(f"unknown slot kinds in {kinds!r}")
+        cols = [f.S.basis if k == "S" else f.Q.basis if k == "Q"
+                else np.eye(f.T.shape[0], dtype=complex) for f, k in zip(self.factors, kinds)]
         return Subspace(_kron_chain(cols), tol=self.tol, _checked=True)
 
 
@@ -149,13 +161,7 @@ def build_system(factors, tol=None):
     if tol is None:
         tol = min(f.tol for f in factors)
     dims = tuple(f.T.shape[0] for f in factors)
-    ops = []
-    for i, f in enumerate(factors):
-        mats = [np.eye(d, dtype=complex) for d in dims]
-        mats[i] = f.T
-        ops.append(_kron_chain(mats))
-    return TensorSystem(factors=factors, dims=dims, N=int(np.prod(dims)), ops=tuple(ops),
-                        tol=tol)
+    return TensorSystem(factors=factors, dims=dims, N=math.prod(dims), tol=tol)
 
 
 def joint_invariant_S(sys):
@@ -164,7 +170,8 @@ def joint_invariant_S(sys):
     A kron product of orthonormal bases is orthonormal, and by the
     mixed-product property its range is the range of Q~_1 ... Q~_n, so this
     is also ran(I - Q~_1 ... Q~_n); verify_compression_structure re-checks
-    that projector identity.
+    that S is the range of sum X_i.  The one step with N x N arrays, kept bit
+    for bit (the shift lemma draws in this basis, and signed zeros steer SVDs).
     """
     big_Q = sys.summand_subspace(["Q"] * sys.n)
     return complement_within(Subspace.full(sys.N, tol=sys.tol), big_Q)
@@ -174,15 +181,12 @@ def x_projections(sys):
     """X_i = P~_i Q~_{i+1} ... Q~_n: commuting projections with orthogonal ranges.
 
     By the mixed-product property each X_i is the single kron chain
-    I (x) ... (x) I (x) P_{S_i} (x) P_{Q_{i+1}} (x) ... (x) P_{Q_n}.
+    I (x) ... (x) I (x) P_{S_i} (x) P_{Q_{i+1}} (x) ... (x) P_{Q_n}: dense
+    N x N references, as the chain works from slot data.
     """
-    out = []
-    for i in range(sys.n):
-        mats = [np.eye(d, dtype=complex) for d in sys.dims[:i]]
-        mats.append(sys.factors[i].S.projector())
-        mats += [f.Q.projector() for f in sys.factors[i + 1:]]
-        out.append(_kron_chain(mats))
-    return out
+    return [_kron_chain([np.eye(d) for d in sys.dims[:i]] + [f.S.projector()]
+                        + [g.Q.projector() for g in sys.factors[i + 1:]])
+            for i, f in enumerate(sys.factors)]
 
 
 def _chain_slot_kinds(n, i, j):
@@ -208,14 +212,14 @@ class ChainDecomposition:
     """S with its nested family F_1 >= ... >= F_{n-1} = F and F's block summands."""
 
     S: Subspace
-    X: list
+    x_ranks: list  # rank X_i = m_1 .. m_{i-1} dim S_i dim Q_{i+1} .. dim Q_n
     F_chain: list  # [F_1, ..., F_{n-1}]
     F: Subspace  # basis: the M_i bases side by side, in order
     M_summands: list  # block subspaces M_1, ..., M_n of F
 
 
 def f_chain(sys):
-    """Build S, the X projections, the nested F_i family, and F's summands.
+    """Build S, the ranks of the X projections, the nested F_i family, and F's summands.
 
     Each F_i is an orthogonal direct sum of n kron-structured summands, and
     its basis is their bases side by side, so a compression to F has the
@@ -225,7 +229,8 @@ def f_chain(sys):
     if sys.n < 2:
         raise InputError("the subspace chain needs at least two tensor factors")
     S = joint_invariant_S(sys)
-    X = x_projections(sys)
+    x_ranks = [math.prod(sys.dims[:i]) * f.S.dim * math.prod(g.Q.dim for g in sys.factors[i + 1:])
+               for i, f in enumerate(sys.factors)]
     chain = []
     for i in range(1, sys.n):
         summands = [sys.summand_subspace(_chain_slot_kinds(sys.n, i, j))
@@ -241,7 +246,7 @@ def f_chain(sys):
                 f"chain containment fails (residual {resid:.3e})"
             )
     F, M_summands = chain[-1]
-    return ChainDecomposition(S=S, X=X, F_chain=[fi for fi, _ in chain], F=F,
+    return ChainDecomposition(S=S, x_ranks=x_ranks, F_chain=[fi for fi, _ in chain], F=F,
                               M_summands=M_summands)
 
 
@@ -255,6 +260,8 @@ class StructureReport:
     commutativity: dict
     block_structure: dict
     power_identity: dict
+    # the tuple compressed to S, F_1, ..., F_{n-1}, for callers to reuse
+    compressions: list = field(default_factory=list, repr=False, compare=False)
 
     def families(self):
         return {
@@ -274,6 +281,52 @@ class StructureReport:
         return self.max_residual() <= tol
 
 
+def _telescope(a, d, b):
+    """sum_t a_1 .. a_{t-1} d_t b_{t+1} .. b_n, which bounds ||(x) A'_s - (x) A_s||_2
+    when a_s >= ||A'_s||, d_s >= ||A'_s - A_s|| and b_s >= ||A_s||, by the
+    telescoping sum of A'_1 (x) .. (x) (A'_t - A_t) (x) A_{t+1} (x) .. (x) A_n."""
+    return sum(math.prod(a[:t]) * d[t] * math.prod(b[t + 1:]) for t in range(len(d)))
+
+
+def _projection_identities(sys, S):
+    """The projection identities from O(n) slot-matrix norms and one subspace sine.
+
+    Slot s of X_i holds A = I, P_{S_i} or P_{Q_s} (kinds 'I', 'S', 'Q'), and
+    ``prod[s]`` maps kind pairs to ||A_a A_b||_2.  ``orthogonal_ranges`` and
+    ``sum_equals_PS`` equal the dense N x N residual norms in exact
+    arithmetic; the other three are telescoping upper bounds of them.
+    """
+    prod, idem, herm, split = [], [], [], []
+    for f in sys.factors:
+        P = {"I": np.eye(f.T.shape[0]), "S": f.S.projector(), "Q": f.Q.projector()}
+        prod.append({(a, b): opnorm(P[a] @ P[b]) for a in P for b in P})
+        idem.append({a: opnorm(A @ A - A) for a, A in P.items()})
+        herm.append({a: opnorm(A - A.conj().T) for a, A in P.items()})
+        split.append(opnorm(P["I"] - P["S"] - P["Q"]))
+    kinds = [["I"] * i + ["S"] + ["Q"] * (sys.n - i - 1) for i in range(sys.n)]  # X_i's slots
+    ones = ["I"] * sys.n
+
+    def norms(ks, ls):
+        return [p[a, b] for p, a, b in zip(prod, ks, ls)]
+
+    proj = {
+        # I - Q~_1 .. Q~_n - sum X_i = sum_i I (x) .. (x) (I - P_{S_i} - P_{Q_i}) (x) Q~ ..
+        "inclusion_exclusion": _telescope([1.0] * sys.n, split, norms(["Q"] * sys.n, ones)),
+        "idempotent": max(_telescope(norms(ks, ks), [d[k] for d, k in zip(idem, ks)],
+                                     norms(ks, ones)) for ks in kinds),
+        "hermitian": max(_telescope(norms(ks, ones), [d[k] for d, k in zip(herm, ks)],
+                                    norms(ks, ones)) for ks in kinds),
+        # ||(x)_s A_s||_2 = prod_s ||A_s||_2, so this one is exact
+        "orthogonal_ranges": max((math.prod(norms(kp, kq))
+                                  for kp, kq in itertools.permutations(kinds, 2)), default=0.0),
+    }
+    K = Subspace(np.hstack([sys.summand_subspace(ks).basis for ks in kinds]), tol=sys.tol,
+                 _checked=True)
+    # ||sum X_i - P_S||_2 = ||P_K - P_S||_2, the two-sided sine
+    proj["sum_equals_PS"] = max(subspace_sine(K, S), subspace_sine(S, K))
+    return proj
+
+
 def verify_compression_structure(sys, chain=None, seed=42, max_degree=3, samples=4):
     """Numerically re-check every structural identity behind the chain.
 
@@ -281,6 +334,9 @@ def verify_compression_structure(sys, chain=None, seed=42, max_degree=3, samples
 
     * projection_identities -- the inclusion-exclusion expansion of P_S, the
       X_i being Hermitian idempotents with orthogonal ranges, sum X_i = P_S;
+      from slot norms, so ``inclusion_exclusion``, ``idempotent`` and
+      ``hermitian`` are upper bounds of the dense N x N residual norms
+      (see _projection_identities);
     * chain -- containments S >= F_1 >= ... and the identity
       F_1 = S (-) ran(P~_{n-1} P~_n), by the sine of the largest angle;
     * semi_invariance -- each gap G_{i-1} (-) G_i (with G_0 = S) is invariant
@@ -292,49 +348,32 @@ def verify_compression_structure(sys, chain=None, seed=42, max_degree=3, samples
     * power_identity -- compressed powers act summand-by-summand:
       (P_F T~ P_F)^k = sum_i P_{M_i} T~^k P_{M_i} on F for 1 <= |k| <= 3.
 
-    Everything but the projection identities works on bases and
-    compressions, never on N x N projectors.
+    The tuple acts by slot products and is compressed to S and each F_i once.
     """
     if chain is None:
         chain = f_chain(sys)
-    eye = np.eye(sys.N, dtype=complex)
+    proj = _projection_identities(sys, chain.S)
+    slot_maps = [functools.partial(sys.apply, i) for i in range(sys.n)]
 
-    proj = {}
-    sumX = sum(chain.X)
-    prod = _kron_chain([f.Q.projector() for f in sys.factors])  # Q~_1 ... Q~_n
-    proj["inclusion_exclusion"] = opnorm((eye - prod) - sumX)
-    proj["sum_equals_PS"] = opnorm(sumX - chain.S.projector())
-    proj["idempotent"] = max(opnorm(X @ X - X) for X in chain.X)
-    proj["hermitian"] = max(opnorm(X - X.conj().T) for X in chain.X)
-    proj["orthogonal_ranges"] = max(
-        (opnorm(chain.X[p] @ chain.X[q]) for p in range(sys.n) for q in range(sys.n) if p != q),
-        default=0.0,
-    )
-
-    chain_res = {}
     spaces = [chain.S] + chain.F_chain
-    for idx, (big, small) in enumerate(zip(spaces, spaces[1:])):
-        chain_res[f"containment_{idx}"] = big.containment_residual(small)
-    head_gap = complement_within(chain.S, chain.F_chain[0])
-    tail_kinds = ["I"] * sys.n
-    tail_kinds[sys.n - 2] = "S"
-    tail_kinds[sys.n - 1] = "S"
-    tail = sys.summand_subspace(tail_kinds)
-    chain_res["head_gap_dim_match"] = float(abs(head_gap.dim - tail.dim))
+    pairs = list(zip(spaces, spaces[1:]))
+    chain_res = {f"containment_{idx}": big.containment_residual(small)
+                 for idx, (big, small) in enumerate(pairs)}
+    gaps = [complement_within(big, small) for big, small in pairs]
+    tail = sys.summand_subspace(["I"] * (sys.n - 2) + ["S", "S"])
+    chain_res["head_gap_dim_match"] = float(abs(gaps[0].dim - tail.dim))
     chain_res["head_gap_sine"] = (
-        subspace_sine(head_gap, tail) if head_gap.dim == tail.dim else float("inf")
+        subspace_sine(gaps[0], tail) if gaps[0].dim == tail.dim else float("inf")
     )
 
-    semi = {}
-    for idx, (big, small) in enumerate(zip(spaces, spaces[1:])):
-        # P_big - P_gap = P_small, so P_big T G - P_gap T G = P_small T G
-        gap = complement_within(big, small)
-        semi[f"gap_{idx}"] = max(opnorm(small.basis.conj().T @ T @ gap.basis) for T in sys.ops)
+    # P_big - P_gap = P_small, so P_big T G - P_gap T G = P_small T G
+    semi = {f"gap_{idx}": max(opnorm(small.basis.conj().T @ T(gap.basis)) for T in slot_maps)
+            for idx, (small, gap) in enumerate(zip(spaces[1:], gaps))}
 
-    comps = [[compress(T, space) for T in sys.ops] for space in spaces]
+    comps = [sys.compressed(space) for space in spaces]
     names = ["S"] + [f"F_{i + 1}" for i in range(len(chain.F_chain))]
     comm = {
-        name: max((opnorm(a @ b - b @ a) for a, b in itertools.combinations(cs, 2)),
+        name: max((opnorm(a @ b - b @ a) for a, b in itertools.combinations(cs.ops, 2)),
                   default=0.0)
         for name, cs in zip(names, comps)
     }
@@ -343,7 +382,7 @@ def verify_compression_structure(sys, chain=None, seed=42, max_degree=3, samples
     # intermediate F_i summands carry full slots that the tuple may couple.
     # F's basis is the M_i bases side by side, so its M blocks are the
     # diagonal blocks of each compression to F, the chain's last space.
-    comp_F = comps[-1]
+    comp_F = comps[-1].ops
     edges = np.cumsum([0] + [M.dim for M in chain.M_summands])
     blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
     off_diagonal = diagonal_sum = 0.0
@@ -365,9 +404,10 @@ def verify_compression_structure(sys, chain=None, seed=42, max_degree=3, samples
              + 1j * rng.standard_normal((chain.F.dim, samples)))
         X /= np.linalg.norm(X, axis=0)
         Ms = [M.basis for M in chain.M_summands]
-        per_summand = [_compressed_powers(sys.ops, M @ X[b], max_degree)
+        per_summand = [_compressed_powers(slot_maps, M @ X[b], max_degree)
                        for M, b in zip(Ms, blocks)]
-        for lhs, *parts in zip(_compressed_powers(comp_F, X, max_degree), *per_summand):
+        for lhs, *parts in zip(_compressed_powers(comp_F, X, max_degree),
+                               *per_summand):
             rhs = np.vstack([M.conj().T @ W for M, W in zip(Ms, parts)])
             worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=0))))
     power = {"summandwise_powers": worst}
@@ -379,6 +419,7 @@ def verify_compression_structure(sys, chain=None, seed=42, max_degree=3, samples
         commutativity={k: float(v) for k, v in comm.items()},
         block_structure={k: float(v) for k, v in block.items()},
         power_identity={k: float(v) for k, v in power.items()},
+        compressions=comps,
     )
 
 
@@ -488,7 +529,7 @@ def wandering_E(sys, eigen_choices=None, tol=None):
         E_h = summands[i].basis.conj().T
         EM = E_h @ M_i
         for j, lam in enumerate(shift_points[i]):
-            align = max(align, opnorm(E_h @ sys.ops[j] @ M_i - lam * EM))
+            align = max(align, opnorm(E_h @ sys.apply(j, M_i) - lam * EM))
 
     return WanderingDecomposition(
         E=E,

@@ -1,5 +1,6 @@
 import importlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -409,3 +410,66 @@ def test_scenario_evaluates_each_joint_eigenvalue_once(monkeypatch):
     rep = run_scenario(load_scenario(SCENARIO_DIR / "hardy-2x2.json"))
     assert rep.succeeded
     assert calls == [(0j,), (0j,), (0j, 0j), (0j, 0j)]
+
+
+def test_structure_path_forms_no_dense_operator(monkeypatch):
+    """A cube-structure-style run without the shift lemma never builds the dense
+    T~_i, and binds no N x N array to a name in any Python frame, apart from
+    the complement that defines S's basis (see joint_invariant_S).  The
+    tuple is compressed once per factor's gws test in multiplicity, and
+    nowhere else there."""
+    tz = importlib.import_module("shiftlab.tensorized")
+    mm = importlib.import_module("shiftlab.multiplicity")
+    obj = {
+        "factors": [
+            {"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}},
+            {"kind": "bergman", "m": 3, "coinvariant": {"prefix": 1}},
+            {"kind": "dirichlet", "m": 2, "coinvariant": {"prefix": 1}},
+        ],
+        "checks": [c for c in ALL_CHECKS if c != "shift_lemma"],
+        "seed": 3,
+    }
+    N = 4 * 3 * 2
+
+    def dense_ops(self):
+        raise AssertionError("the dense embedded operators were built")
+
+    monkeypatch.setattr(tz.TensorSystem, "ops", property(dense_ops))
+    compressions = []
+    real_compress = mm.compress
+    monkeypatch.setattr(mm, "compress", lambda T, s: compressions.append(s) or real_compress(T, s))
+
+    seen = []
+    inside_S = []
+
+    def scan(frame, values):
+        for v in values:
+            if isinstance(v, np.ndarray) and v.shape == (N, N):
+                seen.append(f"{frame.f_code.co_name} ({frame.f_code.co_filename})")
+
+    def local(frame, event, arg):
+        if frame.f_code is tz.joint_invariant_S.__code__:
+            if event == "return":
+                inside_S.pop()
+            return local
+        scan(frame, list(frame.f_locals.values()) + ([arg] if event == "return" else []))
+        return local
+
+    def tracer(frame, event, arg):
+        if inside_S:
+            return None
+        if frame.f_code is tz.joint_invariant_S.__code__:
+            inside_S.append(frame)
+        else:
+            scan(frame, frame.f_locals.values())
+        return local
+
+    scn = scenario_from_json(obj)
+    sys.settrace(tracer)
+    try:
+        rep = run_scenario(scn)
+    finally:
+        sys.settrace(None)
+    assert rep.succeeded and rep.dims == [4, 3, 2]
+    assert seen == []
+    assert [s.ambient_dim for s in compressions] == [4, 3, 2]

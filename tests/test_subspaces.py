@@ -14,7 +14,7 @@ from shiftlab import (
     same_subspace,
     sum_subspaces,
 )
-from shiftlab.subspaces import as_columns, as_operator, numerical_rank
+from shiftlab.subspaces import _svd, as_columns, as_operator, numerical_rank
 
 
 def test_as_operator_rejects_nonsquare_and_nonfinite():
@@ -192,3 +192,53 @@ def test_containment_residual_scales_with_leakage():
     tilted = orthonormalize(v.reshape(-1, 1))
     assert big.containment_residual(inside) < 1e-14
     assert 5e-4 < big.containment_residual(tilted) < 2e-3
+
+
+def _fail_once(monkeypatch):
+    """Make the next np.linalg.svd call raise LinAlgError, as LAPACK does when
+    it does not converge; later calls go through."""
+    real = np.linalg.svd
+    calls = []
+
+    def svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(9, 4), (4, 9), (6, 6)])
+@pytest.mark.parametrize("full_matrices", [False, True])
+def test_svd_retries_through_qr_when_lapack_does_not_converge(monkeypatch, shape, full_matrices):
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = np.linalg.svd(M, compute_uv=False)
+    calls = _fail_once(monkeypatch)
+    U, s, Vh = _svd(M, full_matrices=full_matrices)
+    assert len(calls) == 2  # the failed call, then the SVD of the triangular factor
+    k = min(shape)
+    assert np.allclose(s, want, rtol=0, atol=1e-13)
+    assert np.allclose((U[:, :k] * s) @ Vh[:k], M, rtol=0, atol=1e-13)
+    assert np.allclose(U.conj().T @ U, np.eye(U.shape[1]), rtol=0, atol=1e-13)
+    assert np.allclose(Vh @ Vh.conj().T, np.eye(Vh.shape[0]), rtol=0, atol=1e-13)
+    assert U.shape[0] == shape[0] and Vh.shape[1] == shape[1]
+    if full_matrices:
+        assert U.shape == (shape[0],) * 2 and Vh.shape == (shape[1],) * 2
+    _fail_once(monkeypatch)
+    assert np.allclose(_svd(M, compute_uv=False), want, rtol=0, atol=1e-13)
+
+
+def test_orthonormalize_survives_a_non_converging_svd(monkeypatch):
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    M = M @ rng.standard_normal((3, 5))  # rank 3
+    want = orthonormalize(M)
+    _fail_once(monkeypatch)
+    got = orthonormalize(M)
+    assert got.dim == want.dim == 3
+    assert same_subspace(got, want)
+    _fail_once(monkeypatch)
+    assert abs(opnorm(M) - np.linalg.norm(M, 2)) <= 1e-12

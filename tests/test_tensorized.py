@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -21,6 +22,7 @@ from shiftlab import (
     make_quotient,
     make_shift,
     opnorm,
+    orthonormalize,
     prefix_coinvariant,
     tensor_factor,
     verify_compression_structure,
@@ -28,7 +30,7 @@ from shiftlab import (
     x_projections,
 )
 from shiftlab.multiplicity import _dedup_complex
-from shiftlab.tensorized import _chain_slot_kinds
+from shiftlab.tensorized import _chain_slot_kinds, _projection_identities
 
 RESID = 1e-11
 
@@ -141,6 +143,23 @@ def dense_structure_residuals(sys_, chain, seed=42, max_degree=3, samples=4):
             "power_identity": {"summandwise_powers": worst}}
 
 
+def dense_projection_identities(sys_, S):
+    """The projection identities from the N x N X_i and P_S, the reference
+    for the slot forms."""
+    X = x_projections(sys_)
+    sum_X = sum(X)
+    prod_Q = functools.reduce(np.kron, [f.Q.projector() for f in sys_.factors])
+    n = len(X)
+    return {
+        "inclusion_exclusion": opnorm(np.eye(sys_.N) - prod_Q - sum_X),
+        "sum_equals_PS": opnorm(sum_X - S.projector()),
+        "idempotent": max(opnorm(x @ x - x) for x in X),
+        "hermitian": max(opnorm(x - x.conj().T) for x in X),
+        "orthogonal_ranges": max(opnorm(X[p] @ X[q])
+                                 for p in range(n) for q in range(n) if p != q),
+    }
+
+
 def dense_alignment(sys_, wd):
     """max ||P_{E_i} (P_{M_i} T~_j P_{M_i} - lam_j P_{M_i})||_2 from N x N projectors."""
     align = 0.0
@@ -165,8 +184,53 @@ def test_basis_residuals_match_dense_projector_forms(builder):
         assert set(got) == set(want)
         for key in want:
             assert abs(got[key] - want[key]) <= 1e-13, (family, key)
+    # the slot forms are exact or telescoping upper bounds of the dense norms
+    want = dense_projection_identities(sys_, chain.S)
+    got = report.projection_identities
+    assert set(got) == set(want)
+    for key in want:
+        assert want[key] - 1e-15 <= got[key] <= RESID, key
     wd = wandering_E(sys_)
     assert abs(wd.alignment_residual - dense_alignment(sys_, wd)) <= 1e-13
+
+
+@pytest.mark.parametrize("perturb, failing", [
+    ("tilted", ("inclusion_exclusion", "orthogonal_ranges", "sum_equals_PS")),
+    ("scaled", ("inclusion_exclusion", "idempotent")),
+])
+def test_projection_identities_fail_on_a_perturbed_slot_basis(perturb, failing):
+    """A Q basis tilted towards S_i, or not normalized, breaks the slot form
+    and the dense form alike."""
+    sys_ = mixed_3_system()
+    f = sys_.factors[1]
+    if perturb == "tilted":
+        Q = orthonormalize(f.Q.basis + 0.1 * f.S.basis[:, :f.Q.dim])
+    else:
+        Q = Subspace(1.01 * f.Q.basis, _checked=True)
+    bad = build_system([sys_.factors[0], dataclasses.replace(f, Q=Q), sys_.factors[2]])
+    S = joint_invariant_S(bad)
+    slot, dense = _projection_identities(bad, S), dense_projection_identities(bad, S)
+    for key in failing:
+        assert slot[key] > 1e-3 and dense[key] > 1e-3, key
+
+
+@pytest.mark.parametrize("builder", [hardy_2x2_system, mixed_3_system,
+                                     complex_quotient_system, four_factor_system])
+def test_slot_products_match_dense_operators(builder):
+    sys_ = builder()
+    rng = np.random.default_rng(7)
+    V = rng.standard_normal((sys_.N, 3)) + 1j * rng.standard_normal((sys_.N, 3))
+    for i, T in enumerate(sys_.ops):
+        assert opnorm(sys_.apply(i, V) - T @ V) <= 1e-13
+        assert np.linalg.norm(sys_.apply(i, V[:, 0]) - T @ V[:, 0]) <= 1e-13
+    chain = f_chain(sys_)
+    report = verify_compression_structure(sys_, chain)
+    spaces = [chain.S] + chain.F_chain
+    assert len(report.compressions) == len(spaces)
+    for space, comp in zip(spaces, report.compressions):
+        assert comp.space is space
+        for C, T in zip(comp.ops, sys_.ops):
+            assert opnorm(C - compress(T, space)) <= 1e-13
 
 
 def test_block_structure_sees_coupled_summands():
