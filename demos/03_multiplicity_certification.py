@@ -4,9 +4,10 @@ Certifying how many generators a subspace needs
 
 The multiplicity of a commuting tuple on an invariant subspace L is the
 least number of vectors whose joint Krylov closure fills L.  Exact values
-are certified by bracketing: corank lower bounds at eigenvalue points of
-the compressed tuple (valid because closures ignore scalar shifts of the
-tuple) against random generating sets that provably exhaust L.
+are certified by bracketing: corank lower bounds at the joint eigenvalues
+of the compressed tuple, which the caller passes (valid because closures
+ignore scalar shifts of the tuple), against random generating sets that
+provably exhaust L.
 """
 
 import numpy as np
@@ -43,7 +44,7 @@ print("\ntwo Jordan blocks: corank at 0 =", local_corank((J,), L, (0.0,)))
 print("corank at a generic point =", local_corank((J,), L, (0.3 + 0.1j,)))
 
 # --- certified multiplicity --------------------------------------------------------
-res = multiplicity((J,))
+res = multiplicity((J,), lambda_samples=[(0.0,)])  # J is nilpotent: its spectrum is {0}
 print(f"multiplicity bracket: [{res.lower}, {res.upper}], certified = {res.certified}")
 print("witness point:", res.witness_point)
 print("witness generators found:", len(res.witness_generators))
@@ -54,8 +55,9 @@ print("wandering dimension =", W.dim, "(equals the certified multiplicity)")
 
 # --- a tuple example -----------------------------------------------------------------
 # Polynomials in one matrix commute; their joint multiplicity is 1 exactly
-# when some single vector is cyclic for the pair.
+# when some single vector is cyclic for the pair.  The joint eigenvalues are
+# (mu, mu^2 - 0.4) for the eigenvalues mu of M.
 M = rng.standard_normal((5, 5)) / 3
 pair = (M, M @ M - 0.4 * np.eye(5))
-res = multiplicity(pair)
+res = multiplicity(pair, lambda_samples=[(mu, mu**2 - 0.4) for mu in np.linalg.eigvals(M)])
 print(f"\ncommuting pair: bracket [{res.lower}, {res.upper}], certified = {res.certified}")

@@ -36,13 +36,10 @@ from .models import (
 from .multiplicity import (
     MultiplicityResult,
     OperatorTuple,
-    default_lambda_samples,
     has_gws,
     krylov_closure,
     local_corank,
-    mult_upper,
     multiplicity,
-    semi_invariant_bound_check,
     shifted_closure_check,
     wandering_subspace,
 )
@@ -60,11 +57,9 @@ from .subspaces import (
     Subspace,
     complement_within,
     compress,
-    image,
     opnorm,
     orthonormalize,
     same_subspace,
-    sum_subspaces,
 )
 from .tensorized import (
     ChainDecomposition,
@@ -111,12 +106,10 @@ __all__ = [
     "coinvariant_eigenpairs",
     "complement_within",
     "compress",
-    "default_lambda_samples",
     "dump_matrix",
     "f_chain",
     "has_gws",
     "ideal_subspace",
-    "image",
     "joint_invariant_S",
     "kernel_vector",
     "krylov_closure",
@@ -127,7 +120,6 @@ __all__ = [
     "make_shift",
     "matrix_from_json",
     "matrix_to_json",
-    "mult_upper",
     "multiplicity",
     "opnorm",
     "orthonormalize",
@@ -136,10 +128,8 @@ __all__ = [
     "run_scenario",
     "same_subspace",
     "scenario_from_json",
-    "semi_invariant_bound_check",
     "shift_weights",
     "shifted_closure_check",
-    "sum_subspaces",
     "tensor_factor",
     "verify_compression_structure",
     "wandering_E",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShiftlabError
+from .errors import ConfigError, InputError, ShiftlabError
 from .models import complex_to_pair, load_matrix, matrix_to_json
 from .multiplicity import krylov_closure
 from .scenarios import (
@@ -154,7 +154,7 @@ def _cmd_closure(args):
     T, _, desc = _parse_model_spec(args.spec)
     try:
         cols = load_matrix(args.vectors)
-    except (OSError, ValueError) as exc:
+    except InputError as exc:
         raise ConfigError(f"cannot read vectors file {args.vectors}: {exc}") from exc
     if cols.shape[0] != T.shape[0]:
         raise ConfigError(

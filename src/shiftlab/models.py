@@ -362,8 +362,13 @@ def matrix_from_json(obj):
 
 
 def load_matrix(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
+    """Read a matrix file written by ``dump_matrix``; InputError if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise InputError(f"cannot read matrix file {path}: {exc}") from exc
+    return matrix_from_json(obj)
 
 
 def dump_matrix(A, path):

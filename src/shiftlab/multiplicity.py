@@ -10,12 +10,11 @@ L.  Certification brackets that integer:
   the compressed tuple at points lam (closures are invariant under scalar
   shifts of the tuple, so every point yields a valid bound).  The corank is
   nonzero only when conj(lam) is a joint eigenvalue of the compressed
-  adjoint tuple.  A scenario passes the product of its exact slot spectra,
-  and only those points are used, each once (see ``multiplicity``); a bare
-  tuple gets the origin and combinations of the compressed operators'
-  eigenvalues.  No random points are used: off the joint spectrum their
-  corank is 0, and in floating point they can only add pseudospectral false
-  positives;
+  adjoint tuple.  The caller passes points that hold the joint spectrum (a
+  scenario passes the product of its exact slot spectra), and only those
+  points are used, each once (see ``multiplicity``).  No random points are
+  used: off the joint spectrum their corank is 0, and in floating point they
+  can only add pseudospectral false positives;
 * upper bounds come from seeded random generating sets whose closure is
   verified to exhaust L.
 
@@ -37,7 +36,6 @@ from .subspaces import (
     _svd,
     as_columns,
     as_operator,
-    complement_within,
     compress,
     numerical_rank,
     opnorm,
@@ -215,48 +213,6 @@ def local_corank(A, L, lam, tol=None):
     return k - numerical_rank(_svd(stacked, compute_uv=False), tol or L.tol)
 
 
-_MAX_COMBOS = 200
-
-
-def _dedup_complex(values, tol=1e-7):
-    """Cluster nearly-equal complex values; representatives are cluster means."""
-    vals = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
-    clusters = []
-    for z in vals:
-        if clusters and abs(z - clusters[-1][-1]) <= tol:
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
-    return [sum(c) / len(c) for c in clusters]
-
-
-def default_lambda_samples(A, L):
-    """Corank sample points for the compression of A to L, when none are given.
-
-    The origin, then the combinations of the deduplicated eigenvalues of the
-    compressed operators, at most ``_MAX_COMBOS`` of them (the eigenvalues
-    nearest 0 first).  The corank at lam is nonzero only when conj(lam) is a
-    joint eigenvalue of the compressed adjoint tuple, so no random points are
-    drawn: off the joint spectrum their corank is 0 in exact arithmetic, and
-    in floating point they can only add false coranks from pseudospectra.
-    """
-    t = _as_tuple(A)
-    n = t.n
-    pts = [(0j,) * n]
-    if L.dim > 0:
-        per_factor = max(1, int(round(_MAX_COMBOS ** (1.0 / n))))
-        spectra = []
-        for C in _compressed(t, L).ops:
-            evs = _dedup_complex(np.linalg.eigvals(C))
-            evs.sort(key=lambda z: (abs(z), z.real, z.imag))
-            spectra.append(evs[:per_factor])
-        pts.extend(itertools.islice(itertools.product(*spectra), _MAX_COMBOS))
-    out = {}
-    for p in pts:
-        out.setdefault(tuple((round(z.real, 12), round(z.imag, 12)) for z in p), p)
-    return list(out.values())
-
-
 def _search_upper(t, L, r, trials, rng, tol):
     """Try to find r random unit generators of L; returns (witness, trials used)."""
     k = L.dim
@@ -272,27 +228,13 @@ def _search_upper(t, L, r, trials, rng, tol):
     return None, used
 
 
-def mult_upper(A, L, r, trials=64, seed=42, tol=None):
-    """Search for r generators of L; returns the witness vectors or None."""
-    t = _as_tuple(A)
-    if not isinstance(r, int) or r < 0:
-        raise InputError(f"generator count must be a non-negative integer, got {r!r}")
-    if L.dim == 0:
-        return []
-    if r == 0:
-        return None
-    witness, _ = _search_upper(_compressed(t, L), L, r, trials, np.random.default_rng(seed),
-                               tol or L.tol)
-    return witness
-
-
-def multiplicity(A, L=None, lambda_samples=None, trials=64, seed=42, tol=None):
-    """Bracket the multiplicity of the compression of A to L.
+def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
+    """Bracket the multiplicity of the compression of A to L (default: all of C^N).
 
     Coranks are evaluated only at ``lambda_samples``, each distinct point
-    once (default: ``default_lambda_samples``), so the points must hold every
-    joint eigenvalue of the compressed tuple.  For a scenario the product of
-    slot spectra sigma(T_1) x ... x sigma(T_n) does, for S and for F alike.
+    once, so the points must hold every joint eigenvalue of the compressed
+    tuple.  For a scenario the product of slot spectra
+    sigma(T_1) x ... x sigma(T_n) does, for S and for F alike.
     S is invariant, so the compression to S is a restriction of the
     kron-embedded tuple, whose joint spectrum is that product.  F is not
     invariant, but each M_i = S_i (x) (x)_{j != i} Q_j is the difference
@@ -316,10 +258,7 @@ def multiplicity(A, L=None, lambda_samples=None, trials=64, seed=42, tol=None):
     if k == 0:
         return MultiplicityResult(0, 0, True, [], None, 0, seed)
     t = _compressed(t, L)
-    if lambda_samples is None:
-        pts = default_lambda_samples(t, L)
-    else:
-        pts = dict.fromkeys(_as_point(p, t.n) for p in lambda_samples)
+    pts = dict.fromkeys(_as_point(p, t.n) for p in lambda_samples)
     best_corank = 0
     witness_point = None
     for p in pts:
@@ -346,77 +285,3 @@ def multiplicity(A, L=None, lambda_samples=None, trials=64, seed=42, tol=None):
         trials_used=trials_used,
         seed=seed,
     )
-
-
-@dataclass
-class SemiInvariantReport:
-    """Multiplicity comparison across a nested pair of invariant subspaces."""
-
-    dim_big: int
-    dim_small: int
-    dim_gap: int
-    mult_big: MultiplicityResult
-    mult_gap: MultiplicityResult
-    bound_holds: bool | None
-    invariance_residuals: list
-    identity_residual: float
-
-
-def semi_invariant_bound_check(A, L1, L2, trials=64, seed=42, max_degree=3, samples=4):
-    """For invariant L2 inside invariant L1, compare multiplicities on L = L1 (-) L2.
-
-    The multiplicity of the compression to L should not exceed the
-    multiplicity on L1.  Also verifies the compression power identity
-    (P_L A P_L)^k = P_L A^k P_{L1} on random vectors for multi-indices
-    1 <= |k| <= max_degree, in L's basis coordinates, and reports each
-    subspace's invariance residual ||A_i B - B (B^H A_i B)||_2 on its basis B.
-    """
-    t = _as_tuple(A)
-    gap = complement_within(L1, L2)
-    local = {sub: _compressed(t, sub) for sub in (L1, L2, gap)}
-    inv_resid = [max(opnorm(op @ sub.basis - sub.basis @ C)
-                     for op, C in zip(t.ops, local[sub].ops)) for sub in (L1, L2)]
-    mult_big = multiplicity(local[L1], L1, trials=trials, seed=seed)
-    mult_gap = multiplicity(local[gap], gap, trials=trials, seed=seed)
-    bound = None
-    if mult_big.certified and mult_gap.certified:
-        bound = mult_gap.upper <= mult_big.upper
-    rng = np.random.default_rng(seed)
-    resid = 0.0
-    if L1.dim:
-        vs = L1.basis @ (
-            rng.standard_normal((L1.dim, samples)) + 1j * rng.standard_normal((L1.dim, samples))
-        )
-        G_h = gap.basis.conj().T
-        norms = np.linalg.norm(vs, axis=0)
-        for lhs, mono in zip(_compressed_powers(local[gap].ops, G_h @ vs, max_degree),
-                             _compressed_powers(t.ops, vs, max_degree)):
-            diff = np.linalg.norm(lhs - G_h @ mono, axis=0) / norms
-            resid = max(resid, float(diff.max()))
-    return SemiInvariantReport(
-        dim_big=L1.dim,
-        dim_small=L2.dim,
-        dim_gap=gap.dim,
-        mult_big=mult_big,
-        mult_gap=mult_gap,
-        bound_holds=bound,
-        invariance_residuals=inv_resid,
-        identity_residual=resid,
-    )
-
-
-def _compressed_powers(ops, V, max_total):
-    """A^k V for every k in Z_+^n with 1 <= |k| <= max_total.
-
-    Each A_i is a matrix or a map W -> A_i W.  The multi-indices come in one
-    fixed order, so calls on compressed operators (with V in basis
-    coordinates) and on the ambient operators can be zipped term by term.
-    """
-    for kk in itertools.product(range(max_total + 1), repeat=len(ops)):
-        if not 1 <= sum(kk) <= max_total:
-            continue
-        W = V
-        for op, p in zip(ops, kk):
-            for _ in range(p):
-                W = op(W) if callable(op) else op @ W
-        yield W

@@ -118,25 +118,39 @@ def _count(value, what):
     return value
 
 
+_FACTOR_KEYS = ("kind", "m", "coinvariant", "label")
+
+
 def _resolve_kind(spec, base_dir):
-    """Return (operator, model-or-None, description) for a factor spec."""
-    kind = spec.get("kind")
+    """Return (operator, model-or-None, description) for a factor spec.
+
+    ``m``, required by the named and weighted_bergman kinds and optional for
+    the others, must be an integer equal to the operator's size.
+    """
+    unknown = set(spec) - set(_FACTOR_KEYS)
+    if unknown:
+        raise ConfigError(
+            f"unknown factor keys {sorted(unknown)}; known keys are {list(_FACTOR_KEYS)}"
+        )
+    T, model, desc = _build_kind(spec.get("kind"), spec.get("m"), base_dir)
+    m = spec.get("m", T.shape[0])
+    if not isinstance(m, int) or isinstance(m, bool) or m != T.shape[0]:
+        raise ConfigError(f"factor {desc} has size {T.shape[0]}, but 'm' is {m!r}")
+    return T, model, desc
+
+
+def _build_kind(kind, m, base_dir):
+    """The factor's operator from its 'kind'; ``m`` sizes the shift kinds that need it."""
     if isinstance(kind, str):
         if kind not in _NAMED_KINDS:
             raise ConfigError(
                 f"unknown factor kind {kind!r}; named kinds are {sorted(_NAMED_KINDS)}"
             )
-        m = spec.get("m")
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise ConfigError(f"factor kind {kind!r} needs an integer 'm'")
         model = make_shift(_NAMED_KINDS[kind](), m)
         return model.operator, model, model.label()
     if isinstance(kind, dict) and len(kind) == 1:
         (key, value), = kind.items()
         if key == "weighted_bergman":
-            m = spec.get("m")
-            if not isinstance(m, int) or isinstance(m, bool):
-                raise ConfigError("weighted_bergman factors need an integer 'm'")
             model = make_shift(SpaceKind.weighted_bergman(_real(value, "weighted_bergman")), m)
             return model.operator, model, model.label()
         if key == "custom_weights":
@@ -144,18 +158,9 @@ def _resolve_kind(spec, base_dir):
                 raise ConfigError("custom_weights must be a non-empty list")
             weights = [_real(w, "custom_weights entry") for w in value]
             model = make_shift(SpaceKind.custom(weights), len(weights) + 1)
-            if "m" in spec and spec["m"] != model.m:
-                raise ConfigError(
-                    f"custom_weights of length {len(weights)} implies m = {model.m}, "
-                    f"not {spec['m']}"
-                )
             return model.operator, model, model.label()
         if key == "quotient_roots":
             model = make_quotient(value)
-            if "m" in spec and spec["m"] != model.m:
-                raise ConfigError(
-                    f"quotient roots imply m = {model.m}, not {spec['m']}"
-                )
             return model.operator, model, model.label()
         if key == "matrix":
             T = matrix_from_json(value)
@@ -203,7 +208,10 @@ def resolve_factor(spec, tol, base_dir="."):
         raise ConfigError(f"factor spec must be an object, got {type(spec).__name__}")
     try:
         T, model, desc = _resolve_kind(spec, base_dir)
-        label = spec.get("label") or desc
+        label = spec.get("label", "")
+        if not isinstance(label, str):
+            raise ConfigError(f"factor label must be a string, got {label!r}")
+        label = label or desc
         Q = _resolve_coinvariant(spec, T, model, tol, base_dir)
         # a companion matrix's eigvals split repeated roots; the roots are exact
         spectrum = [lam for lam, _ in model.roots] if isinstance(model, QuotientModel) else None

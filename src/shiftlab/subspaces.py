@@ -101,12 +101,6 @@ class Subspace:
         """The orthogonal projection onto this subspace, as an N x N matrix."""
         return self.basis @ self.basis.conj().T
 
-    def project(self, v):
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        if v.shape[0] != self.ambient_dim:
-            raise InputError(f"vector lives in C^{v.shape[0]}, expected C^{self.ambient_dim}")
-        return self.basis @ (self.basis.conj().T @ v)
-
     def containment_residual(self, other):
         """Worst residual norm of ``other``'s basis vectors outside ``self``."""
         if other.dim == 0:
@@ -163,16 +157,15 @@ def orthonormalize(vectors, tol=DEFAULT_TOL, ambient_dim=None):
     return Subspace(B, tol=tol, _checked=True)
 
 
-def complement_within(ambient, sub, tol=None):
-    """The orthogonal complement of ``sub`` inside ``ambient``.
+def complement_within(ambient, sub):
+    """The orthogonal complement of ``sub`` inside ``ambient``, at ``ambient.tol``.
 
     Raises ContainmentError (carrying the max residual) if ``sub`` is not
     contained in ``ambient`` within tolerance.
     """
     if ambient.ambient_dim != sub.ambient_dim:
         raise InputError("subspaces live in different ambient spaces")
-    if tol is None:
-        tol = ambient.tol
+    tol = ambient.tol
     resid = ambient.containment_residual(sub)
     if resid > tol:
         raise ContainmentError(
@@ -186,23 +179,6 @@ def complement_within(ambient, sub, tol=None):
     U, _, _ = _svd(coords, full_matrices=True)
     B = ambient.basis @ U[:, sub.dim:]
     return Subspace(B, tol=tol, _checked=True)
-
-
-def sum_subspaces(a, b, tol=None):
-    """Closed span of the union of two subspaces of the same ambient space."""
-    if a.ambient_dim != b.ambient_dim:
-        raise InputError("subspaces live in different ambient spaces")
-    if tol is None:
-        tol = min(a.tol, b.tol)
-    return orthonormalize(np.hstack([a.basis, b.basis]), tol=tol, ambient_dim=a.ambient_dim)
-
-
-def image(T, s, tol=None):
-    """The image T(s) = closure of {T v : v in s} as a subspace."""
-    T = as_operator(T, dim=s.ambient_dim)
-    if tol is None:
-        tol = s.tol
-    return orthonormalize(T @ s.basis, tol=tol, ambient_dim=s.ambient_dim)
 
 
 def compress(T, s):

@@ -37,21 +37,37 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigenError, InputError, InternalConsistencyError, ModelError
-from .multiplicity import OperatorTuple, _compressed_powers, _dedup_complex
+from .multiplicity import OperatorTuple, wandering_subspace
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
     as_operator,
     complement_within,
     compress,
-    image,
     opnorm,
     subspace_sine,
 )
 
+# verify_compression_structure's power identity: multi-indices 1 <= |k| <= 3,
+# on 4 random unit vectors of F
+_POWER_DEGREE = 3
+_POWER_SAMPLES = 4
+
 
 def _kron_chain(mats):
     return functools.reduce(np.kron, mats, np.ones((1, 1), dtype=complex))
+
+
+def _dedup_complex(values, tol=1e-7):
+    """Cluster nearly-equal complex values; representatives are cluster means."""
+    vals = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
+    clusters = []
+    for z in vals:
+        if clusters and abs(z - clusters[-1][-1]) <= tol:
+            clusters[-1].append(z)
+        else:
+            clusters.append([z])
+    return [sum(c) / len(c) for c in clusters]
 
 
 @dataclass(eq=False)
@@ -327,7 +343,24 @@ def _projection_identities(sys, S):
     return proj
 
 
-def verify_compression_structure(sys, chain=None, seed=42, max_degree=3, samples=4):
+def _compressed_powers(ops, V):
+    """A^k V for every k in Z_+^n with 1 <= |k| <= _POWER_DEGREE.
+
+    Each A_i is a matrix or a map W -> A_i W.  The multi-indices come in one
+    fixed order, so calls on compressed operators (with V in basis
+    coordinates) and on the slot maps can be zipped term by term.
+    """
+    for kk in itertools.product(range(_POWER_DEGREE + 1), repeat=len(ops)):
+        if not 1 <= sum(kk) <= _POWER_DEGREE:
+            continue
+        W = V
+        for op, p in zip(ops, kk):
+            for _ in range(p):
+                W = op(W) if callable(op) else op @ W
+        yield W
+
+
+def verify_compression_structure(sys, chain=None, seed=42):
     """Numerically re-check every structural identity behind the chain.
 
     Families of residuals:
@@ -400,14 +433,12 @@ def verify_compression_structure(sys, chain=None, seed=42, max_degree=3, samples
     worst = 0.0
     rng = np.random.default_rng(seed)
     if chain.F.dim:
-        X = (rng.standard_normal((chain.F.dim, samples))
-             + 1j * rng.standard_normal((chain.F.dim, samples)))
+        X = (rng.standard_normal((chain.F.dim, _POWER_SAMPLES))
+             + 1j * rng.standard_normal((chain.F.dim, _POWER_SAMPLES)))
         X /= np.linalg.norm(X, axis=0)
         Ms = [M.basis for M in chain.M_summands]
-        per_summand = [_compressed_powers(slot_maps, M @ X[b], max_degree)
-                       for M, b in zip(Ms, blocks)]
-        for lhs, *parts in zip(_compressed_powers(comp_F, X, max_degree),
-                               *per_summand):
+        per_summand = [_compressed_powers(slot_maps, M @ X[b]) for M, b in zip(Ms, blocks)]
+        for lhs, *parts in zip(_compressed_powers(comp_F, X), *per_summand):
             rhs = np.vstack([M.conj().T @ W for M, W in zip(Ms, parts)])
             worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=0))))
     power = {"summandwise_powers": worst}
@@ -457,14 +488,13 @@ class WanderingDecomposition:
     alignment_residual: float
 
 
-def wandering_E(sys, eigen_choices=None, tol=None):
+def wandering_E(sys):
     """Build the E summands from factor wandering subspaces and kernel eigenvectors.
 
-    For each factor an eigenpair T_i^H v_i = conj(alpha_i) v_i with v_i in Q_i
-    is required; by default the most stable one from coinvariant_eigenpairs is
-    used.  Supplying ``eigen_choices`` as a list of (alpha, v) overrides the
-    default.  EigenError is raised when the best available residual exceeds
-    tolerance.  Also computes, for every i and j, the residual of
+    For each factor the most stable eigenpair T_i^H v_i = conj(alpha_i) v_i
+    with v_i in Q_i from coinvariant_eigenpairs is used; EigenError is raised
+    when its residual exceeds sys.tol.  S_i (-) T_i S_i is the factor's
+    wandering_subspace.  Also computes, for every i and j, the residual of
 
         E_i^H T~_j M_i - lam^{(i)}_j E_i^H M_i = 0
 
@@ -473,41 +503,19 @@ def wandering_E(sys, eigen_choices=None, tol=None):
     M_i), where lam^{(i)} has alpha_j off slot i and 0 at slot i.  These
     ``shift_points`` go into the report only; coranks use joint_spectrum.
     """
-    if tol is None:
-        tol = sys.tol
     eigens = []
     for i, f in enumerate(sys.factors):
-        if eigen_choices is not None and eigen_choices[i] is not None:
-            alpha, v = eigen_choices[i]
-            alpha = complex(alpha)
-            v = np.asarray(v, dtype=complex).reshape(-1)
-            if v.shape[0] != f.T.shape[0]:
-                raise InputError(f"eigenvector for factor {i} has the wrong dimension")
-            nrm = np.linalg.norm(v)
-            if nrm == 0:
-                raise InputError(f"eigenvector for factor {i} is zero")
-            v = v / nrm
-            in_Q = float(np.linalg.norm(v - f.Q.project(v)))
-            resid = float(np.linalg.norm(f.T.conj().T @ v - np.conj(alpha) * v))
-            if in_Q > tol:
-                raise EigenError(
-                    f"factor {i}: eigenvector lies outside Q (residual {in_Q:.3e})"
-                )
-        else:
-            pairs = coinvariant_eigenpairs(f.T, f.Q, tol=tol)
-            if not pairs:
-                raise EigenError(f"factor {i}: co-invariant subspace is zero, no eigenpair")
-            alpha, v, resid = pairs[0]
-        if resid > tol:
+        pairs = coinvariant_eigenpairs(f.T, f.Q, tol=sys.tol)
+        if not pairs:
+            raise EigenError(f"factor {i}: co-invariant subspace is zero, no eigenpair")
+        alpha, v, resid = pairs[0]
+        if resid > sys.tol:
             raise EigenError(
-                f"factor {i}: best eigen residual {resid:.3e} exceeds tolerance {tol:.1e}"
+                f"factor {i}: best eigen residual {resid:.3e} exceeds tolerance {sys.tol:.1e}"
             )
         eigens.append((alpha, v, resid))
 
-    wanderers = []
-    for f in sys.factors:
-        TS = image(f.T, f.S, tol=sys.tol)
-        wanderers.append(complement_within(f.S, TS))
+    wanderers = [wandering_subspace((f.T,), f.S) for f in sys.factors]
 
     summands = []
     for i in range(sys.n):

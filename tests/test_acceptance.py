@@ -5,6 +5,7 @@ asserting, so a failing criterion shows exactly what was expected and what
 the build actually produces.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -167,9 +168,21 @@ def test_criterion_3_quotient_zeros():
     )
 
 
+def _prefix_closed_form(obj):
+    """(dim S, dim F, mult) of a prefix scenario.  A diagonal similarity turns
+    every weighted shift into the Hardy shift and keeps coordinate subspaces,
+    so dim S = N - prod k_i, dim F = sum_i (m_i - k_i) prod_{j != i} k_j and
+    mult(S) = mult(F) = n."""
+    mk = [(f["m"], f["coinvariant"]["prefix"]) for f in obj["factors"]]
+    ks = [k for _, k in mk]
+    dim_F = sum((m - k) * math.prod(ks[:i] + ks[i + 1:]) for i, (m, k) in enumerate(mk))
+    return math.prod(m for m, _ in mk) - math.prod(ks), dim_F, len(mk)
+
+
 def test_criterion_4_randomized_structural_sweep():
     """20 random prefix scenarios (n in {2,3}, m in {3,4,5}): every structural
-    identity holds with residuals at most 1e-9."""
+    identity holds with residuals at most 1e-9, and dim S, dim F and the
+    multiplicities certified in equality mode match the closed form."""
     rng = np.random.default_rng(20250815)
     worst = 0.0
     failures = []
@@ -185,6 +198,12 @@ def test_criterion_4_randomized_structural_sweep():
         worst = max(worst, resid)
         if not rep.passed or resid > 1e-9:
             failures.append((trial, resid, rep.failed_hypotheses))
+        dim_S, dim_F, n = _prefix_closed_form(obj)
+        got = (rep.dim_S, rep.dim_F, rep.mode,
+               *((m["lower"], m["upper"], m["certified"]) for m in rep.multiplicities.values()))
+        want = (dim_S, dim_F, "equality", (n, n, True), (n, n, True))
+        if got != want:
+            failures.append((trial, "closed form", got, want))
     ok = not failures
     _verdict(
         "criterion-4 structural-sweep",
@@ -237,7 +256,7 @@ def test_criterion_6_wandering_rank_consistency():
         W = wandering_subspace(A, chain.S)
         if not has_gws(A, chain.S):
             continue
-        res = multiplicity(A, chain.S)
+        res = multiplicity(A, chain.S, lambda_samples=sys_.joint_spectrum())
         if not res.certified:
             continue
         applicable += 1
@@ -290,7 +309,7 @@ def test_criterion_8_bruteforce_crosscheck():
         ops = list(sys_.ops)
         basis = chain.S.basis
 
-        res = multiplicity(A, chain.S)
+        res = multiplicity(A, chain.S, lambda_samples=sys_.joint_spectrum())
         low, up = oracle.mult_bruteforce(ops, basis, seed=5)
         if (res.lower, res.upper) != (low, up) or not res.certified:
             problems.append((name, "mult", (res.lower, res.upper), (low, up)))

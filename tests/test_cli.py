@@ -141,6 +141,37 @@ def test_non_numeric_kind_value_is_exit_2(command, kind, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key", ["matrix_file", "basis_file"])
+@pytest.mark.parametrize("content", [None, "not json", "\xff"], ids=["missing", "not-json", "not-utf8"])
+def test_unreadable_matrix_or_basis_file_is_exit_2(key, content, tmp_path, capsys):
+    """A scenario whose matrix or basis file is absent or not JSON is a config error."""
+    dump_matrix(np.diag([1.0], -1), tmp_path / "op.json")
+    if content is not None:
+        (tmp_path / "bad.json").write_bytes(content.encode("latin-1"))
+    factor = {"kind": {"matrix_file": "op.json"}, "coinvariant": {"prefix": 1}}
+    if key == "matrix_file":
+        factor["kind"] = {"matrix_file": "bad.json"}
+    else:
+        factor["coinvariant"] = {"basis_file": "bad.json"}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"factors": [factor, factor]}))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "bad.json" in err
+
+
+@pytest.mark.parametrize("factor", [
+    {"kind": {"matrix": [[0, 0], [1, 0]]}, "m": 5},
+    {"kind": {"custom_weights": [0.9, 0.4]}, "m": 3.0},
+    {"kind": "hardy", "m": 3, "lable": "typo"},
+], ids=["matrix-wrong-m", "custom-float-m", "unknown-key"])
+def test_model_spec_m_and_keys_are_checked(factor, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(factor))
+    assert main(["model", "dump", str(path)]) == 2
+    assert _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("text", ["not json", "[[1, 2], [3]]"])
 def test_closure_undecodable_vectors_is_exit_2(text, tmp_path, capsys):
     vectors = tmp_path / "vectors.json"

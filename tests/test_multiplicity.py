@@ -1,5 +1,4 @@
 import importlib
-import itertools
 
 import numpy as np
 import pytest
@@ -10,17 +9,11 @@ from shiftlab import (
     OperatorTuple,
     SpaceKind,
     Subspace,
-    complement_within,
-    default_lambda_samples,
     has_gws,
     krylov_closure,
     local_corank,
     make_shift,
-    mult_upper,
     multiplicity,
-    orthonormalize,
-    prefix_coinvariant,
-    semi_invariant_bound_check,
     shifted_closure_check,
     wandering_subspace,
 )
@@ -176,52 +169,57 @@ def test_local_corank_against_matrix_rank():
     assert local_corank((T,), L, (0.0,)) == 2
 
 
+ORIGIN = [(0.0,)]  # the spectrum of every nilpotent operator below
+
+
 def test_multiplicity_single_shift_is_one():
     T = make_shift(SpaceKind.hardy(), 6).operator
-    res = multiplicity((T,))
+    res = multiplicity((T,), lambda_samples=ORIGIN)
     assert (res.lower, res.upper, res.certified) == (1, 1, True)
     assert res.witness_generators is not None and len(res.witness_generators) == 1
 
 
 def test_multiplicity_two_blocks_is_two():
-    res = multiplicity((two_jordan_blocks(),))
+    res = multiplicity((two_jordan_blocks(),), lambda_samples=ORIGIN)
     assert (res.lower, res.upper, res.certified) == (2, 2, True)
     assert res.witness_point == (0j,)
 
 
 def test_multiplicity_zero_operator_needs_full_basis():
-    res = multiplicity((np.zeros((3, 3)),))
+    res = multiplicity((np.zeros((3, 3)),), lambda_samples=ORIGIN)
     assert (res.lower, res.upper, res.certified) == (3, 3, True)
 
 
 def test_multiplicity_zero_subspace():
-    res = multiplicity((np.eye(3),), Subspace.zero(3))
+    res = multiplicity((np.eye(3),), Subspace.zero(3), lambda_samples=[(1.0,)])
     assert (res.lower, res.upper, res.certified) == (0, 0, True)
 
 
 def test_multiplicity_on_invariant_subspace():
     T = make_shift(SpaceKind.bergman(), 6).operator
     L = Subspace(np.eye(6)[:, 3:], _checked=True)
-    res = multiplicity((T,), L)
+    res = multiplicity((T,), L, lambda_samples=ORIGIN)
     assert (res.lower, res.upper, res.certified) == (1, 1, True)
 
 
 def test_multiplicity_respects_extra_lambda_samples():
-    # diagonal with a repeated eigenvalue away from the origin: the default
-    # points find it among the eigenvalue combinations; passed alone, it is
-    # the only point evaluated and must give the same certified answer
+    # diagonal with a repeated eigenvalue away from the origin: the whole
+    # spectrum and the repeated eigenvalue alone certify 2; the simple one
+    # alone bounds only 1
     T = np.diag([0.7, 0.7, -0.2])
-    res = multiplicity((T,))
+    res = multiplicity((T,), lambda_samples=[(0.7,), (-0.2,)])
     res2 = multiplicity((T,), lambda_samples=[(0.7,)])
     assert res.certified and res2.certified
     assert res.upper == res2.upper == 2
+    res3 = multiplicity((T,), lambda_samples=[(-0.2,)])
+    assert (res3.lower, res3.upper, res3.certified) == (1, 2, False)
 
 
 def test_multiplicity_uses_exactly_the_given_points(monkeypatch):
-    """Given points replace the defaults, and each distinct point is evaluated once."""
+    """Only the given points are evaluated, each distinct point once."""
     mm = importlib.import_module("shiftlab.multiplicity")  # the package exports a function of that name
     T = two_jordan_blocks()
-    # 0.5 is not an eigenvalue: without the default origin the bound is only 1
+    # 0.5 is not an eigenvalue: without the origin the bound is only 1
     res = multiplicity((T,), lambda_samples=[(0.5,)])
     assert (res.lower, res.upper, res.certified) == (1, 2, False)
     calls = []
@@ -231,11 +229,7 @@ def test_multiplicity_uses_exactly_the_given_points(monkeypatch):
         calls.append(lam)
         return real(A, L, lam, tol=tol)
 
-    def no_defaults(A, L):
-        raise AssertionError("default points evaluated although points were given")
-
     monkeypatch.setattr(mm, "local_corank", counting)
-    monkeypatch.setattr(mm, "default_lambda_samples", no_defaults)
     res = multiplicity((T,), lambda_samples=[(0,), (0j,), 0.0, (0.5,)])
     assert (res.lower, res.upper, res.certified) == (2, 2, True)
     assert calls == [(0j,), (0.5 + 0j,)]
@@ -254,9 +248,9 @@ def test_one_tolerance_per_multiplicity_call():
     assert local_corank((T,), loose, (0.0,)) == 2
     assert local_corank((T,), loose, (0.0,), tol=1e-10) == 1
     for L in (loose, Subspace.full(4, tol=1e-10)):
-        res = multiplicity((T,), L, tol=1e-10)
+        res = multiplicity((T,), L, lambda_samples=ORIGIN, tol=1e-10)
         assert (res.lower, res.upper, res.certified) == (1, 1, True)
-    res = multiplicity((T,), loose)
+    res = multiplicity((T,), loose, lambda_samples=ORIGIN)
     assert (res.lower, res.upper, res.certified) == (2, 2, True)
 
 
@@ -271,10 +265,8 @@ def test_pseudospectral_points_add_no_corank():
     T[:20, :20] = J
     T[20:, 20:] = J + 0.5 * np.eye(20)
     for s in range(20):
-        res = multiplicity((T,), seed=s)
+        res = multiplicity((T,), lambda_samples=[(0.0,), (0.5,)], seed=s)
         assert (res.lower, res.upper, res.certified) == (1, 1, True), s
-    L = Subspace.full(40)
-    assert default_lambda_samples((T,), L) == default_lambda_samples((T,), L)
 
 
 def test_multiplicity_matches_bruteforce():
@@ -289,74 +281,8 @@ def test_multiplicity_matches_bruteforce():
         ops = commuting_polynomials(rng, 5, 2)
         cases.append((ops, np.eye(5)))
     for ops, basis in cases:
-        res = multiplicity(tuple(ops))
+        res = multiplicity(tuple(ops), lambda_samples=oracle.sample_points(ops))
         low, up = oracle.mult_bruteforce(ops, basis, seed=3)
         assert res.lower == low
         assert res.upper == up
         assert res.certified == (low == up)
-
-
-def test_mult_upper_validation_and_search():
-    T = two_jordan_blocks()
-    L = Subspace.full(4)
-    assert mult_upper((T,), L, 2) is not None
-    assert mult_upper((T,), L, 1, trials=16) is None  # two blocks need two
-    with pytest.raises(InputError):
-        mult_upper((T,), L, -1)
-
-
-def test_semi_invariant_bound_check():
-    T = make_shift(SpaceKind.hardy(), 6).operator
-    L1 = Subspace.full(6)
-    L2 = Subspace(np.eye(6)[:, 3:], _checked=True)
-    rep = semi_invariant_bound_check((T,), L1, L2)
-    assert rep.dim_gap == 3
-    assert rep.bound_holds is True
-    assert rep.mult_gap.upper <= rep.mult_big.upper
-    assert max(rep.invariance_residuals) < 1e-12
-    assert rep.identity_residual < 1e-12
-
-
-def dense_semi_invariant_residuals(ops, L1, L2, seed=42, max_degree=3, samples=4):
-    """Invariance and power-identity residuals from N x N projector products."""
-    N = L1.ambient_dim
-    eye = np.eye(N)
-    inv = [max(np.linalg.norm((eye - P) @ A @ P, 2) for A in ops)
-           for P in (L1.projector(), L2.projector())]
-    P_L1 = L1.projector()
-    gap_basis = complement_within(L1, L2).basis
-    P_L = gap_basis @ gap_basis.conj().T
-    rng = np.random.default_rng(seed)
-    vs = L1.basis @ (rng.standard_normal((L1.dim, samples))
-                     + 1j * rng.standard_normal((L1.dim, samples)))
-    resid = 0.0
-    for kk in itertools.product(range(max_degree + 1), repeat=len(ops)):
-        if not 1 <= sum(kk) <= max_degree:
-            continue
-        lhs = mono = eye
-        for A, p in zip(ops, kk):
-            lhs = np.linalg.matrix_power(P_L @ A @ P_L, p) @ lhs
-            mono = np.linalg.matrix_power(A, p) @ mono
-        rhs = P_L @ mono @ P_L1
-        resid = max(resid, (np.linalg.norm((lhs - rhs) @ vs, axis=0)
-                            / np.linalg.norm(vs, axis=0)).max())
-    return inv, resid
-
-
-def test_semi_invariant_bound_check_matches_dense_projector_forms():
-    """Basis forms agree with the projector sandwiches, on invariant subspaces
-    (residuals near 0) and on a non-invariant L2 (residuals of order 1), in
-    coordinates scrambled by a random unitary."""
-    rng = np.random.default_rng(61)
-    U, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
-    T = make_shift(SpaceKind.hardy(), 3).operator
-    ops = [U @ np.kron(T, np.eye(3)) @ U.conj().T, U @ np.kron(np.eye(3), T) @ U.conj().T]
-    L1 = Subspace(U[:, 1:], _checked=True)  # (e_0 (x) e_0)-perp
-    for cols, invariant in (([4, 5, 7, 8], True), ([1, 3], False)):
-        L2 = Subspace(U[:, cols], _checked=True)
-        rep = semi_invariant_bound_check(ops, L1, L2, trials=8)
-        inv, resid = dense_semi_invariant_residuals(ops, L1, L2)
-        assert np.allclose(rep.invariance_residuals, inv, rtol=0, atol=1e-13)
-        assert abs(rep.identity_residual - resid) <= 1e-13
-        assert (max(inv) < 1e-13) == invariant
-        assert (resid < 1e-13) == invariant

@@ -301,6 +301,31 @@ def test_custom_weights_factor():
         run_scenario(scenario_from_json(obj))
 
 
+@pytest.mark.parametrize("kind, m", [
+    ({"matrix": [[0, 0], [1, 0]]}, 5),
+    ({"matrix": [[0, 0], [1, 0]]}, 2.0),
+    ({"custom_weights": [0.9, 0.4]}, 3.0),
+    ({"quotient_roots": [0.0, -0.5]}, 2.0),
+], ids=["matrix-wrong", "matrix-float", "custom-float", "quotient-float"])
+def test_factor_m_must_be_the_integer_operator_size(kind, m):
+    """One rule for every factor kind: 'm', when given, is an int equal to the size."""
+    spec = {"kind": kind, "m": m, "coinvariant": {"prefix": 1}}
+    with pytest.raises(ConfigError):
+        resolve_factor(spec, 1e-10)
+    spec["m"] = 3 if "custom_weights" in kind else 2
+    assert resolve_factor(spec, 1e-10).factor.T.shape == (spec["m"],) * 2
+
+
+@pytest.mark.parametrize("extra", [{"lable": "typo"}, {"label": 7}, {"coinvariant_": {}}],
+                         ids=["misspelt-label", "int-label", "unknown-key"])
+def test_factor_keys_and_label_are_checked(extra):
+    """Factor keys are kind, m, coinvariant and label, and a label is a string."""
+    spec = {"kind": "hardy", "m": 3, "coinvariant": {"prefix": 1}}
+    assert resolve_factor({**spec, "label": "named"}, 1e-10).description == "named"
+    with pytest.raises(ConfigError):
+        resolve_factor({**spec, **extra}, 1e-10)
+
+
 def test_non_coinvariant_basis_is_config_error():
     obj = {
         "factors": [
@@ -402,11 +427,7 @@ def test_scenario_evaluates_each_joint_eigenvalue_once(monkeypatch):
         calls.append(lam)
         return real(A, L, lam, tol=tol)
 
-    def no_defaults(A, L):
-        raise AssertionError("a scenario evaluated the generic default points")
-
     monkeypatch.setattr(mm, "local_corank", counting)
-    monkeypatch.setattr(mm, "default_lambda_samples", no_defaults)
     rep = run_scenario(load_scenario(SCENARIO_DIR / "hardy-2x2.json"))
     assert rep.succeeded
     assert calls == [(0j,), (0j,), (0j, 0j), (0j, 0j)]
@@ -415,9 +436,10 @@ def test_scenario_evaluates_each_joint_eigenvalue_once(monkeypatch):
 def test_structure_path_forms_no_dense_operator(monkeypatch):
     """A cube-structure-style run without the shift lemma never builds the dense
     T~_i, and binds no N x N array to a name in any Python frame, apart from
-    the complement that defines S's basis (see joint_invariant_S).  The
-    tuple is compressed once per factor's gws test in multiplicity, and
-    nowhere else there."""
+    the complement that defines S's basis (see joint_invariant_S).  In
+    multiplicity the tuple is compressed only at slot size: once per factor
+    in its gws test, and once per factor for its wandering subspace in
+    wandering_E."""
     tz = importlib.import_module("shiftlab.tensorized")
     mm = importlib.import_module("shiftlab.multiplicity")
     obj = {
@@ -472,4 +494,4 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
         sys.settrace(None)
     assert rep.succeeded and rep.dims == [4, 3, 2]
     assert seen == []
-    assert [s.ambient_dim for s in compressions] == [4, 3, 2]
+    assert [s.ambient_dim for s in compressions] == [4, 3, 2] * 2

@@ -8,11 +8,9 @@ from shiftlab import (
     Subspace,
     complement_within,
     compress,
-    image,
     opnorm,
     orthonormalize,
     same_subspace,
-    sum_subspaces,
 )
 from shiftlab.subspaces import _svd, as_columns, as_operator, numerical_rank
 
@@ -102,15 +100,6 @@ def test_complement_within_rejects_noncontained():
     with pytest.raises(ContainmentError) as exc:
         complement_within(big, outside)
     assert exc.value.residual is not None and exc.value.residual > 0.5
-
-
-def test_sum_subspaces_and_image():
-    a = Subspace(np.eye(4)[:, :1], _checked=True)
-    b = Subspace(np.eye(4)[:, 1:2], _checked=True)
-    assert sum_subspaces(a, b).dim == 2
-    T = np.diag([1.0, 2.0, 3.0, 4.0])
-    img = image(T, sum_subspaces(a, b))
-    assert same_subspace(img, sum_subspaces(a, b))
 
 
 def test_compress_matches_matrix_block():

@@ -29,8 +29,7 @@ from shiftlab import (
     wandering_E,
     x_projections,
 )
-from shiftlab.multiplicity import _dedup_complex
-from shiftlab.tensorized import _chain_slot_kinds, _projection_identities
+from shiftlab.tensorized import _chain_slot_kinds, _dedup_complex, _projection_identities
 
 RESID = 1e-11
 
@@ -106,9 +105,10 @@ def four_factor_system():
     return build_system(factors)
 
 
-def dense_structure_residuals(sys_, chain, seed=42, max_degree=3, samples=4):
+def dense_structure_residuals(sys_, chain, seed=42):
     """block_structure, semi_invariance and power_identity as products of
-    N x N projectors, the reference for the basis forms."""
+    N x N projectors, the reference for the basis forms (powers of degree
+    1..3 on 4 random vectors, as verify_compression_structure draws them)."""
     P_F = chain.F.projector()
     Pm = [M.projector() for M in chain.M_summands]
     n = len(Pm)
@@ -126,12 +126,12 @@ def dense_structure_residuals(sys_, chain, seed=42, max_degree=3, samples=4):
         semi[f"gap_{idx}"] = max(opnorm(P_big @ T @ gap.basis - P_gap @ T @ gap.basis)
                                  for T in sys_.ops)
     rng = np.random.default_rng(seed)
-    V = chain.F.basis @ (rng.standard_normal((chain.F.dim, samples))
-                         + 1j * rng.standard_normal((chain.F.dim, samples)))
+    V = chain.F.basis @ (rng.standard_normal((chain.F.dim, 4))
+                         + 1j * rng.standard_normal((chain.F.dim, 4)))
     V /= np.linalg.norm(V, axis=0)
     worst = 0.0
-    for kk in itertools.product(range(max_degree + 1), repeat=sys_.n):
-        if not 1 <= sum(kk) <= max_degree:
+    for kk in itertools.product(range(4), repeat=sys_.n):
+        if not 1 <= sum(kk) <= 3:
             continue
         lhs = mono = np.eye(sys_.N)
         for T, p in zip(sys_.ops, kk):
@@ -403,18 +403,12 @@ def test_wandering_E_quotient_case():
     assert wd.alignment_residual < RESID
 
 
-def test_wandering_E_explicit_eigen_choices():
-    sys_ = hardy_2x2_system()
-    e0 = np.eye(4)[:, 0]
-    wd = wandering_E(sys_, eigen_choices=[(0.0, e0), None])
-    assert wd.E.dim == 2
-    # a vector outside Q is rejected
+def test_wandering_E_needs_an_eigenpair_in_every_Q():
+    """A zero co-invariant subspace holds no adjoint eigenvector."""
+    T = make_shift(SpaceKind.hardy(), 3).operator
+    sys_ = build_system([tensor_factor(T, Subspace.zero(3)), hardy_factor(3, 1)])
     with pytest.raises(EigenError):
-        wandering_E(sys_, eigen_choices=[(0.0, np.eye(4)[:, 3]), None])
-    with pytest.raises(InputError):
-        wandering_E(sys_, eigen_choices=[(0.0, np.zeros(4)), None])
-    with pytest.raises(InputError):
-        wandering_E(sys_, eigen_choices=[(0.0, np.ones(5)), None])
+        wandering_E(sys_)
 
 
 def test_slot_spectrum_of_matrices():
