@@ -36,7 +36,6 @@ from .models import (
 from .multiplicity import (
     MultiplicityResult,
     OperatorTuple,
-    has_gws,
     krylov_closure,
     local_corank,
     multiplicity,
@@ -74,7 +73,6 @@ from .tensorized import (
     tensor_factor,
     verify_compression_structure,
     wandering_E,
-    x_projections,
 )
 
 __version__ = "0.1.0"
@@ -108,7 +106,6 @@ __all__ = [
     "compress",
     "dump_matrix",
     "f_chain",
-    "has_gws",
     "ideal_subspace",
     "joint_invariant_S",
     "kernel_vector",
@@ -134,5 +131,4 @@ __all__ = [
     "verify_compression_structure",
     "wandering_E",
     "wandering_subspace",
-    "x_projections",
 ]

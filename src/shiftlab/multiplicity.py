@@ -20,11 +20,11 @@ L.  Certification brackets that integer:
 
 A result is certified exactly when the two bounds meet.  Work on L happens
 in L's coordinates, with the tuple compressed once per call, or not at all
-when it is an ``OperatorTuple`` whose ``space`` is L.
+when it is an ``OperatorTuple`` whose ``space`` is L.  A closure is taken in
+the space its tuple acts on: to close inside L, pass the compressed tuple
+and generators in L's coordinates.
 """
 
-import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +38,6 @@ from .subspaces import (
     as_operator,
     compress,
     numerical_rank,
-    opnorm,
     orthonormalize,
     same_subspace,
 )
@@ -61,12 +60,6 @@ class OperatorTuple:
                 raise InputError("operators in a tuple must share one ambient dimension")
         object.__setattr__(self, "ops", ops)
 
-    @functools.cached_property
-    def commutator_residual(self):
-        """Largest ||A_i A_j - A_j A_i||_2 over pairs, computed when first read."""
-        return max((opnorm(a @ b - b @ a) for a, b in itertools.combinations(self.ops, 2)),
-                   default=0.0)
-
     @property
     def dim(self):
         return self.ops[0].shape[0]
@@ -80,6 +73,14 @@ class OperatorTuple:
         lam = _as_point(lam, self.n)
         eye = np.eye(self.dim, dtype=complex)
         return OperatorTuple(tuple(A - l * eye for A, l in zip(self.ops, lam)))
+
+    def compressed(self, L):
+        """The tuple compressed to L, in L's coordinates (itself if it already is)."""
+        if self.space is L:
+            return self
+        if L.ambient_dim != self.dim:
+            raise InputError("subspace lives in the wrong ambient space")
+        return OperatorTuple(tuple(compress(op, L) for op in self.ops), space=L)
 
 
 @dataclass
@@ -99,15 +100,6 @@ def _as_tuple(A):
     return OperatorTuple(tuple(A))
 
 
-def _compressed(t, L):
-    """The tuple compressed to L, in L's coordinates."""
-    if t.space is L:
-        return t
-    if L.ambient_dim != t.dim:
-        raise InputError("subspace lives in the wrong ambient space")
-    return OperatorTuple(tuple(compress(op, L) for op in t.ops), space=L)
-
-
 def _as_point(lam, n):
     if np.isscalar(lam):
         lam = (lam,)
@@ -117,17 +109,21 @@ def _as_point(lam, n):
     return lam
 
 
-def _closure_local(ops, G_cols, tol):
-    """Grow span(G) block by block until every A_i maps it into itself.
+def krylov_closure(A, G, tol=DEFAULT_TOL):
+    """Smallest subspace containing G that every A_i maps into itself.
 
-    Only the newest block is mapped; its images are projected against the
-    basis twice (DGKS reorthogonalization) and ranked by their own residual.
+    The closure lives in the space A acts on, so a closure inside L takes the
+    tuple compressed to L and G in L's coordinates.  span(G) grows block by
+    block: only the newest block is mapped, and its images are projected
+    against the basis twice (DGKS reorthogonalization) and ranked by their own
+    residual.
     """
-    d = G_cols.shape[0]
-    B = orthonormalize(G_cols, tol=tol, ambient_dim=d).basis
+    t = _as_tuple(A)
+    d = t.dim
+    B = orthonormalize(as_columns(G, d), tol=tol, ambient_dim=d).basis
     new = B
     while new.shape[1] and B.shape[1] < d:
-        R = np.hstack([A @ new for A in ops])
+        R = np.hstack([op @ new for op in t.ops])
         for _ in range(2):
             R = R - B @ (B.conj().T @ R)
         U, s, _ = _svd(R)
@@ -136,29 +132,6 @@ def _closure_local(ops, G_cols, tol):
         new, _ = np.linalg.qr(new)
         B = np.hstack([B, new])
     return Subspace(B, tol=tol, _checked=True)
-
-
-def krylov_closure(A, G, restrict_to=None, tol=None):
-    """Smallest A-invariant subspace containing G.
-
-    With ``restrict_to = L`` the closure is taken inside L, under the tuple
-    compressed to L (G is projected onto L); the result is still expressed
-    in ambient coordinates.
-    """
-    t = _as_tuple(A)
-    if restrict_to is None:
-        if tol is None:
-            tol = DEFAULT_TOL
-        return _closure_local(list(t.ops), as_columns(G, t.dim), tol)
-    L = restrict_to
-    if tol is None:
-        tol = L.tol
-    if L.dim == 0:
-        return Subspace.zero(L.ambient_dim, tol=tol)
-    local = _compressed(t, L)
-    G_loc = L.basis.conj().T @ as_columns(G, L.ambient_dim)
-    closure = _closure_local(list(local.ops), G_loc, tol)
-    return Subspace(L.basis @ closure.basis, tol=tol, _checked=True)
 
 
 def shifted_closure_check(A, G, lam, tol=DEFAULT_TOL):
@@ -182,19 +155,11 @@ def wandering_subspace(A, L):
     """
     if L.dim == 0:
         return Subspace.zero(L.ambient_dim, tol=L.tol)
-    local = _compressed(_as_tuple(A), L)
+    local = _as_tuple(A).compressed(L)
     R = np.linalg.qr(np.hstack(local.ops).conj().T, mode="r")
     U, s, _ = _svd(R.conj().T)
     rank = numerical_rank(s, L.tol)
     return Subspace(L.basis @ U[:, rank:], tol=L.tol, _checked=True)
-
-
-def has_gws(A, L):
-    """Does the wandering subspace of L generate L under the compressed tuple?"""
-    if L.dim == 0:
-        return True
-    local = _compressed(_as_tuple(A), L)
-    return krylov_closure(local, wandering_subspace(local, L).basis, restrict_to=L).dim == L.dim
 
 
 def local_corank(A, L, lam, tol=None):
@@ -208,7 +173,7 @@ def local_corank(A, L, lam, tol=None):
     if k == 0:
         return 0
     eye = np.eye(k, dtype=complex)
-    local = _compressed(t, L)
+    local = t.compressed(L)
     stacked = np.hstack([C - l * eye for C, l in zip(local.ops, lam)])
     return k - numerical_rank(_svd(stacked, compute_uv=False), tol or L.tol)
 
@@ -222,8 +187,7 @@ def _search_upper(t, L, r, trials, rng, tol):
         coeff = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
         coeff /= np.linalg.norm(coeff, axis=0)
         G = L.basis @ coeff
-        closure = krylov_closure(t, G, restrict_to=L, tol=tol)
-        if closure.dim == k:
+        if krylov_closure(t, L.basis.conj().T @ G, tol=tol).dim == k:
             return [G[:, j] for j in range(r)], used
     return None, used
 
@@ -257,7 +221,7 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
     k = L.dim
     if k == 0:
         return MultiplicityResult(0, 0, True, [], None, 0, seed)
-    t = _compressed(t, L)
+    t = t.compressed(L)
     pts = dict.fromkeys(_as_point(p, t.n) for p in lambda_samples)
     best_corank = 0
     witness_point = None

@@ -41,7 +41,6 @@ from .models import (
 )
 from .multiplicity import (
     OperatorTuple,
-    has_gws,
     krylov_closure,
     multiplicity,
     shifted_closure_check,
@@ -56,7 +55,6 @@ from .subspaces import (
 )
 from .tensorized import (
     build_system,
-    coinvariant_eigenpairs,
     f_chain,
     tensor_factor,
     verify_compression_structure,
@@ -80,13 +78,6 @@ _NAMED_KINDS = {
     "bergman": SpaceKind.bergman,
     "dirichlet": SpaceKind.dirichlet,
 }
-
-
-@dataclass(eq=False)
-class ResolvedFactor:
-    factor: object  # TensorFactor
-    model: object   # ShiftModel | QuotientModel | None
-    description: str
 
 
 def _real(value, what):
@@ -215,12 +206,11 @@ def resolve_factor(spec, tol, base_dir="."):
         Q = _resolve_coinvariant(spec, T, model, tol, base_dir)
         # a companion matrix's eigvals split repeated roots; the roots are exact
         spectrum = [lam for lam, _ in model.roots] if isinstance(model, QuotientModel) else None
-        factor = tensor_factor(T, Q, tol=tol, label=label, spectrum=spectrum)
+        return tensor_factor(T, Q, tol=tol, label=label, spectrum=spectrum)
     except ConfigError:
         raise
     except ShiftlabError as exc:
         raise ConfigError(f"invalid factor spec: {exc}") from exc
-    return ResolvedFactor(factor=factor, model=model, description=label)
 
 
 @dataclass
@@ -337,19 +327,16 @@ class Report:
 _HYPOTHESES = ("cyclic", "gws_restriction", "eigen_ok", "proper_coinvariant", "zero_based")
 
 
-def _factor_hypotheses(resolved, scn):
+def _factor_hypotheses(factors, scn):
     """Evaluate the additive-formula hypotheses factor by factor."""
     hyp = {}
     failed = []
-    for i, rf in enumerate(resolved):
-        f = rf.factor
-        single = OperatorTuple((f.T,))
-        cyc = multiplicity(single, lambda_samples=[(z,) for z in f.spectrum],
+    for i, f in enumerate(factors):
+        cyc = multiplicity(OperatorTuple((f.T,)), lambda_samples=[(z,) for z in f.spectrum],
                            trials=scn.trials, seed=scn.seed, tol=scn.tol)
         cyclic = bool(cyc.certified and cyc.upper == 1)
-        gws_i = bool(has_gws(single, f.S))
-        pairs = coinvariant_eigenpairs(f.T, f.Q, tol=scn.tol)
-        eigen_residual = pairs[0][2] if pairs else float("inf")
+        gws_i = bool(f.wandering_generates)
+        eigen_residual = f.eigenpair[2] if f.eigenpair else float("inf")
         eigen_ok = bool(eigen_residual <= max(scn.tol, 1e-10))
         m = f.T.shape[0]
         proper = bool(0 < f.Q.dim < m)
@@ -361,7 +348,7 @@ def _factor_hypotheses(resolved, scn):
             <= max(scn.tol, 1e-10)
         )
         record = {
-            "label": rf.description,
+            "label": f.label,
             "cyclic": cyclic,
             "cyclic_bounds": [int(cyc.lower), int(cyc.upper)],
             "gws_restriction": gws_i,
@@ -397,9 +384,12 @@ def _shift_lemma_verdict(scn, sys, S):
         r = 1 + d % 2
         if d < 3:
             G = rng.standard_normal((sys.N, r)) + 1j * rng.standard_normal((sys.N, r))
-        else:
+        elif S.dim:
             coeff = rng.standard_normal((S.dim, r)) + 1j * rng.standard_normal((S.dim, r))
             G = S.basis @ coeff
+        else:  # S = 0: the closure of 0 is 0 under either tuple
+            draws.append(True)
+            continue
         G /= np.linalg.norm(G, axis=0)
         rad = 0.9 * np.sqrt(rng.uniform(size=sys.n))
         th = rng.uniform(0.0, 2 * np.pi, size=sys.n)
@@ -416,13 +406,13 @@ def _shift_lemma_verdict(scn, sys, S):
 def run_scenario(scn):
     """Execute a scenario and return its Report."""
     t0 = time.perf_counter()
-    resolved = [resolve_factor(spec, scn.tol, scn.base_dir) for spec in scn.factor_specs]
-    sys = build_system([rf.factor for rf in resolved], tol=scn.tol)
+    factors = [resolve_factor(spec, scn.tol, scn.base_dir) for spec in scn.factor_specs]
+    sys = build_system(factors, tol=scn.tol)
     chain = f_chain(sys)
     struct = verify_compression_structure(sys, chain, seed=scn.seed)
     comp_S, comp_F = struct.compressions[0], struct.compressions[-1]
 
-    hyp, failed = _factor_hypotheses(resolved, scn)
+    hyp, failed = _factor_hypotheses(factors, scn)
     mode = "equality" if not failed else "inequality_only"
 
     notes = []
@@ -442,7 +432,8 @@ def run_scenario(scn):
         trials=scn.trials, seed=scn.seed, tol=scn.tol,
     )
     W_S = wandering_subspace(comp_S, chain.S)
-    gws_S = krylov_closure(comp_S, W_S.basis, restrict_to=chain.S).dim == chain.S.dim
+    G_S = chain.S.basis.conj().T @ W_S.basis  # in S's coordinates, where comp_S acts
+    gws_S = krylov_closure(comp_S, G_S, tol=chain.S.tol).dim == chain.S.dim
 
     verdicts = _structural_verdicts(scn, struct)
     for name in scn.checks:
@@ -483,7 +474,7 @@ def run_scenario(scn):
 
     residuals = {name: max(fam.values(), default=0.0) for name, fam in struct.families().items()}
     residuals["doubly_commuting"] = float(sys.doubly_commuting_residual)
-    residuals["coinvariance"] = max(rf.factor.coinvariance_residual for rf in resolved)
+    residuals["coinvariance"] = max(f.coinvariance_residual for f in factors)
     if wdec is not None:
         residuals["distinguished_alignment"] = float(wdec.alignment_residual)
         residuals["eigen"] = max(e[2] for e in wdec.eigen_data)
@@ -493,7 +484,7 @@ def run_scenario(scn):
     return Report(
         label=scn.label,
         dims=list(sys.dims),
-        factor_labels=[rf.description for rf in resolved],
+        factor_labels=[f.label for f in factors],
         dim_S=int(chain.S.dim),
         dim_F=int(chain.F.dim),
         chain_dims=[int(Fi.dim) for Fi in chain.F_chain],

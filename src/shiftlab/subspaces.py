@@ -4,8 +4,8 @@ A subspace of C^N is carried around as an N x k matrix with orthonormal
 columns.  Every rank decision in the package funnels through one rule,
 ``numerical_rank``: after a singular value decomposition, a direction
 survives when its singular value exceeds ``tol * max(1, sigma_max)``.  The
-zero subspace (k = 0) is a first-class value, so downstream code never
-special-cases empty bases.
+zero subspace (k = 0), also of the zero space (N = 0), is a first-class
+value, so downstream code never special-cases empty bases.
 
 Every SVD goes through ``_svd``, which survives LAPACK non-convergence.
 
@@ -69,8 +69,8 @@ class Subspace:
             basis = basis.reshape(-1, 1)
         if basis.size == 0:
             n = ambient_dim if ambient_dim is not None else basis.shape[0]
-            if n is None or n <= 0:
-                raise InputError("zero subspace needs a positive ambient dimension")
+            if n < 0:
+                raise InputError("zero subspace needs a non-negative ambient dimension")
             basis = np.zeros((n, 0), dtype=complex)
         if ambient_dim is not None and basis.shape[0] != ambient_dim:
             raise InputError(f"basis lives in C^{basis.shape[0]}, expected C^{ambient_dim}")

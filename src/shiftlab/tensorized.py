@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigenError, InputError, InternalConsistencyError, ModelError
-from .multiplicity import OperatorTuple, wandering_subspace
+from .multiplicity import OperatorTuple, krylov_closure, wandering_subspace
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -72,7 +72,12 @@ def _dedup_complex(values, tol=1e-7):
 
 @dataclass(eq=False)
 class TensorFactor:
-    """One tensor slot: an operator with a checked adjoint-invariant subspace."""
+    """One tensor slot: an operator with a checked adjoint-invariant subspace.
+
+    The facts the additive formula reads per factor are computed once, on
+    first read: the adjoint eigenpair, the wandering subspace S (-) T S and
+    whether it generates S.
+    """
 
     T: np.ndarray
     Q: Subspace
@@ -81,6 +86,29 @@ class TensorFactor:
     tol: float
     coinvariance_residual: float
     spectrum: tuple  # the distinct eigenvalues of T, by modulus
+
+    @functools.cached_property
+    def eigenpair(self):
+        """The most reliable (alpha, v, residual) of coinvariant_eigenpairs; None when Q = 0."""
+        pairs = coinvariant_eigenpairs(self.T, self.Q)
+        return pairs[0] if pairs else None
+
+    @functools.cached_property
+    def _restriction(self):
+        """T restricted to the invariant S, in S's coordinates: one compression
+        for the wandering subspace and its gws test."""
+        return OperatorTuple((self.T,)).compressed(self.S)
+
+    @functools.cached_property
+    def wandering(self):
+        """S (-) T S; when it generates S, its dimension is the multiplicity of T on S."""
+        return wandering_subspace(self._restriction, self.S)
+
+    @functools.cached_property
+    def wandering_generates(self):
+        """Does the wandering subspace generate S under T?  Closed in S's coordinates."""
+        G = self.S.basis.conj().T @ self.wandering.basis
+        return krylov_closure(self._restriction, G, tol=self.S.tol).dim == self.S.dim
 
 
 def tensor_factor(T, Q, tol=DEFAULT_TOL, label="", spectrum=None):
@@ -193,18 +221,6 @@ def joint_invariant_S(sys):
     return complement_within(Subspace.full(sys.N, tol=sys.tol), big_Q)
 
 
-def x_projections(sys):
-    """X_i = P~_i Q~_{i+1} ... Q~_n: commuting projections with orthogonal ranges.
-
-    By the mixed-product property each X_i is the single kron chain
-    I (x) ... (x) I (x) P_{S_i} (x) P_{Q_{i+1}} (x) ... (x) P_{Q_n}: dense
-    N x N references, as the chain works from slot data.
-    """
-    return [_kron_chain([np.eye(d) for d in sys.dims[:i]] + [f.S.projector()]
-                        + [g.Q.projector() for g in sys.factors[i + 1:]])
-            for i, f in enumerate(sys.factors)]
-
-
 def _chain_slot_kinds(n, i, j):
     """Slot kinds of the j-th summand (1-based) of F_i, for i in 1..n-1."""
     kinds = ["I"] * n
@@ -232,6 +248,7 @@ class ChainDecomposition:
     F_chain: list  # [F_1, ..., F_{n-1}]
     F: Subspace  # basis: the M_i bases side by side, in order
     M_summands: list  # block subspaces M_1, ..., M_n of F
+    containment_residuals: list  # of S >= F_1, F_1 >= F_2, ..., in order
 
 
 def f_chain(sys):
@@ -255,15 +272,12 @@ def f_chain(sys):
         F_i = Subspace(basis, tol=sys.tol, _checked=False)  # re-checks orthonormality
         chain.append((F_i, summands))
     spaces = [S] + [fi for fi, _ in chain]
-    for big, small in zip(spaces, spaces[1:]):
-        resid = big.containment_residual(small)
-        if resid > max(sys.tol, 1e-12):
-            raise InternalConsistencyError(
-                f"chain containment fails (residual {resid:.3e})"
-            )
+    resids = [big.containment_residual(small) for big, small in zip(spaces, spaces[1:])]
+    if max(resids) > max(sys.tol, 1e-12):
+        raise InternalConsistencyError(f"chain containment fails (residual {max(resids):.3e})")
     F, M_summands = chain[-1]
-    return ChainDecomposition(S=S, x_ranks=x_ranks, F_chain=[fi for fi, _ in chain], F=F,
-                              M_summands=M_summands)
+    return ChainDecomposition(S=S, x_ranks=x_ranks, F_chain=spaces[1:], F=F,
+                              M_summands=M_summands, containment_residuals=resids)
 
 
 @dataclass
@@ -370,8 +384,9 @@ def verify_compression_structure(sys, chain=None, seed=42):
       from slot norms, so ``inclusion_exclusion``, ``idempotent`` and
       ``hermitian`` are upper bounds of the dense N x N residual norms
       (see _projection_identities);
-    * chain -- containments S >= F_1 >= ... and the identity
-      F_1 = S (-) ran(P~_{n-1} P~_n), by the sine of the largest angle;
+    * chain -- containments S >= F_1 >= ..., as f_chain measured them, and
+      the identity F_1 = S (-) ran(P~_{n-1} P~_n), by the sine of the
+      largest angle;
     * semi_invariance -- each gap G_{i-1} (-) G_i (with G_0 = S) is invariant
       under the tuple compressed to the bigger space (small^H T~ G = 0 on
       the gap's basis G);
@@ -390,8 +405,7 @@ def verify_compression_structure(sys, chain=None, seed=42):
 
     spaces = [chain.S] + chain.F_chain
     pairs = list(zip(spaces, spaces[1:]))
-    chain_res = {f"containment_{idx}": big.containment_residual(small)
-                 for idx, (big, small) in enumerate(pairs)}
+    chain_res = {f"containment_{idx}": r for idx, r in enumerate(chain.containment_residuals)}
     gaps = [complement_within(big, small) for big, small in pairs]
     tail = sys.summand_subspace(["I"] * (sys.n - 2) + ["S", "S"])
     chain_res["head_gap_dim_match"] = float(abs(gaps[0].dim - tail.dim))
@@ -454,7 +468,7 @@ def verify_compression_structure(sys, chain=None, seed=42):
     )
 
 
-def coinvariant_eigenpairs(T, Q, tol=DEFAULT_TOL):
+def coinvariant_eigenpairs(T, Q):
     """Eigenpairs of T^H restricted to a co-invariant subspace Q.
 
     Returns a list of (alpha, v, residual) with T^H v ~= conj(alpha) v and
@@ -491,10 +505,10 @@ class WanderingDecomposition:
 def wandering_E(sys):
     """Build the E summands from factor wandering subspaces and kernel eigenvectors.
 
-    For each factor the most stable eigenpair T_i^H v_i = conj(alpha_i) v_i
-    with v_i in Q_i from coinvariant_eigenpairs is used; EigenError is raised
-    when its residual exceeds sys.tol.  S_i (-) T_i S_i is the factor's
-    wandering_subspace.  Also computes, for every i and j, the residual of
+    Each factor's ``eigenpair`` T_i^H v_i = conj(alpha_i) v_i with v_i in Q_i
+    is used; EigenError is raised when there is none or its residual exceeds
+    sys.tol.  S_i (-) T_i S_i is the factor's ``wandering`` subspace.  Also
+    computes, for every i and j, the residual of
 
         E_i^H T~_j M_i - lam^{(i)}_j E_i^H M_i = 0
 
@@ -505,21 +519,18 @@ def wandering_E(sys):
     """
     eigens = []
     for i, f in enumerate(sys.factors):
-        pairs = coinvariant_eigenpairs(f.T, f.Q, tol=sys.tol)
-        if not pairs:
+        if f.eigenpair is None:
             raise EigenError(f"factor {i}: co-invariant subspace is zero, no eigenpair")
-        alpha, v, resid = pairs[0]
-        if resid > sys.tol:
+        if f.eigenpair[2] > sys.tol:
             raise EigenError(
-                f"factor {i}: best eigen residual {resid:.3e} exceeds tolerance {sys.tol:.1e}"
+                f"factor {i}: best eigen residual {f.eigenpair[2]:.3e} exceeds tolerance "
+                f"{sys.tol:.1e}"
             )
-        eigens.append((alpha, v, resid))
-
-    wanderers = [wandering_subspace((f.T,), f.S) for f in sys.factors]
+        eigens.append(f.eigenpair)
 
     summands = []
     for i in range(sys.n):
-        cols = [wanderers[i].basis if j == i else eigens[j][1].reshape(-1, 1)
+        cols = [sys.factors[i].wandering.basis if j == i else eigens[j][1].reshape(-1, 1)
                 for j in range(sys.n)]
         summands.append(Subspace(_kron_chain(cols), ambient_dim=sys.N, tol=sys.tol,
                                  _checked=True))
@@ -542,7 +553,7 @@ def wandering_E(sys):
     return WanderingDecomposition(
         E=E,
         summands=summands,
-        factor_wandering_dims=[w.dim for w in wanderers],
+        factor_wandering_dims=[f.wandering.dim for f in sys.factors],
         eigen_data=eigens,
         shift_points=shift_points,
         alignment_residual=float(align),

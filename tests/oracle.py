@@ -5,9 +5,11 @@ degree layer (valid for commuting tuples) with np.linalg.matrix_rank deciding
 dimensions, and multiplicities are bracketed by exhaustive corank sampling
 plus random generator search.  Slow but simple, for ambient dimensions up to
 ~10.  Principal angles come from scipy.linalg.subspace_angles; the package
-itself does not import scipy.
+itself does not import scipy.  Dense references that only tests read (pairwise
+commutator norms, the X_i projections) live here too.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -107,3 +109,22 @@ def max_principal_angle(a, b):
     if a.dim == 0 or b.dim == 0:
         return float(np.pi / 2)
     return float(principal_angles(a, b).max())
+
+
+def commutator_residual(ops):
+    """Largest ||A_i A_j - A_j A_i||_2 over pairs of the operators."""
+    return max((np.linalg.norm(a @ b - b @ a, 2) for a, b in itertools.combinations(ops, 2)),
+               default=0.0)
+
+
+def _projector(sub):
+    return sub.basis @ sub.basis.conj().T
+
+
+def x_projections(sys_):
+    """X_i = P~_i Q~_{i+1} ... Q~_n as dense N x N matrices: by the mixed-product
+    property, the kron chain I (x) .. (x) I (x) P_{S_i} (x) P_{Q_{i+1}} (x) .. (x) P_{Q_n}
+    of the factors' slot projectors."""
+    return [functools.reduce(np.kron, [np.eye(d) for d in sys_.dims[:i]] + [_projector(f.S)]
+                             + [_projector(g.Q) for g in sys_.factors[i + 1:]])
+            for i, f in enumerate(sys_.factors)]

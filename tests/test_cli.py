@@ -77,6 +77,19 @@ def test_failed_check_is_exit_1(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_zero_S_scenario_runs_every_check(tmp_path, capsys):
+    """Q_i = C^2 in both slots makes S = 0: every shift-lemma draw from S is the
+    zero vector, whose closure is 0 under either tuple, so the run passes."""
+    identity = {"kind": "hardy", "m": 2, "coinvariant": {"basis": [[1, 0], [0, 1]]}}
+    path = tmp_path / "zero-S.json"
+    path.write_text(json.dumps({"factors": [identity, identity]}))
+    assert main(["run", str(path), "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["dim_S"] == 0 and rep["passed"] is True
+    assert rep["verdicts"]["shift_lemma"] == {"status": "pass", "draws": 6, "agreed": 6}
+    assert rep["verdicts"]["gws"]["has_gws"] is True
+
+
 def test_linalg_error_is_exit_1(monkeypatch, capsys):
     """A numerical routine that does not converge ends in an error line, not a traceback."""
     def fail(scn):

@@ -9,7 +9,6 @@ from shiftlab import (
     OperatorTuple,
     SpaceKind,
     Subspace,
-    has_gws,
     krylov_closure,
     local_corank,
     make_shift,
@@ -43,9 +42,9 @@ def test_operator_tuple_validation_and_commutators():
     with pytest.raises(InputError):
         OperatorTuple((np.eye(2), np.eye(3)))
     t = OperatorTuple((np.eye(3), np.diag([1.0, 2.0, 3.0])))
-    assert t.commutator_residual < 1e-15
+    assert oracle.commutator_residual(t.ops) < 1e-15
     bad = OperatorTuple((np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]])))
-    assert bad.commutator_residual > 0.5
+    assert oracle.commutator_residual(bad.ops) > 0.5
 
 
 def test_shifted_tuple():
@@ -66,15 +65,38 @@ def test_krylov_closure_single_shift():
     assert middle.dim == 3  # e_2, e_3, e_4
 
 
+def close_inside(A, L, G):
+    """The closure of G inside L, under A compressed to L, lifted back to C^N."""
+    local = OperatorTuple(tuple(A)).compressed(L)
+    closure = krylov_closure(local, L.basis.conj().T @ G, tol=L.tol)
+    return Subspace(L.basis @ closure.basis, tol=L.tol, _checked=True)
+
+
+def wandering_generates(A, L):
+    """Does L's wandering subspace generate L under A compressed to L?"""
+    return close_inside(A, L, wandering_subspace(A, L).basis).dim == L.dim
+
+
 def test_krylov_closure_restricted():
     T = make_shift(SpaceKind.hardy(), 5).operator
     L = Subspace(np.eye(5)[:, 2:], _checked=True)  # invariant tail
-    closed = krylov_closure((T,), np.eye(5)[:, 2:3], restrict_to=L)
+    closed = close_inside((T,), L, np.eye(5)[:, 2:3])
     assert closed.dim == 3
     assert L.containment_residual(closed) < 1e-12
     # a generator orthogonal to the last directions only reaches part of L
-    closed2 = krylov_closure((T,), np.eye(5)[:, 4:], restrict_to=L)
+    closed2 = close_inside((T,), L, np.eye(5)[:, 4:])
     assert closed2.dim == 1
+
+
+def test_closure_in_a_zero_space_is_zero():
+    """A tuple compressed to the zero subspace acts on C^0, where every closure is {0}."""
+    L = Subspace.zero(3)
+    local = OperatorTuple((np.eye(3),)).compressed(L)
+    assert local.dim == 0
+    for G in (np.zeros((0, 0)), L.basis.conj().T @ np.ones((3, 2))):
+        closure = krylov_closure(local, G)
+        assert (closure.dim, closure.ambient_dim) == (0, 0)
+    assert close_inside((np.eye(3),), L, np.ones((3, 1))).dim == 0
 
 
 def test_krylov_closure_matches_bruteforce_orbit():
@@ -121,7 +143,7 @@ def test_krylov_closure_matches_oracle_on_tensor_pairs():
                 continue
             else:
                 L = Subspace(np.eye(N)[:, mask], _checked=True)
-                got = krylov_closure(ops, G, restrict_to=L)
+                got = close_inside(ops, L, G)
                 want = oracle.orbit_dim(
                     oracle.restrict(ops, L.basis), L.basis.conj().T @ G, tol=1e-12
                 )
@@ -147,14 +169,14 @@ def test_wandering_subspace_of_full_shift():
     W = wandering_subspace((T,), Subspace.full(5))
     assert W.dim == 1
     assert np.allclose(np.abs(W.basis[:, 0]), np.eye(5)[:, 0])
-    assert has_gws((T,), Subspace.full(5))
+    assert wandering_generates((T,), Subspace.full(5))
 
 
 def test_wandering_subspace_two_blocks():
     T = two_jordan_blocks()
     W = wandering_subspace((T,), Subspace.full(4))
     assert W.dim == 2
-    assert has_gws((T,), Subspace.full(4))
+    assert wandering_generates((T,), Subspace.full(4))
 
 
 def test_local_corank_against_matrix_rank():

@@ -64,7 +64,8 @@ def test_library_and_json_read_roots_alike(roots, expected):
             resolve_factor(spec, 1e-10)
         return
     assert make_quotient(roots).roots == expected + ((-0.5, 1),)
-    assert resolve_factor(spec, 1e-10).model.roots == expected + ((-0.5, 1),)
+    # equal companion operators mean the same root multiset
+    assert np.array_equal(resolve_factor(spec, 1e-10).T, make_quotient(roots).operator)
 
 
 def test_scenario_validation_errors():
@@ -177,8 +178,7 @@ def test_non_zero_based_quotient_downgrades(tmp_path):
     ms = rep.multiplicities["S"]
     assert ms["certified"] and ms["lower"] == ms["upper"] == 1
 
-    resolved = [resolve_factor(spec, scn.tol) for spec in scn.factor_specs]
-    sys_ = build_system([rf.factor for rf in resolved], tol=scn.tol)
+    sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
     S = f_chain(sys_).S
     assert oracle.mult_bruteforce(list(sys_.ops), S.basis) == (1, 1)
     assert rep.verdicts["additive_formula"]["status"] == "pass"
@@ -313,7 +313,7 @@ def test_factor_m_must_be_the_integer_operator_size(kind, m):
     with pytest.raises(ConfigError):
         resolve_factor(spec, 1e-10)
     spec["m"] = 3 if "custom_weights" in kind else 2
-    assert resolve_factor(spec, 1e-10).factor.T.shape == (spec["m"],) * 2
+    assert resolve_factor(spec, 1e-10).T.shape == (spec["m"],) * 2
 
 
 @pytest.mark.parametrize("extra", [{"lable": "typo"}, {"label": 7}, {"coinvariant_": {}}],
@@ -321,7 +321,7 @@ def test_factor_m_must_be_the_integer_operator_size(kind, m):
 def test_factor_keys_and_label_are_checked(extra):
     """Factor keys are kind, m, coinvariant and label, and a label is a string."""
     spec = {"kind": "hardy", "m": 3, "coinvariant": {"prefix": 1}}
-    assert resolve_factor({**spec, "label": "named"}, 1e-10).description == "named"
+    assert resolve_factor({**spec, "label": "named"}, 1e-10).label == "named"
     with pytest.raises(ConfigError):
         resolve_factor({**spec, **extra}, 1e-10)
 
@@ -373,7 +373,7 @@ R3 = [[0.3, 0.0], 3]  # (z - 0.3)^3
 ])
 def test_slot_spectrum_per_factor_kind(spec, expected):
     """Shifts give {0}, quotients their roots bit for bit, triangular matrices the diagonal."""
-    spectrum = resolve_factor(spec, 1e-10).factor.spectrum
+    spectrum = resolve_factor(spec, 1e-10).spectrum
     assert len(spectrum) == len(expected)
     assert set(spectrum) == expected
 
@@ -406,7 +406,7 @@ def test_slot_points_alone_give_full_corank():
         _quotient([[[0.5, -0.3], 2], [[0.6, 0.0], 1]], [[[0.5, -0.3], 1], [[0.6, 0.0], 1]]),
         {"kind": {"matrix": nilpotent}, "coinvariant": {"prefix": 3}},
     ]
-    sys_ = build_system([resolve_factor(f, 1e-10).factor for f in factors])
+    sys_ = build_system([resolve_factor(f, 1e-10) for f in factors])
     S = f_chain(sys_).S
     points = sys_.joint_spectrum()
     assert len(points) == 4
@@ -437,9 +437,10 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
     """A cube-structure-style run without the shift lemma never builds the dense
     T~_i, and binds no N x N array to a name in any Python frame, apart from
     the complement that defines S's basis (see joint_invariant_S).  In
-    multiplicity the tuple is compressed only at slot size: once per factor
-    in its gws test, and once per factor for its wandering subspace in
-    wandering_E."""
+    multiplicity the tuple is compressed only at slot size, once per factor:
+    the factor's wandering subspace and its gws test share that compression,
+    and wandering_E reuses both, as it reuses the factor's one
+    coinvariant_eigenpairs call."""
     tz = importlib.import_module("shiftlab.tensorized")
     mm = importlib.import_module("shiftlab.multiplicity")
     obj = {
@@ -460,6 +461,10 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
     compressions = []
     real_compress = mm.compress
     monkeypatch.setattr(mm, "compress", lambda T, s: compressions.append(s) or real_compress(T, s))
+    eigen_calls = []
+    real_eigenpairs = tz.coinvariant_eigenpairs
+    monkeypatch.setattr(tz, "coinvariant_eigenpairs",
+                        lambda T, Q: eigen_calls.append(Q) or real_eigenpairs(T, Q))
 
     seen = []
     inside_S = []
@@ -494,4 +499,5 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
         sys.settrace(None)
     assert rep.succeeded and rep.dims == [4, 3, 2]
     assert seen == []
-    assert [s.ambient_dim for s in compressions] == [4, 3, 2] * 2
+    assert [s.ambient_dim for s in compressions] == [4, 3, 2]
+    assert [Q.ambient_dim for Q in eigen_calls] == [4, 3, 2]
