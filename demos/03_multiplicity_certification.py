@@ -32,8 +32,8 @@ for j in (0, 2, 4):
 # --- scalar shifts do not change closures ---------------------------------------
 rng = np.random.default_rng(0)
 G = rng.standard_normal((5, 1))
-print("closure equals closure of (T - 0.7 I):",
-      shifted_closure_check((T,), G, (0.7,), tol=1e-8))
+agree, margin = shifted_closure_check((T,), G, (0.7,), tol=1e-8)
+print(f"closure equals closure of (T - 0.7 I): {agree} (rank margin {margin:.1e})")
 
 # --- corank lower bounds ----------------------------------------------------------
 # Two Jordan blocks need two generators; the corank at the origin sees it.

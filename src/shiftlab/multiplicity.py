@@ -39,6 +39,7 @@ from .subspaces import (
     compress,
     numerical_rank,
     orthonormalize,
+    rank_margin,
     same_subspace,
 )
 
@@ -116,11 +117,13 @@ def krylov_closure(A, G, tol=DEFAULT_TOL):
     tuple compressed to L and G in L's coordinates.  span(G) grows block by
     block: only the newest block is mapped, and its images are projected
     against the basis twice (DGKS reorthogonalization) and ranked by their own
-    residual.
+    residual.  The closure's ``margin`` is the smallest ``rank_margin`` of
+    those rank decisions and of the one ``orthonormalize`` made on G.
     """
     t = _as_tuple(A)
     d = t.dim
-    B = orthonormalize(as_columns(G, d), tol=tol, ambient_dim=d).basis
+    first = orthonormalize(as_columns(G, d), tol=tol, ambient_dim=d)
+    B, margin = first.basis, first.margin
     new = B
     while new.shape[1] and B.shape[1] < d:
         R = np.hstack([op @ new for op in t.ops])
@@ -128,23 +131,27 @@ def krylov_closure(A, G, tol=DEFAULT_TOL):
             R = R - B @ (B.conj().T @ R)
         U, s, _ = _svd(R)
         rank = min(numerical_rank(s, tol), d - B.shape[1])
+        margin = min(margin, rank_margin(s, rank, tol))
         new = U[:, :rank] - B @ (B.conj().T @ U[:, :rank])
         new, _ = np.linalg.qr(new)
         B = np.hstack([B, new])
-    return Subspace(B, tol=tol, _checked=True)
+    return Subspace(B, tol=tol, _checked=True, margin=margin)
 
 
 def shifted_closure_check(A, G, lam, tol=DEFAULT_TOL):
     """Closures are invariant under shifting each A_i by a scalar: verify it.
 
-    Computes both closures independently and compares them by dimension and
-    largest principal angle (threshold ``tol``).
+    Computes both closures independently, ranking at ``tol``, and returns
+    ``(agree, margin)``: whether they are the same subspace (by dimension and
+    largest principal angle, threshold ``tol``) and the smaller of their two
+    ``margin``s, which says how far from a tie the rank decisions behind that
+    answer were.
     """
     t = _as_tuple(A)
     lam = _as_point(lam, t.n)
     plain = krylov_closure(t, G, tol=tol)
     shifted = krylov_closure(t.shifted(lam), G, tol=tol)
-    return same_subspace(plain, shifted, tol=max(tol, 1e-12))
+    return same_subspace(plain, shifted, tol=max(tol, 1e-12)), min(plain.margin, shifted.margin)
 
 
 def wandering_subspace(A, L):

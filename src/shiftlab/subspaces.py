@@ -11,10 +11,14 @@ Every SVD goes through ``_svd``, which survives LAPACK non-convergence.
 
 Krylov closures grow a basis B block by block and apply that rule to the
 residual of the newest block's images after projecting them against B twice.
+Each rank decision has a margin, ``rank_margin``: the smallest kept singular
+value over the largest dropped one; a closure carries the smallest of its own.
 Subspaces of equal dimension are compared by ``subspace_sine``,
 ``||B - A(A^H B)||_2``, the sine of their largest principal angle; they are
 equal when it is at most ``sin(tol)``.
 """
+
+import math
 
 import numpy as np
 
@@ -61,9 +65,11 @@ class Subspace:
     basis : (N, k) complex ndarray with orthonormal columns
     ambient_dim : N
     tol : the rank/containment tolerance this subspace was built with
+    margin : the smallest ``rank_margin`` of the rank decisions that built the
+        basis (``orthonormalize``'s or a Krylov closure's); None otherwise
     """
 
-    def __init__(self, basis, ambient_dim=None, tol=DEFAULT_TOL, _checked=False):
+    def __init__(self, basis, ambient_dim=None, tol=DEFAULT_TOL, _checked=False, margin=None):
         basis = np.asarray(basis, dtype=complex)
         if basis.ndim == 1:
             basis = basis.reshape(-1, 1)
@@ -84,6 +90,7 @@ class Subspace:
         self.basis = basis
         self.ambient_dim = basis.shape[0]
         self.tol = tol
+        self.margin = margin
 
     @classmethod
     def zero(cls, ambient_dim, tol=DEFAULT_TOL):
@@ -122,6 +129,23 @@ def numerical_rank(s, tol):
     return int(np.sum(s > tol * max(1.0, float(s[0]))))
 
 
+def rank_margin(s, rank, tol):
+    """How clearly ``rank`` splits the descending singular values ``s``: the
+    smallest kept value over the largest dropped one.
+
+    The cutoff ``tol * max(1, s[0])`` stands in for an empty side, so a rank
+    of 0 or of ``len(s)`` still has a margin, and a value exactly at the
+    cutoff gives 1.  Dropping an exact 0 gives inf, and so does an empty ``s``,
+    which decides nothing.
+    """
+    if len(s) == 0:
+        return math.inf
+    cut = tol * max(1.0, float(s[0]))
+    kept = float(s[rank - 1]) if rank > 0 else cut
+    dropped = float(s[rank]) if rank < len(s) else cut
+    return kept / dropped if dropped > 0 else math.inf
+
+
 def _svd(M, full_matrices=False, compute_uv=True):
     """``np.linalg.svd``, retried if it does not converge as M = QR (M^H = QR
     when M is wide) and the SVD of R = U s Vh: M = (QU) s Vh, the complete Q
@@ -144,17 +168,18 @@ def orthonormalize(vectors, tol=DEFAULT_TOL, ambient_dim=None):
     """Rank-revealing orthonormalization of a spanning set.
 
     ``numerical_rank`` decides how many left singular vectors survive; they
-    get one re-orthogonalization pass before they are returned as the basis.
+    get one re-orthogonalization pass before they are returned as the basis,
+    whose ``margin`` is that decision's ``rank_margin``.
     """
     M = as_columns(vectors, ambient_dim)
-    if M.shape[1] == 0:
-        return Subspace.zero(M.shape[0], tol=tol)
-    U, s, _ = _svd(M)
-    rank = numerical_rank(s, tol)
-    if rank == 0:
-        return Subspace.zero(M.shape[0], tol=tol)
-    B, _ = np.linalg.qr(U[:, :rank])
-    return Subspace(B, tol=tol, _checked=True)
+    B = np.zeros((M.shape[0], 0), dtype=complex)
+    s = np.zeros(0)
+    if M.shape[1]:
+        U, s, _ = _svd(M)
+        rank = numerical_rank(s, tol)
+        if rank:
+            B, _ = np.linalg.qr(U[:, :rank])
+    return Subspace(B, tol=tol, _checked=True, margin=rank_margin(s, B.shape[1], tol))
 
 
 def complement_within(ambient, sub):

@@ -20,8 +20,8 @@ F useful for multiplicity bookkeeping.
 
 Everything here is exact linear algebra on kron-structured bases: S is
 computed once, as the orthogonal complement of the kron basis of
-Q_1 (x) ... (x) Q_n.  T~_i acts by mode-i products (``TensorSystem.apply``);
-the dense T~_i are a view built on first use.  The embedded operators of
+Q_1 (x) ... (x) Q_n.  T~_i acts by mode-i products (``TensorSystem.apply``)
+and is never formed as an N x N matrix.  The embedded operators of
 distinct slots doubly commute exactly, by the mixed-product property, so
 that residual is recorded as 0.  The verification routine re-checks every
 other claimed identity numerically and reports worst-case residuals: the
@@ -170,23 +170,9 @@ class TensorSystem:
         return OperatorTuple(tuple(Bh @ self.apply(i, space.basis) for i in range(self.n)),
                              space=space)
 
-    @functools.cached_property
-    def ops(self):
-        """The dense N x N T~_i, built on first use, for ambient closures only."""
-        return tuple(self.slot_matrix(i, f.T) for i, f in enumerate(self.factors))
-
-    def op_tuple(self):
-        return OperatorTuple(self.ops)
-
     def joint_spectrum(self):
         """sigma(T_1) x ... x sigma(T_n): the joint eigenvalues of the embedded tuple."""
         return list(itertools.product(*(f.spectrum for f in self.factors)))
-
-    def slot_matrix(self, i, M):
-        """Embed an m_i x m_i matrix into slot i of the tensor product."""
-        mats = [np.eye(d, dtype=complex) for d in self.dims]
-        mats[i] = as_operator(M, dim=self.dims[i])
-        return _kron_chain(mats)
 
     def summand_subspace(self, kinds):
         """Subspace with slot content 'S', 'Q' or 'I' per factor, via kron bases."""

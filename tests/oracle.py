@@ -1,12 +1,14 @@
 """Brute-force cross-checks, kept independent of the package on purpose.
 
 Only raw numpy and scipy here: orbit spans are enumerated degree layer by
-degree layer (valid for commuting tuples) with np.linalg.matrix_rank deciding
-dimensions, and multiplicities are bracketed by exhaustive corank sampling
-plus random generator search.  Slow but simple, for ambient dimensions up to
-~10.  Principal angles come from scipy.linalg.subspace_angles; the package
-itself does not import scipy.  Dense references that only tests read (pairwise
-commutator norms, the X_i projections) live here too.
+degree layer, each layer's new part ranked by its own SVD, and
+multiplicities are bracketed by exhaustive corank sampling plus random
+generator search.  Slow but simple: orbit_dim is checked against closures
+up to N = 36, the rest is meant for ambient dimensions up to ~10.
+Principal angles come from scipy.linalg.subspace_angles; the package itself
+does not import scipy.  Dense references that only tests read (pairwise
+commutator norms, the X_i projections, the N x N embedded operators T~_i that
+the package applies only slot by slot) live here too.
 """
 
 import functools
@@ -18,30 +20,34 @@ import scipy.linalg
 
 def orbit_dim(ops, G, tol=1e-8, max_degree=None):
     """Dimension of the smallest subspace containing G's columns and invariant
-    under every operator.  Degree-layer enumeration; stops when a whole layer
-    adds no rank."""
+    under every operator.  Degree by degree: the new part of each degree layer
+    (its residual against the span of the lower degrees) is ranked relative
+    to its largest singular value, floored at 1, and normalised to an
+    orthonormal block, whose images under every operator make the next layer.
+    Stops when a layer adds no rank.
+
+    Stacking the raw monomial images A^k G instead, normalised or not, is
+    too ill-conditioned: with a small constant term in G, their smallest
+    singular value falls far below any cut while the orbit is still all of
+    C^N (bergman 5 x 6, dirichlet 6 x 6)."""
     G = np.atleast_2d(np.asarray(G, dtype=complex))
     if G.shape[0] == 1 and ops[0].shape[0] != 1:
         G = G.T
-    n = len(ops)
+    d = G.shape[0]
     if max_degree is None:
-        max_degree = G.shape[0]
-    layer = {(0,) * n: G}
-    stacked = [G]
-    rank = np.linalg.matrix_rank(np.hstack(stacked), tol=tol)
-    for _ in range(max_degree):
-        nxt = {}
-        for k, V in layer.items():
-            for i in range(n):
-                kk = tuple(v + (1 if j == i else 0) for j, v in enumerate(k))
-                if kk not in nxt:
-                    nxt[kk] = ops[i] @ V
-        stacked.extend(nxt.values())
-        new_rank = np.linalg.matrix_rank(np.hstack(stacked), tol=tol)
-        if new_rank == rank:
-            return int(rank)
-        rank, layer = new_rank, nxt
-    return int(rank)
+        max_degree = d
+    basis = np.zeros((d, 0), dtype=complex)
+    layer = G
+    for _ in range(max_degree + 1):
+        R = layer - basis @ (basis.conj().T @ layer)
+        R = R - basis @ (basis.conj().T @ R)
+        U, s, _ = np.linalg.svd(R, full_matrices=False)
+        rank = int(np.sum(s > tol * max(1.0, s[0]))) if s.size else 0
+        if rank == 0:
+            break
+        basis = np.linalg.qr(np.hstack([basis, U[:, :rank]]))[0]
+        layer = np.hstack([A @ U[:, :rank] for A in ops])
+    return int(basis.shape[1])
 
 
 def corank_at(local_ops, lam, tol=1e-8):
@@ -128,3 +134,16 @@ def x_projections(sys_):
     return [functools.reduce(np.kron, [np.eye(d) for d in sys_.dims[:i]] + [_projector(f.S)]
                              + [_projector(g.Q) for g in sys_.factors[i + 1:]])
             for i, f in enumerate(sys_.factors)]
+
+
+def slot_matrix(sys_, i, M):
+    """Embed an m_i x m_i matrix into slot i of the tensor product, I (x) .. M .. (x) I."""
+    mats = [np.eye(d, dtype=complex) for d in sys_.dims]
+    mats[i] = np.asarray(M, dtype=complex)
+    return functools.reduce(np.kron, mats)
+
+
+def embedded_ops(sys_):
+    """The dense N x N T~_i of a tensor system, in slot order.  Any package call
+    that takes an operator tuple accepts this sequence."""
+    return tuple(slot_matrix(sys_, i, f.T) for i, f in enumerate(sys_.factors))

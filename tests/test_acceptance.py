@@ -12,6 +12,7 @@ import numpy as np
 
 import oracle
 from shiftlab import (
+    OperatorTuple,
     build_system,
     f_chain,
     krylov_closure,
@@ -220,7 +221,8 @@ def test_criterion_5_closure_shift_invariance():
         cols = int(rng.integers(1, 3))
         G = rng.standard_normal((d, cols)) + 1j * rng.standard_normal((d, cols))
         lam = tuple(rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops)))
-        agreed += bool(shifted_closure_check(ops, G, lam, tol=1e-8))
+        agree, _ = shifted_closure_check(ops, G, lam, tol=1e-8)
+        agreed += agree
     ok = agreed == total
     _verdict("criterion-5 shift-invariance", ok, f"{agreed}/{total} closures agreed")
 
@@ -243,7 +245,7 @@ def test_criterion_6_wandering_rank_consistency():
     mismatches = []
     for name, sys_ in systems:
         chain = f_chain(sys_)
-        A = sys_.op_tuple()
+        A = OperatorTuple(oracle.embedded_ops(sys_))
         W = wandering_subspace(A, chain.S)
         # does W generate S?  Closed under A compressed to S, in S's coordinates
         G = chain.S.basis.conj().T @ W.basis
@@ -296,8 +298,8 @@ def test_criterion_8_bruteforce_crosscheck():
         sys_ = build_system(factors)
         assert sys_.N <= 8
         chain = f_chain(sys_)
-        A = sys_.op_tuple()
-        ops = list(sys_.ops)
+        ops = list(oracle.embedded_ops(sys_))
+        A = OperatorTuple(ops)
         basis = chain.S.basis
 
         res = multiplicity(A, chain.S, lambda_samples=sys_.joint_spectrum())

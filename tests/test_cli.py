@@ -86,7 +86,7 @@ def test_zero_S_scenario_runs_every_check(tmp_path, capsys):
     assert main(["run", str(path), "--format", "json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["dim_S"] == 0 and rep["passed"] is True
-    assert rep["verdicts"]["shift_lemma"] == {"status": "pass", "draws": 6, "agreed": 6}
+    assert rep["verdicts"]["shift_lemma"] == {"status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
     assert rep["verdicts"]["gws"]["has_gws"] is True
 
 

@@ -113,13 +113,8 @@ def test_krylov_closure_matches_oracle_on_tensor_pairs():
     """Seeded sweep over nilpotent hardy/bergman pairs (N <= 36) with 1-3
     generators, on the whole space and compressed to S = (Q_1 (x) Q_2)-perp and
     to Q_1 (x) Q_2: dimensions match the brute-force orbit, and every basis is
-    orthonormal to within 10 tol.
-
-    The oracle stacks unnormalized monomial images, whose small singular
-    values fall below its default absolute cut of 1e-8 near N = 30 (at trial 9
-    it counts 28 of the 30 dimensions that a generator with a nonzero
-    constant term reaches), so it runs at 1e-12 here.  On the whole space a
-    random generator set has that constant term, so its closure is all of C^N.
+    orthonormal to within 10 tol.  On the whole space a random generator set
+    has a nonzero constant term, so its closure is all of C^N.
     """
     rng = np.random.default_rng(2718)
     kinds = (SpaceKind.hardy, SpaceKind.bergman)
@@ -137,20 +132,53 @@ def test_krylov_closure_matches_oracle_on_tensor_pairs():
             G = rng.standard_normal((N, r)) + 1j * rng.standard_normal((N, r))
             if mask is None:
                 got = krylov_closure(ops, G)
-                want = oracle.orbit_dim(ops, G, tol=1e-12)
+                want = oracle.orbit_dim(ops, G)
                 assert want == N
             elif not mask.any():
                 continue
             else:
                 L = Subspace(np.eye(N)[:, mask], _checked=True)
                 got = close_inside(ops, L, G)
-                want = oracle.orbit_dim(
-                    oracle.restrict(ops, L.basis), L.basis.conj().T @ G, tol=1e-12
-                )
+                want = oracle.orbit_dim(oracle.restrict(ops, L.basis), L.basis.conj().T @ G)
                 assert L.containment_residual(got) < 1e-12
             assert got.dim == want, (trial, m1, m2, k1, k2, r)
             defect = np.abs(got.basis.conj().T @ got.basis - np.eye(got.dim)).max()
             assert defect <= 10 * got.tol
+
+
+@pytest.mark.parametrize("kinds, m1, m2", [
+    (("bergman", "bergman"), 5, 6),
+    (("dirichlet", "dirichlet"), 6, 6),
+    (("hardy", "bergman"), 6, 6),
+])
+def test_orbit_dim_counts_whole_tensor_orbits(kinds, m1, m2):
+    """A generator with a nonzero constant term generates all of
+    C[z1, z2]/(z1^m1, z2^m2), and a random one has it: over 40 unit-norm
+    generators, the oracle counts the whole C^N, as krylov_closure does.  The
+    raw monomial stack it once ranked gave 29-35 in 12 of these 120 cases."""
+    T1 = make_shift(getattr(SpaceKind, kinds[0])(), m1).operator
+    T2 = make_shift(getattr(SpaceKind, kinds[1])(), m2).operator
+    ops = [np.kron(T1, np.eye(m2)), np.kron(np.eye(m1), T2)]
+    N = m1 * m2
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((N, 1)) + 1j * rng.standard_normal((N, 1))
+        g /= np.linalg.norm(g)
+        assert oracle.orbit_dim(ops, g) == krylov_closure(ops, g).dim == N, seed
+
+
+def test_krylov_closure_margin_is_its_closest_decision():
+    """The margin is the smallest of every rank decision, the generators' included:
+    a second generator, or an image, 1e-8 long against the cut 1e-10 gives 100."""
+    G = np.array([[1.0, 0.0], [0.0, 1e-8], [0.0, 0.0]])
+    assert krylov_closure((np.eye(3),), G).margin == pytest.approx(100.0, rel=1e-9)
+    T = np.zeros((3, 3))
+    T[1, 0] = 1e-8
+    T[2, 1] = 1.0
+    closure = krylov_closure((T,), np.eye(3)[:, :1])
+    assert closure.dim == 3 and closure.margin == pytest.approx(100.0, rel=1e-9)
+    # a clear closure: every decision is far from the cut
+    assert krylov_closure((np.eye(3),), np.eye(3)[:, :1]).margin > 1e9
 
 
 def test_shifted_closure_check_random_sweep():
@@ -161,7 +189,8 @@ def test_shifted_closure_check_random_sweep():
         cols = int(rng.integers(1, 3))
         G = rng.standard_normal((d, cols)) + 1j * rng.standard_normal((d, cols))
         lam = rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops))
-        assert shifted_closure_check(ops, G, tuple(lam), tol=1e-8)
+        agree, margin = shifted_closure_check(ops, G, tuple(lam), tol=1e-8)
+        assert agree is True and margin > 0, trial
 
 
 def test_wandering_subspace_of_full_shift():

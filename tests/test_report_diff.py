@@ -32,9 +32,25 @@ def test_two_dumps_of_the_shipped_scenarios_agree(tmp_path):
     moved["shipped/mixed-3"]["multiplicities"]["S"]["witness_point"] = [[0.5, 0.0]] * 3
     del moved["shipped/hardy-2x2"]["residuals"]["chain"]
     assert tool.compare(a, moved) == {
-        "multiplicities.S.witness_point": 1,
-        "residuals.chain": 1,
+        "multiplicities.S.witness_point": ["shipped/mixed-3"],
+        "residuals.chain": ["shipped/hardy-2x2"],
     }
+
+
+def test_compare_names_up_to_five_moved_reports(tmp_path, capsys):
+    tool = _tool()
+    a = {f"r{i}": {"passed": True, "dims": [2, 2]} for i in range(7)}
+    b = json.loads(json.dumps(a))
+    for i in range(6):
+        b[f"r{i}"]["passed"] = False
+    b["r6"]["dims"] = [2, 3]
+    (tmp_path / "a.json").write_text(json.dumps(a))
+    (tmp_path / "b.json").write_text(json.dumps(b))
+    assert tool.main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "dims: 1 of 7 reports (r6)",
+        "passed: 6 of 7 reports (r0, r1, r2, r3, r4, ...)",
+    ]
 
 
 def test_criterion_4_scenarios_match_the_acceptance_test():

@@ -10,6 +10,7 @@ from shiftlab import (
     ALL_CHECKS,
     ConfigError,
     InputError,
+    Subspace,
     load_scenario,
     make_quotient,
     run_scenario,
@@ -127,6 +128,8 @@ def test_run_hardy_2x2_frozen_values():
     assert rep.passed
     assert list(rep.verdicts) == list(ALL_CHECKS)
     assert all(v["status"] == "pass" for v in rep.verdicts.values())
+    assert rep.verdicts["shift_lemma"] == {"status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
+    assert "[PASS] shift_lemma (6/6 draws agreed, 0 marginal)" in report_to_text(rep)
 
 
 def test_run_quotient_zeros_downgrades_honestly():
@@ -180,7 +183,7 @@ def test_non_zero_based_quotient_downgrades(tmp_path):
 
     sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
     S = f_chain(sys_).S
-    assert oracle.mult_bruteforce(list(sys_.ops), S.basis) == (1, 1)
+    assert oracle.mult_bruteforce(list(oracle.embedded_ops(sys_)), S.basis) == (1, 1)
     assert rep.verdicts["additive_formula"]["status"] == "pass"
     assert rep.passed
 
@@ -204,8 +207,61 @@ def test_weighted_bergman_pair_regression():
     assert ms["certified"] and ms["upper"] == 2
     assert mf["certified"] and mf["upper"] == 2
     assert rep.mode == "equality"
-    assert rep.verdicts["shift_lemma"]["agreed"] == 6
+    assert rep.verdicts["shift_lemma"] == {"status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
     assert rep.passed
+
+
+@pytest.mark.parametrize("name, slots, seed", [
+    ("pair-1", (("bergman", 10, 3), ("bergman", 10, 3)), 4),
+    ("pair-0", (("hardy", 10, 5), ("hardy", 10, 5)), 7),
+    ("pair-3", (({"weighted_bergman": 1.5}, 12, 6), ("hardy", 8, 2)), 7),
+])
+def test_shift_lemma_passes_where_ambient_closures_leaked(name, slots, seed):
+    """pair-grid scenarios whose ambient closures of draws from S once left S
+    and failed the check: closed inside S, each draw agrees or is marginal."""
+    rep = run_scenario(scenario_from_json({
+        "label": name,
+        "factors": [{"kind": kind, "m": m, "coinvariant": {"prefix": k}} for kind, m, k in slots],
+        "checks": ["shift_lemma"],
+        "seed": seed,
+    }))
+    v = rep.verdicts["shift_lemma"]
+    assert v["status"] == "pass" and v["draws"] == 6
+    assert v["agreed"] + v["marginal"] == 6
+    assert rep.succeeded
+
+
+@pytest.mark.parametrize("margin, expected", [
+    (1e6, {"status": "fail", "draws": 6, "agreed": 0, "marginal": 0}),
+    (50.0, {"status": "pass", "draws": 6, "agreed": 0, "marginal": 6}),
+], ids=["wide-disagreement", "near-tie"])
+def test_shift_lemma_verdict_gates_by_margin(monkeypatch, margin, expected):
+    """A shifted closure that misses one direction of the plain one: with a wide
+    margin each draw is a disagreement and the check fails; with a margin
+    below SHIFT_LEMMA_MIN_MARGIN each draw is marginal and the check passes."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    sc = importlib.import_module("shiftlab.scenarios")
+    assert sc.SHIFT_LEMMA_MIN_MARGIN == 100.0
+    scn = scenario_from_json(hardy_obj())
+    sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
+    comp_S = sys_.compressed(f_chain(sys_).S)
+    assert sc._shift_lemma_verdict(scn, sys_, comp_S) == {
+        "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
+
+    real = mm.krylov_closure
+    calls = []
+
+    def lopsided(A, G, tol):
+        got = real(A, G, tol=tol)
+        calls.append(got.dim)
+        if len(calls) % 2:  # the plain closure
+            return got
+        return Subspace(got.basis[:, :-1], tol=got.tol, _checked=True, margin=margin)
+
+    monkeypatch.setattr(mm, "krylov_closure", lopsided)
+    assert sc._shift_lemma_verdict(scn, sys_, comp_S) == expected
+    # draws alternate one and two generators; two generate S (mult(S) = 2)
+    assert calls == [8, 8, 12, 12] * 3
 
 
 def test_run_noncyclic_inequality():
@@ -410,7 +466,7 @@ def test_slot_points_alone_give_full_corank():
     S = f_chain(sys_).S
     points = sys_.joint_spectrum()
     assert len(points) == 4
-    assert max(local_corank(sys_.op_tuple(), S, p) for p in points) == 3
+    assert max(local_corank(oracle.embedded_ops(sys_), S, p) for p in points) == 3
     rep = run_scenario(scenario_from_json({"factors": factors, "seed": 2}))
     for m in rep.multiplicities.values():
         assert (m["lower"], m["upper"], m["certified"]) == (3, 3, True)
@@ -434,13 +490,14 @@ def test_scenario_evaluates_each_joint_eigenvalue_once(monkeypatch):
 
 
 def test_structure_path_forms_no_dense_operator(monkeypatch):
-    """A cube-structure-style run without the shift lemma never builds the dense
-    T~_i, and binds no N x N array to a name in any Python frame, apart from
-    the complement that defines S's basis (see joint_invariant_S).  In
-    multiplicity the tuple is compressed only at slot size, once per factor:
-    the factor's wandering subspace and its gws test share that compression,
-    and wandering_E reuses both, as it reuses the factor's one
-    coinvariant_eigenpairs call."""
+    """A cube-structure-style run with every check, the shift lemma included,
+    binds no N x N array to a name in any Python frame, apart from the
+    complement that defines S's basis (see joint_invariant_S); the system has
+    no dense T~_i to build.  In multiplicity the tuple is compressed only at
+    slot size, once per factor: the factor's wandering subspace and its gws
+    test share that compression, and wandering_E reuses both, as it reuses the
+    factor's one coinvariant_eigenpairs call.  The shift lemma closes inside S
+    under the compression the structure check made."""
     tz = importlib.import_module("shiftlab.tensorized")
     mm = importlib.import_module("shiftlab.multiplicity")
     obj = {
@@ -449,15 +506,10 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
             {"kind": "bergman", "m": 3, "coinvariant": {"prefix": 1}},
             {"kind": "dirichlet", "m": 2, "coinvariant": {"prefix": 1}},
         ],
-        "checks": [c for c in ALL_CHECKS if c != "shift_lemma"],
         "seed": 3,
     }
     N = 4 * 3 * 2
 
-    def dense_ops(self):
-        raise AssertionError("the dense embedded operators were built")
-
-    monkeypatch.setattr(tz.TensorSystem, "ops", property(dense_ops))
     compressions = []
     real_compress = mm.compress
     monkeypatch.setattr(mm, "compress", lambda T, s: compressions.append(s) or real_compress(T, s))
@@ -498,6 +550,10 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
     finally:
         sys.settrace(None)
     assert rep.succeeded and rep.dims == [4, 3, 2]
+    assert list(rep.verdicts) == list(ALL_CHECKS)
+    assert rep.verdicts["shift_lemma"]["agreed"] == 6
+    assert not hasattr(tz.TensorSystem, "ops")
+    assert not hasattr(build_system([resolve_factor(f, scn.tol) for f in obj["factors"]]), "ops")
     assert seen == []
     assert [s.ambient_dim for s in compressions] == [4, 3, 2]
     assert [Q.ambient_dim for Q in eigen_calls] == [4, 3, 2]

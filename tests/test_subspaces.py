@@ -12,7 +12,7 @@ from shiftlab import (
     orthonormalize,
     same_subspace,
 )
-from shiftlab.subspaces import _svd, as_columns, as_operator, numerical_rank
+from shiftlab.subspaces import _svd, as_columns, as_operator, numerical_rank, rank_margin
 
 
 def test_as_operator_rejects_nonsquare_and_nonfinite():
@@ -82,6 +82,26 @@ def test_numerical_rank_cuts_at_tol_times_max_one_sigma_max():
     # below sigma_max = 1 the cutoff is tol itself
     assert numerical_rank(np.array([0.5, 0.25, 0.125]), 0.25) == 1
     assert numerical_rank(np.zeros(0), 0.25) == 0
+
+
+def test_rank_margin_at_the_cutoff_and_with_an_empty_side():
+    """Smallest kept over largest dropped, with the cutoff tol * max(1, s[0])
+    standing in for a side with nothing in it (every value here is exact in
+    binary)."""
+    s = np.array([2.0, 0.75, 0.5, 0.25])
+    # the cutoff is 0.5: 0.5 is dropped, so the margin is 0.75 / 0.5
+    assert numerical_rank(s, 0.25) == 2
+    assert rank_margin(s, 2, 0.25) == 1.5
+    # a lone value exactly at the cutoff is a tie: dropped, margin 1
+    assert numerical_rank(np.array([0.25]), 0.25) == 0
+    assert rank_margin(np.array([0.25]), 0, 0.25) == 1.0
+    # nothing kept: the cutoff over the largest value
+    assert rank_margin(np.array([0.125, 0.0625]), 0, 0.25) == 2.0
+    # nothing dropped: the smallest value over the cutoff 0.25 * 2
+    assert rank_margin(np.array([2.0, 1.0]), 2, 0.25) == 2.0
+    # an exact zero dropped, or no value at all, is no tie
+    assert rank_margin(np.array([1.0, 0.0]), 1, 0.25) == np.inf
+    assert rank_margin(np.zeros(0), 0, 0.25) == np.inf
 
 
 def test_complement_within_dimensions_and_orthogonality():

@@ -78,14 +78,13 @@ def test_build_system_embeddings_commute():
     sys_ = mixed_3_system()
     assert sys_.dims == (3, 3, 3) and sys_.N == 27
     assert sys_.doubly_commuting_residual < 1e-14
-    t = sys_.op_tuple()
-    assert oracle.commutator_residual(t.ops) < 1e-14
+    assert oracle.commutator_residual(oracle.embedded_ops(sys_)) < 1e-14
 
 
 def test_slot_matrix_embedding():
     sys_ = hardy_2x2_system()
     M = np.diag([1.0, 2.0, 3.0, 4.0])
-    embedded = sys_.slot_matrix(1, M)
+    embedded = oracle.slot_matrix(sys_, 1, M)
     assert np.allclose(embedded, np.kron(np.eye(4), M))
 
 
@@ -109,14 +108,15 @@ def dense_structure_residuals(sys_, chain, seed=42):
     """block_structure, semi_invariance and power_identity as products of
     N x N projectors, the reference for the basis forms (powers of degree
     1..3 on 4 random vectors, as verify_compression_structure draws them)."""
+    ops = oracle.embedded_ops(sys_)
     P_F = chain.F.projector()
     Pm = [M.projector() for M in chain.M_summands]
     n = len(Pm)
     block = {
         "off_diagonal": max(opnorm(Pm[p] @ T @ Pm[q])
-                            for p in range(n) for q in range(n) if p != q for T in sys_.ops),
+                            for p in range(n) for q in range(n) if p != q for T in ops),
         "diagonal_sum": max(opnorm(P_F @ T @ P_F - sum(P @ T @ P for P in Pm))
-                            for T in sys_.ops),
+                            for T in ops),
     }
     semi = {}
     spaces = [chain.S] + chain.F_chain
@@ -124,7 +124,7 @@ def dense_structure_residuals(sys_, chain, seed=42):
         gap = complement_within(big, small)
         P_big, P_gap = big.projector(), gap.projector()
         semi[f"gap_{idx}"] = max(opnorm(P_big @ T @ gap.basis - P_gap @ T @ gap.basis)
-                                 for T in sys_.ops)
+                                 for T in ops)
     rng = np.random.default_rng(seed)
     V = chain.F.basis @ (rng.standard_normal((chain.F.dim, 4))
                          + 1j * rng.standard_normal((chain.F.dim, 4)))
@@ -134,7 +134,7 @@ def dense_structure_residuals(sys_, chain, seed=42):
         if not 1 <= sum(kk) <= 3:
             continue
         lhs = mono = np.eye(sys_.N)
-        for T, p in zip(sys_.ops, kk):
+        for T, p in zip(ops, kk):
             lhs = np.linalg.matrix_power(P_F @ T @ P_F, p) @ lhs
             mono = np.linalg.matrix_power(T, p) @ mono
         rhs = sum(P @ mono @ P for P in Pm)
@@ -162,6 +162,7 @@ def dense_projection_identities(sys_, S):
 
 def dense_alignment(sys_, wd):
     """max ||P_{E_i} (P_{M_i} T~_j P_{M_i} - lam_j P_{M_i})||_2 from N x N projectors."""
+    ops = oracle.embedded_ops(sys_)
     align = 0.0
     for i in range(sys_.n):
         kinds = ["Q"] * sys_.n
@@ -169,7 +170,7 @@ def dense_alignment(sys_, wd):
         P_M = sys_.summand_subspace(kinds).projector()
         P_E = wd.summands[i].projector()
         for j, lam in enumerate(wd.shift_points[i]):
-            align = max(align, opnorm(P_E @ (P_M @ sys_.ops[j] @ P_M - lam * P_M)))
+            align = max(align, opnorm(P_E @ (P_M @ ops[j] @ P_M - lam * P_M)))
     return align
 
 
@@ -220,7 +221,8 @@ def test_slot_products_match_dense_operators(builder):
     sys_ = builder()
     rng = np.random.default_rng(7)
     V = rng.standard_normal((sys_.N, 3)) + 1j * rng.standard_normal((sys_.N, 3))
-    for i, T in enumerate(sys_.ops):
+    ops = oracle.embedded_ops(sys_)
+    for i, T in enumerate(ops):
         assert opnorm(sys_.apply(i, V) - T @ V) <= 1e-13
         assert np.linalg.norm(sys_.apply(i, V[:, 0]) - T @ V[:, 0]) <= 1e-13
     chain = f_chain(sys_)
@@ -229,7 +231,7 @@ def test_slot_products_match_dense_operators(builder):
     assert len(report.compressions) == len(spaces)
     for space, comp in zip(spaces, report.compressions):
         assert comp.space is space
-        for C, T in zip(comp.ops, sys_.ops):
+        for C, T in zip(comp.ops, ops):
             assert opnorm(C - compress(T, space)) <= 1e-13
 
 
@@ -258,7 +260,7 @@ def test_joint_invariant_S_dimension_formula():
         # reference: S = ran(I - Q~_1 ... Q~_n), from the spectrum of that projector
         prod = np.eye(sys_.N, dtype=complex)
         for i, f in enumerate(sys_.factors):
-            prod = prod @ sys_.slot_matrix(i, f.Q.projector())
+            prod = prod @ oracle.slot_matrix(sys_, i, f.Q.projector())
         P_S = np.eye(sys_.N) - prod
         w, V = np.linalg.eigh((P_S + P_S.conj().T) / 2)
         ref = Subspace(V[:, w > 0.5], _checked=True)
@@ -267,7 +269,7 @@ def test_joint_invariant_S_dimension_formula():
         # invariance of S under every embedded operator
         P = S.projector()
         eye = np.eye(sys_.N)
-        assert max(opnorm((eye - P) @ T @ P) for T in sys_.ops) < RESID
+        assert max(opnorm((eye - P) @ T @ P) for T in oracle.embedded_ops(sys_)) < RESID
 
 
 def test_x_projections_are_orthogonal_resolution_of_S():
@@ -344,10 +346,11 @@ def test_block_diagonality_is_specific_to_F():
     sys_ = mixed_3_system()
     chain = f_chain(sys_)
     # F's summands: all off-diagonal blocks vanish
+    ops = oracle.embedded_ops(sys_)
     projs = [M.projector() for M in chain.M_summands]
     worst = max(
         opnorm(projs[p] @ T @ projs[q])
-        for p in range(3) for q in range(3) if p != q for T in sys_.ops
+        for p in range(3) for q in range(3) if p != q for T in ops
     )
     assert worst < RESID
     # F_1's second summand has a full slot; couplings are expected
@@ -355,7 +358,7 @@ def test_block_diagonality_is_specific_to_F():
     subs = [sys_.summand_subspace(k) for k in kinds]
     cross = max(
         opnorm(subs[p].projector() @ T @ subs[q].projector())
-        for p in range(3) for q in range(3) if p != q for T in sys_.ops
+        for p in range(3) for q in range(3) if p != q for T in ops
     )
     assert cross > 0.1
 

@@ -13,8 +13,8 @@
 
 It writes each ``Report.to_json()`` without ``elapsed_seconds`` to the JSON
 file OUT, keyed by scenario.  ``compare`` prints every field path whose value
-differs between two dumps, with the number of reports it differs in, and
-exits 1 if any does.  To compare two commits, dump from a checkout of each
+differs between two dumps, with the number of reports it differs in and the
+keys of the first five of them, and exits 1 if any does.  To compare two commits, dump from a checkout of each
 (with ``OPENBLAS_NUM_THREADS=1``, so that BLAS sums in one order) and compare
 the files.  Stdlib and numpy only.
 """
@@ -102,7 +102,8 @@ def _leaves(obj, prefix=""):
 
 
 def compare(a, b):
-    """Per changed field path, the number of reports (keys in both dumps) it changed in.
+    """Per changed field path, the sorted keys of the reports (keys in both dumps)
+    it changed in.
 
     A field present on one side only counts as changed.
     """
@@ -112,7 +113,7 @@ def compare(a, b):
         for path in la.keys() | lb.keys():
             # json.dumps compares NaN and -0.0 by their text, as the dumps store them
             if json.dumps(la.get(path, "<absent>")) != json.dumps(lb.get(path, "<absent>")):
-                changed[path] = changed.get(path, 0) + 1
+                changed.setdefault(path, []).append(key)
     return changed
 
 
@@ -130,7 +131,9 @@ def main(argv=None):
         changed = compare(a, b)
         common = len(a.keys() & b.keys())
         for path in sorted(changed):
-            print(f"{path}: {changed[path]} of {common} reports")
+            keys = changed[path]
+            more = ", ..." if len(keys) > 5 else ""
+            print(f"{path}: {len(keys)} of {common} reports ({', '.join(keys[:5])}{more})")
         if not changed:
             print(f"no field changed in {common} reports")
         return 1 if changed or a.keys() != b.keys() else 0
