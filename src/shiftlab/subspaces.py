@@ -11,8 +11,9 @@ Every SVD goes through ``_svd``, which survives LAPACK non-convergence.
 
 Krylov closures grow a basis B block by block and apply that rule to the
 residual of the newest block's images after projecting them against B twice.
-Each rank decision has a margin, ``rank_margin``: the smallest kept singular
-value over the largest dropped one; a closure carries the smallest of its own.
+Each rank decision has a margin, ``rank_margin``: how many times the nearest
+singular value on either side lies from the cutoff; a closure carries the
+smallest of its own.
 Subspaces of equal dimension are compared by ``subspace_sine``,
 ``||B - A(A^H B)||_2``, the sine of their largest principal angle; they are
 equal when it is at most ``sin(tol)``.
@@ -130,20 +131,22 @@ def numerical_rank(s, tol):
 
 
 def rank_margin(s, rank, tol):
-    """How clearly ``rank`` splits the descending singular values ``s``: the
-    smallest kept value over the largest dropped one.
+    """How far the split of the descending singular values ``s`` at ``rank``
+    sits from the cutoff ``cut = tol * max(1, s[0])``: the smaller of
+    ``kept / cut`` (the smallest kept value) and ``cut / dropped`` (the largest
+    dropped one), an empty side counting as inf.
 
-    The cutoff ``tol * max(1, s[0])`` stands in for an empty side, so a rank
-    of 0 or of ``len(s)`` still has a margin, and a value exactly at the
-    cutoff gives 1.  Dropping an exact 0 gives inf, and so does an empty ``s``,
-    which decides nothing.
+    A value just above or just below the cutoff gives a margin near 1 however
+    far the other side is, and a value exactly at it (dropped) gives 1.
+    Dropping only exact zeros, or an empty ``s``, which decides nothing, gives
+    inf.
     """
     if len(s) == 0:
         return math.inf
     cut = tol * max(1.0, float(s[0]))
-    kept = float(s[rank - 1]) if rank > 0 else cut
-    dropped = float(s[rank]) if rank < len(s) else cut
-    return kept / dropped if dropped > 0 else math.inf
+    kept = float(s[rank - 1]) / cut if rank > 0 else math.inf
+    dropped = float(s[rank]) if rank < len(s) else 0.0
+    return min(kept, cut / dropped if dropped > 0 else math.inf)
 
 
 def _svd(M, full_matrices=False, compute_uv=True):

@@ -1,10 +1,11 @@
 """Brute-force cross-checks, kept independent of the package on purpose.
 
-Only raw numpy and scipy here: orbit spans are enumerated degree layer by
-degree layer, each layer's new part ranked by its own SVD, and
-multiplicities are bracketed by exhaustive corank sampling plus random
-generator search.  Slow but simple: orbit_dim is checked against closures
-up to N = 36, the rest is meant for ambient dimensions up to ~10.
+Only raw numpy and scipy here: orbit spans are enumerated monomial by
+monomial, degree layer by degree layer (valid for commuting tuples), with one
+SVD of the stacked layers deciding dimensions, and multiplicities are
+bracketed by exhaustive corank sampling plus random generator search.  Slow
+but simple, for ambient dimensions up to ~10, and up to N = 36 at a tight
+rank tolerance.
 Principal angles come from scipy.linalg.subspace_angles; the package itself
 does not import scipy.  Dense references that only tests read (pairwise
 commutator norms, the X_i projections, the N x N embedded operators T~_i that
@@ -20,34 +21,45 @@ import scipy.linalg
 
 def orbit_dim(ops, G, tol=1e-8, max_degree=None):
     """Dimension of the smallest subspace containing G's columns and invariant
-    under every operator.  Degree by degree: the new part of each degree layer
-    (its residual against the span of the lower degrees) is ranked relative
-    to its largest singular value, floored at 1, and normalised to an
-    orthonormal block, whose images under every operator make the next layer.
-    Stops when a layer adds no rank.
+    under every operator.  Degree-layer enumeration of the monomial images
+    A^k G; each layer is scaled to unit Frobenius norm before it joins the
+    stack, whose rank counts singular values above ``tol`` times the largest.
+    Stops when a whole layer adds no rank.
 
-    Stacking the raw monomial images A^k G instead, normalised or not, is
-    too ill-conditioned: with a small constant term in G, their smallest
-    singular value falls far below any cut while the orbit is still all of
-    C^N (bergman 5 x 6, dirichlet 6 x 6)."""
+    The monomial stack stays ill-conditioned near N = 30: with a small
+    constant term in G its smallest singular value can fall below any cut
+    while the orbit is all of C^N, so callers there pass a tighter ``tol``."""
     G = np.atleast_2d(np.asarray(G, dtype=complex))
     if G.shape[0] == 1 and ops[0].shape[0] != 1:
         G = G.T
-    d = G.shape[0]
+    n = len(ops)
     if max_degree is None:
-        max_degree = d
-    basis = np.zeros((d, 0), dtype=complex)
-    layer = G
-    for _ in range(max_degree + 1):
-        R = layer - basis @ (basis.conj().T @ layer)
-        R = R - basis @ (basis.conj().T @ R)
-        U, s, _ = np.linalg.svd(R, full_matrices=False)
-        rank = int(np.sum(s > tol * max(1.0, s[0]))) if s.size else 0
-        if rank == 0:
-            break
-        basis = np.linalg.qr(np.hstack([basis, U[:, :rank]]))[0]
-        layer = np.hstack([A @ U[:, :rank] for A in ops])
-    return int(basis.shape[1])
+        max_degree = G.shape[0]
+
+    def unit(V):
+        norm = np.linalg.norm(V)
+        return V / norm if norm > 0 else V
+
+    def rank(M):
+        s = np.linalg.svd(M, compute_uv=False)
+        return int(np.sum(s > tol * s[0])) if s.size else 0
+
+    layer = {(0,) * n: G}
+    stacked = [unit(G)]
+    r = rank(np.hstack(stacked))
+    for _ in range(max_degree):
+        nxt = {}
+        for k, V in layer.items():
+            for i in range(n):
+                kk = tuple(v + (1 if j == i else 0) for j, v in enumerate(k))
+                if kk not in nxt:
+                    nxt[kk] = ops[i] @ V
+        stacked.append(unit(np.hstack(list(nxt.values()))))
+        new_r = rank(np.hstack(stacked))
+        if new_r == r:
+            return r
+        r, layer = new_r, nxt
+    return r
 
 
 def corank_at(local_ops, lam, tol=1e-8):

@@ -85,13 +85,13 @@ def test_numerical_rank_cuts_at_tol_times_max_one_sigma_max():
 
 
 def test_rank_margin_at_the_cutoff_and_with_an_empty_side():
-    """Smallest kept over largest dropped, with the cutoff tol * max(1, s[0])
-    standing in for a side with nothing in it (every value here is exact in
-    binary)."""
-    s = np.array([2.0, 0.75, 0.5, 0.25])
-    # the cutoff is 0.5: 0.5 is dropped, so the margin is 0.75 / 0.5
+    """The smaller of kept / cut and cut / dropped, with the cutoff
+    cut = tol * max(1, s[0]) and an empty side counting as inf (the values
+    in the exact cases are exact in binary)."""
+    s = np.array([2.0, 1.5, 0.25, 0.125])
+    # the cutoff is 0.5: 1.5 / 0.5 = 3 above it, 0.5 / 0.25 = 2 below it
     assert numerical_rank(s, 0.25) == 2
-    assert rank_margin(s, 2, 0.25) == 1.5
+    assert rank_margin(s, 2, 0.25) == 2.0
     # a lone value exactly at the cutoff is a tie: dropped, margin 1
     assert numerical_rank(np.array([0.25]), 0.25) == 0
     assert rank_margin(np.array([0.25]), 0, 0.25) == 1.0
@@ -99,8 +99,16 @@ def test_rank_margin_at_the_cutoff_and_with_an_empty_side():
     assert rank_margin(np.array([0.125, 0.0625]), 0, 0.25) == 2.0
     # nothing dropped: the smallest value over the cutoff 0.25 * 2
     assert rank_margin(np.array([2.0, 1.0]), 2, 0.25) == 2.0
-    # an exact zero dropped, or no value at all, is no tie
-    assert rank_margin(np.array([1.0, 0.0]), 1, 0.25) == np.inf
+    # a value just below or just above the cutoff is a near-tie, however far
+    # the value on the other side lies
+    cut = 1e-8
+    assert numerical_rank(np.array([1.0, 0.99 * cut]), 1e-8) == 1
+    assert rank_margin(np.array([1.0, 0.99 * cut]), 1, 1e-8) == pytest.approx(1 / 0.99)
+    assert numerical_rank(np.array([1.0, 1.01 * cut]), 1e-8) == 2
+    assert rank_margin(np.array([1.0, 1.01 * cut]), 2, 1e-8) == pytest.approx(1.01)
+    # dropping an exact zero leaves the kept side to decide; no value decides nothing
+    assert rank_margin(np.array([1.0, 0.0]), 1, 0.25) == 4.0
+    assert rank_margin(np.array([0.0]), 0, 0.25) == np.inf
     assert rank_margin(np.zeros(0), 0, 0.25) == np.inf
 
 

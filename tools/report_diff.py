@@ -14,9 +14,9 @@
 It writes each ``Report.to_json()`` without ``elapsed_seconds`` to the JSON
 file OUT, keyed by scenario.  ``compare`` prints every field path whose value
 differs between two dumps, with the number of reports it differs in and the
-keys of the first five of them, and exits 1 if any does.  To compare two commits, dump from a checkout of each
-(with ``OPENBLAS_NUM_THREADS=1``, so that BLAS sums in one order) and compare
-the files.  Stdlib and numpy only.
+keys of the first five of them, and exits 1 if any does.  To compare two
+commits, dump from a checkout of each (with ``OPENBLAS_NUM_THREADS=1``, so
+that BLAS sums in one order) and compare the files.  Stdlib and numpy only.
 """
 
 import importlib.util
