@@ -154,19 +154,25 @@ def shifted_closure_check(A, G, lam, tol=DEFAULT_TOL):
     return same_subspace(plain, shifted, tol=max(tol, 1e-12)), min(plain.margin, shifted.margin)
 
 
-def wandering_subspace(A, L):
-    """W = L (-) sum_i (P_L A_i|_L) L, the orthogonal complement of the images.
+def _stacked_svd(ops, lam=None, compute_uv=True):
+    """U, s of [C_1 - lam_1 I ... C_n - lam_n I] (k x nk) from R^H, where its adjoint,
+    filled block by block into one array, is QR: a k x k SVD, not a k x nk one."""
+    k, diag = ops[0].shape[0], np.arange(ops[0].shape[0])
+    A = np.empty((len(ops) * k, k), dtype=complex)
+    for i, C in enumerate(ops):
+        A[i * k:(i + 1) * k] = C.conj().T
+        if lam is not None:
+            A[i * k + diag, diag] -= np.conj(lam[i])
+    return _svd(np.linalg.qr(A, mode="r").conj().T, compute_uv=compute_uv)
 
-    In L's coordinates, the left singular vectors of [C_1 ... C_n] past its
-    numerical rank, from R^H for [C_1 ... C_n]^H = QR (a k x k SVD, not k x nk).
-    """
+
+def wandering_subspace(A, L):
+    """W = L (-) sum_i (P_L A_i|_L) L, the orthogonal complement of the images: in
+    L's coordinates, the left singular vectors of [C_1 ... C_n] past its rank."""
     if L.dim == 0:
         return Subspace.zero(L.ambient_dim, tol=L.tol)
-    local = _as_tuple(A).compressed(L)
-    R = np.linalg.qr(np.hstack(local.ops).conj().T, mode="r")
-    U, s, _ = _svd(R.conj().T)
-    rank = numerical_rank(s, L.tol)
-    return Subspace(L.basis @ U[:, rank:], tol=L.tol, _checked=True)
+    U, s, _ = _stacked_svd(_as_tuple(A).compressed(L).ops)
+    return Subspace(L.basis @ U[:, numerical_rank(s, L.tol):], tol=L.tol, _checked=True)
 
 
 def local_corank(A, L, lam, tol=None):
@@ -176,13 +182,10 @@ def local_corank(A, L, lam, tol=None):
     """
     t = _as_tuple(A)
     lam = _as_point(lam, t.n)
-    k = L.dim
-    if k == 0:
+    if L.dim == 0:
         return 0
-    eye = np.eye(k, dtype=complex)
-    local = t.compressed(L)
-    stacked = np.hstack([C - l * eye for C, l in zip(local.ops, lam)])
-    return k - numerical_rank(_svd(stacked, compute_uv=False), tol or L.tol)
+    s = _stacked_svd(t.compressed(L).ops, lam, compute_uv=False)
+    return L.dim - numerical_rank(s, tol or L.tol)
 
 
 def _search_upper(t, L, r, trials, rng, tol):

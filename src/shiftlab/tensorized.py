@@ -18,21 +18,21 @@ M_i = ran(P~_i prod_{j != i} Q~_j).  Compressions of the big tuple to F are
 simultaneously block diagonal along that decomposition, which is what makes
 F useful for multiplicity bookkeeping.
 
-Everything here is exact linear algebra on kron-structured bases: S is
-computed once, as the orthogonal complement of the kron basis of
-Q_1 (x) ... (x) Q_n.  T~_i acts by mode-i products (``TensorSystem.apply``)
-and is never formed as an N x N matrix.  The embedded operators of
-distinct slots doubly commute exactly, by the mixed-product property, so
-that residual is recorded as 0.  The verification routine re-checks every
-other claimed identity numerically and reports worst-case residuals: the
-projection identities from per-slot norms, the rest from orthonormal bases
-and compressions.
+Everything here is exact linear algebra in the slot-adapted bases
+U_s = [Q_s | S_s].  They split C^N into kind-blocks, one per word k in
+{Q, S}^n, with kron bases (x)_s (Q_s or S_s).  S is every block but Q..Q,
+each F_i and M_i is a union of blocks, and the gaps of the chain are set
+differences; no array bigger than S's N x dim S basis is formed.  T~_j
+maps block k into k and into k with slot j switched only, through blocks of
+U_j^H T_j U_j, so structural residuals are read from those slot blocks.  The
+embedded operators of distinct slots doubly commute exactly, by the
+mixed-product property, so that residual is recorded as 0.
 """
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .subspaces import (
     complement_within,
     compress,
     opnorm,
-    subspace_sine,
 )
 
 # verify_compression_structure's power identity: multi-indices 1 <= |k| <= 3,
@@ -76,7 +75,7 @@ class TensorFactor:
 
     The facts the additive formula reads per factor are computed once, on
     first read: the adjoint eigenpair, the wandering subspace S (-) T S and
-    whether it generates S.
+    whether it generates S; and for the structure check, T in the basis [Q | S].
     """
 
     T: np.ndarray
@@ -92,6 +91,19 @@ class TensorFactor:
         """The most reliable (alpha, v, residual) of coinvariant_eigenpairs; None when Q = 0."""
         pairs = coinvariant_eigenpairs(self.T, self.Q)
         return pairs[0] if pairs else None
+
+    @functools.cached_property
+    def adapted(self):
+        """U^H T U for U = [Q | S]; its (Q, S) block Q^H T S is 0, as S is invariant."""
+        U = np.hstack([self.Q.basis, self.S.basis])
+        return U.conj().T @ self.T @ U
+
+    @functools.cached_property
+    def block_norms(self):
+        """(a, b) -> (||.||_2, ||.||_F^2) of the block U_a^H T U_b, for kinds a, b in 'QS'."""
+        cut = {"Q": slice(0, self.Q.dim), "S": slice(self.Q.dim, None)}
+        return {(a, b): (opnorm(B), float(np.vdot(B, B).real))
+                for a in cut for b in cut for B in [self.adapted[cut[a], cut[b]]]}
 
     @functools.cached_property
     def _restriction(self):
@@ -158,29 +170,42 @@ class TensorSystem:
     def n(self):
         return len(self.factors)
 
-    def apply(self, i, V):
-        """T~_i V for V of shape (N,) or (N, k), by a mode-i product: V reshaped to
-        (m_1 .. m_{i-1}, m_i, rest) and one matmul, O(N k m_i) instead of O(N^2 k)."""
-        W = self.factors[i].T @ V.reshape(self._lead[i], self.dims[i], -1)
-        return W.reshape(V.shape)
-
-    def compressed(self, space):
-        """The tuple compressed to ``space``, in its basis coordinates, by slot products."""
-        Bh = space.basis.conj().T
-        return OperatorTuple(tuple(Bh @ self.apply(i, space.basis) for i in range(self.n)),
-                             space=space)
+    def apply(self, i, V, M=None):
+        """T~_i V, or (I (x) .. M .. (x) I) V for an m_i x m_i M, for V of shape (N,)
+        or (N, k), by a mode-i product: V reshaped to (m_1 .. m_{i-1}, m_i, rest)
+        and one matmul, O(N k m_i) instead of O(N^2 k)."""
+        M = self.factors[i].T if M is None else M
+        return (M @ V.reshape(self._lead[i], self.dims[i], -1)).reshape(V.shape)
 
     def joint_spectrum(self):
         """sigma(T_1) x ... x sigma(T_n): the joint eigenvalues of the embedded tuple."""
         return list(itertools.product(*(f.spectrum for f in self.factors)))
 
+    def block_dim(self, block):
+        """The dimension of a kind-block, a word with one 'Q' or 'S' per slot."""
+        return math.prod(f.Q.dim if k == "Q" else f.S.dim for f, k in zip(self.factors, block))
+
+    def blocks(self, kinds):
+        """The nonempty kind-blocks of slot kinds 'Q', 'S' and 'I' (= Q (+) S), in word order."""
+        words = ("".join(b) for b in itertools.product(*("QS" if k == "I" else k for k in kinds)))
+        return [b for b in words if self.block_dim(b)]
+
+    def block_bases(self, blocks):
+        """The kron bases (x)_s (Q_s or S_s) of kind-blocks, side by side."""
+        cols = [_kron_chain([f.Q.basis if k == "Q" else f.S.basis for f, k in zip(self.factors, b)])
+                for b in blocks]
+        return np.hstack(cols) if cols else np.zeros((self.N, 0), dtype=complex)
+
     def summand_subspace(self, kinds):
-        """Subspace with slot content 'S', 'Q' or 'I' per factor, via kron bases."""
+        """Subspace with slot content 'S', 'Q' or 'I' per factor: its blocks side by side."""
         if not set(kinds) <= {"S", "Q", "I"}:
             raise InputError(f"unknown slot kinds in {kinds!r}")
-        cols = [f.S.basis if k == "S" else f.Q.basis if k == "Q"
-                else np.eye(f.T.shape[0], dtype=complex) for f, k in zip(self.factors, kinds)]
-        return Subspace(_kron_chain(cols), tol=self.tol, _checked=True)
+        return Subspace(self.block_bases(self.blocks(kinds)), tol=self.tol, _checked=True)
+
+
+def _flip(block, s):
+    """``block`` with slot s switched between Q and S."""
+    return block[:s] + ("S" if block[s] == "Q" else "Q") + block[s + 1:]
 
 
 def build_system(factors, tol=None):
@@ -194,76 +219,82 @@ def build_system(factors, tol=None):
     return TensorSystem(factors=factors, dims=dims, N=math.prod(dims), tol=tol)
 
 
-def joint_invariant_S(sys):
-    """S = (Q_1 (x) ... (x) Q_n)-perp, the complement of the kron basis of the Q_i.
+def _S_blocks(sys):
+    """S's kind-blocks: every block but Q..Q, in word order."""
+    return [b for b in sys.blocks("I" * sys.n) if "S" in b]
 
-    A kron product of orthonormal bases is orthonormal, and by the
-    mixed-product property its range is the range of Q~_1 ... Q~_n, so this
-    is also ran(I - Q~_1 ... Q~_n); verify_compression_structure re-checks
-    that S is the range of sum X_i.  The one step with N x N arrays, kept bit
-    for bit (the shift lemma draws in this basis, and signed zeros steer SVDs).
-    """
-    big_Q = sys.summand_subspace(["Q"] * sys.n)
-    return complement_within(Subspace.full(sys.N, tol=sys.tol), big_Q)
+
+def joint_invariant_S(sys):
+    """S = (Q_1 (x) ... (x) Q_n)-perp: the kron bases of every kind-block but Q..Q,
+    which with Q..Q form an orthonormal basis of C^N (and each has a last S
+    slot, so S is also sum ran X_i, block by block)."""
+    return Subspace(sys.block_bases(_S_blocks(sys)), ambient_dim=sys.N, tol=sys.tol,
+                    _checked=True)
 
 
 def _chain_slot_kinds(n, i, j):
     """Slot kinds of the j-th summand (1-based) of F_i, for i in 1..n-1."""
-    kinds = ["I"] * n
     if j < n:
-        p = min(j - 1, i - 1)
-        for t in range(p):
-            kinds[t] = "Q"
-        kinds[j - 1] = "S"
-        for t in range(j, n):
-            kinds[t] = "Q"
-    else:
-        for t in range(i - 1):
-            kinds[t] = "Q"
-        kinds[n - 2] = "Q"
-        kinds[n - 1] = "S"
-    return kinds
+        return ["Q"] * min(j - 1, i - 1) + ["I"] * max(j - i, 0) + ["S"] + ["Q"] * (n - j)
+    return ["Q"] * (i - 1) + ["I"] * (n - 1 - i) + ["Q", "S"]
 
 
 @dataclass(eq=False)
 class ChainDecomposition:
-    """S with its nested family F_1 >= ... >= F_{n-1} = F and F's block summands."""
+    """S with its nested family F_1 >= ... >= F_{n-1} = F and F's block summands
+    M_i; each F_i and M_i has S's columns for its kind-blocks as basis."""
 
-    S: Subspace
+    S: Subspace  # basis: the blocks of block_columns side by side
+    block_columns: dict  # kind-block -> its columns of S's basis, for S's blocks in order
     x_ranks: list  # rank X_i = m_1 .. m_{i-1} dim S_i dim Q_{i+1} .. dim Q_n
-    F_chain: list  # [F_1, ..., F_{n-1}]
-    F: Subspace  # basis: the M_i bases side by side, in order
-    M_summands: list  # block subspaces M_1, ..., M_n of F
+    F_summands: list  # per F_i, the kind-blocks of each of its n summands, in basis order
     containment_residuals: list  # of S >= F_1, F_1 >= F_2, ..., in order
+
+    def columns(self, blocks):
+        """The columns of S's basis that hold ``blocks``, in order."""
+        return np.array([c for b in blocks for c in self.block_columns[b]], dtype=int)
+
+    def _part(self, blocks):
+        return Subspace(self.S.basis[:, self.columns(blocks)], ambient_dim=self.S.ambient_dim,
+                        tol=self.S.tol, _checked=True)
+
+    @functools.cached_property
+    def F_chain(self):  # [F_1, ..., F_{n-1}]
+        return [self._part(sum(summands, [])) for summands in self.F_summands]
+
+    @property
+    def F(self):  # basis: the M_i bases side by side, in order
+        return self.F_chain[-1]
+
+    @functools.cached_property
+    def M_summands(self):  # block subspaces M_1, ..., M_n of F
+        return [self._part(blocks) for blocks in self.F_summands[-1]]
 
 
 def f_chain(sys):
     """Build S, the ranks of the X projections, the nested F_i family, and F's summands.
 
-    Each F_i is an orthogonal direct sum of n kron-structured summands, and
-    its basis is their bases side by side, so a compression to F has the
-    M_i blocks in order (verify_compression_structure reads them off); the
-    containments S >= F_1 >= ... >= F_{n-1} are re-verified numerically.
+    Each F_i is an orthogonal direct sum of n summands, each a union of
+    kind-blocks, so a compression to F has the M_i blocks in order.  A
+    containment residual is 0 when the smaller space's blocks are among the
+    bigger one's, else 1.
     """
     if sys.n < 2:
         raise InputError("the subspace chain needs at least two tensor factors")
-    S = joint_invariant_S(sys)
-    x_ranks = [math.prod(sys.dims[:i]) * f.S.dim * math.prod(g.Q.dim for g in sys.factors[i + 1:])
-               for i, f in enumerate(sys.factors)]
-    chain = []
-    for i in range(1, sys.n):
-        summands = [sys.summand_subspace(_chain_slot_kinds(sys.n, i, j))
-                    for j in range(1, sys.n + 1)]
-        basis = np.hstack([sub.basis for sub in summands])
-        F_i = Subspace(basis, tol=sys.tol, _checked=False)  # re-checks orthonormality
-        chain.append((F_i, summands))
-    spaces = [S] + [fi for fi, _ in chain]
-    resids = [big.containment_residual(small) for big, small in zip(spaces, spaces[1:])]
-    if max(resids) > max(sys.tol, 1e-12):
-        raise InternalConsistencyError(f"chain containment fails (residual {max(resids):.3e})")
-    F, M_summands = chain[-1]
-    return ChainDecomposition(S=S, x_ranks=x_ranks, F_chain=spaces[1:], F=F,
-                              M_summands=M_summands, containment_residuals=resids)
+    S_blocks = _S_blocks(sys)
+    edges = np.cumsum([0] + [sys.block_dim(b) for b in S_blocks])
+    F_summands = [[sys.blocks(_chain_slot_kinds(sys.n, i, j)) for j in range(1, sys.n + 1)]
+                  for i in range(1, sys.n)]
+    spaces = [S_blocks] + [sum(summands, []) for summands in F_summands]
+    resids = [float(not set(small) <= set(big)) for big, small in zip(spaces, spaces[1:])]
+    if max(resids) > 0:
+        raise InternalConsistencyError("chain containment fails: a block of F_i is not in S")
+    return ChainDecomposition(
+        S=joint_invariant_S(sys),
+        block_columns={b: range(lo, hi) for b, lo, hi in zip(S_blocks, edges, edges[1:])},
+        x_ranks=[math.prod(sys.dims[:i]) * f.S.dim * math.prod(g.Q.dim for g in sys.factors[i + 1:])
+                 for i, f in enumerate(sys.factors)],
+        F_summands=F_summands, containment_residuals=resids)
 
 
 @dataclass
@@ -280,14 +311,7 @@ class StructureReport:
     compressions: list = field(default_factory=list, repr=False, compare=False)
 
     def families(self):
-        return {
-            "projection_identities": self.projection_identities,
-            "chain": self.chain,
-            "semi_invariance": self.semi_invariance,
-            "commutativity": self.commutativity,
-            "block_structure": self.block_structure,
-            "power_identity": self.power_identity,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "compressions"}
 
     def max_residual(self):
         return max((float(v) for fam in self.families().values() for v in fam.values()),
@@ -304,13 +328,13 @@ def _telescope(a, d, b):
     return sum(math.prod(a[:t]) * d[t] * math.prod(b[t + 1:]) for t in range(len(d)))
 
 
-def _projection_identities(sys, S):
-    """The projection identities from O(n) slot-matrix norms and one subspace sine.
+def _projection_identities(sys):
+    """The projection identities from O(n) slot-matrix norms.
 
     Slot s of X_i holds A = I, P_{S_i} or P_{Q_s} (kinds 'I', 'S', 'Q'), and
-    ``prod[s]`` maps kind pairs to ||A_a A_b||_2.  ``orthogonal_ranges`` and
-    ``sum_equals_PS`` equal the dense N x N residual norms in exact
-    arithmetic; the other three are telescoping upper bounds of them.
+    ``prod[s]`` maps kind pairs to ||A_a A_b||_2.  ``orthogonal_ranges``
+    equals the dense N x N residual norm in exact arithmetic; the other four
+    are telescoping upper bounds of theirs.
     """
     prod, idem, herm, split = [], [], [], []
     for f in sys.factors:
@@ -325,7 +349,7 @@ def _projection_identities(sys, S):
     def norms(ks, ls):
         return [p[a, b] for p, a, b in zip(prod, ks, ls)]
 
-    proj = {
+    return {
         # I - Q~_1 .. Q~_n - sum X_i = sum_i I (x) .. (x) (I - P_{S_i} - P_{Q_i}) (x) Q~ ..
         "inclusion_exclusion": _telescope([1.0] * sys.n, split, norms(["Q"] * sys.n, ones)),
         "idempotent": max(_telescope(norms(ks, ks), [d[k] for d, k in zip(idem, ks)],
@@ -335,12 +359,57 @@ def _projection_identities(sys, S):
         # ||(x)_s A_s||_2 = prod_s ||A_s||_2, so this one is exact
         "orthogonal_ranges": max((math.prod(norms(kp, kq))
                                   for kp, kq in itertools.permutations(kinds, 2)), default=0.0),
+        # P_S is the sum of its blocks' projectors; grouped by their last S slot i,
+        # sum X_i - P_S = sum_i (I - (x)_{s<i} (P_{Q_s} + P_{S_s})) (x) P_{S_i} (x) Q~ ..
+        "sum_equals_PS": sum(_telescope([1.0] * i, split[:i], [1 + d for d in split[:i]])
+                             * math.prod(norms(ks, ones)[i:]) for i, ks in enumerate(kinds)),
     }
-    K = Subspace(np.hstack([sys.summand_subspace(ks).basis for ks in kinds]), tol=sys.tol,
-                 _checked=True)
-    # ||sum X_i - P_S||_2 = ||P_K - P_S||_2, the two-sided sine
-    proj["sum_equals_PS"] = max(subspace_sine(K, S), subspace_sine(S, K))
-    return proj
+
+
+def _cross_norm(sys, rows, cols):
+    """max_j ||rows^H T~_j cols||_2 for disjoint sets of kind-blocks, exactly: T~_j
+    couples k only to _flip(k, j), a partial permutation of blocks
+    I (x) .. U_a^H T_j U_b .. (x) I, so the norm is their largest."""
+    return max((f.block_norms[_flip(k, j)[j], k[j]][0] for k in cols
+                for j, f in enumerate(sys.factors) if _flip(k, j) in rows), default=0.0)
+
+
+def _commutator_bound(sys, blocks):
+    """max_{i<j} ||[C_i, C_j]||_F for the tuple C compressed to the union L of ``blocks``.
+
+    Block (k2, k) of [C_i, C_j] vanishes unless k2 is k with slots i and j
+    switched, when it is (1[_flip(k, j) in L] - 1[_flip(k, i) in L]) times one
+    kron of slot blocks and identities (the two orders pass through those two
+    blocks).  So ||.||_F^2 is an exact sum of products of slot norms, with no
+    cancellation, and it bounds ||.||_2^2."""
+    dims = [{"Q": f.Q.dim, "S": f.S.dim} for f in sys.factors]
+    worst = 0.0
+    for i, j in itertools.combinations(range(sys.n), 2):
+        total = 0.0
+        for k in blocks:
+            k2 = _flip(_flip(k, i), j)
+            if k2 in blocks and (_flip(k, j) in blocks) != (_flip(k, i) in blocks):
+                total += (sys.factors[i].block_norms[k2[i], k[i]][1]
+                          * sys.factors[j].block_norms[k2[j], k[j]][1]
+                          * math.prod(d[c] for s, (d, c) in enumerate(zip(dims, k))
+                                      if s not in (i, j)))
+        worst = max(worst, math.sqrt(total))
+    return worst
+
+
+def _compressed_to_S(sys, chain):
+    """The tuple compressed to S, from the slot-adapted U_j^H T_j U_j: in the
+    coordinates of (x)_s U_s, T~_j is I (x) .. U_j^H T_j U_j .. (x) I, and S's
+    basis vectors are the unit vectors at the kron-ordered positions ``at``."""
+    spans = [{"Q": (0, f.Q.dim), "S": (f.Q.dim, m)} for f, m in zip(sys.factors, sys.dims)]
+    grids = (np.meshgrid(*(np.arange(*sp[k]) for sp, k in zip(spans, b)), indexing="ij")
+             for b in chain.block_columns)
+    at = np.concatenate([np.zeros(0, dtype=int)]
+                        + [np.ravel_multi_index(g, sys.dims).ravel() for g in grids])
+    E = np.zeros((sys.N, chain.S.dim), dtype=complex)
+    E[at, np.arange(chain.S.dim)] = 1.0
+    return OperatorTuple(tuple(sys.apply(j, E, f.adapted)[at] for j, f in enumerate(sys.factors)),
+                         space=chain.S)
 
 
 def _compressed_powers(ops, V):
@@ -363,95 +432,74 @@ def _compressed_powers(ops, V):
 def verify_compression_structure(sys, chain=None, seed=42):
     """Numerically re-check every structural identity behind the chain.
 
-    Families of residuals:
+    Families of residuals, all but the last from slot norms (exact, or upper
+    bounds of the dense N x N norms where noted):
 
     * projection_identities -- the inclusion-exclusion expansion of P_S, the
-      X_i being Hermitian idempotents with orthogonal ranges, sum X_i = P_S;
-      from slot norms, so ``inclusion_exclusion``, ``idempotent`` and
-      ``hermitian`` are upper bounds of the dense N x N residual norms
-      (see _projection_identities);
+      X_i being Hermitian idempotents with orthogonal ranges, sum X_i = P_S
+      (bounds but ``orthogonal_ranges``; see _projection_identities);
     * chain -- containments S >= F_1 >= ..., as f_chain measured them, and
-      the identity F_1 = S (-) ran(P~_{n-1} P~_n), by the sine of the
-      largest angle;
-    * semi_invariance -- each gap G_{i-1} (-) G_i (with G_0 = S) is invariant
-      under the tuple compressed to the bigger space (small^H T~ G = 0 on
-      the gap's basis G);
-    * commutativity -- compressions to S and to each F_i pairwise commute;
-    * block_structure -- compressions to F are block diagonal along the
-      M summands;
+      F_1 = S (-) ran(P~_{n-1} P~_n), by the sine of the largest angle;
+    * semi_invariance -- ||small^H T~ gap||_2 for each gap G_{i-1} (-) G_i
+      (G_0 = S), a set difference of blocks (see _cross_norm);
+    * commutativity -- of the compressions to S and to each F_i (Frobenius
+      bounds; see _commutator_bound);
+    * block_structure -- the coupling of F's M summands by the tuple;
     * power_identity -- compressed powers act summand-by-summand:
       (P_F T~ P_F)^k = sum_i P_{M_i} T~^k P_{M_i} on F for 1 <= |k| <= 3.
 
-    The tuple acts by slot products and is compressed to S and each F_i once.
+    The tuple is compressed to S once; each F_i's compression is a slice of it.
     """
     if chain is None:
         chain = f_chain(sys)
-    proj = _projection_identities(sys, chain.S)
-    slot_maps = [functools.partial(sys.apply, i) for i in range(sys.n)]
-
-    spaces = [chain.S] + chain.F_chain
-    pairs = list(zip(spaces, spaces[1:]))
+    blocks = [list(chain.block_columns)] + [sum(summands, []) for summands in chain.F_summands]
+    sets = [set(bs) for bs in blocks]
     chain_res = {f"containment_{idx}": r for idx, r in enumerate(chain.containment_residuals)}
-    gaps = [complement_within(big, small) for big, small in pairs]
-    tail = sys.summand_subspace(["I"] * (sys.n - 2) + ["S", "S"])
-    chain_res["head_gap_dim_match"] = float(abs(gaps[0].dim - tail.dim))
-    chain_res["head_gap_sine"] = (
-        subspace_sine(gaps[0], tail) if gaps[0].dim == tail.dim else float("inf")
-    )
-
-    # P_big - P_gap = P_small, so P_big T G - P_gap T G = P_small T G
-    semi = {f"gap_{idx}": max(opnorm(small.basis.conj().T @ T(gap.basis)) for T in slot_maps)
-            for idx, (small, gap) in enumerate(zip(spaces[1:], gaps))}
-
-    comps = [sys.compressed(space) for space in spaces]
+    head = sets[0] - sets[1]
+    tail = set(sys.blocks(["I"] * (sys.n - 2) + ["S", "S"]))
+    gap_dims = [sum(map(sys.block_dim, bs)) for bs in (head, tail)]
+    chain_res["head_gap_dim_match"] = float(abs(gap_dims[0] - gap_dims[1]))
+    # two unions of orthogonal blocks are equal, or one misses a block of the other
+    chain_res["head_gap_sine"] = float(head != tail) if gap_dims[0] == gap_dims[1] else math.inf
+    semi = {f"gap_{idx}": _cross_norm(sys, small, big - small)
+            for idx, (big, small) in enumerate(zip(sets, sets[1:]))}
     names = ["S"] + [f"F_{i + 1}" for i in range(len(chain.F_chain))]
-    comm = {
-        name: max((opnorm(a @ b - b @ a) for a, b in itertools.combinations(cs.ops, 2)),
-                  default=0.0)
-        for name, cs in zip(names, comps)
-    }
-
+    comm = {name: _commutator_bound(sys, L) for name, L in zip(names, sets)}
     # Block diagonality is a statement about the final F = M_1 (+) ... (+) M_n;
     # intermediate F_i summands carry full slots that the tuple may couple.
-    # F's basis is the M_i bases side by side, so its M blocks are the
-    # diagonal blocks of each compression to F, the chain's last space.
-    comp_F = comps[-1].ops
-    edges = np.cumsum([0] + [M.dim for M in chain.M_summands])
-    blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
-    off_diagonal = diagonal_sum = 0.0
-    for C in comp_F:
-        off_diagonal = max(off_diagonal, max(
-            opnorm(C[blocks[p], blocks[q]]) for p in range(sys.n) for q in range(sys.n) if p != q
-        ))
-        D = C.copy()
-        for b in blocks:
-            D[b, b] = 0.0
-        diagonal_sum = max(diagonal_sum, opnorm(D))
-    block = {"off_diagonal": off_diagonal, "diagonal_sum": diagonal_sum}
+    # The coupled pairs of blocks form a partial permutation, so the whole
+    # off-diagonal part has the norm of its largest block.
+    Ms = [set(bs) for bs in chain.F_summands[-1]]
+    off = max((_cross_norm(sys, p, q) for p, q in itertools.permutations(Ms, 2)), default=0.0)
+    block = {"off_diagonal": off, "diagonal_sum": off}
 
-    # In F coordinates the right side's block i is M_i^H T~^k M_i x_i.
+    comp_S = _compressed_to_S(sys, chain)
+    comps = [comp_S] + [
+        OperatorTuple(tuple(C[np.ix_(cols, cols)] for C in comp_S.ops), space=F_i)
+        for F_i, cols in zip(chain.F_chain, map(chain.columns, blocks[1:]))
+    ]
+
+    # F's basis is the M_i bases side by side, so in F coordinates the right
+    # side's block i is M_i^H T~^k M_i x_i.
     worst = 0.0
     rng = np.random.default_rng(seed)
     if chain.F.dim:
+        edges = np.cumsum([0] + [M.dim for M in chain.M_summands])
         X = (rng.standard_normal((chain.F.dim, _POWER_SAMPLES))
              + 1j * rng.standard_normal((chain.F.dim, _POWER_SAMPLES)))
         X /= np.linalg.norm(X, axis=0)
-        Ms = [M.basis for M in chain.M_summands]
-        per_summand = [_compressed_powers(slot_maps, M @ X[b]) for M, b in zip(Ms, blocks)]
-        for lhs, *parts in zip(_compressed_powers(comp_F, X), *per_summand):
-            rhs = np.vstack([M.conj().T @ W for M, W in zip(Ms, parts)])
+        bases = [M.basis for M in chain.M_summands]
+        slot_maps = [functools.partial(sys.apply, i) for i in range(sys.n)]
+        per_summand = [_compressed_powers(slot_maps, M @ X[a:b])
+                       for M, a, b in zip(bases, edges, edges[1:])]
+        for lhs, *parts in zip(_compressed_powers(comps[-1].ops, X), *per_summand):
+            rhs = np.vstack([M.conj().T @ W for M, W in zip(bases, parts)])
             worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=0))))
-    power = {"summandwise_powers": worst}
 
-    return StructureReport(
-        projection_identities={k: float(v) for k, v in proj.items()},
-        chain={k: float(v) for k, v in chain_res.items()},
-        semi_invariance={k: float(v) for k, v in semi.items()},
-        commutativity={k: float(v) for k, v in comm.items()},
-        block_structure={k: float(v) for k, v in block.items()},
-        power_identity={k: float(v) for k, v in power.items()},
-        compressions=comps,
-    )
+    families = (_projection_identities(sys), chain_res, semi, comm, block,
+                {"summandwise_powers": worst})
+    return StructureReport(*({k: float(v) for k, v in fam.items()} for fam in families),
+                           compressions=comps)
 
 
 def coinvariant_eigenpairs(T, Q):
@@ -528,9 +576,7 @@ def wandering_E(sys):
 
     align = 0.0
     for i in range(sys.n):
-        kinds = ["Q"] * sys.n
-        kinds[i] = "S"
-        M_i = sys.summand_subspace(kinds).basis
+        M_i = sys.summand_subspace("Q" * i + "S" + "Q" * (sys.n - i - 1)).basis
         E_h = summands[i].basis.conj().T
         EM = E_h @ M_i
         for j, lam in enumerate(shift_points[i]):

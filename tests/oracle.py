@@ -7,9 +7,10 @@ bracketed by exhaustive corank sampling plus random generator search.  Slow
 but simple, for ambient dimensions up to ~10, and up to N = 36 at a tight
 rank tolerance.
 Principal angles come from scipy.linalg.subspace_angles; the package itself
-does not import scipy.  Dense references that only tests read (pairwise
-commutator norms, the X_i projections, the N x N embedded operators T~_i that
-the package applies only slot by slot) live here too.
+does not import scipy.  Dense references that only tests read live here too:
+pairwise commutator norms, the X_i projections, the N x N embedded operators
+T~_i that the package applies only slot by slot, and every structural
+residual family of ``verify_compression_structure`` from N x N projectors.
 """
 
 import functools
@@ -159,3 +160,111 @@ def embedded_ops(sys_):
     """The dense N x N T~_i of a tensor system, in slot order.  Any package call
     that takes an operator tuple accepts this sequence."""
     return tuple(slot_matrix(sys_, i, f.T) for i, f in enumerate(sys_.factors))
+
+
+def _orth(basis):
+    """An orthonormal basis of ran(basis) (a chain basis may be skewed on purpose)."""
+    return scipy.linalg.orth(basis) if basis.shape[1] else basis
+
+
+def _complement(big, small):
+    """big (-) small, both orthonormal, from a full SVD of the coordinates of small in big."""
+    U = np.linalg.svd(big.conj().T @ small, full_matrices=True)[0]
+    return big @ U[:, small.shape[1]:]
+
+
+def _norm2(A):
+    return float(np.linalg.norm(A, 2)) if A.size else 0.0
+
+
+def dense_chain_spaces(chain):
+    """Orthonormal bases of S, F_1, ..., F_{n-1} and of the gaps between them."""
+    spaces = [_orth(space.basis) for space in [chain.S] + chain.F_chain]
+    return spaces, [_complement(big, small) for big, small in zip(spaces, spaces[1:])]
+
+
+def dense_chain_residuals(sys_, chain):
+    """The chain family from N x N projectors: containments, and S (-) F_1 against
+    ran(P~_{n-1} P~_n) by the sine of the largest angle."""
+    spaces, gaps = dense_chain_spaces(chain)
+    res = {f"containment_{idx}": float(np.linalg.norm(small - big @ (big.conj().T @ small),
+                                                      axis=0).max(initial=0.0))
+           for idx, (big, small) in enumerate(zip(spaces, spaces[1:]))}
+    mats = [np.eye(d) for d in sys_.dims[:-2]] + [_projector(f.S) for f in sys_.factors[-2:]]
+    w, V = np.linalg.eigh(functools.reduce(np.kron, mats))
+    tail = V[:, w > 0.5]
+    res["head_gap_dim_match"] = float(abs(gaps[0].shape[1] - tail.shape[1]))
+    res["head_gap_sine"] = (_norm2(tail - gaps[0] @ (gaps[0].conj().T @ tail))
+                            if gaps[0].shape[1] == tail.shape[1] else float("inf"))
+    return res
+
+
+def dense_commutativity(sys_, chain):
+    """max ||[C_i, C_j]||_2 of the dense compressions to S and to each F_i."""
+    ops = embedded_ops(sys_)
+    spaces, _ = dense_chain_spaces(chain)
+    names = ["S"] + [f"F_{i + 1}" for i in range(len(chain.F_chain))]
+    return {name: commutator_residual([B.conj().T @ T @ B for T in ops])
+            for name, B in zip(names, spaces)}
+
+
+def dense_structure_residuals(sys_, chain, seed=42):
+    """block_structure, semi_invariance and power_identity as products of
+    N x N projectors, the reference for the slot and basis forms (powers of
+    degree 1..3 on 4 random vectors, as verify_compression_structure draws
+    them)."""
+    ops = embedded_ops(sys_)
+    P_F = _projector(chain.F)
+    Pm = [_projector(M) for M in chain.M_summands]
+    n = len(Pm)
+    block = {
+        "off_diagonal": max(_norm2(Pm[p] @ T @ Pm[q])
+                            for p in range(n) for q in range(n) if p != q for T in ops),
+        "diagonal_sum": max(_norm2(P_F @ T @ P_F - sum(P @ T @ P for P in Pm)) for T in ops),
+    }
+    spaces, gaps = dense_chain_spaces(chain)
+    semi = {}
+    for idx, (big, gap) in enumerate(zip(spaces, gaps)):
+        P_big, P_gap = big @ big.conj().T, gap @ gap.conj().T
+        semi[f"gap_{idx}"] = max(_norm2(P_big @ T @ gap - P_gap @ T @ gap) for T in ops)
+    rng = np.random.default_rng(seed)
+    V = chain.F.basis @ (rng.standard_normal((chain.F.dim, 4))
+                         + 1j * rng.standard_normal((chain.F.dim, 4)))
+    V /= np.linalg.norm(V, axis=0)
+    worst = 0.0
+    for kk in itertools.product(range(4), repeat=sys_.n):
+        if not 1 <= sum(kk) <= 3:
+            continue
+        lhs = mono = np.eye(sys_.N)
+        for T, p in zip(ops, kk):
+            lhs = np.linalg.matrix_power(P_F @ T @ P_F, p) @ lhs
+            mono = np.linalg.matrix_power(T, p) @ mono
+        rhs = sum(P @ mono @ P for P in Pm)
+        worst = max(worst, np.linalg.norm((lhs - rhs) @ V, axis=0).max())
+    return {"block_structure": block, "semi_invariance": semi,
+            "power_identity": {"summandwise_powers": worst}}
+
+
+def dense_projection_identities(sys_, S):
+    """The projection identities from the N x N X_i and P_S, the reference
+    for the slot forms."""
+    X = x_projections(sys_)
+    sum_X = sum(X)
+    prod_Q = functools.reduce(np.kron, [_projector(f.Q) for f in sys_.factors])
+    n = len(X)
+    return {
+        "inclusion_exclusion": _norm2(np.eye(sys_.N) - prod_Q - sum_X),
+        "sum_equals_PS": _norm2(sum_X - _projector(S)),
+        "idempotent": max(_norm2(x @ x - x) for x in X),
+        "hermitian": max(_norm2(x - x.conj().T) for x in X),
+        "orthogonal_ranges": max(_norm2(X[p] @ X[q]) for p in range(n) for q in range(n) if p != q),
+    }
+
+
+def dense_structure_report(sys_, chain, seed=42):
+    """Every structural family of verify_compression_structure, from dense N x N
+    operators and projectors, keyed as the package keys them."""
+    return {"projection_identities": dense_projection_identities(sys_, chain.S),
+            "chain": dense_chain_residuals(sys_, chain),
+            "commutativity": dense_commutativity(sys_, chain),
+            **dense_structure_residuals(sys_, chain, seed=seed)}

@@ -53,6 +53,35 @@ def test_compare_names_up_to_five_moved_reports(tmp_path, capsys):
     ]
 
 
+def test_compare_allow_prints_listed_paths_without_failing(tmp_path, capsys):
+    """Paths matching an --allow pattern are printed, marked, and do not set exit 1;
+    any other moved path still does, and so does a report on one side only."""
+    tool = _tool()
+    a = {f"r{i}": {"passed": True, "residuals": {"chain": 0.0, "eigen": 0.0},
+                   "verdicts": {"chain": {"max_residual": 0.0, "status": "pass"}}}
+         for i in range(2)}
+    b = json.loads(json.dumps(a))
+    b["r0"]["residuals"]["chain"] = 1e-16
+    b["r1"]["verdicts"]["chain"]["max_residual"] = 1e-16
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    (tmp_path / "a.json").write_text(json.dumps(a))
+    (tmp_path / "b.json").write_text(json.dumps(b))
+    allow = ["--allow", "residuals.chain", "verdicts.*.max_residual"]
+    assert tool.main(["compare", *paths, *allow]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "residuals.chain: 1 of 2 reports (r0) (allowed)",
+        "verdicts.chain.max_residual: 1 of 2 reports (r1) (allowed)",
+    ]
+    assert tool.main(["compare", *paths, "--allow", "residuals.chain"]) == 1
+    assert tool.main(["compare", *paths]) == 1
+    b["r1"]["verdicts"]["chain"]["status"] = "fail"
+    b["r2"] = b["r1"]
+    (tmp_path / "b.json").write_text(json.dumps(b))
+    capsys.readouterr()
+    assert tool.main(["compare", *paths, *allow]) == 1
+    assert "verdicts.chain.status: 1 of 2 reports (r1)" in capsys.readouterr().out.splitlines()
+
+
 def test_criterion_4_scenarios_match_the_acceptance_test():
     rng = np.random.default_rng(20250815)
     want = [_random_prefix_scenario(rng, 2 + trial % 2) for trial in range(20)]

@@ -21,7 +21,7 @@ from shiftlab.cli import main
 from shiftlab.models import dump_matrix, matrix_to_json, parse_roots
 from shiftlab.multiplicity import local_corank
 from shiftlab.scenarios import report_to_text, resolve_factor
-from shiftlab.tensorized import build_system, f_chain
+from shiftlab.tensorized import build_system, f_chain, verify_compression_structure
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -267,7 +267,7 @@ def test_shift_lemma_verdict_gates_by_margin(monkeypatch, margin, tampered, expe
     assert sc.SHIFT_LEMMA_MIN_MARGIN == 100.0
     scn = scenario_from_json(hardy_obj())
     sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
-    comp_S = sys_.compressed(f_chain(sys_).S)
+    comp_S = verify_compression_structure(sys_).compressions[0]
     assert sc._shift_lemma_verdict(scn, sys_, comp_S) == {
         "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
 
@@ -515,9 +515,9 @@ def test_scenario_evaluates_each_joint_eigenvalue_once(monkeypatch):
 
 def test_structure_path_forms_no_dense_operator(monkeypatch):
     """A cube-structure-style run with every check, the shift lemma included,
-    binds no N x N array to a name in any Python frame, apart from the
-    complement that defines S's basis (see joint_invariant_S); the system has
-    no dense T~_i to build.  In multiplicity the tuple is compressed only at
+    binds no N x N array to a name in any Python frame: S, its chain and the
+    tuple's compressions come from kind-blocks and slot blocks, and the system
+    has no dense T~_i to build.  In multiplicity the tuple is compressed only at
     slot size, once per factor: the factor's wandering subspace and its gws
     test share that compression, and wandering_E reuses both, as it reuses the
     factor's one coinvariant_eigenpairs call.  The shift lemma closes inside S
@@ -543,7 +543,6 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
                         lambda T, Q: eigen_calls.append(Q) or real_eigenpairs(T, Q))
 
     seen = []
-    inside_S = []
 
     def scan(frame, values):
         for v in values:
@@ -551,20 +550,11 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
                 seen.append(f"{frame.f_code.co_name} ({frame.f_code.co_filename})")
 
     def local(frame, event, arg):
-        if frame.f_code is tz.joint_invariant_S.__code__:
-            if event == "return":
-                inside_S.pop()
-            return local
         scan(frame, list(frame.f_locals.values()) + ([arg] if event == "return" else []))
         return local
 
     def tracer(frame, event, arg):
-        if inside_S:
-            return None
-        if frame.f_code is tz.joint_invariant_S.__code__:
-            inside_S.append(frame)
-        else:
-            scan(frame, frame.f_locals.values())
+        scan(frame, frame.f_locals.values())
         return local
 
     scn = scenario_from_json(obj)

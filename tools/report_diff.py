@@ -1,7 +1,7 @@
 """Dump scenario reports and compare two dumps field by field.
 
     python3 tools/report_diff.py dump OUT
-    python3 tools/report_diff.py compare A B
+    python3 tools/report_diff.py compare A B [--allow PATH ...]
 
 ``dump`` runs, with the shiftlab in this checkout's ``src/``:
 
@@ -14,11 +14,15 @@
 It writes each ``Report.to_json()`` without ``elapsed_seconds`` to the JSON
 file OUT, keyed by scenario.  ``compare`` prints every field path whose value
 differs between two dumps, with the number of reports it differs in and the
-keys of the first five of them, and exits 1 if any does.  To compare two
+keys of the first five of them, and exits 1 if any does.  A path that
+matches an ``--allow`` pattern (an ``fnmatch`` pattern such as
+``residuals.chain`` or ``verdicts.*.max_residual``) is still printed, marked
+``(allowed)``, but does not set the exit code.  To compare two
 commits, dump from a checkout of each (with ``OPENBLAS_NUM_THREADS=1``, so
 that BLAS sums in one order) and compare the files.  Stdlib and numpy only.
 """
 
+import fnmatch
 import importlib.util
 import json
 import sys
@@ -123,6 +127,9 @@ def main(argv=None):
         reports = dump(argv[1], all_scenarios())
         print(f"wrote {len(reports)} reports to {argv[1]}")
         return 0
+    allow = argv[argv.index("--allow") + 1:] if "--allow" in argv else []
+    if "--allow" in argv:
+        argv = argv[:argv.index("--allow")]
     if len(argv) == 3 and argv[0] == "compare":
         a, b = (json.loads(Path(p).read_text(encoding="utf-8")) for p in argv[1:])
         for side, only in (("A", a.keys() - b.keys()), ("B", b.keys() - a.keys())):
@@ -130,14 +137,17 @@ def main(argv=None):
                 print(f"{len(only)} reports only in {side}: {', '.join(sorted(only)[:5])}")
         changed = compare(a, b)
         common = len(a.keys() & b.keys())
+        allowed = {path for path in changed if any(fnmatch.fnmatchcase(path, p) for p in allow)}
         for path in sorted(changed):
             keys = changed[path]
             more = ", ..." if len(keys) > 5 else ""
-            print(f"{path}: {len(keys)} of {common} reports ({', '.join(keys[:5])}{more})")
+            mark = " (allowed)" if path in allowed else ""
+            print(f"{path}: {len(keys)} of {common} reports ({', '.join(keys[:5])}{more}){mark}")
         if not changed:
             print(f"no field changed in {common} reports")
-        return 1 if changed or a.keys() != b.keys() else 0
-    print("usage: report_diff.py dump OUT | report_diff.py compare A B", file=sys.stderr)
+        return 1 if changed.keys() - allowed or a.keys() != b.keys() else 0
+    print("usage: report_diff.py dump OUT | report_diff.py compare A B [--allow PATH ...]",
+          file=sys.stderr)
     return 2
 
 
