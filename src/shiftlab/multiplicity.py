@@ -20,11 +20,13 @@ L.  Certification brackets that integer:
 
 A result is certified exactly when the two bounds meet.  Work on L happens
 in L's coordinates, with the tuple compressed once per call, or not at all
-when it is an ``OperatorTuple`` whose ``space`` is L.  A closure is taken in
-the space its tuple acts on: to close inside L, pass the compressed tuple
-and generators in L's coordinates.
+when it is an ``OperatorTuple`` whose ``space`` is L (it factors its stack
+once for the corank at 0 and the wandering subspace).  A closure is taken in
+the space its tuple acts on: to close inside L, pass the compressed tuple and
+generators in L's coordinates; it follows ordered monomials if A commutes.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +57,8 @@ class OperatorTuple:
         ops = tuple(as_operator(A) for A in self.ops)
         if not ops:
             raise InputError("operator tuple must contain at least one operator")
-        d = ops[0].shape[0]
-        for A in ops[1:]:
-            if A.shape[0] != d:
-                raise InputError("operators in a tuple must share one ambient dimension")
+        if any(A.shape != ops[0].shape for A in ops):
+            raise InputError("operators in a tuple must share one ambient dimension")
         object.__setattr__(self, "ops", ops)
 
     @property
@@ -82,6 +82,11 @@ class OperatorTuple:
         if L.ambient_dim != self.dim:
             raise InputError("subspace lives in the wrong ambient space")
         return OperatorTuple(tuple(compress(op, L) for op in self.ops), space=L)
+
+    @functools.cached_property
+    def stack(self):
+        """U, s of [A_1 ... A_n], shared by the corank at 0 and the wandering subspace."""
+        return _stacked_svd(self.ops)[:2]
 
 
 @dataclass
@@ -110,31 +115,55 @@ def _as_point(lam, n):
     return lam
 
 
+_JOINT_WIDTH = 24  # fewer images than this: one joint SVD beats an SVD and a QR per A_i
+
+
+def _commutes(ops, tol):
+    """||A_i A_j x - A_j A_i x|| <= tol * max(1, ||A_i A_j x||) for one fixed-seed unit x."""
+    x = np.random.default_rng(0).standard_normal((ops[0].shape[0], 2)) @ [1, 1j]
+    Ax = [A @ (x / np.linalg.norm(x)) for A in ops]
+    return all(np.linalg.norm(A @ Ax[j] - ops[j] @ Ax[i]) <= tol * max(1, np.linalg.norm(A @ Ax[j]))
+               for i, A in enumerate(ops) for j in range(i))
+
+
 def krylov_closure(A, G, tol=DEFAULT_TOL):
     """Smallest subspace containing G that every A_i maps into itself.
 
     The closure lives in the space A acts on, so a closure inside L takes the
     tuple compressed to L and G in L's coordinates.  span(G) grows block by
-    block: only the newest block is mapped, and its images are projected
-    against the basis twice (DGKS reorthogonalization) and ranked by their own
-    residual.  The closure's ``margin`` is the smallest ``rank_margin`` of
-    those rank decisions and of the one ``orthonormalize`` made on G.
+    block: the newest blocks' images are projected against the basis twice
+    (DGKS reorthogonalization) and ranked by their own residual, in one SVD
+    below ``_JOINT_WIDTH`` images, else one A_i at a time.  If the tuple
+    commutes, the block A_i added is mapped by A_1 .. A_i only: the ordered
+    monomials A_{i_1} .. A_{i_m} G, i_1 <= .. <= i_m, span the closure.  Its
+    ``margin`` is the smallest ``rank_margin`` of those rank decisions and of
+    the one ``orthonormalize`` made on G.
     """
     t = _as_tuple(A)
-    d = t.dim
+    d, n = t.dim, t.n
     first = orthonormalize(as_columns(G, d), tol=tol, ambient_dim=d)
     B, margin = first.basis, first.margin
-    new = B
-    while new.shape[1] and B.shape[1] < d:
-        R = np.hstack([op @ new for op in t.ops])
-        for _ in range(2):
-            R = R - B @ (B.conj().T @ R)
-        U, s, _ = _svd(R)
-        rank = min(numerical_rank(s, tol), d - B.shape[1])
-        margin = min(margin, rank_margin(s, rank, tol))
-        new = U[:, :rank] - B @ (B.conj().T @ U[:, :rank])
-        new, _ = np.linalg.qr(new)
-        B = np.hstack([B, new])
+    blocks, commuting = [(B, n)], None  # the newest blocks, each with how many A_i map it
+    while blocks and B.shape[1] < d:
+        steps = [(range(n), n)]
+        if sum(k * N.shape[1] for N, k in blocks) >= _JOINT_WIDTH:
+            commuting = commuting if commuting is not None else n == 1 or _commutes(t.ops, tol)
+            steps = [([i], i + 1 if commuting else n) for i in range(n)]
+        mapped, blocks = blocks, []
+        for ops, label in steps:
+            images = [t.ops[i] @ N for N, k in mapped for i in ops if i < k]
+            if not images or B.shape[1] == d:
+                continue
+            R = np.hstack(images)
+            for _ in range(2):
+                R = R - B @ (B.conj().T @ R)
+            U, s, _ = _svd(R)
+            rank = min(numerical_rank(s, tol), d - B.shape[1])
+            margin = min(margin, rank_margin(s, rank, tol))
+            new = U[:, :rank] - B @ (B.conj().T @ U[:, :rank])
+            new, _ = np.linalg.qr(new)
+            B = np.hstack([B, new])
+            blocks += [(new, label)] if rank else []
     return Subspace(B, tol=tol, _checked=True, margin=margin)
 
 
@@ -142,10 +171,9 @@ def shifted_closure_check(A, G, lam, tol=DEFAULT_TOL):
     """Closures are invariant under shifting each A_i by a scalar: verify it.
 
     Computes both closures independently, ranking at ``tol``, and returns
-    ``(agree, margin)``: whether they are the same subspace (by dimension and
-    largest principal angle, threshold ``tol``) and the smaller of their two
-    ``margin``s, which says how far from a tie the rank decisions behind that
-    answer were.
+    ``(agree, margin)``: whether they are the same subspace (``same_subspace``
+    at ``tol``) and the smaller of their ``margin``s, which says how far from a
+    tie the rank decisions behind that answer were.
     """
     t = _as_tuple(A)
     lam = _as_point(lam, t.n)
@@ -171,7 +199,7 @@ def wandering_subspace(A, L):
     L's coordinates, the left singular vectors of [C_1 ... C_n] past its rank."""
     if L.dim == 0:
         return Subspace.zero(L.ambient_dim, tol=L.tol)
-    U, s, _ = _stacked_svd(_as_tuple(A).compressed(L).ops)
+    U, s = _as_tuple(A).compressed(L).stack
     return Subspace(L.basis @ U[:, numerical_rank(s, L.tol):], tol=L.tol, _checked=True)
 
 
@@ -184,22 +212,21 @@ def local_corank(A, L, lam, tol=None):
     lam = _as_point(lam, t.n)
     if L.dim == 0:
         return 0
-    s = _stacked_svd(t.compressed(L).ops, lam, compute_uv=False)
+    t = t.compressed(L)
+    s = _stacked_svd(t.ops, lam, compute_uv=False) if any(lam) else t.stack[1]
     return L.dim - numerical_rank(s, tol or L.tol)
 
 
 def _search_upper(t, L, r, trials, rng, tol):
     """Try to find r random unit generators of L; returns (witness, trials used)."""
     k = L.dim
-    used = 0
-    for _ in range(trials):
-        used += 1
+    for used in range(1, trials + 1):
         coeff = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
         coeff /= np.linalg.norm(coeff, axis=0)
         G = L.basis @ coeff
         if krylov_closure(t, L.basis.conj().T @ G, tol=tol).dim == k:
             return [G[:, j] for j in range(r)], used
-    return None, used
+    return None, trials
 
 
 def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):

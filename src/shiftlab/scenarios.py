@@ -429,7 +429,7 @@ def run_scenario(scn):
     sys = build_system(factors, tol=scn.tol)
     chain = f_chain(sys)
     struct = verify_compression_structure(sys, chain, seed=scn.seed)
-    comp_S, comp_F = struct.compressions[0], struct.compressions[-1]
+    comp_S, comp_F = struct.compressions
 
     hyp, failed = _factor_hypotheses(factors, scn)
     mode = "equality" if not failed else "inequality_only"

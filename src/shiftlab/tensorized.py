@@ -307,7 +307,7 @@ class StructureReport:
     commutativity: dict
     block_structure: dict
     power_identity: dict
-    # the tuple compressed to S, F_1, ..., F_{n-1}, for callers to reuse
+    # the tuple compressed to S and to F, for callers to reuse
     compressions: list = field(default_factory=list, repr=False, compare=False)
 
     def families(self):
@@ -448,7 +448,7 @@ def verify_compression_structure(sys, chain=None, seed=42):
     * power_identity -- compressed powers act summand-by-summand:
       (P_F T~ P_F)^k = sum_i P_{M_i} T~^k P_{M_i} on F for 1 <= |k| <= 3.
 
-    The tuple is compressed to S once; each F_i's compression is a slice of it.
+    The tuple is compressed to S once; F's compression is a slice of it.
     """
     if chain is None:
         chain = f_chain(sys)
@@ -474,10 +474,8 @@ def verify_compression_structure(sys, chain=None, seed=42):
     block = {"off_diagonal": off, "diagonal_sum": off}
 
     comp_S = _compressed_to_S(sys, chain)
-    comps = [comp_S] + [
-        OperatorTuple(tuple(C[np.ix_(cols, cols)] for C in comp_S.ops), space=F_i)
-        for F_i, cols in zip(chain.F_chain, map(chain.columns, blocks[1:]))
-    ]
+    cols = chain.columns(blocks[-1])
+    comp_F = OperatorTuple(tuple(C[np.ix_(cols, cols)] for C in comp_S.ops), space=chain.F)
 
     # F's basis is the M_i bases side by side, so in F coordinates the right
     # side's block i is M_i^H T~^k M_i x_i.
@@ -492,14 +490,14 @@ def verify_compression_structure(sys, chain=None, seed=42):
         slot_maps = [functools.partial(sys.apply, i) for i in range(sys.n)]
         per_summand = [_compressed_powers(slot_maps, M @ X[a:b])
                        for M, a, b in zip(bases, edges, edges[1:])]
-        for lhs, *parts in zip(_compressed_powers(comps[-1].ops, X), *per_summand):
+        for lhs, *parts in zip(_compressed_powers(comp_F.ops, X), *per_summand):
             rhs = np.vstack([M.conj().T @ W for M, W in zip(bases, parts)])
             worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=0))))
 
     families = (_projection_identities(sys), chain_res, semi, comm, block,
                 {"summandwise_powers": worst})
     return StructureReport(*({k: float(v) for k, v in fam.items()} for fam in families),
-                           compressions=comps)
+                           compressions=[comp_S, comp_F])
 
 
 def coinvariant_eigenpairs(T, Q):

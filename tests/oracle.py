@@ -2,7 +2,8 @@
 
 Only raw numpy and scipy here: orbit spans are enumerated monomial by
 monomial, degree layer by degree layer (valid for commuting tuples), with one
-SVD of the stacked layers deciding dimensions, and multiplicities are
+SVD of the stacked layers deciding dimensions, or grown by the joint block
+Krylov loop (``joint_closure``, valid for any tuple), and multiplicities are
 bracketed by exhaustive corank sampling plus random generator search.  Slow
 but simple, for ambient dimensions up to ~10, and up to N = 36 at a tight
 rank tolerance.
@@ -61,6 +62,32 @@ def orbit_dim(ops, G, tol=1e-8, max_degree=None):
             return r
         r, layer = new_r, nxt
     return r
+
+
+def joint_closure(ops, G, tol=1e-10):
+    """Orthonormal basis of the closure of G's columns under ``ops``, the way
+    the package grew every closure before it ranked operator by operator: the
+    newest block is mapped through every operator, and one SVD ranks all of
+    its images, projected twice against the basis, at ``tol`` times
+    max(1, their largest singular value).  Valid for any tuple."""
+    d = ops[0].shape[0]
+
+    def ranked(M):
+        if not M.shape[1]:
+            return M[:, :0]
+        U, s, _ = np.linalg.svd(M, full_matrices=False)
+        return U[:, :int(np.sum(s > tol * max(1.0, s[0])))]
+
+    B, _ = np.linalg.qr(ranked(np.asarray(G, dtype=complex).reshape(d, -1)))
+    new = B
+    while new.shape[1] and B.shape[1] < d:
+        R = np.hstack([op @ new for op in ops])
+        for _ in range(2):
+            R = R - B @ (B.conj().T @ R)
+        U = ranked(R)[:, :d - B.shape[1]]
+        new, _ = np.linalg.qr(U - B @ (B.conj().T @ U))
+        B = np.hstack([B, new])
+    return B
 
 
 def corank_at(local_ops, lam, tol=1e-8):

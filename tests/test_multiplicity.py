@@ -9,13 +9,19 @@ from shiftlab import (
     OperatorTuple,
     SpaceKind,
     Subspace,
+    build_system,
+    f_chain,
     krylov_closure,
     local_corank,
     make_shift,
     multiplicity,
+    prefix_coinvariant,
     shifted_closure_check,
+    tensor_factor,
+    verify_compression_structure,
     wandering_subspace,
 )
+from shiftlab.subspaces import subspace_sine
 
 
 def two_jordan_blocks():
@@ -199,6 +205,87 @@ def test_krylov_closure_margin_is_its_closest_decision():
     assert closure.dim == 3 and closure.margin == pytest.approx(100.0, rel=1e-9)
     # a clear closure: every decision is far from the cut
     assert krylov_closure((np.eye(3),), np.eye(3)[:, :1]).margin > 1e9
+
+
+def prefix_comp_S(slots):
+    """The tuple of a prefix system, slots (kind, m, k), compressed to S."""
+    models = [(make_shift(kind, m), k) for kind, m, k in slots]
+    factors = [tensor_factor(model.operator, prefix_coinvariant(model, k)) for model, k in models]
+    sys_ = build_system(factors)
+    return verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
+
+
+WIDE_TUPLES = {
+    "hardy-4^4-k2": [(SpaceKind.hardy(), 4, 2)] * 4,
+    "mixed-6^3-k3": [(SpaceKind.hardy(), 6, 3), (SpaceKind.bergman(), 6, 3),
+                     (SpaceKind.dirichlet(), 6, 3)],
+}
+
+
+def closure_generators(comp_S, seed=11):
+    """W_S and one and two random unit generators, in S's coordinates."""
+    S = comp_S.space
+    yield S.basis.conj().T @ wandering_subspace(comp_S, S).basis
+    rng = np.random.default_rng(seed)
+    for r in (1, 2):
+        G = rng.standard_normal((S.dim, r)) + 1j * rng.standard_normal((S.dim, r))
+        yield G / np.linalg.norm(G, axis=0)
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_TUPLES))
+def test_wide_closures_match_the_joint_reference(name):
+    """Closures that rank operator by operator along ordered monomials span what
+    the joint loop spans, on wide commuting compressions to S."""
+    comp_S = prefix_comp_S(WIDE_TUPLES[name])
+    tol = comp_S.space.tol
+    for G in closure_generators(comp_S):
+        got = krylov_closure(comp_S, G, tol=tol)
+        want = Subspace(oracle.joint_closure(comp_S.ops, G, tol=tol), _checked=True)
+        assert got.dim == want.dim
+        assert subspace_sine(want, got) <= np.sin(tol)
+
+
+def test_closure_of_a_non_commuting_tuple_maps_every_direction():
+    """A: X -> Y and B: Y -> Z (identity blocks, 12 each) do not commute, so the
+    closure of X reaches Z = BAX.  Ordered monomials alone stop at X + Y = 24:
+    the commutation probe is what keeps every image."""
+    A, B = np.zeros((36, 36)), np.zeros((36, 36))
+    A[12:24, :12] = B[24:, 12:24] = np.eye(12)
+    G = np.eye(36)[:, :12]
+    assert krylov_closure((A, B), G).dim == 36
+    assert oracle.joint_closure([A, B], G).shape[1] == 36
+
+
+def test_wide_closure_ranks_fewer_columns_than_the_joint_loop(monkeypatch):
+    """Work counter: the W_S closure of hardy 4^4 k2 passes at most 0.6 times
+    the SVD columns of the joint loop, which maps every new direction through
+    every operator."""
+    comp_S = prefix_comp_S(WIDE_TUPLES["hardy-4^4-k2"])
+    G = next(closure_generators(comp_S))
+    columns = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda M, *a, **k: columns.append(M.shape[1])
+                        or real_svd(M, *a, **k))
+    assert oracle.joint_closure(comp_S.ops, G).shape[1] == comp_S.dim
+    joint, columns[:] = sum(columns), []
+    assert krylov_closure(comp_S, G).dim == comp_S.dim
+    assert sum(columns) <= 0.6 * joint, (sum(columns), joint)
+
+
+def test_corank_at_zero_and_wandering_subspace_share_one_factorization(monkeypatch):
+    """The compression to S factors its stack [C_1 ... C_n] once: the corank at 0
+    and the wandering subspace rank the same singular values, so they agree."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    comp_S = prefix_comp_S([(SpaceKind.hardy(), 4, 2), (SpaceKind.bergman(), 3, 1)])
+    S = comp_S.space
+    stacks = []
+    real_stacked = mm._stacked_svd
+    monkeypatch.setattr(mm, "_stacked_svd", lambda ops, *a, **k: stacks.append(len(ops))
+                        or real_stacked(ops, *a, **k))
+    corank = local_corank(comp_S, S, (0, 0))
+    assert corank == wandering_subspace(comp_S, S).dim == 2
+    assert multiplicity(comp_S, S, lambda_samples=[(0, 0)]).lower == corank
+    assert stacks == [2]
 
 
 def test_shifted_closure_check_random_sweep():

@@ -250,7 +250,7 @@ def test_slot_products_match_dense_operators(builder):
         assert np.linalg.norm(sys_.apply(i, V[:, 0]) - T @ V[:, 0]) <= 1e-13
     chain = f_chain(sys_)
     report = verify_compression_structure(sys_, chain)
-    spaces = [chain.S] + chain.F_chain
+    spaces = [chain.S, chain.F]
     assert len(report.compressions) == len(spaces)
     for space, comp in zip(spaces, report.compressions):
         assert comp.space is space
