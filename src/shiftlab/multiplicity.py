@@ -57,8 +57,10 @@ class OperatorTuple:
         ops = tuple(as_operator(A) for A in self.ops)
         if not ops:
             raise InputError("operator tuple must contain at least one operator")
-        if any(A.shape != ops[0].shape for A in ops):
-            raise InputError("operators in a tuple must share one ambient dimension")
+        d = ops[0].shape[0]
+        for A in ops[1:]:
+            if A.shape[0] != d:
+                raise InputError("operators in a tuple must share one ambient dimension")
         object.__setattr__(self, "ops", ops)
 
     @property
@@ -84,7 +86,7 @@ class OperatorTuple:
         return OperatorTuple(tuple(compress(op, L) for op in self.ops), space=L)
 
     @functools.cached_property
-    def stack(self):
+    def _stack(self):
         """U, s of [A_1 ... A_n], shared by the corank at 0 and the wandering subspace."""
         return _stacked_svd(self.ops)[:2]
 
@@ -119,11 +121,22 @@ _JOINT_WIDTH = 24  # fewer images than this: one joint SVD beats an SVD and a QR
 
 
 def _commutes(ops, tol):
-    """||A_i A_j x - A_j A_i x|| <= tol * max(1, ||A_i A_j x||) for one fixed-seed unit x."""
-    x = np.random.default_rng(0).standard_normal((ops[0].shape[0], 2)) @ [1, 1j]
-    Ax = [A @ (x / np.linalg.norm(x)) for A in ops]
-    return all(np.linalg.norm(A @ Ax[j] - ops[j] @ Ax[i]) <= tol * max(1, np.linalg.norm(A @ Ax[j]))
-               for i, A in enumerate(ops) for j in range(i))
+    """||[A_i, A_j] x|| <= tol ||C_i x|| ||C_j x|| for one fixed-seed random unit x, where
+    C_i = A_i - (tr A_i / d) I: [C_i, C_j] = [A_i, A_j], so no shift or scale of the
+    tuple moves the test.  What forming C_i C_j x rounds away, d eps ||A_i C_j x||, passes."""
+    d = ops[0].shape[0]
+    x = np.random.default_rng(0).standard_normal((d, 2)) @ [1, 1j]
+    x /= np.linalg.norm(x)
+    tau = [np.trace(A) / d for A in ops]
+    Cx = [A @ x - t * x for A, t in zip(ops, tau)]
+
+    def fits(i, j):
+        ACx = ops[i] @ Cx[j], ops[j] @ Cx[i]
+        gap = np.linalg.norm(ACx[0] - tau[i] * Cx[j] - ACx[1] + tau[j] * Cx[i])
+        rounding = d * np.finfo(float).eps * (np.linalg.norm(ACx[0]) + np.linalg.norm(ACx[1]))
+        return gap <= tol * np.linalg.norm(Cx[i]) * np.linalg.norm(Cx[j]) + rounding
+
+    return all(fits(i, j) for i in range(len(ops)) for j in range(i))
 
 
 def krylov_closure(A, G, tol=DEFAULT_TOL):
@@ -171,9 +184,10 @@ def shifted_closure_check(A, G, lam, tol=DEFAULT_TOL):
     """Closures are invariant under shifting each A_i by a scalar: verify it.
 
     Computes both closures independently, ranking at ``tol``, and returns
-    ``(agree, margin)``: whether they are the same subspace (``same_subspace``
-    at ``tol``) and the smaller of their ``margin``s, which says how far from a
-    tie the rank decisions behind that answer were.
+    ``(agree, margin)``: whether they are the same subspace (by dimension and
+    largest principal angle, threshold ``tol``) and the smaller of their two
+    ``margin``s, which says how far from a tie the rank decisions behind that
+    answer were.
     """
     t = _as_tuple(A)
     lam = _as_point(lam, t.n)
@@ -199,7 +213,7 @@ def wandering_subspace(A, L):
     L's coordinates, the left singular vectors of [C_1 ... C_n] past its rank."""
     if L.dim == 0:
         return Subspace.zero(L.ambient_dim, tol=L.tol)
-    U, s = _as_tuple(A).compressed(L).stack
+    U, s = _as_tuple(A).compressed(L)._stack
     return Subspace(L.basis @ U[:, numerical_rank(s, L.tol):], tol=L.tol, _checked=True)
 
 
@@ -213,20 +227,22 @@ def local_corank(A, L, lam, tol=None):
     if L.dim == 0:
         return 0
     t = t.compressed(L)
-    s = _stacked_svd(t.ops, lam, compute_uv=False) if any(lam) else t.stack[1]
+    s = _stacked_svd(t.ops, lam, compute_uv=False) if any(lam) else t._stack[1]
     return L.dim - numerical_rank(s, tol or L.tol)
 
 
 def _search_upper(t, L, r, trials, rng, tol):
     """Try to find r random unit generators of L; returns (witness, trials used)."""
     k = L.dim
-    for used in range(1, trials + 1):
+    used = 0
+    for _ in range(trials):
+        used += 1
         coeff = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
         coeff /= np.linalg.norm(coeff, axis=0)
         G = L.basis @ coeff
         if krylov_closure(t, L.basis.conj().T @ G, tol=tol).dim == k:
             return [G[:, j] for j in range(r)], used
-    return None, trials
+    return None, used
 
 
 def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):

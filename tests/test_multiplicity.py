@@ -245,15 +245,41 @@ def test_wide_closures_match_the_joint_reference(name):
         assert subspace_sine(want, got) <= np.sin(tol)
 
 
-def test_closure_of_a_non_commuting_tuple_maps_every_direction():
+@pytest.mark.parametrize("scale", [1.0, 1e-5])
+def test_closure_of_a_non_commuting_tuple_maps_every_direction(scale):
     """A: X -> Y and B: Y -> Z (identity blocks, 12 each) do not commute, so the
     closure of X reaches Z = BAX.  Ordered monomials alone stop at X + Y = 24:
-    the commutation probe is what keeps every image."""
+    the commutation probe is what keeps every image, at any scale of the tuple
+    and after a large shift, where the images still clear the rank cutoff."""
     A, B = np.zeros((36, 36)), np.zeros((36, 36))
-    A[12:24, :12] = B[24:, 12:24] = np.eye(12)
+    A[12:24, :12] = B[24:, 12:24] = scale * np.eye(12)
     G = np.eye(36)[:, :12]
     assert krylov_closure((A, B), G).dim == 36
     assert oracle.joint_closure([A, B], G).shape[1] == 36
+    lam = (1e5, -1e5j)
+    assert krylov_closure(OperatorTuple((A, B)).shifted(lam), G).dim == 36
+    assert shifted_closure_check((A, B), G, lam)[0]
+
+
+def test_commutation_probe_ignores_shift_and_scale():
+    """The probe measures the commutator against the centred operators, so a
+    commuting tuple stays commuting and a non-commuting one stays non-commuting
+    whatever scalar shift and scale the tuple carries, and it forgives the
+    rounding of forming the commutator."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    comp_S = prefix_comp_S(WIDE_TUPLES["hardy-4^4-k2"])
+    A, B = np.zeros((36, 36)), np.zeros((36, 36))
+    A[12:24, :12] = B[24:, 12:24] = np.eye(12)
+    for scale, shift in [(1.0, 0), (1e-5, 0), (1e5, 0), (1.0, 3 - 2j), (1e-5, 1e-3j)]:
+        commuting = OperatorTuple(tuple(scale * C for C in comp_S.ops)).shifted((shift,) * 4)
+        non_commuting = OperatorTuple((scale * A, scale * B)).shifted((shift, -shift))
+        assert mm._commutes(commuting.ops, 1e-10)
+        assert not mm._commutes(non_commuting.ops, 1e-10)
+    # a multiple of I, here compressed to another basis, commutes with anything,
+    # though centring it leaves only rounding
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((comp_S.dim, comp_S.dim)))
+    for c in (0.1, 0.43 - 0.09j):
+        assert mm._commutes((Q.T @ (c * Q), *comp_S.ops[:2]), 1e-10)
 
 
 def test_wide_closure_ranks_fewer_columns_than_the_joint_loop(monkeypatch):
