@@ -58,8 +58,10 @@ print("all identities hold at 1e-10:", report.ok(1e-10))
 # --- the distinguished wandering summands ---------------------------------------
 # Inside each block M_i sits E_i = (S_i (-) T_i S_i) tensored with adjoint
 # eigenvectors of the other factors; the compressed tuple acts on E_i like a
-# fixed scalar point with slot i zeroed out.
-wd = wandering_E(system)
+# fixed scalar point with slot i zeroed out.  E is built in S's coordinates,
+# and its alignment is read from the compression to S the check above made.
+comp_S, comp_F = report.compressions
+wd = wandering_E(system, chain, comp_S)
 print("\nfactor wandering dims:", wd.factor_wandering_dims)
 print("dim E =", wd.E.dim)
 print("per-summand shifted points:",

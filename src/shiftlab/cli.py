@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands, each with only the options it reads:
 
 * ``run <scenario.json>`` -- execute one scenario, print its report.
 * ``suite <dir>`` -- run every ``*.json`` scenario in a directory.
-* ``model dump <spec>`` -- print a model operator as interchange JSON.
+  Both take ``--tol``, ``--trials``, ``--seed``, ``--format`` and ``--out``.
+* ``model dump <spec>`` -- print a model operator as interchange JSON (``--out``).
 * ``closure <spec> <vectors.json>`` -- Krylov closure of given columns
-  under a single model operator.
+  under a single model operator, as JSON (``--tol``, ``--out``).
 
 Exit codes: 0 all checks passed, 1 some check failed, a multiplicity was
 left uncertified or a numerical routine did not converge, 2 configuration or
@@ -173,16 +174,16 @@ def _cmd_closure(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="rank-decision tolerance override")
-    common.add_argument("--trials", type=int, default=None,
-                        help="random generator trials override")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    common.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format for run/suite (default: text)")
-    common.add_argument("--out", default=None,
-                        help="write output to a file instead of stdout")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None, help="rank-decision tolerance override")
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--trials", type=int, default=None,
+                          help="random generator trials override")
+    settings.add_argument("--seed", type=int, default=None, help="RNG seed override")
+    settings.add_argument("--format", choices=("text", "json"), default="text",
+                          help="output format (default: text)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     p = argparse.ArgumentParser(
         prog="shiftlab",
@@ -191,22 +192,22 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("run", parents=[common], help="run one scenario file")
+    sp = sub.add_parser("run", parents=[tol, settings, out], help="run one scenario file")
     sp.add_argument("scenario", help="path to a scenario JSON file")
     sp.set_defaults(func=_cmd_run)
 
-    sp = sub.add_parser("suite", parents=[common],
+    sp = sub.add_parser("suite", parents=[tol, settings, out],
                         help="run every *.json scenario in a directory")
     sp.add_argument("directory", help="directory of scenario files")
     sp.set_defaults(func=_cmd_suite)
 
     mp = sub.add_parser("model", help="model utilities")
     msub = mp.add_subparsers(dest="model_command", required=True)
-    sp = msub.add_parser("dump", parents=[common], help="print a model operator as JSON")
+    sp = msub.add_parser("dump", parents=[out], help="print a model operator as JSON")
     sp.add_argument("spec", help="shorthand like hardy:4 or wb2:3, or a JSON factor file")
     sp.set_defaults(func=_cmd_model_dump)
 
-    sp = sub.add_parser("closure", parents=[common],
+    sp = sub.add_parser("closure", parents=[tol, out],
                         help="Krylov closure of vectors under one model")
     sp.add_argument("spec", help="model spec (shorthand or JSON factor file)")
     sp.add_argument("vectors", help="JSON matrix of generator columns")

@@ -18,12 +18,12 @@ L.  Certification brackets that integer:
 * upper bounds come from seeded random generating sets whose closure is
   verified to exhaust L.
 
-A result is certified exactly when the two bounds meet.  Work on L happens
-in L's coordinates, with the tuple compressed once per call, or not at all
-when it is an ``OperatorTuple`` whose ``space`` is L (it factors its stack
-once for the corank at 0 and the wandering subspace).  A closure is taken in
-the space its tuple acts on: to close inside L, pass the compressed tuple and
-generators in L's coordinates; it follows ordered monomials if A commutes.
+A result is certified exactly when the two bounds meet.  Every function
+works in the coordinates of the space its tuple acts on: ``multiplicity``,
+``local_corank`` and ``wandering_subspace`` take a tuple already compressed
+to L (``OperatorTuple.compressed``) and return wandering subspaces and
+witness generators in L's coordinates, as ``krylov_closure`` returns its
+closure.  Closures follow ordered monomials if A commutes.
 """
 
 import functools
@@ -48,10 +48,9 @@ from .subspaces import (
 
 @dataclass(eq=False)
 class OperatorTuple:
-    """Same-size square operators; with ``space`` = L, their compression to L."""
+    """Same-size square operators, acting on the coordinates of one space."""
 
     ops: tuple
-    space: Subspace | None = None
 
     def __post_init__(self):
         ops = tuple(as_operator(A) for A in self.ops)
@@ -78,12 +77,10 @@ class OperatorTuple:
         return OperatorTuple(tuple(A - l * eye for A, l in zip(self.ops, lam)))
 
     def compressed(self, L):
-        """The tuple compressed to L, in L's coordinates (itself if it already is)."""
-        if self.space is L:
-            return self
+        """The tuple compressed to L, in L's coordinates."""
         if L.ambient_dim != self.dim:
             raise InputError("subspace lives in the wrong ambient space")
-        return OperatorTuple(tuple(compress(op, L) for op in self.ops), space=L)
+        return OperatorTuple(tuple(compress(op, L) for op in self.ops))
 
     @functools.cached_property
     def _stack(self):
@@ -102,10 +99,13 @@ class MultiplicityResult:
     seed: int
 
 
-def _as_tuple(A):
-    if isinstance(A, OperatorTuple):
-        return A
-    return OperatorTuple(tuple(A))
+def _as_tuple(A, L=None):
+    """A as an OperatorTuple; given L, one acting on L's coordinates, C^{dim L}."""
+    t = A if isinstance(A, OperatorTuple) else OperatorTuple(tuple(A))
+    if L is not None and t.dim != L.dim:
+        raise InputError(f"the tuple acts on C^{t.dim}, not on the coordinates of a "
+                         f"{L.dim}-dimensional subspace: compress it to that subspace first")
+    return t
 
 
 def _as_point(lam, n):
@@ -209,38 +209,32 @@ def _stacked_svd(ops, lam=None, compute_uv=True):
 
 
 def wandering_subspace(A, L):
-    """W = L (-) sum_i (P_L A_i|_L) L, the orthogonal complement of the images: in
-    L's coordinates, the left singular vectors of [C_1 ... C_n] past its rank."""
-    if L.dim == 0:
-        return Subspace.zero(L.ambient_dim, tol=L.tol)
-    U, s = _as_tuple(A).compressed(L)._stack
-    return Subspace(L.basis @ U[:, numerical_rank(s, L.tol):], tol=L.tol, _checked=True)
+    """W = L (-) sum_i C_i L for the tuple C = A in L's coordinates, in those
+    coordinates: the left singular vectors of [C_1 ... C_n] past its rank."""
+    U, s = _as_tuple(A, L)._stack
+    return Subspace(U[:, numerical_rank(s, L.tol):], tol=L.tol, _checked=True)
 
 
 def local_corank(A, L, lam, tol=None):
-    """dim( L (-) sum_i (P_L A_i|_L - lam_i) L ), ranked at tol (default L.tol).
+    """dim( L (-) sum_i (C_i - lam_i) L ) for C = A on L, ranked at tol (default L.tol).
 
     A lower bound for the multiplicity.
     """
-    t = _as_tuple(A)
+    t = _as_tuple(A, L)
     lam = _as_point(lam, t.n)
-    if L.dim == 0:
-        return 0
-    t = t.compressed(L)
     s = _stacked_svd(t.ops, lam, compute_uv=False) if any(lam) else t._stack[1]
     return L.dim - numerical_rank(s, tol or L.tol)
 
 
-def _search_upper(t, L, r, trials, rng, tol):
-    """Try to find r random unit generators of L; returns (witness, trials used)."""
-    k = L.dim
+def _search_upper(t, r, trials, rng, tol):
+    """Try r random unit generators of the space t acts on; returns (witness, trials used)."""
+    k = t.dim
     used = 0
     for _ in range(trials):
         used += 1
-        coeff = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
-        coeff /= np.linalg.norm(coeff, axis=0)
-        G = L.basis @ coeff
-        if krylov_closure(t, L.basis.conj().T @ G, tol=tol).dim == k:
+        G = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
+        G /= np.linalg.norm(G, axis=0)
+        if krylov_closure(t, G, tol=tol).dim == k:
             return [G[:, j] for j in range(r)], used
     return None, used
 
@@ -259,22 +253,20 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
     two invariant subspaces, so its compression's joint eigenvalues lie in
     the product too; and the compression to F is block diagonal along the M_i.
 
-    A is compressed to L once, or not at all if it already is that
-    compression.  Coranks and closures decide ranks at ``tol`` (default
-    ``L.tol``).  The result is certified when the best corank lower bound
-    meets the smallest random-generator count that exhausts L; ``seed``
-    drives only that search.
+    A acts on L's coordinates, and so do the witness generators.  Coranks
+    and closures decide ranks at ``tol`` (default ``L.tol``).  The result is
+    certified when the best corank lower bound meets the smallest
+    random-generator count that exhausts L; ``seed`` drives only that search.
     """
     t = _as_tuple(A)
     if L is None:
         L = Subspace.full(t.dim, tol=tol or DEFAULT_TOL)
-        t = OperatorTuple(t.ops, space=L)  # already in the identity basis
+    t = _as_tuple(t, L)
     if tol is None:
         tol = L.tol
     k = L.dim
     if k == 0:
         return MultiplicityResult(0, 0, True, [], None, 0, seed)
-    t = t.compressed(L)
     pts = dict.fromkeys(_as_point(p, t.n) for p in lambda_samples)
     best_corank = 0
     witness_point = None
@@ -288,7 +280,7 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
     witnesses = None
     trials_used = 0
     for r in range(lower, k + 1):
-        w, used = _search_upper(t, L, r, trials, np.random.default_rng([seed, r]), tol)
+        w, used = _search_upper(t, r, trials, np.random.default_rng([seed, r]), tol)
         trials_used += used
         if w is not None:
             upper, witnesses = r, w

@@ -40,7 +40,6 @@ from .models import (
     matrix_from_json,
 )
 from .multiplicity import (
-    OperatorTuple,
     krylov_closure,
     multiplicity,
     shifted_closure_check,
@@ -332,7 +331,7 @@ def _factor_hypotheses(factors, scn):
     hyp = {}
     failed = []
     for i, f in enumerate(factors):
-        cyc = multiplicity(OperatorTuple((f.T,)), lambda_samples=[(z,) for z in f.spectrum],
+        cyc = multiplicity((f.T,), lambda_samples=[(z,) for z in f.spectrum],
                            trials=scn.trials, seed=scn.seed, tol=scn.tol)
         cyclic = bool(cyc.certified and cyc.upper == 1)
         gws_i = bool(f.wandering_generates)
@@ -382,7 +381,7 @@ def _structural_verdicts(scn, struct):
 SHIFT_LEMMA_MIN_MARGIN = 100.0
 
 
-def _shift_lemma_verdict(scn, sys, comp_S):
+def _shift_lemma_verdict(scn, sys, S, comp_S):
     """Seeded random draws of generators and shift points, closed inside S under
     the compressed tuple ``comp_S`` and its shift; the closures must agree.
 
@@ -392,7 +391,6 @@ def _shift_lemma_verdict(scn, sys, comp_S):
     is marginal, otherwise it agrees or disagrees.  The check fails on any
     disagreement, and when no draw agrees: all near-ties show nothing.
     """
-    S = comp_S.space
     rng = np.random.default_rng([scn.seed, 101])
     draws, agreed, marginal = 6, 0, 0
     for d in range(draws):
@@ -437,7 +435,7 @@ def run_scenario(scn):
     notes = []
     wdec = None
     try:
-        wdec = wandering_E(sys)
+        wdec = wandering_E(sys, chain, comp_S)
     except EigenError as exc:
         notes.append(f"distinguished summands unavailable: {exc}")
 
@@ -450,14 +448,13 @@ def run_scenario(scn):
         comp_F, chain.F, lambda_samples=points,
         trials=scn.trials, seed=scn.seed, tol=scn.tol,
     )
-    W_S = wandering_subspace(comp_S, chain.S)
-    G_S = chain.S.basis.conj().T @ W_S.basis  # in S's coordinates, where comp_S acts
-    gws_S = krylov_closure(comp_S, G_S, tol=chain.S.tol).dim == chain.S.dim
+    W_S = wandering_subspace(comp_S, chain.S)  # in S's coordinates, where comp_S acts
+    gws_S = krylov_closure(comp_S, W_S.basis, tol=chain.S.tol).dim == chain.S.dim
 
     verdicts = _structural_verdicts(scn, struct)
     for name in scn.checks:
         if name == "shift_lemma":
-            verdicts[name] = _shift_lemma_verdict(scn, sys, comp_S)
+            verdicts[name] = _shift_lemma_verdict(scn, sys, chain.S, comp_S)
         elif name == "gws":
             consistent = True
             if gws_S and mult_S.certified:

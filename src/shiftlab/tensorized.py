@@ -24,9 +24,9 @@ U_s = [Q_s | S_s].  They split C^N into kind-blocks, one per word k in
 each F_i and M_i is a union of blocks, and the gaps of the chain are set
 differences; no array bigger than S's N x dim S basis is formed.  T~_j
 maps block k into k and into k with slot j switched only, through blocks of
-U_j^H T_j U_j, so structural residuals are read from those slot blocks.  The
-embedded operators of distinct slots doubly commute exactly, by the
-mixed-product property, so that residual is recorded as 0.
+U_j^H T_j U_j, so structural residuals are read from those slot blocks, and
+E_i is built in M_i's block of S's coordinates.  The embedded operators of
+distinct slots doubly commute exactly, so that residual is recorded as 0.
 """
 
 import functools
@@ -113,14 +113,14 @@ class TensorFactor:
 
     @functools.cached_property
     def wandering(self):
-        """S (-) T S; when it generates S, its dimension is the multiplicity of T on S."""
+        """S (-) T S in S's coordinates; if it generates S, its dim is T's multiplicity on S."""
         return wandering_subspace(self._restriction, self.S)
 
     @functools.cached_property
     def wandering_generates(self):
         """Does the wandering subspace generate S under T?  Closed in S's coordinates."""
-        G = self.S.basis.conj().T @ self.wandering.basis
-        return krylov_closure(self._restriction, G, tol=self.S.tol).dim == self.S.dim
+        return krylov_closure(self._restriction, self.wandering.basis,
+                              tol=self.S.tol).dim == self.S.dim
 
 
 def tensor_factor(T, Q, tol=DEFAULT_TOL, label="", spectrum=None):
@@ -195,12 +195,6 @@ class TensorSystem:
         cols = [_kron_chain([f.Q.basis if k == "Q" else f.S.basis for f, k in zip(self.factors, b)])
                 for b in blocks]
         return np.hstack(cols) if cols else np.zeros((self.N, 0), dtype=complex)
-
-    def summand_subspace(self, kinds):
-        """Subspace with slot content 'S', 'Q' or 'I' per factor: its blocks side by side."""
-        if not set(kinds) <= {"S", "Q", "I"}:
-            raise InputError(f"unknown slot kinds in {kinds!r}")
-        return Subspace(self.block_bases(self.blocks(kinds)), tol=self.tol, _checked=True)
 
 
 def _flip(block, s):
@@ -408,8 +402,7 @@ def _compressed_to_S(sys, chain):
                         + [np.ravel_multi_index(g, sys.dims).ravel() for g in grids])
     E = np.zeros((sys.N, chain.S.dim), dtype=complex)
     E[at, np.arange(chain.S.dim)] = 1.0
-    return OperatorTuple(tuple(sys.apply(j, E, f.adapted)[at] for j, f in enumerate(sys.factors)),
-                         space=chain.S)
+    return OperatorTuple(tuple(sys.apply(j, E, f.adapted)[at] for j, f in enumerate(sys.factors)))
 
 
 def _compressed_powers(ops, V):
@@ -475,7 +468,7 @@ def verify_compression_structure(sys, chain=None, seed=42):
 
     comp_S = _compressed_to_S(sys, chain)
     cols = chain.columns(blocks[-1])
-    comp_F = OperatorTuple(tuple(C[np.ix_(cols, cols)] for C in comp_S.ops), space=chain.F)
+    comp_F = OperatorTuple(tuple(C[np.ix_(cols, cols)] for C in comp_S.ops))
 
     # F's basis is the M_i bases side by side, so in F coordinates the right
     # side's block i is M_i^H T~^k M_i x_i.
@@ -524,7 +517,7 @@ def coinvariant_eigenpairs(T, Q):
 
 @dataclass(eq=False)
 class WanderingDecomposition:
-    """The distinguished summands E_i = (S_i (-) T_i S_i) (x) (x)_{j != i} C v_j."""
+    """The summands E_i = (S_i (-) T_i S_i) (x) (x)_{j != i} C v_j, in S's coordinates."""
 
     E: Subspace
     summands: list
@@ -534,17 +527,19 @@ class WanderingDecomposition:
     alignment_residual: float
 
 
-def wandering_E(sys):
-    """Build the E summands from factor wandering subspaces and kernel eigenvectors.
+def wandering_E(sys, chain, comp_S):
+    """Build the E summands in S's coordinates from factor wandering subspaces
+    and adjoint eigenvectors.
 
     Each factor's ``eigenpair`` T_i^H v_i = conj(alpha_i) v_i with v_i in Q_i
     is used; EigenError is raised when there is none or its residual exceeds
-    sys.tol.  S_i (-) T_i S_i is the factor's ``wandering`` subspace.  Also
-    computes, for every i and j, the residual of
+    sys.tol.  E_i fills M_i's kind-block columns of S (``chain``) with the kron
+    product of the factor's ``wandering`` coordinates at slot i and Q_j^H v_j
+    at each other slot j.  Also computes, for every i and j, the residual of
 
         E_i^H T~_j M_i - lam^{(i)}_j E_i^H M_i = 0
 
-    on the bases of E_i and M_i (the basis form of
+    from M_i's block of ``comp_S``, the tuple compressed to S (the basis form of
     P_{E_i} (P_{M_i} T~_j P_{M_i} - lam^{(i)}_j P_{M_i}) = 0, as E_i lies in
     M_i), where lam^{(i)} has alpha_j off slot i and 0 at slot i.  These
     ``shift_points`` go into the report only; coranks use joint_spectrum.
@@ -560,29 +555,28 @@ def wandering_E(sys):
             )
         eigens.append(f.eigenpair)
 
-    summands = []
-    for i in range(sys.n):
-        cols = [sys.factors[i].wandering.basis if j == i else eigens[j][1].reshape(-1, 1)
-                for j in range(sys.n)]
-        summands.append(Subspace(_kron_chain(cols), ambient_dim=sys.N, tol=sys.tol,
-                                 _checked=True))
-    E = Subspace(np.hstack([s.basis for s in summands]), tol=sys.tol, _checked=False)
-
     shift_points = [
         tuple(0.0 + 0.0j if j == i else eigens[j][0] for j in range(sys.n)) for i in range(sys.n)
     ]
 
+    edges = np.cumsum([0] + [f.wandering.dim for f in sys.factors])
+    E = np.zeros((chain.S.dim, edges[-1]), dtype=complex)
     align = 0.0
-    for i in range(sys.n):
-        M_i = sys.summand_subspace("Q" * i + "S" + "Q" * (sys.n - i - 1)).basis
-        E_h = summands[i].basis.conj().T
-        EM = E_h @ M_i
-        for j, lam in enumerate(shift_points[i]):
-            align = max(align, opnorm(E_h @ sys.apply(j, M_i) - lam * EM))
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        if lo == hi:
+            continue
+        rows = chain.columns(["Q" * i + "S" + "Q" * (sys.n - i - 1)])
+        X = _kron_chain([f.wandering.basis if j == i else (f.Q.basis.conj().T @ e[1])[:, None]
+                         for j, (f, e) in enumerate(zip(sys.factors, eigens))])
+        E[rows, lo:hi] = X
+        X_h = X.conj().T
+        for C, lam in zip(comp_S.ops, shift_points[i]):
+            align = max(align, opnorm(X_h @ C[np.ix_(rows, rows)] - lam * X_h))
 
     return WanderingDecomposition(
-        E=E,
-        summands=summands,
+        E=Subspace(E, tol=sys.tol, _checked=False),
+        summands=[Subspace(E[:, lo:hi], tol=sys.tol, _checked=True)
+                  for lo, hi in zip(edges, edges[1:])],
         factor_wandering_dims=[f.wandering.dim for f in sys.factors],
         eigen_data=eigens,
         shift_points=shift_points,

@@ -10,8 +10,9 @@ rank tolerance.
 Principal angles come from scipy.linalg.subspace_angles; the package itself
 does not import scipy.  Dense references that only tests read live here too:
 pairwise commutator norms, the X_i projections, the N x N embedded operators
-T~_i that the package applies only slot by slot, and every structural
-residual family of ``verify_compression_structure`` from N x N projectors.
+T~_i that the package applies only slot by slot, every structural
+residual family of ``verify_compression_structure`` from N x N projectors,
+and the distinguished summands E_i as N-row kron products.
 """
 
 import functools
@@ -165,6 +166,34 @@ def commutator_residual(ops):
 
 def _projector(sub):
     return sub.basis @ sub.basis.conj().T
+
+
+def summand_projector(sys_, i):
+    """P_{M_i} = P_{Q_1} (x) .. P_{S_i} .. (x) P_{Q_n}, dense N x N."""
+    return functools.reduce(np.kron, [_projector(f.S if j == i else f.Q)
+                                      for j, f in enumerate(sys_.factors)])
+
+
+def distinguished_summands(sys_, alphas, tol=1e-10):
+    """N-row orthonormal bases of E_i = (S_i (-) T_i S_i) (x) (x)_{j != i} C v_j, as dense
+    kron products, numpy only: S_i (-) T_i S_i as the complement in S_i of the
+    left singular vectors of T_i S_i above ``tol``, and v_j the null vector of
+    (T_j^H - conj(alpha_j)) on Q_j, which must be one-dimensional."""
+    out = []
+    for i in range(sys_.n):
+        cols = []
+        for j, f in enumerate(sys_.factors):
+            if j == i:
+                U, s, _ = np.linalg.svd(f.T @ f.S.basis, full_matrices=False)
+                rank = int(np.sum(s > tol * max(1.0, s[0]))) if s.size else 0
+                cols.append(_complement(f.S.basis, U[:, :rank]))
+                continue
+            A = (f.T.conj().T - np.conj(alphas[j]) * np.eye(f.T.shape[0])) @ f.Q.basis
+            _, s, Vh = np.linalg.svd(A)
+            assert s[-1] <= tol and (len(s) == 1 or s[-2] > tol), s
+            cols.append(f.Q.basis @ Vh[-1].conj()[:, None])
+        out.append(functools.reduce(np.kron, cols))
+    return out
 
 
 def x_projections(sys_):

@@ -279,6 +279,23 @@ def test_closure_bad_tol_is_exit_2(tmp_path, capsys):
         assert _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["model", "dump", "hardy:3", "--tol", "1e-8"], ["model", "dump", "hardy:3", "--trials", "3"],
+    ["model", "dump", "hardy:3", "--seed", "3"], ["model", "dump", "hardy:3", "--format", "json"],
+    ["closure", "hardy:4", "GEN", "--trials", "3"], ["closure", "hardy:4", "GEN", "--seed", "3"],
+    ["closure", "hardy:4", "GEN", "--format", "text"],
+], ids=" ".join)
+def test_options_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, capsys):
+    """model dump reads only --out, and closure only --tol and --out: any other
+    setting is refused with exit 2 rather than accepted and ignored."""
+    gen = tmp_path / "gen.json"
+    dump_matrix(np.eye(4)[:, :1], gen)
+    with pytest.raises(SystemExit) as exc:
+        main([str(gen) if a == "GEN" else a for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("where", ["matrix", "basis", "closure"])
 def test_bool_in_nested_rows_is_exit_2(where, tmp_path, capsys):
     hardy = {"kind": "hardy", "m": 2, "coinvariant": {"prefix": 1}}

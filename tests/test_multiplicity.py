@@ -79,8 +79,10 @@ def close_inside(A, L, G):
 
 
 def wandering_generates(A, L):
-    """Does L's wandering subspace generate L under A compressed to L?"""
-    return close_inside(A, L, wandering_subspace(A, L).basis).dim == L.dim
+    """Does L's wandering subspace generate L under A compressed to L?  Both the
+    wandering subspace and the closure are in L's coordinates."""
+    local = OperatorTuple(tuple(A)).compressed(L)
+    return krylov_closure(local, wandering_subspace(local, L).basis, tol=L.tol).dim == L.dim
 
 
 def test_krylov_closure_restricted():
@@ -95,7 +97,8 @@ def test_krylov_closure_restricted():
 
 
 def test_closure_in_a_zero_space_is_zero():
-    """A tuple compressed to the zero subspace acts on C^0, where every closure is {0}."""
+    """A tuple compressed to the zero subspace acts on C^0, where every closure,
+    wandering subspace and corank is {0} or 0."""
     L = Subspace.zero(3)
     local = OperatorTuple((np.eye(3),)).compressed(L)
     assert local.dim == 0
@@ -103,6 +106,26 @@ def test_closure_in_a_zero_space_is_zero():
         closure = krylov_closure(local, G)
         assert (closure.dim, closure.ambient_dim) == (0, 0)
     assert close_inside((np.eye(3),), L, np.ones((3, 1))).dim == 0
+    W = wandering_subspace(local, L)
+    assert (W.dim, W.ambient_dim) == (0, 0)
+    assert local_corank(local, L, (0.0,)) == local_corank(local, L, (0.5,)) == 0
+
+
+def test_ambient_tuple_on_a_proper_subspace_is_an_input_error():
+    """The three L-functions take the tuple in L's coordinates; an ambient tuple
+    of another size is refused, not compressed behind the caller's back."""
+    T = make_shift(SpaceKind.hardy(), 5).operator
+    L = Subspace(np.eye(5)[:, 2:], _checked=True)
+    with pytest.raises(InputError):
+        multiplicity((T,), L, lambda_samples=ORIGIN)
+    with pytest.raises(InputError):
+        local_corank((T,), L, (0.0,))
+    with pytest.raises(InputError):
+        wandering_subspace((T,), L)
+    local = OperatorTuple((T,)).compressed(L)
+    res = multiplicity(local, L, lambda_samples=ORIGIN)
+    assert res.upper == 1 and res.witness_generators[0].shape == (L.dim,)
+    assert local_corank(local, L, (0.0,)) == wandering_subspace(local, L).dim == 1
 
 
 def test_krylov_closure_matches_bruteforce_orbit():
@@ -208,11 +231,12 @@ def test_krylov_closure_margin_is_its_closest_decision():
 
 
 def prefix_comp_S(slots):
-    """The tuple of a prefix system, slots (kind, m, k), compressed to S."""
+    """S of a prefix system, slots (kind, m, k), and its tuple compressed to S."""
     models = [(make_shift(kind, m), k) for kind, m, k in slots]
     factors = [tensor_factor(model.operator, prefix_coinvariant(model, k)) for model, k in models]
     sys_ = build_system(factors)
-    return verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
+    chain = f_chain(sys_)
+    return chain.S, verify_compression_structure(sys_, chain).compressions[0]
 
 
 WIDE_TUPLES = {
@@ -222,10 +246,9 @@ WIDE_TUPLES = {
 }
 
 
-def closure_generators(comp_S, seed=11):
+def closure_generators(S, comp_S, seed=11):
     """W_S and one and two random unit generators, in S's coordinates."""
-    S = comp_S.space
-    yield S.basis.conj().T @ wandering_subspace(comp_S, S).basis
+    yield wandering_subspace(comp_S, S).basis
     rng = np.random.default_rng(seed)
     for r in (1, 2):
         G = rng.standard_normal((S.dim, r)) + 1j * rng.standard_normal((S.dim, r))
@@ -236,9 +259,9 @@ def closure_generators(comp_S, seed=11):
 def test_wide_closures_match_the_joint_reference(name):
     """Closures that rank operator by operator along ordered monomials span what
     the joint loop spans, on wide commuting compressions to S."""
-    comp_S = prefix_comp_S(WIDE_TUPLES[name])
-    tol = comp_S.space.tol
-    for G in closure_generators(comp_S):
+    S, comp_S = prefix_comp_S(WIDE_TUPLES[name])
+    tol = S.tol
+    for G in closure_generators(S, comp_S):
         got = krylov_closure(comp_S, G, tol=tol)
         want = Subspace(oracle.joint_closure(comp_S.ops, G, tol=tol), _checked=True)
         assert got.dim == want.dim
@@ -267,7 +290,7 @@ def test_commutation_probe_ignores_shift_and_scale():
     whatever scalar shift and scale the tuple carries, and it forgives the
     rounding of forming the commutator."""
     mm = importlib.import_module("shiftlab.multiplicity")
-    comp_S = prefix_comp_S(WIDE_TUPLES["hardy-4^4-k2"])
+    _, comp_S = prefix_comp_S(WIDE_TUPLES["hardy-4^4-k2"])
     A, B = np.zeros((36, 36)), np.zeros((36, 36))
     A[12:24, :12] = B[24:, 12:24] = np.eye(12)
     for scale, shift in [(1.0, 0), (1e-5, 0), (1e5, 0), (1.0, 3 - 2j), (1e-5, 1e-3j)]:
@@ -286,8 +309,8 @@ def test_wide_closure_ranks_fewer_columns_than_the_joint_loop(monkeypatch):
     """Work counter: the W_S closure of hardy 4^4 k2 passes at most 0.6 times
     the SVD columns of the joint loop, which maps every new direction through
     every operator."""
-    comp_S = prefix_comp_S(WIDE_TUPLES["hardy-4^4-k2"])
-    G = next(closure_generators(comp_S))
+    S, comp_S = prefix_comp_S(WIDE_TUPLES["hardy-4^4-k2"])
+    G = next(closure_generators(S, comp_S))
     columns = []
     real_svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda M, *a, **k: columns.append(M.shape[1])
@@ -302,8 +325,7 @@ def test_corank_at_zero_and_wandering_subspace_share_one_factorization(monkeypat
     """The compression to S factors its stack [C_1 ... C_n] once: the corank at 0
     and the wandering subspace rank the same singular values, so they agree."""
     mm = importlib.import_module("shiftlab.multiplicity")
-    comp_S = prefix_comp_S([(SpaceKind.hardy(), 4, 2), (SpaceKind.bergman(), 3, 1)])
-    S = comp_S.space
+    S, comp_S = prefix_comp_S([(SpaceKind.hardy(), 4, 2), (SpaceKind.bergman(), 3, 1)])
     stacks = []
     real_stacked = mm._stacked_svd
     monkeypatch.setattr(mm, "_stacked_svd", lambda ops, *a, **k: stacks.append(len(ops))
@@ -375,14 +397,15 @@ def test_multiplicity_zero_operator_needs_full_basis():
 
 
 def test_multiplicity_zero_subspace():
-    res = multiplicity((np.eye(3),), Subspace.zero(3), lambda_samples=[(1.0,)])
+    L = Subspace.zero(3)
+    res = multiplicity(OperatorTuple((np.eye(3),)).compressed(L), L, lambda_samples=[(1.0,)])
     assert (res.lower, res.upper, res.certified) == (0, 0, True)
 
 
 def test_multiplicity_on_invariant_subspace():
     T = make_shift(SpaceKind.bergman(), 6).operator
     L = Subspace(np.eye(6)[:, 3:], _checked=True)
-    res = multiplicity((T,), L, lambda_samples=ORIGIN)
+    res = multiplicity(OperatorTuple((T,)).compressed(L), L, lambda_samples=ORIGIN)
     assert (res.lower, res.upper, res.certified) == (1, 1, True)
 
 

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from test_acceptance import _random_prefix_scenario
 
@@ -69,8 +70,10 @@ def test_compare_allow_prints_listed_paths_without_failing(tmp_path, capsys):
     allow = ["--allow", "residuals.chain", "verdicts.*.max_residual"]
     assert tool.main(["compare", *paths, *allow]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "residuals.chain: 1 of 2 reports (r0) (allowed)",
-        "verdicts.chain.max_residual: 1 of 2 reports (r1) (allowed)",
+        "residuals.chain: 1 of 2 reports (r0); max |A-B| 1e-16, max |A| 0, max |B| 1e-16"
+        " (allowed)",
+        "verdicts.chain.max_residual: 1 of 2 reports (r1); max |A-B| 1e-16, max |A| 0,"
+        " max |B| 1e-16 (allowed)",
     ]
     assert tool.main(["compare", *paths, "--allow", "residuals.chain"]) == 1
     assert tool.main(["compare", *paths]) == 1
@@ -86,3 +89,28 @@ def test_criterion_4_scenarios_match_the_acceptance_test():
     rng = np.random.default_rng(20250815)
     want = [_random_prefix_scenario(rng, 2 + trial % 2) for trial in range(20)]
     assert _tool().criterion_4_objects() == want
+
+
+def test_compare_quotes_the_size_of_numeric_moves(tmp_path, capsys):
+    """A moved number gets its largest |A - B| and each side's largest magnitude
+    over the reports it moved in; booleans, lists and non-finite values get none."""
+    tool = _tool()
+    a = {f"r{i}": {"alignment": 1e-15 * i, "count": 3, "passed": True, "point": [0.0, 1.0],
+                   "sine": 1.0} for i in range(4)}
+    b = json.loads(json.dumps(a))
+    b["r1"]["alignment"], b["r2"]["alignment"] = 1.2e-15, 1.7e-15
+    b["r3"]["count"], b["r3"]["passed"], b["r3"]["point"] = 5, False, [0.0, 2.0]
+    b["r0"]["sine"] = float("inf")
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    (tmp_path / "a.json").write_text(json.dumps(a))
+    (tmp_path / "b.json").write_text(json.dumps(b))
+    assert tool.spread(a, b, "alignment", ["r1", "r2"]) == pytest.approx((3e-16, 2e-15, 1.7e-15))
+    assert tool.main(["compare", *paths, "--allow", "*"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "alignment: 2 of 4 reports (r1, r2); max |A-B| 3e-16, max |A| 2e-15, max |B| 1.7e-15"
+        " (allowed)",
+        "count: 1 of 4 reports (r3); max |A-B| 2, max |A| 3, max |B| 5 (allowed)",
+        "passed: 1 of 4 reports (r3) (allowed)",
+        "point: 1 of 4 reports (r3) (allowed)",
+        "sine: 1 of 4 reports (r0) (allowed)",
+    ]

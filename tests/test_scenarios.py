@@ -19,7 +19,7 @@ from shiftlab import (
 import oracle
 from shiftlab.cli import main
 from shiftlab.models import dump_matrix, matrix_to_json, parse_roots
-from shiftlab.multiplicity import local_corank
+from shiftlab.multiplicity import OperatorTuple, local_corank
 from shiftlab.scenarios import report_to_text, resolve_factor
 from shiftlab.tensorized import build_system, f_chain, verify_compression_structure
 
@@ -267,8 +267,9 @@ def test_shift_lemma_verdict_gates_by_margin(monkeypatch, margin, tampered, expe
     assert sc.SHIFT_LEMMA_MIN_MARGIN == 100.0
     scn = scenario_from_json(hardy_obj())
     sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
-    comp_S = verify_compression_structure(sys_).compressions[0]
-    assert sc._shift_lemma_verdict(scn, sys_, comp_S) == {
+    chain = f_chain(sys_)
+    comp_S = verify_compression_structure(sys_, chain).compressions[0]
+    assert sc._shift_lemma_verdict(scn, sys_, chain.S, comp_S) == {
         "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
 
     real = mm.krylov_closure
@@ -283,7 +284,7 @@ def test_shift_lemma_verdict_gates_by_margin(monkeypatch, margin, tampered, expe
         return Subspace(got.basis[:, :-1], tol=got.tol, _checked=True, margin=margin)
 
     monkeypatch.setattr(mm, "krylov_closure", lopsided)
-    assert sc._shift_lemma_verdict(scn, sys_, comp_S) == expected
+    assert sc._shift_lemma_verdict(scn, sys_, chain.S, comp_S) == expected
     # draws alternate one and two generators; two generate S (mult(S) = 2)
     assert calls == [8, 8, 12, 12] * 3
 
@@ -490,7 +491,8 @@ def test_slot_points_alone_give_full_corank():
     S = f_chain(sys_).S
     points = sys_.joint_spectrum()
     assert len(points) == 4
-    assert max(local_corank(oracle.embedded_ops(sys_), S, p) for p in points) == 3
+    comp_S = OperatorTuple(oracle.embedded_ops(sys_)).compressed(S)
+    assert max(local_corank(comp_S, S, p) for p in points) == 3
     rep = run_scenario(scenario_from_json({"factors": factors, "seed": 2}))
     for m in rep.multiplicities.values():
         assert (m["lower"], m["upper"], m["certified"]) == (3, 3, True)
@@ -521,7 +523,9 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
     slot size, once per factor: the factor's wandering subspace and its gws
     test share that compression, and wandering_E reuses both, as it reuses the
     factor's one coinvariant_eigenpairs call.  The shift lemma closes inside S
-    under the compression the structure check made."""
+    under the compression the structure check made.  The wandering subspaces,
+    the generator search and E stay in the coordinates of their space: those
+    frames bind no array with N rows."""
     tz = importlib.import_module("shiftlab.tensorized")
     mm = importlib.import_module("shiftlab.multiplicity")
     obj = {
@@ -542,12 +546,14 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
     monkeypatch.setattr(tz, "coinvariant_eigenpairs",
                         lambda T, Q: eigen_calls.append(Q) or real_eigenpairs(T, Q))
 
-    seen = []
+    seen, local_only = [], {"wandering_subspace", "_search_upper", "wandering_E"}
 
     def scan(frame, values):
+        name = frame.f_code.co_name
         for v in values:
-            if isinstance(v, np.ndarray) and v.shape == (N, N):
-                seen.append(f"{frame.f_code.co_name} ({frame.f_code.co_filename})")
+            if isinstance(v, np.ndarray) and (v.shape == (N, N) or name in local_only
+                                              and v.ndim and v.shape[0] == N):
+                seen.append(f"{name} ({frame.f_code.co_filename})")
 
     def local(frame, event, arg):
         scan(frame, list(frame.f_locals.values()) + ([arg] if event == "return" else []))

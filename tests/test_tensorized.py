@@ -103,15 +103,26 @@ def four_factor_system():
     return build_system(factors)
 
 
-def dense_alignment(sys_, wd):
-    """max ||P_{E_i} (P_{M_i} T~_j P_{M_i} - lam_j P_{M_i})||_2 from N x N projectors."""
+def summand(sys_, kinds):
+    """The union of the kind-blocks with slot kinds 'S', 'Q' or 'I', blocks side by side."""
+    return Subspace(sys_.block_bases(sys_.blocks(kinds)), tol=sys_.tol, _checked=True)
+
+
+def distinguished(sys_):
+    """The chain, and wandering_E built in S's coordinates with the compression to S."""
+    chain = f_chain(sys_)
+    return chain, wandering_E(sys_, chain, verify_compression_structure(sys_, chain).compressions[0])
+
+
+def dense_alignment(sys_, chain, wd):
+    """max ||P_{E_i} (P_{M_i} T~_j P_{M_i} - lam_j P_{M_i})||_2 from N x N projectors,
+    E_i lifted from S's coordinates."""
     ops = oracle.embedded_ops(sys_)
     align = 0.0
     for i in range(sys_.n):
-        kinds = ["Q"] * sys_.n
-        kinds[i] = "S"
-        P_M = sys_.summand_subspace(kinds).projector()
-        P_E = wd.summands[i].projector()
+        P_M = oracle.summand_projector(sys_, i)
+        E_i = chain.S.basis @ wd.summands[i].basis
+        P_E = E_i @ E_i.conj().T
         for j, lam in enumerate(wd.shift_points[i]):
             align = max(align, opnorm(P_E @ (P_M @ ops[j] @ P_M - lam * P_M)))
     return align
@@ -146,8 +157,28 @@ def test_basis_residuals_match_dense_projector_forms(builder):
     chain = f_chain(sys_)
     report = verify_compression_structure(sys_, chain)
     _assert_matches_dense(report, oracle.dense_structure_report(sys_, chain), cap=RESID)
-    wd = wandering_E(sys_)
-    assert abs(wd.alignment_residual - dense_alignment(sys_, wd)) <= 1e-13
+    wd = wandering_E(sys_, chain, report.compressions[0])
+    assert abs(wd.alignment_residual - dense_alignment(sys_, chain, wd)) <= 1e-13
+
+
+@pytest.mark.parametrize("builder", [hardy_2x2_system, mixed_3_system, quotient_system,
+                                     complex_quotient_system, four_factor_system,
+                                     rotated_system])
+def test_E_in_S_coordinates_matches_the_dense_kronecker_E(builder):
+    """E is built in S's coordinates; lifted by S's basis, each E_i spans the dense
+    kron product of the slot wandering subspace and the adjoint eigenvectors,
+    and E lies in F."""
+    sys_ = builder()
+    chain, wd = distinguished(sys_)
+    assert wd.E.ambient_dim == chain.S.dim
+    want = oracle.distinguished_summands(sys_, [alpha for alpha, _, _ in wd.eigen_data])
+    for E_i, W in zip(wd.summands, want):
+        got = chain.S.basis @ E_i.basis
+        assert got.shape == W.shape
+        assert opnorm(got @ got.conj().T - W @ W.conj().T) <= 1e-13
+    E = Subspace(chain.S.basis @ wd.E.basis, _checked=True)
+    assert E.dim == sum(wd.factor_wandering_dims)
+    assert chain.F.containment_residual(E) <= 1e-13
 
 
 def _assert_matches_dense(report, dense, cap=None):
@@ -253,7 +284,6 @@ def test_slot_products_match_dense_operators(builder):
     spaces = [chain.S, chain.F]
     assert len(report.compressions) == len(spaces)
     for space, comp in zip(spaces, report.compressions):
-        assert comp.space is space
         for C, T in zip(comp.ops, ops):
             assert opnorm(C - compress(T, space)) <= 1e-13
 
@@ -264,7 +294,7 @@ def test_block_structure_sees_coupled_summands():
     sys_ = mixed_3_system()
     chain = f_chain(sys_)
     F_1 = chain.F_chain[0]
-    coupled = [sys_.summand_subspace(_chain_slot_kinds(3, 1, j)) for j in (1, 2, 3)]
+    coupled = [summand(sys_, _chain_slot_kinds(3, 1, j)) for j in (1, 2, 3)]
     assert np.array_equal(F_1.basis, np.hstack([M.basis for M in coupled]))
     wrong = dataclasses.replace(chain, F_summands=chain.F_summands[:1])
     assert np.array_equal(wrong.F.basis, F_1.basis)
@@ -381,7 +411,7 @@ def test_block_diagonality_is_specific_to_F():
     assert worst < RESID
     # F_1's second summand has a full slot; couplings are expected
     kinds = [_chain_slot_kinds(3, 1, j) for j in (1, 2, 3)]
-    subs = [sys_.summand_subspace(k) for k in kinds]
+    subs = [summand(sys_, k) for k in kinds]
     cross = max(
         opnorm(subs[p].projector() @ T @ subs[q].projector())
         for p in range(3) for q in range(3) if p != q for T in ops
@@ -411,22 +441,21 @@ def test_coinvariant_eigenpairs_quotient_complement():
 
 def test_wandering_E_hardy_case():
     sys_ = hardy_2x2_system()
-    chain = f_chain(sys_)
-    wd = wandering_E(sys_)
+    chain, wd = distinguished(sys_)
     assert wd.factor_wandering_dims == [1, 1]
     assert wd.E.dim == 2
     assert wd.alignment_residual < RESID
-    # E sits inside F, summand by summand inside the M_i
-    assert chain.F.containment_residual(wd.E) < RESID
+    # E, lifted from S's coordinates, sits inside F, summand by summand inside the M_i
+    S = chain.S.basis
+    assert chain.F.containment_residual(Subspace(S @ wd.E.basis, _checked=True)) < RESID
     for E_i, M_i in zip(wd.summands, chain.M_summands):
-        assert M_i.containment_residual(E_i) < RESID
+        assert M_i.containment_residual(Subspace(S @ E_i.basis, _checked=True)) < RESID
     assert wd.shift_points == [(0j, 0j), (0j, 0j)]
 
 
 def test_wandering_E_quotient_case():
     """The ideal factor contributes no wandering directions."""
-    sys_ = quotient_system()
-    wd = wandering_E(sys_)
+    _, wd = distinguished(quotient_system())
     assert wd.factor_wandering_dims == [0, 1]
     assert wd.E.dim == 1
     # the second summand's shifted point carries the first factor's eigenvalue
@@ -443,7 +472,9 @@ def test_factor_facts_are_computed_once():
     alpha, v, resid = f.eigenpair
     assert abs(alpha) < 1e-12 and resid < 1e-12
     assert f.wandering.dim == 1 and f.wandering_generates
-    assert f.S.containment_residual(f.wandering) < RESID
+    # in S's coordinates, orthogonal to T S
+    assert f.wandering.ambient_dim == f.S.dim
+    assert opnorm(f.wandering.basis.conj().T @ compress(f.T, f.S)) < RESID
     # the ideal factor of C[z]/((z - 0.3)(z + 0.5)): T is -0.5 I on S, no wandering vector
     q = quotient_system().factors[0]
     assert (q.S.dim, q.wandering.dim, q.wandering_generates) == (1, 0, False)
@@ -459,7 +490,7 @@ def test_wandering_E_needs_an_eigenpair_in_every_Q():
     T = make_shift(SpaceKind.hardy(), 3).operator
     sys_ = build_system([tensor_factor(T, Subspace.zero(3)), hardy_factor(3, 1)])
     with pytest.raises(EigenError):
-        wandering_E(sys_)
+        distinguished(sys_)
 
 
 def test_slot_spectrum_of_matrices():

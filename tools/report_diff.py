@@ -14,7 +14,10 @@
 It writes each ``Report.to_json()`` without ``elapsed_seconds`` to the JSON
 file OUT, keyed by scenario.  ``compare`` prints every field path whose value
 differs between two dumps, with the number of reports it differs in and the
-keys of the first five of them, and exits 1 if any does.  A path that
+keys of the first five of them, and exits 1 if any does.  Where both sides
+hold finite numbers at a changed path, it adds the largest |A - B| over the
+reports it changed in and each side's largest magnitude there, so that a
+rounding-level move can be quoted as printed.  A path that
 matches an ``--allow`` pattern (an ``fnmatch`` pattern such as
 ``residuals.chain`` or ``verdicts.*.max_residual``) is still printed, marked
 ``(allowed)``, but does not set the exit code.  To compare two
@@ -25,6 +28,7 @@ that BLAS sums in one order) and compare the files.  Stdlib and numpy only.
 import fnmatch
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -121,6 +125,21 @@ def compare(a, b):
     return changed
 
 
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def spread(a, b, path, keys):
+    """(max |A - B|, max |A|, max |B|) of ``path`` over the reports ``keys`` where
+    both sides hold a finite number there; None where none does."""
+    pairs = [(x, y) for x, y in ((_leaves(a[k]).get(path), _leaves(b[k]).get(path))
+                                 for k in keys) if _number(x) and _number(y)]
+    if not pairs:
+        return None
+    return (max(abs(x - y) for x, y in pairs), max(abs(x) for x, _ in pairs),
+            max(abs(y) for _, y in pairs))
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 2 and argv[0] == "dump":
@@ -142,7 +161,11 @@ def main(argv=None):
             keys = changed[path]
             more = ", ..." if len(keys) > 5 else ""
             mark = " (allowed)" if path in allowed else ""
-            print(f"{path}: {len(keys)} of {common} reports ({', '.join(keys[:5])}{more}){mark}")
+            moved = spread(a, b, path, keys)
+            size = "" if moved is None else ("; max |A-B| {:.3g}, max |A| {:.3g}, max |B| {:.3g}"
+                                             .format(*moved))
+            print(f"{path}: {len(keys)} of {common} reports ({', '.join(keys[:5])}{more})"
+                  f"{size}{mark}")
         if not changed:
             print(f"no field changed in {common} reports")
         return 1 if changed.keys() - allowed or a.keys() != b.keys() else 0
