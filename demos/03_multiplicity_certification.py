@@ -6,8 +6,8 @@ The multiplicity of a commuting tuple on an invariant subspace L is the
 least number of vectors whose joint Krylov closure fills L.  Exact values
 are certified by bracketing: corank lower bounds at the joint eigenvalues
 of the compressed tuple, which the caller passes (valid because closures
-ignore scalar shifts of the tuple), against random generating sets that
-provably exhaust L.
+ignore scalar shifts of the tuple), against a generating set of that size
+that provably exhausts L: the wandering subspace first, then random draws.
 """
 
 import numpy as np
@@ -48,8 +48,9 @@ res = multiplicity((J,), lambda_samples=[(0.0,)])  # J is nilpotent: its spectru
 print(f"multiplicity bracket: [{res.lower}, {res.upper}], certified = {res.certified}")
 print("witness point:", res.witness_point)
 print("witness generators found:", len(res.witness_generators))
+print("wandering subspace generates:", res.wandering_generates)
+print("random generator trials used:", res.trials_used)
 
-# one random vector cannot generate; two almost surely do
 W = wandering_subspace((J,), L)
 print("wandering dimension =", W.dim, "(equals the certified multiplicity)")
 

@@ -178,7 +178,8 @@ def build_parser():
     tol.add_argument("--tol", type=float, default=None, help="rank-decision tolerance override")
     settings = argparse.ArgumentParser(add_help=False)
     settings.add_argument("--trials", type=int, default=None,
-                          help="random generator trials override")
+                          help="random generator draws at the corank bound, made only "
+                               "if the wandering subspace does not generate")
     settings.add_argument("--seed", type=int, default=None, help="RNG seed override")
     settings.add_argument("--format", choices=("text", "json"), default="text",
                           help="output format (default: text)")

@@ -15,10 +15,14 @@ L.  Certification brackets that integer:
   points are used, each once (see ``multiplicity``).  No random points are
   used: off the joint spectrum their corank is 0, and in floating point they
   can only add pseudospectral false positives;
-* upper bounds come from seeded random generating sets whose closure is
-  verified to exhaust L.
+* the upper bound is met by a set of ``lower`` generators whose closure is
+  verified to exhaust L: first the wandering subspace W = L (-) sum_i C_i L,
+  when the origin is sampled and W has exactly ``lower`` vectors, then up to
+  ``trials`` seeded random sets.  For a commuting tuple the corank over the
+  joint spectrum is the multiplicity (Nakayama's lemma), so no larger set is
+  tried: a miss leaves the uncertified bracket [lower, dim L].
 
-A result is certified exactly when the two bounds meet.  Every function
+A result is certified exactly when such a set is found.  Every function
 works in the coordinates of the space its tuple acts on: ``multiplicity``,
 ``local_corank`` and ``wandering_subspace`` take a tuple already compressed
 to L (``OperatorTuple.compressed``) and return wandering subspaces and
@@ -97,6 +101,7 @@ class MultiplicityResult:
     witness_point: tuple | None
     trials_used: int
     seed: int
+    wandering_generates: bool
 
 
 def _as_tuple(A, L=None):
@@ -226,19 +231,6 @@ def local_corank(A, L, lam, tol=None):
     return L.dim - numerical_rank(s, tol or L.tol)
 
 
-def _search_upper(t, r, trials, rng, tol):
-    """Try r random unit generators of the space t acts on; returns (witness, trials used)."""
-    k = t.dim
-    used = 0
-    for _ in range(trials):
-        used += 1
-        G = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
-        G /= np.linalg.norm(G, axis=0)
-        if krylov_closure(t, G, tol=tol).dim == k:
-            return [G[:, j] for j in range(r)], used
-    return None, used
-
-
 def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
     """Bracket the multiplicity of the compression of A to L (default: all of C^N).
 
@@ -255,8 +247,12 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
 
     A acts on L's coordinates, and so do the witness generators.  Coranks
     and closures decide ranks at ``tol`` (default ``L.tol``).  The result is
-    certified when the best corank lower bound meets the smallest
-    random-generator count that exhausts L; ``seed`` drives only that search.
+    certified when ``lower`` generators exhaust L: W, read from the stack
+    factorization the corank at 0 made, is closed first if it has ``lower``
+    vectors (``wandering_generates`` says whether it exhausts L; True for
+    L = 0), then at most ``trials`` random draws of ``lower`` unit vectors from
+    ``default_rng([seed, lower])`` are closed.  ``trials_used`` counts those
+    draws.  Nothing past ``lower`` is searched: a miss gives [lower, dim L].
     """
     t = _as_tuple(A)
     if L is None:
@@ -266,31 +262,32 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
         tol = L.tol
     k = L.dim
     if k == 0:
-        return MultiplicityResult(0, 0, True, [], None, 0, seed)
+        return MultiplicityResult(0, 0, True, [], None, 0, seed, True)
     pts = dict.fromkeys(_as_point(p, t.n) for p in lambda_samples)
-    best_corank = 0
-    witness_point = None
-    for p in pts:
-        c = local_corank(t, L, p, tol=tol)
-        if c > best_corank:
-            best_corank, witness_point = c, p
+    coranks = {p: local_corank(t, L, p, tol=tol) for p in pts}
+    best_corank = max(coranks.values(), default=0)
+    witness_point = max(coranks, key=coranks.get) if best_corank else None
     # a nonzero subspace always needs at least one generator
     lower = max(1, best_corank)
-    upper = k
-    witnesses = None
+    G = None
+    if coranks.get((0j,) * t.n) == lower:  # W = U[:, rank:] has lower vectors: try it first
+        W = t._stack[0][:, k - lower:]
+        G = W if krylov_closure(t, W, tol=tol).dim == k else None
+    wandering = G is not None
+    rng = np.random.default_rng([seed, lower])
     trials_used = 0
-    for r in range(lower, k + 1):
-        w, used = _search_upper(t, r, trials, np.random.default_rng([seed, r]), tol)
-        trials_used += used
-        if w is not None:
-            upper, witnesses = r, w
-            break
+    while G is None and trials_used < trials:
+        trials_used += 1
+        D = rng.standard_normal((k, lower)) + 1j * rng.standard_normal((k, lower))
+        D /= np.linalg.norm(D, axis=0)
+        G = D if krylov_closure(t, D, tol=tol).dim == k else None
     return MultiplicityResult(
         lower=lower,
-        upper=upper,
-        certified=(lower == upper and witnesses is not None),
-        witness_generators=witnesses,
+        upper=k if G is None else lower,
+        certified=G is not None,
+        witness_generators=None if G is None else [G[:, j] for j in range(lower)],
         witness_point=witness_point,
         trials_used=trials_used,
         seed=seed,
+        wandering_generates=wandering,
     )

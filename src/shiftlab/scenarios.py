@@ -40,7 +40,6 @@ from .models import (
     matrix_from_json,
 )
 from .multiplicity import (
-    krylov_closure,
     multiplicity,
     shifted_closure_check,
     wandering_subspace,
@@ -449,21 +448,20 @@ def run_scenario(scn):
         trials=scn.trials, seed=scn.seed, tol=scn.tol,
     )
     W_S = wandering_subspace(comp_S, chain.S)  # in S's coordinates, where comp_S acts
-    gws_S = krylov_closure(comp_S, W_S.basis, tol=chain.S.tol).dim == chain.S.dim
+    gws_S = mult_S.wandering_generates  # mult(S) closed W_S first
 
     verdicts = _structural_verdicts(scn, struct)
     for name in scn.checks:
         if name == "shift_lemma":
             verdicts[name] = _shift_lemma_verdict(scn, sys, chain.S, comp_S)
         elif name == "gws":
-            consistent = True
-            if gws_S and mult_S.certified:
-                consistent = mult_S.upper == W_S.dim
+            # W_S generating certifies mult(S) = dim W_S, so status and
+            # applicable follow from has_gws
             verdicts[name] = {
-                "status": "pass" if consistent else "fail",
+                "status": "pass" if not gws_S or mult_S.upper == W_S.dim else "fail",
                 "has_gws": gws_S,
                 "wandering_dim": int(W_S.dim),
-                "applicable": bool(gws_S and mult_S.certified),
+                "applicable": gws_S,
             }
         elif name == "additive_formula":
             predicted = (

@@ -12,6 +12,7 @@ from shiftlab.models import dump_matrix, matrix_from_json
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 HARDY = str(SCENARIO_DIR / "hardy-2x2.json")
+QUOTIENT = str(SCENARIO_DIR / "quotient-zeros.json")
 
 
 def test_run_text_output(capsys):
@@ -232,19 +233,30 @@ def _one_error_line(capsys):
 
 
 def test_uncertified_multiplicity_is_exit_1(capsys):
-    """No generator trials leave mult(S) an uncertified bracket: exit 1, and the text says FAIL."""
-    assert main(["run", HARDY, "--trials", "0"]) == 1
+    """Where W_S does not generate, no generator trials leave mult(S) an uncertified
+    bracket: exit 1, and the text says FAIL."""
+    assert main(["run", QUOTIENT, "--trials", "0"]) == 1
     out = capsys.readouterr().out
     assert "(not certified)" in out
     assert "result: FAIL" in out and "result: PASS" not in out
 
 
+def test_wandering_subspaces_certify_without_generator_trials(capsys):
+    """hardy-2x2's W_S and W_F generate, so no random trial is needed."""
+    assert main(["run", HARDY, "--trials", "0", "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    for key in ("S", "F"):
+        res = rep["multiplicities"][key]
+        assert (res["lower"], res["upper"], res["certified"], res["trials_used"]) == (2, 2, True, 0)
+    assert rep["verdicts"]["gws"]["has_gws"] is True
+
+
 def test_suite_with_uncertified_multiplicity_is_exit_1(tmp_path, capsys):
-    (tmp_path / "hardy-2x2.json").write_text((SCENARIO_DIR / "hardy-2x2.json").read_text())
+    (tmp_path / "quotient-zeros.json").write_text(Path(QUOTIENT).read_text())
     assert main(["suite", str(tmp_path), "--trials", "0"]) == 1
     out = capsys.readouterr().out
     assert "mult(S) = [" in out
-    assert "[FAIL] hardy-2x2" in out and "[PASS]" not in out
+    assert "[FAIL] quotient-zeros" in out and "[PASS]" not in out
     assert "0/1 scenarios passed" in out
 
 

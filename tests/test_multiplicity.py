@@ -412,23 +412,24 @@ def test_multiplicity_on_invariant_subspace():
 def test_multiplicity_respects_extra_lambda_samples():
     # diagonal with a repeated eigenvalue away from the origin: the whole
     # spectrum and the repeated eigenvalue alone certify 2; the simple one
-    # alone bounds only 1
+    # alone bounds only 1, and no set larger than that bound is tried
     T = np.diag([0.7, 0.7, -0.2])
     res = multiplicity((T,), lambda_samples=[(0.7,), (-0.2,)])
     res2 = multiplicity((T,), lambda_samples=[(0.7,)])
     assert res.certified and res2.certified
     assert res.upper == res2.upper == 2
     res3 = multiplicity((T,), lambda_samples=[(-0.2,)])
-    assert (res3.lower, res3.upper, res3.certified) == (1, 2, False)
+    assert (res3.lower, res3.upper, res3.certified) == (1, 3, False)
 
 
 def test_multiplicity_uses_exactly_the_given_points(monkeypatch):
     """Only the given points are evaluated, each distinct point once."""
     mm = importlib.import_module("shiftlab.multiplicity")  # the package exports a function of that name
     T = two_jordan_blocks()
-    # 0.5 is not an eigenvalue: without the origin the bound is only 1
+    # 0.5 is not an eigenvalue: without the origin the bound is only 1, and
+    # the bracket stays [1, dim L]
     res = multiplicity((T,), lambda_samples=[(0.5,)])
-    assert (res.lower, res.upper, res.certified) == (1, 2, False)
+    assert (res.lower, res.upper, res.certified) == (1, 4, False)
     calls = []
     real = mm.local_corank
 
@@ -440,6 +441,50 @@ def test_multiplicity_uses_exactly_the_given_points(monkeypatch):
     res = multiplicity((T,), lambda_samples=[(0,), (0j,), 0.0, (0.5,)])
     assert (res.lower, res.upper, res.certified) == (2, 2, True)
     assert calls == [(0j,), (0.5 + 0j,)]
+
+
+def test_wandering_subspace_is_tried_before_any_random_draw():
+    """W has exactly `lower` vectors and generates: it certifies with no random
+    draws and is the witness.  L = 0 counts as generated by its W = 0."""
+    T = two_jordan_blocks()
+    res = multiplicity((T,), lambda_samples=ORIGIN, trials=0)
+    assert (res.lower, res.upper, res.certified) == (2, 2, True)
+    assert res.trials_used == 0 and res.wandering_generates
+    W = wandering_subspace((T,), Subspace.full(4))
+    assert subspace_sine(Subspace(np.column_stack(res.witness_generators)), W) < 1e-12
+    L = Subspace.zero(3)
+    assert multiplicity(OperatorTuple((np.zeros((0, 0)),)), L, lambda_samples=ORIGIN,
+                        trials=0).wandering_generates
+
+
+def test_a_short_wandering_subspace_is_not_closed(monkeypatch):
+    """The corank at 0.7 is 2 but at the origin 1: W is one vector short of the
+    bound, so it is not closed; random pairs certify 2."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    closed = []
+    real = mm.krylov_closure
+    monkeypatch.setattr(mm, "krylov_closure",
+                        lambda A, G, **kw: closed.append(np.shape(G)) or real(A, G, **kw))
+    res = multiplicity((np.diag([0.7, 0.7, 0.0]),), lambda_samples=[(0.0,), (0.7,)])
+    assert (res.lower, res.upper, res.certified) == (2, 2, True)
+    assert not res.wandering_generates and res.trials_used >= 1
+    assert closed == [(3, 2)] * res.trials_used
+
+
+def test_search_stops_at_the_corank_bound(monkeypatch):
+    """Off the spectrum of the 6 x 6 zero operator the bound is 1, and no single
+    vector generates.  A set larger than the bound could never certify (it
+    leaves lower < upper), so the search closes at most `trials` one-vector
+    draws and leaves [1, dim L]."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    closed = []
+    real = mm.krylov_closure
+    monkeypatch.setattr(mm, "krylov_closure",
+                        lambda A, G, **kw: closed.append(np.shape(G)) or real(A, G, **kw))
+    res = multiplicity((np.zeros((6, 6)),), lambda_samples=[(0.5,)])
+    assert (res.lower, res.upper, res.certified) == (1, 6, False)
+    assert res.trials_used == 64 and closed == [(6, 1)] * 64
+    assert not res.wandering_generates and res.witness_generators is None
 
 
 def test_one_tolerance_per_multiplicity_call():

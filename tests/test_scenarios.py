@@ -515,6 +515,30 @@ def test_scenario_evaluates_each_joint_eigenvalue_once(monkeypatch):
     assert calls == [(0j,), (0j,), (0j, 0j), (0j, 0j)]
 
 
+def test_a_run_without_the_shift_lemma_closes_S_once(monkeypatch):
+    """mult(S) closes W_S first, and the gws verdict reads that closure: with
+    every check but the shift lemma, one closure acts on S's coordinates."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    tz = importlib.import_module("shiftlab.tensorized")
+    dims = []
+    real = mm.krylov_closure
+
+    def counting(A, G, **kw):
+        dims.append(mm._as_tuple(A).dim)
+        return real(A, G, **kw)
+
+    monkeypatch.setattr(mm, "krylov_closure", counting)
+    monkeypatch.setattr(tz, "krylov_closure", counting)
+    obj = {
+        "factors": [{"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}} for _ in range(3)],
+        "checks": [c for c in ALL_CHECKS if c != "shift_lemma"],
+    }
+    rep = run_scenario(scenario_from_json(obj))
+    assert rep.succeeded and rep.dim_S == 56
+    assert dims.count(56) == 1
+    assert rep.verdicts["gws"]["has_gws"] and rep.multiplicities["S"]["trials_used"] == 0
+
+
 def test_structure_path_forms_no_dense_operator(monkeypatch):
     """A cube-structure-style run with every check, the shift lemma included,
     binds no N x N array to a name in any Python frame: S, its chain and the
