@@ -15,14 +15,15 @@ L.  Certification brackets that integer:
   points are used, each once (see ``multiplicity``).  No random points are
   used: off the joint spectrum their corank is 0, and in floating point they
   can only add pseudospectral false positives;
-* the upper bound is met by a set of ``lower`` generators whose closure is
-  verified to exhaust L: first the wandering subspace W = L (-) sum_i C_i L,
-  when the origin is sampled and W has exactly ``lower`` vectors, then up to
-  ``trials`` seeded random sets.  For a commuting tuple the corank over the
-  joint spectrum is the multiplicity (Nakayama's lemma), so no larger set is
-  tried: a miss leaves the uncertified bracket [lower, dim L].
+* the upper bound is the size of a set whose closure is verified to exhaust
+  L.  The wandering subspace W = L (-) sum_i C_i L is closed first unless it
+  has fewer than ``lower`` vectors: its length is the corank at 0, so a
+  shorter W cannot generate.  Otherwise up to ``trials`` seeded random sets
+  of ``lower`` vectors are closed.  For a commuting tuple the corank over the
+  joint spectrum is the multiplicity (Nakayama's lemma), so no set of
+  another size is drawn: a miss leaves the uncertified bracket [lower, dim L].
 
-A result is certified exactly when such a set is found.  Every function
+A result is certified exactly when ``lower`` vectors exhaust L.  Every function
 works in the coordinates of the space its tuple acts on: ``multiplicity``,
 ``local_corank`` and ``wandering_subspace`` take a tuple already compressed
 to L (``OperatorTuple.compressed``) and return wandering subspaces and
@@ -246,13 +247,13 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
     the product too; and the compression to F is block diagonal along the M_i.
 
     A acts on L's coordinates, and so do the witness generators.  Coranks
-    and closures decide ranks at ``tol`` (default ``L.tol``).  The result is
-    certified when ``lower`` generators exhaust L: W, read from the stack
-    factorization the corank at 0 made, is closed first if it has ``lower``
-    vectors (``wandering_generates`` says whether it exhausts L; True for
-    L = 0), then at most ``trials`` random draws of ``lower`` unit vectors from
-    ``default_rng([seed, lower])`` are closed.  ``trials_used`` counts those
-    draws.  Nothing past ``lower`` is searched: a miss gives [lower, dim L].
+    and closures decide ranks at ``tol`` (default ``L.tol``).  W, read from
+    the stack factorization the corank at 0 makes, is closed first unless it
+    is shorter than ``lower``; ``wandering_generates`` says whether it
+    exhausts L (True for L = 0).  If not, at most ``trials`` draws of
+    ``lower`` unit vectors from ``default_rng([seed, lower])`` are closed;
+    ``trials_used`` counts them.  ``upper`` is the size of the set found,
+    dim L on a miss; the result is certified when it is ``lower``.
     """
     t = _as_tuple(A)
     if L is None:
@@ -269,11 +270,12 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
     witness_point = max(coranks, key=coranks.get) if best_corank else None
     # a nonzero subspace always needs at least one generator
     lower = max(1, best_corank)
-    G = None
-    if coranks.get((0j,) * t.n) == lower:  # W = U[:, rank:] has lower vectors: try it first
-        W = t._stack[0][:, k - lower:]
-        G = W if krylov_closure(t, W, tol=tol).dim == k else None
-    wandering = G is not None
+    U, s = t._stack
+    W = U[:, numerical_rank(s, tol):]  # L (-) sum_i C_i L; its length is the corank at 0
+    # mult >= corank at 0: a shorter W cannot generate, and a longer generating W
+    # leaves no lower-vector set to find
+    wandering = W.shape[1] >= lower and krylov_closure(t, W, tol=tol).dim == k
+    G = W if wandering else None
     rng = np.random.default_rng([seed, lower])
     trials_used = 0
     while G is None and trials_used < trials:
@@ -283,9 +285,9 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
         G = D if krylov_closure(t, D, tol=tol).dim == k else None
     return MultiplicityResult(
         lower=lower,
-        upper=k if G is None else lower,
-        certified=G is not None,
-        witness_generators=None if G is None else [G[:, j] for j in range(lower)],
+        upper=k if G is None else G.shape[1],
+        certified=G is not None and G.shape[1] == lower,
+        witness_generators=None if G is None else list(G.T),
         witness_point=witness_point,
         trials_used=trials_used,
         seed=seed,

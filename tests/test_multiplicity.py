@@ -426,10 +426,9 @@ def test_multiplicity_uses_exactly_the_given_points(monkeypatch):
     """Only the given points are evaluated, each distinct point once."""
     mm = importlib.import_module("shiftlab.multiplicity")  # the package exports a function of that name
     T = two_jordan_blocks()
-    # 0.5 is not an eigenvalue: without the origin the bound is only 1, and
-    # the bracket stays [1, dim L]
+    # 0.5 is not an eigenvalue: without the origin the bound is only 1
     res = multiplicity((T,), lambda_samples=[(0.5,)])
-    assert (res.lower, res.upper, res.certified) == (1, 4, False)
+    assert (res.lower, res.upper, res.certified) == (1, 2, False)
     calls = []
     real = mm.local_corank
 
@@ -472,16 +471,22 @@ def test_a_short_wandering_subspace_is_not_closed(monkeypatch):
 
 
 def test_search_stops_at_the_corank_bound(monkeypatch):
-    """Off the spectrum of the 6 x 6 zero operator the bound is 1, and no single
-    vector generates.  A set larger than the bound could never certify (it
-    leaves lower < upper), so the search closes at most `trials` one-vector
-    draws and leaves [1, dim L]."""
+    """Off the spectrum of a 6 x 6 scalar operator the bound is 1.  For 0 the
+    wandering subspace is all of C^6: it generates at once and bounds mult by 6,
+    and with the corank at 0 being 6 no single vector can, so nothing is drawn.
+    For 0.3 I it is empty, and the search closes at most `trials` one-vector
+    draws: a set larger than the bound could never certify (it leaves
+    lower < upper).  Both leave [1, dim L]."""
     mm = importlib.import_module("shiftlab.multiplicity")
     closed = []
     real = mm.krylov_closure
     monkeypatch.setattr(mm, "krylov_closure",
                         lambda A, G, **kw: closed.append(np.shape(G)) or real(A, G, **kw))
     res = multiplicity((np.zeros((6, 6)),), lambda_samples=[(0.5,)])
+    assert (res.lower, res.upper, res.certified) == (1, 6, False)
+    assert res.trials_used == 0 and closed == [(6, 6)] and res.wandering_generates
+    closed.clear()
+    res = multiplicity((0.3 * np.eye(6),), lambda_samples=[(0.5,)])
     assert (res.lower, res.upper, res.certified) == (1, 6, False)
     assert res.trials_used == 64 and closed == [(6, 1)] * 64
     assert not res.wandering_generates and res.witness_generators is None

@@ -539,6 +539,26 @@ def test_a_run_without_the_shift_lemma_closes_S_once(monkeypatch):
     assert rep.verdicts["gws"]["has_gws"] and rep.multiplicities["S"]["trials_used"] == 0
 
 
+def test_a_conjugated_jordan_factor_keeps_its_generating_wandering_subspace():
+    """A unitarily conjugated nilpotent matrix factor has clustered eigvals
+    near 0 but not 0, so the origin is never sampled and the corank bound is
+    1.  W_S (two vectors) still generates S: mult(S) closes it, brackets
+    [1, 2] without a random draw, and has_gws stays True."""
+    Qr, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    T = Qr @ np.diag(np.ones(3), -1) @ Qr.T
+    obj = {"factors": [
+        {"kind": {"matrix": matrix_to_json(T)}, "coinvariant": {"basis": matrix_to_json(Qr[:, :2])}},
+        {"kind": "hardy", "m": 3, "coinvariant": {"prefix": 1}},
+    ], "seed": 1}
+    scn = scenario_from_json(obj)
+    assert 0 not in resolve_factor(obj["factors"][0], scn.tol).spectrum
+    rep = run_scenario(scn)
+    S = rep.multiplicities["S"]
+    assert (S["lower"], S["upper"], S["certified"], S["trials_used"]) == (1, 2, False, 0)
+    assert rep.verdicts["gws"] == {"status": "pass", "has_gws": True, "wandering_dim": 2,
+                                   "applicable": False}
+
+
 def test_structure_path_forms_no_dense_operator(monkeypatch):
     """A cube-structure-style run with every check, the shift lemma included,
     binds no N x N array to a name in any Python frame: S, its chain and the
@@ -570,7 +590,7 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
     monkeypatch.setattr(tz, "coinvariant_eigenpairs",
                         lambda T, Q: eigen_calls.append(Q) or real_eigenpairs(T, Q))
 
-    seen, local_only = [], {"wandering_subspace", "_search_upper", "wandering_E"}
+    seen, local_only = [], {"wandering_subspace", "multiplicity", "wandering_E"}
 
     def scan(frame, values):
         name = frame.f_code.co_name
