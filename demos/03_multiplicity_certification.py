@@ -32,8 +32,10 @@ for j in (0, 2, 4):
 # --- scalar shifts do not change closures ---------------------------------------
 rng = np.random.default_rng(0)
 G = rng.standard_normal((5, 1))
-agree, margin = shifted_closure_check((T,), G, (0.7,), tol=1e-8)
-print(f"closure equals closure of (T - 0.7 I): {agree} (rank margin {margin:.1e})")
+closed = krylov_closure((T,), G, tol=1e-8)
+points = [(0.7,), (-0.3 + 0.2j,)]
+for lam, (agree, margin) in zip(points, shifted_closure_check((T,), G, closed, points)):
+    print(f"closure equals closure of (T - {lam[0]} I): {agree} (rank margin {margin:.1e})")
 
 # --- corank lower bounds ----------------------------------------------------------
 # Two Jordan blocks need two generators; the corank at the origin sees it.
@@ -50,6 +52,10 @@ print("witness point:", res.witness_point)
 print("witness generators found:", len(res.witness_generators))
 print("wandering subspace generates:", res.wandering_generates)
 print("random generator trials used:", res.trials_used)
+# the witness's closure is all of L; shifting J does not change that
+filled = Subspace.full(4, margin=res.witness_margin)
+checks = shifted_closure_check((J,), res.witness_generators, filled, [(0.5,), (-1j,)])
+print("witness closure unchanged under two shifts:", all(agree for agree, _ in checks))
 
 W = wandering_subspace((J,), L)
 print("wandering dimension =", W.dim, "(equals the certified multiplicity)")

@@ -103,6 +103,7 @@ class MultiplicityResult:
     trials_used: int
     seed: int
     wandering_generates: bool
+    witness_margin: float | None
 
 
 def _as_tuple(A, L=None):
@@ -186,20 +187,19 @@ def krylov_closure(A, G, tol=DEFAULT_TOL):
     return Subspace(B, tol=tol, _checked=True, margin=margin)
 
 
-def shifted_closure_check(A, G, lam, tol=DEFAULT_TOL):
+def shifted_closure_check(A, G, closure, points, angle_tol=None):
     """Closures are invariant under shifting each A_i by a scalar: verify it.
 
-    Computes both closures independently, ranking at ``tol``, and returns
-    ``(agree, margin)``: whether they are the same subspace (by dimension and
-    largest principal angle, threshold ``tol``) and the smaller of their two
-    ``margin``s, which says how far from a tie the rank decisions behind that
-    answer were.
+    ``closure`` is G's closure under A; each point lam closes G under A - lam,
+    ranked at ``closure.tol`` too.  One ``(agree, margin)`` per point: whether
+    that closure is ``closure`` (by dimension, and if proper by largest principal
+    angle, threshold ``angle_tol``, default ``max(closure.tol, 1e-12)``) and the
+    smaller of the two ``margin``s: how far from a tie the rank decisions were.
     """
     t = _as_tuple(A)
-    lam = _as_point(lam, t.n)
-    plain = krylov_closure(t, G, tol=tol)
-    shifted = krylov_closure(t.shifted(lam), G, tol=tol)
-    return same_subspace(plain, shifted, tol=max(tol, 1e-12)), min(plain.margin, shifted.margin)
+    angle = max(closure.tol, 1e-12) if angle_tol is None else angle_tol
+    shifted = (krylov_closure(t.shifted(lam), G, tol=closure.tol) for lam in points)
+    return [(same_subspace(closure, c, tol=angle), min(closure.margin, c.margin)) for c in shifted]
 
 
 def _stacked_svd(ops, lam=None, compute_uv=True):
@@ -253,7 +253,8 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
     exhausts L (True for L = 0).  If not, at most ``trials`` draws of
     ``lower`` unit vectors from ``default_rng([seed, lower])`` are closed;
     ``trials_used`` counts them.  ``upper`` is the size of the set found,
-    dim L on a miss; the result is certified when it is ``lower``.
+    dim L on a miss; the result is certified when it is ``lower``.  The set
+    found is the witness; ``witness_margin`` is its closure's (None on a miss).
     """
     t = _as_tuple(A)
     if L is None:
@@ -263,7 +264,7 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
         tol = L.tol
     k = L.dim
     if k == 0:
-        return MultiplicityResult(0, 0, True, [], None, 0, seed, True)
+        return MultiplicityResult(0, 0, True, [], None, 0, seed, True, np.inf)
     pts = dict.fromkeys(_as_point(p, t.n) for p in lambda_samples)
     coranks = {p: local_corank(t, L, p, tol=tol) for p in pts}
     best_corank = max(coranks.values(), default=0)
@@ -274,7 +275,8 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
     W = U[:, numerical_rank(s, tol):]  # L (-) sum_i C_i L; its length is the corank at 0
     # mult >= corank at 0: a shorter W cannot generate, and a longer generating W
     # leaves no lower-vector set to find
-    wandering = W.shape[1] >= lower and krylov_closure(t, W, tol=tol).dim == k
+    closure = krylov_closure(t, W, tol=tol) if W.shape[1] >= lower else None
+    wandering = closure is not None and closure.dim == k
     G = W if wandering else None
     rng = np.random.default_rng([seed, lower])
     trials_used = 0
@@ -282,7 +284,8 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
         trials_used += 1
         D = rng.standard_normal((k, lower)) + 1j * rng.standard_normal((k, lower))
         D /= np.linalg.norm(D, axis=0)
-        G = D if krylov_closure(t, D, tol=tol).dim == k else None
+        closure = krylov_closure(t, D, tol=tol)
+        G = D if closure.dim == k else None
     return MultiplicityResult(
         lower=lower,
         upper=k if G is None else G.shape[1],
@@ -292,4 +295,5 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
         trials_used=trials_used,
         seed=seed,
         wandering_generates=wandering,
+        witness_margin=None if G is None else closure.margin,
     )

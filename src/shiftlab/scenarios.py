@@ -40,6 +40,7 @@ from .models import (
     matrix_from_json,
 )
 from .multiplicity import (
+    krylov_closure,
     multiplicity,
     shifted_closure_check,
     wandering_subspace,
@@ -380,37 +381,30 @@ def _structural_verdicts(scn, struct):
 SHIFT_LEMMA_MIN_MARGIN = 100.0
 
 
-def _shift_lemma_verdict(scn, sys, S, comp_S):
-    """Seeded random draws of generators and shift points, closed inside S under
-    the compressed tuple ``comp_S`` and its shift; the closures must agree.
+def _shift_lemma_verdict(scn, comp_S, mult_S):
+    """mult(S)'s witness must close inside S under ``comp_S`` shifted by six seeded
+    points as it does unshifted, in the closure ``multiplicity`` certified it by.
 
-    Draws 0-2 project an ambient Gaussian onto S (S's coordinates of P_S g),
-    draws 3-5 are Gaussian in S's coordinates.  Both closures rank at
-    ``angle_tol``; a draw whose smaller margin is below SHIFT_LEMMA_MIN_MARGIN
-    is marginal, otherwise it agrees or disagrees.  The check fails on any
-    disagreement, and when no draw agrees: all near-ties show nothing.
+    That closure fills S, so each shifted one, ranked at ``tol`` like it, is
+    compared by dimension.  With no witness, ``lower`` seeded Gaussian vectors are
+    closed unshifted first, and a proper closure is compared up to ``angle_tol``.
+    A draw whose smaller margin is below SHIFT_LEMMA_MIN_MARGIN is marginal; the
+    check fails on any other disagreement, and when no draw agrees: all near-ties
+    show nothing.
     """
     rng = np.random.default_rng([scn.seed, 101])
-    draws, agreed, marginal = 6, 0, 0
-    for d in range(draws):
-        if S.dim == 0:  # the closure of 0 is 0 under either tuple
-            agreed += 1
-            continue
-        r = 1 + d % 2
-        if d < 3:
-            g = rng.standard_normal((sys.N, r)) + 1j * rng.standard_normal((sys.N, r))
-            coeff = S.basis.conj().T @ g
-        else:
-            coeff = rng.standard_normal((S.dim, r)) + 1j * rng.standard_normal((S.dim, r))
-        coeff /= np.linalg.norm(coeff, axis=0)
-        rad = 0.9 * np.sqrt(rng.uniform(size=sys.n))
-        th = rng.uniform(0.0, 2 * np.pi, size=sys.n)
-        lam = tuple(rad * np.exp(1j * th))
-        agree, margin = shifted_closure_check(comp_S, coeff, lam, tol=scn.angle_tol)
-        if margin < SHIFT_LEMMA_MIN_MARGIN:
-            marginal += 1
-        elif agree:
-            agreed += 1
+    draws, n = 6, comp_S.n
+    points = [0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
+              for _ in range(draws)]
+    G = mult_S.witness_generators
+    if G is None:
+        G = rng.standard_normal((comp_S.dim, mult_S.lower, 2)) @ [1, 1j]
+        closure = krylov_closure(comp_S, G, tol=scn.tol)
+    else:
+        closure = Subspace.full(comp_S.dim, tol=scn.tol, margin=mult_S.witness_margin)
+    checks = shifted_closure_check(comp_S, G, closure, points, angle_tol=scn.angle_tol)
+    marginal = sum(margin < SHIFT_LEMMA_MIN_MARGIN for _, margin in checks)
+    agreed = sum(agree and margin >= SHIFT_LEMMA_MIN_MARGIN for agree, margin in checks)
     return {
         "status": "pass" if agreed and agreed + marginal == draws else "fail",
         "draws": draws,
@@ -453,7 +447,7 @@ def run_scenario(scn):
     verdicts = _structural_verdicts(scn, struct)
     for name in scn.checks:
         if name == "shift_lemma":
-            verdicts[name] = _shift_lemma_verdict(scn, sys, chain.S, comp_S)
+            verdicts[name] = _shift_lemma_verdict(scn, comp_S, mult_S)
         elif name == "gws":
             # a generating W_S is mult(S)'s witness, certified when the sampled
             # coranks reach dim W_S, so nothing is left to cross-check

@@ -221,7 +221,7 @@ def test_criterion_5_closure_shift_invariance():
         cols = int(rng.integers(1, 3))
         G = rng.standard_normal((d, cols)) + 1j * rng.standard_normal((d, cols))
         lam = tuple(rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops)))
-        agree, _ = shifted_closure_check(ops, G, lam, tol=1e-8)
+        (agree, _), = shifted_closure_check(ops, G, krylov_closure(ops, G, tol=1e-8), [lam])
         agreed += agree
     ok = agreed == total
     _verdict("criterion-5 shift-invariance", ok, f"{agreed}/{total} closures agreed")

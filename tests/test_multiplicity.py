@@ -281,7 +281,8 @@ def test_closure_of_a_non_commuting_tuple_maps_every_direction(scale):
     assert oracle.joint_closure([A, B], G).shape[1] == 36
     lam = (1e5, -1e5j)
     assert krylov_closure(OperatorTuple((A, B)).shifted(lam), G).dim == 36
-    assert shifted_closure_check((A, B), G, lam)[0]
+    (agree, _), = shifted_closure_check((A, B), G, krylov_closure((A, B), G), [lam])
+    assert agree
 
 
 def test_commutation_probe_ignores_shift_and_scale():
@@ -344,7 +345,7 @@ def test_shifted_closure_check_random_sweep():
         cols = int(rng.integers(1, 3))
         G = rng.standard_normal((d, cols)) + 1j * rng.standard_normal((d, cols))
         lam = rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops))
-        agree, _ = shifted_closure_check(ops, G, tuple(lam), tol=1e-8)
+        (agree, _), = shifted_closure_check(ops, G, krylov_closure(ops, G, tol=1e-8), [lam])
         assert agree, trial
 
 

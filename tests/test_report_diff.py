@@ -109,8 +109,40 @@ def test_compare_quotes_the_size_of_numeric_moves(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "alignment: 2 of 4 reports (r1, r2); max |A-B| 3e-16, max |A| 2e-15, max |B| 1.7e-15"
         " (allowed)",
-        "count: 1 of 4 reports (r3); max |A-B| 2, max |A| 3, max |B| 5 (allowed)",
+        "count: 1 of 4 reports (r3); max |A-B| 2, max |A| 3, max |B| 5; total A 12, B 14"
+        " (allowed)",
         "passed: 1 of 4 reports (r3) (allowed)",
         "point: 1 of 4 reports (r3) (allowed)",
         "sine: 1 of 4 reports (r0) (allowed)",
+    ]
+
+
+def test_compare_totals_integer_paths_over_the_common_reports(tmp_path, capsys):
+    """A moved path that holds only integers gets each side's total over every
+    report in both dumps, not only the moved ones, and reports that lack the path
+    add nothing; a path that also holds a float or a boolean gets none."""
+    tool = _tool()
+    a = {f"r{i}": {"verdicts": {"shift_lemma": {"agreed": 4, "marginal": 2}},
+                   "mixed": 1, "flag": 0} for i in range(3)}
+    a["r3"] = {"verdicts": {}, "mixed": 2.5, "flag": True}
+    a["only_a"] = {"verdicts": {"shift_lemma": {"agreed": 0, "marginal": 6}}, "mixed": 1, "flag": 0}
+    b = json.loads(json.dumps(a))
+    del b["only_a"]
+    for i in range(2):
+        b[f"r{i}"]["verdicts"]["shift_lemma"] = {"agreed": 6, "marginal": 0}
+    b["r0"]["mixed"], b["r0"]["flag"] = 3, 1
+    assert tool.totals(a, b, "verdicts.shift_lemma.marginal", ["r0", "r1", "r2", "r3"]) == (6, 2)
+    assert tool.totals(a, b, "mixed", ["r0", "r1", "r2", "r3"]) is None
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    (tmp_path / "a.json").write_text(json.dumps(a))
+    (tmp_path / "b.json").write_text(json.dumps(b))
+    assert tool.main(["compare", *paths, "--allow", "*"]) == 1  # only_a is on one side only
+    assert capsys.readouterr().out.splitlines() == [
+        "1 reports only in A: only_a",
+        "flag: 1 of 4 reports (r0); max |A-B| 1, max |A| 0, max |B| 1 (allowed)",
+        "mixed: 1 of 4 reports (r0); max |A-B| 2, max |A| 1, max |B| 3 (allowed)",
+        "verdicts.shift_lemma.agreed: 2 of 4 reports (r0, r1); max |A-B| 2, max |A| 4,"
+        " max |B| 6; total A 12, B 16 (allowed)",
+        "verdicts.shift_lemma.marginal: 2 of 4 reports (r0, r1); max |A-B| 2, max |A| 2,"
+        " max |B| 0; total A 6, B 2 (allowed)",
     ]

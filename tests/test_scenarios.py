@@ -19,7 +19,7 @@ from shiftlab import (
 import oracle
 from shiftlab.cli import main
 from shiftlab.models import dump_matrix, matrix_to_json, parse_roots
-from shiftlab.multiplicity import OperatorTuple, local_corank
+from shiftlab.multiplicity import OperatorTuple, local_corank, multiplicity
 from shiftlab.scenarios import report_to_text, resolve_factor
 from shiftlab.tensorized import build_system, f_chain, verify_compression_structure
 
@@ -232,11 +232,11 @@ def test_shift_lemma_passes_where_ambient_closures_leaked(name, slots, seed):
 
 
 def test_shift_lemma_marks_a_drop_near_the_cut_marginal():
-    """small-sweep seed 20 sweep-189 (dim S = 23): in draw 2 both closures stop
-    at 22 of the 23 dimensions they reach at tol, 5 and 2.8 times above the
-    cut, and differ by a sine of 0.35.  Measured from the cut, that is a
-    near-tie; the smallest kept over the largest dropped value, about 2e3, once
-    failed the check on it."""
+    """small-sweep seed 20 sweep-189 (dim S = 23): a random one-vector draw once
+    stopped at 22 of the 23 dimensions, 5 and 2.8 times above the cut, and was
+    marked marginal.  The check now shift-closes mult(S)'s witness W_S, which
+    fills S with a wide margin under every shift, so no draw is near the cut and
+    all six agree (the margin gate is test_shift_lemma_verdict_gates_by_margin)."""
     rep = run_scenario(scenario_from_json({
         "label": "sweep-189",
         "factors": [
@@ -248,20 +248,23 @@ def test_shift_lemma_marks_a_drop_near_the_cut_marginal():
         "checks": ["shift_lemma"],
         "seed": 20,
     }))
-    assert rep.verdicts["shift_lemma"] == {"status": "pass", "draws": 6, "agreed": 4, "marginal": 2}
+    assert rep.verdicts["shift_lemma"] == {"status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
     assert rep.succeeded
 
 
 @pytest.mark.parametrize("margin, tampered, expected", [
     (1e6, range(6), {"status": "fail", "draws": 6, "agreed": 0, "marginal": 0}),
+    (1e6, [2], {"status": "fail", "draws": 6, "agreed": 5, "marginal": 0}),
     (50.0, [0], {"status": "pass", "draws": 6, "agreed": 5, "marginal": 1}),
     (50.0, range(6), {"status": "fail", "draws": 6, "agreed": 0, "marginal": 6}),
-], ids=["wide-disagreement", "near-tie", "all-near-ties"])
+], ids=["wide-disagreement", "one-wide-disagreement", "near-tie", "all-near-ties"])
 def test_shift_lemma_verdict_gates_by_margin(monkeypatch, margin, tampered, expected):
-    """A shifted closure that misses one direction of the plain one in the
-    ``tampered`` draws: with a wide margin each is a disagreement and the check
-    fails; with a margin below SHIFT_LEMMA_MIN_MARGIN it is marginal and the
-    check passes on the other draws' agreement, but not when no draw agrees."""
+    """A shifted closure that misses one direction of the witness's closure in
+    the ``tampered`` draws: with a wide margin each is a disagreement and the
+    check fails, even on one; with a margin below SHIFT_LEMMA_MIN_MARGIN it is
+    marginal and the check passes on the other draws' agreement, but not when no
+    draw agrees.  mult(S) closes its witness W_S once, unshifted, and the check
+    reuses that closure: the six shifted closures are the only others."""
     mm = importlib.import_module("shiftlab.multiplicity")
     sc = importlib.import_module("shiftlab.scenarios")
     assert sc.SHIFT_LEMMA_MIN_MARGIN == 100.0
@@ -269,7 +272,12 @@ def test_shift_lemma_verdict_gates_by_margin(monkeypatch, margin, tampered, expe
     sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
     chain = f_chain(sys_)
     comp_S = verify_compression_structure(sys_, chain).compressions[0]
-    assert sc._shift_lemma_verdict(scn, sys_, chain.S, comp_S) == {
+
+    def mult_S():
+        return multiplicity(comp_S, chain.S, lambda_samples=sys_.joint_spectrum(),
+                            trials=scn.trials, seed=scn.seed, tol=scn.tol)
+
+    assert sc._shift_lemma_verdict(scn, comp_S, mult_S()) == {
         "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
 
     real = mm.krylov_closure
@@ -278,15 +286,65 @@ def test_shift_lemma_verdict_gates_by_margin(monkeypatch, margin, tampered, expe
     def lopsided(A, G, tol):
         got = real(A, G, tol=tol)
         calls.append(got.dim)
-        draw, shifted = divmod(len(calls) - 1, 2)
-        if not shifted or draw not in tampered:
+        if len(calls) - 2 not in tampered:
             return got
         return Subspace(got.basis[:, :-1], tol=got.tol, _checked=True, margin=margin)
 
     monkeypatch.setattr(mm, "krylov_closure", lopsided)
-    assert sc._shift_lemma_verdict(scn, sys_, chain.S, comp_S) == expected
-    # draws alternate one and two generators; two generate S (mult(S) = 2)
-    assert calls == [8, 8, 12, 12] * 3
+    assert sc._shift_lemma_verdict(scn, comp_S, mult_S()) == expected
+    # W_S fills S: once in mult(S), then once per shift
+    assert calls == [12] * 7
+
+
+def test_an_all_checks_run_closes_S_once_per_shift_point(monkeypatch):
+    """hardy 4^3 k2 (dim S = 56) with every check: mult(S) closes W_S, and the
+    shift lemma reuses that closure and closes W_S under six shifts: 7 closures
+    on S's coordinates."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    tz = importlib.import_module("shiftlab.tensorized")
+    dims = []
+    real = mm.krylov_closure
+
+    def counting(A, G, **kw):
+        dims.append(mm._as_tuple(A).dim)
+        return real(A, G, **kw)
+
+    for module in (mm, tz, importlib.import_module("shiftlab.scenarios")):
+        monkeypatch.setattr(module, "krylov_closure", counting)
+    obj = {"factors": [{"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}} for _ in range(3)]}
+    rep = run_scenario(scenario_from_json(obj))
+    assert rep.succeeded and rep.dim_S == 56 and list(rep.verdicts) == list(ALL_CHECKS)
+    assert dims.count(56) == 7
+    assert rep.verdicts["shift_lemma"] == {"status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
+
+
+def test_shift_lemma_without_a_witness_closes_gaussian_vectors(monkeypatch):
+    """quotient-zeros with no generator trials: W_S does not generate, so mult(S)
+    has no witness.  The check closes ``lower`` seeded Gaussian vectors once,
+    unshifted, then under each of the six shifts, and still gives a verdict."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    sc = importlib.import_module("shiftlab.scenarios")
+    scn = load_scenario(SCENARIO_DIR / "quotient-zeros.json")
+    scn.trials = 0
+    sys_ = build_system([resolve_factor(spec, scn.tol, scn.base_dir)
+                         for spec in scn.factor_specs], tol=scn.tol)
+    chain = f_chain(sys_)
+    comp_S = verify_compression_structure(sys_, chain).compressions[0]
+    res = multiplicity(comp_S, chain.S, lambda_samples=sys_.joint_spectrum(),
+                       trials=0, seed=scn.seed, tol=scn.tol)
+    assert res.witness_generators is None and res.witness_margin is None and res.lower == 1
+    widths = []
+    real = mm.krylov_closure
+
+    def counting(A, G, tol):
+        widths.append(np.shape(G))
+        return real(A, G, tol=tol)
+
+    monkeypatch.setattr(mm, "krylov_closure", counting)
+    monkeypatch.setattr(sc, "krylov_closure", counting)
+    assert sc._shift_lemma_verdict(scn, comp_S, res) == {
+        "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
+    assert widths == [(chain.S.dim, 1)] * 7
 
 
 def test_run_noncyclic_inequality():
@@ -590,7 +648,8 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
     monkeypatch.setattr(tz, "coinvariant_eigenpairs",
                         lambda T, Q: eigen_calls.append(Q) or real_eigenpairs(T, Q))
 
-    seen, local_only = [], {"wandering_subspace", "multiplicity", "wandering_E"}
+    seen, local_only = [], {"wandering_subspace", "multiplicity", "wandering_E",
+                            "_shift_lemma_verdict", "shifted_closure_check"}
 
     def scan(frame, values):
         name = frame.f_code.co_name

@@ -17,7 +17,9 @@ differs between two dumps, with the number of reports it differs in and the
 keys of the first five of them, and exits 1 if any does.  Where both sides
 hold finite numbers at a changed path, it adds the largest |A - B| over the
 reports it changed in and each side's largest magnitude there, so that a
-rounding-level move can be quoted as printed.  A path that
+rounding-level move can be quoted as printed.  Where the path holds only
+integers (not booleans), it also adds each side's total over the common
+reports, so that a moved count can be quoted as printed.  A path that
 matches an ``--allow`` pattern (an ``fnmatch`` pattern such as
 ``residuals.chain`` or ``verdicts.*.max_residual``) is still printed, marked
 ``(allowed)``, but does not set the exit code.  To compare two
@@ -140,6 +142,21 @@ def spread(a, b, path, keys):
             max(abs(y) for _, y in pairs))
 
 
+def _integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def totals(a, b, path, keys):
+    """(sum over A, sum over B) of ``path`` over the reports ``keys``, where every
+    value it holds there is an integer; None where some value is not, or none is
+    held."""
+    sides = [[v for v in (_leaves(d[k]).get(path) for k in keys) if v is not None]
+             for d in (a, b)]
+    if not any(sides) or not all(_integer(v) for side in sides for v in side):
+        return None
+    return sum(sides[0]), sum(sides[1])
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 2 and argv[0] == "dump":
@@ -155,7 +172,8 @@ def main(argv=None):
             if only:
                 print(f"{len(only)} reports only in {side}: {', '.join(sorted(only)[:5])}")
         changed = compare(a, b)
-        common = len(a.keys() & b.keys())
+        both = sorted(a.keys() & b.keys())
+        common = len(both)
         allowed = {path for path in changed if any(fnmatch.fnmatchcase(path, p) for p in allow)}
         for path in sorted(changed):
             keys = changed[path]
@@ -164,6 +182,8 @@ def main(argv=None):
             moved = spread(a, b, path, keys)
             size = "" if moved is None else ("; max |A-B| {:.3g}, max |A| {:.3g}, max |B| {:.3g}"
                                              .format(*moved))
+            total = totals(a, b, path, both)
+            size += "" if total is None else "; total A {}, B {}".format(*total)
             print(f"{path}: {len(keys)} of {common} reports ({', '.join(keys[:5])}{more})"
                   f"{size}{mark}")
         if not changed:
