@@ -53,8 +53,8 @@ print("witness generators found:", len(res.witness_generators))
 print("wandering subspace generates:", res.wandering_generates)
 print("random generator trials used:", res.trials_used)
 # the witness's closure is all of L; shifting J does not change that
-filled = Subspace.full(4, margin=res.witness_margin)
-checks = shifted_closure_check((J,), res.witness_generators, filled, [(0.5,), (-1j,)])
+checks = shifted_closure_check((J,), res.witness_generators, res.witness_closure,
+                               [(0.5,), (-1j,)])
 print("witness closure unchanged under two shifts:", all(agree for agree, _ in checks))
 
 W = wandering_subspace((J,), L)

@@ -103,7 +103,7 @@ class MultiplicityResult:
     trials_used: int
     seed: int
     wandering_generates: bool
-    witness_margin: float | None
+    witness_closure: Subspace | None
 
 
 def _as_tuple(A, L=None):
@@ -187,19 +187,22 @@ def krylov_closure(A, G, tol=DEFAULT_TOL):
     return Subspace(B, tol=tol, _checked=True, margin=margin)
 
 
-def shifted_closure_check(A, G, closure, points, angle_tol=None):
+def shifted_closure_check(A, G, closure, points):
     """Closures are invariant under shifting each A_i by a scalar: verify it.
 
     ``closure`` is G's closure under A; each point lam closes G under A - lam,
     ranked at ``closure.tol`` too.  One ``(agree, margin)`` per point: whether
     that closure is ``closure`` (by dimension, and if proper by largest principal
-    angle, threshold ``angle_tol``, default ``max(closure.tol, 1e-12)``) and the
-    smaller of the two ``margin``s: how far from a tie the rank decisions were.
+    angle, threshold ``max(closure.tol, 1e-12)``) and the smaller of the two
+    ``margin``s: how far from a tie the rank decisions were.
     """
     t = _as_tuple(A)
-    angle = max(closure.tol, 1e-12) if angle_tol is None else angle_tol
-    shifted = (krylov_closure(t.shifted(lam), G, tol=closure.tol) for lam in points)
-    return [(same_subspace(closure, c, tol=angle), min(closure.margin, c.margin)) for c in shifted]
+
+    def check(lam):  # one shifted closure alive at a time
+        c = krylov_closure(t.shifted(lam), G, tol=closure.tol)
+        return same_subspace(closure, c, tol=max(closure.tol, 1e-12)), min(closure.margin, c.margin)
+
+    return [check(lam) for lam in points]
 
 
 def _stacked_svd(ops, lam=None, compute_uv=True):
@@ -254,7 +257,7 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
     ``lower`` unit vectors from ``default_rng([seed, lower])`` are closed;
     ``trials_used`` counts them.  ``upper`` is the size of the set found,
     dim L on a miss; the result is certified when it is ``lower``.  The set
-    found is the witness; ``witness_margin`` is its closure's (None on a miss).
+    found is the witness; ``witness_closure`` is its closure (None on a miss).
     """
     t = _as_tuple(A)
     if L is None:
@@ -264,7 +267,8 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
         tol = L.tol
     k = L.dim
     if k == 0:
-        return MultiplicityResult(0, 0, True, [], None, 0, seed, True, np.inf)
+        zero = Subspace(np.zeros((0, 0)), tol=tol, _checked=True, margin=np.inf)
+        return MultiplicityResult(0, 0, True, [], None, 0, seed, True, zero)
     pts = dict.fromkeys(_as_point(p, t.n) for p in lambda_samples)
     coranks = {p: local_corank(t, L, p, tol=tol) for p in pts}
     best_corank = max(coranks.values(), default=0)
@@ -295,5 +299,5 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
         trials_used=trials_used,
         seed=seed,
         wandering_generates=wandering,
-        witness_margin=None if G is None else closure.margin,
+        witness_closure=None if G is None else closure,
     )

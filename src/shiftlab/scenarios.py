@@ -386,9 +386,9 @@ def _shift_lemma_verdict(scn, comp_S, mult_S):
     points as it does unshifted, in the closure ``multiplicity`` certified it by.
 
     That closure fills S, so each shifted one, ranked at ``tol`` like it, is
-    compared by dimension.  With no witness, ``lower`` seeded Gaussian vectors are
-    closed unshifted first, and a proper closure is compared up to ``angle_tol``.
-    A draw whose smaller margin is below SHIFT_LEMMA_MIN_MARGIN is marginal; the
+    compared by dimension.  With no witness, or one whose closure is itself a
+    near-tie, ``lower`` seeded Gaussian vectors are closed unshifted first.  A
+    draw whose smaller margin is below SHIFT_LEMMA_MIN_MARGIN is marginal; the
     check fails on any other disagreement, and when no draw agrees: all near-ties
     show nothing.
     """
@@ -396,13 +396,11 @@ def _shift_lemma_verdict(scn, comp_S, mult_S):
     draws, n = 6, comp_S.n
     points = [0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
               for _ in range(draws)]
-    G = mult_S.witness_generators
-    if G is None:
+    G, closure = mult_S.witness_generators, mult_S.witness_closure
+    if G is None or closure.margin < SHIFT_LEMMA_MIN_MARGIN:
         G = rng.standard_normal((comp_S.dim, mult_S.lower, 2)) @ [1, 1j]
         closure = krylov_closure(comp_S, G, tol=scn.tol)
-    else:
-        closure = Subspace.full(comp_S.dim, tol=scn.tol, margin=mult_S.witness_margin)
-    checks = shifted_closure_check(comp_S, G, closure, points, angle_tol=scn.angle_tol)
+    checks = shifted_closure_check(comp_S, G, closure, points)
     marginal = sum(margin < SHIFT_LEMMA_MIN_MARGIN for _, margin in checks)
     agreed = sum(agree and margin >= SHIFT_LEMMA_MIN_MARGIN for agree, margin in checks)
     return {

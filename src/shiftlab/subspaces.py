@@ -16,7 +16,7 @@ singular value on either side lies from the cutoff; a closure carries the
 smallest of its own.
 Subspaces of equal dimension are compared by ``subspace_sine``,
 ``||B - A(A^H B)||_2``, the sine of their largest principal angle; they are
-equal when it is at most ``sin(tol)`` (its Frobenius bound decides first).
+equal when it is at most ``sin(tol)``.
 """
 
 import math
@@ -98,8 +98,8 @@ class Subspace:
         return cls(np.zeros((ambient_dim, 0), dtype=complex), tol=tol, _checked=True)
 
     @classmethod
-    def full(cls, ambient_dim, tol=DEFAULT_TOL, margin=None):
-        return cls(np.eye(ambient_dim, dtype=complex), tol=tol, _checked=True, margin=margin)
+    def full(cls, ambient_dim, tol=DEFAULT_TOL):
+        return cls(np.eye(ambient_dim, dtype=complex), tol=tol, _checked=True)
 
     @property
     def dim(self):
@@ -222,9 +222,8 @@ def subspace_sine(a, b):
 
 
 def same_subspace(a, b, tol=None):
-    """Same dimension and ``subspace_sine`` at most sin(tol), which a Frobenius norm
-    at most sin(tol) settles without an SVD; two zero or two full subspaces are
-    equal outright."""
+    """Same dimension and ``subspace_sine`` at most sin(tol); two zero or two
+    full subspaces are equal outright."""
     if tol is None:
         tol = min(a.tol, b.tol)
     if a.dim != b.dim:
@@ -235,8 +234,7 @@ def same_subspace(a, b, tol=None):
         raise InputError("subspaces live in different ambient spaces")
     if a.dim == a.ambient_dim:
         return True
-    R = b.basis - a.basis @ (a.basis.conj().T @ b.basis)
-    return bool(np.linalg.norm(R) <= np.sin(tol) or opnorm(R) <= np.sin(tol))
+    return subspace_sine(a, b) <= np.sin(tol)
 
 
 def opnorm(A):

@@ -296,6 +296,35 @@ def test_shift_lemma_verdict_gates_by_margin(monkeypatch, margin, tampered, expe
     assert calls == [12] * 7
 
 
+def test_a_near_tie_witness_closure_falls_back_to_gaussian_vectors(monkeypatch):
+    """A witness whose own closure decided a rank within SHIFT_LEMMA_MIN_MARGIN
+    of the cut would make all six draws marginal and fail the check for a doubt
+    about mult(S)'s certificate.  The check closes ``lower`` seeded Gaussian
+    vectors instead, once unshifted and under each shift, and they agree."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    sc = importlib.import_module("shiftlab.scenarios")
+    scn = scenario_from_json(hardy_obj())
+    sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
+    chain = f_chain(sys_)
+    comp_S = verify_compression_structure(sys_, chain).compressions[0]
+    res = multiplicity(comp_S, chain.S, lambda_samples=sys_.joint_spectrum(),
+                       trials=scn.trials, seed=scn.seed, tol=scn.tol)
+    assert res.certified and res.witness_closure.margin >= sc.SHIFT_LEMMA_MIN_MARGIN
+    res.witness_closure.margin = 50.0
+    widths = []
+    real = mm.krylov_closure
+
+    def counting(A, G, tol):
+        widths.append(np.shape(G))
+        return real(A, G, tol=tol)
+
+    monkeypatch.setattr(mm, "krylov_closure", counting)
+    monkeypatch.setattr(sc, "krylov_closure", counting)
+    assert sc._shift_lemma_verdict(scn, comp_S, res) == {
+        "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
+    assert widths == [(chain.S.dim, res.lower)] * 7
+
+
 def test_an_all_checks_run_closes_S_once_per_shift_point(monkeypatch):
     """hardy 4^3 k2 (dim S = 56) with every check: mult(S) closes W_S, and the
     shift lemma reuses that closure and closes W_S under six shifts: 7 closures
@@ -332,7 +361,7 @@ def test_shift_lemma_without_a_witness_closes_gaussian_vectors(monkeypatch):
     comp_S = verify_compression_structure(sys_, chain).compressions[0]
     res = multiplicity(comp_S, chain.S, lambda_samples=sys_.joint_spectrum(),
                        trials=0, seed=scn.seed, tol=scn.tol)
-    assert res.witness_generators is None and res.witness_margin is None and res.lower == 1
+    assert res.witness_generators is None and res.witness_closure is None and res.lower == 1
     widths = []
     real = mm.krylov_closure
 
