@@ -6,10 +6,12 @@ Embedding factor operators as I (x) ... (x) T_i (x) ... (x) I produces a
 doubly commuting tuple.  The joint invariant subspace
 S = (Q_1 (x) ... (x) Q_n)-perp carries a nested family
 S >= F_1 >= ... >= F_{n-1} = F whose last member splits into blocks the
-compressed tuple cannot couple.  This script builds everything explicitly
-and re-verifies each structural identity numerically: the projection
-identities from per-slot norms, the rest from orthonormal bases and
-compressions computed by slot products, never from N x N matrices.  The
+compressed tuple cannot couple.  Every space of the chain is a union of kind-blocks,
+one per word in {Q, S}^n in the slot bases U_s = [Q_s | S_s], so its
+dimension is a count of block columns.  This script builds the chain and
+re-verifies each structural identity numerically: the projection
+identities from per-slot norms, the rest from the slot blocks U_s^H T_s U_s
+and the tuple compressed to S, never from N x N matrices.  The
 doubly commuting residual prints as exactly 0: operators in distinct slots
 commute by the mixed-product property of the Kronecker product, so it is
 not computed.
@@ -43,11 +45,13 @@ print(f"doubly commuting residual = {system.doubly_commuting_residual:.1e}")
 
 # --- the chain ----------------------------------------------------------------
 chain = f_chain(system)
-dims = [chain.S.dim] + [F.dim for F in chain.F_chain]
-print("\nchain dims (S >= F_1 >= ... >= F):", " >= ".join(str(d) for d in dims))
+print("\nkind-blocks of S and their columns:",
+      {block: len(cols) for block, cols in chain.block_columns.items()})
+dims = [chain.at.size] + [chain.columns(blocks).size for blocks in chain.F_blocks]
+print("chain dims (S >= F_1 >= ... >= F):", " >= ".join(str(d) for d in dims))
 # rank X_i = m_1 ... m_{i-1} dim S_i dim Q_{i+1} ... dim Q_n, from slot dimensions
 print("X projection ranks:", chain.x_ranks)
-print("block summand dims of F:", [M.dim for M in chain.M_summands])
+print("block summand dims of F:", [chain.columns(blocks).size for blocks in chain.F_summands[-1]])
 
 # --- re-verify the structure ----------------------------------------------------
 report = verify_compression_structure(system, chain)

@@ -101,7 +101,6 @@ class MultiplicityResult:
     witness_generators: list | None
     witness_point: tuple | None
     trials_used: int
-    seed: int
     wandering_generates: bool
     witness_closure: Subspace | None
 
@@ -268,7 +267,7 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
     k = L.dim
     if k == 0:
         zero = Subspace(np.zeros((0, 0)), tol=tol, _checked=True, margin=np.inf)
-        return MultiplicityResult(0, 0, True, [], None, 0, seed, True, zero)
+        return MultiplicityResult(0, 0, True, [], None, 0, True, zero)
     pts = dict.fromkeys(_as_point(p, t.n) for p in lambda_samples)
     coranks = {p: local_corank(t, L, p, tol=tol) for p in pts}
     best_corank = max(coranks.values(), default=0)
@@ -297,7 +296,6 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
         witness_generators=None if G is None else list(G.T),
         witness_point=witness_point,
         trials_used=trials_used,
-        seed=seed,
         wandering_generates=wandering,
         witness_closure=None if G is None else closure,
     )

@@ -220,7 +220,6 @@ class Scenario:
     label: str = ""
     tol: float = DEFAULT_TOL
     check_tol: float = 1e-9
-    angle_tol: float = 1e-8
     trials: int = 64
     seed: int = 42
     checks: tuple = ALL_CHECKS
@@ -230,7 +229,7 @@ class Scenario:
 def scenario_from_json(obj, base_dir="."):
     if not isinstance(obj, dict):
         raise ConfigError("scenario must be a JSON object")
-    known = {"factors", "label", "tol", "check_tol", "angle_tol", "trials", "seed", "checks"}
+    known = {"factors", "label", "tol", "check_tol", "trials", "seed", "checks"}
     unknown = set(obj) - known
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
@@ -251,7 +250,6 @@ def scenario_from_json(obj, base_dir="."):
         label=str(obj.get("label", "")),
         tol=_positive(obj.get("tol", DEFAULT_TOL), "'tol'"),
         check_tol=_positive(obj.get("check_tol", 1e-9), "'check_tol'"),
-        angle_tol=_positive(obj.get("angle_tol", 1e-8), "'angle_tol'"),
         trials=_count(obj.get("trials", 64), "'trials'"),
         seed=_count(obj.get("seed", 42), "'seed'"),
         checks=tuple(ordered),
@@ -430,16 +428,18 @@ def run_scenario(scn):
     except EigenError as exc:
         notes.append(f"distinguished summands unavailable: {exc}")
 
+    # S and F as the whole space of their compressions' coordinates
+    S, F = (Subspace.full(comp.dim, tol=scn.tol) for comp in (comp_S, comp_F))
     points = sys.joint_spectrum()
     mult_S = multiplicity(
-        comp_S, chain.S, lambda_samples=points,
+        comp_S, S, lambda_samples=points,
         trials=scn.trials, seed=scn.seed, tol=scn.tol,
     )
     mult_F = multiplicity(
-        comp_F, chain.F, lambda_samples=points,
+        comp_F, F, lambda_samples=points,
         trials=scn.trials, seed=scn.seed, tol=scn.tol,
     )
-    W_S = wandering_subspace(comp_S, chain.S)  # in S's coordinates, where comp_S acts
+    W_S = wandering_subspace(comp_S, S)  # in S's coordinates, where comp_S acts
     gws_S = mult_S.wandering_generates  # mult(S) closed W_S first
 
     verdicts = _structural_verdicts(scn, struct)
@@ -491,9 +491,9 @@ def run_scenario(scn):
         label=scn.label,
         dims=list(sys.dims),
         factor_labels=[f.label for f in factors],
-        dim_S=int(chain.S.dim),
-        dim_F=int(chain.F.dim),
-        chain_dims=[int(Fi.dim) for Fi in chain.F_chain],
+        dim_S=int(chain.at.size),
+        dim_F=int(F.dim),
+        chain_dims=[int(chain.columns(bs).size) for bs in chain.F_blocks],
         x_ranks=list(chain.x_ranks),
         wandering_dim_S=int(W_S.dim),
         factor_wandering_dims=(
@@ -516,7 +516,6 @@ def run_scenario(scn):
         settings={
             "tol": scn.tol,
             "check_tol": scn.check_tol,
-            "angle_tol": scn.angle_tol,
             "trials": scn.trials,
             "seed": scn.seed,
         },

@@ -22,11 +22,13 @@ Everything here is exact linear algebra in the slot-adapted bases
 U_s = [Q_s | S_s].  They split C^N into kind-blocks, one per word k in
 {Q, S}^n, with kron bases (x)_s (Q_s or S_s).  S is every block but Q..Q,
 each F_i and M_i is a union of blocks, and the gaps of the chain are set
-differences; no array bigger than S's N x dim S basis is formed.  T~_j
-maps block k into k and into k with slot j switched only, through blocks of
-U_j^H T_j U_j, so structural residuals are read from those slot blocks, and
-E_i is built in M_i's block of S's coordinates.  The embedded operators of
-distinct slots doubly commute exactly, so that residual is recorded as 0.
+differences.  In the coordinates of (x)_s U_s, S's coordinates are a set of
+positions, and T~_j is I (x) .. U_j^H T_j U_j .. (x) I: it maps block k into k
+and into k with slot j switched only, so structural residuals are read from
+slot blocks, the compression to S is read off U_j^H T_j U_j at S's positions,
+and E_i is built in M_i's block of S's coordinates.  No N-row basis is formed
+on the way (joint_invariant_S builds S's on request).  The embedded operators
+of distinct slots doubly commute exactly, so that residual is recorded as 0.
 """
 
 import functools
@@ -170,12 +172,12 @@ class TensorSystem:
     def n(self):
         return len(self.factors)
 
-    def apply(self, i, V, M=None):
-        """T~_i V, or (I (x) .. M .. (x) I) V for an m_i x m_i M, for V of shape (N,)
-        or (N, k), by a mode-i product: V reshaped to (m_1 .. m_{i-1}, m_i, rest)
-        and one matmul, O(N k m_i) instead of O(N^2 k)."""
-        M = self.factors[i].T if M is None else M
-        return (M @ V.reshape(self._lead[i], self.dims[i], -1)).reshape(V.shape)
+    def apply(self, i, V):
+        """T~_i V in the coordinates of (x)_s U_s, where T~_i is I (x) .. U_i^H T_i U_i
+        .. (x) I, for V of shape (N,) or (N, k), by a mode-i product: V reshaped to
+        (m_1 .. m_{i-1}, m_i, rest) and one matmul, O(N k m_i) instead of O(N^2 k)."""
+        V3 = V.reshape(self._lead[i], self.dims[i], -1)
+        return (self.factors[i].adapted @ V3).reshape(V.shape)
 
     def joint_spectrum(self):
         """sigma(T_1) x ... x sigma(T_n): the joint eigenvalues of the embedded tuple."""
@@ -189,12 +191,6 @@ class TensorSystem:
         """The nonempty kind-blocks of slot kinds 'Q', 'S' and 'I' (= Q (+) S), in word order."""
         words = ("".join(b) for b in itertools.product(*("QS" if k == "I" else k for k in kinds)))
         return [b for b in words if self.block_dim(b)]
-
-    def block_bases(self, blocks):
-        """The kron bases (x)_s (Q_s or S_s) of kind-blocks, side by side."""
-        cols = [_kron_chain([f.Q.basis if k == "Q" else f.S.basis for f, k in zip(self.factors, b)])
-                for b in blocks]
-        return np.hstack(cols) if cols else np.zeros((self.N, 0), dtype=complex)
 
 
 def _flip(block, s):
@@ -219,11 +215,15 @@ def _S_blocks(sys):
 
 
 def joint_invariant_S(sys):
-    """S = (Q_1 (x) ... (x) Q_n)-perp: the kron bases of every kind-block but Q..Q,
-    which with Q..Q form an orthonormal basis of C^N (and each has a last S
-    slot, so S is also sum ran X_i, block by block)."""
-    return Subspace(sys.block_bases(_S_blocks(sys)), ambient_dim=sys.N, tol=sys.tol,
-                    _checked=True)
+    """S = (Q_1 (x) ... (x) Q_n)-perp as an N-row basis: the kron bases
+    (x)_s (Q_s or S_s) of every kind-block but Q..Q, side by side, which with
+    Q..Q form an orthonormal basis of C^N (and each has a last S slot, so S is
+    also sum ran X_i, block by block).  Its columns for the blocks of an F_i or
+    an M_i (``ChainDecomposition.columns``) are that space's basis."""
+    cols = [_kron_chain([f.Q.basis if k == "Q" else f.S.basis for f, k in zip(sys.factors, b)])
+            for b in _S_blocks(sys)]
+    basis = np.hstack(cols) if cols else np.zeros((sys.N, 0), dtype=complex)
+    return Subspace(basis, ambient_dim=sys.N, tol=sys.tol, _checked=True)
 
 
 def _chain_slot_kinds(n, i, j):
@@ -236,37 +236,29 @@ def _chain_slot_kinds(n, i, j):
 @dataclass(eq=False)
 class ChainDecomposition:
     """S with its nested family F_1 >= ... >= F_{n-1} = F and F's block summands
-    M_i; each F_i and M_i has S's columns for its kind-blocks as basis."""
+    M_i, as kind-blocks.  S is every block but Q..Q, and each F_i and M_i a union
+    of S's blocks; in S's coordinates a union's basis is S's columns for its
+    blocks.  In the coordinates of (x)_s U_s, S's basis vectors are the unit
+    vectors at the positions ``at``."""
 
-    S: Subspace  # basis: the blocks of block_columns side by side
-    block_columns: dict  # kind-block -> its columns of S's basis, for S's blocks in order
+    at: np.ndarray  # per column of S, its position in (x)_s U_s: kron order, block by block
+    block_columns: dict  # kind-block -> its columns of S, for S's blocks in order
     x_ranks: list  # rank X_i = m_1 .. m_{i-1} dim S_i dim Q_{i+1} .. dim Q_n
-    F_summands: list  # per F_i, the kind-blocks of each of its n summands, in basis order
+    F_summands: list  # per F_i, the kind-blocks of each of its n summands, in column order
     containment_residuals: list  # of S >= F_1, F_1 >= F_2, ..., in order
 
     def columns(self, blocks):
-        """The columns of S's basis that hold ``blocks``, in order."""
+        """The columns of S that hold ``blocks``, in order."""
         return np.array([c for b in blocks for c in self.block_columns[b]], dtype=int)
 
-    def _part(self, blocks):
-        return Subspace(self.S.basis[:, self.columns(blocks)], ambient_dim=self.S.ambient_dim,
-                        tol=self.S.tol, _checked=True)
-
-    @functools.cached_property
-    def F_chain(self):  # [F_1, ..., F_{n-1}]
-        return [self._part(sum(summands, [])) for summands in self.F_summands]
-
     @property
-    def F(self):  # basis: the M_i bases side by side, in order
-        return self.F_chain[-1]
-
-    @functools.cached_property
-    def M_summands(self):  # block subspaces M_1, ..., M_n of F
-        return [self._part(blocks) for blocks in self.F_summands[-1]]
+    def F_blocks(self):  # [the blocks of F_1, ..., of F_{n-1} = F], each in column order
+        return [sum(summands, []) for summands in self.F_summands]
 
 
 def f_chain(sys):
-    """Build S, the ranks of the X projections, the nested F_i family, and F's summands.
+    """Build S's kind-blocks and positions, the ranks of the X projections, the
+    nested F_i family, and F's summands.
 
     Each F_i is an orthogonal direct sum of n summands, each a union of
     kind-blocks, so a compression to F has the M_i blocks in order.  A
@@ -283,8 +275,12 @@ def f_chain(sys):
     resids = [float(not set(small) <= set(big)) for big, small in zip(spaces, spaces[1:])]
     if max(resids) > 0:
         raise InternalConsistencyError("chain containment fails: a block of F_i is not in S")
+    spans = [{"Q": (0, f.Q.dim), "S": (f.Q.dim, m)} for f, m in zip(sys.factors, sys.dims)]
+    grids = (np.meshgrid(*(np.arange(*sp[k]) for sp, k in zip(spans, b)), indexing="ij")
+             for b in S_blocks)
     return ChainDecomposition(
-        S=joint_invariant_S(sys),
+        at=np.concatenate([np.zeros(0, dtype=int)]
+                          + [np.ravel_multi_index(g, sys.dims).ravel() for g in grids]),
         block_columns={b: range(lo, hi) for b, lo, hi in zip(S_blocks, edges, edges[1:])},
         x_ranks=[math.prod(sys.dims[:i]) * f.S.dim * math.prod(g.Q.dim for g in sys.factors[i + 1:])
                  for i, f in enumerate(sys.factors)],
@@ -392,17 +388,18 @@ def _commutator_bound(sys, blocks):
 
 
 def _compressed_to_S(sys, chain):
-    """The tuple compressed to S, from the slot-adapted U_j^H T_j U_j: in the
+    """The tuple compressed to S, read from the slot-adapted U_j^H T_j U_j: in the
     coordinates of (x)_s U_s, T~_j is I (x) .. U_j^H T_j U_j .. (x) I, and S's
-    basis vectors are the unit vectors at the kron-ordered positions ``at``."""
-    spans = [{"Q": (0, f.Q.dim), "S": (f.Q.dim, m)} for f, m in zip(sys.factors, sys.dims)]
-    grids = (np.meshgrid(*(np.arange(*sp[k]) for sp, k in zip(spans, b)), indexing="ij")
-             for b in chain.block_columns)
-    at = np.concatenate([np.zeros(0, dtype=int)]
-                        + [np.ravel_multi_index(g, sys.dims).ravel() for g in grids])
-    E = np.zeros((sys.N, chain.S.dim), dtype=complex)
-    E[at, np.arange(chain.S.dim)] = 1.0
-    return OperatorTuple(tuple(sys.apply(j, E, f.adapted)[at] for j, f in enumerate(sys.factors)))
+    basis vectors are the unit vectors at the positions ``chain.at``.  So C_j[p, q]
+    is the slot block's entry at slot j's indices of p and q where p and q agree
+    off slot j, else 0."""
+    ops = []
+    for j, f in enumerate(sys.factors):
+        stride = math.prod(sys.dims[j + 1:])
+        idx = chain.at // stride % sys.dims[j]
+        off = chain.at - idx * stride  # the position with slot j's index set to 0
+        ops.append(np.where(off[:, None] == off, f.adapted[np.ix_(idx, idx)], 0))
+    return OperatorTuple(tuple(ops))
 
 
 def _compressed_powers(ops, V):
@@ -422,7 +419,7 @@ def _compressed_powers(ops, V):
         yield W
 
 
-def verify_compression_structure(sys, chain=None, seed=42):
+def verify_compression_structure(sys, chain, seed=42):
     """Numerically re-check every structural identity behind the chain.
 
     Families of residuals, all but the last from slot norms (exact, or upper
@@ -443,9 +440,7 @@ def verify_compression_structure(sys, chain=None, seed=42):
 
     The tuple is compressed to S once; F's compression is a slice of it.
     """
-    if chain is None:
-        chain = f_chain(sys)
-    blocks = [list(chain.block_columns)] + [sum(summands, []) for summands in chain.F_summands]
+    blocks = [list(chain.block_columns)] + chain.F_blocks
     sets = [set(bs) for bs in blocks]
     chain_res = {f"containment_{idx}": r for idx, r in enumerate(chain.containment_residuals)}
     head = sets[0] - sets[1]
@@ -456,7 +451,7 @@ def verify_compression_structure(sys, chain=None, seed=42):
     chain_res["head_gap_sine"] = float(head != tail) if gap_dims[0] == gap_dims[1] else math.inf
     semi = {f"gap_{idx}": _cross_norm(sys, small, big - small)
             for idx, (big, small) in enumerate(zip(sets, sets[1:]))}
-    names = ["S"] + [f"F_{i + 1}" for i in range(len(chain.F_chain))]
+    names = ["S"] + [f"F_{i + 1}" for i in range(len(chain.F_summands))]
     comm = {name: _commutator_bound(sys, L) for name, L in zip(names, sets)}
     # Block diagonality is a statement about the final F = M_1 (+) ... (+) M_n;
     # intermediate F_i summands carry full slots that the tuple may couple.
@@ -470,21 +465,25 @@ def verify_compression_structure(sys, chain=None, seed=42):
     cols = chain.columns(blocks[-1])
     comp_F = OperatorTuple(tuple(C[np.ix_(cols, cols)] for C in comp_S.ops))
 
-    # F's basis is the M_i bases side by side, so in F coordinates the right
-    # side's block i is M_i^H T~^k M_i x_i.
+    # In F's coordinates the right side's block i is M_i^H T~^k M_i x_i: x_i is
+    # scattered to M_i's positions in (x)_s U_s, mapped by slot products there
+    # and gathered back.
     worst = 0.0
     rng = np.random.default_rng(seed)
-    if chain.F.dim:
-        edges = np.cumsum([0] + [M.dim for M in chain.M_summands])
-        X = (rng.standard_normal((chain.F.dim, _POWER_SAMPLES))
-             + 1j * rng.standard_normal((chain.F.dim, _POWER_SAMPLES)))
+    if cols.size:
+        X = (rng.standard_normal((cols.size, _POWER_SAMPLES))
+             + 1j * rng.standard_normal((cols.size, _POWER_SAMPLES)))
         X /= np.linalg.norm(X, axis=0)
-        bases = [M.basis for M in chain.M_summands]
+        where = [chain.at[chain.columns(bs)] for bs in chain.F_summands[-1]]
+        edges = np.cumsum([0] + [w.size for w in where])
         slot_maps = [functools.partial(sys.apply, i) for i in range(sys.n)]
-        per_summand = [_compressed_powers(slot_maps, M @ X[a:b])
-                       for M, a, b in zip(bases, edges, edges[1:])]
+        per_summand = []
+        for w, a, b in zip(where, edges, edges[1:]):
+            Z = np.zeros((sys.N, _POWER_SAMPLES), dtype=complex)
+            Z[w] = X[a:b]
+            per_summand.append(_compressed_powers(slot_maps, Z))
         for lhs, *parts in zip(_compressed_powers(comp_F.ops, X), *per_summand):
-            rhs = np.vstack([M.conj().T @ W for M, W in zip(bases, parts)])
+            rhs = np.vstack([W[w] for w, W in zip(where, parts)])
             worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=0))))
 
     families = (_projection_identities(sys), chain_res, semi, comm, block,
@@ -560,7 +559,7 @@ def wandering_E(sys, chain, comp_S):
     ]
 
     edges = np.cumsum([0] + [f.wandering.dim for f in sys.factors])
-    E = np.zeros((chain.S.dim, edges[-1]), dtype=complex)
+    E = np.zeros((chain.at.size, edges[-1]), dtype=complex)
     align = 0.0
     for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
         if lo == hi:

@@ -10,16 +10,21 @@ rank tolerance.
 Principal angles come from scipy.linalg.subspace_angles; the package itself
 does not import scipy.  Dense references that only tests read live here too:
 pairwise commutator norms, the X_i projections, the N x N embedded operators
-T~_i that the package applies only slot by slot, every structural
-residual family of ``verify_compression_structure`` from N x N projectors,
-and the distinguished summands E_i as N-row kron products.
+T~_i that the package applies only slot by slot, the chain's N-row bases
+(``chain_spaces``, the one helper here built on the package's
+``joint_invariant_S``), every structural residual family of
+``verify_compression_structure`` from N x N projectors, and the
+distinguished summands E_i as N-row kron products.
 """
 
 import functools
 import itertools
+import types
 
 import numpy as np
 import scipy.linalg
+
+from shiftlab import Subspace, joint_invariant_S
 
 
 def orbit_dim(ops, G, tol=1e-8, max_degree=None):
@@ -233,16 +238,32 @@ def _norm2(A):
     return float(np.linalg.norm(A, 2)) if A.size else 0.0
 
 
-def dense_chain_spaces(chain):
+def chain_spaces(sys_, chain):
+    """The chain as N-row bases, as Subspaces: ``S`` = joint_invariant_S, and S's
+    columns for the kind-blocks of each F_i (``F_chain``, whose last is ``F``)
+    and of each of F's summands (``M_summands``).  A scenario run forms none of
+    them: it works in S's coordinates."""
+    S = joint_invariant_S(sys_)
+
+    def part(blocks):
+        return Subspace(S.basis[:, chain.columns(blocks)], tol=S.tol, _checked=True)
+
+    F_chain = [part(blocks) for blocks in chain.F_blocks]
+    return types.SimpleNamespace(S=S, F_chain=F_chain, F=F_chain[-1],
+                                 M_summands=[part(blocks) for blocks in chain.F_summands[-1]])
+
+
+def dense_chain_spaces(sys_, chain):
     """Orthonormal bases of S, F_1, ..., F_{n-1} and of the gaps between them."""
-    spaces = [_orth(space.basis) for space in [chain.S] + chain.F_chain]
+    amb = chain_spaces(sys_, chain)
+    spaces = [_orth(space.basis) for space in [amb.S] + amb.F_chain]
     return spaces, [_complement(big, small) for big, small in zip(spaces, spaces[1:])]
 
 
 def dense_chain_residuals(sys_, chain):
     """The chain family from N x N projectors: containments, and S (-) F_1 against
     ran(P~_{n-1} P~_n) by the sine of the largest angle."""
-    spaces, gaps = dense_chain_spaces(chain)
+    spaces, gaps = dense_chain_spaces(sys_, chain)
     res = {f"containment_{idx}": float(np.linalg.norm(small - big @ (big.conj().T @ small),
                                                       axis=0).max(initial=0.0))
            for idx, (big, small) in enumerate(zip(spaces, spaces[1:]))}
@@ -258,8 +279,8 @@ def dense_chain_residuals(sys_, chain):
 def dense_commutativity(sys_, chain):
     """max ||[C_i, C_j]||_2 of the dense compressions to S and to each F_i."""
     ops = embedded_ops(sys_)
-    spaces, _ = dense_chain_spaces(chain)
-    names = ["S"] + [f"F_{i + 1}" for i in range(len(chain.F_chain))]
+    spaces, _ = dense_chain_spaces(sys_, chain)
+    names = ["S"] + [f"F_{i + 1}" for i in range(len(spaces) - 1)]
     return {name: commutator_residual([B.conj().T @ T @ B for T in ops])
             for name, B in zip(names, spaces)}
 
@@ -270,22 +291,23 @@ def dense_structure_residuals(sys_, chain, seed=42):
     degree 1..3 on 4 random vectors, as verify_compression_structure draws
     them)."""
     ops = embedded_ops(sys_)
-    P_F = _projector(chain.F)
-    Pm = [_projector(M) for M in chain.M_summands]
+    amb = chain_spaces(sys_, chain)
+    P_F = _projector(amb.F)
+    Pm = [_projector(M) for M in amb.M_summands]
     n = len(Pm)
     block = {
         "off_diagonal": max(_norm2(Pm[p] @ T @ Pm[q])
                             for p in range(n) for q in range(n) if p != q for T in ops),
         "diagonal_sum": max(_norm2(P_F @ T @ P_F - sum(P @ T @ P for P in Pm)) for T in ops),
     }
-    spaces, gaps = dense_chain_spaces(chain)
+    spaces, gaps = dense_chain_spaces(sys_, chain)
     semi = {}
     for idx, (big, gap) in enumerate(zip(spaces, gaps)):
         P_big, P_gap = big @ big.conj().T, gap @ gap.conj().T
         semi[f"gap_{idx}"] = max(_norm2(P_big @ T @ gap - P_gap @ T @ gap) for T in ops)
     rng = np.random.default_rng(seed)
-    V = chain.F.basis @ (rng.standard_normal((chain.F.dim, 4))
-                         + 1j * rng.standard_normal((chain.F.dim, 4)))
+    V = amb.F.basis @ (rng.standard_normal((amb.F.dim, 4))
+                       + 1j * rng.standard_normal((amb.F.dim, 4)))
     V /= np.linalg.norm(V, axis=0)
     worst = 0.0
     for kk in itertools.product(range(4), repeat=sys_.n):
@@ -320,7 +342,7 @@ def dense_projection_identities(sys_, S):
 def dense_structure_report(sys_, chain, seed=42):
     """Every structural family of verify_compression_structure, from dense N x N
     operators and projectors, keyed as the package keys them."""
-    return {"projection_identities": dense_projection_identities(sys_, chain.S),
+    return {"projection_identities": dense_projection_identities(sys_, chain_spaces(sys_, chain).S),
             "chain": dense_chain_residuals(sys_, chain),
             "commutativity": dense_commutativity(sys_, chain),
             **dense_structure_residuals(sys_, chain, seed=seed)}

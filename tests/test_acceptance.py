@@ -244,13 +244,13 @@ def test_criterion_6_wandering_rank_consistency():
     applicable = 0
     mismatches = []
     for name, sys_ in systems:
-        chain = f_chain(sys_)
-        A = OperatorTuple(oracle.embedded_ops(sys_)).compressed(chain.S)
-        W = wandering_subspace(A, chain.S)
+        S = oracle.chain_spaces(sys_, f_chain(sys_)).S
+        A = OperatorTuple(oracle.embedded_ops(sys_)).compressed(S)
+        W = wandering_subspace(A, S)
         # does W generate S?  Closed under A compressed to S, in S's coordinates
-        if krylov_closure(A, W.basis, tol=chain.S.tol).dim != chain.S.dim:
+        if krylov_closure(A, W.basis, tol=S.tol).dim != S.dim:
             continue
-        res = multiplicity(A, chain.S, lambda_samples=sys_.joint_spectrum())
+        res = multiplicity(A, S, lambda_samples=sys_.joint_spectrum())
         if not res.certified:
             continue
         applicable += 1
@@ -296,12 +296,12 @@ def test_criterion_8_bruteforce_crosscheck():
         factors = [resolve_factor(s, scn.tol, scn.base_dir) for s in scn.factor_specs]
         sys_ = build_system(factors)
         assert sys_.N <= 8
-        chain = f_chain(sys_)
+        S = oracle.chain_spaces(sys_, f_chain(sys_)).S
         ops = list(oracle.embedded_ops(sys_))
-        comp_S = OperatorTuple(ops).compressed(chain.S)
-        basis = chain.S.basis
+        comp_S = OperatorTuple(ops).compressed(S)
+        basis = S.basis
 
-        res = multiplicity(comp_S, chain.S, lambda_samples=sys_.joint_spectrum())
+        res = multiplicity(comp_S, S, lambda_samples=sys_.joint_spectrum())
         low, up = oracle.mult_bruteforce(ops, basis, seed=5)
         if (res.lower, res.upper) != (low, up) or not res.certified:
             problems.append((name, "mult", (res.lower, res.upper), (low, up)))
@@ -315,21 +315,21 @@ def test_criterion_8_bruteforce_crosscheck():
         else:
             W = np.column_stack(res.witness_generators)  # in S's coordinates
             got = oracle.orbit_dim(local, W)
-            if got != chain.S.dim:
-                problems.append((name, "witness-orbit", got, chain.S.dim))
+            if got != S.dim:
+                problems.append((name, "witness-orbit", got, S.dim))
         for _ in range(25):
             lam = tuple(rng.standard_normal(2) * 0.5 + 1j * rng.standard_normal(2) * 0.5)
-            got = local_corank(comp_S, chain.S, lam)
+            got = local_corank(comp_S, S, lam)
             want = oracle.corank_at(local, lam)
             if got != want:
                 problems.append((name, "corank", lam, got, want))
 
         for _ in range(8):
             G = basis @ (
-                rng.standard_normal((chain.S.dim, 1))
-                + 1j * rng.standard_normal((chain.S.dim, 1))
+                rng.standard_normal((S.dim, 1))
+                + 1j * rng.standard_normal((S.dim, 1))
             )
-            got = krylov_closure(comp_S, basis.conj().T @ G, tol=chain.S.tol).dim
+            got = krylov_closure(comp_S, basis.conj().T @ G, tol=S.tol).dim
             want = oracle.orbit_dim(local, basis.conj().T @ G)
             if got != want:
                 problems.append((name, "closure", got, want))

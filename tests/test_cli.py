@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shiftlab import ConfigError, scenario_from_json
 from shiftlab.cli import main
 from shiftlab.models import dump_matrix, matrix_from_json
 
@@ -262,12 +263,25 @@ def test_suite_with_uncertified_multiplicity_is_exit_1(tmp_path, capsys):
     assert "0/1 scenarios passed" in out
 
 
-@pytest.mark.parametrize("key", ["tol", "check_tol", "angle_tol"])
+@pytest.mark.parametrize("key", ["tol", "check_tol"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
                          ids=["nan", "inf", "-inf"])
 def test_non_finite_tolerance_in_json_is_exit_2(key, value, tmp_path, capsys):
     obj = json.loads(Path(HARDY).read_text())
     obj[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    assert main(["run", str(path)]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_angle_tol_in_json_is_an_unknown_key(tmp_path, capsys):
+    """No check reads an angle tolerance, so a scenario that sets one is refused
+    like any unknown key: a ConfigError, and exit 2 from the CLI."""
+    obj = json.loads(Path(HARDY).read_text())
+    obj["angle_tol"] = 1e-8
+    with pytest.raises(ConfigError, match=r"unknown scenario keys: \['angle_tol'\]"):
+        scenario_from_json(obj)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(obj))
     assert main(["run", str(path)]) == 2

@@ -231,12 +231,13 @@ def test_krylov_closure_margin_is_its_closest_decision():
 
 
 def prefix_comp_S(slots):
-    """S of a prefix system, slots (kind, m, k), and its tuple compressed to S."""
+    """S of a prefix system, slots (kind, m, k), as the whole space of its own
+    coordinates (as run_scenario passes it), and its tuple compressed to S."""
     models = [(make_shift(kind, m), k) for kind, m, k in slots]
     factors = [tensor_factor(model.operator, prefix_coinvariant(model, k)) for model, k in models]
     sys_ = build_system(factors)
-    chain = f_chain(sys_)
-    return chain.S, verify_compression_structure(sys_, chain).compressions[0]
+    comp_S = verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
+    return Subspace.full(comp_S.dim, tol=sys_.tol), comp_S
 
 
 WIDE_TUPLES = {

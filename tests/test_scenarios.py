@@ -182,7 +182,7 @@ def test_non_zero_based_quotient_downgrades(tmp_path):
     assert ms["certified"] and ms["lower"] == ms["upper"] == 1
 
     sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
-    S = f_chain(sys_).S
+    S = oracle.chain_spaces(sys_, f_chain(sys_)).S
     assert oracle.mult_bruteforce(list(oracle.embedded_ops(sys_)), S.basis) == (1, 1)
     assert rep.verdicts["additive_formula"]["status"] == "pass"
     assert rep.passed
@@ -270,11 +270,11 @@ def test_shift_lemma_verdict_gates_by_margin(monkeypatch, margin, tampered, expe
     assert sc.SHIFT_LEMMA_MIN_MARGIN == 100.0
     scn = scenario_from_json(hardy_obj())
     sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
-    chain = f_chain(sys_)
-    comp_S = verify_compression_structure(sys_, chain).compressions[0]
+    comp_S = verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
+    S = Subspace.full(comp_S.dim, tol=scn.tol)  # as run_scenario passes it
 
     def mult_S():
-        return multiplicity(comp_S, chain.S, lambda_samples=sys_.joint_spectrum(),
+        return multiplicity(comp_S, S, lambda_samples=sys_.joint_spectrum(),
                             trials=scn.trials, seed=scn.seed, tol=scn.tol)
 
     assert sc._shift_lemma_verdict(scn, comp_S, mult_S()) == {
@@ -305,9 +305,9 @@ def test_a_near_tie_witness_closure_falls_back_to_gaussian_vectors(monkeypatch):
     sc = importlib.import_module("shiftlab.scenarios")
     scn = scenario_from_json(hardy_obj())
     sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
-    chain = f_chain(sys_)
-    comp_S = verify_compression_structure(sys_, chain).compressions[0]
-    res = multiplicity(comp_S, chain.S, lambda_samples=sys_.joint_spectrum(),
+    comp_S = verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
+    res = multiplicity(comp_S, Subspace.full(comp_S.dim, tol=scn.tol),
+                       lambda_samples=sys_.joint_spectrum(),
                        trials=scn.trials, seed=scn.seed, tol=scn.tol)
     assert res.certified and res.witness_closure.margin >= sc.SHIFT_LEMMA_MIN_MARGIN
     res.witness_closure.margin = 50.0
@@ -322,7 +322,7 @@ def test_a_near_tie_witness_closure_falls_back_to_gaussian_vectors(monkeypatch):
     monkeypatch.setattr(sc, "krylov_closure", counting)
     assert sc._shift_lemma_verdict(scn, comp_S, res) == {
         "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
-    assert widths == [(chain.S.dim, res.lower)] * 7
+    assert widths == [(comp_S.dim, res.lower)] * 7
 
 
 def test_an_all_checks_run_closes_S_once_per_shift_point(monkeypatch):
@@ -357,10 +357,9 @@ def test_shift_lemma_without_a_witness_closes_gaussian_vectors(monkeypatch):
     scn.trials = 0
     sys_ = build_system([resolve_factor(spec, scn.tol, scn.base_dir)
                          for spec in scn.factor_specs], tol=scn.tol)
-    chain = f_chain(sys_)
-    comp_S = verify_compression_structure(sys_, chain).compressions[0]
-    res = multiplicity(comp_S, chain.S, lambda_samples=sys_.joint_spectrum(),
-                       trials=0, seed=scn.seed, tol=scn.tol)
+    comp_S = verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
+    res = multiplicity(comp_S, Subspace.full(comp_S.dim, tol=scn.tol),
+                       lambda_samples=sys_.joint_spectrum(), trials=0, seed=scn.seed, tol=scn.tol)
     assert res.witness_generators is None and res.witness_closure is None and res.lower == 1
     widths = []
     real = mm.krylov_closure
@@ -373,7 +372,7 @@ def test_shift_lemma_without_a_witness_closes_gaussian_vectors(monkeypatch):
     monkeypatch.setattr(sc, "krylov_closure", counting)
     assert sc._shift_lemma_verdict(scn, comp_S, res) == {
         "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
-    assert widths == [(chain.S.dim, 1)] * 7
+    assert widths == [(comp_S.dim, 1)] * 7
 
 
 def test_run_noncyclic_inequality():
@@ -514,7 +513,7 @@ def test_load_scenario_errors(tmp_path):
         load_scenario(bad)
 
 
-@pytest.mark.parametrize("key", ["tol", "check_tol", "angle_tol"])
+@pytest.mark.parametrize("key", ["tol", "check_tol"])
 def test_scenario_from_json_rejects_non_finite_tolerances(key):
     """json reads NaN and Infinity; a tolerance must still be finite."""
     for value in ("NaN", "Infinity", "-Infinity"):
@@ -575,7 +574,7 @@ def test_slot_points_alone_give_full_corank():
         {"kind": {"matrix": nilpotent}, "coinvariant": {"prefix": 3}},
     ]
     sys_ = build_system([resolve_factor(f, 1e-10) for f in factors])
-    S = f_chain(sys_).S
+    S = oracle.chain_spaces(sys_, f_chain(sys_)).S
     points = sys_.joint_spectrum()
     assert len(points) == 4
     comp_S = OperatorTuple(oracle.embedded_ops(sys_)).compressed(S)
@@ -648,9 +647,10 @@ def test_a_conjugated_jordan_factor_keeps_its_generating_wandering_subspace():
 
 def test_structure_path_forms_no_dense_operator(monkeypatch):
     """A cube-structure-style run with every check, the shift lemma included,
-    binds no N x N array to a name in any Python frame: S, its chain and the
-    tuple's compressions come from kind-blocks and slot blocks, and the system
-    has no dense T~_i to build.  In multiplicity the tuple is compressed only at
+    binds no N x N array to a name in any Python frame, and no array with N
+    rows and more columns than the power identity's samples: S, its chain and
+    the tuple's compressions come from kind-blocks, positions and slot blocks,
+    no N-row basis of S is formed, and the system has no dense T~_i to build.  In multiplicity the tuple is compressed only at
     slot size, once per factor: the factor's wandering subspace and its gws
     test share that compression, and wandering_E reuses both, as it reuses the
     factor's one coinvariant_eigenpairs call.  The shift lemma closes inside S
@@ -659,9 +659,11 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
     frames bind no array with N rows."""
     tz = importlib.import_module("shiftlab.tensorized")
     mm = importlib.import_module("shiftlab.multiplicity")
+    # dim S = 23 and dim F = 6: no array of the run has N = 24 rows by coincidence
+    # (with prefix 2 the stack of F's compression, n dim F x dim F, is 24 x 8)
     obj = {
         "factors": [
-            {"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}},
+            {"kind": "hardy", "m": 4, "coinvariant": {"prefix": 1}},
             {"kind": "bergman", "m": 3, "coinvariant": {"prefix": 1}},
             {"kind": "dirichlet", "m": 2, "coinvariant": {"prefix": 1}},
         ],
@@ -683,8 +685,8 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
     def scan(frame, values):
         name = frame.f_code.co_name
         for v in values:
-            if isinstance(v, np.ndarray) and (v.shape == (N, N) or name in local_only
-                                              and v.ndim and v.shape[0] == N):
+            if isinstance(v, np.ndarray) and v.ndim and v.shape[0] == N and (
+                    v.ndim == 2 and v.shape[1] > tz._POWER_SAMPLES or name in local_only):
                 seen.append(f"{name} ({frame.f_code.co_filename})")
 
     def local(frame, event, arg):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -104,8 +105,12 @@ def four_factor_system():
 
 
 def summand(sys_, kinds):
-    """The union of the kind-blocks with slot kinds 'S', 'Q' or 'I', blocks side by side."""
-    return Subspace(sys_.block_bases(sys_.blocks(kinds)), tol=sys_.tol, _checked=True)
+    """The union of the kind-blocks with slot kinds 'S', 'Q' or 'I', their kron bases
+    (x)_s (Q_s or S_s) side by side."""
+    bases = [functools.reduce(np.kron, [f.Q.basis if k == "Q" else f.S.basis
+                                        for f, k in zip(sys_.factors, block)])
+             for block in sys_.blocks(kinds)]
+    return Subspace(np.hstack(bases), tol=sys_.tol, _checked=True)
 
 
 def distinguished(sys_):
@@ -118,10 +123,11 @@ def dense_alignment(sys_, chain, wd):
     """max ||P_{E_i} (P_{M_i} T~_j P_{M_i} - lam_j P_{M_i})||_2 from N x N projectors,
     E_i lifted from S's coordinates."""
     ops = oracle.embedded_ops(sys_)
+    S = oracle.chain_spaces(sys_, chain).S.basis
     align = 0.0
     for i in range(sys_.n):
         P_M = oracle.summand_projector(sys_, i)
-        E_i = chain.S.basis @ wd.summands[i].basis
+        E_i = S @ wd.summands[i].basis
         P_E = E_i @ E_i.conj().T
         for j, lam in enumerate(wd.shift_points[i]):
             align = max(align, opnorm(P_E @ (P_M @ ops[j] @ P_M - lam * P_M)))
@@ -170,15 +176,16 @@ def test_E_in_S_coordinates_matches_the_dense_kronecker_E(builder):
     and E lies in F."""
     sys_ = builder()
     chain, wd = distinguished(sys_)
-    assert wd.E.ambient_dim == chain.S.dim
+    amb = oracle.chain_spaces(sys_, chain)
+    assert wd.E.ambient_dim == amb.S.dim
     want = oracle.distinguished_summands(sys_, [alpha for alpha, _, _ in wd.eigen_data])
     for E_i, W in zip(wd.summands, want):
-        got = chain.S.basis @ E_i.basis
+        got = amb.S.basis @ E_i.basis
         assert got.shape == W.shape
         assert opnorm(got @ got.conj().T - W @ W.conj().T) <= 1e-13
-    E = Subspace(chain.S.basis @ wd.E.basis, _checked=True)
+    E = Subspace(amb.S.basis @ wd.E.basis, _checked=True)
     assert E.dim == sum(wd.factor_wandering_dims)
-    assert chain.F.containment_residual(E) <= 1e-13
+    assert amb.F.containment_residual(E) <= 1e-13
 
 
 def _assert_matches_dense(report, dense, cap=None):
@@ -226,7 +233,7 @@ def test_rotated_system_residuals_are_not_structural_zeros():
     for got in (report.families(), dense):
         assert min(got["semi_invariance"].values()) > 0
         assert got["commutativity"]["S"] > 0 and got["commutativity"]["F_1"] > 0
-    assert np.count_nonzero(np.abs(report.compressions[0].ops[0]) > 1e-3) > chain.S.dim
+    assert np.count_nonzero(np.abs(report.compressions[0].ops[0]) > 1e-3) > chain.at.size
 
 
 def test_slot_forms_fail_on_a_tilted_slot_basis():
@@ -269,19 +276,26 @@ def test_projection_identities_fail_on_a_perturbed_slot_basis(perturb, failing):
         assert slot[key] > 1e-3 and dense[key] > 1e-3, key
 
 
-@pytest.mark.parametrize("builder", [hardy_2x2_system, mixed_3_system,
-                                     complex_quotient_system, four_factor_system])
+@pytest.mark.parametrize("builder", [hardy_2x2_system, mixed_3_system, quotient_system,
+                                     complex_quotient_system, four_factor_system,
+                                     rotated_system])
 def test_slot_products_match_dense_operators(builder):
+    """apply is T~_i in the coordinates of (x)_s U_s, U^H T~_i U for U = (x)_s U_s;
+    the compressions to S (read from the slot blocks at S's positions) and to F
+    are the dense compressions to their N-row bases."""
     sys_ = builder()
     rng = np.random.default_rng(7)
     V = rng.standard_normal((sys_.N, 3)) + 1j * rng.standard_normal((sys_.N, 3))
     ops = oracle.embedded_ops(sys_)
+    U = functools.reduce(np.kron, [np.hstack([f.Q.basis, f.S.basis]) for f in sys_.factors])
     for i, T in enumerate(ops):
-        assert opnorm(sys_.apply(i, V) - T @ V) <= 1e-13
-        assert np.linalg.norm(sys_.apply(i, V[:, 0]) - T @ V[:, 0]) <= 1e-13
+        T_U = U.conj().T @ T @ U
+        assert opnorm(sys_.apply(i, V) - T_U @ V) <= 1e-13
+        assert np.linalg.norm(sys_.apply(i, V[:, 0]) - T_U @ V[:, 0]) <= 1e-13
     chain = f_chain(sys_)
     report = verify_compression_structure(sys_, chain)
-    spaces = [chain.S, chain.F]
+    amb = oracle.chain_spaces(sys_, chain)
+    spaces = [amb.S, amb.F]
     assert len(report.compressions) == len(spaces)
     for space, comp in zip(spaces, report.compressions):
         for C, T in zip(comp.ops, ops):
@@ -293,12 +307,13 @@ def test_block_structure_sees_coupled_summands():
     the M_i, the basis check reports the coupling the dense form reports."""
     sys_ = mixed_3_system()
     chain = f_chain(sys_)
-    F_1 = chain.F_chain[0]
+    F_1 = oracle.chain_spaces(sys_, chain).F_chain[0]
     coupled = [summand(sys_, _chain_slot_kinds(3, 1, j)) for j in (1, 2, 3)]
     assert np.array_equal(F_1.basis, np.hstack([M.basis for M in coupled]))
     wrong = dataclasses.replace(chain, F_summands=chain.F_summands[:1])
-    assert np.array_equal(wrong.F.basis, F_1.basis)
-    assert all(np.array_equal(a.basis, b.basis) for a, b in zip(wrong.M_summands, coupled))
+    amb = oracle.chain_spaces(sys_, wrong)
+    assert np.array_equal(amb.F.basis, F_1.basis)
+    assert all(np.array_equal(a.basis, b.basis) for a, b in zip(amb.M_summands, coupled))
     got = verify_compression_structure(sys_, wrong).block_structure
     want = oracle.dense_structure_residuals(sys_, wrong)["block_structure"]
     assert got["off_diagonal"] > 0.1
@@ -343,16 +358,23 @@ def test_x_projections_are_orthogonal_resolution_of_S():
 
 
 def test_f_chain_frozen_dimensions():
-    chain = f_chain(hardy_2x2_system())
-    assert chain.S.dim == 12
-    assert [F.dim for F in chain.F_chain] == [8]
-    assert chain.F.dim == 8
-    assert [M.dim for M in chain.M_summands] == [4, 4]
+    """The chain's dimensions, from its block columns and from its N-row bases."""
+    sys_ = hardy_2x2_system()
+    chain = f_chain(sys_)
+    amb = oracle.chain_spaces(sys_, chain)
+    assert chain.at.size == amb.S.dim == 12
+    assert [chain.columns(bs).size for bs in chain.F_blocks] == [F.dim for F in amb.F_chain] == [8]
+    assert amb.F.dim == 8
+    assert [chain.columns(bs).size for bs in chain.F_summands[-1]] == [4, 4]
+    assert [M.dim for M in amb.M_summands] == [4, 4]
 
-    chain3 = f_chain(mixed_3_system())
-    assert chain3.S.dim == 26
-    assert [F.dim for F in chain3.F_chain] == [14, 6]
-    assert [M.dim for M in chain3.M_summands] == [2, 2, 2]
+    sys3 = mixed_3_system()
+    chain3 = f_chain(sys3)
+    amb3 = oracle.chain_spaces(sys3, chain3)
+    assert chain3.at.size == amb3.S.dim == 26
+    assert [chain3.columns(bs).size for bs in chain3.F_blocks] == [14, 6]
+    assert [F.dim for F in amb3.F_chain] == [14, 6]
+    assert [M.dim for M in amb3.M_summands] == [2, 2, 2]
 
 
 def test_f_chain_needs_two_factors():
@@ -365,7 +387,8 @@ def test_f_chain_needs_two_factors():
 def test_chain_is_nested_and_semi_invariant():
     sys_ = mixed_3_system()
     chain = f_chain(sys_)
-    spaces = [chain.S] + chain.F_chain
+    amb = oracle.chain_spaces(sys_, chain)
+    spaces = [amb.S] + amb.F_chain
     resids = [big.containment_residual(small) for big, small in zip(spaces, spaces[1:])]
     assert max(resids) < RESID
     report = verify_compression_structure(sys_, chain)
@@ -379,7 +402,7 @@ def test_chain_is_nested_and_semi_invariant():
 def test_head_gap_identity():
     """S (-) F_1 equals the range of P~_{n-1} P~_n."""
     for sys_ in (hardy_2x2_system(), mixed_3_system(), quotient_system()):
-        report = verify_compression_structure(sys_)
+        report = verify_compression_structure(sys_, f_chain(sys_))
         assert report.chain["head_gap_dim_match"] == 0
         assert report.chain["head_gap_sine"] < RESID
 
@@ -387,7 +410,7 @@ def test_head_gap_identity():
 @pytest.mark.parametrize("builder", [hardy_2x2_system, mixed_3_system, quotient_system])
 def test_structure_report_all_families_tiny(builder):
     sys_ = builder()
-    report = verify_compression_structure(sys_)
+    report = verify_compression_structure(sys_, f_chain(sys_))
     assert report.max_residual() < RESID
     assert report.ok(RESID)
     fams = report.families()
@@ -403,7 +426,7 @@ def test_block_diagonality_is_specific_to_F():
     chain = f_chain(sys_)
     # F's summands: all off-diagonal blocks vanish
     ops = oracle.embedded_ops(sys_)
-    projs = [M.projector() for M in chain.M_summands]
+    projs = [M.projector() for M in oracle.chain_spaces(sys_, chain).M_summands]
     worst = max(
         opnorm(projs[p] @ T @ projs[q])
         for p in range(3) for q in range(3) if p != q for T in ops
@@ -446,9 +469,10 @@ def test_wandering_E_hardy_case():
     assert wd.E.dim == 2
     assert wd.alignment_residual < RESID
     # E, lifted from S's coordinates, sits inside F, summand by summand inside the M_i
-    S = chain.S.basis
-    assert chain.F.containment_residual(Subspace(S @ wd.E.basis, _checked=True)) < RESID
-    for E_i, M_i in zip(wd.summands, chain.M_summands):
+    amb = oracle.chain_spaces(sys_, chain)
+    S = amb.S.basis
+    assert amb.F.containment_residual(Subspace(S @ wd.E.basis, _checked=True)) < RESID
+    for E_i, M_i in zip(wd.summands, amb.M_summands):
         assert M_i.containment_residual(Subspace(S @ E_i.basis, _checked=True)) < RESID
     assert wd.shift_points == [(0j, 0j), (0j, 0j)]
 
