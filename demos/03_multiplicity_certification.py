@@ -13,10 +13,9 @@ that provably exhausts L: the wandering subspace first, then random draws.
 import numpy as np
 
 from shiftlab import (
+    OperatorTuple,
     SpaceKind,
-    Subspace,
     krylov_closure,
-    local_corank,
     make_shift,
     multiplicity,
     shifted_closure_check,
@@ -39,11 +38,12 @@ for lam, (agree, margin) in zip(points, shifted_closure_check((T,), G, closed, p
 
 # --- corank lower bounds ----------------------------------------------------------
 # Two Jordan blocks need two generators; the corank at the origin sees it.
+# The corank at lam is the dimension of the wandering subspace of J - lam.
 J = np.zeros((4, 4))
 J[1, 0] = J[3, 2] = 1.0
-L = Subspace.full(4)
-print("\ntwo Jordan blocks: corank at 0 =", local_corank((J,), L, (0.0,)))
-print("corank at a generic point =", local_corank((J,), L, (0.3 + 0.1j,)))
+Jt = OperatorTuple((J,))
+print("\ntwo Jordan blocks: corank at 0 =", wandering_subspace(Jt).dim)
+print("corank at a generic point =", wandering_subspace(Jt.shifted(0.3 + 0.1j)).dim)
 
 # --- certified multiplicity --------------------------------------------------------
 res = multiplicity((J,), lambda_samples=[(0.0,)])  # J is nilpotent: its spectrum is {0}
@@ -52,12 +52,12 @@ print("witness point:", res.witness_point)
 print("witness generators found:", len(res.witness_generators))
 print("wandering subspace generates:", res.wandering_generates)
 print("random generator trials used:", res.trials_used)
-# the witness's closure is all of L; shifting J does not change that
+# the witness's closure is all of C^4; shifting J does not change that
 checks = shifted_closure_check((J,), res.witness_generators, res.witness_closure,
                                [(0.5,), (-1j,)])
 print("witness closure unchanged under two shifts:", all(agree for agree, _ in checks))
 
-W = wandering_subspace((J,), L)
+W = wandering_subspace(Jt)
 print("wandering dimension =", W.dim, "(equals the certified multiplicity)")
 
 # --- a tuple example -----------------------------------------------------------------

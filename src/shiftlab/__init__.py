@@ -37,7 +37,6 @@ from .multiplicity import (
     MultiplicityResult,
     OperatorTuple,
     krylov_closure,
-    local_corank,
     multiplicity,
     shifted_closure_check,
     wandering_subspace,
@@ -112,7 +111,6 @@ __all__ = [
     "krylov_closure",
     "load_matrix",
     "load_scenario",
-    "local_corank",
     "make_quotient",
     "make_shift",
     "matrix_from_json",

@@ -1,34 +1,34 @@
 """Generating sets, Krylov closures, and certified multiplicity bounds.
 
-For a tuple A = (A_1, ..., A_n) acting on C^N and a subspace L, the joint
-Krylov closure of a generating set G is the smallest subspace containing G
-that is invariant under every A_i.  The multiplicity of (the compression of)
-A on L is the least cardinality of a generating set whose closure is all of
-L.  Certification brackets that integer:
+For a tuple A = (A_1, ..., A_n) acting on C^k, the joint Krylov closure of a
+generating set G is the smallest subspace containing G that is invariant
+under every A_i.  The multiplicity of A is the least cardinality of a
+generating set whose closure is all of C^k.  A tuple compressed to a
+subspace L (``OperatorTuple.compressed``) acts on L's coordinates, so the
+multiplicity of that compression is the multiplicity of the compressed
+tuple on its own space.  Certification brackets that integer:
 
-* lower bounds come from local coranks dim(L (-) sum_i (C_i - lam_i) L) of
-  the compressed tuple at points lam (closures are invariant under scalar
-  shifts of the tuple, so every point yields a valid bound).  The corank is
-  nonzero only when conj(lam) is a joint eigenvalue of the compressed
-  adjoint tuple.  The caller passes points that hold the joint spectrum (a
-  scenario passes the product of its exact slot spectra), and only those
-  points are used, each once (see ``multiplicity``).  No random points are
-  used: off the joint spectrum their corank is 0, and in floating point they
-  can only add pseudospectral false positives;
+* lower bounds come from local coranks dim(C^k (-) sum_i (A_i - lam_i) C^k)
+  at points lam (closures are invariant under scalar shifts of the tuple, so
+  every point yields a valid bound): the corank at lam is the dimension of
+  the wandering subspace of the shifted tuple A - lam.  It is nonzero only
+  when conj(lam) is a joint eigenvalue of the adjoint tuple.  The caller
+  passes points that hold the joint spectrum (a scenario passes the product
+  of its exact slot spectra), and only those points are used, each once
+  (see ``multiplicity``).  No random points are used: off the joint
+  spectrum their corank is 0, and in floating point they can only add
+  pseudospectral false positives;
 * the upper bound is the size of a set whose closure is verified to exhaust
-  L.  The wandering subspace W = L (-) sum_i C_i L is closed first unless it
-  has fewer than ``lower`` vectors: its length is the corank at 0, so a
-  shorter W cannot generate.  Otherwise up to ``trials`` seeded random sets
-  of ``lower`` vectors are closed.  For a commuting tuple the corank over the
-  joint spectrum is the multiplicity (Nakayama's lemma), so no set of
-  another size is drawn: a miss leaves the uncertified bracket [lower, dim L].
+  C^k.  The wandering subspace W = C^k (-) sum_i A_i C^k is closed first
+  unless it has fewer than ``lower`` vectors: its length is the corank at 0,
+  so a shorter W cannot generate.  Otherwise up to ``trials`` seeded random
+  sets of ``lower`` vectors are closed.  For a commuting tuple the corank
+  over the joint spectrum is the multiplicity (Nakayama's lemma), so no set
+  of another size is drawn: a miss leaves the uncertified bracket [lower, k].
 
-A result is certified exactly when ``lower`` vectors exhaust L.  Every function
-works in the coordinates of the space its tuple acts on: ``multiplicity``,
-``local_corank`` and ``wandering_subspace`` take a tuple already compressed
-to L (``OperatorTuple.compressed``) and return wandering subspaces and
-witness generators in L's coordinates, as ``krylov_closure`` returns its
-closure.  Closures follow ordered monomials if A commutes.
+A result is certified exactly when ``lower`` vectors exhaust C^k.  Wandering
+subspaces, witness generators and closures are in the coordinates the tuple
+acts on.  Closures follow ordered monomials if A commutes.
 """
 
 import functools
@@ -89,7 +89,7 @@ class OperatorTuple:
 
     @functools.cached_property
     def _stack(self):
-        """U, s of [A_1 ... A_n], shared by the corank at 0 and the wandering subspace."""
+        """U, s of [A_1 ... A_n]: one factorization for every wandering subspace of the tuple."""
         return _stacked_svd(self.ops)[:2]
 
 
@@ -105,13 +105,8 @@ class MultiplicityResult:
     witness_closure: Subspace | None
 
 
-def _as_tuple(A, L=None):
-    """A as an OperatorTuple; given L, one acting on L's coordinates, C^{dim L}."""
-    t = A if isinstance(A, OperatorTuple) else OperatorTuple(tuple(A))
-    if L is not None and t.dim != L.dim:
-        raise InputError(f"the tuple acts on C^{t.dim}, not on the coordinates of a "
-                         f"{L.dim}-dimensional subspace: compress it to that subspace first")
-    return t
+def _as_tuple(A):
+    return A if isinstance(A, OperatorTuple) else OperatorTuple(tuple(A))
 
 
 def _as_point(lam, n):
@@ -216,30 +211,20 @@ def _stacked_svd(ops, lam=None, compute_uv=True):
     return _svd(np.linalg.qr(A, mode="r").conj().T, compute_uv=compute_uv)
 
 
-def wandering_subspace(A, L):
-    """W = L (-) sum_i C_i L for the tuple C = A in L's coordinates, in those
-    coordinates: the left singular vectors of [C_1 ... C_n] past its rank."""
-    U, s = _as_tuple(A, L)._stack
-    return Subspace(U[:, numerical_rank(s, L.tol):], tol=L.tol, _checked=True)
+def wandering_subspace(A, *, tol=DEFAULT_TOL):
+    """W = C^k (-) sum_i A_i C^k for the tuple A on C^k, ranked at ``tol``: the
+    left singular vectors of [A_1 ... A_n] past its rank.  Its dimension is
+    the corank at 0, and the corank at lam is that of the shifted tuple A - lam."""
+    U, s = _as_tuple(A)._stack
+    return Subspace(U[:, numerical_rank(s, tol):], tol=tol, _checked=True)
 
 
-def local_corank(A, L, lam, tol=None):
-    """dim( L (-) sum_i (C_i - lam_i) L ) for C = A on L, ranked at tol (default L.tol).
-
-    A lower bound for the multiplicity.
-    """
-    t = _as_tuple(A, L)
-    lam = _as_point(lam, t.n)
-    s = _stacked_svd(t.ops, lam, compute_uv=False) if any(lam) else t._stack[1]
-    return L.dim - numerical_rank(s, tol or L.tol)
-
-
-def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
-    """Bracket the multiplicity of the compression of A to L (default: all of C^N).
+def multiplicity(A, *, lambda_samples, trials=64, seed=42, tol=DEFAULT_TOL):
+    """Bracket the multiplicity of the tuple A on the space it acts on, C^k.
 
     Coranks are evaluated only at ``lambda_samples``, each distinct point
-    once, so the points must hold every joint eigenvalue of the compressed
-    tuple.  For a scenario the product of slot spectra
+    once, so the points must hold every joint eigenvalue of A.  For a
+    scenario's compressions the product of slot spectra
     sigma(T_1) x ... x sigma(T_n) does, for S and for F alike.
     S is invariant, so the compression to S is a restriction of the
     kron-embedded tuple, whose joint spectrum is that product.  F is not
@@ -248,39 +233,35 @@ def multiplicity(A, L=None, *, lambda_samples, trials=64, seed=42, tol=None):
     two invariant subspaces, so its compression's joint eigenvalues lie in
     the product too; and the compression to F is block diagonal along the M_i.
 
-    A acts on L's coordinates, and so do the witness generators.  Coranks
-    and closures decide ranks at ``tol`` (default ``L.tol``).  W, read from
-    the stack factorization the corank at 0 makes, is closed first unless it
-    is shorter than ``lower``; ``wandering_generates`` says whether it
-    exhausts L (True for L = 0).  If not, at most ``trials`` draws of
+    Coranks and closures decide ranks at ``tol``.  The wandering subspace W
+    is taken first: its dimension is the corank at 0, and every other point
+    ranks the singular values of its own shifted stack.  W is closed first
+    unless it is shorter than ``lower``; ``wandering_generates`` says whether
+    it exhausts C^k (True for k = 0).  If not, at most ``trials`` draws of
     ``lower`` unit vectors from ``default_rng([seed, lower])`` are closed;
     ``trials_used`` counts them.  ``upper`` is the size of the set found,
-    dim L on a miss; the result is certified when it is ``lower``.  The set
-    found is the witness; ``witness_closure`` is its closure (None on a miss).
+    k on a miss; the result is certified when it is ``lower``.  The set
+    found is the witness, in A's coordinates; ``witness_closure`` is its
+    closure (None on a miss).
     """
     t = _as_tuple(A)
-    if L is None:
-        L = Subspace.full(t.dim, tol=tol or DEFAULT_TOL)
-    t = _as_tuple(t, L)
-    if tol is None:
-        tol = L.tol
-    k = L.dim
+    k = t.dim
     if k == 0:
         zero = Subspace(np.zeros((0, 0)), tol=tol, _checked=True, margin=np.inf)
         return MultiplicityResult(0, 0, True, [], None, 0, True, zero)
+    W = wandering_subspace(t, tol=tol)
     pts = dict.fromkeys(_as_point(p, t.n) for p in lambda_samples)
-    coranks = {p: local_corank(t, L, p, tol=tol) for p in pts}
+    coranks = {p: k - numerical_rank(_stacked_svd(t.ops, p, compute_uv=False), tol)
+               if any(p) else W.dim for p in pts}
     best_corank = max(coranks.values(), default=0)
     witness_point = max(coranks, key=coranks.get) if best_corank else None
-    # a nonzero subspace always needs at least one generator
+    # a nonzero space always needs at least one generator
     lower = max(1, best_corank)
-    U, s = t._stack
-    W = U[:, numerical_rank(s, tol):]  # L (-) sum_i C_i L; its length is the corank at 0
     # mult >= corank at 0: a shorter W cannot generate, and a longer generating W
     # leaves no lower-vector set to find
-    closure = krylov_closure(t, W, tol=tol) if W.shape[1] >= lower else None
+    closure = krylov_closure(t, W.basis, tol=tol) if W.dim >= lower else None
     wandering = closure is not None and closure.dim == k
-    G = W if wandering else None
+    G = W.basis if wandering else None
     rng = np.random.default_rng([seed, lower])
     trials_used = 0
     while G is None and trials_used < trials:

@@ -428,18 +428,16 @@ def run_scenario(scn):
     except EigenError as exc:
         notes.append(f"distinguished summands unavailable: {exc}")
 
-    # S and F as the whole space of their compressions' coordinates
-    S, F = (Subspace.full(comp.dim, tol=scn.tol) for comp in (comp_S, comp_F))
     points = sys.joint_spectrum()
     mult_S = multiplicity(
-        comp_S, S, lambda_samples=points,
+        comp_S, lambda_samples=points,
         trials=scn.trials, seed=scn.seed, tol=scn.tol,
     )
     mult_F = multiplicity(
-        comp_F, F, lambda_samples=points,
+        comp_F, lambda_samples=points,
         trials=scn.trials, seed=scn.seed, tol=scn.tol,
     )
-    W_S = wandering_subspace(comp_S, S)  # in S's coordinates, where comp_S acts
+    W_S = wandering_subspace(comp_S, tol=scn.tol)  # in S's coordinates, where comp_S acts
     gws_S = mult_S.wandering_generates  # mult(S) closed W_S first
 
     verdicts = _structural_verdicts(scn, struct)
@@ -492,7 +490,7 @@ def run_scenario(scn):
         dims=list(sys.dims),
         factor_labels=[f.label for f in factors],
         dim_S=int(chain.at.size),
-        dim_F=int(F.dim),
+        dim_F=int(comp_F.dim),
         chain_dims=[int(chain.columns(bs).size) for bs in chain.F_blocks],
         x_ranks=list(chain.x_ranks),
         wandering_dim_S=int(W_S.dim),

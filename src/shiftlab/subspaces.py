@@ -124,7 +124,10 @@ def numerical_rank(s, tol):
     """How many of the descending singular values ``s`` exceed ``tol * max(1, s[0])``.
 
     A value exactly at the cutoff counts as zero; an empty ``s`` has rank 0.
+    Raises InputError unless ``0 < tol < inf``: no other tolerance cuts.
     """
+    if not 0 < tol < math.inf:
+        raise InputError(f"rank tolerance must be positive and finite, got {tol!r}")
     if len(s) == 0:
         return 0
     return int(np.sum(s > tol * max(1.0, float(s[0]))))

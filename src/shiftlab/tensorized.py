@@ -116,7 +116,7 @@ class TensorFactor:
     @functools.cached_property
     def wandering(self):
         """S (-) T S in S's coordinates; if it generates S, its dim is T's multiplicity on S."""
-        return wandering_subspace(self._restriction, self.S)
+        return wandering_subspace(self._restriction, tol=self.S.tol)
 
     @functools.cached_property
     def wandering_generates(self):

@@ -5,6 +5,7 @@ import pytest
 
 import oracle
 from shiftlab import (
+    DEFAULT_TOL,
     InputError,
     OperatorTuple,
     SpaceKind,
@@ -12,7 +13,7 @@ from shiftlab import (
     build_system,
     f_chain,
     krylov_closure,
-    local_corank,
+    make_quotient,
     make_shift,
     multiplicity,
     prefix_coinvariant,
@@ -21,7 +22,7 @@ from shiftlab import (
     verify_compression_structure,
     wandering_subspace,
 )
-from shiftlab.subspaces import subspace_sine
+from shiftlab.subspaces import numerical_rank, subspace_sine
 
 
 def two_jordan_blocks():
@@ -82,7 +83,7 @@ def wandering_generates(A, L):
     """Does L's wandering subspace generate L under A compressed to L?  Both the
     wandering subspace and the closure are in L's coordinates."""
     local = OperatorTuple(tuple(A)).compressed(L)
-    return krylov_closure(local, wandering_subspace(local, L).basis, tol=L.tol).dim == L.dim
+    return krylov_closure(local, wandering_subspace(local, tol=L.tol).basis, tol=L.tol).dim == L.dim
 
 
 def test_krylov_closure_restricted():
@@ -106,26 +107,28 @@ def test_closure_in_a_zero_space_is_zero():
         closure = krylov_closure(local, G)
         assert (closure.dim, closure.ambient_dim) == (0, 0)
     assert close_inside((np.eye(3),), L, np.ones((3, 1))).dim == 0
-    W = wandering_subspace(local, L)
+    W = wandering_subspace(local)
     assert (W.dim, W.ambient_dim) == (0, 0)
-    assert local_corank(local, L, (0.0,)) == local_corank(local, L, (0.5,)) == 0
+    assert wandering_subspace(local.shifted(0.5)).dim == 0
 
 
 def test_ambient_tuple_on_a_proper_subspace_is_an_input_error():
-    """The three L-functions take the tuple in L's coordinates; an ambient tuple
-    of another size is refused, not compressed behind the caller's back."""
+    """A tuple reaches L only through ``compressed``, which refuses a subspace of
+    another ambient space; the compressed tuple is its own space, and its
+    multiplicity and wandering subspace are in L's coordinates."""
     T = make_shift(SpaceKind.hardy(), 5).operator
     L = Subspace(np.eye(5)[:, 2:], _checked=True)
     with pytest.raises(InputError):
-        multiplicity((T,), L, lambda_samples=ORIGIN)
-    with pytest.raises(InputError):
-        local_corank((T,), L, (0.0,))
-    with pytest.raises(InputError):
-        wandering_subspace((T,), L)
+        OperatorTuple((T,)).compressed(Subspace(np.eye(4)[:, 2:], _checked=True))
     local = OperatorTuple((T,)).compressed(L)
-    res = multiplicity(local, L, lambda_samples=ORIGIN)
+    res = multiplicity(local, lambda_samples=ORIGIN)
     assert res.upper == 1 and res.witness_generators[0].shape == (L.dim,)
-    assert local_corank(local, L, (0.0,)) == wandering_subspace(local, L).dim == 1
+    assert wandering_subspace(local).dim == 1
+    # a subspace passed beside the tuple, as before, is not read as a tol
+    with pytest.raises(TypeError):
+        wandering_subspace(local, L)
+    with pytest.raises(TypeError):
+        multiplicity(local, L, lambda_samples=ORIGIN)
 
 
 def test_krylov_closure_matches_bruteforce_orbit():
@@ -231,13 +234,11 @@ def test_krylov_closure_margin_is_its_closest_decision():
 
 
 def prefix_comp_S(slots):
-    """S of a prefix system, slots (kind, m, k), as the whole space of its own
-    coordinates (as run_scenario passes it), and its tuple compressed to S."""
+    """The tuple of a prefix system, slots (kind, m, k), compressed to S."""
     models = [(make_shift(kind, m), k) for kind, m, k in slots]
     factors = [tensor_factor(model.operator, prefix_coinvariant(model, k)) for model, k in models]
     sys_ = build_system(factors)
-    comp_S = verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
-    return Subspace.full(comp_S.dim, tol=sys_.tol), comp_S
+    return verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
 
 
 WIDE_TUPLES = {
@@ -247,12 +248,12 @@ WIDE_TUPLES = {
 }
 
 
-def closure_generators(S, comp_S, seed=11):
+def closure_generators(comp_S, seed=11):
     """W_S and one and two random unit generators, in S's coordinates."""
-    yield wandering_subspace(comp_S, S).basis
+    yield wandering_subspace(comp_S).basis
     rng = np.random.default_rng(seed)
     for r in (1, 2):
-        G = rng.standard_normal((S.dim, r)) + 1j * rng.standard_normal((S.dim, r))
+        G = rng.standard_normal((comp_S.dim, r)) + 1j * rng.standard_normal((comp_S.dim, r))
         yield G / np.linalg.norm(G, axis=0)
 
 
@@ -260,9 +261,9 @@ def closure_generators(S, comp_S, seed=11):
 def test_wide_closures_match_the_joint_reference(name):
     """Closures that rank operator by operator along ordered monomials span what
     the joint loop spans, on wide commuting compressions to S."""
-    S, comp_S = prefix_comp_S(WIDE_TUPLES[name])
-    tol = S.tol
-    for G in closure_generators(S, comp_S):
+    comp_S = prefix_comp_S(WIDE_TUPLES[name])
+    tol = DEFAULT_TOL
+    for G in closure_generators(comp_S):
         got = krylov_closure(comp_S, G, tol=tol)
         want = Subspace(oracle.joint_closure(comp_S.ops, G, tol=tol), _checked=True)
         assert got.dim == want.dim
@@ -292,7 +293,7 @@ def test_commutation_probe_ignores_shift_and_scale():
     whatever scalar shift and scale the tuple carries, and it forgives the
     rounding of forming the commutator."""
     mm = importlib.import_module("shiftlab.multiplicity")
-    _, comp_S = prefix_comp_S(WIDE_TUPLES["hardy-4^4-k2"])
+    comp_S = prefix_comp_S(WIDE_TUPLES["hardy-4^4-k2"])
     A, B = np.zeros((36, 36)), np.zeros((36, 36))
     A[12:24, :12] = B[24:, 12:24] = np.eye(12)
     for scale, shift in [(1.0, 0), (1e-5, 0), (1e5, 0), (1.0, 3 - 2j), (1e-5, 1e-3j)]:
@@ -311,8 +312,8 @@ def test_wide_closure_ranks_fewer_columns_than_the_joint_loop(monkeypatch):
     """Work counter: the W_S closure of hardy 4^4 k2 passes at most 0.6 times
     the SVD columns of the joint loop, which maps every new direction through
     every operator."""
-    S, comp_S = prefix_comp_S(WIDE_TUPLES["hardy-4^4-k2"])
-    G = next(closure_generators(S, comp_S))
+    comp_S = prefix_comp_S(WIDE_TUPLES["hardy-4^4-k2"])
+    G = next(closure_generators(comp_S))
     columns = []
     real_svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda M, *a, **k: columns.append(M.shape[1])
@@ -325,16 +326,16 @@ def test_wide_closure_ranks_fewer_columns_than_the_joint_loop(monkeypatch):
 
 def test_corank_at_zero_and_wandering_subspace_share_one_factorization(monkeypatch):
     """The compression to S factors its stack [C_1 ... C_n] once: the corank at 0
-    and the wandering subspace rank the same singular values, so they agree."""
+    is the dimension of the wandering subspace, which ``multiplicity`` and a
+    later ``wandering_subspace`` call read from the same singular values."""
     mm = importlib.import_module("shiftlab.multiplicity")
-    S, comp_S = prefix_comp_S([(SpaceKind.hardy(), 4, 2), (SpaceKind.bergman(), 3, 1)])
+    comp_S = prefix_comp_S([(SpaceKind.hardy(), 4, 2), (SpaceKind.bergman(), 3, 1)])
     stacks = []
     real_stacked = mm._stacked_svd
     monkeypatch.setattr(mm, "_stacked_svd", lambda ops, *a, **k: stacks.append(len(ops))
                         or real_stacked(ops, *a, **k))
-    corank = local_corank(comp_S, S, (0, 0))
-    assert corank == wandering_subspace(comp_S, S).dim == 2
-    assert multiplicity(comp_S, S, lambda_samples=[(0, 0)]).lower == corank
+    assert multiplicity(comp_S, lambda_samples=[(0, 0)]).lower == 2
+    assert wandering_subspace(comp_S).dim == 2
     assert stacks == [2]
 
 
@@ -352,7 +353,7 @@ def test_shifted_closure_check_random_sweep():
 
 def test_wandering_subspace_of_full_shift():
     T = make_shift(SpaceKind.dirichlet(), 5).operator
-    W = wandering_subspace((T,), Subspace.full(5))
+    W = wandering_subspace((T,))
     assert W.dim == 1
     assert np.allclose(np.abs(W.basis[:, 0]), np.eye(5)[:, 0])
     assert wandering_generates((T,), Subspace.full(5))
@@ -360,24 +361,65 @@ def test_wandering_subspace_of_full_shift():
 
 def test_wandering_subspace_two_blocks():
     T = two_jordan_blocks()
-    W = wandering_subspace((T,), Subspace.full(4))
+    W = wandering_subspace((T,))
     assert W.dim == 2
     assert wandering_generates((T,), Subspace.full(4))
 
 
 def test_local_corank_against_matrix_rank():
+    """The corank at lam is the dimension of the wandering subspace of T - lam."""
     rng = np.random.default_rng(41)
-    T = two_jordan_blocks()
-    L = Subspace.full(4)
+    t = OperatorTuple((two_jordan_blocks(),))
     for _ in range(20):
         lam = (rng.standard_normal() + 1j * rng.standard_normal(),)
-        got = local_corank((T,), L, lam)
-        want = oracle.corank_at([T], lam)
+        got = wandering_subspace(t.shifted(lam)).dim
+        want = oracle.corank_at(t.ops, lam)
         assert got == want
-    assert local_corank((T,), L, (0.0,)) == 2
+    assert wandering_subspace(t).dim == 2
 
 
 ORIGIN = [(0.0,)]  # the spectrum of every nilpotent operator below
+
+
+def double_quotient():
+    """C[z]/((z - 0.4)^2 (z + 0.3)) twice over: corank 2 at both roots, 0 elsewhere."""
+    Q = make_quotient([[[0.4, 0.0], 2], [[-0.3, 0.0], 1]]).operator
+    return np.kron(np.eye(2), Q)
+
+
+@pytest.mark.parametrize("ops, points, coranks", [
+    ((two_jordan_blocks(),), [(0.3 + 0.1j,), (0.0,)], [0, 2]),
+    ((two_jordan_blocks(),), [(0.3 + 0.1j,)], [0]),
+    ((double_quotient(),), [(0.0,), (0.4,), (-0.3,), (0.3 + 0.1j,)], [0, 2, 2, 0]),
+], ids=["jordan", "jordan-off-spectrum", "quotient"])
+def test_corank_is_the_wandering_dimension_of_the_shifted_tuple(ops, points, coranks):
+    """The corank at lam is dim W of A - lam, as matrix_rank counts it; the
+    lower bound is the largest at the given points (at least 1), and the
+    witness point the first point to reach it (None if every corank is 0)."""
+    t = OperatorTuple(ops)
+    assert [wandering_subspace(t.shifted(p)).dim for p in points] == coranks
+    assert [oracle.corank_at(t.ops, p) for p in points] == coranks
+    res = multiplicity(t, lambda_samples=points)
+    best = max(coranks)
+    assert res.lower == max(1, best)
+    assert res.witness_point == (points[coranks.index(best)] if best else None)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+def test_a_non_positive_or_non_finite_tol_is_refused(tol):
+    """numerical_rank, the one rank rule, refuses a tol outside (0, inf), so no
+    entry point ranks with it.  On two Jordan blocks (multiplicity 2) tol -1
+    certified 1 and closed e_0 to dimension 4 (true 2), 0 divided by zero in
+    rank_margin, and nan and inf left an uncertified [4, 4]."""
+    J = two_jordan_blocks()
+    with pytest.raises(InputError):
+        numerical_rank(np.ones(2), tol)
+    with pytest.raises(InputError):
+        multiplicity((J,), lambda_samples=ORIGIN, tol=tol)
+    with pytest.raises(InputError):
+        wandering_subspace((J,), tol=tol)
+    with pytest.raises(InputError):
+        krylov_closure((J,), np.eye(4)[:, :1], tol=tol)
 
 
 def test_multiplicity_single_shift_is_one():
@@ -400,14 +442,14 @@ def test_multiplicity_zero_operator_needs_full_basis():
 
 def test_multiplicity_zero_subspace():
     L = Subspace.zero(3)
-    res = multiplicity(OperatorTuple((np.eye(3),)).compressed(L), L, lambda_samples=[(1.0,)])
+    res = multiplicity(OperatorTuple((np.eye(3),)).compressed(L), lambda_samples=[(1.0,)])
     assert (res.lower, res.upper, res.certified) == (0, 0, True)
 
 
 def test_multiplicity_on_invariant_subspace():
     T = make_shift(SpaceKind.bergman(), 6).operator
     L = Subspace(np.eye(6)[:, 3:], _checked=True)
-    res = multiplicity(OperatorTuple((T,)).compressed(L), L, lambda_samples=ORIGIN)
+    res = multiplicity(OperatorTuple((T,)).compressed(L), lambda_samples=ORIGIN)
     assert (res.lower, res.upper, res.certified) == (1, 1, True)
 
 
@@ -425,23 +467,20 @@ def test_multiplicity_respects_extra_lambda_samples():
 
 
 def test_multiplicity_uses_exactly_the_given_points(monkeypatch):
-    """Only the given points are evaluated, each distinct point once."""
+    """Only the given points are evaluated, each distinct point once: the origin
+    is read from the wandering subspace's stack, every other point from its own."""
     mm = importlib.import_module("shiftlab.multiplicity")  # the package exports a function of that name
     T = two_jordan_blocks()
     # 0.5 is not an eigenvalue: without the origin the bound is only 1
     res = multiplicity((T,), lambda_samples=[(0.5,)])
     assert (res.lower, res.upper, res.certified) == (1, 2, False)
     calls = []
-    real = mm.local_corank
-
-    def counting(A, L, lam, tol=None):
-        calls.append(lam)
-        return real(A, L, lam, tol=tol)
-
-    monkeypatch.setattr(mm, "local_corank", counting)
+    real = mm._stacked_svd
+    monkeypatch.setattr(mm, "_stacked_svd", lambda ops, lam=None, **kw: calls.append(lam)
+                        or real(ops, lam, **kw))
     res = multiplicity((T,), lambda_samples=[(0,), (0j,), 0.0, (0.5,)])
     assert (res.lower, res.upper, res.certified) == (2, 2, True)
-    assert calls == [(0j,), (0.5 + 0j,)]
+    assert calls == [None, (0.5 + 0j,)]
 
 
 def test_wandering_subspace_is_tried_before_any_random_draw():
@@ -451,10 +490,9 @@ def test_wandering_subspace_is_tried_before_any_random_draw():
     res = multiplicity((T,), lambda_samples=ORIGIN, trials=0)
     assert (res.lower, res.upper, res.certified) == (2, 2, True)
     assert res.trials_used == 0 and res.wandering_generates
-    W = wandering_subspace((T,), Subspace.full(4))
+    W = wandering_subspace((T,))
     assert subspace_sine(Subspace(np.column_stack(res.witness_generators)), W) < 1e-12
-    L = Subspace.zero(3)
-    assert multiplicity(OperatorTuple((np.zeros((0, 0)),)), L, lambda_samples=ORIGIN,
+    assert multiplicity(OperatorTuple((np.zeros((0, 0)),)), lambda_samples=ORIGIN,
                         trials=0).wandering_generates
 
 
@@ -497,19 +535,17 @@ def test_search_stops_at_the_corank_bound(monkeypatch):
 def test_one_tolerance_per_multiplicity_call():
     """Coranks and the generator search decide ranks at the same tol.
 
-    T[2, 1] = 1e-6 is a rank at tol 1e-10 but not at 1e-3.  With the coranks
-    ranked at L.tol = 1e-3 the bound 2 met a search at 1e-10 and certified a
-    2 that is wrong at 1e-10.
+    T[2, 1] = 1e-6 is a rank at tol 1e-10 but not at 1e-3.  Coranks ranked at
+    1e-3 give the bound 2; met by a search at 1e-10, they certified a 2 that
+    is wrong at 1e-10.
     """
     T = two_jordan_blocks()
     T[2, 1] = 1e-6
-    loose = Subspace.full(4, tol=1e-3)
-    assert local_corank((T,), loose, (0.0,)) == 2
-    assert local_corank((T,), loose, (0.0,), tol=1e-10) == 1
-    for L in (loose, Subspace.full(4, tol=1e-10)):
-        res = multiplicity((T,), L, lambda_samples=ORIGIN, tol=1e-10)
-        assert (res.lower, res.upper, res.certified) == (1, 1, True)
-    res = multiplicity((T,), loose, lambda_samples=ORIGIN)
+    assert wandering_subspace((T,), tol=1e-3).dim == 2
+    assert wandering_subspace((T,), tol=1e-10).dim == 1
+    res = multiplicity((T,), lambda_samples=ORIGIN, tol=1e-10)
+    assert (res.lower, res.upper, res.certified) == (1, 1, True)
+    res = multiplicity((T,), lambda_samples=ORIGIN, tol=1e-3)
     assert (res.lower, res.upper, res.certified) == (2, 2, True)
 
 

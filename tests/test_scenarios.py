@@ -19,7 +19,7 @@ from shiftlab import (
 import oracle
 from shiftlab.cli import main
 from shiftlab.models import dump_matrix, matrix_to_json, parse_roots
-from shiftlab.multiplicity import OperatorTuple, local_corank, multiplicity
+from shiftlab.multiplicity import OperatorTuple, multiplicity, wandering_subspace
 from shiftlab.scenarios import report_to_text, resolve_factor
 from shiftlab.tensorized import build_system, f_chain, verify_compression_structure
 
@@ -271,10 +271,9 @@ def test_shift_lemma_verdict_gates_by_margin(monkeypatch, margin, tampered, expe
     scn = scenario_from_json(hardy_obj())
     sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
     comp_S = verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
-    S = Subspace.full(comp_S.dim, tol=scn.tol)  # as run_scenario passes it
 
     def mult_S():
-        return multiplicity(comp_S, S, lambda_samples=sys_.joint_spectrum(),
+        return multiplicity(comp_S, lambda_samples=sys_.joint_spectrum(),
                             trials=scn.trials, seed=scn.seed, tol=scn.tol)
 
     assert sc._shift_lemma_verdict(scn, comp_S, mult_S()) == {
@@ -306,8 +305,7 @@ def test_a_near_tie_witness_closure_falls_back_to_gaussian_vectors(monkeypatch):
     scn = scenario_from_json(hardy_obj())
     sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
     comp_S = verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
-    res = multiplicity(comp_S, Subspace.full(comp_S.dim, tol=scn.tol),
-                       lambda_samples=sys_.joint_spectrum(),
+    res = multiplicity(comp_S, lambda_samples=sys_.joint_spectrum(),
                        trials=scn.trials, seed=scn.seed, tol=scn.tol)
     assert res.certified and res.witness_closure.margin >= sc.SHIFT_LEMMA_MIN_MARGIN
     res.witness_closure.margin = 50.0
@@ -358,8 +356,7 @@ def test_shift_lemma_without_a_witness_closes_gaussian_vectors(monkeypatch):
     sys_ = build_system([resolve_factor(spec, scn.tol, scn.base_dir)
                          for spec in scn.factor_specs], tol=scn.tol)
     comp_S = verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
-    res = multiplicity(comp_S, Subspace.full(comp_S.dim, tol=scn.tol),
-                       lambda_samples=sys_.joint_spectrum(), trials=0, seed=scn.seed, tol=scn.tol)
+    res = multiplicity(comp_S, lambda_samples=sys_.joint_spectrum(), trials=0, seed=scn.seed, tol=scn.tol)
     assert res.witness_generators is None and res.witness_closure is None and res.lower == 1
     widths = []
     real = mm.krylov_closure
@@ -578,7 +575,7 @@ def test_slot_points_alone_give_full_corank():
     points = sys_.joint_spectrum()
     assert len(points) == 4
     comp_S = OperatorTuple(oracle.embedded_ops(sys_)).compressed(S)
-    assert max(local_corank(comp_S, S, p) for p in points) == 3
+    assert max(wandering_subspace(comp_S.shifted(p)).dim for p in points) == 3
     rep = run_scenario(scenario_from_json({"factors": factors, "seed": 2}))
     for m in rep.multiplicities.values():
         assert (m["lower"], m["upper"], m["certified"]) == (3, 3, True)
@@ -586,19 +583,18 @@ def test_slot_points_alone_give_full_corank():
 
 def test_scenario_evaluates_each_joint_eigenvalue_once(monkeypatch):
     """hardy-2x2: every slot spectrum is {0}, so each of the four multiplicity
-    calls (two cyclic tests, mult(S), mult(F)) evaluates one corank."""
+    calls (two cyclic tests on C^4, mult(S) on C^12, mult(F) on C^8) reads its
+    one corank, at the origin, from its wandering subspace's stack, and
+    factors no shifted stack.  Each factor's own wandering subspace (on
+    S_i = C^2) adds one stack, and W_S reuses mult(S)'s."""
     mm = importlib.import_module("shiftlab.multiplicity")  # the package exports a function of that name
     calls = []
-    real = mm.local_corank
-
-    def counting(A, L, lam, tol=None):
-        calls.append(lam)
-        return real(A, L, lam, tol=tol)
-
-    monkeypatch.setattr(mm, "local_corank", counting)
+    real = mm._stacked_svd
+    monkeypatch.setattr(mm, "_stacked_svd", lambda ops, lam=None, **kw:
+                        calls.append((len(ops), ops[0].shape[0], lam)) or real(ops, lam, **kw))
     rep = run_scenario(load_scenario(SCENARIO_DIR / "hardy-2x2.json"))
     assert rep.succeeded
-    assert calls == [(0j,), (0j,), (0j, 0j), (0j, 0j)]
+    assert calls == [(1, 4, None), (1, 2, None)] * 2 + [(2, 12, None), (2, 8, None)]
 
 
 def test_a_run_without_the_shift_lemma_closes_S_once(monkeypatch):
@@ -711,3 +707,43 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
     assert seen == []
     assert [s.ambient_dim for s in compressions] == [4, 3, 2]
     assert [Q.ambient_dim for Q in eigen_calls] == [4, 3, 2]
+
+
+def test_a_run_binds_no_identity_on_S_or_F():
+    """mult(S), mult(F) and W_S read the dimension and the tolerance from their
+    compressed tuple and the scenario, so no frame of a run binds a
+    dim S x dim S or dim F x dim F identity, bare or as a Subspace's basis.
+    (The shift lemma's shifted tuples are A - lam I; it is left out here.)"""
+    obj = {
+        "factors": [
+            {"kind": "hardy", "m": 4, "coinvariant": {"prefix": 1}},
+            {"kind": "bergman", "m": 3, "coinvariant": {"prefix": 1}},
+            {"kind": "dirichlet", "m": 2, "coinvariant": {"prefix": 1}},
+        ],
+        "checks": [c for c in ALL_CHECKS if c != "shift_lemma"],
+    }
+    sizes = {23, 6}  # dim S and dim F; no slot has either size
+    seen = []
+
+    def scan(frame):
+        for name, v in frame.f_locals.items():
+            M = getattr(v, "basis", None) if isinstance(v, Subspace) else v
+            if (isinstance(M, np.ndarray) and M.ndim == 2 and M.shape[0] == M.shape[1]
+                    and M.shape[0] in sizes and np.array_equal(M, np.eye(M.shape[0]))):
+                seen.append((frame.f_code.co_name, name, M.shape[0]))
+
+    def local(frame, event, arg):
+        scan(frame)
+        return local
+
+    def tracer(frame, event, arg):
+        scan(frame)
+        return local
+
+    sys.settrace(tracer)
+    try:
+        rep = run_scenario(scenario_from_json(obj))
+    finally:
+        sys.settrace(None)
+    assert rep.succeeded and (rep.dim_S, rep.dim_F) == (23, 6)
+    assert seen == []
