@@ -77,9 +77,10 @@ class OperatorTuple:
 
     def shifted(self, lam):
         """The tuple (A_1 - lam_1 I, ..., A_n - lam_n I)."""
-        lam = _as_point(lam, self.n)
-        eye = np.eye(self.dim, dtype=complex)
-        return OperatorTuple(tuple(A - l * eye for A, l in zip(self.ops, lam)))
+        ops = tuple(A.copy() for A in self.ops)
+        for A, l in zip(ops, _as_point(lam, self.n)):
+            A.flat[::self.dim + 1] -= l
+        return OperatorTuple(ops)
 
     def compressed(self, L):
         """The tuple compressed to L, in L's coordinates."""
@@ -119,6 +120,7 @@ def _as_point(lam, n):
 
 
 _JOINT_WIDTH = 24  # fewer images than this: one joint SVD beats an SVD and a QR per A_i
+_STACK_BYTES = 4 << 20  # members close in lockstep only while their stacked bases fit this
 
 
 def _commutes(ops, tol):
@@ -151,52 +153,73 @@ def krylov_closure(A, G, tol=DEFAULT_TOL):
     commutes, the block A_i added is mapped by A_1 .. A_i only: the ordered
     monomials A_{i_1} .. A_{i_m} G, i_1 <= .. <= i_m, span the closure.  Its
     ``margin`` is the smallest ``rank_margin`` of those rank decisions and of
-    the one ``orthonormalize`` made on G.
+    the one ``orthonormalize`` made on G.  It is the one-point case of the
+    loop that ``shifted_closure_check`` runs on many points.
     """
     t = _as_tuple(A)
-    d, n = t.dim, t.n
+    return _closures(t.ops, G, np.zeros((1, t.n), dtype=complex), tol)[0]
+
+
+def _closures(ops, G, lams, tol):
+    """G's closure under A - lam for each row lam of ``lams`` (M x n), in lockstep:
+    one stacked SVD and one stacked QR per step, images formed as A_i N - lam_i N.
+    Member m's basis is the rows of Bt[m] = B^T, filled block by block, so a
+    projection conjugates only thin factors and a result is a view.  Members a
+    step ranks apart split by rank and close again from the start; M bases of
+    d x d past ``_STACK_BYTES`` close one at a time, as the caller iterates.
+    Either way each result is the member's lone closure."""
+    d, n, M = ops[0].shape[0], len(ops), len(lams)
+    if M > 1 and M * d * d * 16 > _STACK_BYTES:
+        return (c for lam in lams for c in _closures(ops, G, lam[None], tol))
     first = orthonormalize(as_columns(G, d), tol=tol, ambient_dim=d)
-    B, margin = first.basis, first.margin
-    blocks, commuting = [(B, n)], None  # the newest blocks, each with how many A_i map it
-    while blocks and B.shape[1] < d:
+    r, margins, lam, shifts = first.dim, [first.margin] * M, lams[:, :, None, None], lams.any(0)
+    Bt = np.empty((M, d, d), dtype=complex)
+    Bt[:, :r] = first.basis.T
+    blocks, commuting = [(Bt[:, :r].swapaxes(1, 2), n)], None  # with how many A_i map each
+    while M and blocks and r < d:
         steps = [(range(n), n)]
-        if sum(k * N.shape[1] for N, k in blocks) >= _JOINT_WIDTH:
-            commuting = commuting if commuting is not None else n == 1 or _commutes(t.ops, tol)
+        if sum(k * N.shape[2] for N, k in blocks) >= _JOINT_WIDTH:
+            commuting = commuting if commuting is not None else n == 1 or _commutes(ops, tol)
             steps = [([i], i + 1 if commuting else n) for i in range(n)]
         mapped, blocks = blocks, []
-        for ops, label in steps:
-            images = [t.ops[i] @ N for N, k in mapped for i in ops if i < k]
-            if not images or B.shape[1] == d:
+        for idx, label in steps:
+            pairs = [(i, N) for N, k in mapped for i in idx if i < k]
+            if not pairs or r == d:
                 continue
-            R = np.hstack(images)
+            R = np.concatenate([ops[i] @ N - lam[:, i] * N if shifts[i] else ops[i] @ N
+                                for i, N in pairs], axis=2)
+            B = Bt[:, :r]
             for _ in range(2):
-                R = R - B @ (B.conj().T @ R)
+                R -= B.swapaxes(1, 2) @ (B @ R.conj()).conj()
             U, s, _ = _svd(R)
-            rank = min(numerical_rank(s, tol), d - B.shape[1])
-            margin = min(margin, rank_margin(s, rank, tol))
-            new = U[:, :rank] - B @ (B.conj().T @ U[:, :rank])
-            new, _ = np.linalg.qr(new)
-            B = np.hstack([B, new])
-            blocks += [(new, label)] if rank else []
-    return Subspace(B, tol=tol, _checked=True, margin=margin)
+            ranks = [min(numerical_rank(sm, tol), d - r) for sm in s]
+            if len(set(ranks)) > 1:
+                groups = [[m for m in range(M) if ranks[m] == q] for q in dict.fromkeys(ranks)]
+                out = {m: c for g in groups for m, c in zip(g, _closures(ops, G, lams[g], tol))}
+                return [out[m] for m in range(M)]
+            rank = ranks[0]
+            margins = [min(mg, rank_margin(sm, rank, tol)) for mg, sm in zip(margins, s)]
+            new = U[:, :, :rank] - B.swapaxes(1, 2) @ (B @ U[:, :, :rank].conj()).conj()
+            Bt[:, r:r + rank] = np.linalg.qr(new)[0].swapaxes(1, 2)
+            blocks += [(Bt[:, r:r + rank].swapaxes(1, 2), label)] if rank else []
+            r += rank
+    return [Subspace(b[:r].T, tol=tol, _checked=True, margin=mg) for b, mg in zip(Bt, margins)]
 
 
 def shifted_closure_check(A, G, closure, points):
     """Closures are invariant under shifting each A_i by a scalar: verify it.
 
-    ``closure`` is G's closure under A; each point lam closes G under A - lam,
-    ranked at ``closure.tol`` too.  One ``(agree, margin)`` per point: whether
+    ``closure`` is G's closure under A; G is closed under A - lam at every point
+    lam in lockstep, each closure ranked at ``closure.tol`` too and equal to its
+    lone one under ``A.shifted(lam)``.  One ``(agree, margin)`` per point: whether
     that closure is ``closure`` (by dimension, and if proper by largest principal
     angle, threshold ``max(closure.tol, 1e-12)``) and the smaller of the two
     ``margin``s: how far from a tie the rank decisions were.
     """
     t = _as_tuple(A)
-
-    def check(lam):  # one shifted closure alive at a time
-        c = krylov_closure(t.shifted(lam), G, tol=closure.tol)
-        return same_subspace(closure, c, tol=max(closure.tol, 1e-12)), min(closure.margin, c.margin)
-
-    return [check(lam) for lam in points]
+    lams = np.array([_as_point(lam, t.n) for lam in points], dtype=complex).reshape(-1, t.n)
+    return [(same_subspace(closure, c, tol=max(closure.tol, 1e-12)), min(closure.margin, c.margin))
+            for c in _closures(t.ops, G, lams, closure.tol)]
 
 
 def _stacked_svd(ops, lam=None, compute_uv=True):

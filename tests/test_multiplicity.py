@@ -22,7 +22,7 @@ from shiftlab import (
     verify_compression_structure,
     wandering_subspace,
 )
-from shiftlab.subspaces import numerical_rank, subspace_sine
+from shiftlab.subspaces import numerical_rank, same_subspace, subspace_sine
 
 
 def two_jordan_blocks():
@@ -60,6 +60,14 @@ def test_shifted_tuple():
     assert np.allclose(s.ops[0], -3 * np.eye(2))
     with pytest.raises(InputError):
         t.shifted((1.0, 2.0))
+    # lam_i comes off the diagonal of a copy, with the bits of A_i - lam_i I
+    rng = np.random.default_rng(2)
+    ops = tuple(rng.standard_normal((5, 5, 2)) @ [1, 1j] for _ in range(2))
+    lam = (0.3 - 0.7j, -1.25)
+    before = [A.copy() for A in ops]
+    got = OperatorTuple(ops).shifted(lam)
+    for A, l, S, A0 in zip(ops, lam, got.ops, before):
+        assert np.array_equal(S, A - l * np.eye(5, dtype=complex)) and np.array_equal(A, A0)
 
 
 def test_krylov_closure_single_shift():
@@ -311,13 +319,13 @@ def test_commutation_probe_ignores_shift_and_scale():
 def test_wide_closure_ranks_fewer_columns_than_the_joint_loop(monkeypatch):
     """Work counter: the W_S closure of hardy 4^4 k2 passes at most 0.6 times
     the SVD columns of the joint loop, which maps every new direction through
-    every operator."""
+    every operator.  A stacked SVD's columns are its last axis, per matrix."""
     comp_S = prefix_comp_S(WIDE_TUPLES["hardy-4^4-k2"])
     G = next(closure_generators(comp_S))
     columns = []
     real_svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda M, *a, **k: columns.append(M.shape[1])
-                        or real_svd(M, *a, **k))
+    monkeypatch.setattr(np.linalg, "svd", lambda M, *a, **k: columns.append(
+        M.shape[-1] * int(np.prod(M.shape[:-2]))) or real_svd(M, *a, **k))
     assert oracle.joint_closure(comp_S.ops, G).shape[1] == comp_S.dim
     joint, columns[:] = sum(columns), []
     assert krylov_closure(comp_S, G).dim == comp_S.dim
@@ -349,6 +357,95 @@ def test_shifted_closure_check_random_sweep():
         lam = rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops))
         (agree, _), = shifted_closure_check(ops, G, krylov_closure(ops, G, tol=1e-8), [lam])
         assert agree, trial
+
+
+def shift_points(rng, n, draws=6):
+    """Seeded points in the polydisc of radius 0.9, as the shift lemma draws them."""
+    return np.array([0.9 * np.sqrt(rng.uniform(size=n))
+                     * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n)) for _ in range(draws)])
+
+
+def lockstep_cases():
+    """(tuple, G): W_S and random generators of hardy, bergman and dirichlet pairs
+    compressed to S, the non-commuting 36-dimensional tuple, and a proper closure."""
+    for slots in ([(SpaceKind.hardy(), 4, 2), (SpaceKind.hardy(), 3, 1)],
+                  [(SpaceKind.bergman(), 5, 2), (SpaceKind.bergman(), 4, 3)],
+                  [(SpaceKind.dirichlet(), 4, 2), (SpaceKind.dirichlet(), 5, 3)]):
+        comp_S = prefix_comp_S(slots)
+        for G in closure_generators(comp_S):
+            yield comp_S, G
+    A, B = np.zeros((36, 36)), np.zeros((36, 36))
+    A[12:24, :12] = B[24:, 12:24] = np.eye(12)
+    yield OperatorTuple((A, B)), np.eye(36)[:, :12]
+    yield OperatorTuple((make_shift(SpaceKind.hardy(), 5).operator,)), np.eye(5)[:, 2:3]
+
+
+def test_lockstep_members_are_the_lone_shifted_closures():
+    """Each member of a lockstep closure is G's closure under ``shifted(lam)``:
+    same dimension, same span, and the same margin up to rounding.  A margin
+    set by a dropped singular value at rounding level moves with that
+    rounding, so margins are compared within a factor of 10."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    rng = np.random.default_rng(20)
+    proper = 0
+    for t, G in lockstep_cases():
+        lams = shift_points(rng, t.n)
+        for lam, got in zip(lams, mm._closures(t.ops, G, lams, DEFAULT_TOL)):
+            lone = krylov_closure(t.shifted(lam), G)
+            assert got.dim == lone.dim and same_subspace(got, lone, tol=1e-12)
+            assert 0.1 < got.margin / lone.margin < 10, (got.margin, lone.margin)
+            proper += got.dim < t.dim
+    assert proper >= 6  # the shift's three-dimensional closures, and more
+
+
+def test_members_ranked_apart_split_and_close_alone(monkeypatch):
+    """One member's rank is forced one short at the second step: the members
+    split by rank, each group closes again from the start, and every member
+    gets its lone closure, bit for bit."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    comp_S = prefix_comp_S([(SpaceKind.hardy(), 4, 2), (SpaceKind.bergman(), 3, 1)])
+    G = next(closure_generators(comp_S))
+    lams = shift_points(np.random.default_rng(21), comp_S.n)
+    lone = [mm._closures(comp_S.ops, G, lams[m:m + 1], DEFAULT_TOL)[0] for m in range(6)]
+    decisions, groups = [], []
+    real_rank, real_closures = mm.numerical_rank, mm._closures
+
+    def rank(s, tol):  # the 10th decision: member 3 at the second step
+        decisions.append(real_rank(s, tol))
+        return decisions[-1] - (len(decisions) == 10)
+
+    monkeypatch.setattr(mm, "numerical_rank", rank)
+    monkeypatch.setattr(mm, "_closures", lambda ops, G, lams, tol: groups.append(len(lams))
+                        or real_closures(ops, G, lams, tol))
+    got = mm._closures(comp_S.ops, G, lams, DEFAULT_TOL)
+    assert decisions[9] > 0 and groups == [6, 5, 1]
+    for a, b in zip(got, lone):
+        assert np.array_equal(a.basis, b.basis) and a.margin == b.margin
+
+
+def test_members_past_the_stack_budget_close_one_at_a_time(monkeypatch):
+    """Members whose stacked d x d bases would pass ``_STACK_BYTES`` close one
+    at a time, with the results of the lockstep, each only as the caller asks
+    for it; at the budget they stack."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    comp_S = prefix_comp_S([(SpaceKind.hardy(), 4, 2), (SpaceKind.bergman(), 3, 1)])
+    G = next(closure_generators(comp_S))
+    lams = shift_points(np.random.default_rng(22), comp_S.n)
+    want = mm._closures(comp_S.ops, G, lams, DEFAULT_TOL)
+    groups, real = [], mm._closures
+    monkeypatch.setattr(mm, "_closures", lambda ops, G, lams, tol: groups.append(len(lams))
+                        or real(ops, G, lams, tol))
+    stacked = 6 * comp_S.dim ** 2 * 16  # six d x d complex bases
+    for budget, split in [(stacked, [6]), (stacked - 1, [6] + [1] * 6)]:
+        monkeypatch.setattr(mm, "_STACK_BYTES", budget)
+        groups.clear()
+        got = iter(mm._closures(comp_S.ops, G, lams, DEFAULT_TOL))
+        first = next(got)
+        assert groups == split[:2]  # one at a time, the second waits for the caller
+        got = [first, *got]
+        assert groups == split
+        for a, b in zip(got, want):
+            assert np.array_equal(a.basis, b.basis) and a.margin == b.margin
 
 
 def test_wandering_subspace_of_full_shift():

@@ -279,17 +279,18 @@ def test_shift_lemma_verdict_gates_by_margin(monkeypatch, margin, tampered, expe
     assert sc._shift_lemma_verdict(scn, comp_S, mult_S()) == {
         "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
 
-    real = mm.krylov_closure
+    real = mm._closures
     calls = []
 
-    def lopsided(A, G, tol):
-        got = real(A, G, tol=tol)
-        calls.append(got.dim)
-        if len(calls) - 2 not in tampered:
-            return got
-        return Subspace(got.basis[:, :-1], tol=got.tol, _checked=True, margin=margin)
+    def lopsided(ops, G, lams, tol):
+        out = []
+        for got in real(ops, G, lams, tol):
+            calls.append(got.dim)
+            out.append(got if len(calls) - 2 not in tampered else
+                       Subspace(got.basis[:, :-1], tol=got.tol, _checked=True, margin=margin))
+        return out
 
-    monkeypatch.setattr(mm, "krylov_closure", lopsided)
+    monkeypatch.setattr(mm, "_closures", lopsided)
     assert sc._shift_lemma_verdict(scn, comp_S, mult_S()) == expected
     # W_S fills S: once in mult(S), then once per shift
     assert calls == [12] * 7
@@ -310,14 +311,13 @@ def test_a_near_tie_witness_closure_falls_back_to_gaussian_vectors(monkeypatch):
     assert res.certified and res.witness_closure.margin >= sc.SHIFT_LEMMA_MIN_MARGIN
     res.witness_closure.margin = 50.0
     widths = []
-    real = mm.krylov_closure
+    real = mm._closures
 
-    def counting(A, G, tol):
-        widths.append(np.shape(G))
-        return real(A, G, tol=tol)
+    def counting(ops, G, lams, tol):
+        widths.extend([np.shape(G)] * len(lams))
+        return real(ops, G, lams, tol)
 
-    monkeypatch.setattr(mm, "krylov_closure", counting)
-    monkeypatch.setattr(sc, "krylov_closure", counting)
+    monkeypatch.setattr(mm, "_closures", counting)
     assert sc._shift_lemma_verdict(scn, comp_S, res) == {
         "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
     assert widths == [(comp_S.dim, res.lower)] * 7
@@ -328,16 +328,14 @@ def test_an_all_checks_run_closes_S_once_per_shift_point(monkeypatch):
     shift lemma reuses that closure and closes W_S under six shifts: 7 closures
     on S's coordinates."""
     mm = importlib.import_module("shiftlab.multiplicity")
-    tz = importlib.import_module("shiftlab.tensorized")
     dims = []
-    real = mm.krylov_closure
+    real = mm._closures
 
-    def counting(A, G, **kw):
-        dims.append(mm._as_tuple(A).dim)
-        return real(A, G, **kw)
+    def counting(ops, G, lams, tol):
+        dims.extend([ops[0].shape[0]] * len(lams))
+        return real(ops, G, lams, tol)
 
-    for module in (mm, tz, importlib.import_module("shiftlab.scenarios")):
-        monkeypatch.setattr(module, "krylov_closure", counting)
+    monkeypatch.setattr(mm, "_closures", counting)
     obj = {"factors": [{"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}} for _ in range(3)]}
     rep = run_scenario(scenario_from_json(obj))
     assert rep.succeeded and rep.dim_S == 56 and list(rep.verdicts) == list(ALL_CHECKS)
@@ -359,14 +357,13 @@ def test_shift_lemma_without_a_witness_closes_gaussian_vectors(monkeypatch):
     res = multiplicity(comp_S, lambda_samples=sys_.joint_spectrum(), trials=0, seed=scn.seed, tol=scn.tol)
     assert res.witness_generators is None and res.witness_closure is None and res.lower == 1
     widths = []
-    real = mm.krylov_closure
+    real = mm._closures
 
-    def counting(A, G, tol):
-        widths.append(np.shape(G))
-        return real(A, G, tol=tol)
+    def counting(ops, G, lams, tol):
+        widths.extend([np.shape(G)] * len(lams))
+        return real(ops, G, lams, tol)
 
-    monkeypatch.setattr(mm, "krylov_closure", counting)
-    monkeypatch.setattr(sc, "krylov_closure", counting)
+    monkeypatch.setattr(mm, "_closures", counting)
     assert sc._shift_lemma_verdict(scn, comp_S, res) == {
         "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
     assert widths == [(comp_S.dim, 1)] * 7

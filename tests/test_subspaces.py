@@ -227,23 +227,28 @@ def _fail_once(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("shape", [(9, 4), (4, 9), (6, 6)])
+@pytest.mark.parametrize("shape", [(9, 4), (4, 9), (6, 6), (3, 9, 4), (3, 4, 9)])
 @pytest.mark.parametrize("full_matrices", [False, True])
 def test_svd_retries_through_qr_when_lapack_does_not_converge(monkeypatch, shape, full_matrices):
+    """Also for a stack of matrices, factored matrix by matrix."""
     rng = np.random.default_rng(3)
     M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = np.linalg.svd(M, compute_uv=False)
     calls = _fail_once(monkeypatch)
     U, s, Vh = _svd(M, full_matrices=full_matrices)
     assert len(calls) == 2  # the failed call, then the SVD of the triangular factor
-    k = min(shape)
+    k = min(shape[-2:])
+
+    def adjoint(X):
+        return X.conj().swapaxes(-1, -2)
+
     assert np.allclose(s, want, rtol=0, atol=1e-13)
-    assert np.allclose((U[:, :k] * s) @ Vh[:k], M, rtol=0, atol=1e-13)
-    assert np.allclose(U.conj().T @ U, np.eye(U.shape[1]), rtol=0, atol=1e-13)
-    assert np.allclose(Vh @ Vh.conj().T, np.eye(Vh.shape[0]), rtol=0, atol=1e-13)
-    assert U.shape[0] == shape[0] and Vh.shape[1] == shape[1]
+    assert np.allclose((U[..., :k] * s[..., None, :]) @ Vh[..., :k, :], M, rtol=0, atol=1e-13)
+    assert np.allclose(adjoint(U) @ U, np.eye(U.shape[-1]), rtol=0, atol=1e-13)
+    assert np.allclose(Vh @ adjoint(Vh), np.eye(Vh.shape[-2]), rtol=0, atol=1e-13)
+    assert U.shape[:-1] == shape[:-1] and Vh.shape[-1] == shape[-1]
     if full_matrices:
-        assert U.shape == (shape[0],) * 2 and Vh.shape == (shape[1],) * 2
+        assert U.shape[-2:] == (shape[-2],) * 2 and Vh.shape[-2:] == (shape[-1],) * 2
     _fail_once(monkeypatch)
     assert np.allclose(_svd(M, compute_uv=False), want, rtol=0, atol=1e-13)
 

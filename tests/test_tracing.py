@@ -52,7 +52,14 @@ def traced_run(tracing):
 def test_the_tracer_runs_a_scenario_and_its_stages_sum_to_the_run(tracing):
     report, spans = traced_run(tracing)
     assert report.succeeded and report.mode == "equality"
-    assert [s[tracing.NAME] for s in spans].count("scenarios.run_scenario") == 1
+    names = [s[tracing.NAME] for s in spans]
+    assert names.count("scenarios.run_scenario") == 1
+    # the shift lemma is one span; its six shifted closures run in lockstep
+    # inside it, none as a krylov_closure span
+    assert names.count("multiplicity.shifted_closure_check") == 1
+    check = names.index("multiplicity.shifted_closure_check")
+    inside = [s[tracing.NAME] for s in spans if s[tracing.PARENT] == check]
+    assert "multiplicity.krylov_closure" not in inside
     table, total = tracing.stage_table(spans)
     assert total > 0
     assert sum(table.values()) == pytest.approx(total, rel=1e-9)
