@@ -164,10 +164,10 @@ def _closures(ops, G, lams, tol):
     """G's closure under A - lam for each row lam of ``lams`` (M x n), in lockstep:
     one stacked SVD and one stacked QR per step, images formed as A_i N - lam_i N.
     Member m's basis is the rows of Bt[m] = B^T, filled block by block, so a
-    projection conjugates only thin factors and a result is a view.  Members a
-    step ranks apart split by rank and close again from the start; M bases of
-    d x d past ``_STACK_BYTES`` close one at a time, as the caller iterates.
-    Either way each result is the member's lone closure."""
+    projection conjugates only thin factors and a result is a view.  If a step
+    ranks the members apart, or M bases of d x d pass ``_STACK_BYTES``, they
+    close one at a time from the start, as the caller iterates.  Either way
+    each result is the member's lone closure."""
     d, n, M = ops[0].shape[0], len(ops), len(lams)
     if M > 1 and M * d * d * 16 > _STACK_BYTES:
         return (c for lam in lams for c in _closures(ops, G, lam[None], tol))
@@ -194,9 +194,7 @@ def _closures(ops, G, lams, tol):
             U, s, _ = _svd(R)
             ranks = [min(numerical_rank(sm, tol), d - r) for sm in s]
             if len(set(ranks)) > 1:
-                groups = [[m for m in range(M) if ranks[m] == q] for q in dict.fromkeys(ranks)]
-                out = {m: c for g in groups for m, c in zip(g, _closures(ops, G, lams[g], tol))}
-                return [out[m] for m in range(M)]
+                return (c for lam in lams for c in _closures(ops, G, lam[None], tol))
             rank = ranks[0]
             margins = [min(mg, rank_margin(sm, rank, tol)) for mg, sm in zip(margins, s)]
             new = U[:, :, :rank] - B.swapaxes(1, 2) @ (B @ U[:, :, :rank].conj()).conj()

@@ -155,21 +155,23 @@ def rank_margin(s, rank, tol):
 def _svd(M, full_matrices=False, compute_uv=True):
     """``np.linalg.svd``, retried if it does not converge as M = QR (M^H = QR
     when M is wide) and the SVD of R = U s Vh: M = (QU) s Vh, the complete Q
-    supplying the remaining left singular vectors for ``full_matrices``.  A
-    stack of matrices (leading axes) is factored matrix by matrix."""
+    supplying the remaining left singular vectors for ``full_matrices``.  A stack
+    is retried matrix by matrix: only a matrix that fails alone takes the QR route."""
     try:
         return np.linalg.svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
         pass
-    wide = M.shape[-2] < M.shape[-1]
-    Q, R = np.linalg.qr(M.conj().swapaxes(-1, -2) if wide else M,
-                        mode="complete" if full_matrices else "reduced")
-    n = R.shape[-1]
+    if M.ndim > 2:
+        out = [_svd(m, full_matrices, compute_uv) for m in M]
+        return tuple(map(np.stack, zip(*out))) if compute_uv else np.stack(out)
+    wide = M.shape[0] < M.shape[1]
+    Q, R = np.linalg.qr(M.conj().T if wide else M, mode="complete" if full_matrices else "reduced")
+    n = R.shape[1]
     if not compute_uv:
-        return np.linalg.svd(R[..., :n, :], compute_uv=False)
-    U, s, Vh = np.linalg.svd(R[..., :n, :])
-    U = np.concatenate([Q[..., :n] @ U, Q[..., n:]], axis=-1)
-    return (Vh.conj().swapaxes(-1, -2), s, U.conj().swapaxes(-1, -2)) if wide else (U, s, Vh)
+        return np.linalg.svd(R[:n], compute_uv=False)
+    U, s, Vh = np.linalg.svd(R[:n])
+    U = np.hstack([Q[:, :n] @ U, Q[:, n:]])
+    return (Vh.conj().T, s, U.conj().T) if wide else (U, s, Vh)
 
 
 def orthonormalize(vectors, tol=DEFAULT_TOL, ambient_dim=None):

@@ -398,10 +398,10 @@ def test_lockstep_members_are_the_lone_shifted_closures():
     assert proper >= 6  # the shift's three-dimensional closures, and more
 
 
-def test_members_ranked_apart_split_and_close_alone(monkeypatch):
-    """One member's rank is forced one short at the second step: the members
-    split by rank, each group closes again from the start, and every member
-    gets its lone closure, bit for bit."""
+def test_members_ranked_apart_close_one_at_a_time(monkeypatch):
+    """Member 0's rank is forced one short at the second step: the members are
+    ranked apart, each closes again alone from the start, and every member gets
+    its lone closure, bit for bit (kept at member 0's rank, all would be short)."""
     mm = importlib.import_module("shiftlab.multiplicity")
     comp_S = prefix_comp_S([(SpaceKind.hardy(), 4, 2), (SpaceKind.bergman(), 3, 1)])
     G = next(closure_generators(comp_S))
@@ -410,16 +410,16 @@ def test_members_ranked_apart_split_and_close_alone(monkeypatch):
     decisions, groups = [], []
     real_rank, real_closures = mm.numerical_rank, mm._closures
 
-    def rank(s, tol):  # the 10th decision: member 3 at the second step
+    def rank(s, tol):  # the 7th decision: member 0 at the second step
         decisions.append(real_rank(s, tol))
-        return decisions[-1] - (len(decisions) == 10)
+        return decisions[-1] - (len(decisions) == 7)
 
     monkeypatch.setattr(mm, "numerical_rank", rank)
     monkeypatch.setattr(mm, "_closures", lambda ops, G, lams, tol: groups.append(len(lams))
                         or real_closures(ops, G, lams, tol))
-    got = mm._closures(comp_S.ops, G, lams, DEFAULT_TOL)
-    assert decisions[9] > 0 and groups == [6, 5, 1]
-    for a, b in zip(got, lone):
+    got = list(mm._closures(comp_S.ops, G, lams, DEFAULT_TOL))
+    assert decisions[6] > 0 and groups == [6, 1, 1, 1, 1, 1, 1]
+    for a, b in zip(got, lone, strict=True):
         assert np.array_equal(a.basis, b.basis) and a.margin == b.margin
 
 

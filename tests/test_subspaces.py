@@ -211,15 +211,16 @@ def test_containment_residual_scales_with_leakage():
     assert 5e-4 < big.containment_residual(tilted) < 2e-3
 
 
-def _fail_once(monkeypatch):
-    """Make the next np.linalg.svd call raise LinAlgError, as LAPACK does when
-    it does not converge; later calls go through."""
+def _fail_once(monkeypatch, at=(1,)):
+    """Make the np.linalg.svd calls numbered ``at`` (from 1, default the next)
+    raise LinAlgError, as LAPACK does when it does not converge; the others go
+    through."""
     real = np.linalg.svd
     calls = []
 
     def svd(*args, **kwargs):
         calls.append(args[0].shape)
-        if len(calls) == 1:
+        if len(calls) in at:
             raise np.linalg.LinAlgError("SVD did not converge")
         return real(*args, **kwargs)
 
@@ -227,30 +228,52 @@ def _fail_once(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("shape", [(9, 4), (4, 9), (6, 6), (3, 9, 4), (3, 4, 9)])
+def _factors(U, s, Vh, M, full_matrices):
+    """U s Vh is an SVD of the matrix M, complete if ``full_matrices``."""
+    k = min(M.shape)
+    assert np.allclose(s, np.linalg.svd(M, compute_uv=False), rtol=0, atol=1e-13)
+    assert np.allclose((U[:, :k] * s) @ Vh[:k], M, rtol=0, atol=1e-13)
+    assert np.allclose(U.conj().T @ U, np.eye(U.shape[1]), rtol=0, atol=1e-13)
+    assert np.allclose(Vh @ Vh.conj().T, np.eye(Vh.shape[0]), rtol=0, atol=1e-13)
+    assert U.shape[0] == M.shape[0] and Vh.shape[1] == M.shape[1]
+    if full_matrices:
+        assert U.shape == (M.shape[0],) * 2 and Vh.shape == (M.shape[1],) * 2
+
+
+@pytest.mark.parametrize("shape", [(9, 4), (4, 9), (6, 6)])
 @pytest.mark.parametrize("full_matrices", [False, True])
 def test_svd_retries_through_qr_when_lapack_does_not_converge(monkeypatch, shape, full_matrices):
-    """Also for a stack of matrices, factored matrix by matrix."""
     rng = np.random.default_rng(3)
     M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = np.linalg.svd(M, compute_uv=False)
     calls = _fail_once(monkeypatch)
     U, s, Vh = _svd(M, full_matrices=full_matrices)
     assert len(calls) == 2  # the failed call, then the SVD of the triangular factor
-    k = min(shape[-2:])
-
-    def adjoint(X):
-        return X.conj().swapaxes(-1, -2)
-
-    assert np.allclose(s, want, rtol=0, atol=1e-13)
-    assert np.allclose((U[..., :k] * s[..., None, :]) @ Vh[..., :k, :], M, rtol=0, atol=1e-13)
-    assert np.allclose(adjoint(U) @ U, np.eye(U.shape[-1]), rtol=0, atol=1e-13)
-    assert np.allclose(Vh @ adjoint(Vh), np.eye(Vh.shape[-2]), rtol=0, atol=1e-13)
-    assert U.shape[:-1] == shape[:-1] and Vh.shape[-1] == shape[-1]
-    if full_matrices:
-        assert U.shape[-2:] == (shape[-2],) * 2 and Vh.shape[-2:] == (shape[-1],) * 2
+    _factors(U, s, Vh, M, full_matrices)
     _fail_once(monkeypatch)
     assert np.allclose(_svd(M, compute_uv=False), want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(3, 9, 4), (3, 4, 9)])
+@pytest.mark.parametrize("full_matrices", [False, True])
+def test_a_stack_retries_only_the_matrix_that_does_not_converge(monkeypatch, shape, full_matrices):
+    """The stack's call fails, then matrix 1's alone: matrices 0 and 2 keep the
+    bits of their lone SVD, and only matrix 1 takes the QR route."""
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    lone = [np.linalg.svd(m, full_matrices=full_matrices) for m in M]
+    lone_s = [np.linalg.svd(m, compute_uv=False) for m in M]
+    calls = _fail_once(monkeypatch, at=(1, 3))
+    got = _svd(M, full_matrices=full_matrices)
+    # the stack, matrix 0, matrix 1 failing, its triangular factor, matrix 2
+    assert calls == [shape, shape[1:], shape[1:], (min(shape[1:]),) * 2, shape[1:]]
+    for m in (0, 2):
+        assert all(np.array_equal(a[m], b) for a, b in zip(got, lone[m], strict=True))
+    _factors(*(a[1] for a in got), M[1], full_matrices)
+    _fail_once(monkeypatch, at=(1, 3))
+    s = _svd(M, compute_uv=False)
+    assert np.array_equal(s[0], lone_s[0]) and np.array_equal(s[2], lone_s[2])
+    assert np.allclose(s[1], lone_s[1], rtol=0, atol=1e-13)
 
 
 def test_orthonormalize_survives_a_non_converging_svd(monkeypatch):
