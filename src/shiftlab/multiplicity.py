@@ -104,6 +104,7 @@ class MultiplicityResult:
     trials_used: int
     wandering_generates: bool
     witness_closure: Subspace | None
+    wandering: Subspace
 
 
 def _as_tuple(A):
@@ -120,7 +121,6 @@ def _as_point(lam, n):
 
 
 _JOINT_WIDTH = 24  # fewer images than this: one joint SVD beats an SVD and a QR per A_i
-_STACK_BYTES = 4 << 20  # members close in lockstep only while their stacked bases fit this
 
 
 def _commutes(ops, tol):
@@ -153,32 +153,24 @@ def krylov_closure(A, G, tol=DEFAULT_TOL):
     commutes, the block A_i added is mapped by A_1 .. A_i only: the ordered
     monomials A_{i_1} .. A_{i_m} G, i_1 <= .. <= i_m, span the closure.  Its
     ``margin`` is the smallest ``rank_margin`` of those rank decisions and of
-    the one ``orthonormalize`` made on G.  It is the one-point case of the
-    loop that ``shifted_closure_check`` runs on many points.
+    the one ``orthonormalize`` made on G.
     """
-    t = _as_tuple(A)
-    return _closures(t.ops, G, np.zeros((1, t.n), dtype=complex), tol)[0]
+    return _closure(_as_tuple(A).ops, G, tol)
 
 
-def _closures(ops, G, lams, tol):
-    """G's closure under A - lam for each row lam of ``lams`` (M x n), in lockstep:
-    one stacked SVD and one stacked QR per step, images formed as A_i N - lam_i N.
-    Member m's basis is the rows of Bt[m] = B^T, filled block by block, so a
-    projection conjugates only thin factors and a result is a view.  If a step
-    ranks the members apart, or M bases of d x d pass ``_STACK_BYTES``, they
-    close one at a time from the start, as the caller iterates.  Either way
-    each result is the member's lone closure."""
-    d, n, M = ops[0].shape[0], len(ops), len(lams)
-    if M > 1 and M * d * d * 16 > _STACK_BYTES:
-        return (c for lam in lams for c in _closures(ops, G, lam[None], tol))
+def _closure(ops, G, tol, lam=None):
+    """G's closure under A - lam (A if ``lam`` is None), images formed as A_i N - lam_i N.
+    The basis is the rows of Bt = B^T, filled block by block, so a projection
+    conjugates only thin factors and the result is a view."""
+    d, n = ops[0].shape[0], len(ops)
     first = orthonormalize(as_columns(G, d), tol=tol, ambient_dim=d)
-    r, margins, lam, shifts = first.dim, [first.margin] * M, lams[:, :, None, None], lams.any(0)
-    Bt = np.empty((M, d, d), dtype=complex)
-    Bt[:, :r] = first.basis.T
-    blocks, commuting = [(Bt[:, :r].swapaxes(1, 2), n)], None  # with how many A_i map each
-    while M and blocks and r < d:
+    r, margin = first.dim, first.margin
+    Bt = np.empty((d, d), dtype=complex)
+    Bt[:r] = first.basis.T
+    blocks, commuting = [(Bt[:r].T, n)], None  # the newest blocks, each with how many A_i map it
+    while blocks and r < d:
         steps = [(range(n), n)]
-        if sum(k * N.shape[2] for N, k in blocks) >= _JOINT_WIDTH:
+        if sum(k * N.shape[1] for N, k in blocks) >= _JOINT_WIDTH:
             commuting = commuting if commuting is not None else n == 1 or _commutes(ops, tol)
             steps = [([i], i + 1 if commuting else n) for i in range(n)]
         mapped, blocks = blocks, []
@@ -186,38 +178,35 @@ def _closures(ops, G, lams, tol):
             pairs = [(i, N) for N, k in mapped for i in idx if i < k]
             if not pairs or r == d:
                 continue
-            R = np.concatenate([ops[i] @ N - lam[:, i] * N if shifts[i] else ops[i] @ N
-                                for i, N in pairs], axis=2)
-            B = Bt[:, :r]
+            R = np.hstack([ops[i] @ N - lam[i] * N if lam is not None and lam[i] else ops[i] @ N
+                           for i, N in pairs])
+            B = Bt[:r]
             for _ in range(2):
-                R -= B.swapaxes(1, 2) @ (B @ R.conj()).conj()
+                R -= B.T @ (B @ R.conj()).conj()
             U, s, _ = _svd(R)
-            ranks = [min(numerical_rank(sm, tol), d - r) for sm in s]
-            if len(set(ranks)) > 1:
-                return (c for lam in lams for c in _closures(ops, G, lam[None], tol))
-            rank = ranks[0]
-            margins = [min(mg, rank_margin(sm, rank, tol)) for mg, sm in zip(margins, s)]
-            new = U[:, :, :rank] - B.swapaxes(1, 2) @ (B @ U[:, :, :rank].conj()).conj()
-            Bt[:, r:r + rank] = np.linalg.qr(new)[0].swapaxes(1, 2)
-            blocks += [(Bt[:, r:r + rank].swapaxes(1, 2), label)] if rank else []
+            rank = min(numerical_rank(s, tol), d - r)
+            margin = min(margin, rank_margin(s, rank, tol))
+            new = U[:, :rank] - B.T @ (B @ U[:, :rank].conj()).conj()
+            Bt[r:r + rank] = np.linalg.qr(new)[0].T
+            blocks += [(Bt[r:r + rank].T, label)] if rank else []
             r += rank
-    return [Subspace(b[:r].T, tol=tol, _checked=True, margin=mg) for b, mg in zip(Bt, margins)]
+    return Subspace(Bt[:r].T, tol=tol, _checked=True, margin=margin)
 
 
 def shifted_closure_check(A, G, closure, points):
     """Closures are invariant under shifting each A_i by a scalar: verify it.
 
-    ``closure`` is G's closure under A; G is closed under A - lam at every point
-    lam in lockstep, each closure ranked at ``closure.tol`` too and equal to its
-    lone one under ``A.shifted(lam)``.  One ``(agree, margin)`` per point: whether
-    that closure is ``closure`` (by dimension, and if proper by largest principal
-    angle, threshold ``max(closure.tol, 1e-12)``) and the smaller of the two
-    ``margin``s: how far from a tie the rank decisions were.
+    ``closure`` is G's closure under A; G is closed under A - lam at each point
+    lam in turn, one closure alive at a time, ranked at ``closure.tol`` too.  One
+    ``(agree, margin)`` per point: whether that closure is ``closure`` (by
+    dimension, and if proper by ``same_subspace``, threshold
+    ``max(closure.tol, 1e-12)``) and the smaller of the two ``margin``s: how far
+    from a tie the rank decisions were.
     """
     t = _as_tuple(A)
-    lams = np.array([_as_point(lam, t.n) for lam in points], dtype=complex).reshape(-1, t.n)
+    shifted = (_closure(t.ops, G, closure.tol, _as_point(lam, t.n)) for lam in points)
     return [(same_subspace(closure, c, tol=max(closure.tol, 1e-12)), min(closure.margin, c.margin))
-            for c in _closures(t.ops, G, lams, closure.tol)]
+            for c in shifted]
 
 
 def _stacked_svd(ops, lam=None, compute_uv=True):
@@ -263,13 +252,13 @@ def multiplicity(A, *, lambda_samples, trials=64, seed=42, tol=DEFAULT_TOL):
     ``trials_used`` counts them.  ``upper`` is the size of the set found,
     k on a miss; the result is certified when it is ``lower``.  The set
     found is the witness, in A's coordinates; ``witness_closure`` is its
-    closure (None on a miss).
+    closure (None on a miss), and ``wandering`` is W.
     """
     t = _as_tuple(A)
     k = t.dim
     if k == 0:
         zero = Subspace(np.zeros((0, 0)), tol=tol, _checked=True, margin=np.inf)
-        return MultiplicityResult(0, 0, True, [], None, 0, True, zero)
+        return MultiplicityResult(0, 0, True, [], None, 0, True, zero, zero)
     W = wandering_subspace(t, tol=tol)
     pts = dict.fromkeys(_as_point(p, t.n) for p in lambda_samples)
     coranks = {p: k - numerical_rank(_stacked_svd(t.ops, p, compute_uv=False), tol)
@@ -300,4 +289,5 @@ def multiplicity(A, *, lambda_samples, trials=64, seed=42, tol=DEFAULT_TOL):
         trials_used=trials_used,
         wandering_generates=wandering,
         witness_closure=None if G is None else closure,
+        wandering=W,
     )

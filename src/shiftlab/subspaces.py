@@ -155,15 +155,11 @@ def rank_margin(s, rank, tol):
 def _svd(M, full_matrices=False, compute_uv=True):
     """``np.linalg.svd``, retried if it does not converge as M = QR (M^H = QR
     when M is wide) and the SVD of R = U s Vh: M = (QU) s Vh, the complete Q
-    supplying the remaining left singular vectors for ``full_matrices``.  A stack
-    is retried matrix by matrix: only a matrix that fails alone takes the QR route."""
+    supplying the remaining left singular vectors for ``full_matrices``."""
     try:
         return np.linalg.svd(M, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
         pass
-    if M.ndim > 2:
-        out = [_svd(m, full_matrices, compute_uv) for m in M]
-        return tuple(map(np.stack, zip(*out))) if compute_uv else np.stack(out)
     wide = M.shape[0] < M.shape[1]
     Q, R = np.linalg.qr(M.conj().T if wide else M, mode="complete" if full_matrices else "reduced")
     n = R.shape[1]

@@ -319,13 +319,13 @@ def test_commutation_probe_ignores_shift_and_scale():
 def test_wide_closure_ranks_fewer_columns_than_the_joint_loop(monkeypatch):
     """Work counter: the W_S closure of hardy 4^4 k2 passes at most 0.6 times
     the SVD columns of the joint loop, which maps every new direction through
-    every operator.  A stacked SVD's columns are its last axis, per matrix."""
+    every operator."""
     comp_S = prefix_comp_S(WIDE_TUPLES["hardy-4^4-k2"])
     G = next(closure_generators(comp_S))
     columns = []
     real_svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda M, *a, **k: columns.append(
-        M.shape[-1] * int(np.prod(M.shape[:-2]))) or real_svd(M, *a, **k))
+    monkeypatch.setattr(np.linalg, "svd", lambda M, *a, **k: columns.append(M.shape[1])
+                        or real_svd(M, *a, **k))
     assert oracle.joint_closure(comp_S.ops, G).shape[1] == comp_S.dim
     joint, columns[:] = sum(columns), []
     assert krylov_closure(comp_S, G).dim == comp_S.dim
@@ -365,7 +365,7 @@ def shift_points(rng, n, draws=6):
                      * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n)) for _ in range(draws)])
 
 
-def lockstep_cases():
+def shift_cases():
     """(tuple, G): W_S and random generators of hardy, bergman and dirichlet pairs
     compressed to S, the non-commuting 36-dimensional tuple, and a proper closure."""
     for slots in ([(SpaceKind.hardy(), 4, 2), (SpaceKind.hardy(), 3, 1)],
@@ -380,72 +380,23 @@ def lockstep_cases():
     yield OperatorTuple((make_shift(SpaceKind.hardy(), 5).operator,)), np.eye(5)[:, 2:3]
 
 
-def test_lockstep_members_are_the_lone_shifted_closures():
-    """Each member of a lockstep closure is G's closure under ``shifted(lam)``:
-    same dimension, same span, and the same margin up to rounding.  A margin
-    set by a dropped singular value at rounding level moves with that
-    rounding, so margins are compared within a factor of 10."""
+def test_shifted_closures_are_the_lone_closures_of_the_shifted_tuple():
+    """The closure under A - lam that ``shifted_closure_check`` forms, with images
+    A_i N - lam_i N, is G's closure under ``shifted(lam)``: same dimension, same
+    span, and the same margin up to rounding.  A margin set by a dropped
+    singular value at rounding level moves with that rounding, so margins are
+    compared within a factor of 10."""
     mm = importlib.import_module("shiftlab.multiplicity")
     rng = np.random.default_rng(20)
     proper = 0
-    for t, G in lockstep_cases():
-        lams = shift_points(rng, t.n)
-        for lam, got in zip(lams, mm._closures(t.ops, G, lams, DEFAULT_TOL)):
+    for t, G in shift_cases():
+        for lam in shift_points(rng, t.n):
+            got = mm._closure(t.ops, G, DEFAULT_TOL, tuple(lam))
             lone = krylov_closure(t.shifted(lam), G)
             assert got.dim == lone.dim and same_subspace(got, lone, tol=1e-12)
             assert 0.1 < got.margin / lone.margin < 10, (got.margin, lone.margin)
             proper += got.dim < t.dim
     assert proper >= 6  # the shift's three-dimensional closures, and more
-
-
-def test_members_ranked_apart_close_one_at_a_time(monkeypatch):
-    """Member 0's rank is forced one short at the second step: the members are
-    ranked apart, each closes again alone from the start, and every member gets
-    its lone closure, bit for bit (kept at member 0's rank, all would be short)."""
-    mm = importlib.import_module("shiftlab.multiplicity")
-    comp_S = prefix_comp_S([(SpaceKind.hardy(), 4, 2), (SpaceKind.bergman(), 3, 1)])
-    G = next(closure_generators(comp_S))
-    lams = shift_points(np.random.default_rng(21), comp_S.n)
-    lone = [mm._closures(comp_S.ops, G, lams[m:m + 1], DEFAULT_TOL)[0] for m in range(6)]
-    decisions, groups = [], []
-    real_rank, real_closures = mm.numerical_rank, mm._closures
-
-    def rank(s, tol):  # the 7th decision: member 0 at the second step
-        decisions.append(real_rank(s, tol))
-        return decisions[-1] - (len(decisions) == 7)
-
-    monkeypatch.setattr(mm, "numerical_rank", rank)
-    monkeypatch.setattr(mm, "_closures", lambda ops, G, lams, tol: groups.append(len(lams))
-                        or real_closures(ops, G, lams, tol))
-    got = list(mm._closures(comp_S.ops, G, lams, DEFAULT_TOL))
-    assert decisions[6] > 0 and groups == [6, 1, 1, 1, 1, 1, 1]
-    for a, b in zip(got, lone, strict=True):
-        assert np.array_equal(a.basis, b.basis) and a.margin == b.margin
-
-
-def test_members_past_the_stack_budget_close_one_at_a_time(monkeypatch):
-    """Members whose stacked d x d bases would pass ``_STACK_BYTES`` close one
-    at a time, with the results of the lockstep, each only as the caller asks
-    for it; at the budget they stack."""
-    mm = importlib.import_module("shiftlab.multiplicity")
-    comp_S = prefix_comp_S([(SpaceKind.hardy(), 4, 2), (SpaceKind.bergman(), 3, 1)])
-    G = next(closure_generators(comp_S))
-    lams = shift_points(np.random.default_rng(22), comp_S.n)
-    want = mm._closures(comp_S.ops, G, lams, DEFAULT_TOL)
-    groups, real = [], mm._closures
-    monkeypatch.setattr(mm, "_closures", lambda ops, G, lams, tol: groups.append(len(lams))
-                        or real(ops, G, lams, tol))
-    stacked = 6 * comp_S.dim ** 2 * 16  # six d x d complex bases
-    for budget, split in [(stacked, [6]), (stacked - 1, [6] + [1] * 6)]:
-        monkeypatch.setattr(mm, "_STACK_BYTES", budget)
-        groups.clear()
-        got = iter(mm._closures(comp_S.ops, G, lams, DEFAULT_TOL))
-        first = next(got)
-        assert groups == split[:2]  # one at a time, the second waits for the caller
-        got = [first, *got]
-        assert groups == split
-        for a, b in zip(got, want):
-            assert np.array_equal(a.basis, b.basis) and a.margin == b.margin
 
 
 def test_wandering_subspace_of_full_shift():

@@ -1,5 +1,7 @@
 import importlib
+import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from shiftlab import (
     scenario_from_json,
 )
 import oracle
+from test_acceptance import _random_prefix_scenario
 from shiftlab.cli import main
 from shiftlab.models import dump_matrix, matrix_to_json, parse_roots
 from shiftlab.multiplicity import OperatorTuple, multiplicity, wandering_subspace
@@ -252,102 +255,104 @@ def test_shift_lemma_marks_a_drop_near_the_cut_marginal():
     assert rep.succeeded
 
 
-@pytest.mark.parametrize("margin, tampered, expected", [
-    (1e6, range(6), {"status": "fail", "draws": 6, "agreed": 0, "marginal": 0}),
-    (1e6, [2], {"status": "fail", "draws": 6, "agreed": 5, "marginal": 0}),
-    (50.0, [0], {"status": "pass", "draws": 6, "agreed": 5, "marginal": 1}),
-    (50.0, range(6), {"status": "fail", "draws": 6, "agreed": 0, "marginal": 6}),
+def scenario_comp_S(obj, tol=None):
+    """(Scenario, system, comp_S) for a scenario object, ranked at ``tol`` if given."""
+    scn = scenario_from_json(obj)
+    scn.tol = tol or scn.tol
+    sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
+    return scn, sys_, verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
+
+
+def mult_S_of(scn, sys_, comp_S):
+    return multiplicity(comp_S, lambda_samples=sys_.joint_spectrum(),
+                        trials=scn.trials, seed=scn.seed, tol=scn.tol)
+
+
+@pytest.mark.parametrize("margin, decided, expected", [
+    (1e6, False, {"status": "fail", "draws": 6, "agreed": 0, "marginal": 5}),
+    (1e6, True, {"status": "fail", "draws": 6, "agreed": 5, "marginal": 0}),
+    (50.0, True, {"status": "pass", "draws": 6, "agreed": 5, "marginal": 1}),
+    (50.0, False, {"status": "fail", "draws": 6, "agreed": 0, "marginal": 6}),
 ], ids=["wide-disagreement", "one-wide-disagreement", "near-tie", "all-near-ties"])
-def test_shift_lemma_verdict_gates_by_margin(monkeypatch, margin, tampered, expected):
-    """A shifted closure that misses one direction of the witness's closure in
-    the ``tampered`` draws: with a wide margin each is a disagreement and the
-    check fails, even on one; with a margin below SHIFT_LEMMA_MIN_MARGIN it is
-    marginal and the check passes on the other draws' agreement, but not when no
-    draw agrees.  mult(S) closes its witness W_S once, unshifted, and the check
-    reuses that closure: the six shifted closures are the only others."""
+def test_shift_lemma_verdict_gates_by_margin(monkeypatch, margin, decided, expected):
+    """The spot check's shifted closure misses one direction of the witness's
+    closure: with a wide margin it is a disagreement and the check fails,
+    whether the rounding bound decides the other five draws (agreed) or not
+    (marginal); with a margin below SHIFT_LEMMA_MIN_MARGIN it is marginal, and
+    the check passes on the five bound-decided draws' agreement, but not when
+    the bound decides none: then no draw agrees.  mult(S) closes its witness
+    W_S once, unshifted, and the check reuses that closure: the spot check's
+    shifted closure is the only other."""
     mm = importlib.import_module("shiftlab.multiplicity")
     sc = importlib.import_module("shiftlab.scenarios")
     assert sc.SHIFT_LEMMA_MIN_MARGIN == 100.0
-    scn = scenario_from_json(hardy_obj())
-    sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
-    comp_S = verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
-
-    def mult_S():
-        return multiplicity(comp_S, lambda_samples=sys_.joint_spectrum(),
-                            trials=scn.trials, seed=scn.seed, tol=scn.tol)
-
-    assert sc._shift_lemma_verdict(scn, comp_S, mult_S()) == {
+    scn, sys_, comp_S = scenario_comp_S(hardy_obj())
+    assert sc._shift_lemma_verdict(scn, comp_S, mult_S_of(scn, sys_, comp_S)) == {
         "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
 
-    real = mm._closures
+    real = mm._closure
     calls = []
 
-    def lopsided(ops, G, lams, tol):
-        out = []
-        for got in real(ops, G, lams, tol):
-            calls.append(got.dim)
-            out.append(got if len(calls) - 2 not in tampered else
-                       Subspace(got.basis[:, :-1], tol=got.tol, _checked=True, margin=margin))
-        return out
+    def lopsided(ops, G, tol, lam=None):
+        got = real(ops, G, tol, lam)
+        calls.append(got.dim)
+        return got if lam is None else Subspace(got.basis[:, :-1], tol=got.tol, _checked=True,
+                                                margin=margin)
 
-    monkeypatch.setattr(mm, "_closures", lopsided)
-    assert sc._shift_lemma_verdict(scn, comp_S, mult_S()) == expected
-    # W_S fills S: once in mult(S), then once per shift
-    assert calls == [12] * 7
+    monkeypatch.setattr(mm, "_closure", lopsided)
+    if not decided:  # beta past every gap: no draw is decided by the bound
+        monkeypatch.setattr(sc, "_shift_rounding_bound", lambda A, closure: lambda lam: math.inf)
+    assert sc._shift_lemma_verdict(scn, comp_S, mult_S_of(scn, sys_, comp_S)) == expected
+    # W_S fills S: once in mult(S), then once under the spot check's shift
+    assert calls == [12] * 2
+
+
+def closure_widths(monkeypatch):
+    """Record the shape of G for every closure from now on."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    widths, real = [], mm._closure
+    monkeypatch.setattr(mm, "_closure", lambda ops, G, tol, lam=None:
+                        widths.append(np.shape(G)) or real(ops, G, tol, lam))
+    return widths
 
 
 def test_a_near_tie_witness_closure_falls_back_to_gaussian_vectors(monkeypatch):
     """A witness whose own closure decided a rank within SHIFT_LEMMA_MIN_MARGIN
-    of the cut would make all six draws marginal and fail the check for a doubt
+    of the cut would make every draw marginal and fail the check for a doubt
     about mult(S)'s certificate.  The check closes ``lower`` seeded Gaussian
-    vectors instead, once unshifted and under each shift, and they agree."""
-    mm = importlib.import_module("shiftlab.multiplicity")
+    vectors instead, once unshifted and once under the spot check's shift, and
+    all six draws agree."""
     sc = importlib.import_module("shiftlab.scenarios")
-    scn = scenario_from_json(hardy_obj())
-    sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
-    comp_S = verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
-    res = multiplicity(comp_S, lambda_samples=sys_.joint_spectrum(),
-                       trials=scn.trials, seed=scn.seed, tol=scn.tol)
+    scn, sys_, comp_S = scenario_comp_S(hardy_obj())
+    res = mult_S_of(scn, sys_, comp_S)
     assert res.certified and res.witness_closure.margin >= sc.SHIFT_LEMMA_MIN_MARGIN
     res.witness_closure.margin = 50.0
-    widths = []
-    real = mm._closures
-
-    def counting(ops, G, lams, tol):
-        widths.extend([np.shape(G)] * len(lams))
-        return real(ops, G, lams, tol)
-
-    monkeypatch.setattr(mm, "_closures", counting)
+    widths = closure_widths(monkeypatch)
     assert sc._shift_lemma_verdict(scn, comp_S, res) == {
         "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
-    assert widths == [(comp_S.dim, res.lower)] * 7
+    assert widths == [(comp_S.dim, res.lower)] * 2
 
 
 def test_an_all_checks_run_closes_S_once_per_shift_point(monkeypatch):
     """hardy 4^3 k2 (dim S = 56) with every check: mult(S) closes W_S, and the
-    shift lemma reuses that closure and closes W_S under six shifts: 7 closures
-    on S's coordinates."""
+    shift lemma reuses that closure and closes W_S under one shift, the spot
+    check's; the other five draws are decided from the witness closure's
+    margin.  2 closures on S's coordinates, not 7."""
     mm = importlib.import_module("shiftlab.multiplicity")
-    dims = []
-    real = mm._closures
-
-    def counting(ops, G, lams, tol):
-        dims.extend([ops[0].shape[0]] * len(lams))
-        return real(ops, G, lams, tol)
-
-    monkeypatch.setattr(mm, "_closures", counting)
+    dims, real = [], mm._closure
+    monkeypatch.setattr(mm, "_closure", lambda ops, G, tol, lam=None:
+                        dims.append(ops[0].shape[0]) or real(ops, G, tol, lam))
     obj = {"factors": [{"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}} for _ in range(3)]}
     rep = run_scenario(scenario_from_json(obj))
     assert rep.succeeded and rep.dim_S == 56 and list(rep.verdicts) == list(ALL_CHECKS)
-    assert dims.count(56) == 7
+    assert dims.count(56) == 2
     assert rep.verdicts["shift_lemma"] == {"status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
 
 
 def test_shift_lemma_without_a_witness_closes_gaussian_vectors(monkeypatch):
     """quotient-zeros with no generator trials: W_S does not generate, so mult(S)
     has no witness.  The check closes ``lower`` seeded Gaussian vectors once,
-    unshifted, then under each of the six shifts, and still gives a verdict."""
-    mm = importlib.import_module("shiftlab.multiplicity")
+    unshifted, then under the spot check's shift, and still gives a verdict."""
     sc = importlib.import_module("shiftlab.scenarios")
     scn = load_scenario(SCENARIO_DIR / "quotient-zeros.json")
     scn.trials = 0
@@ -356,17 +361,102 @@ def test_shift_lemma_without_a_witness_closes_gaussian_vectors(monkeypatch):
     comp_S = verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
     res = multiplicity(comp_S, lambda_samples=sys_.joint_spectrum(), trials=0, seed=scn.seed, tol=scn.tol)
     assert res.witness_generators is None and res.witness_closure is None and res.lower == 1
-    widths = []
-    real = mm._closures
-
-    def counting(ops, G, lams, tol):
-        widths.extend([np.shape(G)] * len(lams))
-        return real(ops, G, lams, tol)
-
-    monkeypatch.setattr(mm, "_closures", counting)
+    widths = closure_widths(monkeypatch)
     assert sc._shift_lemma_verdict(scn, comp_S, res) == {
         "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
-    assert widths == [(comp_S.dim, 1)] * 7
+    assert widths == [(comp_S.dim, 1)] * 2
+
+
+def shift_lemma_against_six_closures(monkeypatch, scn, comp_S, mult_S):
+    """The verdict, and the {agreed, marginal} counts that six real shifted closures
+    of its generator give at its six points, as it judges the spot check.  The
+    points are drawn again as the verdict draws them; the spot point must match."""
+    sc = importlib.import_module("shiftlab.scenarios")
+    seen, real = {}, sc.shifted_closure_check
+    monkeypatch.setattr(sc, "shifted_closure_check", lambda A, G, closure, points:
+                        seen.update(G=G, closure=closure, spot=points)
+                        or real(A, G, closure, points))
+    verdict = sc._shift_lemma_verdict(scn, comp_S, mult_S)
+    rng = np.random.default_rng([scn.seed, 101])
+    points = [0.9 * np.sqrt(rng.uniform(size=comp_S.n))
+              * np.exp(1j * rng.uniform(0, 2 * np.pi, size=comp_S.n)) for _ in range(6)]
+    assert np.array_equal(seen["spot"][0], points[0])
+    checks = real(comp_S, seen["G"], seen["closure"], points)
+    M = sc.SHIFT_LEMMA_MIN_MARGIN
+    return verdict, {"agreed": sum(bool(agree and margin >= M) for agree, margin in checks),
+                     "marginal": sum(margin < M for _, margin in checks)}, seen["closure"]
+
+
+def _shift_lemma_objects(group):
+    """pair-grid at one seed, read from perfbench/workloads.py, or the criterion-4 sweep."""
+    if group == "criterion-4":
+        rng = np.random.default_rng(20250815)
+        return [_random_prefix_scenario(rng, 2 + t % 2) for t in range(20)]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [case.scenario for case in workloads.pair_grid(int(group[-1]))]
+
+
+@pytest.mark.parametrize("group", ["pair-grid-1", "pair-grid-2", "pair-grid-3", "criterion-4"])
+def test_bound_decided_draws_match_six_real_shifted_closures(monkeypatch, group):
+    """At the verdict's own six points, its {agreed, marginal} is what six real
+    shifted closures give: all six agree on every scenario of the group."""
+    for obj in _shift_lemma_objects(group):
+        scn, sys_, comp_S = scenario_comp_S(obj)
+        with monkeypatch.context() as m:
+            verdict, reference, _ = shift_lemma_against_six_closures(
+                m, scn, comp_S, mult_S_of(scn, sys_, comp_S))
+        assert {k: verdict[k] for k in reference} == reference == {"agreed": 6, "marginal": 0}, obj
+
+
+def test_a_bound_past_the_gap_decides_no_draw(monkeypatch):
+    """hardy 4x4 k2 ranked at tol = 3e-15: the witness closure's margin is huge,
+    but beta >= 4e-15 exceeds the gap (1 - 1/100) tol that the margin
+    guarantees, so draws 2-6 are marginal though six real shifted closures
+    agree; the spot check agrees."""
+    sc = importlib.import_module("shiftlab.scenarios")
+    scn, sys_, comp_S = scenario_comp_S(hardy_obj(), tol=3e-15)
+    res = mult_S_of(scn, sys_, comp_S)
+    assert res.certified and res.witness_closure.margin > 1e10
+    beta = sc._shift_rounding_bound(comp_S, res.witness_closure)
+    assert beta(0) > (1 - 1 / sc.SHIFT_LEMMA_MIN_MARGIN) * scn.tol
+    verdict, reference, _ = shift_lemma_against_six_closures(monkeypatch, scn, comp_S, res)
+    assert verdict == {"status": "pass", "draws": 6, "agreed": 1, "marginal": 5}
+    assert reference == {"agreed": 6, "marginal": 0}
+
+
+def test_a_near_tie_closure_decides_no_draw(monkeypatch):
+    """dirichlet 6^3 k3 at seed 1 with mult(S) taken as one generator and no
+    witness: the one-vector closure the check falls back to stops at 162 of
+    189 dimensions with a margin of about 1.7 (a near-tie), so no draw is
+    bound-decided, though beta is far below the gap, and every draw is
+    marginal, as its real closures are."""
+    sc = importlib.import_module("shiftlab.scenarios")
+    slot = {"kind": "dirichlet", "m": 6, "coinvariant": {"prefix": 3}}
+    scn, sys_, comp_S = scenario_comp_S({"factors": [slot] * 3, "seed": 1})
+    res = mult_S_of(scn, sys_, comp_S)
+    res.lower, res.witness_generators, res.witness_closure = 1, None, None
+    verdict, reference, closure = shift_lemma_against_six_closures(monkeypatch, scn, comp_S, res)
+    assert closure.dim == 162 and closure.margin < 2
+    assert sc._shift_rounding_bound(comp_S, closure)(0.9) < 1e-3 * scn.tol
+    assert verdict == {"status": "fail", "draws": 6, "agreed": 0, "marginal": 6}
+    assert reference == {"agreed": 0, "marginal": 6}
+
+
+def test_run_scenario_reads_W_S_from_mult_S(monkeypatch):
+    """hardy 4^3 k2 (dim S = 56): W_S is computed once, inside mult(S), and the
+    report's wandering_dim_S and gws verdict read mult(S)'s copy."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    dims, real = [], mm.wandering_subspace
+    monkeypatch.setattr(mm, "wandering_subspace", lambda A, **kw:
+                        dims.append(mm._as_tuple(A).dim) or real(A, **kw))
+    obj = {"factors": [{"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}} for _ in range(3)]}
+    rep = run_scenario(scenario_from_json(obj))
+    assert rep.succeeded and rep.dim_S == 56
+    assert dims.count(56) == 1
+    assert rep.wandering_dim_S == rep.verdicts["gws"]["wandering_dim"] == 3
 
 
 def test_run_noncyclic_inequality():
@@ -710,14 +800,13 @@ def test_a_run_binds_no_identity_on_S_or_F():
     """mult(S), mult(F) and W_S read the dimension and the tolerance from their
     compressed tuple and the scenario, so no frame of a run binds a
     dim S x dim S or dim F x dim F identity, bare or as a Subspace's basis.
-    (The shift lemma's shifted tuples are A - lam I; it is left out here.)"""
+    The shift lemma builds no shifted tuple and forms its Gram defect in place."""
     obj = {
         "factors": [
             {"kind": "hardy", "m": 4, "coinvariant": {"prefix": 1}},
             {"kind": "bergman", "m": 3, "coinvariant": {"prefix": 1}},
             {"kind": "dirichlet", "m": 2, "coinvariant": {"prefix": 1}},
         ],
-        "checks": [c for c in ALL_CHECKS if c != "shift_lemma"],
     }
     sizes = {23, 6}  # dim S and dim F; no slot has either size
     seen = []

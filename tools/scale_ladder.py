@@ -1,0 +1,109 @@
+"""Time Hardy prefix scenarios of growing size, each in a fresh process.
+
+    python3 tools/scale_ladder.py [SIZE ...]
+
+A SIZE is ``M^n:K``: n Hardy factors of size M, each with the prefix of
+length K as its co-invariant subspace, so that the space has dimension
+``N = M^n`` and ``dim S = M^n - K^n``.  The default ladder is ``8^3:4 10^3:5 6^4:3``.  Each
+size runs at seed 1 once with every check and once without ``shift_lemma``,
+each run one ``run_scenario`` in its own Python process, with the shiftlab
+in this checkout's ``src/``.  For each run it prints:
+
+* ``time``: the wall time of ``run_scenario`` in the child, without the
+  interpreter's start-up;
+* ``peak rss``: the child's peak resident set size, from the resource usage that
+  ``os.wait4`` returns for it;
+* ``mult(S)``: the certified multiplicity against the closed form n (a Hardy
+  prefix slot with ``0 < K < M`` is cyclic and zero-based, and its
+  ``S_i (-) T_i S_i`` is one-dimensional);
+* ``shift_lemma``: the verdict's status and agreed/marginal draws, or ``-``.
+
+It exits 1 if any run fails a check or does not certify ``mult(S) = n``.  BLAS
+threads follow the environment (``OPENBLAS_NUM_THREADS=1`` for one thread).
+Stdlib and numpy only.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DEFAULT_SIZES = ("8^3:4", "10^3:5", "6^4:3")
+
+
+def parse_size(text):
+    """``M^n:K`` as (M, n, K)."""
+    try:
+        mn, k = text.split(":")
+        m, n = mn.split("^")
+        m, n, k = int(m), int(n), int(k)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"size must look like 8^3:4, got {text!r}") from None
+    if not (n >= 2 and 0 < k < m):
+        raise argparse.ArgumentTypeError(f"need at least 2 factors and 0 < K < M, got {text!r}")
+    return m, n, k
+
+
+def run_one(m, n, k, shift):
+    """The child: one run_scenario, its summary printed as one JSON line."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from shiftlab import ALL_CHECKS, run_scenario, scenario_from_json
+
+    checks = [c for c in ALL_CHECKS if shift or c != "shift_lemma"]
+    obj = {"factors": [{"kind": "hardy", "m": m, "coinvariant": {"prefix": k}}] * n,
+           "checks": checks, "seed": 1}
+    t0 = time.perf_counter()
+    rep = run_scenario(scenario_from_json(obj))
+    elapsed = time.perf_counter() - t0
+    print(json.dumps({"time_s": elapsed, "dim_S": rep.dim_S, "passed": rep.passed,
+                      "mult_S": rep.multiplicities["S"],
+                      "shift_lemma": rep.verdicts.get("shift_lemma")}))
+
+
+def spawn(m, n, k, shift):
+    """Run one size in a fresh process: (its summary, its peak RSS in MB)."""
+    cmd = [sys.executable, __file__, "--child", f"{m}^{n}:{k}"] + ([] if shift else ["--no-shift"])
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise RuntimeError(f"{m}^{n}:{k} exited with {proc.returncode}")
+    return json.loads(out.strip().splitlines()[-1]), usage.ru_maxrss / 1024  # kB on Linux
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("sizes", nargs="*", type=parse_size, metavar="SIZE")
+    ap.add_argument("--child", type=parse_size, help=argparse.SUPPRESS)
+    ap.add_argument("--no-shift", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        run_one(*args.child, not args.no_shift)
+        return 0
+    sizes = args.sizes or [parse_size(s) for s in DEFAULT_SIZES]
+    print(f"{'size':>8} {'N':>6} {'dim S':>6} {'checks':>8} {'time':>8} {'peak rss':>9}  "
+          f"{'mult(S)':>12}  shift_lemma")
+    ok = True
+    for m, n, k in sizes:
+        for shift in (True, False):
+            res, rss = spawn(m, n, k, shift)
+            mult, v = res["mult_S"], res["shift_lemma"]
+            good = res["passed"] and mult["certified"] and mult["upper"] == n
+            ok = ok and good
+            got = str(mult["upper"]) if mult["certified"] else f"[{mult['lower']}, {mult['upper']}]"
+            verdict = "-" if v is None else (
+                f"{v['status']} ({v['agreed']}/{v['draws']} agreed, {v['marginal']} marginal)")
+            print(f"{f'{m}^{n}:{k}':>8} {m ** n:>6} {res['dim_S']:>6} "
+                  f"{'all' if shift else 'no-shift':>8} {res['time_s']:>7.2f}s {rss:>6.0f} MB  "
+                  f"{got:>6} vs {n:<2}  {verdict}{'' if good else '  FAIL'}", flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
