@@ -18,17 +18,19 @@ tuple on its own space.  Certification brackets that integer:
   (see ``multiplicity``).  No random points are used: off the joint
   spectrum their corank is 0, and in floating point they can only add
   pseudospectral false positives;
-* the upper bound is the size of a set whose closure is verified to exhaust
-  C^k.  The wandering subspace W = C^k (-) sum_i A_i C^k is closed first
-  unless it has fewer than ``lower`` vectors: its length is the corank at 0,
-  so a shorter W cannot generate.  Otherwise up to ``trials`` seeded random
-  sets of ``lower`` vectors are closed.  For a commuting tuple the corank
-  over the joint spectrum is the multiplicity (Nakayama's lemma), so no set
-  of another size is drawn: a miss leaves the uncertified bracket [lower, k].
+* the upper bound is the size of a set that is verified to generate C^k.
+  The wandering subspace W = C^k (-) sum_i A_i C^k is tried first unless it
+  has fewer than ``lower`` vectors: its length is the corank at 0, so a
+  shorter W cannot generate.  Otherwise up to ``trials`` seeded random sets
+  of ``lower`` vectors are tried.  For a commuting tuple the corank over the
+  joint spectrum is the multiplicity (Nakayama's lemma), so no set of
+  another size is drawn: a miss leaves the uncertified bracket [lower, k].
 
-A result is certified exactly when ``lower`` vectors exhaust C^k.  Wandering
-subspaces, witness generators and closures are in the coordinates the tuple
-acts on.  Closures follow ordered monomials if A commutes.
+G generates if its closure is C^k or, where the caller vouches for the points
+and A passes ``_commutes``, if it passes the local test (Nakayama's lemma;
+Atiyah-Macdonald, ch. 2): rank(W_lam^H G) = dim W_lam at each point lam, W_lam
+the wandering subspace of A - lam.  Certified means ``lower`` vectors pass.
+Wandering subspaces, witnesses and closures are in the tuple's coordinates.
 """
 
 import functools
@@ -142,6 +144,12 @@ def _commutes(ops, tol):
     return all(fits(i, j) for i in range(len(ops)) for j in range(i))
 
 
+def _generates(cuts, G, tol):
+    """The local test: rank(W_lam^H G) = dim W_lam for each W_lam (as columns) in ``cuts``."""
+    return all(numerical_rank(_svd(W.conj().T @ G, compute_uv=False), tol) == W.shape[1]
+               for W in cuts if W.shape[1])
+
+
 def krylov_closure(A, G, tol=DEFAULT_TOL):
     """Smallest subspace containing G that every A_i maps into itself.
 
@@ -221,15 +229,20 @@ def _stacked_svd(ops, lam=None, compute_uv=True):
     return _svd(np.linalg.qr(A, mode="r").conj().T, compute_uv=compute_uv)
 
 
+def _cokernel(t, lam, tol):
+    """W_lam = C^k (-) sum_i (A_i - lam_i) C^k: its stack's left singular vectors past its rank."""
+    U, s = _stacked_svd(t.ops, lam)[:2] if any(lam) else t._stack
+    return U[:, numerical_rank(s, tol):]
+
+
 def wandering_subspace(A, *, tol=DEFAULT_TOL):
     """W = C^k (-) sum_i A_i C^k for the tuple A on C^k, ranked at ``tol``: the
     left singular vectors of [A_1 ... A_n] past its rank.  Its dimension is
     the corank at 0, and the corank at lam is that of the shifted tuple A - lam."""
-    U, s = _as_tuple(A)._stack
-    return Subspace(U[:, numerical_rank(s, tol):], tol=tol, _checked=True)
+    return Subspace(_cokernel(_as_tuple(A), (), tol), tol=tol, _checked=True)
 
 
-def multiplicity(A, *, lambda_samples, trials=64, seed=42, tol=DEFAULT_TOL):
+def multiplicity(A, *, lambda_samples, trials=64, seed=42, tol=DEFAULT_TOL, exact_points=False):
     """Bracket the multiplicity of the tuple A on the space it acts on, C^k.
 
     Coranks are evaluated only at ``lambda_samples``, each distinct point
@@ -243,16 +256,19 @@ def multiplicity(A, *, lambda_samples, trials=64, seed=42, tol=DEFAULT_TOL):
     two invariant subspaces, so its compression's joint eigenvalues lie in
     the product too; and the compression to F is block diagonal along the M_i.
 
-    Coranks and closures decide ranks at ``tol``.  The wandering subspace W
-    is taken first: its dimension is the corank at 0, and every other point
-    ranks the singular values of its own shifted stack.  W is closed first
-    unless it is shorter than ``lower``; ``wandering_generates`` says whether
-    it exhausts C^k (True for k = 0).  If not, at most ``trials`` draws of
-    ``lower`` unit vectors from ``default_rng([seed, lower])`` are closed;
-    ``trials_used`` counts them.  ``upper`` is the size of the set found,
-    k on a miss; the result is certified when it is ``lower``.  The set
-    found is the witness, in A's coordinates; ``witness_closure`` is its
-    closure (None on a miss), and ``wandering`` is W.
+    With ``exact_points`` the caller vouches that the points are exactly the
+    complete joint spectrum: one left out could certify a wrong number.  If
+    A also passes ``_commutes``, sets are judged by the local test, not closed.
+    Coranks, local tests and closures decide ranks at ``tol``.  The wandering
+    subspace W is taken first: its dimension is the corank at 0, and every
+    other point ranks the singular values of its own shifted stack.  W is tried
+    unless shorter than ``lower``; ``wandering_generates`` says whether it
+    generates C^k (True for k = 0).  If not, at most ``trials`` draws of
+    ``lower`` unit vectors from ``default_rng([seed, lower])`` are tried;
+    ``trials_used`` counts them.  ``upper`` is the size of the set found, k on
+    a miss; the result is certified when it is ``lower``.  The set found is the
+    witness, in A's coordinates; ``witness_closure`` is its closure (None on a
+    miss or a local test), and ``wandering`` is W.
     """
     t = _as_tuple(A)
     k = t.dim
@@ -261,16 +277,29 @@ def multiplicity(A, *, lambda_samples, trials=64, seed=42, tol=DEFAULT_TOL):
         return MultiplicityResult(0, 0, True, [], None, 0, True, zero, zero)
     W = wandering_subspace(t, tol=tol)
     pts = dict.fromkeys(_as_point(p, t.n) for p in lambda_samples)
-    coranks = {p: k - numerical_rank(_stacked_svd(t.ops, p, compute_uv=False), tol)
-               if any(p) else W.dim for p in pts}
+    local = exact_points and (t.n == 1 or _commutes(t.ops, tol))
+    if local:
+        cuts = [_cokernel(t, p, tol) for p in pts]
+        coranks = dict(zip(pts, (W_lam.shape[1] for W_lam in cuts)))
+    else:
+        coranks = {p: k - numerical_rank(_stacked_svd(t.ops, p, compute_uv=False), tol)
+                   if any(p) else W.dim for p in pts}
     best_corank = max(coranks.values(), default=0)
     witness_point = max(coranks, key=coranks.get) if best_corank else None
     # a nonzero space always needs at least one generator
     lower = max(1, best_corank)
+    closure = None
+
+    def generates(G):
+        nonlocal closure
+        if local:
+            return _generates(cuts, G, tol)
+        closure = krylov_closure(t, G, tol=tol)
+        return closure.dim == k
+
     # mult >= corank at 0: a shorter W cannot generate, and a longer generating W
     # leaves no lower-vector set to find
-    closure = krylov_closure(t, W.basis, tol=tol) if W.dim >= lower else None
-    wandering = closure is not None and closure.dim == k
+    wandering = W.dim >= lower and generates(W.basis)
     G = W.basis if wandering else None
     rng = np.random.default_rng([seed, lower])
     trials_used = 0
@@ -278,8 +307,7 @@ def multiplicity(A, *, lambda_samples, trials=64, seed=42, tol=DEFAULT_TOL):
         trials_used += 1
         D = rng.standard_normal((k, lower)) + 1j * rng.standard_normal((k, lower))
         D /= np.linalg.norm(D, axis=0)
-        closure = krylov_closure(t, D, tol=tol)
-        G = D if closure.dim == k else None
+        G = D if generates(D) else None
     return MultiplicityResult(
         lower=lower,
         upper=k if G is None else G.shape[1],

@@ -327,8 +327,8 @@ def _factor_hypotheses(factors, scn):
     hyp = {}
     failed = []
     for i, f in enumerate(factors):
-        cyc = multiplicity((f.T,), lambda_samples=[(z,) for z in f.spectrum],
-                           trials=scn.trials, seed=scn.seed, tol=scn.tol)
+        cyc = multiplicity((f.T,), lambda_samples=[(z,) for z in f.spectrum], trials=scn.trials,
+                           seed=scn.seed, tol=scn.tol, exact_points=f.exact)
         cyclic = bool(cyc.certified and cyc.upper == 1)
         gws_i = bool(f.wandering_generates)
         eigen_residual = f.eigenpair[2] if f.eigenpair else float("inf")
@@ -386,7 +386,7 @@ def _shift_rounding_bound(A, closure):
 
 def _shift_lemma_verdict(scn, comp_S, mult_S):
     """mult(S)'s witness must close inside S under ``comp_S`` shifted by six seeded
-    points as it does unshifted, in the closure ``multiplicity`` certified it by;
+    points as it does unshifted, in its closure (made here after a local test);
     with no witness, or one whose closure is a near-tie, ``lower`` seeded Gaussian
     vectors, closed unshifted first, stand in for both.  Draw 1 is a spot check,
     a real shifted closure: it agrees when it equals that closure and both
@@ -416,6 +416,8 @@ def _shift_lemma_verdict(scn, comp_S, mult_S):
     points = [0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
               for _ in range(draws)]
     G, closure = mult_S.witness_generators, mult_S.witness_closure
+    if G is not None and closure is None:
+        closure = krylov_closure(comp_S, G, tol=tol)
     if G is None or closure.margin < M:
         G = rng.standard_normal((comp_S.dim, mult_S.lower, 2)) @ [1, 1j]
         closure = krylov_closure(comp_S, G, tol=tol)
@@ -448,16 +450,12 @@ def run_scenario(scn):
     except EigenError as exc:
         notes.append(f"distinguished summands unavailable: {exc}")
 
-    points = sys.joint_spectrum()
-    mult_S = multiplicity(
-        comp_S, lambda_samples=points,
-        trials=scn.trials, seed=scn.seed, tol=scn.tol,
-    )
-    mult_F = multiplicity(
-        comp_F, lambda_samples=points,
-        trials=scn.trials, seed=scn.seed, tol=scn.tol,
-    )
-    gws_S = mult_S.wandering_generates  # mult(S) closed W_S first
+    # the joint eigenvalues of S and F lie in the product of slot spectra (see multiplicity)
+    mult_S, mult_F = (multiplicity(C, lambda_samples=sys.joint_spectrum(), trials=scn.trials,
+                                   seed=scn.seed, tol=scn.tol,
+                                   exact_points=all(f.exact for f in factors))
+                      for C in (comp_S, comp_F))
+    gws_S = mult_S.wandering_generates  # mult(S) tried W_S first
 
     verdicts = _structural_verdicts(scn, struct)
     for name in scn.checks:

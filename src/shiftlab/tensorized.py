@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import EigenError, InputError, InternalConsistencyError, ModelError
-from .multiplicity import OperatorTuple, krylov_closure, wandering_subspace
+from .multiplicity import OperatorTuple, _cokernel, _generates, krylov_closure, wandering_subspace
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -87,6 +87,7 @@ class TensorFactor:
     tol: float
     coinvariance_residual: float
     spectrum: tuple  # the distinct eigenvalues of T, by modulus
+    exact: bool  # spectrum is T's given roots or triangular diagonal, not clustered eigvals
 
     @functools.cached_property
     def eigenpair(self):
@@ -120,18 +121,21 @@ class TensorFactor:
 
     @functools.cached_property
     def wandering_generates(self):
-        """Does the wandering subspace generate S under T?  Closed in S's coordinates."""
-        return krylov_closure(self._restriction, self.wandering.basis,
-                              tol=self.S.tol).dim == self.S.dim
+        """Does the wandering subspace generate S?  The local test if ``exact``, else closed."""
+        R, G, tol = self._restriction, self.wandering.basis, self.S.tol
+        if self.exact:
+            return _generates([_cokernel(R, (z,), tol) for z in self.spectrum], G, tol)
+        return krylov_closure(R, G, tol=tol).dim == self.S.dim
 
 
 def tensor_factor(T, Q, tol=DEFAULT_TOL, label="", spectrum=None):
     """Validate co-invariance of Q under T^H and package the factor.
 
-    ``spectrum`` lists T's eigenvalues when they are known exactly; by default
-    a triangular T (every weighted shift) gives its diagonal and any other T
-    its clustered eigvals.  Raises ModelError when T^H Q reaches outside Q
-    beyond tolerance.
+    A given ``spectrum`` is the caller's word that it lists all of T's
+    eigenvalues, exactly (the factor tests trust it); by default a triangular
+    T (every weighted shift) gives its diagonal and any other T its clustered
+    eigvals, the one spectrum not ``exact``.  Raises ModelError when T^H Q
+    reaches outside Q beyond tolerance.
     """
     T = as_operator(T)
     m = T.shape[0]
@@ -145,12 +149,12 @@ def tensor_factor(T, Q, tol=DEFAULT_TOL, label="", spectrum=None):
             f"subspace is not invariant under the adjoint (residual {resid:.3e} > {tol:.1e})"
         )
     S = complement_within(Subspace.full(m, tol=tol), Q)
+    exact = spectrum is not None or not np.triu(T, 1).any() or not np.tril(T, -1).any()
     if spectrum is None:
-        triangular = not np.triu(T, 1).any() or not np.tril(T, -1).any()
-        spectrum = np.diag(T) if triangular else _dedup_complex(np.linalg.eigvals(T))
+        spectrum = np.diag(T) if exact else _dedup_complex(np.linalg.eigvals(T))
     spectrum = tuple(sorted(set(map(complex, spectrum)), key=lambda z: (abs(z), z.real, z.imag)))
     return TensorFactor(T=T, Q=Q, S=S, label=label or f"factor:{m}", tol=tol,
-                        coinvariance_residual=float(resid), spectrum=spectrum)
+                        coinvariance_residual=float(resid), spectrum=spectrum, exact=exact)
 
 
 @dataclass(eq=False)

@@ -22,7 +22,7 @@ import oracle
 from test_acceptance import _random_prefix_scenario
 from shiftlab.cli import main
 from shiftlab.models import dump_matrix, matrix_to_json, parse_roots
-from shiftlab.multiplicity import OperatorTuple, multiplicity, wandering_subspace
+from shiftlab.multiplicity import OperatorTuple, krylov_closure, multiplicity, wandering_subspace
 from shiftlab.scenarios import report_to_text, resolve_factor
 from shiftlab.tensorized import build_system, f_chain, verify_compression_structure
 
@@ -334,10 +334,10 @@ def test_a_near_tie_witness_closure_falls_back_to_gaussian_vectors(monkeypatch):
 
 
 def test_an_all_checks_run_closes_S_once_per_shift_point(monkeypatch):
-    """hardy 4^3 k2 (dim S = 56) with every check: mult(S) closes W_S, and the
-    shift lemma reuses that closure and closes W_S under one shift, the spot
-    check's; the other five draws are decided from the witness closure's
-    margin.  2 closures on S's coordinates, not 7."""
+    """hardy 4^3 k2 (dim S = 56) with every check: mult(S) certifies W_S by the
+    local test, and the shift lemma closes W_S once unshifted and once under
+    one shift, the spot check's; the other five draws are decided from the
+    witness closure's margin.  2 closures on S's coordinates, not 7."""
     mm = importlib.import_module("shiftlab.multiplicity")
     dims, real = [], mm._closure
     monkeypatch.setattr(mm, "_closure", lambda ops, G, tol, lam=None:
@@ -387,8 +387,10 @@ def shift_lemma_against_six_closures(monkeypatch, scn, comp_S, mult_S):
                      "marginal": sum(margin < M for _, margin in checks)}, seen["closure"]
 
 
-def _shift_lemma_objects(group):
-    """pair-grid at one seed, read from perfbench/workloads.py, or the criterion-4 sweep."""
+def _group_objects(group):
+    """The criterion-4 sweep, or the scenario objects a workload of
+    perfbench/workloads.py generates at one seed (group "<workload>-<seed>"),
+    without the shipped files that small-sweep adds."""
     if group == "criterion-4":
         rng = np.random.default_rng(20250815)
         return [_random_prefix_scenario(rng, 2 + t % 2) for t in range(20)]
@@ -396,14 +398,15 @@ def _shift_lemma_objects(group):
         "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [case.scenario for case in workloads.pair_grid(int(group[-1]))]
+    name, seed = group.rsplit("-", 1)
+    return [case.scenario for case in workloads.WORKLOADS[name](int(seed)) if case.scenario]
 
 
 @pytest.mark.parametrize("group", ["pair-grid-1", "pair-grid-2", "pair-grid-3", "criterion-4"])
 def test_bound_decided_draws_match_six_real_shifted_closures(monkeypatch, group):
     """At the verdict's own six points, its {agreed, marginal} is what six real
     shifted closures give: all six agree on every scenario of the group."""
-    for obj in _shift_lemma_objects(group):
+    for obj in _group_objects(group):
         scn, sys_, comp_S = scenario_comp_S(obj)
         with monkeypatch.context() as m:
             verdict, reference, _ = shift_lemma_against_six_closures(
@@ -684,28 +687,123 @@ def test_scenario_evaluates_each_joint_eigenvalue_once(monkeypatch):
     assert calls == [(1, 4, None), (1, 2, None)] * 2 + [(2, 12, None), (2, 8, None)]
 
 
-def test_a_run_without_the_shift_lemma_closes_S_once(monkeypatch):
-    """mult(S) closes W_S first, and the gws verdict reads that closure: with
-    every check but the shift lemma, one closure acts on S's coordinates."""
+def test_a_run_without_the_shift_lemma_closes_nothing(monkeypatch):
+    """Every slot spectrum of a prefix run is exact, so mult(S), mult(F) and the
+    factor tests certify by the local test: with every check but the shift
+    lemma, no closure acts on S's coordinates, on F's or on a factor's, and
+    the gws verdict reads mult(S)'s local test of W_S."""
     mm = importlib.import_module("shiftlab.multiplicity")
-    tz = importlib.import_module("shiftlab.tensorized")
-    dims = []
-    real = mm.krylov_closure
-
-    def counting(A, G, **kw):
-        dims.append(mm._as_tuple(A).dim)
-        return real(A, G, **kw)
-
-    monkeypatch.setattr(mm, "krylov_closure", counting)
-    monkeypatch.setattr(tz, "krylov_closure", counting)
+    dims, real = [], mm._closure
+    monkeypatch.setattr(mm, "_closure", lambda ops, G, tol, lam=None:
+                        dims.append(ops[0].shape[0]) or real(ops, G, tol, lam))
     obj = {
         "factors": [{"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}} for _ in range(3)],
         "checks": [c for c in ALL_CHECKS if c != "shift_lemma"],
     }
     rep = run_scenario(scenario_from_json(obj))
     assert rep.succeeded and rep.dim_S == 56
-    assert dims.count(56) == 1
+    assert dims == []
     assert rep.verdicts["gws"]["has_gws"] and rep.multiplicities["S"]["trials_used"] == 0
+
+
+@pytest.mark.parametrize("group", ["shipped", "criterion-4", "pair-grid-1", "pair-grid-2",
+                                   "pair-grid-3", "small-sweep-1"])
+def test_local_tests_decide_as_closures(monkeypatch, group):
+    """Every local-test decision a run makes in mult(S), mult(F) and the factors'
+    cyclic tests, for W_0 and for each draw, is whether the set's Krylov closure
+    fills the space; so is each factor's wandering_generates."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    sc = importlib.import_module("shiftlab.scenarios")
+    tuples, decisions = [], []
+    real_multiplicity, real_generates = sc.multiplicity, mm._generates
+
+    def recording_multiplicity(A, **kw):
+        tuples.append(mm._as_tuple(A))
+        return real_multiplicity(A, **kw)
+
+    def recording_generates(cuts, G, tol):
+        decided = real_generates(cuts, G, tol)
+        decisions.append((tuples[-1], G, tol, decided))
+        return decided
+
+    monkeypatch.setattr(sc, "multiplicity", recording_multiplicity)
+    monkeypatch.setattr(mm, "_generates", recording_generates)
+    scenarios = ([load_scenario(p) for p in sorted(SCENARIO_DIR.glob("*.json"))]
+                 if group == "shipped" else list(map(scenario_from_json, _group_objects(group))))
+    exact_factors = 0
+    for scn in scenarios:
+        run_scenario(scn)
+        for spec in scn.factor_specs:
+            f = resolve_factor(spec, scn.tol, scn.base_dir)
+            closed = krylov_closure(f._restriction, f.wandering.basis, tol=f.S.tol)
+            assert f.wandering_generates == (closed.dim == f.S.dim), (scn.label, f.label)
+            exact_factors += f.exact
+    assert decisions and exact_factors
+    for t, G, tol, decided in decisions:
+        assert (krylov_closure(t, G, tol=tol).dim == t.dim) == decided
+
+
+def count_closures(monkeypatch):
+    """Record the dimension of the space of every closure from now on."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    dims, real = [], mm._closure
+    monkeypatch.setattr(mm, "_closure", lambda ops, G, tol, lam=None:
+                        dims.append(ops[0].shape[0]) or real(ops, G, tol, lam))
+    return dims
+
+
+def test_a_non_commuting_tuple_or_an_inexact_spectrum_is_closed(monkeypatch):
+    """The local test holds for a commuting tuple at its exact joint spectrum
+    only.  (J, J^T) on C^4 fails _commutes, so even with exact_points its one
+    draw is closed.  A conjugated Jordan factor's spectrum is clustered eigvals:
+    its cyclic test and wandering subspace are closed, and so are W_S and W_F,
+    while the exact Hardy factor closes nothing."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    dims = count_closures(monkeypatch)
+    J = np.diag(np.ones(3), -1)
+    assert not mm._commutes((J, J.T), 1e-10)
+    res = multiplicity((J, J.T), lambda_samples=[(0, 0)], exact_points=True)
+    assert (res.lower, res.upper, res.certified, res.trials_used) == (1, 1, True, 1)
+    assert res.witness_closure.dim == 4 and dims == [4]
+
+    Qr, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    T = Qr @ np.diag(np.ones(3), -1) @ Qr.T
+    obj = {"factors": [
+        {"kind": {"matrix": matrix_to_json(T)}, "coinvariant": {"basis": matrix_to_json(Qr[:, :2])}},
+        {"kind": "hardy", "m": 3, "coinvariant": {"prefix": 1}},
+    ], "seed": 1, "checks": ["gws", "additive_formula"]}
+    scn = scenario_from_json(obj)
+    assert [resolve_factor(f, scn.tol).exact for f in obj["factors"]] == [False, True]
+    dims.clear()
+    rep = run_scenario(scn)
+    assert (rep.dim_S, rep.dim_F) == (10, 6)
+    assert dims[:2] == [4, 2] and rep.dim_S in dims and rep.dim_F in dims and 3 not in dims
+
+
+def test_a_missing_joint_eigenvalue_never_certifies_a_wrong_number():
+    """quotient-zeros with the joint eigenvalue (-0.5, 0) left out of the points,
+    and J_2 (+) 0.5 I_2 (multiplicity 2, the corank at 0.5) with 0.5 left out:
+    without exact_points closures decide, so at every seed each bracket is
+    certified at its true value or not at all.  Vouching for the short points
+    certifies J_2 (+) 0.5 I_2 at 1 from W_0 alone, which is why the local test
+    waits for the caller's word."""
+    scn = load_scenario(SCENARIO_DIR / "quotient-zeros.json")
+    sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
+    points = sys_.joint_spectrum()
+    kept = [p for p in points if p[0] != -0.5]
+    assert len(kept) == len(points) - 1
+    T = np.zeros((4, 4))
+    T[1, 0], T[2, 2], T[3, 3] = 1.0, 0.5, 0.5
+    cases = [(C, points, kept) for C in verify_compression_structure(sys_, f_chain(sys_)).compressions]
+    for C, full, short in cases + [((T,), [(0.0,), (0.5,)], [(0.0,)])]:
+        true = multiplicity(C, lambda_samples=full, tol=scn.tol, exact_points=True)
+        assert true.certified
+        for seed in range(10):
+            got = multiplicity(C, lambda_samples=short, seed=seed, tol=scn.tol)
+            assert not got.certified or got.upper == true.upper, (seed, got)
+    assert true.upper == 2
+    vouched = multiplicity((T,), lambda_samples=[(0.0,)], exact_points=True)
+    assert (vouched.upper, vouched.certified, vouched.trials_used) == (1, True, 0)
 
 
 def test_a_conjugated_jordan_factor_keeps_its_generating_wandering_subspace():
