@@ -2,38 +2,30 @@
 
 For a tuple A = (A_1, ..., A_n) acting on C^k, the joint Krylov closure of a
 generating set G is the smallest subspace containing G that is invariant
-under every A_i.  The multiplicity of A is the least cardinality of a
-generating set whose closure is all of C^k.  A tuple compressed to a
-subspace L (``OperatorTuple.compressed``) acts on L's coordinates, so the
-multiplicity of that compression is the multiplicity of the compressed
-tuple on its own space.  Certification brackets that integer:
+under every A_i, and the multiplicity of A is the least size of a G whose
+closure is C^k.  A tuple compressed to a subspace L (``OperatorTuple.compressed``)
+acts on L's coordinates; its wandering subspaces, witnesses and closures are
+in them.  Certification brackets the multiplicity:
 
-* lower bounds come from local coranks dim(C^k (-) sum_i (A_i - lam_i) C^k)
-  at points lam (closures are invariant under scalar shifts of the tuple, so
-  every point yields a valid bound): the corank at lam is the dimension of
-  the wandering subspace of the shifted tuple A - lam.  It is nonzero only
-  when conj(lam) is a joint eigenvalue of the adjoint tuple.  The caller
-  passes points that hold the joint spectrum (a scenario passes the product
-  of its exact slot spectra), and only those points are used, each once
-  (see ``multiplicity``).  No random points are used: off the joint
-  spectrum their corank is 0, and in floating point they can only add
-  pseudospectral false positives;
-* the upper bound is the size of a set that is verified to generate C^k.
-  The wandering subspace W = C^k (-) sum_i A_i C^k is tried first unless it
-  has fewer than ``lower`` vectors: its length is the corank at 0, so a
-  shorter W cannot generate.  Otherwise up to ``trials`` seeded random sets
-  of ``lower`` vectors are tried.  For a commuting tuple the corank over the
-  joint spectrum is the multiplicity (Nakayama's lemma), so no set of
-  another size is drawn: a miss leaves the uncertified bracket [lower, k].
+* lower bounds are the coranks dim W_lam, W_lam = C^k (-) sum_i (A_i - lam_i) C^k
+  the wandering subspace of A - lam (``OperatorTuple.cokernel``; a compression
+  of a tensor system reads its own from the slots, ``slots.SlotTuple``).
+  Closures do not move under scalar shifts, so every point gives a bound, which
+  is nonzero only at joint eigenvalues.  The caller passes points that hold the
+  joint spectrum, and only those are used, each once (``multiplicity``): off it
+  a corank is 0, or in floating point a pseudospectral false positive;
+* the upper bound is the size of a set verified to generate C^k: W = W_0 first,
+  unless shorter than ``lower``, then up to ``trials`` seeded random sets of
+  ``lower`` vectors.  For a commuting tuple the largest corank over the joint
+  spectrum is the multiplicity (Nakayama's lemma), so no other size is drawn:
+  a miss leaves the uncertified bracket [lower, k].
 
 G generates if its closure is C^k or, where the caller vouches for the points
-and A passes ``_commutes``, if it passes the local test (Nakayama's lemma;
-Atiyah-Macdonald, ch. 2): rank(W_lam^H G) = dim W_lam at each point lam, W_lam
-the wandering subspace of A - lam.  Certified means ``lower`` vectors pass.
-Wandering subspaces, witnesses and closures are in the tuple's coordinates.
+and A ``commutes``, if it passes the local test (Nakayama's lemma;
+Atiyah-Macdonald, ch. 2): rank(W_lam^H G) = dim W_lam at each point lam.
+Certified means ``lower`` vectors pass.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +82,16 @@ class OperatorTuple:
             raise InputError("subspace lives in the wrong ambient space")
         return OperatorTuple(tuple(compress(op, L) for op in self.ops))
 
-    @functools.cached_property
-    def _stack(self):
-        """U, s of [A_1 ... A_n]: one factorization for every wandering subspace of the tuple."""
-        return _stacked_svd(self.ops)[:2]
+    def cokernel(self, lam, tol):
+        """W_lam = C^k (-) sum_i (A_i - lam_i) C^k as columns, for lam one number per
+        A_i: the left singular vectors of [A_1 - lam_1 ... A_n - lam_n] past its rank
+        at ``tol``."""
+        U, s, _ = _stacked_svd(self.ops, lam)
+        return U[:, numerical_rank(s, tol):]
+
+    def commutes(self, tol):
+        """Whether the tuple commutes, for the local test: one operator, or ``_commutes``."""
+        return self.n == 1 or _commutes(self.ops, tol)
 
 
 @dataclass
@@ -107,6 +105,7 @@ class MultiplicityResult:
     wandering_generates: bool
     witness_closure: Subspace | None
     wandering: Subspace
+    coranks: dict  # point -> dim W_lam, for each distinct point given
 
 
 def _as_tuple(A):
@@ -217,29 +216,23 @@ def shifted_closure_check(A, G, closure, points):
             for c in shifted]
 
 
-def _stacked_svd(ops, lam=None, compute_uv=True):
-    """U, s of [C_1 - lam_1 I ... C_n - lam_n I] (k x nk) from R^H, where its adjoint,
+def _stacked_svd(ops, lam):
+    """U, s, Vh of [C_1 - lam_1 I ... C_n - lam_n I] (k x nk) from R^H, where its adjoint,
     filled block by block into one array, is QR: a k x k SVD, not a k x nk one."""
     k, diag = ops[0].shape[0], np.arange(ops[0].shape[0])
     A = np.empty((len(ops) * k, k), dtype=complex)
     for i, C in enumerate(ops):
         A[i * k:(i + 1) * k] = C.conj().T
-        if lam is not None:
-            A[i * k + diag, diag] -= np.conj(lam[i])
-    return _svd(np.linalg.qr(A, mode="r").conj().T, compute_uv=compute_uv)
-
-
-def _cokernel(t, lam, tol):
-    """W_lam = C^k (-) sum_i (A_i - lam_i) C^k: its stack's left singular vectors past its rank."""
-    U, s = _stacked_svd(t.ops, lam)[:2] if any(lam) else t._stack
-    return U[:, numerical_rank(s, tol):]
+        A[i * k + diag, diag] -= np.conj(lam[i])
+    return _svd(np.linalg.qr(A, mode="r").conj().T)
 
 
 def wandering_subspace(A, *, tol=DEFAULT_TOL):
-    """W = C^k (-) sum_i A_i C^k for the tuple A on C^k, ranked at ``tol``: the
-    left singular vectors of [A_1 ... A_n] past its rank.  Its dimension is
-    the corank at 0, and the corank at lam is that of the shifted tuple A - lam."""
-    return Subspace(_cokernel(_as_tuple(A), (), tol), tol=tol, _checked=True)
+    """W = C^k (-) sum_i A_i C^k for the tuple A on C^k, ranked at ``tol``: A's
+    ``cokernel`` at 0 (``slots.SlotTuple`` reads a compression's from its slots).
+    Its dimension is the corank at 0, and the corank at lam is that of A - lam."""
+    t = _as_tuple(A)
+    return Subspace(t.cokernel((0j,) * t.n, tol), tol=tol, _checked=True)
 
 
 def multiplicity(A, *, lambda_samples, trials=64, seed=42, tol=DEFAULT_TOL, exact_points=False):
@@ -258,10 +251,10 @@ def multiplicity(A, *, lambda_samples, trials=64, seed=42, tol=DEFAULT_TOL, exac
 
     With ``exact_points`` the caller vouches that the points are exactly the
     complete joint spectrum: one left out could certify a wrong number.  If
-    A also passes ``_commutes``, sets are judged by the local test, not closed.
+    A also ``commutes``, sets are judged by the local test, not closed.
     Coranks, local tests and closures decide ranks at ``tol``.  The wandering
-    subspace W is taken first: its dimension is the corank at 0, and every
-    other point ranks the singular values of its own shifted stack.  W is tried
+    subspace W is taken first: its dimension is the corank at 0, and each other
+    point's is that of A's ``cokernel`` there (``coranks``).  W is tried
     unless shorter than ``lower``; ``wandering_generates`` says whether it
     generates C^k (True for k = 0).  If not, at most ``trials`` draws of
     ``lower`` unit vectors from ``default_rng([seed, lower])`` are tried;
@@ -274,16 +267,13 @@ def multiplicity(A, *, lambda_samples, trials=64, seed=42, tol=DEFAULT_TOL, exac
     k = t.dim
     if k == 0:
         zero = Subspace(np.zeros((0, 0)), tol=tol, _checked=True, margin=np.inf)
-        return MultiplicityResult(0, 0, True, [], None, 0, True, zero, zero)
-    W = wandering_subspace(t, tol=tol)
+        return MultiplicityResult(0, 0, True, [], None, 0, True, zero, zero, {})
+    origin = (0j,) * t.n
     pts = dict.fromkeys(_as_point(p, t.n) for p in lambda_samples)
-    local = exact_points and (t.n == 1 or _commutes(t.ops, tol))
-    if local:
-        cuts = [_cokernel(t, p, tol) for p in pts]
-        coranks = dict(zip(pts, (W_lam.shape[1] for W_lam in cuts)))
-    else:
-        coranks = {p: k - numerical_rank(_stacked_svd(t.ops, p, compute_uv=False), tol)
-                   if any(p) else W.dim for p in pts}
+    cuts = {p: t.cokernel(p, tol) for p in dict.fromkeys([origin, *pts])}
+    W = Subspace(cuts[origin], tol=tol, _checked=True)
+    coranks = {p: cuts[p].shape[1] for p in pts}
+    local = exact_points and t.commutes(tol)
     best_corank = max(coranks.values(), default=0)
     witness_point = max(coranks, key=coranks.get) if best_corank else None
     # a nonzero space always needs at least one generator
@@ -293,7 +283,7 @@ def multiplicity(A, *, lambda_samples, trials=64, seed=42, tol=DEFAULT_TOL, exac
     def generates(G):
         nonlocal closure
         if local:
-            return _generates(cuts, G, tol)
+            return _generates([cuts[p] for p in pts], G, tol)
         closure = krylov_closure(t, G, tol=tol)
         return closure.dim == k
 
@@ -318,4 +308,5 @@ def multiplicity(A, *, lambda_samples, trials=64, seed=42, tol=DEFAULT_TOL, exac
         wandering_generates=wandering,
         witness_closure=None if G is None else closure,
         wandering=W,
+        coranks=coranks,
     )

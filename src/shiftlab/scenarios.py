@@ -44,6 +44,7 @@ from .multiplicity import (
     multiplicity,
     shifted_closure_check,
 )
+from .slots import slot_coranks
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -455,6 +456,12 @@ def run_scenario(scn):
                                    seed=scn.seed, tol=scn.tol,
                                    exact_points=all(f.exact for f in factors))
                       for C in (comp_S, comp_F))
+    # a second route to each lower bound: dim W_lam off the slot formula uncertifies the bracket
+    second = slot_coranks(sys, scn.tol)
+    for name, res, route in (("S", mult_S, 0), ("F", mult_F, 1)):
+        if off := sum(c[route] != res.coranks.get(lam, 0) for lam, c in second.items()):
+            res.certified = False
+            notes.append(f"mult({name}) uncertified: dim W_lam is off slot_coranks at {off} points")
     gws_S = mult_S.wandering_generates  # mult(S) tried W_S first
 
     verdicts = _structural_verdicts(scn, struct)

@@ -29,6 +29,8 @@ slot blocks, the compression to S is read off U_j^H T_j U_j at S's positions,
 and E_i is built in M_i's block of S's coordinates.  No N-row basis is formed
 on the way (joint_invariant_S builds S's on request).  The embedded operators
 of distinct slots doubly commute exactly, so that residual is recorded as 0.
+The compressions to S and F are ``slots.SlotTuple``s, which read their
+wandering subspaces from the slots.
 """
 
 import functools
@@ -39,7 +41,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import EigenError, InputError, InternalConsistencyError, ModelError
-from .multiplicity import OperatorTuple, _cokernel, _generates, krylov_closure, wandering_subspace
+from .multiplicity import OperatorTuple, _generates, krylov_closure
+from .slots import SlotTuple
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -88,6 +91,7 @@ class TensorFactor:
     coinvariance_residual: float
     spectrum: tuple  # the distinct eigenvalues of T, by modulus
     exact: bool  # spectrum is T's given roots or triangular diagonal, not clustered eigvals
+    _frames: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
     def eigenpair(self):
@@ -114,28 +118,40 @@ class TensorFactor:
         for the wandering subspace and its gws test."""
         return OperatorTuple((self.T,)).compressed(self.S)
 
+    def kernel_frame(self, z, tol):
+        """(K, V, B), once per (z, tol): K = S (-) (T - z) S = ker (S^H T S - z)^H in S's
+        coordinates, ranked at ``tol``, and in [Q | S]'s V = [e_1 .. e_q | K] and
+        B = (U^H T U - z)^H V, for ``wandering``, its test and ``SlotTuple``."""
+        if (key := (complex(z), tol)) not in self._frames:
+            K, q = self._restriction.cokernel((z,), tol), self.Q.dim
+            V = np.hstack([np.eye(len(self.T), q), np.vstack([np.zeros((q, K.shape[1])), K])])
+            self._frames[key] = K, V, self.adapted.conj().T @ V - np.conj(z) * V
+        return self._frames[key]
+
     @functools.cached_property
     def wandering(self):
         """S (-) T S in S's coordinates; if it generates S, its dim is T's multiplicity on S."""
-        return wandering_subspace(self._restriction, tol=self.S.tol)
+        return Subspace(self.kernel_frame(0, self.S.tol)[0], tol=self.S.tol, _checked=True)
 
     @functools.cached_property
     def wandering_generates(self):
         """Does the wandering subspace generate S?  The local test if ``exact``, else closed."""
-        R, G, tol = self._restriction, self.wandering.basis, self.S.tol
+        G, tol = self.wandering.basis, self.S.tol
         if self.exact:
-            return _generates([_cokernel(R, (z,), tol) for z in self.spectrum], G, tol)
-        return krylov_closure(R, G, tol=tol).dim == self.S.dim
+            return _generates([self.kernel_frame(z, tol)[0] for z in self.spectrum], G, tol)
+        return krylov_closure(self._restriction, G, tol=tol).dim == self.S.dim
 
 
 def tensor_factor(T, Q, tol=DEFAULT_TOL, label="", spectrum=None):
     """Validate co-invariance of Q under T^H and package the factor.
 
-    A given ``spectrum`` is the caller's word that it lists all of T's
-    eigenvalues, exactly (the factor tests trust it); by default a triangular
-    T (every weighted shift) gives its diagonal and any other T its clustered
-    eigvals, the one spectrum not ``exact``.  Raises ModelError when T^H Q
-    reaches outside Q beyond tolerance.
+    A given ``spectrum`` lists T's eigenvalues exactly (the factor tests and the
+    slot W_lam trust it), and all of them: ModelError unless each clustered
+    eigvals of T lies within (eps max(1, ||T||_F))^(1/m) of one, about as far as
+    rounding splits a defective root.  By default a triangular T (every weighted
+    shift) gives its diagonal and any other T its clustered eigvals, the one
+    spectrum not ``exact``.  Raises ModelError when T^H Q reaches outside Q
+    beyond tolerance.
     """
     T = as_operator(T)
     m = T.shape[0]
@@ -152,6 +168,10 @@ def tensor_factor(T, Q, tol=DEFAULT_TOL, label="", spectrum=None):
     exact = spectrum is not None or not np.triu(T, 1).any() or not np.tril(T, -1).any()
     if spectrum is None:
         spectrum = np.diag(T) if exact else _dedup_complex(np.linalg.eigvals(T))
+    elif any(np.abs(z - np.asarray(spectrum)).min(initial=math.inf)
+             > (np.finfo(float).eps * max(1.0, np.linalg.norm(T))) ** (1 / m)
+             for z in _dedup_complex(np.linalg.eigvals(T))):
+        raise ModelError(f"given spectrum {list(spectrum)} misses an eigenvalue of T")
     spectrum = tuple(sorted(set(map(complex, spectrum)), key=lambda z: (abs(z), z.real, z.imag)))
     return TensorFactor(T=T, Q=Q, S=S, label=label or f"factor:{m}", tol=tol,
                         coinvariance_residual=float(resid), spectrum=spectrum, exact=exact)
@@ -403,7 +423,7 @@ def _compressed_to_S(sys, chain):
         idx = chain.at // stride % sys.dims[j]
         off = chain.at - idx * stride  # the position with slot j's index set to 0
         ops.append(np.where(off[:, None] == off, f.adapted[np.ix_(idx, idx)], 0))
-    return OperatorTuple(tuple(ops))
+    return SlotTuple(tuple(ops), sys, chain.at)
 
 
 def _compressed_powers(ops, V):
@@ -467,7 +487,7 @@ def verify_compression_structure(sys, chain, seed=42):
 
     comp_S = _compressed_to_S(sys, chain)
     cols = chain.columns(blocks[-1])
-    comp_F = OperatorTuple(tuple(C[np.ix_(cols, cols)] for C in comp_S.ops))
+    comp_F = SlotTuple(tuple(C[np.ix_(cols, cols)] for C in comp_S.ops), sys, chain.at[cols])
 
     # In F's coordinates the right side's block i is M_i^H T~^k M_i x_i: x_i is
     # scattered to M_i's positions in (x)_s U_s, mapped by slot products there

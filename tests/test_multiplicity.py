@@ -333,18 +333,19 @@ def test_wide_closure_ranks_fewer_columns_than_the_joint_loop(monkeypatch):
 
 
 def test_corank_at_zero_and_wandering_subspace_share_one_factorization(monkeypatch):
-    """The compression to S factors its stack [C_1 ... C_n] once: the corank at 0
-    is the dimension of the wandering subspace, which ``multiplicity`` and a
-    later ``wandering_subspace`` call read from the same singular values."""
+    """The corank at 0 is the dimension of the wandering subspace, which
+    ``multiplicity`` and a later ``wandering_subspace`` call read from one
+    factorization: the compression to S reads its slots, and factors each
+    slot's m x m stack once, cached by the factor; no stack of S is formed."""
     mm = importlib.import_module("shiftlab.multiplicity")
     comp_S = prefix_comp_S([(SpaceKind.hardy(), 4, 2), (SpaceKind.bergman(), 3, 1)])
     stacks = []
     real_stacked = mm._stacked_svd
-    monkeypatch.setattr(mm, "_stacked_svd", lambda ops, *a, **k: stacks.append(len(ops))
+    monkeypatch.setattr(mm, "_stacked_svd", lambda ops, *a, **k: stacks.append(ops[0].shape)
                         or real_stacked(ops, *a, **k))
     assert multiplicity(comp_S, lambda_samples=[(0, 0)]).lower == 2
     assert wandering_subspace(comp_S).dim == 2
-    assert stacks == [2]
+    assert stacks == [(2, 2), (2, 2)]
 
 
 def test_shifted_closure_check_random_sweep():
@@ -528,7 +529,7 @@ def test_multiplicity_uses_exactly_the_given_points(monkeypatch):
                         or real(ops, lam, **kw))
     res = multiplicity((T,), lambda_samples=[(0,), (0j,), 0.0, (0.5,)])
     assert (res.lower, res.upper, res.certified) == (2, 2, True)
-    assert calls == [None, (0.5 + 0j,)]
+    assert calls == [(0j,), (0.5 + 0j,)]
 
 
 def test_wandering_subspace_is_tried_before_any_random_draw():

@@ -28,6 +28,14 @@ def test_hardy_3x3_k1_with_and_without_the_shift_lemma(ladder, capsys):
         assert row.endswith(verdict)
 
 
+def test_no_shift_runs_each_size_only_without_the_shift_lemma(ladder, capsys):
+    assert ladder.main(["--no-shift", "3^2:1", "4^2:2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[:4] for row in rows] == [["3^2:1", "9", "8", "no-shift"],
+                                                 ["4^2:2", "16", "12", "no-shift"]]
+    assert all(row.endswith("-") for row in rows)
+
+
 @pytest.mark.parametrize("size", ["3^1:1", "3^2:0", "3^2:3", "3x2:1"])
 def test_a_size_without_a_closed_form_is_refused(ladder, size):
     with pytest.raises(SystemExit):

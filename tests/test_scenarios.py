@@ -1,3 +1,4 @@
+import functools
 import importlib
 import importlib.util
 import json
@@ -16,6 +17,7 @@ from shiftlab import (
     load_scenario,
     make_quotient,
     run_scenario,
+    same_subspace,
     scenario_from_json,
 )
 import oracle
@@ -24,6 +26,7 @@ from shiftlab.cli import main
 from shiftlab.models import dump_matrix, matrix_to_json, parse_roots
 from shiftlab.multiplicity import OperatorTuple, krylov_closure, multiplicity, wandering_subspace
 from shiftlab.scenarios import report_to_text, resolve_factor
+from shiftlab.slots import slot_coranks
 from shiftlab.tensorized import build_system, f_chain, verify_compression_structure
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -449,16 +452,17 @@ def test_a_near_tie_closure_decides_no_draw(monkeypatch):
 
 
 def test_run_scenario_reads_W_S_from_mult_S(monkeypatch):
-    """hardy 4^3 k2 (dim S = 56): W_S is computed once, inside mult(S), and the
-    report's wandering_dim_S and gws verdict read mult(S)'s copy."""
-    mm = importlib.import_module("shiftlab.multiplicity")
-    dims, real = [], mm.wandering_subspace
-    monkeypatch.setattr(mm, "wandering_subspace", lambda A, **kw:
-                        dims.append(mm._as_tuple(A).dim) or real(A, **kw))
+    """hardy 4^3 k2 (dim S = 56): W_S, the compression to S's cokernel at 0, is
+    computed once, inside mult(S), and the report's wandering_dim_S and gws
+    verdict read mult(S)'s copy."""
+    slots = importlib.import_module("shiftlab.slots")
+    calls, real = [], slots.SlotTuple.cokernel
+    monkeypatch.setattr(slots.SlotTuple, "cokernel", lambda t, lam, tol:
+                        calls.append((t.dim, lam)) or real(t, lam, tol))
     obj = {"factors": [{"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}} for _ in range(3)]}
     rep = run_scenario(scenario_from_json(obj))
     assert rep.succeeded and rep.dim_S == 56
-    assert dims.count(56) == 1
+    assert calls.count((56, (0j,) * 3)) == 1
     assert rep.wandering_dim_S == rep.verdicts["gws"]["wandering_dim"] == 3
 
 
@@ -674,9 +678,10 @@ def test_slot_points_alone_give_full_corank():
 def test_scenario_evaluates_each_joint_eigenvalue_once(monkeypatch):
     """hardy-2x2: every slot spectrum is {0}, so each of the four multiplicity
     calls (two cyclic tests on C^4, mult(S) on C^12, mult(F) on C^8) reads its
-    one corank, at the origin, from its wandering subspace's stack, and
-    factors no shifted stack.  Each factor's own wandering subspace (on
-    S_i = C^2) adds one stack, and W_S reuses mult(S)'s."""
+    one corank, at the origin, and factors no shifted stack.  The cyclic tests
+    factor their stacks; each factor's own wandering subspace (on S_i = C^2)
+    adds one, which mult(S) and mult(F) read from the slots with no stack of
+    their own, and W_S reuses mult(S)'s."""
     mm = importlib.import_module("shiftlab.multiplicity")  # the package exports a function of that name
     calls = []
     real = mm._stacked_svd
@@ -684,18 +689,20 @@ def test_scenario_evaluates_each_joint_eigenvalue_once(monkeypatch):
                         calls.append((len(ops), ops[0].shape[0], lam)) or real(ops, lam, **kw))
     rep = run_scenario(load_scenario(SCENARIO_DIR / "hardy-2x2.json"))
     assert rep.succeeded
-    assert calls == [(1, 4, None), (1, 2, None)] * 2 + [(2, 12, None), (2, 8, None)]
+    assert calls == [(1, 4, (0j,)), (1, 2, (0j,))] * 2
 
 
 def test_a_run_without_the_shift_lemma_closes_nothing(monkeypatch):
     """Every slot spectrum of a prefix run is exact, so mult(S), mult(F) and the
     factor tests certify by the local test: with every check but the shift
     lemma, no closure acts on S's coordinates, on F's or on a factor's, and
-    the gws verdict reads mult(S)'s local test of W_S."""
+    the gws verdict reads mult(S)'s local test of W_S.  The compressions to S
+    and F commute by construction, so no commutation probe runs on them."""
     mm = importlib.import_module("shiftlab.multiplicity")
     dims, real = [], mm._closure
     monkeypatch.setattr(mm, "_closure", lambda ops, G, tol, lam=None:
                         dims.append(ops[0].shape[0]) or real(ops, G, tol, lam))
+    monkeypatch.setattr(mm, "_commutes", lambda ops, tol: dims.append("probe"))
     obj = {
         "factors": [{"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}} for _ in range(3)],
         "checks": [c for c in ALL_CHECKS if c != "shift_lemma"],
@@ -741,6 +748,59 @@ def test_local_tests_decide_as_closures(monkeypatch, group):
     assert decisions and exact_factors
     for t, G, tol, decided in decisions:
         assert (krylov_closure(t, G, tol=tol).dim == t.dim) == decided
+
+
+@pytest.mark.parametrize("group", ["shipped", "criterion-4", "pair-grid-1", "pair-grid-2",
+                                   "pair-grid-3", "small-sweep-1"])
+def test_slot_cokernels_equal_the_dense_ones(group):
+    """At every joint eigenvalue, the W_lam that comp_S and comp_F read from the
+    slots spans the dense cokernel of the same operators as a plain tuple, and
+    the slot corank formulas (run_scenario's second route) give its dimension."""
+    scenarios = ([load_scenario(p) for p in sorted(SCENARIO_DIR.glob("*.json"))]
+                 if group == "shipped" else list(map(scenario_from_json, _group_objects(group))))
+    points = 0
+    for scn in scenarios:
+        sys_ = build_system([resolve_factor(f, scn.tol, scn.base_dir) for f in scn.factor_specs],
+                            tol=scn.tol)
+        comps = verify_compression_structure(sys_, f_chain(sys_)).compressions
+        formula = slot_coranks(sys_, scn.tol)
+        for lam in sys_.joint_spectrum():
+            slots = [Subspace(C.cokernel(lam, scn.tol), _checked=True) for C in comps]
+            dense = [Subspace(OperatorTuple(C.ops).cokernel(lam, scn.tol), _checked=True)
+                     for C in comps]
+            same = map(functools.partial(same_subspace, tol=1e-8), slots, dense)
+            assert all(same), (scn.label, lam)
+            assert formula[lam] == tuple(W.dim for W in slots), (scn.label, lam)
+            points += 1
+    assert points >= len(scenarios)
+
+
+def test_hardy_6x4_k3_certifies_from_slot_sized_stacks(monkeypatch):
+    """hardy 6^4 k3 (dim S = 1215) with every check but the shift lemma certifies
+    mult(S) = mult(F) = 4, and no stacked SVD is wider than a slot."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    widths, real = [], mm._stacked_svd
+    monkeypatch.setattr(mm, "_stacked_svd", lambda ops, lam=None:
+                        widths.append(ops[0].shape[0]) or real(ops, lam))
+    obj = {"factors": [{"kind": "hardy", "m": 6, "coinvariant": {"prefix": 3}}] * 4,
+           "checks": [c for c in ALL_CHECKS if c != "shift_lemma"], "seed": 1}
+    rep = run_scenario(scenario_from_json(obj))
+    assert rep.succeeded and rep.dim_S == 1215
+    assert [(m["upper"], m["certified"]) for m in rep.multiplicities.values()] == [(4, True)] * 2
+    assert widths and max(widths) <= 6
+
+
+def test_a_slot_corank_disagreement_leaves_the_bracket_uncertified(monkeypatch):
+    """run_scenario compares dim W_lam with the slot formula at each joint
+    eigenvalue: a mismatch for F uncertifies mult(F) alone, with a note."""
+    sc = importlib.import_module("shiftlab.scenarios")
+    real = sc.slot_coranks
+    monkeypatch.setattr(sc, "slot_coranks", lambda sys_, tol:
+                        {lam: (S, F + 1) for lam, (S, F) in real(sys_, tol).items()})
+    rep = run_scenario(load_scenario(SCENARIO_DIR / "hardy-2x2.json"))
+    assert rep.multiplicities["S"]["certified"] and not rep.multiplicities["F"]["certified"]
+    assert rep.notes == ["mult(F) uncertified: dim W_lam is off slot_coranks at 1 points"]
+    assert not rep.succeeded
 
 
 def count_closures(monkeypatch):

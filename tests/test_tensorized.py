@@ -528,6 +528,25 @@ def test_slot_spectrum_of_matrices():
     assert set(spectrum) == set(want)
 
 
+def test_a_given_spectrum_must_hold_every_eigenvalue():
+    """A given spectrum is trusted as exact, so a short one is refused.  In
+    J_2 (+) 0.5 I_2 with Q = span(e_4), S's wandering subspace span(e_1) does not
+    generate, which the local test sees only at 0.5: spectrum [0] misses it.
+    A triple root, which the companion matrix's eigvals split, passes."""
+    T = np.zeros((4, 4))
+    T[1, 0], T[2, 2], T[3, 3] = 1.0, 0.5, 0.5
+    Q = Subspace(np.eye(4)[:, 3:])
+    assert not tensor_factor(T, Q).wandering_generates
+    with pytest.raises(ModelError, match="misses"):
+        tensor_factor(T, Q, spectrum=[0])
+    assert not tensor_factor(T, Q, spectrum=[0, 0.5]).wandering_generates
+    model = make_quotient([[[0.3, 0.0], 3], -0.5])
+    split = _dedup_complex(np.linalg.eigvals(model.operator))
+    assert len(split) > 2
+    f = tensor_factor(model.operator, Subspace.full(4), spectrum=[0.3, -0.5])
+    assert f.spectrum == (0.3, -0.5) and f.exact
+
+
 def test_joint_spectrum_is_the_product_of_slot_spectra():
     sys_ = quotient_system()
     spectra = [f.spectrum for f in sys_.factors]
