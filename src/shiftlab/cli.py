@@ -15,6 +15,7 @@ usage error.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -173,6 +174,7 @@ def _cmd_closure(args):
     return 0
 
 
+@functools.cache
 def build_parser():
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=float, default=None, help="rank-decision tolerance override")
@@ -217,8 +219,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

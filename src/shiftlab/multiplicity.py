@@ -47,7 +47,7 @@ from .subspaces import (
 
 @dataclass(eq=False)
 class OperatorTuple:
-    """Same-size square operators, acting on the coordinates of one space."""
+    """``n`` same-size square operators, acting on the ``dim`` coordinates of one space."""
 
     ops: tuple
 
@@ -59,15 +59,7 @@ class OperatorTuple:
         for A in ops[1:]:
             if A.shape[0] != d:
                 raise InputError("operators in a tuple must share one ambient dimension")
-        object.__setattr__(self, "ops", ops)
-
-    @property
-    def dim(self):
-        return self.ops[0].shape[0]
-
-    @property
-    def n(self):
-        return len(self.ops)
+        self.ops, self.dim, self.n = ops, d, len(ops)
 
     def shifted(self, lam):
         """The tuple (A_1 - lam_1 I, ..., A_n - lam_n I)."""

@@ -447,7 +447,7 @@ def run_scenario(scn):
     notes = []
     wdec = None
     try:
-        wdec = wandering_E(sys, chain, comp_S)
+        wdec = wandering_E(sys, chain)
     except EigenError as exc:
         notes.append(f"distinguished summands unavailable: {exc}")
 

@@ -11,11 +11,11 @@ blocks at L's rows, Z the stacked P_L (T~_j - lam_j)^H Phi, both gathered from
 slot matrices like mode products (Kolda & Bader, SIAM Rev. 2009).  One QR and
 one SVD of Phi's width, at most prod (q_s + c_s) - prod q_s for c_s = dim K_s,
 replace those of the n dim L x dim L stack.  ``slot_coranks`` counts dim W_lam
-from m x m slot ranks alone.
+from m x m slot ranks alone; ``compressed_at`` builds the compression on demand.
 """
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +23,32 @@ from .multiplicity import OperatorTuple
 from .subspaces import _svd, numerical_rank
 
 
-@dataclass(eq=False)
-class SlotTuple(OperatorTuple):
-    """A tensor system ``sys``'s tuple compressed to L = S or F, at L's positions
-    ``at`` in (x)_s U_s, with ``cokernel`` read from the slots; its ``shifted``
-    and ``compressed`` copies are plain tuples."""
+def compressed_at(sys, at):
+    """``sys``'s tuple compressed to the unit vectors at positions ``at`` of (x)_s U_s:
+    T~_j is I (x) .. U_j^H T_j U_j .. (x) I, so C_j[p, q] is U_j^H T_j U_j's entry at
+    slot j's indices of p and q if they agree off slot j, found among p's m_j such
+    partners, else 0."""
+    col = np.full(sys.N, -1)
+    col[at] = np.arange(at.size)
+    ops = tuple(np.zeros((at.size, at.size), dtype=complex) for _ in sys.factors)
+    for j, (f, C) in enumerate(zip(sys.factors, ops)):
+        stride = math.prod(sys.dims[j + 1:])
+        idx = at // stride % sys.dims[j]
+        partner = col[(at - idx * stride)[:, None] + stride * np.arange(sys.dims[j])]
+        p, v = np.nonzero(partner >= 0)
+        C[p, partner[p, v]] = f.adapted[idx[p], v]
+    return ops
 
-    sys: object = None
-    at: np.ndarray = None
+
+class SlotTuple(OperatorTuple):
+    """A tensor system ``sys``'s tuple compressed to L = S or F, at L's positions ``at``
+    in (x)_s U_s, with ``cokernel`` read from the slots and ``ops`` built on first read
+    (``compressed_at``); its ``shifted`` and ``compressed`` copies are plain tuples."""
+
+    def __init__(self, sys, at):
+        self.sys, self.at, self.dim, self.n = sys, at, at.size, sys.n
+
+    ops = functools.cached_property(lambda self: compressed_at(self.sys, self.at))
 
     def cokernel(self, lam, tol):
         frames = [f.kernel_frame(z, tol) for f, z in zip(self.sys.factors, lam)]

@@ -25,12 +25,12 @@ each F_i and M_i is a union of blocks, and the gaps of the chain are set
 differences.  In the coordinates of (x)_s U_s, S's coordinates are a set of
 positions, and T~_j is I (x) .. U_j^H T_j U_j .. (x) I: it maps block k into k
 and into k with slot j switched only, so structural residuals are read from
-slot blocks, the compression to S is read off U_j^H T_j U_j at S's positions,
-and E_i is built in M_i's block of S's coordinates.  No N-row basis is formed
-on the way (joint_invariant_S builds S's on request).  The embedded operators
-of distinct slots doubly commute exactly, so that residual is recorded as 0.
-The compressions to S and F are ``slots.SlotTuple``s, which read their
-wandering subspaces from the slots.
+slot blocks, and E_i is built in M_i's block of S's coordinates.  No N-row
+basis is formed on the way (joint_invariant_S builds S's on request).  The
+embedded operators of distinct slots doubly commute exactly, so that residual
+is recorded as 0.  The compressions to S and F are ``slots.SlotTuple``s, which
+read their wandering subspaces from the slots and build their operators from
+U_j^H T_j U_j at their positions only when read (``slots.compressed_at``).
 """
 
 import functools
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import EigenError, InputError, InternalConsistencyError, ModelError
 from .multiplicity import OperatorTuple, _generates, krylov_closure
-from .slots import SlotTuple
+from .slots import SlotTuple, compressed_at
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -342,6 +342,15 @@ def _telescope(a, d, b):
     return sum(math.prod(a[:t]) * d[t] * math.prod(b[t + 1:]) for t in range(len(d)))
 
 
+def _opnorms(mats):
+    """opnorm of each same-shape matrix in one batched SVD, or if LAPACK does not
+    converge one ``opnorm`` each, which ``_svd`` retries."""
+    try:
+        return np.linalg.svd(np.array(mats, dtype=complex), compute_uv=False)[:, 0]
+    except np.linalg.LinAlgError:
+        return list(map(opnorm, mats))
+
+
 def _projection_identities(sys):
     """The projection identities from O(n) slot-matrix norms.
 
@@ -353,10 +362,12 @@ def _projection_identities(sys):
     prod, idem, herm, split = [], [], [], []
     for f in sys.factors:
         P = {"I": np.eye(f.T.shape[0]), "S": f.S.projector(), "Q": f.Q.projector()}
-        prod.append({(a, b): opnorm(P[a] @ P[b]) for a in P for b in P})
-        idem.append({a: opnorm(A @ A - A) for a, A in P.items()})
-        herm.append({a: opnorm(A - A.conj().T) for a, A in P.items()})
-        split.append(opnorm(P["I"] - P["S"] - P["Q"]))
+        norms = iter(_opnorms([P[a] @ P[b] for a in P for b in P] + [A @ A - A for A in P.values()]
+                              + [A - A.conj().T for A in P.values()] + [P["I"] - P["S"] - P["Q"]]))
+        prod.append({(a, b): next(norms) for a in P for b in P})
+        idem.append(dict(zip(P, norms)))
+        herm.append(dict(zip(P, norms)))
+        split.append(next(norms))
     kinds = [["I"] * i + ["S"] + ["Q"] * (sys.n - i - 1) for i in range(sys.n)]  # X_i's slots
     ones = ["I"] * sys.n
 
@@ -411,35 +422,22 @@ def _commutator_bound(sys, blocks):
     return worst
 
 
-def _compressed_to_S(sys, chain):
-    """The tuple compressed to S, read from the slot-adapted U_j^H T_j U_j: in the
-    coordinates of (x)_s U_s, T~_j is I (x) .. U_j^H T_j U_j .. (x) I, and S's
-    basis vectors are the unit vectors at the positions ``chain.at``.  So C_j[p, q]
-    is the slot block's entry at slot j's indices of p and q where p and q agree
-    off slot j, else 0."""
-    ops = []
-    for j, f in enumerate(sys.factors):
-        stride = math.prod(sys.dims[j + 1:])
-        idx = chain.at // stride % sys.dims[j]
-        off = chain.at - idx * stride  # the position with slot j's index set to 0
-        ops.append(np.where(off[:, None] == off, f.adapted[np.ix_(idx, idx)], 0))
-    return SlotTuple(tuple(ops), sys, chain.at)
-
-
 def _compressed_powers(ops, V):
     """A^k V for every k in Z_+^n with 1 <= |k| <= _POWER_DEGREE.
 
     Each A_i is a matrix or a map W -> A_i W.  The multi-indices come in one
     fixed order, so calls on compressed operators (with V in basis
-    coordinates) and on the slot maps can be zipped term by term.
+    coordinates) and on the slot maps can be zipped term by term.  A^k V is A_j
+    applied to the kept A^{k - e_j} V, j the last nonzero index of k, which that
+    order yields first: the operations of A_n^{k_n} .. A_1^{k_1} V, in its order.
     """
+    done = {}
     for kk in itertools.product(range(_POWER_DEGREE + 1), repeat=len(ops)):
         if not 1 <= sum(kk) <= _POWER_DEGREE:
             continue
-        W = V
-        for op, p in zip(ops, kk):
-            for _ in range(p):
-                W = op(W) if callable(op) else op @ W
+        j = max(i for i, p in enumerate(kk) if p)
+        W = done.get(kk[:j] + (kk[j] - 1,) + kk[j + 1:], V)
+        done[kk] = W = ops[j](W) if callable(ops[j]) else ops[j] @ W
         yield W
 
 
@@ -462,7 +460,8 @@ def verify_compression_structure(sys, chain, seed=42):
     * power_identity -- compressed powers act summand-by-summand:
       (P_F T~ P_F)^k = sum_i P_{M_i} T~^k P_{M_i} on F for 1 <= |k| <= 3.
 
-    The tuple is compressed to S once; F's compression is a slice of it.
+    The compressions to S and F are built from their positions when read: here
+    only F's, for the power identity.
     """
     blocks = [list(chain.block_columns)] + chain.F_blocks
     sets = [set(bs) for bs in blocks]
@@ -485,9 +484,8 @@ def verify_compression_structure(sys, chain, seed=42):
     off = max((_cross_norm(sys, p, q) for p, q in itertools.permutations(Ms, 2)), default=0.0)
     block = {"off_diagonal": off, "diagonal_sum": off}
 
-    comp_S = _compressed_to_S(sys, chain)
     cols = chain.columns(blocks[-1])
-    comp_F = SlotTuple(tuple(C[np.ix_(cols, cols)] for C in comp_S.ops), sys, chain.at[cols])
+    comp_S, comp_F = SlotTuple(sys, chain.at), SlotTuple(sys, chain.at[cols])
 
     # In F's coordinates the right side's block i is M_i^H T~^k M_i x_i: x_i is
     # scattered to M_i's positions in (x)_s U_s, mapped by slot products there
@@ -550,7 +548,7 @@ class WanderingDecomposition:
     alignment_residual: float
 
 
-def wandering_E(sys, chain, comp_S):
+def wandering_E(sys, chain):
     """Build the E summands in S's coordinates from factor wandering subspaces
     and adjoint eigenvectors.
 
@@ -562,9 +560,9 @@ def wandering_E(sys, chain, comp_S):
 
         E_i^H T~_j M_i - lam^{(i)}_j E_i^H M_i = 0
 
-    from M_i's block of ``comp_S``, the tuple compressed to S (the basis form of
-    P_{E_i} (P_{M_i} T~_j P_{M_i} - lam^{(i)}_j P_{M_i}) = 0, as E_i lies in
-    M_i), where lam^{(i)} has alpha_j off slot i and 0 at slot i.  These
+    from the tuple compressed to M_i at its positions, in one batched SVD (the
+    basis form of P_{E_i} (P_{M_i} T~_j P_{M_i} - lam^{(i)}_j P_{M_i}) = 0, as E_i
+    lies in M_i), where lam^{(i)} has alpha_j off slot i and 0 at slot i.  These
     ``shift_points`` go into the report only; coranks use joint_spectrum.
     """
     eigens = []
@@ -593,8 +591,8 @@ def wandering_E(sys, chain, comp_S):
                          for j, (f, e) in enumerate(zip(sys.factors, eigens))])
         E[rows, lo:hi] = X
         X_h = X.conj().T
-        for C, lam in zip(comp_S.ops, shift_points[i]):
-            align = max(align, opnorm(X_h @ C[np.ix_(rows, rows)] - lam * X_h))
+        align = max(align, *_opnorms([X_h @ C - lam * X_h for C, lam
+                                      in zip(compressed_at(sys, chain.at[rows]), shift_points[i])]))
 
     return WanderingDecomposition(
         E=Subspace(E, tol=sys.tol, _checked=False),

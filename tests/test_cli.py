@@ -350,3 +350,27 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_the_cached_parser_leaks_no_option_between_calls(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process, and each main call still starts
+    from the defaults: a run's --seed, --trials, --format and --out reach
+    neither a closure with its own --tol and --out nor a later bare run."""
+    cli = sys.modules["shiftlab.cli"]
+    assert cli.build_parser() is cli.build_parser()
+    seen, real = [], cli.run_scenario
+    monkeypatch.setattr(cli, "run_scenario", lambda scn: seen.append((scn.seed, scn.trials))
+                        or real(scn))
+    first, closed, gen = tmp_path / "first.json", tmp_path / "closed.json", tmp_path / "gen.json"
+    assert main(["run", HARDY, "--seed", "7", "--trials", "8", "--format", "json",
+                 "--out", str(first)]) == 0
+    dump_matrix(np.eye(4)[:, :1], gen)
+    assert main(["closure", "hardy:4", str(gen), "--tol", "1e-8", "--out", str(closed)]) == 0
+    assert json.loads(closed.read_text())["dim"] == 4
+    assert main(["closure", "hardy:4", str(gen)]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 4
+    assert main(["run", HARDY]) == 0
+    assert capsys.readouterr().out.startswith("scenario: ")  # text, to stdout
+    file_scn = scenario_from_json(json.loads(Path(HARDY).read_text()))
+    assert seen == [(7, 8), (file_scn.seed, file_scn.trials)]
+    assert json.loads(first.read_text())["settings"]["seed"] == 7

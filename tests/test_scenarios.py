@@ -775,19 +775,83 @@ def test_slot_cokernels_equal_the_dense_ones(group):
     assert points >= len(scenarios)
 
 
+def spy_compressions(monkeypatch):
+    """Record the number of positions of every compression built from now on."""
+    sizes, real = [], importlib.import_module("shiftlab.slots").compressed_at
+    for module in ("shiftlab.slots", "shiftlab.tensorized"):
+        monkeypatch.setattr(importlib.import_module(module), "compressed_at",
+                            lambda sys_, at: sizes.append(at.size) or real(sys_, at))
+    return sizes
+
+
+def test_a_run_without_the_shift_lemma_builds_no_compression_to_S(monkeypatch):
+    """On a prefix run, only the power identity (F's) and wandering_E (each M_i's)
+    read compressed operators, so without the shift lemma the dim S x dim S
+    compressions to S are never built; the shift lemma's closures build them
+    once."""
+    obj = {"factors": [{"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}} for _ in range(3)],
+           "checks": [c for c in ALL_CHECKS if c != "shift_lemma"]}
+    built = spy_compressions(monkeypatch)
+    rep = run_scenario(scenario_from_json(obj))
+    assert rep.succeeded and (rep.dim_S, rep.dim_F) == (56, 24)
+    assert sorted(built) == [8, 8, 8, 24]
+    built.clear()
+    rep = run_scenario(scenario_from_json({**obj, "checks": list(ALL_CHECKS)}))
+    assert rep.succeeded and sorted(built) == [8, 8, 8, 24, 56]
+
+
+def _compressed_to_S(sys_, chain):
+    """The compression to S as the structure check built it before compressions
+    were built on demand: every entry of a dim S x dim S slice of the slot block,
+    kept where the positions agree off slot j."""
+    ops = []
+    for j, f in enumerate(sys_.factors):
+        stride = math.prod(sys_.dims[j + 1:])
+        idx = chain.at // stride % sys_.dims[j]
+        off = chain.at - idx * stride
+        ops.append(np.where(off[:, None] == off, f.adapted[np.ix_(idx, idx)], 0))
+    return ops
+
+
+@pytest.mark.parametrize("group", ["shipped", "criterion-4", "pair-grid-1", "pair-grid-2",
+                                   "pair-grid-3"])
+def test_compressions_built_on_demand_are_the_slices_of_the_compression_to_S(group):
+    """comp_S's operators are bit for bit the dense slice-and-mask form, and
+    comp_F's and every M_i's, built at their own positions, are bit for bit
+    their index slices of comp_S's."""
+    scenarios = ([load_scenario(p) for p in sorted(SCENARIO_DIR.glob("*.json"))]
+                 if group == "shipped" else list(map(scenario_from_json, _group_objects(group))))
+    slots = importlib.import_module("shiftlab.slots")
+    for scn in scenarios:
+        sys_ = build_system([resolve_factor(f, scn.tol, scn.base_dir) for f in scn.factor_specs],
+                            tol=scn.tol)
+        chain = f_chain(sys_)
+        comp_S, comp_F = verify_compression_structure(sys_, chain).compressions
+        assert all(map(np.array_equal, comp_S.ops, _compressed_to_S(sys_, chain))), scn.label
+        assert np.array_equal(comp_F.at, chain.at[chain.columns(chain.F_blocks[-1])])
+        for blocks, ops in [(chain.F_blocks[-1], comp_F.ops)] + [
+                (bs, slots.compressed_at(sys_, chain.at[chain.columns(bs)]))
+                for bs in chain.F_summands[-1]]:
+            cols = chain.columns(blocks)
+            assert all(np.array_equal(D, A[np.ix_(cols, cols)]) for D, A in zip(ops, comp_S.ops))
+
+
 def test_hardy_6x4_k3_certifies_from_slot_sized_stacks(monkeypatch):
     """hardy 6^4 k3 (dim S = 1215) with every check but the shift lemma certifies
-    mult(S) = mult(F) = 4, and no stacked SVD is wider than a slot."""
+    mult(S) = mult(F) = 4, no stacked SVD is wider than a slot, and no
+    compression to S is built."""
     mm = importlib.import_module("shiftlab.multiplicity")
     widths, real = [], mm._stacked_svd
     monkeypatch.setattr(mm, "_stacked_svd", lambda ops, lam=None:
                         widths.append(ops[0].shape[0]) or real(ops, lam))
     obj = {"factors": [{"kind": "hardy", "m": 6, "coinvariant": {"prefix": 3}}] * 4,
            "checks": [c for c in ALL_CHECKS if c != "shift_lemma"], "seed": 1}
+    built = spy_compressions(monkeypatch)
     rep = run_scenario(scenario_from_json(obj))
     assert rep.succeeded and rep.dim_S == 1215
     assert [(m["upper"], m["certified"]) for m in rep.multiplicities.values()] == [(4, True)] * 2
     assert widths and max(widths) <= 6
+    assert built and rep.dim_S not in built and rep.dim_F in built
 
 
 def test_a_slot_corank_disagreement_leaves_the_bracket_uncertified(monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -29,7 +30,14 @@ from shiftlab import (
     verify_compression_structure,
     wandering_E,
 )
-from shiftlab.tensorized import _chain_slot_kinds, _dedup_complex, _projection_identities
+from shiftlab.tensorized import (
+    _POWER_DEGREE,
+    _chain_slot_kinds,
+    _compressed_powers,
+    _dedup_complex,
+    _projection_identities,
+)
+from test_subspaces import _fail_once
 
 RESID = 1e-11
 
@@ -116,7 +124,7 @@ def summand(sys_, kinds):
 def distinguished(sys_):
     """The chain, and wandering_E built in S's coordinates with the compression to S."""
     chain = f_chain(sys_)
-    return chain, wandering_E(sys_, chain, verify_compression_structure(sys_, chain).compressions[0])
+    return chain, wandering_E(sys_, chain)
 
 
 def dense_alignment(sys_, chain, wd):
@@ -163,7 +171,7 @@ def test_basis_residuals_match_dense_projector_forms(builder):
     chain = f_chain(sys_)
     report = verify_compression_structure(sys_, chain)
     _assert_matches_dense(report, oracle.dense_structure_report(sys_, chain), cap=RESID)
-    wd = wandering_E(sys_, chain, report.compressions[0])
+    wd = wandering_E(sys_, chain)
     assert abs(wd.alignment_residual - dense_alignment(sys_, chain, wd)) <= 1e-13
 
 
@@ -553,3 +561,47 @@ def test_joint_spectrum_is_the_product_of_slot_spectra():
     assert sys_.joint_spectrum() == list(itertools.product(*spectra))
     assert len(sys_.joint_spectrum()) == np.prod([len(s) for s in spectra])
     assert hardy_2x2_system().joint_spectrum() == [(0j, 0j)]
+
+
+def naive_powers(ops, V):
+    """A_n^{k_n} .. A_1^{k_1} V from scratch for each k, in _compressed_powers's order."""
+    for kk in itertools.product(range(_POWER_DEGREE + 1), repeat=len(ops)):
+        if 1 <= sum(kk) <= _POWER_DEGREE:
+            W = V
+            for op, p in zip(ops, kk):
+                for _ in range(p):
+                    W = op(W) if callable(op) else op @ W
+            yield W
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_memoized_powers_are_the_naive_products_bit_for_bit(n):
+    """Each A^k V reuses A^{k - e_j} V and applies A_j last, as the naive product
+    does: bit for bit the same, for matrices and for maps, on random tuples
+    (which do not commute, so any other order shows) and on a kron-embedded
+    commuting tuple (where only rounding would)."""
+    rng = np.random.default_rng(n)
+    V = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    mats = [rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) for _ in range(n)]
+    sys_ = build_system([hardy_factor(3, 1), hardy_factor(2, 1)])
+    slot_maps = [functools.partial(sys_.apply, i % 2) for i in range(n)]
+    for ops in (mats, [lambda W, A=A: A @ W for A in mats], slot_maps):
+        got, want = list(_compressed_powers(ops, V)), list(naive_powers(ops, V))
+        assert len(got) == len(want) == math.comb(n + _POWER_DEGREE, n) - 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_batched_norms_survive_a_non_converging_svd(monkeypatch):
+    """When the batched SVD of a factor's 16 projector matrices, or of
+    wandering_E's n alignment matrices, does not converge, each matrix's
+    opnorm (which retries) gives the same numbers, none of them a structural 0."""
+    sys_ = rotated_system()
+    chain = f_chain(sys_)
+    want, want_E = _projection_identities(sys_), wandering_E(sys_, chain)
+    assert min(want.values()) > 0 and want_E.alignment_residual > 0
+    calls = _fail_once(monkeypatch)
+    assert _projection_identities(sys_) == want
+    assert calls[0] == (16, 3, 3) and len(calls) > 17
+    calls = _fail_once(monkeypatch)
+    assert wandering_E(sys_, chain).alignment_residual == want_E.alignment_residual
+    assert calls[0][0] == sys_.n and len(calls) > sys_.n + 1
