@@ -160,11 +160,11 @@ def krylov_closure(A, G, tol=DEFAULT_TOL):
 def _closure(ops, G, tol, lam=None):
     """G's closure under A - lam (A if ``lam`` is None), images formed as A_i N - lam_i N.
     The basis is the rows of Bt = B^T, filled block by block, so a projection
-    conjugates only thin factors and the result is a view."""
+    conjugates only thin factors and the result is a view; Bt doubles when full."""
     d, n = ops[0].shape[0], len(ops)
     first = orthonormalize(as_columns(G, d), tol=tol, ambient_dim=d)
     r, margin = first.dim, first.margin
-    Bt = np.empty((d, d), dtype=complex)
+    Bt = np.empty((r, d), dtype=complex)  # grown by doubling, up to d rows
     Bt[:r] = first.basis.T
     blocks, commuting = [(Bt[:r].T, n)], None  # the newest blocks, each with how many A_i map it
     while blocks and r < d:
@@ -186,6 +186,8 @@ def _closure(ops, G, tol, lam=None):
             rank = min(numerical_rank(s, tol), d - r)
             margin = min(margin, rank_margin(s, rank, tol))
             new = U[:, :rank] - B.T @ (B @ U[:, :rank].conj()).conj()
+            if r + rank > len(Bt):  # earlier blocks keep viewing the old rows, bit for bit
+                Bt = np.concatenate([B, np.empty((min(d, max(2 * r, r + rank)) - r, d), complex)])
             Bt[r:r + rank] = np.linalg.qr(new)[0].T
             blocks += [(Bt[r:r + rank].T, label)] if rank else []
             r += rank

@@ -44,7 +44,7 @@ from .multiplicity import (
     multiplicity,
     shifted_closure_check,
 )
-from .slots import slot_coranks
+from .slots import shifted_slot_check, slot_coranks
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -376,60 +376,31 @@ def _structural_verdicts(scn, struct):
 SHIFT_LEMMA_MIN_MARGIN = 100.0
 
 
-def _shift_rounding_bound(A, closure):
-    """beta of ``_shift_lemma_verdict`` for ``closure``, as a function of l = ||lam||_inf."""
-    eps, k, gram = np.finfo(float).eps, closure.dim, closure.basis.conj().T @ closure.basis
-    gram.flat[::k + 1] -= 1
-    d = float(np.linalg.norm(gram))
-    a = max(math.sqrt(abs(C).sum(0).max(initial=0) * abs(C).sum(1).max(initial=0)) for C in A.ops)
-    return lambda l: math.sqrt(A.n * (1 + d)) * (l * d + (a + l) * (d + 4 * eps * math.sqrt(k)))
-
-
 def _shift_lemma_verdict(scn, comp_S, mult_S):
-    """mult(S)'s witness must close inside S under ``comp_S`` shifted by six seeded
-    points as it does unshifted, in its closure (made here after a local test);
-    with no witness, or one whose closure is a near-tie, ``lower`` seeded Gaussian
-    vectors, closed unshifted first, stand in for both.  Draw 1 is a spot check,
-    a real shifted closure: it agrees when it equals that closure and both
-    margins are at least M = SHIFT_LEMMA_MIN_MARGIN, is marginal when one is
-    below M, and fails otherwise.  Draws 2-6 are decided from the closure alone.
-    Each of its steps projects the images of its newest blocks N, columns of its
-    basis B, against B, and (I - BB^H)(A - lam)N = (I - BB^H)AN, so a shifted
-    closure ranks the same residuals up to a perturbation of norm at most
-
-        beta = sqrt(n (1 + d)) (l d + (a + l)(d + 4 eps sqrt(k))),
-
-    n operators, d = ||B^H B - I||_F, a = max_i sqrt(||A_i||_1 ||A_i||_inf) >=
-    ||A_i||_2, l = ||lam||_inf, k = dim B.  l d bounds the exact remainder
-    -lam_i B (B^H B - I)_N; 4 eps sqrt(k) the rounding of A_iN - lam_iN
-    (elementwise at most 4 eps (|A_iN| + l|N|), over at most n k columns of norm
-    at most sqrt(1 + d)); the other d the projections' own rounding, measured by
-    the defect they left in B.  By Weyl's inequality (Golub & Van Loan, 8.6) a
-    singular value moves by at most beta and the cut tol max(1, s_1) by at most
-    tol beta, while a margin of M keeps each value (1 - 1/M) cut >= (1 - 1/M) tol
-    from the cut: a draw with beta (1 + tol) below that agrees, any other is
-    marginal.  That last term, and a real closure's basis drifting from B over
-    its steps, are a model, not a proof; the spot check tests it.  The check
-    fails on any disagreement, and when no draw agrees: near-ties show nothing.
-    """
+    """mult(S)'s witness must generate inside S under ``comp_S`` shifted by six seeded
+    points as it does unshifted.  With exact slot spectra each draw is read from the
+    shifted slots (``slots.shifted_slot_check``), with no closure and no compressed
+    operator.  Otherwise the witness's closure, or with no witness or a near-tie one
+    that of ``lower`` seeded Gaussian vectors, is closed again under each shift
+    (``shifted_closure_check``).  A draw agrees when it agrees with a margin of at
+    least M = SHIFT_LEMMA_MIN_MARGIN and is marginal when its margin is below M.  The
+    check fails on any other draw, and when no draw agrees: near-ties show nothing."""
     rng = np.random.default_rng([scn.seed, 101])
-    draws, n, tol, M = 6, comp_S.n, scn.tol, SHIFT_LEMMA_MIN_MARGIN
+    n, tol, M = comp_S.n, scn.tol, SHIFT_LEMMA_MIN_MARGIN
     points = [0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
-              for _ in range(draws)]
+              for _ in range(6)]
     G, closure = mult_S.witness_generators, mult_S.witness_closure
-    if G is not None and closure is None:
-        closure = krylov_closure(comp_S, G, tol=tol)
-    if G is None or closure.margin < M:
-        G = rng.standard_normal((comp_S.dim, mult_S.lower, 2)) @ [1, 1j]
-        closure = krylov_closure(comp_S, G, tol=tol)
-    (agree, margin), = shifted_closure_check(comp_S, G, closure, points[:1])
-    beta = _shift_rounding_bound(comp_S, closure)
-    gap = (1 - 1 / M) * tol if closure.margin >= M else 0.0
-    decided = int(sum(beta(np.abs(lam).max()) * (1 + tol) < gap for lam in points[1:]))
-    agreed = decided + bool(agree and margin >= M)
-    marginal = draws - 1 - decided + bool(margin < M)
-    status = "pass" if agreed and agreed + marginal == draws else "fail"
-    return {"status": status, "draws": draws, "agreed": agreed, "marginal": marginal}
+    if G is not None and all(f.exact for f in comp_S.sys.factors):
+        checks = shifted_slot_check(comp_S, np.transpose(G), mult_S.coranks, points, tol)
+    else:
+        if G is None or closure is None or closure.margin < M:
+            G = rng.standard_normal((comp_S.dim, mult_S.lower, 2)) @ [1, 1j]
+            closure = krylov_closure(comp_S, G, tol=tol)
+        checks = shifted_closure_check(comp_S, G, closure, points)
+    agreed = sum(bool(agree and margin >= M) for agree, margin in checks)
+    marginal = sum(margin < M for _, margin in checks)
+    status = "pass" if agreed and agreed + marginal == len(checks) else "fail"
+    return {"status": status, "draws": len(checks), "agreed": agreed, "marginal": marginal}
 
 
 def run_scenario(scn):

@@ -11,7 +11,8 @@ blocks at L's rows, Z the stacked P_L (T~_j - lam_j)^H Phi, both gathered from
 slot matrices like mode products (Kolda & Bader, SIAM Rev. 2009).  One QR and
 one SVD of Phi's width, at most prod (q_s + c_s) - prod q_s for c_s = dim K_s,
 replace those of the n dim L x dim L stack.  ``slot_coranks`` counts dim W_lam
-from m x m slot ranks alone; ``compressed_at`` builds the compression on demand.
+from m x m slot ranks alone; ``compressed_at`` builds the compression on demand;
+``shifted_slot_check`` reads the shift lemma off shifted slot matrices.
 """
 
 import functools
@@ -20,7 +21,16 @@ import math
 import numpy as np
 
 from .multiplicity import OperatorTuple
-from .subspaces import _svd, numerical_rank
+from .subspaces import _svd, _svds, numerical_rank, rank_margin
+
+
+def slot_frame(A, K, q, z):
+    """(K, V, B) of ``TensorFactor.kernel_frame`` from A = U^H T U and K; A, K and z
+    may share leading axes (draws), as V and B then do."""
+    V = np.zeros(K.shape[:-2] + (A.shape[-1], q + K.shape[-1]), dtype=complex)
+    V[..., range(q), range(q)] = 1
+    V[..., q:, q:] = K
+    return K, V, np.conj(np.swapaxes(A, -1, -2)) @ V - np.conj(z)[..., None, None] * V
 
 
 def compressed_at(sys, at):
@@ -47,22 +57,31 @@ class SlotTuple(OperatorTuple):
 
     def __init__(self, sys, at):
         self.sys, self.at, self.dim, self.n = sys, at, at.size, sys.n
+        # L's positions as a mask over (x)_s U_s, and their slot indices, a column per slot
+        self.in_L = np.bincount(at, minlength=sys.N) > 0
+        self.rows = [r[:, None] for r in np.unravel_index(at, sys.dims)]
 
     ops = functools.cached_property(lambda self: compressed_at(self.sys, self.at))
+
+    def gather(self, frames):
+        """Phi's slot factors G ((x)_s G[s] is Phi) and Z, for one (K, V, B) per slot,
+        whose V and B may share leading axes (draws), as G and Z then do."""
+        grid = np.indices([V.shape[-1] for _, V, _ in frames]).reshape(self.n, -1)
+        # a column's block holds its position with each K slot's index set to q_s
+        block = np.minimum(grid, [[f.Q.dim] for f in self.sys.factors])
+        cols = grid[:, self.in_L[np.ravel_multi_index(block, self.sys.dims)]]  # Phi's
+        G = [V[..., r, c] for (_, V, _), r, c in zip(frames, self.rows, cols)]
+        k = self.dim  # Z's block j is P_L (T~_j - lam_j)^H Phi, filled in place
+        Z = np.empty(G[0].shape[:-2] + (self.n * k, cols.shape[1]), dtype=complex)
+        for j, ((_, _, B), r, c) in enumerate(zip(frames, self.rows, cols)):
+            Z[..., j * k:(j + 1) * k, :] = math.prod(G[:j] + [B[..., r, c]] + G[j + 1:])
+        return G, Z
 
     def cokernel(self, lam, tol):
         frames = [f.kernel_frame(z, tol) for f, z in zip(self.sys.factors, lam)]
         if not any(K.shape[1] for K, _, _ in frames):
             return np.zeros((self.dim, 0), dtype=complex)
-        grid = np.indices([V.shape[1] for _, V, _ in frames]).reshape(self.n, -1)
-        # a column's block holds its position with each K slot's index set to q_s
-        block = np.minimum(grid, [[f.Q.dim] for f in self.sys.factors])
-        in_L = np.bincount(self.at, minlength=self.sys.N) > 0
-        cols = grid[:, in_L[np.ravel_multi_index(block, self.sys.dims)]]  # Phi's
-        rows = [r[:, None] for r in np.unravel_index(self.at, self.sys.dims)]
-        G = [V[r, c] for (_, V, _), r, c in zip(frames, rows, cols)]  # (x)_s G[s] is Phi
-        Z = np.vstack([math.prod(G[:j] + [B[r, c]] + G[j + 1:])
-                       for j, ((_, _, B), r, c) in enumerate(zip(frames, rows, cols))])
+        G, Z = self.gather(frames)
         _, s, Vh = _svd(np.linalg.qr(Z, mode="r"))
         return math.prod(G) @ Vh[numerical_rank(s, tol):].conj().T
 
@@ -96,3 +115,49 @@ def slot_coranks(sys, tol):
                     + sum((q - h + c) * p for h, q, c, p in zip(cH, cQ, cS, rest)),
                     sum(c * p for c, p in zip(cS, rest)))
     return out
+
+
+def shifted_slot_check(L, G, coranks, points, tol):
+    """The shift lemma from the slots: one ``(agree, margin)`` per point lam, as from
+    ``shifted_closure_check``, for a ``SlotTuple`` L with exact slot spectra, generators
+    G of its tuple and their ``coranks`` {mu: dim W_mu}.  L - lam is L in the system
+    with slots T_s - lam_s and joint spectrum sigma - lam, so W_{mu - lam} comes from
+    frames of each draw's own shifted slot matrices at mu_s - lam_s.  A draw agrees
+    when every dim W_{mu - lam} is coranks[mu] (a shift of T_s alone, or of its
+    spectrum alone, makes them 0, which passes the local test vacuously) and G passes
+    the local test there, and each slot frame keeps the unshifted frame's width; its
+    margin is the smallest ``rank_margin`` of its SVDs.  The draws run in lockstep,
+    each factorization stacked over them."""
+    lams = np.array(points, dtype=complex)
+    agree, margin = [True] * len(lams), [math.inf] * len(lams)
+
+    def cut(d, s):  # numerical_rank, keeping draw d's smallest rank_margin
+        rank = numerical_rank(s, tol)
+        margin[d] = min(margin[d], rank_margin(s, rank, tol))
+        return rank
+
+    @functools.cache
+    def frame(s, z):  # slot s's (K, V, B) at z - lam_s, stacked over the draws
+        f, q = L.sys.factors[s], L.sys.factors[s].Q.dim
+        A, zs = f.adapted - lams[:, s, None, None] * np.eye(len(f.T)), z - lams[:, s]
+        svds = _svds(A[:, q:, q:] - zs[:, None, None] * np.eye(len(f.T) - q))
+        rank = f.S.dim - f.kernel_frame(z, tol)[0].shape[1]  # K's width moves with the shift
+        for d, (_, sv, _) in enumerate(svds):
+            agree[d] &= cut(d, sv) == rank
+        return slot_frame(A, np.array([U[:, rank:] for U, _, _ in svds]), q, zs)
+
+    def judge(frames, c):  # W_{mu - lam} for every draw, and its tests
+        Gs, Z = L.gather(frames)
+        # rows that are 0 in every draw add nothing; Vh is square if fewer rows are left
+        R = np.linalg.qr(Z[:, Z.any(axis=(0, 2))], mode="r")
+        Ws = [Phi @ Vh[cut(d, s):].conj().T for d, (Phi, (_, s, Vh))
+              in enumerate(zip(math.prod(Gs), _svds(R, full_matrices=True)))]
+        for d, W in enumerate(Ws):
+            agree[d] &= W.shape[1] == c
+        if ok := [d for d in range(len(lams)) if agree[d] and c]:
+            for d, s in zip(ok, _svds([Ws[d].conj().T @ G for d in ok], compute_uv=False)):
+                agree[d] &= cut(d, s) == c
+
+    for mu, c in coranks.items():
+        judge([frame(s, z) for s, z in enumerate(mu)], c)
+    return list(zip(agree, margin))

@@ -7,7 +7,8 @@ survives when its singular value exceeds ``tol * max(1, sigma_max)``.  The
 zero subspace (k = 0), also of the zero space (N = 0), is a first-class
 value, so downstream code never special-cases empty bases.
 
-Every SVD goes through ``_svd``, which survives LAPACK non-convergence.
+Every SVD goes through ``_svd``, which survives LAPACK non-convergence, and every
+stack of SVDs through ``_svds``, which falls back to ``_svd`` matrix by matrix.
 
 Krylov closures grow a basis B block by block and apply that rule to the
 residual of the newest block's images after projecting them against B twice.
@@ -168,6 +169,19 @@ def _svd(M, full_matrices=False, compute_uv=True):
     U, s, Vh = np.linalg.svd(R[:n])
     U = np.hstack([Q[:, :n] @ U, Q[:, n:]])
     return (Vh.conj().T, s, U.conj().T) if wide else (U, s, Vh)
+
+
+def _svds(mats, compute_uv=True, full_matrices=False):
+    """``_svd`` of each same-shape matrix in one stacked ``np.linalg.svd``, or if LAPACK
+    does not converge one ``_svd`` each, which retries: (U, s, Vh) per matrix, or the
+    stacked singular values."""
+    mats = np.asarray(mats, dtype=complex)
+    try:
+        out = np.linalg.svd(mats, full_matrices=full_matrices, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        out = [_svd(M, full_matrices, compute_uv) for M in mats]
+        return out if compute_uv else np.array(out)
+    return list(zip(*out)) if compute_uv else out
 
 
 def orthonormalize(vectors, tol=DEFAULT_TOL, ambient_dim=None):

@@ -42,10 +42,11 @@ import numpy as np
 
 from .errors import EigenError, InputError, InternalConsistencyError, ModelError
 from .multiplicity import OperatorTuple, _generates, krylov_closure
-from .slots import SlotTuple, compressed_at
+from .slots import SlotTuple, compressed_at, slot_frame
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
+    _svds,
     as_operator,
     complement_within,
     compress,
@@ -123,9 +124,8 @@ class TensorFactor:
         coordinates, ranked at ``tol``, and in [Q | S]'s V = [e_1 .. e_q | K] and
         B = (U^H T U - z)^H V, for ``wandering``, its test and ``SlotTuple``."""
         if (key := (complex(z), tol)) not in self._frames:
-            K, q = self._restriction.cokernel((z,), tol), self.Q.dim
-            V = np.hstack([np.eye(len(self.T), q), np.vstack([np.zeros((q, K.shape[1])), K])])
-            self._frames[key] = K, V, self.adapted.conj().T @ V - np.conj(z) * V
+            K = self._restriction.cokernel((z,), tol)
+            self._frames[key] = slot_frame(self.adapted, K, self.Q.dim, z)
         return self._frames[key]
 
     @functools.cached_property
@@ -342,15 +342,6 @@ def _telescope(a, d, b):
     return sum(math.prod(a[:t]) * d[t] * math.prod(b[t + 1:]) for t in range(len(d)))
 
 
-def _opnorms(mats):
-    """opnorm of each same-shape matrix in one batched SVD, or if LAPACK does not
-    converge one ``opnorm`` each, which ``_svd`` retries."""
-    try:
-        return np.linalg.svd(np.array(mats, dtype=complex), compute_uv=False)[:, 0]
-    except np.linalg.LinAlgError:
-        return list(map(opnorm, mats))
-
-
 def _projection_identities(sys):
     """The projection identities from O(n) slot-matrix norms.
 
@@ -362,8 +353,9 @@ def _projection_identities(sys):
     prod, idem, herm, split = [], [], [], []
     for f in sys.factors:
         P = {"I": np.eye(f.T.shape[0]), "S": f.S.projector(), "Q": f.Q.projector()}
-        norms = iter(_opnorms([P[a] @ P[b] for a in P for b in P] + [A @ A - A for A in P.values()]
-                              + [A - A.conj().T for A in P.values()] + [P["I"] - P["S"] - P["Q"]]))
+        norms = iter(_svds([P[a] @ P[b] for a in P for b in P] + [A @ A - A for A in P.values()]
+                           + [A - A.conj().T for A in P.values()] + [P["I"] - P["S"] - P["Q"]],
+                           compute_uv=False)[:, 0])
         prod.append({(a, b): next(norms) for a in P for b in P})
         idem.append(dict(zip(P, norms)))
         herm.append(dict(zip(P, norms)))
@@ -591,8 +583,8 @@ def wandering_E(sys, chain):
                          for j, (f, e) in enumerate(zip(sys.factors, eigens))])
         E[rows, lo:hi] = X
         X_h = X.conj().T
-        align = max(align, *_opnorms([X_h @ C - lam * X_h for C, lam
-                                      in zip(compressed_at(sys, chain.at[rows]), shift_points[i])]))
+        align = max(align, *_svds([X_h @ C - lam * X_h for C, lam in zip(
+            compressed_at(sys, chain.at[rows]), shift_points[i])], compute_uv=False)[:, 0])
 
     return WanderingDecomposition(
         E=Subspace(E, tol=sys.tol, _checked=False),

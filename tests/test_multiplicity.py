@@ -241,6 +241,17 @@ def test_krylov_closure_margin_is_its_closest_decision():
     assert krylov_closure((np.eye(3),), np.eye(3)[:, :1]).margin > 1e9
 
 
+def test_a_small_closure_allocates_a_small_basis():
+    """A closure grows its basis by doubling: the 5-dimensional closure of e_395
+    under the shift on C^400 views a basis array of 8 rows, not 400, and a
+    closure that fills the space holds exactly its d rows."""
+    T = np.diag(np.ones(399), -1)
+    small = krylov_closure((T,), np.eye(400)[:, 395:396])
+    assert small.dim == 5 and small.basis.base.shape == (8, 400)
+    full = krylov_closure((T,), np.eye(400)[:, :1])
+    assert full.dim == 400 and full.basis.base.shape == (400, 400)
+
+
 def prefix_comp_S(slots):
     """The tuple of a prefix system, slots (kind, m, k), compressed to S."""
     models = [(make_shift(kind, m), k) for kind, m, k in slots]

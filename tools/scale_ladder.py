@@ -6,10 +6,9 @@ A SIZE is ``M^n:K``: n Hardy factors of size M, each with the prefix of
 length K as its co-invariant subspace, so that the space has dimension
 ``N = M^n`` and ``dim S = M^n - K^n``.  The default ladder is ``8^3:4 10^3:5 6^4:3``.  Each
 size runs at seed 1 once with every check and once without ``shift_lemma``
-(with ``--no-shift``, only without it: at 8^4:4 the witness closure that the
-shift lemma makes takes most of an all-checks run), each run one
-``run_scenario`` in its own Python process, with the shiftlab in this
-checkout's ``src/``.  For each run it prints:
+(with ``--no-shift``, only without it, to see what the shift lemma's six slot
+draws add), each run one ``run_scenario`` in its own Python process, with the
+shiftlab in this checkout's ``src/``.  For each run it prints:
 
 * ``time``: the wall time of ``run_scenario`` in the child, without the
   interpreter's start-up;
