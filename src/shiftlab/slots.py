@@ -8,11 +8,12 @@ wandering subspace W_lam = L (-) sum_j (T~_j - lam_j) L has each S slot s in
 K_s = S_s (-) (T_s - lam_s) S_s (``TensorFactor.kernel_frame``), and
 W_lam = Phi null(Z): Phi is the columns of (x)_s [e_1 .. e_{q_s} | K_s] in L's
 blocks at L's rows, Z the stacked P_L (T~_j - lam_j)^H Phi, both gathered from
-slot matrices like mode products (Kolda & Bader, SIAM Rev. 2009).  One QR and
-one SVD of Phi's width, at most prod (q_s + c_s) - prod q_s for c_s = dim K_s,
-replace those of the n dim L x dim L stack.  ``slot_coranks`` counts dim W_lam
-from m x m slot ranks alone; ``compressed_at`` builds the compression on demand;
-``shifted_slot_check`` reads the shift lemma off shifted slot matrices.
+slot matrices like mode products (Kolda & Bader, SIAM Rev. 2009) a block of L's
+rows at a time.  Z's nonzero rows go into one R of Phi's width, at most
+prod (q_s + c_s) - prod q_s for c_s = dim K_s (``SlotTuple.null``), so no array
+but W has dim L rows.  ``slot_coranks`` counts dim W_lam from m x m slot ranks;
+``compressed_at`` builds the compression on demand; ``shifted_slot_check`` reads
+the shift lemma off shifted slot matrices.
 """
 
 import functools
@@ -22,6 +23,9 @@ import numpy as np
 
 from .multiplicity import OperatorTuple
 from .subspaces import _svd, _svds, numerical_rank, rank_margin
+
+# L's rows per slot-gather block; each shipped, criterion-4 and benchmark L is one block
+_ROWS = 256
 
 
 def slot_frame(A, K, q, z):
@@ -56,7 +60,7 @@ class SlotTuple(OperatorTuple):
     (``compressed_at``); its ``shifted`` and ``compressed`` copies are plain tuples."""
 
     def __init__(self, sys, at):
-        self.sys, self.at, self.dim, self.n = sys, at, at.size, sys.n
+        self.sys, self.at, self.dim, self.n, self._cols = sys, at, at.size, sys.n, {}
         # L's positions as a mask over (x)_s U_s, and their slot indices, a column per slot
         self.in_L = np.bincount(at, minlength=sys.N) > 0
         self.rows = [r[:, None] for r in np.unravel_index(at, sys.dims)]
@@ -64,26 +68,49 @@ class SlotTuple(OperatorTuple):
     ops = functools.cached_property(lambda self: compressed_at(self.sys, self.at))
 
     def gather(self, frames):
-        """Phi's slot factors G ((x)_s G[s] is Phi) and Z, for one (K, V, B) per slot,
-        whose V and B may share leading axes (draws), as G and Z then do."""
-        grid = np.indices([V.shape[-1] for _, V, _ in frames]).reshape(self.n, -1)
-        # a column's block holds its position with each K slot's index set to q_s
-        block = np.minimum(grid, [[f.Q.dim] for f in self.sys.factors])
-        cols = grid[:, self.in_L[np.ravel_multi_index(block, self.sys.dims)]]  # Phi's
-        G = [V[..., r, c] for (_, V, _), r, c in zip(frames, self.rows, cols)]
-        k = self.dim  # Z's block j is P_L (T~_j - lam_j)^H Phi, filled in place
-        Z = np.empty(G[0].shape[:-2] + (self.n * k, cols.shape[1]), dtype=complex)
-        for j, ((_, _, B), r, c) in enumerate(zip(frames, self.rows, cols)):
-            Z[..., j * k:(j + 1) * k, :] = math.prod(G[:j] + [B[..., r, c]] + G[j + 1:])
-        return G, Z
+        """(rows, G, Bs) per block ``rows`` of _ROWS rows of L, for (K, V, B) per slot whose V
+        and B may share leading axes (draws): Phi's slot factors G there ((x)_s G[s] is Phi),
+        and lazily the B_j there (Z's block j is G[:j] B_j G[j + 1:] multiplied out)."""
+        widths = tuple(V.shape[-1] for _, V, _ in frames)
+        if widths not in self._cols:  # Phi's columns, once per frame widths
+            grid = np.indices(widths).reshape(self.n, -1)
+            # a column's block holds its position with each K slot's index set to q_s
+            block = np.minimum(grid, [[f.Q.dim] for f in self.sys.factors])
+            self._cols[widths] = grid[:, self.in_L[np.ravel_multi_index(block, self.sys.dims)]]
+        for lo in range(0, self.dim, _ROWS):  # holding no block between yields
+            parts = list(zip(frames, [r[lo:lo + _ROWS] for r in self.rows], self._cols[widths]))
+            yield (slice(lo, lo + _ROWS), [V[..., r, c] for (_, V, _), r, c in parts],
+                   (B[..., r, c] for (_, _, B), r, c in parts))
+
+    def null(self, frames, G=None):
+        """Per draw (s, Vh) of the SVD of Z's R factor, Vh square, so W = Phi Vh[rank:]^H
+        at rank = numerical_rank(s); and Phi^H G for G in L's coordinates, so W^H G is
+        Vh[rank:] Phi^H G.  Rows of Z that are 0 in every draw add nothing and are not
+        kept; once the kept rows pass twice max(_ROWS, Phi's width), they are folded as
+        qr([R; rows]) (TSQR; Demmel et al., SIAM J. Sci. Comput. 2012)."""
+        kept, PhiG = [], 0
+        for rows, Gs, Bs in self.gather(frames):
+            if G is not None:
+                PhiG = PhiG + np.conj(np.swapaxes(math.prod(Gs), -1, -2)) @ G[rows]
+            for j, B in enumerate(Bs):
+                Z = math.prod(Gs[:j] + [B] + Gs[j + 1:])
+                kept.append(Z[..., Z.any(axis=(*range(Z.ndim - 2), -1)), :])
+            del Gs, B, Z  # before the QR
+            if rows.stop >= self.dim or sum(z.shape[-2] for z in kept) > 2 * max(
+                    _ROWS, kept[0].shape[-1]):  # the last block, or too many kept rows
+                kept = [np.concatenate(kept, axis=-2)]  # frees the pieces before the QR
+                kept = [np.linalg.qr(kept[0], mode="r")]
+        return [(s, Vh) for _, s, Vh in _svds(kept[0], full_matrices=True)], PhiG
 
     def cokernel(self, lam, tol):
+        """W_lam as the one-draw case of ``null``: W = Phi Vh[rank:]^H, block by block."""
         frames = [f.kernel_frame(z, tol) for f, z in zip(self.sys.factors, lam)]
-        if not any(K.shape[1] for K, _, _ in frames):
+        if not self.dim or not any(K.shape[1] for K, _, _ in frames):
             return np.zeros((self.dim, 0), dtype=complex)
-        G, Z = self.gather(frames)
-        _, s, Vh = _svd(np.linalg.qr(Z, mode="r"))
-        return math.prod(G) @ Vh[numerical_rank(s, tol):].conj().T
+        frames = [(K, V[None], B[None]) for K, V, B in frames]
+        ((s, Vh),), _ = self.null(frames)
+        N = Vh[numerical_rank(s, tol):].conj().T
+        return np.vstack([math.prod(G)[0] @ N for _, G, _ in self.gather(frames)])
 
     def commutes(self, tol):
         """True: S is invariant and F semi-invariant (Sarason 1965), so both compressions
@@ -146,16 +173,12 @@ def shifted_slot_check(L, G, coranks, points, tol):
             agree[d] &= cut(d, sv) == rank
         return slot_frame(A, np.array([U[:, rank:] for U, _, _ in svds]), q, zs)
 
-    def judge(frames, c):  # W_{mu - lam} for every draw, and its tests
-        Gs, Z = L.gather(frames)
-        # rows that are 0 in every draw add nothing; Vh is square if fewer rows are left
-        R = np.linalg.qr(Z[:, Z.any(axis=(0, 2))], mode="r")
-        Ws = [Phi @ Vh[cut(d, s):].conj().T for d, (Phi, (_, s, Vh))
-              in enumerate(zip(math.prod(Gs), _svds(R, full_matrices=True)))]
-        for d, W in enumerate(Ws):
-            agree[d] &= W.shape[1] == c
+    def judge(frames, c):  # W_{mu - lam} for every draw and its tests, from Phi^H G
+        nulls, PhiG = L.null(frames, G)
+        WG = [Vh[cut(d, s):] @ PhiG[d] for d, (s, Vh) in enumerate(nulls)]  # W^H G per draw
+        agree[:] = [a and len(M) == c for a, M in zip(agree, WG)]
         if ok := [d for d in range(len(lams)) if agree[d] and c]:
-            for d, s in zip(ok, _svds([Ws[d].conj().T @ G for d in ok], compute_uv=False)):
+            for d, s in zip(ok, _svds([WG[d] for d in ok], compute_uv=False)):
                 agree[d] &= cut(d, s) == c
 
     for mu, c in coranks.items():

@@ -414,23 +414,20 @@ def _commutator_bound(sys, blocks):
     return worst
 
 
-def _compressed_powers(ops, V):
-    """A^k V for every k in Z_+^n with 1 <= |k| <= _POWER_DEGREE.
+def _powers(ops, V, first=0, k=None):
+    """(k, A^k V) for every k in Z_+^n with 1 <= |k| <= _POWER_DEGREE, for maps A_i.
 
-    Each A_i is a matrix or a map W -> A_i W.  The multi-indices come in one
-    fixed order, so calls on compressed operators (with V in basis
-    coordinates) and on the slot maps can be zipped term by term.  A^k V is A_j
-    applied to the kept A^{k - e_j} V, j the last nonzero index of k, which that
-    order yields first: the operations of A_n^{k_n} .. A_1^{k_1} V, in its order.
+    Depth first, lowest slot first: A^k V is A_j applied to A^{k - e_j} V, j the
+    last nonzero index of k, which is the operations of A_n^{k_n} .. A_1^{k_1} V in
+    its order, and only the _POWER_DEGREE powers on the current path are kept.
     """
-    done = {}
-    for kk in itertools.product(range(_POWER_DEGREE + 1), repeat=len(ops)):
-        if not 1 <= sum(kk) <= _POWER_DEGREE:
-            continue
-        j = max(i for i, p in enumerate(kk) if p)
-        W = done.get(kk[:j] + (kk[j] - 1,) + kk[j + 1:], V)
-        done[kk] = W = ops[j](W) if callable(ops[j]) else ops[j] @ W
-        yield W
+    k = k or (0,) * len(ops)
+    for j in range(first, len(ops)):
+        kj = k[:j] + (k[j] + 1,) + k[j + 1:]
+        W = ops[j](V)
+        yield kj, W
+        if sum(kj) < _POWER_DEGREE:
+            yield from _powers(ops, W, j, kj)
 
 
 def verify_compression_structure(sys, chain, seed=42):
@@ -450,10 +447,8 @@ def verify_compression_structure(sys, chain, seed=42):
       bounds; see _commutator_bound);
     * block_structure -- the coupling of F's M summands by the tuple;
     * power_identity -- compressed powers act summand-by-summand:
-      (P_F T~ P_F)^k = sum_i P_{M_i} T~^k P_{M_i} on F for 1 <= |k| <= 3.
-
-    The compressions to S and F are built from their positions when read: here
-    only F's, for the power identity.
+      (P_F T~ P_F)^k = sum_i P_{M_i} T~^k P_{M_i} on F for 1 <= |k| <= 3, on 4
+      random unit vectors, both sides by slot maps: no compression is built here.
     """
     blocks = [list(chain.block_columns)] + chain.F_blocks
     sets = [set(bs) for bs in blocks]
@@ -476,29 +471,25 @@ def verify_compression_structure(sys, chain, seed=42):
     off = max((_cross_norm(sys, p, q) for p, q in itertools.permutations(Ms, 2)), default=0.0)
     block = {"off_diagonal": off, "diagonal_sum": off}
 
-    cols = chain.columns(blocks[-1])
-    comp_S, comp_F = SlotTuple(sys, chain.at), SlotTuple(sys, chain.at[cols])
+    comp_S, comp_F = SlotTuple(sys, chain.at), SlotTuple(sys, chain.at[chain.columns(blocks[-1])])
 
-    # In F's coordinates the right side's block i is M_i^H T~^k M_i x_i: x_i is
-    # scattered to M_i's positions in (x)_s U_s, mapped by slot products there
-    # and gathered back.
-    worst = 0.0
+    # Both sides in one block of (x)_s U_s: column group 0 holds X at F's positions and
+    # is masked to F after each slot map (P_F T~_j P_F), group i + 1 holds X's rows of
+    # M_i at M_i's positions, mapped unmasked (M_i^H T~^k M_i); F's positions are M_1's,
+    # .., M_n's in order.
+    worst, p = 0.0, _POWER_SAMPLES
     rng = np.random.default_rng(seed)
-    if cols.size:
-        X = (rng.standard_normal((cols.size, _POWER_SAMPLES))
-             + 1j * rng.standard_normal((cols.size, _POWER_SAMPLES)))
+    if comp_F.dim:
+        X = rng.standard_normal((comp_F.dim, p)) + 1j * rng.standard_normal((comp_F.dim, p))
         X /= np.linalg.norm(X, axis=0)
-        where = [chain.at[chain.columns(bs)] for bs in chain.F_summands[-1]]
-        edges = np.cumsum([0] + [w.size for w in where])
-        slot_maps = [functools.partial(sys.apply, i) for i in range(sys.n)]
-        per_summand = []
-        for w, a, b in zip(where, edges, edges[1:]):
-            Z = np.zeros((sys.N, _POWER_SAMPLES), dtype=complex)
-            Z[w] = X[a:b]
-            per_summand.append(_compressed_powers(slot_maps, Z))
-        for lhs, *parts in zip(_compressed_powers(comp_F.ops, X), *per_summand):
-            rhs = np.vstack([W[w] for w, W in zip(where, parts)])
-            worst = max(worst, float(np.max(np.linalg.norm(lhs - rhs, axis=0))))
+        at, group = comp_F.at[:, None], p * np.repeat(np.arange(1, sys.n + 1), [
+            sum(map(sys.block_dim, bs)) for bs in chain.F_summands[-1]])[:, None] + np.arange(p)
+        Y = np.zeros((sys.N, (sys.n + 1) * p), dtype=complex)
+        Y[at, np.arange(p)], Y[at, group] = X, X
+        keep = comp_F.in_L[:, None] | (np.arange(Y.shape[1]) >= p)  # P_F on group 0 only
+        for _, W in _powers([lambda V, j=j: sys.apply(j, V) * keep for j in range(sys.n)], Y):
+            worst = max(worst, float(np.max(np.linalg.norm(W[at, np.arange(p)] - W[at, group],
+                                                           axis=0))))
 
     families = (_projection_identities(sys), chain_res, semi, comm, block,
                 {"summandwise_powers": worst})

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from shiftlab.multiplicity import (
 )
 from shiftlab.scenarios import report_to_text, resolve_factor
 from shiftlab.slots import slot_coranks
-from shiftlab.tensorized import build_system, f_chain, verify_compression_structure
+from shiftlab.tensorized import build_system, f_chain, tensor_factor, verify_compression_structure
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -374,7 +375,8 @@ def test_an_exact_all_checks_run_closes_nothing_and_builds_no_compression_to_S(m
     """hardy 4^3 k2 (dim S = 56) with every check: mult(S) certifies W_S by the
     local test, and the shift lemma reads its six draws from the shifted slots.
     So no closure runs, on S's coordinates or any other, and the only compressions
-    built are F's and the three M_i's: none at S's positions."""
+    built are the three M_i's: none at S's positions, and none at F's, as the power
+    identity maps both of its sides by the slots."""
     mm = importlib.import_module("shiftlab.multiplicity")
     dims, real = [], mm._closure
     monkeypatch.setattr(mm, "_closure", lambda ops, G, tol, lam=None:
@@ -384,7 +386,7 @@ def test_an_exact_all_checks_run_closes_nothing_and_builds_no_compression_to_S(m
     rep = run_scenario(scenario_from_json(obj))
     assert rep.succeeded and rep.dim_S == 56 and list(rep.verdicts) == list(ALL_CHECKS)
     assert dims == []
-    assert sorted(built) == [8, 8, 8, 24]
+    assert sorted(built) == [8, 8, 8]
     assert rep.verdicts["shift_lemma"] == {"status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
 
 
@@ -895,6 +897,91 @@ def test_slot_cokernels_equal_the_dense_ones(group):
     assert points >= len(scenarios)
 
 
+@pytest.mark.parametrize("group", ["shipped", "pair-grid-1", "hardy-4^4"])
+def test_row_blocks_give_the_one_block_answers(monkeypatch, group):
+    """With the slot gathers cut into blocks of 12 rows of L, every W_lam a run reads
+    from the slots spans the one-block W_lam (same_subspace at 1e-8), every
+    shift-lemma draw agrees, or not, and is marginal, or not, as in one block, and
+    the report is the same.  Z keeps at most twice Phi's width of rows on the 4
+    shipped scenarios and the 6 pair-grid shapes, so their blocks fold only at the
+    end; hardy 4^4 k2 with every check keeps more, and folds on the way too."""
+    slots, sc = (importlib.import_module(f"shiftlab.{m}") for m in ("slots", "scenarios"))
+    M = sc.SHIFT_LEMMA_MIN_MARGIN
+    seen, cokernel, check = [], slots.SlotTuple.cokernel, sc.shifted_slot_check
+    monkeypatch.setattr(slots.SlotTuple, "cokernel",
+                        lambda *a: seen.append(cokernel(*a)) or seen[-1])
+    monkeypatch.setattr(sc, "shifted_slot_check", lambda *a: seen.append(
+        [(agree, margin >= M) for agree, margin in check(*a)]) or check(*a))
+    stacked, qr = [], np.linalg.qr  # slot QRs are stacked over draws; the others are not
+    monkeypatch.setattr(np.linalg, "qr", lambda A, mode="reduced":
+                        stacked.append(A.ndim == 3) or qr(A, mode=mode))
+    if group == "shipped":
+        scenarios = [load_scenario(p) for p in sorted(SCENARIO_DIR.glob("*.json"))]
+    elif group == "hardy-4^4":
+        hardy = {"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}}
+        scenarios = [scenario_from_json({"factors": [hardy] * 4})]
+    else:
+        scenarios = list(map(scenario_from_json, _group_objects(group)))
+    assert len(scenarios) == {"shipped": 4, "pair-grid-1": 6}.get(group, 1)
+    folds = 0
+    for scn in scenarios:
+        runs = []
+        for rows in (slots._ROWS, 12):
+            monkeypatch.setattr(slots, "_ROWS", rows)
+            seen.clear(), stacked.clear()
+            rep = run_scenario(scn).to_json()
+            del rep["elapsed_seconds"]
+            runs.append((rep, list(seen), sum(stacked)))
+        (rep, one, qrs), (rep_blocked, blocked, qrs_blocked) = runs
+        assert rep_blocked == rep and len(blocked) == len(one) > 0, scn.label
+        for a, b in zip(one, blocked):
+            assert a == b if isinstance(a, list) else same_subspace(
+                Subspace(a, _checked=True), Subspace(b, _checked=True), tol=1e-8), scn.label
+        folds += qrs_blocked - qrs
+    assert (folds > 0) == (group == "hardy-4^4")
+
+
+@pytest.mark.parametrize("rows", [256, 3])
+def test_a_frame_whose_Z_has_no_nonzero_row_gives_W_equal_to_Phi(monkeypatch, rows):
+    """Zero slot operators on C^3 with Q = C e_1: every (T~_j - 0)^H Phi is 0, so no
+    row of Z is kept, R has no row, its square Vh is the identity, and W_0 is Phi
+    itself, all of L, for S and for F, in one block or in blocks of 3 rows."""
+    slots = importlib.import_module("shiftlab.slots")
+    monkeypatch.setattr(slots, "_ROWS", rows)
+    f = tensor_factor(np.zeros((3, 3)), Subspace(np.eye(3)[:, :1]))
+    sys_ = build_system([f, f])
+    comps = verify_compression_structure(sys_, f_chain(sys_)).compressions
+    assert [L.dim for L in comps] == [8, 4]
+    for L in comps:
+        frames = [(K, V[None], B[None])
+                  for K, V, B in (g.kernel_frame(0j, sys_.tol) for g in sys_.factors)]
+        assert not any(B.any() for _, _, B in frames)
+        Phi = np.vstack([math.prod(G)[0] for _, G, _ in L.gather(frames)])
+        W = L.cokernel((0j, 0j), sys_.tol)
+        assert W.shape == (L.dim, L.dim) and np.array_equal(W, Phi)
+        assert same_subspace(Subspace(W, _checked=True), Subspace.full(L.dim), tol=1e-12)
+
+
+@pytest.mark.parametrize("shift, bound_mb", [(False, 9.4), (True, 50.3)])
+def test_hardy_6x4_k3_stays_inside_its_memory_bound(shift, bound_mb):
+    """The tracemalloc peak (numpy's arrays included) of one hardy 6^4 k3 run stays
+    within 25 % of 7.55 MB without the shift lemma and 40.2 MB with it, as measured
+    with row-blocked slot gathers and the matrix-free power identity.  Gathering
+    the full G_s and Z, and compressing to F for the power identity, peaked at
+    46.7 and 221 MB."""
+    obj = {"factors": [{"kind": "hardy", "m": 6, "coinvariant": {"prefix": 3}}] * 4, "seed": 1,
+           "checks": [c for c in ALL_CHECKS if shift or c != "shift_lemma"]}
+    scn = scenario_from_json(obj)
+    tracemalloc.start()
+    try:
+        rep = run_scenario(scn)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert rep.succeeded and rep.dim_S == 1215
+    assert peak <= bound_mb
+
+
 def spy_compressions(monkeypatch):
     """Record the number of positions of every compression built from now on."""
     sizes, real = [], importlib.import_module("shiftlab.slots").compressed_at
@@ -905,16 +992,15 @@ def spy_compressions(monkeypatch):
 
 
 def test_a_run_without_the_shift_lemma_builds_no_compression_to_S(monkeypatch):
-    """On a prefix run, only the power identity (F's) and wandering_E (each M_i's)
-    read compressed operators, so the dim S x dim S compressions to S are never
-    built (with the shift lemma too: see
+    """On a prefix run, only wandering_E (each M_i's) reads compressed operators, so
+    the compressions to S and to F are never built (with the shift lemma too: see
     test_an_exact_all_checks_run_closes_nothing_and_builds_no_compression_to_S)."""
     obj = {"factors": [{"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}} for _ in range(3)],
            "checks": [c for c in ALL_CHECKS if c != "shift_lemma"]}
     built = spy_compressions(monkeypatch)
     rep = run_scenario(scenario_from_json(obj))
     assert rep.succeeded and (rep.dim_S, rep.dim_F) == (56, 24)
-    assert sorted(built) == [8, 8, 8, 24]
+    assert sorted(built) == [8, 8, 8]
 
 
 def _compressed_to_S(sys_, chain):
@@ -956,7 +1042,7 @@ def test_compressions_built_on_demand_are_the_slices_of_the_compression_to_S(gro
 def test_hardy_6x4_k3_certifies_from_slot_sized_stacks(monkeypatch):
     """hardy 6^4 k3 (dim S = 1215) with every check but the shift lemma certifies
     mult(S) = mult(F) = 4, no stacked SVD is wider than a slot, and no
-    compression to S is built."""
+    compression to S or to F is built: only the M_i's."""
     mm = importlib.import_module("shiftlab.multiplicity")
     widths, real = [], mm._stacked_svd
     monkeypatch.setattr(mm, "_stacked_svd", lambda ops, lam=None:
@@ -968,7 +1054,7 @@ def test_hardy_6x4_k3_certifies_from_slot_sized_stacks(monkeypatch):
     assert rep.succeeded and rep.dim_S == 1215
     assert [(m["upper"], m["certified"]) for m in rep.multiplicities.values()] == [(4, True)] * 2
     assert widths and max(widths) <= 6
-    assert built and rep.dim_S not in built and rep.dim_F in built
+    assert built and rep.dim_S not in built and rep.dim_F not in built
 
 
 def test_a_slot_corank_disagreement_leaves_the_bracket_uncertified(monkeypatch):
@@ -1070,7 +1156,8 @@ def test_a_conjugated_jordan_factor_keeps_its_generating_wandering_subspace():
 def test_structure_path_forms_no_dense_operator(monkeypatch):
     """A cube-structure-style run with every check, the shift lemma included,
     binds no N x N array to a name in any Python frame, and no array with N
-    rows and more columns than the power identity's samples: S, its chain and
+    rows and more columns than the power identity's one block, which carries
+    both of its sides, (n + 1) samples wide: S, its chain and
     the tuple's compressions come from kind-blocks, positions and slot blocks,
     no N-row basis of S is formed, and the system has no dense T~_i to build.  In multiplicity the tuple is compressed only at
     slot size, once per factor: the factor's wandering subspace and its gws
@@ -1108,7 +1195,8 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
         name = frame.f_code.co_name
         for v in values:
             if isinstance(v, np.ndarray) and v.ndim and v.shape[0] == N and (
-                    v.ndim == 2 and v.shape[1] > tz._POWER_SAMPLES or name in local_only):
+                    v.ndim == 2 and v.shape[1] > (len(obj["factors"]) + 1) * tz._POWER_SAMPLES
+                    or name in local_only):
                 seen.append(f"{name} ({frame.f_code.co_filename})")
 
     def local(frame, event, arg):

@@ -33,8 +33,8 @@ from shiftlab import (
 from shiftlab.tensorized import (
     _POWER_DEGREE,
     _chain_slot_kinds,
-    _compressed_powers,
     _dedup_complex,
+    _powers,
     _projection_identities,
 )
 from test_subspaces import _fail_once
@@ -564,31 +564,47 @@ def test_joint_spectrum_is_the_product_of_slot_spectra():
 
 
 def naive_powers(ops, V):
-    """A_n^{k_n} .. A_1^{k_1} V from scratch for each k, in _compressed_powers's order."""
+    """{k: A_n^{k_n} .. A_1^{k_1} V} from scratch for each k with 1 <= |k| <= _POWER_DEGREE."""
+    out = {}
     for kk in itertools.product(range(_POWER_DEGREE + 1), repeat=len(ops)):
         if 1 <= sum(kk) <= _POWER_DEGREE:
             W = V
             for op, p in zip(ops, kk):
                 for _ in range(p):
-                    W = op(W) if callable(op) else op @ W
-            yield W
+                    W = op(W)
+            out[kk] = W
+    return out
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_memoized_powers_are_the_naive_products_bit_for_bit(n):
-    """Each A^k V reuses A^{k - e_j} V and applies A_j last, as the naive product
-    does: bit for bit the same, for matrices and for maps, on random tuples
-    (which do not commute, so any other order shows) and on a kron-embedded
-    commuting tuple (where only rounding would)."""
+    """The depth-first walk yields each multi-index once, and each A^k V reuses
+    A^{k - e_j} V and applies A_j last, as the naive product does: bit for bit the
+    same, keyed by k, for matrix maps on random tuples (which do not commute, so any
+    other order shows) and on a kron-embedded commuting tuple (where only rounding
+    would).  At most _POWER_DEGREE powers are alive in the walk at once."""
     rng = np.random.default_rng(n)
     V = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     mats = [rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) for _ in range(n)]
     sys_ = build_system([hardy_factor(3, 1), hardy_factor(2, 1)])
     slot_maps = [functools.partial(sys_.apply, i % 2) for i in range(n)]
-    for ops in (mats, [lambda W, A=A: A @ W for A in mats], slot_maps):
-        got, want = list(_compressed_powers(ops, V)), list(naive_powers(ops, V))
+    for ops in ([lambda W, A=A: A @ W for A in mats], slot_maps):
+        got, want = list(_powers(ops, V)), naive_powers(ops, V)
         assert len(got) == len(want) == math.comb(n + _POWER_DEGREE, n) - 1
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert {k for k, _ in got} == set(want)
+        assert all(np.array_equal(W, want[k]) for k, W in got)
+    alive = []
+    walk = _powers([lambda W: W + 1] * n, np.zeros(1))
+    for _ in walk:
+        alive.append(sum(f.f_locals.get("W") is not None for f in _frames(walk)))
+    assert max(alive) == _POWER_DEGREE
+
+
+def _frames(gen):
+    """The frames of a suspended chain of ``yield from`` generators."""
+    while gen is not None:
+        yield gen.gi_frame
+        gen = gen.gi_yieldfrom
 
 
 def test_batched_norms_survive_a_non_converging_svd(monkeypatch):
