@@ -429,10 +429,13 @@ def run_scenario(scn):
                       for C in (comp_S, comp_F))
     # a second route to each lower bound: dim W_lam off the slot formula uncertifies the bracket
     second = slot_coranks(sys, scn.tol)
-    for name, res, route in (("S", mult_S, 0), ("F", mult_F, 1)):
+    for name, res, route, C in (("S", mult_S, 0, comp_S), ("F", mult_F, 1, comp_F)):
         if off := sum(c[route] != res.coranks.get(lam, 0) for lam, c in second.items()):
             res.certified = False
             notes.append(f"mult({name}) uncertified: dim W_lam is off slot_coranks at {off} points")
+        if leaks := len(C.leaks):  # the slot formula's W_lam fails its inclusion residual
+            res.certified = False
+            notes.append(f"mult({name}) uncertified: W_lam leaves the cokernel at {leaks} points")
     gws_S = mult_S.wandering_generates  # mult(S) tried W_S first
 
     verdicts = _structural_verdicts(scn, struct)

@@ -1,19 +1,15 @@
 """Wandering subspaces and coranks of a tensor system's compressions, from its slots.
 
-In the coordinates of (x)_s U_s (``tensorized``), U_j^H T_j U_j is block lower
-triangular in [Q_j | S_j], as S_j is invariant, so (T~_j - lam_j)^H keeps a
-vector's kind-block on slot j's S part and maps it there by
-(S_j^H T_j S_j - lam_j)^H alone.  So in each kind-block of L = S or F, the
-wandering subspace W_lam = L (-) sum_j (T~_j - lam_j) L has each S slot s in
-K_s = S_s (-) (T_s - lam_s) S_s (``TensorFactor.kernel_frame``), and
-W_lam = Phi null(Z): Phi is the columns of (x)_s [e_1 .. e_{q_s} | K_s] in L's
-blocks at L's rows, Z the stacked P_L (T~_j - lam_j)^H Phi, both gathered from
-slot matrices like mode products (Kolda & Bader, SIAM Rev. 2009) a block of L's
-rows at a time.  Z's nonzero rows go into one R of Phi's width, at most
-prod (q_s + c_s) - prod q_s for c_s = dim K_s (``SlotTuple.null``), so no array
-but W has dim L rows.  ``slot_coranks`` counts dim W_lam from m x m slot ranks;
-``compressed_at`` builds the compression on demand; ``shifted_slot_check`` reads
-the shift lemma off shifted slot matrices.
+In the coordinates of (x)_s U_s (``tensorized``), A_s = U_s^H T_s U_s = [[a_s, 0], [c_s, b_s]]
+in [Q_s | S_s], as S_s is invariant.  F's compression is block diagonal along the M_t
+and acts on M_t slot by slot, so by Kunneth (Eisenbud, Commutative Algebra, ch. 17;
+Weibel, Thm 3.6.3) W_lam(F) = (+)_t ker (b_t - lam_t)^H (x) (x)_{s != t} ker (a_s - lam_s)^H,
+orthonormal as built.  Cut down to S by 0 -> S -> H -> (x)_s Q_s, W_lam(S) is W_lam(F)
++ P_S (x)_s ker (A_s - lam_s)^H: each (A_j - lam_j)^H maps Q_j's coordinates into
+themselves, so P_S (T~_j - lam_j)^H kills both terms, and their dimensions add up to
+``slot_coranks``' Tor count.  ``SlotTuple.cokernel`` builds them from ``slot_kernels`` as
+Kronecker rows at L's positions, with one thin SVD for S, and checks their inclusion;
+``shifted_slot_check`` does so for shifted slots, and ``compressed_at`` compresses on demand.
 """
 
 import functools
@@ -22,19 +18,7 @@ import math
 import numpy as np
 
 from .multiplicity import OperatorTuple
-from .subspaces import _svd, _svds, numerical_rank, rank_margin
-
-# L's rows per slot-gather block; each shipped, criterion-4 and benchmark L is one block
-_ROWS = 256
-
-
-def slot_frame(A, K, q, z):
-    """(K, V, B) of ``TensorFactor.kernel_frame`` from A = U^H T U and K; A, K and z
-    may share leading axes (draws), as V and B then do."""
-    V = np.zeros(K.shape[:-2] + (A.shape[-1], q + K.shape[-1]), dtype=complex)
-    V[..., range(q), range(q)] = 1
-    V[..., q:, q:] = K
-    return K, V, np.conj(np.swapaxes(A, -1, -2)) @ V - np.conj(z)[..., None, None] * V
+from .subspaces import _svd, _svds, numerical_rank, opnorm, rank_margin
 
 
 def compressed_at(sys, at):
@@ -54,63 +38,58 @@ def compressed_at(sys, at):
     return ops
 
 
+def slot_kernels(f, z, tol):
+    """(K, kQ, kH) of a ``TensorFactor`` f at z: ker (M - z)^H ranked at ``tol`` for
+    M = S^H T S (K = S (-) (T - z) S), Q^H T Q and U^H T U, in [Q | S] coordinates."""
+    q, A, K = f.Q.dim, f.adapted, f._restriction.cokernel((z,), tol)
+    kQ, kH = (U[:, numerical_rank(s, tol):] for U, s, _ in (
+        _svd(M - z * np.eye(len(M))) for M in (A[:q, :q], A)))
+    return np.pad(K, ((q, 0), (0, 0))), np.pad(kQ, ((0, len(A) - q), (0, 0))), kH
+
+
 class SlotTuple(OperatorTuple):
-    """A tensor system ``sys``'s tuple compressed to L = S or F, at L's positions ``at``
-    in (x)_s U_s, with ``cokernel`` read from the slots and ``ops`` built on first read
-    (``compressed_at``); its ``shifted`` and ``compressed`` copies are plain tuples."""
+    """``sys``'s tuple compressed to L = S or F (S if L holds every position but Q..Q's) at
+    L's positions ``at`` in (x)_s U_s, with ``cokernel`` read from the slots and ``ops``
+    built on first read; its ``shifted`` and ``compressed`` copies are plain tuples."""
 
     def __init__(self, sys, at):
-        self.sys, self.at, self.dim, self.n, self._cols = sys, at, at.size, sys.n, {}
-        # L's positions as a mask over (x)_s U_s, and their slot indices, a column per slot
-        self.in_L = np.bincount(at, minlength=sys.N) > 0
-        self.rows = [r[:, None] for r in np.unravel_index(at, sys.dims)]
+        self.sys, self.at, self.dim, self.n, self.leaks = sys, at, at.size, sys.n, []
+        self.is_S = at.size == sys.N - math.prod(f.Q.dim for f in sys.factors)
+        self.rows = np.unravel_index(at, sys.dims)  # L's slot indices, an array per slot
 
     ops = functools.cached_property(lambda self: compressed_at(self.sys, self.at))
 
-    def gather(self, frames):
-        """(rows, G, Bs) per block ``rows`` of _ROWS rows of L, for (K, V, B) per slot whose V
-        and B may share leading axes (draws): Phi's slot factors G there ((x)_s G[s] is Phi),
-        and lazily the B_j there (Z's block j is G[:j] B_j G[j + 1:] multiplied out)."""
-        widths = tuple(V.shape[-1] for _, V, _ in frames)
-        if widths not in self._cols:  # Phi's columns, once per frame widths
-            grid = np.indices(widths).reshape(self.n, -1)
-            # a column's block holds its position with each K slot's index set to q_s
-            block = np.minimum(grid, [[f.Q.dim] for f in self.sys.factors])
-            self._cols[widths] = grid[:, self.in_L[np.ravel_multi_index(block, self.sys.dims)]]
-        for lo in range(0, self.dim, _ROWS):  # holding no block between yields
-            parts = list(zip(frames, [r[lo:lo + _ROWS] for r in self.rows], self._cols[widths]))
-            yield (slice(lo, lo + _ROWS), [V[..., r, c] for (_, V, _), r, c in parts],
-                   (B[..., r, c] for (_, _, B), r, c in parts))
+    def _kron(self, vecs):
+        """The columns of (x)_s vecs[s] at L's positions; the vecs may share leading axes."""
+        out = np.ones(vecs[0].shape[:-2] + (self.dim, 1), dtype=complex)
+        for r, V in zip(self.rows, vecs):
+            out = (out[..., None] * V[..., r, None, :]).reshape(out.shape[:-1] + (-1,))
+        return out
 
-    def null(self, frames, G=None):
-        """Per draw (s, Vh) of the SVD of Z's R factor, Vh square, so W = Phi Vh[rank:]^H
-        at rank = numerical_rank(s); and Phi^H G for G in L's coordinates, so W^H G is
-        Vh[rank:] Phi^H G.  Rows of Z that are 0 in every draw add nothing and are not
-        kept; once the kept rows pass twice max(_ROWS, Phi's width), they are folded as
-        qr([R; rows]) (TSQR; Demmel et al., SIAM J. Sci. Comput. 2012)."""
-        kept, PhiG = [], 0
-        for rows, Gs, Bs in self.gather(frames):
-            if G is not None:
-                PhiG = PhiG + np.conj(np.swapaxes(math.prod(Gs), -1, -2)) @ G[rows]
-            for j, B in enumerate(Bs):
-                Z = math.prod(Gs[:j] + [B] + Gs[j + 1:])
-                kept.append(Z[..., Z.any(axis=(*range(Z.ndim - 2), -1)), :])
-            del Gs, B, Z  # before the QR
-            if rows.stop >= self.dim or sum(z.shape[-2] for z in kept) > 2 * max(
-                    _ROWS, kept[0].shape[-1]):  # the last block, or too many kept rows
-                kept = [np.concatenate(kept, axis=-2)]  # frees the pieces before the QR
-                kept = [np.linalg.qr(kept[0], mode="r")]
-        return [(s, Vh) for _, s, Vh in _svds(kept[0], full_matrices=True)], PhiG
+    def span(self, kernels, cut):
+        """W_lam per draw from each slot's ``slot_kernels`` (which may share a leading axis):
+        W_lam(F)'s summands, or the thin SVD of them and P_S (x)_s kH_s, cut at ``cut(d, s)``."""
+        K, kQ, kH = zip(*kernels)
+        X = np.concatenate([self._kron(kQ[:t] + (K[t],) + kQ[t + 1:]) for t in range(self.n)]
+                           + [self._kron(kH)] * self.is_S, axis=-1)
+        if not self.is_S or not X.shape[-1]:
+            return list(X)
+        return [U[:, :cut(d, s)] for d, (U, s, _) in enumerate(_svds(X))]
 
     def cokernel(self, lam, tol):
-        """W_lam as the one-draw case of ``null``: W = Phi Vh[rank:]^H, block by block."""
-        frames = [f.kernel_frame(z, tol) for f, z in zip(self.sys.factors, lam)]
-        if not self.dim or not any(K.shape[1] for K, _, _ in frames):
-            return np.zeros((self.dim, 0), dtype=complex)
-        frames = [(K, V[None], B[None]) for K, V, B in frames]
-        ((s, Vh),), _ = self.null(frames)
-        N = Vh[numerical_rank(s, tol):].conj().T
-        return np.vstack([math.prod(G)[0] @ N for _, G, _ in self.gather(frames)])
+        """W_lam, the one-draw case of ``span``.  lam joins ``leaks`` when the inclusion
+        residual max_j ||P_L (T~_j - lam_j)^H W_lam||_2, from mode products on W_lam placed
+        at L's positions, passes tol max(1, max_j ||A_j||_F + |lam_j|)."""
+        sys, fz = self.sys, list(zip(self.sys.factors, lam))
+        W, = self.span([[V[None] for V in f.kernels(z, tol)] for f, z in fz],
+                       lambda d, s: numerical_rank(s, tol))
+        Y = np.zeros((sys.N, W.shape[1]), dtype=complex)
+        Y[self.at] = W
+        worst = max(opnorm((f.adapted.conj().T @ Y.reshape(sys._lead[j], len(f.T), -1)).reshape(
+            Y.shape)[self.at] - np.conj(z) * W) for j, (f, z) in enumerate(fz))
+        if worst > tol * max(1, *(np.linalg.norm(f.adapted) + abs(z) for f, z in fz)):
+            self.leaks.append(lam)
+        return W
 
     def commutes(self, tol):
         """True: S is invariant and F semi-invariant (Sarason 1965), so both compressions
@@ -122,21 +101,12 @@ def slot_coranks(sys, tol):
     """{lam: (corank_lam(S), corank_lam(F))} on the joint spectrum from m x m slot ranks:
     the Tor sequence of 0 -> S -> H -> (x)_s Q_s with Kunneth (Weibel, Thm 3.6.3) gives
     prod cH - prod cQ + sum_t (cQ_t - r_t) prod_{s != t} cQ_s, and F's block diagonal
-    compression sum_i cS_i prod_{j != i} cQ_j, for cH, cQ and cS the coranks of T - z,
-    Q^H T Q - z and S^H T S - z at each slot's z, and r = rank Q^H ker(T - z) = cH - cS,
-    as the kernel of Q^H on ker(T - z) is ker(T - z) in S."""
-    def corank(M):
-        return len(M) - numerical_rank(_svd(M, compute_uv=False), tol)
-
-    def counts(f, z):
-        q = f.Q.dim
-        return (corank(f.T - z * np.eye(len(f.T))), corank(f.adapted[:q, :q] - z * np.eye(q)),
-                f.kernel_frame(z, tol)[0].shape[1])
-
-    per_slot = [{z: counts(f, z) for z in f.spectrum} for f in sys.factors]
+    compression sum_i cS_i prod_{j != i} cQ_j, for cS, cQ and cH the widths of each slot's
+    ``kernels``, and r = rank Q^H ker(T - z) = cH - cS (its kernel is ker(T - z) in S)."""
+    widths = [{z: [V.shape[1] for V in f.kernels(z, tol)] for z in f.spectrum} for f in sys.factors]
     out = {}
     for lam in sys.joint_spectrum():
-        cH, cQ, cS = zip(*(c[z] for c, z in zip(per_slot, lam)))
+        cS, cQ, cH = zip(*(c[z] for c, z in zip(widths, lam)))
         rest = [math.prod(cQ[:t] + cQ[t + 1:]) for t in range(sys.n)]
         out[lam] = (math.prod(cH) - math.prod(cQ)
                     + sum((q - h + c) * p for h, q, c, p in zip(cH, cQ, cS, rest)),
@@ -146,15 +116,14 @@ def slot_coranks(sys, tol):
 
 def shifted_slot_check(L, G, coranks, points, tol):
     """The shift lemma from the slots: one ``(agree, margin)`` per point lam, as from
-    ``shifted_closure_check``, for a ``SlotTuple`` L with exact slot spectra, generators
-    G of its tuple and their ``coranks`` {mu: dim W_mu}.  L - lam is L in the system
-    with slots T_s - lam_s and joint spectrum sigma - lam, so W_{mu - lam} comes from
-    frames of each draw's own shifted slot matrices at mu_s - lam_s.  A draw agrees
-    when every dim W_{mu - lam} is coranks[mu] (a shift of T_s alone, or of its
-    spectrum alone, makes them 0, which passes the local test vacuously) and G passes
-    the local test there, and each slot frame keeps the unshifted frame's width; its
-    margin is the smallest ``rank_margin`` of its SVDs.  The draws run in lockstep,
-    each factorization stacked over them."""
+    ``shifted_closure_check``, for a ``SlotTuple`` L with exact slot spectra, generators G
+    of its tuple and their ``coranks`` {mu: dim W_mu}.  L - lam is L in the system with
+    slots T_s - lam_s and joint spectrum sigma - lam, so W_{mu - lam} is ``span`` of the
+    kernels of each draw's own shifted slot matrices at mu_s - lam_s.  A draw agrees when
+    every slot kernel keeps its unshifted width, every dim W_{mu - lam} is coranks[mu] (a
+    shift of T_s or of its spectrum alone makes them 0, passing the local test vacuously)
+    and G passes the local test there; its margin is the smallest ``rank_margin`` of its
+    SVDs.  The draws run in lockstep, each factorization stacked over them."""
     lams = np.array(points, dtype=complex)
     agree, margin = [True] * len(lams), [math.inf] * len(lams)
 
@@ -164,23 +133,22 @@ def shifted_slot_check(L, G, coranks, points, tol):
         return rank
 
     @functools.cache
-    def frame(s, z):  # slot s's (K, V, B) at z - lam_s, stacked over the draws
+    def kernels(s, z):  # slot s's kernels at z - lam_s, stacked over the draws
         f, q = L.sys.factors[s], L.sys.factors[s].Q.dim
-        A, zs = f.adapted - lams[:, s, None, None] * np.eye(len(f.T)), z - lams[:, s]
-        svds = _svds(A[:, q:, q:] - zs[:, None, None] * np.eye(len(f.T) - q))
-        rank = f.S.dim - f.kernel_frame(z, tol)[0].shape[1]  # K's width moves with the shift
-        for d, (_, sv, _) in enumerate(svds):
-            agree[d] &= cut(d, sv) == rank
-        return slot_frame(A, np.array([U[:, rank:] for U, _, _ in svds]), q, zs)
-
-    def judge(frames, c):  # W_{mu - lam} for every draw and its tests, from Phi^H G
-        nulls, PhiG = L.null(frames, G)
-        WG = [Vh[cut(d, s):] @ PhiG[d] for d, (s, Vh) in enumerate(nulls)]  # W^H G per draw
-        agree[:] = [a and len(M) == c for a, M in zip(agree, WG)]
-        if ok := [d for d in range(len(lams)) if agree[d] and c]:
-            for d, s in zip(ok, _svds([WG[d] for d in ok], compute_uv=False)):
-                agree[d] &= cut(d, s) == c
+        A, zs, out = f.adapted - lams[:, s, None, None] * np.eye(len(f.T)), z - lams[:, s], []
+        for blk, V in zip((slice(q, None), slice(0, q), slice(None)), f.kernels(z, tol)):
+            svds = _svds(A[:, blk, blk] - zs[:, None, None] * np.eye(len(V[blk])))
+            rank = len(V[blk]) - V.shape[1]  # each kernel's width moves with the shift
+            for d, (_, sv, _) in enumerate(svds):
+                agree[d] &= cut(d, sv) == rank
+            out.append(np.zeros((len(lams),) + V.shape, dtype=complex))
+            out[-1][:, blk] = [U[:, rank:] for U, _, _ in svds]
+        return out
 
     for mu, c in coranks.items():
-        judge([frame(s, z) for s, z in enumerate(mu)], c)
+        Ws = L.span([kernels(s, z) for s, z in enumerate(mu)], cut)
+        agree[:] = [a and W.shape[1] == c for a, W in zip(agree, Ws)]
+        if ok := [d for d in range(len(lams)) if agree[d] and c]:
+            for d, s in zip(ok, _svds([Ws[d].conj().T @ G for d in ok], compute_uv=False)):
+                agree[d] &= cut(d, s) == c
     return list(zip(agree, margin))

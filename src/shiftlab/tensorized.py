@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import EigenError, InputError, InternalConsistencyError, ModelError
 from .multiplicity import OperatorTuple, _generates, krylov_closure
-from .slots import SlotTuple, compressed_at, slot_frame
+from .slots import SlotTuple, compressed_at, slot_kernels
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -92,7 +92,7 @@ class TensorFactor:
     coinvariance_residual: float
     spectrum: tuple  # the distinct eigenvalues of T, by modulus
     exact: bool  # spectrum is T's given roots or triangular diagonal, not clustered eigvals
-    _frames: dict = field(default_factory=dict, init=False, repr=False)
+    _kernels: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
     def eigenpair(self):
@@ -119,26 +119,23 @@ class TensorFactor:
         for the wandering subspace and its gws test."""
         return OperatorTuple((self.T,)).compressed(self.S)
 
-    def kernel_frame(self, z, tol):
-        """(K, V, B), once per (z, tol): K = S (-) (T - z) S = ker (S^H T S - z)^H in S's
-        coordinates, ranked at ``tol``, and in [Q | S]'s V = [e_1 .. e_q | K] and
-        B = (U^H T U - z)^H V, for ``wandering``, its test and ``SlotTuple``."""
-        if (key := (complex(z), tol)) not in self._frames:
-            K = self._restriction.cokernel((z,), tol)
-            self._frames[key] = slot_frame(self.adapted, K, self.Q.dim, z)
-        return self._frames[key]
+    def kernels(self, z, tol):
+        """``slots.slot_kernels`` at z, once per (z, tol); the first is ``wandering`` at 0."""
+        if (key := (complex(z), tol)) not in self._kernels:
+            self._kernels[key] = slot_kernels(self, z, tol)
+        return self._kernels[key]
 
     @functools.cached_property
     def wandering(self):
         """S (-) T S in S's coordinates; if it generates S, its dim is T's multiplicity on S."""
-        return Subspace(self.kernel_frame(0, self.S.tol)[0], tol=self.S.tol, _checked=True)
+        return Subspace(self.kernels(0, self.S.tol)[0][self.Q.dim:], tol=self.S.tol, _checked=True)
 
     @functools.cached_property
     def wandering_generates(self):
         """Does the wandering subspace generate S?  The local test if ``exact``, else closed."""
         G, tol = self.wandering.basis, self.S.tol
         if self.exact:
-            return _generates([self.kernel_frame(z, tol)[0] for z in self.spectrum], G, tol)
+            return _generates([self.kernels(z, tol)[0][self.Q.dim:] for z in self.spectrum], G, tol)
         return krylov_closure(self._restriction, G, tol=tol).dim == self.S.dim
 
 
@@ -486,7 +483,8 @@ def verify_compression_structure(sys, chain, seed=42):
             sum(map(sys.block_dim, bs)) for bs in chain.F_summands[-1]])[:, None] + np.arange(p)
         Y = np.zeros((sys.N, (sys.n + 1) * p), dtype=complex)
         Y[at, np.arange(p)], Y[at, group] = X, X
-        keep = comp_F.in_L[:, None] | (np.arange(Y.shape[1]) >= p)  # P_F on group 0 only
+        keep = (np.bincount(comp_F.at, minlength=sys.N) > 0)[:, None] | (
+            np.arange(Y.shape[1]) >= p)  # P_F on group 0 only
         for _, W in _powers([lambda V, j=j: sys.apply(j, V) * keep for j in range(sys.n)], Y):
             worst = max(worst, float(np.max(np.linalg.norm(W[at, np.arange(p)] - W[at, group],
                                                            axis=0))))

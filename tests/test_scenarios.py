@@ -897,78 +897,63 @@ def test_slot_cokernels_equal_the_dense_ones(group):
     assert points >= len(scenarios)
 
 
-@pytest.mark.parametrize("group", ["shipped", "pair-grid-1", "hardy-4^4"])
-def test_row_blocks_give_the_one_block_answers(monkeypatch, group):
-    """With the slot gathers cut into blocks of 12 rows of L, every W_lam a run reads
-    from the slots spans the one-block W_lam (same_subspace at 1e-8), every
-    shift-lemma draw agrees, or not, and is marginal, or not, as in one block, and
-    the report is the same.  Z keeps at most twice Phi's width of rows on the 4
-    shipped scenarios and the 6 pair-grid shapes, so their blocks fold only at the
-    end; hardy 4^4 k2 with every check keeps more, and folds on the way too."""
-    slots, sc = (importlib.import_module(f"shiftlab.{m}") for m in ("slots", "scenarios"))
-    M = sc.SHIFT_LEMMA_MIN_MARGIN
-    seen, cokernel, check = [], slots.SlotTuple.cokernel, sc.shifted_slot_check
-    monkeypatch.setattr(slots.SlotTuple, "cokernel",
-                        lambda *a: seen.append(cokernel(*a)) or seen[-1])
-    monkeypatch.setattr(sc, "shifted_slot_check", lambda *a: seen.append(
-        [(agree, margin >= M) for agree, margin in check(*a)]) or check(*a))
-    stacked, qr = [], np.linalg.qr  # slot QRs are stacked over draws; the others are not
-    monkeypatch.setattr(np.linalg, "qr", lambda A, mode="reduced":
-                        stacked.append(A.ndim == 3) or qr(A, mode=mode))
-    if group == "shipped":
-        scenarios = [load_scenario(p) for p in sorted(SCENARIO_DIR.glob("*.json"))]
-    elif group == "hardy-4^4":
-        hardy = {"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}}
-        scenarios = [scenario_from_json({"factors": [hardy] * 4})]
-    else:
-        scenarios = list(map(scenario_from_json, _group_objects(group)))
-    assert len(scenarios) == {"shipped": 4, "pair-grid-1": 6}.get(group, 1)
-    folds = 0
-    for scn in scenarios:
-        runs = []
-        for rows in (slots._ROWS, 12):
-            monkeypatch.setattr(slots, "_ROWS", rows)
-            seen.clear(), stacked.clear()
-            rep = run_scenario(scn).to_json()
-            del rep["elapsed_seconds"]
-            runs.append((rep, list(seen), sum(stacked)))
-        (rep, one, qrs), (rep_blocked, blocked, qrs_blocked) = runs
-        assert rep_blocked == rep and len(blocked) == len(one) > 0, scn.label
-        for a, b in zip(one, blocked):
-            assert a == b if isinstance(a, list) else same_subspace(
-                Subspace(a, _checked=True), Subspace(b, _checked=True), tol=1e-8), scn.label
-        folds += qrs_blocked - qrs
-    assert (folds > 0) == (group == "hardy-4^4")
-
-
-@pytest.mark.parametrize("rows", [256, 3])
-def test_a_frame_whose_Z_has_no_nonzero_row_gives_W_equal_to_Phi(monkeypatch, rows):
-    """Zero slot operators on C^3 with Q = C e_1: every (T~_j - 0)^H Phi is 0, so no
-    row of Z is kept, R has no row, its square Vh is the identity, and W_0 is Phi
-    itself, all of L, for S and for F, in one block or in blocks of 3 rows."""
-    slots = importlib.import_module("shiftlab.slots")
-    monkeypatch.setattr(slots, "_ROWS", rows)
+def test_zero_slot_operators_give_W_0_equal_to_L():
+    """Zero slot operators on C^3 with Q = C e_1: every slot kernel at 0 is its whole
+    block, so the closed form's W_0 is all of L, for S (W_0(F) + P_S C^9, one SVD) and
+    for F (its summands alone), and it passes its inclusion residual."""
     f = tensor_factor(np.zeros((3, 3)), Subspace(np.eye(3)[:, :1]))
     sys_ = build_system([f, f])
     comps = verify_compression_structure(sys_, f_chain(sys_)).compressions
-    assert [L.dim for L in comps] == [8, 4]
+    assert [(L.dim, L.is_S) for L in comps] == [(8, True), (4, False)]
     for L in comps:
-        frames = [(K, V[None], B[None])
-                  for K, V, B in (g.kernel_frame(0j, sys_.tol) for g in sys_.factors)]
-        assert not any(B.any() for _, _, B in frames)
-        Phi = np.vstack([math.prod(G)[0] for _, G, _ in L.gather(frames)])
         W = L.cokernel((0j, 0j), sys_.tol)
-        assert W.shape == (L.dim, L.dim) and np.array_equal(W, Phi)
+        assert W.shape == (L.dim, L.dim) and not L.leaks
         assert same_subspace(Subspace(W, _checked=True), Subspace.full(L.dim), tol=1e-12)
 
 
-@pytest.mark.parametrize("shift, bound_mb", [(False, 9.4), (True, 50.3)])
+def test_an_exact_run_factors_nothing_wider_than_a_slot(monkeypatch):
+    """hardy 4^4 k2 with every check: W_lam of S and F and the shift lemma's draws come
+    from the slot kernels in closed form, so every QR of the run is of one slot-sized
+    matrix, never of a stack, and slots keeps no null-space route."""
+    slots = importlib.import_module("shiftlab.slots")
+    assert not any(hasattr(slots, name) for name in ("_ROWS", "slot_frame"))
+    assert not any(hasattr(slots.SlotTuple, name) for name in ("null", "gather"))
+    shapes, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda A, mode="reduced":
+                        shapes.append(np.shape(A)) or qr(A, mode=mode))
+    hardy = {"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}}
+    rep = run_scenario(scenario_from_json({"factors": [hardy] * 4}))
+    assert rep.succeeded and rep.verdicts["shift_lemma"]["agreed"] == 6
+    assert shapes and all(len(shape) == 2 and shape[1] <= 4 for shape in shapes)
+
+
+def test_a_slot_W_that_leaves_the_cokernel_uncertifies_the_bracket(monkeypatch):
+    """With ker (Q^H T Q) in place of ker (Q^H T Q)^H (e_2 for e_1, same width), each
+    of hardy-2x2's W_0(F) summands K_t (x) e_2 has the right dimension but is mapped by
+    the other slot's T~^H onto K_t (x) e_1, so W_0 of S and of F keeps its slot_coranks
+    count and only the inclusion residual uncertifies mult(S) and mult(F)."""
+    slots = importlib.import_module("shiftlab.slots")
+    real = slots.slot_kernels
+
+    def transposed(f, z, tol):
+        K, _, kH = real(f, z, tol)
+        return K, real(dataclasses.replace(f, T=f.T.T.copy()), z, tol)[1], kH
+
+    monkeypatch.setattr(importlib.import_module("shiftlab.tensorized"), "slot_kernels",
+                        transposed)
+    rep = run_scenario(load_scenario(SCENARIO_DIR / "hardy-2x2.json"))
+    assert not any(m["certified"] for m in rep.multiplicities.values())
+    assert rep.notes == [f"mult({L}) uncertified: W_lam leaves the cokernel at 1 points"
+                         for L in "SF"]
+
+
+@pytest.mark.parametrize("shift, bound_mb", [(False, 4.2), (True, 4.2)])
 def test_hardy_6x4_k3_stays_inside_its_memory_bound(shift, bound_mb):
     """The tracemalloc peak (numpy's arrays included) of one hardy 6^4 k3 run stays
-    within 25 % of 7.55 MB without the shift lemma and 40.2 MB with it, as measured
-    with row-blocked slot gathers and the matrix-free power identity.  Gathering
-    the full G_s and Z, and compressing to F for the power identity, peaked at
-    46.7 and 221 MB."""
+    within 25 % of 3.36 MB, with the shift lemma or without, as measured with the
+    closed-form slot W_lam (2.65 MB once a run has warmed the process).  Row-blocked
+    slot gathers peaked at 7.55 and 40.2 MB, and gathering the full G_s and Z, with a
+    compression to F for the power identity, at 46.7 and 221 MB."""
     obj = {"factors": [{"kind": "hardy", "m": 6, "coinvariant": {"prefix": 3}}] * 4, "seed": 1,
            "checks": [c for c in ALL_CHECKS if shift or c != "shift_lemma"]}
     scn = scenario_from_json(obj)
@@ -980,6 +965,30 @@ def test_hardy_6x4_k3_stays_inside_its_memory_bound(shift, bound_mb):
         tracemalloc.stop()
     assert rep.succeeded and rep.dim_S == 1215
     assert peak <= bound_mb
+
+
+def test_hardy_4x4_k2_multiplicity_stays_inside_its_memory_bound(monkeypatch):
+    """In benchmark-style hardy 4^4 k2 with the cube checks (no shift lemma), no
+    multiplicity call peaks at 0.5 MB of tracemalloc'd memory: W_lam of S (dim 240)
+    is 240 x 4 from the slot kernels, where the null space of the slot frames'
+    stacked Z peaked at 2.03 MB."""
+    sc = importlib.import_module("shiftlab.scenarios")
+    peaks, real = [], sc.multiplicity
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return real(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+            tracemalloc.stop()
+
+    monkeypatch.setattr(sc, "multiplicity", traced)
+    hardy = {"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}}
+    rep = run_scenario(scenario_from_json({"factors": [hardy] * 4, "seed": 1, "checks": [
+        c for c in ALL_CHECKS if c != "shift_lemma"]}))
+    assert rep.succeeded and rep.dim_S == 240 and len(peaks) == 6
+    assert max(peaks) < 0.5
 
 
 def spy_compressions(monkeypatch):
@@ -1068,6 +1077,19 @@ def test_a_slot_corank_disagreement_leaves_the_bracket_uncertified(monkeypatch):
     assert rep.multiplicities["S"]["certified"] and not rep.multiplicities["F"]["certified"]
     assert rep.notes == ["mult(F) uncertified: dim W_lam is off slot_coranks at 1 points"]
     assert not rep.succeeded
+
+
+def test_a_spanning_set_rank_off_the_slot_count_uncertifies_mult_S(monkeypatch):
+    """dim W_lam(S) is the rank of its spanning set, W_lam(F)'s summands and
+    P_S (x)_s ker (A_s - lam_s)^H; run_scenario compares it with slot_coranks' Tor
+    count at each joint eigenvalue, and a mismatch uncertifies mult(S) alone."""
+    sc = importlib.import_module("shiftlab.scenarios")
+    real = sc.slot_coranks
+    monkeypatch.setattr(sc, "slot_coranks", lambda sys_, tol:
+                        {lam: (S + 1, F) for lam, (S, F) in real(sys_, tol).items()})
+    rep = run_scenario(load_scenario(SCENARIO_DIR / "hardy-2x2.json"))
+    assert not rep.multiplicities["S"]["certified"] and rep.multiplicities["F"]["certified"]
+    assert rep.notes == ["mult(S) uncertified: dim W_lam is off slot_coranks at 1 points"]
 
 
 def count_closures(monkeypatch):
