@@ -66,7 +66,6 @@ from .tensorized import (
     TensorSystem,
     WanderingDecomposition,
     build_system,
-    coinvariant_eigenpairs,
     f_chain,
     joint_invariant_S,
     tensor_factor,
@@ -100,7 +99,6 @@ __all__ = [
     "TensorSystem",
     "WanderingDecomposition",
     "build_system",
-    "coinvariant_eigenpairs",
     "complement_within",
     "compress",
     "dump_matrix",

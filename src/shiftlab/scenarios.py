@@ -11,7 +11,8 @@ When every factor satisfies the hypotheses of the additive multiplicity
 formula (cyclic factor, wandering subspace of the restriction generates,
 a usable adjoint eigenvector in the co-invariant part, and a zero-based
 factor: Q_i contains a kernel vector of T_i^*, so that S_i (-) T_i S_i is
-based at 0), the run certifies
+based at 0), each read from the factor's slot kernels (``TensorFactor.kernels``;
+an inexact spectrum's cyclicity and generation are closed instead), the run certifies
 
     mult(S) = mult(F) = sum_i dim(S_i (-) T_i S_i).
 
@@ -48,7 +49,6 @@ from .slots import shifted_slot_check, slot_coranks
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
-    _svd,
     complement_within,
     orthonormalize,
 )
@@ -324,34 +324,32 @@ _HYPOTHESES = ("cyclic", "gws_restriction", "eigen_ok", "proper_coinvariant", "z
 
 
 def _factor_hypotheses(factors, scn):
-    """Evaluate the additive-formula hypotheses factor by factor."""
+    """Evaluate the additive-formula hypotheses factor by factor.  With an exact
+    spectrum T needs max(1, max_z dim ker (T - z)) generators, its number of
+    invariant factors, so ``cyclic_bounds`` reads kH of ``f.kernels``; else a
+    ``multiplicity`` closure decides.  zero_based reads kQ at 0: ker (Q^H T Q)^H
+    is Q's part of ker T^H, for Q is co-invariant (for C[z]/(p) with ideal (q),
+    q(0) = 0).  eigen_ok reads ``f.eigenpair``'s residual."""
     hyp = {}
     failed = []
     for i, f in enumerate(factors):
-        cyc = multiplicity((f.T,), lambda_samples=[(z,) for z in f.spectrum], trials=scn.trials,
-                           seed=scn.seed, tol=scn.tol, exact_points=f.exact)
-        cyclic = bool(cyc.certified and cyc.upper == 1)
-        gws_i = bool(f.wandering_generates)
+        if f.exact:
+            c = max([1, *(f.kernels(z, scn.tol)[2].shape[1] for z in f.spectrum)])
+            bounds, cyclic = [c, c], c == 1
+        else:
+            cyc = multiplicity((f.T,), lambda_samples=[(z,) for z in f.spectrum],
+                               trials=scn.trials, seed=scn.seed, tol=scn.tol)
+            bounds, cyclic = [int(cyc.lower), int(cyc.upper)], cyc.certified and cyc.upper == 1
         eigen_residual = f.eigenpair[2] if f.eigenpair else float("inf")
-        eigen_ok = bool(eigen_residual <= max(scn.tol, 1e-10))
-        m = f.T.shape[0]
-        proper = bool(0 < f.Q.dim < m)
-        # zero-based: Q_i holds a kernel vector of T_i^*, i.e. conj(0) is an
-        # adjoint eigenvalue on Q_i (for C[z]/(p) with ideal (q): q(0) = 0)
-        zero_based = bool(
-            f.Q.dim > 0
-            and _svd(f.T.conj().T @ f.Q.basis, compute_uv=False)[-1]
-            <= max(scn.tol, 1e-10)
-        )
         record = {
             "label": f.label,
             "cyclic": cyclic,
-            "cyclic_bounds": [int(cyc.lower), int(cyc.upper)],
-            "gws_restriction": gws_i,
+            "cyclic_bounds": bounds,
+            "gws_restriction": bool(f.wandering_generates),
             "eigen_residual": float(eigen_residual),
-            "eigen_ok": eigen_ok,
-            "proper_coinvariant": proper,
-            "zero_based": zero_based,
+            "eigen_ok": bool(eigen_residual <= max(scn.tol, 1e-10)),
+            "proper_coinvariant": 0 < f.Q.dim < f.T.shape[0],
+            "zero_based": f.kernels(0, scn.tol)[1].shape[1] > 0,
         }
         record["ok"] = all(record[name] for name in _HYPOTHESES)
         hyp[f"factor_{i}"] = record

@@ -40,10 +40,11 @@ def compressed_at(sys, at):
 
 def slot_kernels(f, z, tol):
     """(K, kQ, kH) of a ``TensorFactor`` f at z: ker (M - z)^H ranked at ``tol`` for
-    M = S^H T S (K = S (-) (T - z) S), Q^H T Q and U^H T U, in [Q | S] coordinates."""
-    q, A, K = f.Q.dim, f.adapted, f._restriction.cokernel((z,), tol)
-    kQ, kH = (U[:, numerical_rank(s, tol):] for U, s, _ in (
-        _svd(M - z * np.eye(len(M))) for M in (A[:q, :q], A)))
+    M = S^H T S (K = S (-) (T - z) S), Q^H T Q and U^H T U, in [Q | S] coordinates,
+    each the left singular vectors of M - z past its rank, from one SVD per block."""
+    q, A = f.Q.dim, f.adapted
+    K, kQ, kH = (U[:, numerical_rank(s, tol):] for U, s, _ in (
+        _svd(M - z * np.eye(len(M))) for M in (A[q:, q:], A[:q, :q], A)))
     return np.pad(K, ((q, 0), (0, 0))), np.pad(kQ, ((0, len(A) - q), (0, 0))), kH
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import EigenError, InputError, InternalConsistencyError, ModelError
-from .multiplicity import OperatorTuple, _generates, krylov_closure
+from .multiplicity import _generates, krylov_closure
 from .slots import SlotTuple, compressed_at, slot_kernels
 from .subspaces import (
     DEFAULT_TOL,
@@ -49,7 +49,6 @@ from .subspaces import (
     _svds,
     as_operator,
     complement_within,
-    compress,
     opnorm,
 )
 
@@ -80,8 +79,8 @@ class TensorFactor:
     """One tensor slot: an operator with a checked adjoint-invariant subspace.
 
     The facts the additive formula reads per factor are computed once, on
-    first read: the adjoint eigenpair, the wandering subspace S (-) T S and
-    whether it generates S; and for the structure check, T in the basis [Q | S].
+    first read, from ``kernels``: the adjoint eigenpair, the wandering subspace
+    S (-) T S and whether it generates S; and T in the basis [Q | S].
     """
 
     T: np.ndarray
@@ -96,9 +95,19 @@ class TensorFactor:
 
     @functools.cached_property
     def eigenpair(self):
-        """The most reliable (alpha, v, residual) of coinvariant_eigenpairs; None when Q = 0."""
-        pairs = coinvariant_eigenpairs(self.T, self.Q)
-        return pairs[0] if pairs else None
+        """(alpha, v, ||T^H v - conj(alpha) v||): alpha is the first point where kQ =
+        ker (Q^H T Q - alpha)^H (``kernels``) is nonzero, and v, a unit vector in Q with
+        T^H v = conj(alpha) v, is Q's basis applied to kQ's first column; None if no point
+        has one, as when Q = 0.  The points are the ``spectrum`` if ``exact``, else the
+        clustered eigvals of Q^H T Q: T's own give a defective root to about eps^(1/m)."""
+        q = self.Q.dim
+        points = self.spectrum if self.exact else sorted(
+            _dedup_complex(np.linalg.eigvals(self.adapted[:q, :q])), key=abs)
+        for z in points:
+            if (kQ := self.kernels(z, self.tol)[1]).shape[1]:
+                v = self.Q.basis @ kQ[:q, 0]
+                return z, v, float(np.linalg.norm(self.T.conj().T @ v - np.conj(z) * v))
+        return None
 
     @functools.cached_property
     def adapted(self):
@@ -112,12 +121,6 @@ class TensorFactor:
         cut = {"Q": slice(0, self.Q.dim), "S": slice(self.Q.dim, None)}
         return {(a, b): (opnorm(B), float(np.vdot(B, B).real))
                 for a in cut for b in cut for B in [self.adapted[cut[a], cut[b]]]}
-
-    @functools.cached_property
-    def _restriction(self):
-        """T restricted to the invariant S, in S's coordinates: one compression
-        for the wandering subspace and its gws test."""
-        return OperatorTuple((self.T,)).compressed(self.S)
 
     def kernels(self, z, tol):
         """``slots.slot_kernels`` at z, once per (z, tol); the first is ``wandering`` at 0."""
@@ -133,10 +136,10 @@ class TensorFactor:
     @functools.cached_property
     def wandering_generates(self):
         """Does the wandering subspace generate S?  The local test if ``exact``, else closed."""
-        G, tol = self.wandering.basis, self.S.tol
+        G, q, tol = self.wandering.basis, self.Q.dim, self.S.tol
         if self.exact:
-            return _generates([self.kernels(z, tol)[0][self.Q.dim:] for z in self.spectrum], G, tol)
-        return krylov_closure(self._restriction, G, tol=tol).dim == self.S.dim
+            return _generates([self.kernels(z, tol)[0][q:] for z in self.spectrum], G, tol)
+        return krylov_closure((self.adapted[q:, q:],), G, tol=tol).dim == self.S.dim
 
 
 def tensor_factor(T, Q, tol=DEFAULT_TOL, label="", spectrum=None):
@@ -495,28 +498,6 @@ def verify_compression_structure(sys, chain, seed=42):
                            compressions=[comp_S, comp_F])
 
 
-def coinvariant_eigenpairs(T, Q):
-    """Eigenpairs of T^H restricted to a co-invariant subspace Q.
-
-    Returns a list of (alpha, v, residual) with T^H v ~= conj(alpha) v and
-    v in Q, sorted most reliable first: by residual, then by |alpha|, then
-    lexicographically.  Residual is the ambient defect ||T^H v - conj(alpha) v||.
-    """
-    T = as_operator(T, dim=Q.ambient_dim)
-    if Q.dim == 0:
-        return []
-    C = compress(T.conj().T, Q)
-    evals, evecs = np.linalg.eig(C)
-    items = []
-    for mu, w in zip(evals, evecs.T):
-        v = Q.basis @ w
-        v = v / np.linalg.norm(v)
-        resid = float(np.linalg.norm(T.conj().T @ v - mu * v))
-        items.append((complex(np.conj(mu)), v, resid))
-    items.sort(key=lambda it: (round(it[2], 12), abs(it[0]), it[0].real, it[0].imag))
-    return items
-
-
 @dataclass(eq=False)
 class WanderingDecomposition:
     """The summands E_i = (S_i (-) T_i S_i) (x) (x)_{j != i} C v_j, in S's coordinates."""
@@ -549,7 +530,7 @@ def wandering_E(sys, chain):
     eigens = []
     for i, f in enumerate(sys.factors):
         if f.eigenpair is None:
-            raise EigenError(f"factor {i}: co-invariant subspace is zero, no eigenpair")
+            raise EigenError(f"factor {i}: no adjoint eigenvector in the co-invariant subspace")
         if f.eigenpair[2] > sys.tol:
             raise EigenError(
                 f"factor {i}: best eigen residual {f.eigenpair[2]:.3e} exceeds tolerance "

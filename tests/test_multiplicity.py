@@ -346,17 +346,20 @@ def test_wide_closure_ranks_fewer_columns_than_the_joint_loop(monkeypatch):
 def test_corank_at_zero_and_wandering_subspace_share_one_factorization(monkeypatch):
     """The corank at 0 is the dimension of the wandering subspace, which
     ``multiplicity`` and a later ``wandering_subspace`` call read from one
-    factorization: the compression to S reads its slots, and factors each
-    slot's m x m stack once, cached by the factor; no stack of S is formed."""
+    factorization: the compression to S reads its slots, whose kernels at 0 are
+    one SVD of each m x m block (S^H T S, Q^H T Q, U^H T U), cached by the factor;
+    no stack is formed."""
     mm = importlib.import_module("shiftlab.multiplicity")
+    slots = importlib.import_module("shiftlab.slots")
     comp_S = prefix_comp_S([(SpaceKind.hardy(), 4, 2), (SpaceKind.bergman(), 3, 1)])
-    stacks = []
-    real_stacked = mm._stacked_svd
-    monkeypatch.setattr(mm, "_stacked_svd", lambda ops, *a, **k: stacks.append(ops[0].shape)
-                        or real_stacked(ops, *a, **k))
+    stacks, blocks, real_svd = [], [], slots._svd
+    monkeypatch.setattr(mm, "_stacked_svd", lambda *a, **k: stacks.append(a))
+    monkeypatch.setattr(slots, "_svd", lambda M, *a, **k: blocks.append(M.shape)
+                        or real_svd(M, *a, **k))
     assert multiplicity(comp_S, lambda_samples=[(0, 0)]).lower == 2
     assert wandering_subspace(comp_S).dim == 2
-    assert stacks == [(2, 2), (2, 2)]
+    assert stacks == []
+    assert blocks == [(2, 2), (2, 2), (4, 4), (2, 2), (1, 1), (3, 3)]
 
 
 def test_shifted_closure_check_random_sweep():

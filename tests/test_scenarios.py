@@ -598,6 +598,18 @@ def test_run_noncyclic_inequality():
     assert rep.passed
 
 
+def test_cyclicity_is_read_at_every_spectrum_point():
+    """diag(0, 0.5, 0.5) is cyclic at its first spectrum point 0 but has two Jordan
+    blocks at 0.5, so it needs two generators: cyclic_bounds reads the largest
+    dim ker (T - z) over the whole spectrum."""
+    obj = {"factors": [{"kind": {"matrix": [[0, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]},
+                        "coinvariant": {"prefix": 1}},
+                       {"kind": "hardy", "m": 2, "coinvariant": {"prefix": 1}}]}
+    rep = run_scenario(scenario_from_json(obj))
+    assert rep.hypotheses["factor_0"]["cyclic_bounds"] == [2, 2]
+    assert "factor_0:cyclic" in rep.failed_hypotheses
+
+
 def test_shipped_scenarios_all_pass():
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         rep = run_scenario(load_scenario(path))
@@ -776,6 +788,20 @@ def test_repeated_roots_certify_from_exact_slot_spectra(factors, want):
         assert (m["lower"], m["upper"], m["certified"]) == (want, want, True), which
 
 
+def test_a_repeated_root_is_reported_exactly():
+    """small-sweep's sweep-64 at seed 1: Q of its quotient slot is the model of
+    C[z]/((z + 0.5)^2), a Jordan block, whose eigenvalue an eigensolver splits by
+    about 1e-8.  The eigenpair is read from the slot kernels at the given root, so
+    eigenvalues and shift_points hold -0.5 exactly."""
+    obj = {"factors": [_quotient([[[-0.1, -0.6], 2], [[-0.5, 0.0], 2]], [[[-0.5, 0.0], 2]]),
+                       {"kind": {"weighted_bergman": 1.5}, "m": 6, "coinvariant": {"prefix": 1}}],
+           "seed": 1}
+    rep = run_scenario(scenario_from_json(obj))
+    assert rep.eigenvalues == [[-0.5, 0.0], [0.0, 0.0]]
+    assert rep.shift_points == [[[0.0, 0.0], [0.0, 0.0]], [[-0.5, 0.0], [0.0, 0.0]]]
+    assert rep.hypotheses["factor_0"]["eigen_ok"]
+
+
 def test_slot_points_alone_give_full_corank():
     """small-sweep's sweep-108 at seed 2: corank 3 at a point of the product of
     slot spectra (a nilpotent matrix slot next to two quotient slots)."""
@@ -798,20 +824,34 @@ def test_slot_points_alone_give_full_corank():
 
 
 def test_scenario_evaluates_each_joint_eigenvalue_once(monkeypatch):
-    """hardy-2x2: every slot spectrum is {0}, so each of the four multiplicity
-    calls (two cyclic tests on C^4, mult(S) on C^12, mult(F) on C^8) reads its
-    one corank, at the origin, and factors no shifted stack.  The cyclic tests
-    factor their stacks; each factor's own wandering subspace (on S_i = C^2)
-    adds one, which mult(S) and mult(F) read from the slots with no stack of
-    their own, and W_S reuses mult(S)'s."""
-    mm = importlib.import_module("shiftlab.multiplicity")  # the package exports a function of that name
-    calls = []
-    real = mm._stacked_svd
-    monkeypatch.setattr(mm, "_stacked_svd", lambda ops, lam=None, **kw:
-                        calls.append((len(ops), ops[0].shape[0], lam)) or real(ops, lam, **kw))
-    rep = run_scenario(load_scenario(SCENARIO_DIR / "hardy-2x2.json"))
-    assert rep.succeeded
-    assert calls == [(1, 4, (0j,)), (1, 2, (0j,))] * 2
+    """hardy-2x2 and quotient-zeros: every slot spectrum is exact, so a factor's
+    hypotheses, mult(S) and mult(F) read one table of slot kernels: each (slot, z)
+    is factored once, by one SVD per kind-block (S^H T S, Q^H T Q, U^H T U), and
+    nothing else decides a slot rank.  So multiplicity runs twice (S and F),
+    reading its coranks from the slots, and no eigensolver or stacked SVD runs.
+    hardy-2x2 reads each slot at 0; quotient-zeros its ideal slot at both roots
+    and at 0 (for the wandering subspace and zero_based), the Hardy slot at 0."""
+    mm = importlib.import_module("shiftlab.multiplicity")
+    sc = importlib.import_module("shiftlab.scenarios")
+    slots = importlib.import_module("shiftlab.slots")
+    tz = importlib.import_module("shiftlab.tensorized")
+    eigs, stacks, blocks, tables, mults = [], [], [], [], []
+    real_kernels, real_svd, real_mult = tz.slot_kernels, slots._svd, sc.multiplicity
+    monkeypatch.setattr(np.linalg, "eig", lambda *a, **k: eigs.append(a))
+    monkeypatch.setattr(mm, "_stacked_svd", lambda *a, **k: stacks.append(a))
+    monkeypatch.setattr(slots, "_svd", lambda M, *a, **k: blocks.append(M.shape)
+                        or real_svd(M, *a, **k))
+    monkeypatch.setattr(tz, "slot_kernels", lambda f, z, tol: tables.append((id(f), z))
+                        or real_kernels(f, z, tol))
+    monkeypatch.setattr(sc, "multiplicity", lambda A, **kw: mults.append(A.dim)
+                        or real_mult(A, **kw))
+    for name, points in (("hardy-2x2", 2), ("quotient-zeros", 4)):
+        del eigs[:], stacks[:], blocks[:], tables[:], mults[:]
+        rep = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"))
+        assert rep.succeeded
+        assert mults == [rep.dim_S, rep.dim_F]
+        assert eigs == [] and stacks == []
+        assert len(set(tables)) == len(tables) == points and len(blocks) == 3 * points
 
 
 def test_a_run_without_the_shift_lemma_closes_nothing(monkeypatch):
@@ -838,9 +878,10 @@ def test_a_run_without_the_shift_lemma_closes_nothing(monkeypatch):
 @pytest.mark.parametrize("group", ["shipped", "criterion-4", "pair-grid-1", "pair-grid-2",
                                    "pair-grid-3", "small-sweep-1"])
 def test_local_tests_decide_as_closures(monkeypatch, group):
-    """Every local-test decision a run makes in mult(S), mult(F) and the factors'
-    cyclic tests, for W_0 and for each draw, is whether the set's Krylov closure
-    fills the space; so is each factor's wandering_generates."""
+    """Every local-test decision a run makes in mult(S) and mult(F), for W_0 and for
+    each draw, is whether the set's Krylov closure fills the space; so is each
+    factor's wandering_generates.  An exact factor's cyclic_bounds, read from its
+    slot kernels, are the bracket that closures certify on T."""
     mm = importlib.import_module("shiftlab.multiplicity")
     sc = importlib.import_module("shiftlab.scenarios")
     tuples, decisions = [], []
@@ -861,12 +902,18 @@ def test_local_tests_decide_as_closures(monkeypatch, group):
                  if group == "shipped" else list(map(scenario_from_json, _group_objects(group))))
     exact_factors = 0
     for scn in scenarios:
-        run_scenario(scn)
-        for spec in scn.factor_specs:
+        rep = run_scenario(scn)
+        for i, spec in enumerate(scn.factor_specs):
             f = resolve_factor(spec, scn.tol, scn.base_dir)
-            closed = krylov_closure(f._restriction, f.wandering.basis, tol=f.S.tol)
+            restriction = OperatorTuple((f.T,)).compressed(f.S)
+            closed = krylov_closure(restriction, f.wandering.basis, tol=f.S.tol)
             assert f.wandering_generates == (closed.dim == f.S.dim), (scn.label, f.label)
-            exact_factors += f.exact
+            if f.exact:
+                cyc = real_multiplicity((f.T,), lambda_samples=[(z,) for z in f.spectrum],
+                                        seed=scn.seed, tol=scn.tol)
+                assert cyc.certified and rep.hypotheses[f"factor_{i}"]["cyclic_bounds"] == [
+                    cyc.lower, cyc.upper], (scn.label, f.label)
+                exact_factors += 1
     assert decisions and exact_factors
     for t, G, tol, decided in decisions:
         assert (krylov_closure(t, G, tol=tol).dim == t.dim) == decided
@@ -913,25 +960,27 @@ def test_zero_slot_operators_give_W_0_equal_to_L():
 
 def test_an_exact_run_factors_nothing_wider_than_a_slot(monkeypatch):
     """hardy 4^4 k2 with every check: W_lam of S and F and the shift lemma's draws come
-    from the slot kernels in closed form, so every QR of the run is of one slot-sized
-    matrix, never of a stack, and slots keeps no null-space route."""
+    from the slot kernels in closed form, each one SVD of a slot block, so the run
+    factors no stack by QR and slots keeps no null-space route."""
     slots = importlib.import_module("shiftlab.slots")
     assert not any(hasattr(slots, name) for name in ("_ROWS", "slot_frame"))
     assert not any(hasattr(slots.SlotTuple, name) for name in ("null", "gather"))
-    shapes, qr = [], np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda A, mode="reduced":
-                        shapes.append(np.shape(A)) or qr(A, mode=mode))
+    qrs, blocks, real_svd = [], [], slots._svd
+    monkeypatch.setattr(np.linalg, "qr", lambda A, *a, **k: qrs.append(np.shape(A)))
+    monkeypatch.setattr(slots, "_svd", lambda M, *a, **k: blocks.append(M.shape)
+                        or real_svd(M, *a, **k))
     hardy = {"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}}
     rep = run_scenario(scenario_from_json({"factors": [hardy] * 4}))
     assert rep.succeeded and rep.verdicts["shift_lemma"]["agreed"] == 6
-    assert shapes and all(len(shape) == 2 and shape[1] <= 4 for shape in shapes)
+    assert qrs == [] and blocks and max(max(shape) for shape in blocks) <= 4
 
 
 def test_a_slot_W_that_leaves_the_cokernel_uncertifies_the_bracket(monkeypatch):
     """With ker (Q^H T Q) in place of ker (Q^H T Q)^H (e_2 for e_1, same width), each
     of hardy-2x2's W_0(F) summands K_t (x) e_2 has the right dimension but is mapped by
     the other slot's T~^H onto K_t (x) e_1, so W_0 of S and of F keeps its slot_coranks
-    count and only the inclusion residual uncertifies mult(S) and mult(F)."""
+    count and only the inclusion residual uncertifies mult(S) and mult(F).  The factor
+    eigenpairs read the same kQ, so e_2 fails its ambient residual and E is not built."""
     slots = importlib.import_module("shiftlab.slots")
     real = slots.slot_kernels
 
@@ -943,8 +992,10 @@ def test_a_slot_W_that_leaves_the_cokernel_uncertifies_the_bracket(monkeypatch):
                         transposed)
     rep = run_scenario(load_scenario(SCENARIO_DIR / "hardy-2x2.json"))
     assert not any(m["certified"] for m in rep.multiplicities.values())
-    assert rep.notes == [f"mult({L}) uncertified: W_lam leaves the cokernel at 1 points"
-                         for L in "SF"]
+    assert rep.notes == ["distinguished summands unavailable: factor 0: best eigen residual "
+                         "1.000e+00 exceeds tolerance 1.0e-10"] + [
+        f"mult({L}) uncertified: W_lam leaves the cokernel at 1 points" for L in "SF"]
+    assert rep.failed_hypotheses == ["factor_0:eigen_ok", "factor_1:eigen_ok"]
 
 
 @pytest.mark.parametrize("shift, bound_mb", [(False, 4.2), (True, 4.2)])
@@ -968,8 +1019,9 @@ def test_hardy_6x4_k3_stays_inside_its_memory_bound(shift, bound_mb):
 
 
 def test_hardy_4x4_k2_multiplicity_stays_inside_its_memory_bound(monkeypatch):
-    """In benchmark-style hardy 4^4 k2 with the cube checks (no shift lemma), no
-    multiplicity call peaks at 0.5 MB of tracemalloc'd memory: W_lam of S (dim 240)
+    """In benchmark-style hardy 4^4 k2 with the cube checks (no shift lemma), neither
+    multiplicity call (mult(S) and mult(F): the factors' cyclic tests read their slot
+    kernels) peaks at 0.5 MB of tracemalloc'd memory: W_lam of S (dim 240)
     is 240 x 4 from the slot kernels, where the null space of the slot frames'
     stacked Z peaked at 2.03 MB."""
     sc = importlib.import_module("shiftlab.scenarios")
@@ -987,7 +1039,7 @@ def test_hardy_4x4_k2_multiplicity_stays_inside_its_memory_bound(monkeypatch):
     hardy = {"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}}
     rep = run_scenario(scenario_from_json({"factors": [hardy] * 4, "seed": 1, "checks": [
         c for c in ALL_CHECKS if c != "shift_lemma"]}))
-    assert rep.succeeded and rep.dim_S == 240 and len(peaks) == 6
+    assert rep.succeeded and rep.dim_S == 240 and len(peaks) == 2
     assert max(peaks) < 0.5
 
 
@@ -1050,19 +1102,21 @@ def test_compressions_built_on_demand_are_the_slices_of_the_compression_to_S(gro
 
 def test_hardy_6x4_k3_certifies_from_slot_sized_stacks(monkeypatch):
     """hardy 6^4 k3 (dim S = 1215) with every check but the shift lemma certifies
-    mult(S) = mult(F) = 4, no stacked SVD is wider than a slot, and no
-    compression to S or to F is built: only the M_i's."""
+    mult(S) = mult(F) = 4, no stacked SVD runs and no slot kernel's SVD is wider than
+    a slot, and no compression to S or to F is built: only the M_i's."""
     mm = importlib.import_module("shiftlab.multiplicity")
-    widths, real = [], mm._stacked_svd
-    monkeypatch.setattr(mm, "_stacked_svd", lambda ops, lam=None:
-                        widths.append(ops[0].shape[0]) or real(ops, lam))
+    slots = importlib.import_module("shiftlab.slots")
+    stacks, widths, real_svd = [], [], slots._svd
+    monkeypatch.setattr(mm, "_stacked_svd", lambda *a, **k: stacks.append(a))
+    monkeypatch.setattr(slots, "_svd", lambda M, *a, **k: widths.append(max(M.shape))
+                        or real_svd(M, *a, **k))
     obj = {"factors": [{"kind": "hardy", "m": 6, "coinvariant": {"prefix": 3}}] * 4,
            "checks": [c for c in ALL_CHECKS if c != "shift_lemma"], "seed": 1}
     built = spy_compressions(monkeypatch)
     rep = run_scenario(scenario_from_json(obj))
     assert rep.succeeded and rep.dim_S == 1215
     assert [(m["upper"], m["certified"]) for m in rep.multiplicities.values()] == [(4, True)] * 2
-    assert widths and max(widths) <= 6
+    assert stacks == [] and widths and max(widths) <= 6
     assert built and rep.dim_S not in built and rep.dim_F not in built
 
 
@@ -1179,15 +1233,14 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
     """A cube-structure-style run with every check, the shift lemma included,
     binds no N x N array to a name in any Python frame, and no array with N
     rows and more columns than the power identity's one block, which carries
-    both of its sides, (n + 1) samples wide: S, its chain and
-    the tuple's compressions come from kind-blocks, positions and slot blocks,
-    no N-row basis of S is formed, and the system has no dense T~_i to build.  In multiplicity the tuple is compressed only at
-    slot size, once per factor: the factor's wandering subspace and its gws
-    test share that compression, and wandering_E reuses both, as it reuses the
-    factor's one coinvariant_eigenpairs call.  The shift lemma closes inside S
-    under the compression the structure check made.  The wandering subspaces,
-    the generator search and E stay in the coordinates of their space: those
-    frames bind no array with N rows."""
+    both of its sides, (n + 1) samples wide: S, its chain and the tuple's
+    compressions come from kind-blocks, positions and slot blocks, no N-row
+    basis of S is formed, and the system has no dense T~_i to build.  No factor
+    is compressed: its wandering subspace, gws test and eigenpair, which
+    wandering_E reuses, read its slot kernels, each (slot, z) factored once.
+    The shift lemma closes inside S under the compression the structure check
+    made.  The wandering subspaces, the generator search and E stay in the
+    coordinates of their space: those frames bind no array with N rows."""
     tz = importlib.import_module("shiftlab.tensorized")
     mm = importlib.import_module("shiftlab.multiplicity")
     # dim S = 23 and dim F = 6: no array of the run has N = 24 rows by coincidence
@@ -1205,10 +1258,9 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
     compressions = []
     real_compress = mm.compress
     monkeypatch.setattr(mm, "compress", lambda T, s: compressions.append(s) or real_compress(T, s))
-    eigen_calls = []
-    real_eigenpairs = tz.coinvariant_eigenpairs
-    monkeypatch.setattr(tz, "coinvariant_eigenpairs",
-                        lambda T, Q: eigen_calls.append(Q) or real_eigenpairs(T, Q))
+    tables, real_kernels = [], tz.slot_kernels
+    monkeypatch.setattr(tz, "slot_kernels", lambda f, z, tol: tables.append((id(f), z))
+                        or real_kernels(f, z, tol))
 
     seen, local_only = [], {"wandering_subspace", "multiplicity", "wandering_E",
                             "_shift_lemma_verdict", "shifted_closure_check"}
@@ -1241,8 +1293,8 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
     assert not hasattr(tz.TensorSystem, "ops")
     assert not hasattr(build_system([resolve_factor(f, scn.tol) for f in obj["factors"]]), "ops")
     assert seen == []
-    assert [s.ambient_dim for s in compressions] == [4, 3, 2]
-    assert [Q.ambient_dim for Q in eigen_calls] == [4, 3, 2]
+    assert compressions == []
+    assert tables and len(set(tables)) == len(tables)
 
 
 def test_a_run_binds_no_identity_on_S_or_F():

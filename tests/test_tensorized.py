@@ -15,7 +15,6 @@ from shiftlab import (
     SpaceKind,
     Subspace,
     build_system,
-    coinvariant_eigenpairs,
     complement_within,
     compress,
     f_chain,
@@ -450,24 +449,31 @@ def test_block_diagonality_is_specific_to_F():
     assert cross > 0.1
 
 
-def test_coinvariant_eigenpairs_prefix_shift():
+def test_factor_eigenpair_prefix_shift():
+    """Hardy on C^5 with Q = span(e_1, e_2): the first spectrum point 0 has
+    ker (Q^H T Q)^H = C e_1, so the eigenpair is (0, e_1) exactly."""
     model = make_shift(SpaceKind.hardy(), 5)
-    Q = prefix_coinvariant(model, 2)
-    pairs = coinvariant_eigenpairs(model.operator, Q)
-    alpha, v, resid = pairs[0]
-    assert abs(alpha) < 1e-12 and resid < 1e-12
+    alpha, v, resid = tensor_factor(model.operator, prefix_coinvariant(model, 2)).eigenpair
+    assert alpha == 0 and resid < 1e-12
     assert np.allclose(np.abs(v), np.eye(5)[:, 0])
 
 
-def test_coinvariant_eigenpairs_quotient_complement():
+def test_factor_eigenpair_quotient_complement():
+    """C[z]/((z - 0.3)(z + 0.5)) with Q the complement of the ideal (z - 0.3): Q is
+    the one-dimensional model of C[z]/(z - 0.3), so alpha is the root 0.3 exactly,
+    read from the given roots, and v spans Q."""
     qmodel = make_quotient([0.3, -0.5])
-    S1 = ideal_subspace(qmodel, [0.3])
-    Q1 = complement_within(Subspace.full(2), S1)
-    pairs = coinvariant_eigenpairs(qmodel.operator, Q1)
-    alpha, v, resid = pairs[0]
-    # Q is the one-dimensional model of C[z]/(z - 0.3)
-    assert abs(alpha - 0.3) < 1e-12
-    assert resid < 1e-12
+    Q1 = complement_within(Subspace.full(2), ideal_subspace(qmodel, [0.3]))
+    f = tensor_factor(qmodel.operator, Q1, spectrum=[0.3, -0.5])
+    alpha, v, resid = f.eigenpair
+    assert alpha == 0.3 and resid < 1e-12
+    assert abs(abs(np.vdot(Q1.basis[:, 0], v)) - 1) < 1e-12
+    # in C[z]/((z - 0.7)(z + 0.5)(z - 0.3)), Q models C[z]/((z - 0.3)(z + 0.5)): of its
+    # two adjoint eigenvalues the first spectrum point, by modulus, is taken
+    qmodel = make_quotient([0.7, -0.5, 0.3])
+    Q2 = complement_within(Subspace.full(3), ideal_subspace(qmodel, [0.3, -0.5]))
+    alpha, v, resid = tensor_factor(qmodel.operator, Q2, spectrum=[0.7, -0.5, 0.3]).eigenpair
+    assert alpha == 0.3 and resid < 1e-12
 
 
 def test_wandering_E_hardy_case():
@@ -497,8 +503,8 @@ def test_wandering_E_quotient_case():
 
 
 def test_factor_facts_are_computed_once():
-    """A factor's eigenpair, wandering subspace and gws test come from one
-    coinvariant_eigenpairs call and one compression of T to S."""
+    """A factor's eigenpair, wandering subspace and gws test are read once from its
+    slot kernels, each computed once per (z, tol)."""
     f = hardy_factor(5, 2)
     assert f.eigenpair is f.eigenpair and f.wandering is f.wandering
     alpha, v, resid = f.eigenpair

@@ -4,7 +4,8 @@
 
 A SIZE is ``M^n:K``: n Hardy factors of size M, each with the prefix of
 length K as its co-invariant subspace, so that the space has dimension
-``N = M^n`` and ``dim S = M^n - K^n``.  The default ladder is ``8^3:4 10^3:5 6^4:3``;
+``N = M^n`` and ``dim S = M^n - K^n``.  The default ladder is
+``8^3:4 10^3:5 6^4:3 8^5:4``, up to ``N = 32768``;
 the scale gates of ROADMAP item 2 are ``10^4:5 6^5:3 8^4:4`` at one BLAS thread,
 where each run certifies ``mult(S) = n`` under 500 MB.  The gates of ROADMAP item 1
 (the closed-form slot ``W_lam``) are ``6^5:3`` and ``8^5:4`` with every check at one
@@ -38,7 +39,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_SIZES = ("8^3:4", "10^3:5", "6^4:3")
+DEFAULT_SIZES = ("8^3:4", "10^3:5", "6^4:3", "8^5:4")
 
 
 def parse_size(text):
