@@ -67,7 +67,6 @@ from .tensorized import (
     WanderingDecomposition,
     build_system,
     f_chain,
-    joint_invariant_S,
     tensor_factor,
     verify_compression_structure,
     wandering_E,
@@ -104,7 +103,6 @@ __all__ = [
     "dump_matrix",
     "f_chain",
     "ideal_subspace",
-    "joint_invariant_S",
     "kernel_vector",
     "krylov_closure",
     "load_matrix",

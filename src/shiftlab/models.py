@@ -236,7 +236,8 @@ def make_quotient(p_roots):
     roots = parse_roots(p_roots)
     for lam, _ in roots:
         if abs(lam) >= 1:
-            raise InputError(f"quotient roots must lie in the open unit disc, got |{lam}| >= 1")
+            raise InputError(f"quotient roots must lie in the open unit disc, got |{lam}| >= 1; an "
+                             "[re, im] entry is one complex root, and [[re, im], mult] a repeated one")
     m = sum(mult for _, mult in roots)
     coeffs = _poly_from_roots(roots)  # length m + 1, coeffs[m] == 1
     T = np.zeros((m, m), dtype=complex)

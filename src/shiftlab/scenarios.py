@@ -11,8 +11,9 @@ When every factor satisfies the hypotheses of the additive multiplicity
 formula (cyclic factor, wandering subspace of the restriction generates,
 a usable adjoint eigenvector in the co-invariant part, and a zero-based
 factor: Q_i contains a kernel vector of T_i^*, so that S_i (-) T_i S_i is
-based at 0), each read from the factor's slot kernels (``TensorFactor.kernels``;
-an inexact spectrum's cyclicity and generation are closed instead), the run certifies
+based at 0), each read from the factor's slot kernels (``TensorFactor.kernels``)
+at the points of its spectrum (given roots, a triangular diagonal, or eigenvalues
+that their kernels certify), the run certifies
 
     mult(S) = mult(F) = sum_i dim(S_i (-) T_i S_i).
 
@@ -40,11 +41,7 @@ from .models import (
     make_shift,
     matrix_from_json,
 )
-from .multiplicity import (
-    krylov_closure,
-    multiplicity,
-    shifted_closure_check,
-)
+from .multiplicity import multiplicity
 from .slots import shifted_slot_check, slot_coranks
 from .subspaces import (
     DEFAULT_TOL,
@@ -324,27 +321,21 @@ _HYPOTHESES = ("cyclic", "gws_restriction", "eigen_ok", "proper_coinvariant", "z
 
 
 def _factor_hypotheses(factors, scn):
-    """Evaluate the additive-formula hypotheses factor by factor.  With an exact
-    spectrum T needs max(1, max_z dim ker (T - z)) generators, its number of
-    invariant factors, so ``cyclic_bounds`` reads kH of ``f.kernels``; else a
-    ``multiplicity`` closure decides.  zero_based reads kQ at 0: ker (Q^H T Q)^H
-    is Q's part of ker T^H, for Q is co-invariant (for C[z]/(p) with ideal (q),
-    q(0) = 0).  eigen_ok reads ``f.eigenpair``'s residual."""
+    """Evaluate the additive-formula hypotheses factor by factor.  T needs
+    max(1, max_z dim ker (T - z)) generators over its spectrum, its number of
+    invariant factors, so ``cyclic_bounds`` reads kH of ``f.kernels``.  zero_based
+    reads kQ at 0: ker (Q^H T Q)^H is Q's part of ker T^H, for Q is co-invariant
+    (for C[z]/(p) with ideal (q), q(0) = 0).  eigen_ok reads ``f.eigenpair``'s
+    residual."""
     hyp = {}
     failed = []
     for i, f in enumerate(factors):
-        if f.exact:
-            c = max([1, *(f.kernels(z, scn.tol)[2].shape[1] for z in f.spectrum)])
-            bounds, cyclic = [c, c], c == 1
-        else:
-            cyc = multiplicity((f.T,), lambda_samples=[(z,) for z in f.spectrum],
-                               trials=scn.trials, seed=scn.seed, tol=scn.tol)
-            bounds, cyclic = [int(cyc.lower), int(cyc.upper)], cyc.certified and cyc.upper == 1
+        c = max([1, *(f.kernels(z, scn.tol)[2].shape[1] for z in f.spectrum)])
         eigen_residual = f.eigenpair[2] if f.eigenpair else float("inf")
         record = {
             "label": f.label,
-            "cyclic": cyclic,
-            "cyclic_bounds": bounds,
+            "cyclic": c == 1,
+            "cyclic_bounds": [c, c],
             "gws_restriction": bool(f.wandering_generates),
             "eigen_residual": float(eigen_residual),
             "eigen_ok": bool(eigen_residual <= max(scn.tol, 1e-10)),
@@ -375,26 +366,21 @@ SHIFT_LEMMA_MIN_MARGIN = 100.0
 
 
 def _shift_lemma_verdict(scn, comp_S, mult_S):
-    """mult(S)'s witness must generate inside S under ``comp_S`` shifted by six seeded
-    points as it does unshifted.  With exact slot spectra each draw is read from the
-    shifted slots (``slots.shifted_slot_check``), with no closure and no compressed
-    operator.  Otherwise the witness's closure, or with no witness or a near-tie one
-    that of ``lower`` seeded Gaussian vectors, is closed again under each shift
-    (``shifted_closure_check``).  A draw agrees when it agrees with a margin of at
-    least M = SHIFT_LEMMA_MIN_MARGIN and is marginal when its margin is below M.  The
-    check fails on any other draw, and when no draw agrees: near-ties show nothing."""
+    """mult(S)'s witness, or with no witness ``lower`` seeded Gaussian vectors, must
+    generate inside S under ``comp_S`` shifted by six seeded points as it does
+    unshifted.  Each draw is read from the shifted slots (``slots.shifted_slot_check``),
+    with no closure and no compressed operator.  A draw agrees when it agrees with a
+    margin of at least M = SHIFT_LEMMA_MIN_MARGIN and is marginal when its margin is
+    below M.  The check fails on any other draw, and when no draw agrees: near-ties
+    show nothing."""
     rng = np.random.default_rng([scn.seed, 101])
     n, tol, M = comp_S.n, scn.tol, SHIFT_LEMMA_MIN_MARGIN
     points = [0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
               for _ in range(6)]
-    G, closure = mult_S.witness_generators, mult_S.witness_closure
-    if G is not None and all(f.exact for f in comp_S.sys.factors):
-        checks = shifted_slot_check(comp_S, np.transpose(G), mult_S.coranks, points, tol)
-    else:
-        if G is None or closure is None or closure.margin < M:
-            G = rng.standard_normal((comp_S.dim, mult_S.lower, 2)) @ [1, 1j]
-            closure = krylov_closure(comp_S, G, tol=tol)
-        checks = shifted_closure_check(comp_S, G, closure, points)
+    G = mult_S.witness_generators
+    G = (rng.standard_normal((comp_S.dim, mult_S.lower, 2)) @ [1, 1j] if G is None
+         else np.transpose(G))
+    checks = shifted_slot_check(comp_S, G, mult_S.coranks, points, tol)
     agreed = sum(bool(agree and margin >= M) for agree, margin in checks)
     marginal = sum(margin < M for _, margin in checks)
     status = "pass" if agreed and agreed + marginal == len(checks) else "fail"
@@ -422,8 +408,7 @@ def run_scenario(scn):
 
     # the joint eigenvalues of S and F lie in the product of slot spectra (see multiplicity)
     mult_S, mult_F = (multiplicity(C, lambda_samples=sys.joint_spectrum(), trials=scn.trials,
-                                   seed=scn.seed, tol=scn.tol,
-                                   exact_points=all(f.exact for f in factors))
+                                   seed=scn.seed, tol=scn.tol, exact_points=True)
                       for C in (comp_S, comp_F))
     # a second route to each lower bound: dim W_lam off the slot formula uncertifies the bracket
     second = slot_coranks(sys, scn.tol)

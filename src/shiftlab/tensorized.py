@@ -26,9 +26,8 @@ differences.  In the coordinates of (x)_s U_s, S's coordinates are a set of
 positions, and T~_j is I (x) .. U_j^H T_j U_j .. (x) I: it maps block k into k
 and into k with slot j switched only, so structural residuals are read from
 slot blocks, and E_i is built in M_i's block of S's coordinates.  No N-row
-basis is formed on the way (joint_invariant_S builds S's on request).  The
-embedded operators of distinct slots doubly commute exactly, so that residual
-is recorded as 0.  The compressions to S and F are ``slots.SlotTuple``s, which
+basis is formed on the way.  The embedded operators of distinct slots doubly
+commute exactly, so that residual is recorded as 0.  The compressions to S and F are ``slots.SlotTuple``s, which
 read their wandering subspaces from the slots and build their operators from
 U_j^H T_j U_j at their positions only when read (``slots.compressed_at``).
 """
@@ -41,14 +40,16 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import EigenError, InputError, InternalConsistencyError, ModelError
-from .multiplicity import _generates, krylov_closure
+from .multiplicity import _generates
 from .slots import SlotTuple, compressed_at, slot_kernels
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
+    _svd,
     _svds,
     as_operator,
     complement_within,
+    numerical_rank,
     opnorm,
 )
 
@@ -62,16 +63,41 @@ def _kron_chain(mats):
     return functools.reduce(np.kron, mats, np.ones((1, 1), dtype=complex))
 
 
-def _dedup_complex(values, tol=1e-7):
-    """Cluster nearly-equal complex values; representatives are cluster means."""
-    vals = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
-    clusters = []
-    for z in vals:
-        if clusters and abs(z - clusters[-1][-1]) <= tol:
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
-    return [sum(c) / len(c) for c in clusters]
+def _certified_spectrum(T, r, tol):
+    """T's distinct eigenvalues: its eigvals clustered by single linkage at r, a cluster
+    of k values accepted at its mean z when z's algebraic multiplicity is k at ``tol``
+    and clustered again at r / 10 otherwise, down to 1e-14; ModelError when a single
+    value fails.  Rounding splits a k-fold defective eigenvalue by about
+    (eps ||T||)^(1/k), but their mean is accurate to O(eps ||T||) (Kato, Perturbation
+    Theory for Linear Operators, ch. II 5).  The multiplicity is counted by deflation
+    (Kublanovskaya 1966): T - z is block lower triangular in [V | its kernel], V its
+    right singular vectors above the cut, with diagonal blocks V^H (T - z) V and 0.  So
+    no power of T - z is ranked, whose rounding would hide a nearby block's eigenvalue."""
+    out = []
+
+    def multiplicity_at(z, total=0):
+        A = T - z * np.eye(len(T))
+        while len(A) and (rank := numerical_rank((svd := _svd(A))[1], tol)) < len(A):
+            total, A = total + len(A) - rank, svd[2][:rank] @ A @ svd[2][:rank].conj().T
+        return total
+
+    def certify(values, r):
+        linked = np.abs(values[:, None] - values) <= r
+        for _ in range(len(values).bit_length()):  # the transitive closure, by squaring
+            linked = linked @ linked
+        for first in dict.fromkeys(linked.argmax(axis=1)):
+            c = values[linked[first]]
+            z, k = c.mean(), len(c)
+            if multiplicity_at(z) == k:
+                out.append(z)
+            elif k > 1 and r > 1e-14:
+                certify(c, r / 10)
+            else:
+                raise ModelError(f"no eigenvalue of T near {complex(z):.6g} passes its kernel check")
+
+    if len(T):
+        certify(np.linalg.eigvals(T), r)
+    return out
 
 
 @dataclass(eq=False)
@@ -90,7 +116,6 @@ class TensorFactor:
     tol: float
     coinvariance_residual: float
     spectrum: tuple  # the distinct eigenvalues of T, by modulus
-    exact: bool  # spectrum is T's given roots or triangular diagonal, not clustered eigvals
     _kernels: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
@@ -98,12 +123,9 @@ class TensorFactor:
         """(alpha, v, ||T^H v - conj(alpha) v||): alpha is the first point where kQ =
         ker (Q^H T Q - alpha)^H (``kernels``) is nonzero, and v, a unit vector in Q with
         T^H v = conj(alpha) v, is Q's basis applied to kQ's first column; None if no point
-        has one, as when Q = 0.  The points are the ``spectrum`` if ``exact``, else the
-        clustered eigvals of Q^H T Q: T's own give a defective root to about eps^(1/m)."""
+        has one, as when Q = 0.  The points are the ``spectrum``, in order."""
         q = self.Q.dim
-        points = self.spectrum if self.exact else sorted(
-            _dedup_complex(np.linalg.eigvals(self.adapted[:q, :q])), key=abs)
-        for z in points:
+        for z in self.spectrum:
             if (kQ := self.kernels(z, self.tol)[1]).shape[1]:
                 v = self.Q.basis @ kQ[:q, 0]
                 return z, v, float(np.linalg.norm(self.T.conj().T @ v - np.conj(z) * v))
@@ -135,23 +157,23 @@ class TensorFactor:
 
     @functools.cached_property
     def wandering_generates(self):
-        """Does the wandering subspace generate S?  The local test if ``exact``, else closed."""
-        G, q, tol = self.wandering.basis, self.Q.dim, self.S.tol
-        if self.exact:
-            return _generates([self.kernels(z, tol)[0][q:] for z in self.spectrum], G, tol)
-        return krylov_closure((self.adapted[q:, q:],), G, tol=tol).dim == self.S.dim
+        """Does the wandering subspace generate S?  The local test at each ``spectrum`` point."""
+        q, tol = self.Q.dim, self.S.tol
+        return _generates([self.kernels(z, tol)[0][q:] for z in self.spectrum],
+                          self.wandering.basis, tol)
 
 
 def tensor_factor(T, Q, tol=DEFAULT_TOL, label="", spectrum=None):
     """Validate co-invariance of Q under T^H and package the factor.
 
-    A given ``spectrum`` lists T's eigenvalues exactly (the factor tests and the
-    slot W_lam trust it), and all of them: ModelError unless each clustered
-    eigvals of T lies within (eps max(1, ||T||_F))^(1/m) of one, about as far as
-    rounding splits a defective root.  By default a triangular T (every weighted
-    shift) gives its diagonal and any other T its clustered eigvals, the one
-    spectrum not ``exact``.  Raises ModelError when T^H Q reaches outside Q
-    beyond tolerance.
+    The ``spectrum`` lists T's eigenvalues exactly (the factor tests and the slot
+    W_lam trust it), and all of them.  A given one must hold each eigvals of T within
+    r = 10 (eps max(1, ||T||_F))^(1/m), past how far rounding splits a defective
+    root, else ModelError.  By default a triangular T (every weighted shift) gives
+    its diagonal.  Any other T is block lower triangular in [Q | S], so its spectrum
+    is Q^H T Q's and S^H T S's, each their ``_certified_spectrum`` at r, and a point
+    of S's within tol of one of Q's is that one.  Raises ModelError when T^H Q
+    reaches outside Q beyond tolerance.
     """
     T = as_operator(T)
     m = T.shape[0]
@@ -165,16 +187,18 @@ def tensor_factor(T, Q, tol=DEFAULT_TOL, label="", spectrum=None):
             f"subspace is not invariant under the adjoint (residual {resid:.3e} > {tol:.1e})"
         )
     S = complement_within(Subspace.full(m, tol=tol), Q)
-    exact = spectrum is not None or not np.triu(T, 1).any() or not np.tril(T, -1).any()
-    if spectrum is None:
-        spectrum = np.diag(T) if exact else _dedup_complex(np.linalg.eigvals(T))
-    elif any(np.abs(z - np.asarray(spectrum)).min(initial=math.inf)
-             > (np.finfo(float).eps * max(1.0, np.linalg.norm(T))) ** (1 / m)
-             for z in _dedup_complex(np.linalg.eigvals(T))):
+    r = 10 * (np.finfo(float).eps * max(1.0, np.linalg.norm(T))) ** (1 / m)
+    if spectrum is None and (not np.triu(T, 1).any() or not np.tril(T, -1).any()):
+        spectrum = np.diag(T)
+    elif spectrum is None:
+        zQ, zS = (_certified_spectrum(B.basis.conj().T @ T @ B.basis, r, tol) for B in (Q, S))
+        spectrum = zQ + [z for z in zS if np.abs(np.subtract(zQ, z)).min(initial=math.inf) > tol]
+    elif any(np.abs(z - np.asarray(spectrum)).min(initial=math.inf) > r
+             for z in np.linalg.eigvals(T)):
         raise ModelError(f"given spectrum {list(spectrum)} misses an eigenvalue of T")
     spectrum = tuple(sorted(set(map(complex, spectrum)), key=lambda z: (abs(z), z.real, z.imag)))
     return TensorFactor(T=T, Q=Q, S=S, label=label or f"factor:{m}", tol=tol,
-                        coinvariance_residual=float(resid), spectrum=spectrum, exact=exact)
+                        coinvariance_residual=float(resid), spectrum=spectrum)
 
 
 @dataclass(eq=False)
@@ -236,18 +260,6 @@ def build_system(factors, tol=None):
 def _S_blocks(sys):
     """S's kind-blocks: every block but Q..Q, in word order."""
     return [b for b in sys.blocks("I" * sys.n) if "S" in b]
-
-
-def joint_invariant_S(sys):
-    """S = (Q_1 (x) ... (x) Q_n)-perp as an N-row basis: the kron bases
-    (x)_s (Q_s or S_s) of every kind-block but Q..Q, side by side, which with
-    Q..Q form an orthonormal basis of C^N (and each has a last S slot, so S is
-    also sum ran X_i, block by block).  Its columns for the blocks of an F_i or
-    an M_i (``ChainDecomposition.columns``) are that space's basis."""
-    cols = [_kron_chain([f.Q.basis if k == "Q" else f.S.basis for f, k in zip(sys.factors, b)])
-            for b in _S_blocks(sys)]
-    basis = np.hstack(cols) if cols else np.zeros((sys.N, 0), dtype=complex)
-    return Subspace(basis, ambient_dim=sys.N, tol=sys.tol, _checked=True)
 
 
 def _chain_slot_kinds(n, i, j):

@@ -11,8 +11,8 @@ Principal angles come from scipy.linalg.subspace_angles; the package itself
 does not import scipy.  Dense references that only tests read live here too:
 pairwise commutator norms, the X_i projections, the N x N embedded operators
 T~_i that the package applies only slot by slot, the chain's N-row bases
-(``chain_spaces``, the one helper here built on the package's
-``joint_invariant_S``), every structural residual family of
+(``chain_spaces``, built on ``joint_invariant_S``, the one helper here that
+reads the package's kind-blocks), every structural residual family of
 ``verify_compression_structure`` from N x N projectors, and the
 distinguished summands E_i as N-row kron products.
 """
@@ -24,7 +24,8 @@ import types
 import numpy as np
 import scipy.linalg
 
-from shiftlab import Subspace, joint_invariant_S
+from shiftlab import Subspace
+from shiftlab.tensorized import _kron_chain, _S_blocks
 
 
 def orbit_dim(ops, G, tol=1e-8, max_degree=None):
@@ -236,6 +237,18 @@ def _complement(big, small):
 
 def _norm2(A):
     return float(np.linalg.norm(A, 2)) if A.size else 0.0
+
+
+def joint_invariant_S(sys_):
+    """S = (Q_1 (x) ... (x) Q_n)-perp as an N-row basis: the kron bases
+    (x)_s (Q_s or S_s) of every kind-block but Q..Q, side by side, which with
+    Q..Q form an orthonormal basis of C^N (and each has a last S slot, so S is
+    also sum ran X_i, block by block).  Its columns for the blocks of an F_i or
+    an M_i (``ChainDecomposition.columns``) are that space's basis."""
+    cols = [_kron_chain([f.Q.basis if k == "Q" else f.S.basis for f, k in zip(sys_.factors, b)])
+            for b in _S_blocks(sys_)]
+    basis = np.hstack(cols) if cols else np.zeros((sys_.N, 0), dtype=complex)
+    return Subspace(basis, ambient_dim=sys_.N, tol=sys_.tol, _checked=True)
 
 
 def chain_spaces(sys_, chain):

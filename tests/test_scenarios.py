@@ -84,6 +84,18 @@ def test_library_and_json_read_roots_alike(roots, expected):
     assert np.array_equal(resolve_factor(spec, 1e-10).T, make_quotient(roots).operator)
 
 
+def test_a_root_outside_the_disc_says_how_to_repeat_a_root():
+    """[-0.4, 2] is the one complex root -0.4 + 2i, outside the disc, not -0.4
+    twice: the error names both forms, from the library and from JSON alike."""
+    hint = r"an \[re, im\] entry is one complex root, and \[\[re, im\], mult\] a repeated one"
+    with pytest.raises(InputError, match=hint):
+        make_quotient([0.3, [-0.4, 2]])
+    with pytest.raises(ConfigError, match=hint):
+        resolve_factor({"kind": {"quotient_roots": [0.3, [-0.4, 2]]},
+                        "coinvariant": {"prefix": 1}}, 1e-10)
+    assert make_quotient([0.3, [[-0.4, 0], 2]]).roots == ((0.3, 1), (-0.4, 2))
+
+
 def test_scenario_validation_errors():
     with pytest.raises(ConfigError):
         scenario_from_json([])
@@ -281,13 +293,6 @@ def mult_S_of(scn, sys_, comp_S):
                         trials=scn.trials, seed=scn.seed, tol=scn.tol)
 
 
-def inexact(comp_S):
-    """comp_S with its system's factors marked inexact: the verdict then closes."""
-    for f in comp_S.sys.factors:
-        f.exact = False
-    return comp_S
-
-
 @pytest.mark.parametrize("margin, lopsided, expected", [
     (1e6, 6, {"status": "fail", "draws": 6, "agreed": 0, "marginal": 0}),
     (1e6, 1, {"status": "fail", "draws": 6, "agreed": 5, "marginal": 0}),
@@ -295,36 +300,24 @@ def inexact(comp_S):
     (50.0, 6, {"status": "fail", "draws": 6, "agreed": 0, "marginal": 6}),
 ], ids=["wide-disagreement", "one-wide-disagreement", "near-tie", "all-near-ties"])
 def test_shift_lemma_verdict_gates_by_margin(monkeypatch, margin, lopsided, expected):
-    """On the closure route (factors marked inexact), the first ``lopsided`` of the
-    six shifted closures miss one direction of the witness's closure: with a wide
-    margin each is a disagreement and the check fails; with a margin below
+    """The first ``lopsided`` of the six slot draws disagree: with a wide margin
+    each is a disagreement and the check fails; with a margin below
     SHIFT_LEMMA_MIN_MARGIN each is marginal, and the check passes on the other
-    draws' agreement, but not when no draw agrees.  mult(S) closes its witness W_S
-    once, unshifted, and the check reuses that closure and closes W_S under each
-    of the six shifts."""
-    mm = importlib.import_module("shiftlab.multiplicity")
+    draws' agreement, but not when no draw agrees."""
     sc = importlib.import_module("shiftlab.scenarios")
     assert sc.SHIFT_LEMMA_MIN_MARGIN == 100.0
     scn, sys_, comp_S = scenario_comp_S(hardy_obj())
-    inexact(comp_S)
-    assert sc._shift_lemma_verdict(scn, comp_S, mult_S_of(scn, sys_, comp_S)) == {
+    mult_S = mult_S_of(scn, sys_, comp_S)
+    assert sc._shift_lemma_verdict(scn, comp_S, mult_S) == {
         "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
 
-    real = mm._closure
-    calls = []
+    real = sc.shifted_slot_check
 
-    def lopsided_closure(ops, G, tol, lam=None):
-        got = real(ops, G, tol, lam)
-        calls.append(got.dim)
-        shifted = len(calls) - 1  # the first call is mult(S)'s unshifted closure
-        if lam is None or shifted > lopsided:
-            return got
-        return Subspace(got.basis[:, :-1], tol=got.tol, _checked=True, margin=margin)
+    def lopsided_check(*args):
+        return [(False, margin)] * lopsided + real(*args)[lopsided:]
 
-    monkeypatch.setattr(mm, "_closure", lopsided_closure)
-    assert sc._shift_lemma_verdict(scn, comp_S, mult_S_of(scn, sys_, comp_S)) == expected
-    # W_S fills S: once in mult(S), then once under each shift
-    assert calls == [12] * 7
+    monkeypatch.setattr(sc, "shifted_slot_check", lopsided_check)
+    assert sc._shift_lemma_verdict(scn, comp_S, mult_S) == expected
 
 
 @pytest.mark.parametrize("weight, expected", [
@@ -343,32 +336,6 @@ def test_a_slot_draw_near_the_cut_is_marginal(weight, expected):
     }))
     assert rep.multiplicities["S"]["certified"] and rep.multiplicities["S"]["upper"] == 2
     assert rep.verdicts["shift_lemma"] == expected
-
-
-def closure_widths(monkeypatch):
-    """Record the shape of G for every closure from now on."""
-    mm = importlib.import_module("shiftlab.multiplicity")
-    widths, real = [], mm._closure
-    monkeypatch.setattr(mm, "_closure", lambda ops, G, tol, lam=None:
-                        widths.append(np.shape(G)) or real(ops, G, tol, lam))
-    return widths
-
-
-def test_a_near_tie_witness_closure_falls_back_to_gaussian_vectors(monkeypatch):
-    """On the closure route (factors marked inexact), a witness whose own closure
-    decided a rank within SHIFT_LEMMA_MIN_MARGIN of the cut would make every draw
-    marginal and fail the check for a doubt about mult(S)'s certificate.  The check
-    closes ``lower`` seeded Gaussian vectors instead, once unshifted and once under
-    each of the six shifts, and all six draws agree."""
-    sc = importlib.import_module("shiftlab.scenarios")
-    scn, sys_, comp_S = scenario_comp_S(hardy_obj())
-    res = mult_S_of(scn, sys_, inexact(comp_S))
-    assert res.certified and res.witness_closure.margin >= sc.SHIFT_LEMMA_MIN_MARGIN
-    res.witness_closure.margin = 50.0
-    widths = closure_widths(monkeypatch)
-    assert sc._shift_lemma_verdict(scn, comp_S, res) == {
-        "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
-    assert widths == [(comp_S.dim, res.lower)] * 7
 
 
 def test_an_exact_all_checks_run_closes_nothing_and_builds_no_compression_to_S(monkeypatch):
@@ -390,12 +357,11 @@ def test_an_exact_all_checks_run_closes_nothing_and_builds_no_compression_to_S(m
     assert rep.verdicts["shift_lemma"] == {"status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
 
 
-def test_shift_lemma_without_a_witness_closes_gaussian_vectors(monkeypatch):
+def test_shift_lemma_without_a_witness_tests_gaussian_vectors(monkeypatch):
     """quotient-zeros with no generator trials: W_S does not generate, so mult(S)
-    has no witness, and the slots have nothing to test.  The check closes
-    ``lower`` seeded Gaussian vectors once, unshifted, then under each of the six
-    shifts, and still gives a verdict."""
-    sc = importlib.import_module("shiftlab.scenarios")
+    has no witness.  The check draws ``lower`` seeded Gaussian vectors and reads
+    them under each of the six shifts from the slots, as it reads a witness, with
+    no closure, and still gives a verdict."""
     scn = load_scenario(SCENARIO_DIR / "quotient-zeros.json")
     scn.trials = 0
     sys_ = build_system([resolve_factor(spec, scn.tol, scn.base_dir)
@@ -403,10 +369,8 @@ def test_shift_lemma_without_a_witness_closes_gaussian_vectors(monkeypatch):
     comp_S = verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
     res = multiplicity(comp_S, lambda_samples=sys_.joint_spectrum(), trials=0, seed=scn.seed, tol=scn.tol)
     assert res.witness_generators is None and res.witness_closure is None and res.lower == 1
-    widths = closure_widths(monkeypatch)
-    assert sc._shift_lemma_verdict(scn, comp_S, res) == {
+    assert slot_verdict(monkeypatch, scn, comp_S, res) == {
         "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
-    assert widths == [(comp_S.dim, 1)] * 7
 
 
 def shift_points(scn, n):
@@ -427,11 +391,10 @@ def six_real_closures(scn, comp_S, G):
 
 
 def slot_verdict(monkeypatch, scn, comp_S, mult_S):
-    """The verdict, which must take the slot route: it may not close anything."""
+    """The verdict, which must take the slot route: any closure fails."""
     sc = importlib.import_module("shiftlab.scenarios")
     with monkeypatch.context() as m:
-        m.setattr(sc, "shifted_closure_check", None)
-        m.setattr(sc, "krylov_closure", None)
+        m.setattr(importlib.import_module("shiftlab.multiplicity"), "_closure", None)
         return sc._shift_lemma_verdict(scn, comp_S, mult_S)
 
 
@@ -476,18 +439,19 @@ def test_a_tiny_tol_decides_every_slot_draw(monkeypatch):
     assert reference == {"agreed": 6, "marginal": 0}
 
 
-def test_a_near_tie_closure_decides_no_draw():
+def test_a_near_tie_closure_decides_no_draw(monkeypatch):
     """dirichlet 6^3 k3 at seed 1 with mult(S) taken as one generator and no
-    witness: the one-vector Gaussian closure the check falls back to stops at 162
-    of 189 dimensions with a margin of about 1.7 (a near-tie), so every draw is
-    marginal, as its real closures are, and the check fails."""
-    sc = importlib.import_module("shiftlab.scenarios")
+    witness: the check's one Gaussian vector cannot pass the local test where
+    dim W_mu is 3, and the slots say so clearly under every shift, so the check
+    fails with no draw marginal.  Its real closure, the old oracle, stops at 162
+    of 189 dimensions with a margin of about 1.7 (a near-tie), so its six
+    shifted closures are all marginal."""
     slot = {"kind": "dirichlet", "m": 6, "coinvariant": {"prefix": 3}}
     scn, sys_, comp_S = scenario_comp_S({"factors": [slot] * 3, "seed": 1})
     res = mult_S_of(scn, sys_, comp_S)
     res.lower, res.witness_generators, res.witness_closure = 1, None, None
-    assert sc._shift_lemma_verdict(scn, comp_S, res) == {
-        "status": "fail", "draws": 6, "agreed": 0, "marginal": 6}
+    assert slot_verdict(monkeypatch, scn, comp_S, res) == {
+        "status": "fail", "draws": 6, "agreed": 0, "marginal": 0}
     G = shift_points(scn, comp_S.n)[1].standard_normal((comp_S.dim, 1, 2)) @ [1, 1j]
     closure, reference = six_real_closures(scn, comp_S, G)
     assert closure.dim == 162 and closure.margin < 2
@@ -880,8 +844,8 @@ def test_a_run_without_the_shift_lemma_closes_nothing(monkeypatch):
 def test_local_tests_decide_as_closures(monkeypatch, group):
     """Every local-test decision a run makes in mult(S) and mult(F), for W_0 and for
     each draw, is whether the set's Krylov closure fills the space; so is each
-    factor's wandering_generates.  An exact factor's cyclic_bounds, read from its
-    slot kernels, are the bracket that closures certify on T."""
+    factor's wandering_generates.  Each factor's cyclic_bounds, read from its slot
+    kernels, are the bracket that closures certify on T."""
     mm = importlib.import_module("shiftlab.multiplicity")
     sc = importlib.import_module("shiftlab.scenarios")
     tuples, decisions = [], []
@@ -900,7 +864,7 @@ def test_local_tests_decide_as_closures(monkeypatch, group):
     monkeypatch.setattr(mm, "_generates", recording_generates)
     scenarios = ([load_scenario(p) for p in sorted(SCENARIO_DIR.glob("*.json"))]
                  if group == "shipped" else list(map(scenario_from_json, _group_objects(group))))
-    exact_factors = 0
+    factors = 0
     for scn in scenarios:
         rep = run_scenario(scn)
         for i, spec in enumerate(scn.factor_specs):
@@ -908,13 +872,12 @@ def test_local_tests_decide_as_closures(monkeypatch, group):
             restriction = OperatorTuple((f.T,)).compressed(f.S)
             closed = krylov_closure(restriction, f.wandering.basis, tol=f.S.tol)
             assert f.wandering_generates == (closed.dim == f.S.dim), (scn.label, f.label)
-            if f.exact:
-                cyc = real_multiplicity((f.T,), lambda_samples=[(z,) for z in f.spectrum],
-                                        seed=scn.seed, tol=scn.tol)
-                assert cyc.certified and rep.hypotheses[f"factor_{i}"]["cyclic_bounds"] == [
-                    cyc.lower, cyc.upper], (scn.label, f.label)
-                exact_factors += 1
-    assert decisions and exact_factors
+            cyc = real_multiplicity((f.T,), lambda_samples=[(z,) for z in f.spectrum],
+                                    seed=scn.seed, tol=scn.tol)
+            assert cyc.certified and rep.hypotheses[f"factor_{i}"]["cyclic_bounds"] == [
+                cyc.lower, cyc.upper], (scn.label, f.label)
+            factors += 1
+    assert decisions and factors
     for t, G, tol, decided in decisions:
         assert (krylov_closure(t, G, tol=tol).dim == t.dim) == decided
 
@@ -1155,12 +1118,12 @@ def count_closures(monkeypatch):
     return dims
 
 
-def test_a_non_commuting_tuple_or_an_inexact_spectrum_is_closed(monkeypatch):
+def test_a_non_commuting_tuple_is_closed_and_a_conjugated_jordan_factor_is_not(monkeypatch):
     """The local test holds for a commuting tuple at its exact joint spectrum
     only.  (J, J^T) on C^4 fails _commutes, so even with exact_points its one
-    draw is closed.  A conjugated Jordan factor's spectrum is clustered eigvals:
-    its cyclic test and wandering subspace are closed, and so are W_S and W_F,
-    while the exact Hardy factor closes nothing."""
+    draw is closed.  A conjugated Jordan factor's spectrum is one point, the mean
+    of its eigvals' ring: its cyclic test and wandering subspace read its slot
+    kernels, as do W_S and W_F, so the run closes nothing."""
     mm = importlib.import_module("shiftlab.multiplicity")
     dims = count_closures(monkeypatch)
     J = np.diag(np.ones(3), -1)
@@ -1176,11 +1139,12 @@ def test_a_non_commuting_tuple_or_an_inexact_spectrum_is_closed(monkeypatch):
         {"kind": "hardy", "m": 3, "coinvariant": {"prefix": 1}},
     ], "seed": 1, "checks": ["gws", "additive_formula"]}
     scn = scenario_from_json(obj)
-    assert [resolve_factor(f, scn.tol).exact for f in obj["factors"]] == [False, True]
+    (z,) = resolve_factor(obj["factors"][0], scn.tol).spectrum
+    assert abs(z) < 1e-14
     dims.clear()
     rep = run_scenario(scn)
-    assert (rep.dim_S, rep.dim_F) == (10, 6)
-    assert dims[:2] == [4, 2] and rep.dim_S in dims and rep.dim_F in dims and 3 not in dims
+    assert (rep.dim_S, rep.dim_F) == (10, 6) and rep.succeeded
+    assert dims == []
 
 
 def test_a_missing_joint_eigenvalue_never_certifies_a_wrong_number():
@@ -1210,10 +1174,10 @@ def test_a_missing_joint_eigenvalue_never_certifies_a_wrong_number():
 
 
 def test_a_conjugated_jordan_factor_keeps_its_generating_wandering_subspace():
-    """A unitarily conjugated nilpotent matrix factor has clustered eigvals
-    near 0 but not 0, so the origin is never sampled and the corank bound is
-    1.  W_S (two vectors) still generates S: mult(S) closes it, brackets
-    [1, 2] without a random draw, and has_gws stays True."""
+    """A unitarily conjugated nilpotent matrix factor has eigvals on a ring about
+    0 of radius about eps^(1/4), and its spectrum is their mean, 0 to rounding, so
+    the corank bound is 2.  W_S (two vectors) passes the local test there: mult(S)
+    certifies 2 without a random draw, and has_gws stays True."""
     Qr, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
     T = Qr @ np.diag(np.ones(3), -1) @ Qr.T
     obj = {"factors": [
@@ -1221,12 +1185,13 @@ def test_a_conjugated_jordan_factor_keeps_its_generating_wandering_subspace():
         {"kind": "hardy", "m": 3, "coinvariant": {"prefix": 1}},
     ], "seed": 1}
     scn = scenario_from_json(obj)
-    assert 0 not in resolve_factor(obj["factors"][0], scn.tol).spectrum
+    (z,) = resolve_factor(obj["factors"][0], scn.tol).spectrum
+    assert abs(z) < 1e-14
     rep = run_scenario(scn)
     S = rep.multiplicities["S"]
-    assert (S["lower"], S["upper"], S["certified"], S["trials_used"]) == (1, 2, False, 0)
+    assert (S["lower"], S["upper"], S["certified"], S["trials_used"]) == (2, 2, True, 0)
     assert rep.verdicts["gws"] == {"status": "pass", "has_gws": True, "wandering_dim": 2,
-                                   "applicable": False}
+                                   "applicable": True}
 
 
 def test_structure_path_forms_no_dense_operator(monkeypatch):

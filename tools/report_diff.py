@@ -9,7 +9,11 @@
 * the 20 random prefix scenarios of
   ``tests/test_acceptance.py::test_criterion_4_randomized_structural_sweep``;
 * every scenario that ``perfbench/workloads.py`` generates at seeds 1-3
-  (read only, imported from its file).
+  (read only, imported from its file);
+* each of those again under ``rotated/<key>``, every factor in a random
+  unitary basis (``rotated_scenarios``): the same tuple, so the same mode,
+  dimensions and multiplicities, through the route of a non-triangular
+  ``matrix`` factor.
 
 It writes each ``Report.to_json()`` without ``elapsed_seconds`` to the JSON
 file OUT, keyed by scenario.  ``compare`` prints every field path whose value
@@ -27,6 +31,7 @@ commits, dump from a checkout of each (with ``OPENBLAS_NUM_THREADS=1``, so
 that BLAS sums in one order) and compare the files.  Stdlib and numpy only.
 """
 
+import dataclasses
 import fnmatch
 import importlib.util
 import json
@@ -39,7 +44,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from shiftlab import load_scenario, run_scenario, scenario_from_json  # noqa: E402
+from shiftlab import load_scenario, matrix_to_json, run_scenario, scenario_from_json  # noqa: E402
+from shiftlab.scenarios import resolve_factor  # noqa: E402
+
 
 def shipped_scenarios():
     """(key, Scenario) for every scenario file in scenarios/."""
@@ -84,10 +91,35 @@ def workload_scenarios():
     return out
 
 
+def criterion_4_scenarios():
+    """(key, Scenario) for the criterion-4 scenario objects, in order."""
+    return [(f"criterion-4/{i:02d}", scenario_from_json(obj))
+            for i, obj in enumerate(criterion_4_objects())]
+
+
 def all_scenarios():
-    crit4 = [(f"criterion-4/{i:02d}", scenario_from_json(obj))
-             for i, obj in enumerate(criterion_4_objects())]
-    return shipped_scenarios() + crit4 + workload_scenarios()
+    return shipped_scenarios() + criterion_4_scenarios() + workload_scenarios()
+
+
+def rotated(scn, rng):
+    """``scn`` with each factor (T, Q) given as the matrix V T V^H and the basis V Q,
+    for V the unitary Q factor of a complex Gaussian m x m drawn from ``rng``."""
+    specs = []
+    for spec in scn.factor_specs:
+        f = resolve_factor(spec, scn.tol, scn.base_dir)
+        m = len(f.T)
+        V = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+        specs.append({"kind": {"matrix": matrix_to_json(V @ f.T @ V.conj().T)},
+                      "coinvariant": {"basis": matrix_to_json(V @ f.Q.basis)},
+                      "label": f.label})
+    return dataclasses.replace(scn, factor_specs=specs)
+
+
+def rotated_scenarios(scenarios, seed=7):
+    """(rotated/<key>, ``rotated`` Scenario) for each (key, Scenario), in order, every
+    V drawn from one ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    return [(f"rotated/{key}", rotated(scn, rng)) for key, scn in scenarios]
 
 
 def dump(out, scenarios):
@@ -160,7 +192,8 @@ def totals(a, b, path, keys):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 2 and argv[0] == "dump":
-        reports = dump(argv[1], all_scenarios())
+        scenarios = all_scenarios()
+        reports = dump(argv[1], scenarios + rotated_scenarios(scenarios))
         print(f"wrote {len(reports)} reports to {argv[1]}")
         return 0
     allow = argv[argv.index("--allow") + 1:] if "--allow" in argv else []
