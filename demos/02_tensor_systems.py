@@ -11,7 +11,7 @@ one per word in {Q, S}^n in the slot bases U_s = [Q_s | S_s], so its
 dimension is a count of block columns.  This script builds the chain and
 re-verifies each structural identity numerically: the projection
 identities from per-slot norms, the rest from the slot blocks U_s^H T_s U_s
-and the tuple compressed to S, never from N x N matrices.  The
+and their norms, never from N x N matrices.  The
 doubly commuting residual prints as exactly 0: operators in distinct slots
 commute by the mixed-product property of the Kronecker product, so it is
 not computed.
@@ -63,7 +63,7 @@ print("all identities hold at 1e-10:", report.ok(1e-10))
 # Inside each block M_i sits E_i = (S_i (-) T_i S_i) tensored with adjoint
 # eigenvectors of the other factors; the compressed tuple acts on E_i like a
 # fixed scalar point with slot i zeroed out.  E is built in S's coordinates,
-# and its alignment is read from the tuple compressed to each M_i.
+# and its alignment is read from slot norms, as each E_i is a Kronecker product.
 wd = wandering_E(system, chain)
 print("\nfactor wandering dims:", wd.factor_wandering_dims)
 print("dim E =", wd.E.dim)

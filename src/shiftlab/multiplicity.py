@@ -3,9 +3,9 @@
 For a tuple A = (A_1, ..., A_n) acting on C^k, the joint Krylov closure of a
 generating set G is the smallest subspace containing G that is invariant
 under every A_i, and the multiplicity of A is the least size of a G whose
-closure is C^k.  A tuple compressed to a subspace L (``OperatorTuple.compressed``)
-acts on L's coordinates; its wandering subspaces, witnesses and closures are
-in them.  Certification brackets the multiplicity:
+closure is C^k.  A tuple compressed to a subspace L acts on L's coordinates;
+its wandering subspaces, witnesses and closures are in them.  Certification
+brackets the multiplicity:
 
 * lower bounds are the coranks dim W_lam, W_lam = C^k (-) sum_i (A_i - lam_i) C^k
   the wandering subspace of A - lam (``OperatorTuple.cokernel``; a compression
@@ -37,7 +37,6 @@ from .subspaces import (
     _svd,
     as_columns,
     as_operator,
-    compress,
     numerical_rank,
     orthonormalize,
     rank_margin,
@@ -67,12 +66,6 @@ class OperatorTuple:
         for A, l in zip(ops, _as_point(lam, self.n)):
             A.flat[::self.dim + 1] -= l
         return OperatorTuple(ops)
-
-    def compressed(self, L):
-        """The tuple compressed to L, in L's coordinates."""
-        if L.ambient_dim != self.dim:
-            raise InputError("subspace lives in the wrong ambient space")
-        return OperatorTuple(tuple(compress(op, L) for op in self.ops))
 
     def cokernel(self, lam, tol):
         """W_lam = C^k (-) sum_i (A_i - lam_i) C^k as columns, for lam one number per

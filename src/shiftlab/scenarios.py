@@ -393,7 +393,7 @@ def run_scenario(scn):
     factors = [resolve_factor(spec, scn.tol, scn.base_dir) for spec in scn.factor_specs]
     sys = build_system(factors, tol=scn.tol)
     chain = f_chain(sys)
-    struct = verify_compression_structure(sys, chain, seed=scn.seed)
+    struct = verify_compression_structure(sys, chain)
     comp_S, comp_F = struct.compressions
 
     hyp, failed = _factor_hypotheses(factors, scn)

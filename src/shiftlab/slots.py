@@ -51,7 +51,7 @@ def slot_kernels(f, z, tol):
 class SlotTuple(OperatorTuple):
     """``sys``'s tuple compressed to L = S or F (S if L holds every position but Q..Q's) at
     L's positions ``at`` in (x)_s U_s, with ``cokernel`` read from the slots and ``ops``
-    built on first read; its ``shifted`` and ``compressed`` copies are plain tuples."""
+    built on first read; its ``shifted`` copy is a plain tuple."""
 
     def __init__(self, sys, at):
         self.sys, self.at, self.dim, self.n, self.leaks = sys, at, at.size, sys.n, []

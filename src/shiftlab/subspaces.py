@@ -95,10 +95,6 @@ class Subspace:
         self.margin = margin
 
     @classmethod
-    def zero(cls, ambient_dim, tol=DEFAULT_TOL):
-        return cls(np.zeros((ambient_dim, 0), dtype=complex), tol=tol, _checked=True)
-
-    @classmethod
     def full(cls, ambient_dim, tol=DEFAULT_TOL):
         return cls(np.eye(ambient_dim, dtype=complex), tol=tol, _checked=True)
 

@@ -24,14 +24,16 @@ U_s = [Q_s | S_s].  They split C^N into kind-blocks, one per word k in
 each F_i and M_i is a union of blocks, and the gaps of the chain are set
 differences.  In the coordinates of (x)_s U_s, S's coordinates are a set of
 positions, and T~_j is I (x) .. U_j^H T_j U_j .. (x) I: it maps block k into k
-and into k with slot j switched only, so structural residuals are read from
-slot blocks, and E_i is built in M_i's block of S's coordinates.  No N-row
-basis is formed on the way.  The embedded operators of distinct slots doubly
-commute exactly, so that residual is recorded as 0.  The compressions to S and F are ``slots.SlotTuple``s, which
-read their wandering subspaces from the slots and build their operators from
-U_j^H T_j U_j at their positions only when read (``slots.compressed_at``).
+and into k with slot j switched only, so structural residuals, the power
+identity and E's alignment among them, are read from slot-block norms, and E_i
+is built in M_i's block of S's coordinates: no N-row array is formed.  Distinct
+slots doubly commute exactly, so that residual is recorded as 0.  The
+compressions to S and F are ``slots.SlotTuple``s, which read their wandering
+subspaces from the slots and build their operators from U_j^H T_j U_j at their
+positions only when read (``slots.compressed_at``).
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import EigenError, InputError, InternalConsistencyError, ModelError
 from .multiplicity import _generates
-from .slots import SlotTuple, compressed_at, slot_kernels
+from .slots import SlotTuple, slot_kernels
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -52,12 +54,6 @@ from .subspaces import (
     numerical_rank,
     opnorm,
 )
-
-# verify_compression_structure's power identity: multi-indices 1 <= |k| <= 3,
-# on 4 random unit vectors of F
-_POWER_DEGREE = 3
-_POWER_SAMPLES = 4
-
 
 def _kron_chain(mats):
     return functools.reduce(np.kron, mats, np.ones((1, 1), dtype=complex))
@@ -426,27 +422,38 @@ def _commutator_bound(sys, blocks):
     return worst
 
 
-def _powers(ops, V, first=0, k=None):
-    """(k, A^k V) for every k in Z_+^n with 1 <= |k| <= _POWER_DEGREE, for maps A_i.
+def _summandwise_powers(sys):
+    """A bound of max_k ||(P_F T~ P_F)^k - sum_i P_{M_i} T~^k P_{M_i}||_2 on F over the
+    multi-indices 1 <= |k| <= 3, from slot norms.  Each M_i is one kind-block e_i, S at
+    slot i and Q elsewhere, and flipping one slot of e_i leaves F.  So on M_i the sides
+    are (x)_s B_s^{k_s} and (x)_s (A_s^{k_s})[c_s, c_s], for A_s = U_s^H T_s U_s, c_s slot
+    s's kind in e_i and B_s = A_s[c_s, c_s], block diagonal along the M_i.  Their
+    difference is ``_telescope``d over the support of k from ||B^p||, ||B^p - (A^p)[c, c]||
+    and ||(A^p)[c, c]||, p <= 3, one stacked SVD per slot and kind: 0 at p = 1, and at
+    every p for S_s invariant and Q_s co-invariant (Sarason 1965)."""
+    norms = {}  # (slot, kind) -> per p, (||B^p||, the difference, ||(A^p)[c, c]||)
+    for s, f in enumerate(sys.factors):
+        A, q = f.adapted, f.Q.dim
+        for c, cut in (("Q", slice(0, q)), ("S", slice(q, None))):
+            if (B := A[cut, cut]).size:
+                Bp, Ap = [B, B @ B, B @ B @ B], [P[cut, cut] for P in (A, A @ A, A @ A @ A)]
+                norms[s, c] = _svds(Bp + [X - Y for X, Y in zip(Bp, Ap)] + Ap,
+                                    compute_uv=False)[:, 0].reshape(3, 3).T.tolist()
+    words = [w for i in range(sys.n) if sys.block_dim(w := "Q" * i + "S" + "Q" * (sys.n - i - 1))]
+    worst = 0.0
+    for ks in itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(sys.n), r) for r in (1, 2, 3)):
+        k = collections.Counter(ks)  # slot -> power, in slot order
+        for w in words:
+            worst = max(worst, _telescope(*zip(*(norms[s, w[s]][p - 1] for s, p in k.items()))))
+    return worst
 
-    Depth first, lowest slot first: A^k V is A_j applied to A^{k - e_j} V, j the
-    last nonzero index of k, which is the operations of A_n^{k_n} .. A_1^{k_1} V in
-    its order, and only the _POWER_DEGREE powers on the current path are kept.
-    """
-    k = k or (0,) * len(ops)
-    for j in range(first, len(ops)):
-        kj = k[:j] + (k[j] + 1,) + k[j + 1:]
-        W = ops[j](V)
-        yield kj, W
-        if sum(kj) < _POWER_DEGREE:
-            yield from _powers(ops, W, j, kj)
 
-
-def verify_compression_structure(sys, chain, seed=42):
+def verify_compression_structure(sys, chain):
     """Numerically re-check every structural identity behind the chain.
 
-    Families of residuals, all but the last from slot norms (exact, or upper
-    bounds of the dense N x N norms where noted):
+    Families of residuals, all from slot norms (exact, or upper bounds of the
+    dense N x N norms where noted):
 
     * projection_identities -- the inclusion-exclusion expansion of P_S, the
       X_i being Hermitian idempotents with orthogonal ranges, sum X_i = P_S
@@ -459,8 +466,8 @@ def verify_compression_structure(sys, chain, seed=42):
       bounds; see _commutator_bound);
     * block_structure -- the coupling of F's M summands by the tuple;
     * power_identity -- compressed powers act summand-by-summand:
-      (P_F T~ P_F)^k = sum_i P_{M_i} T~^k P_{M_i} on F for 1 <= |k| <= 3, on 4
-      random unit vectors, both sides by slot maps: no compression is built here.
+      (P_F T~ P_F)^k = sum_i P_{M_i} T~^k P_{M_i} on F for 1 <= |k| <= 3 (a bound;
+      see _summandwise_powers).
     """
     blocks = [list(chain.block_columns)] + chain.F_blocks
     sets = [set(bs) for bs in blocks]
@@ -484,28 +491,8 @@ def verify_compression_structure(sys, chain, seed=42):
     block = {"off_diagonal": off, "diagonal_sum": off}
 
     comp_S, comp_F = SlotTuple(sys, chain.at), SlotTuple(sys, chain.at[chain.columns(blocks[-1])])
-
-    # Both sides in one block of (x)_s U_s: column group 0 holds X at F's positions and
-    # is masked to F after each slot map (P_F T~_j P_F), group i + 1 holds X's rows of
-    # M_i at M_i's positions, mapped unmasked (M_i^H T~^k M_i); F's positions are M_1's,
-    # .., M_n's in order.
-    worst, p = 0.0, _POWER_SAMPLES
-    rng = np.random.default_rng(seed)
-    if comp_F.dim:
-        X = rng.standard_normal((comp_F.dim, p)) + 1j * rng.standard_normal((comp_F.dim, p))
-        X /= np.linalg.norm(X, axis=0)
-        at, group = comp_F.at[:, None], p * np.repeat(np.arange(1, sys.n + 1), [
-            sum(map(sys.block_dim, bs)) for bs in chain.F_summands[-1]])[:, None] + np.arange(p)
-        Y = np.zeros((sys.N, (sys.n + 1) * p), dtype=complex)
-        Y[at, np.arange(p)], Y[at, group] = X, X
-        keep = (np.bincount(comp_F.at, minlength=sys.N) > 0)[:, None] | (
-            np.arange(Y.shape[1]) >= p)  # P_F on group 0 only
-        for _, W in _powers([lambda V, j=j: sys.apply(j, V) * keep for j in range(sys.n)], Y):
-            worst = max(worst, float(np.max(np.linalg.norm(W[at, np.arange(p)] - W[at, group],
-                                                           axis=0))))
-
     families = (_projection_identities(sys), chain_res, semi, comm, block,
-                {"summandwise_powers": worst})
+                {"summandwise_powers": _summandwise_powers(sys)})
     return StructureReport(*({k: float(v) for k, v in fam.items()} for fam in families),
                            compressions=[comp_S, comp_F])
 
@@ -534,10 +521,13 @@ def wandering_E(sys, chain):
 
         E_i^H T~_j M_i - lam^{(i)}_j E_i^H M_i = 0
 
-    from the tuple compressed to M_i at its positions, in one batched SVD (the
-    basis form of P_{E_i} (P_{M_i} T~_j P_{M_i} - lam^{(i)}_j P_{M_i}) = 0, as E_i
+    (the basis form of P_{E_i} (P_{M_i} T~_j P_{M_i} - lam^{(i)}_j P_{M_i}) = 0, as E_i
     lies in M_i), where lam^{(i)} has alpha_j off slot i and 0 at slot i.  These
-    ``shift_points`` go into the report only; coranks use joint_spectrum.
+    ``shift_points`` go into the report only; coranks use joint_spectrum.  E_i is
+    (x)_s x_s (x_j = Q_j^H v_j) and the tuple compressed to M_i is I (x) .. B_j .. (x) I
+    (B_i = b_i, B_j = a_j; ``slots``), so the residual is exactly ||x_j^H B_j - lam_j x_j^H||_2
+    prod_{s != j} ||x_s||_2, as ||A (x) B||_2 = ||A||_2 ||B||_2 (Van Loan 2000): 4n slot
+    norms from one stacked SVD, each matrix zero-padded, which keeps its norm.
     """
     eigens = []
     for i, f in enumerate(sys.factors):
@@ -554,6 +544,16 @@ def wandering_E(sys, chain):
         tuple(0.0 + 0.0j if j == i else eigens[j][0] for j in range(sys.n)) for i in range(sys.n)
     ]
 
+    xs = [(f.Q.basis.conj().T @ e[1])[:, None] for f, e in zip(sys.factors, eigens)]
+    slot = []  # per slot: x^H, x^H a - alpha x^H, W^H and W^H b, W its wandering coordinates
+    for f, x, (alpha, _, _) in zip(sys.factors, xs, eigens):
+        q, x_h, W_h = f.Q.dim, x.conj().T, f.wandering.basis.conj().T
+        slot += [x_h, x_h @ f.adapted[:q, :q] - alpha * x_h, W_h, W_h @ f.adapted[q:, q:]]
+    padded = np.zeros((len(slot), *np.max([M.shape for M in slot], axis=0)), dtype=complex)
+    for P, M in zip(padded, slot):
+        P[:M.shape[0], :M.shape[1]] = M
+    size_Q, res_Q, size_S, res_S = _svds(padded, compute_uv=False)[:, 0].reshape(sys.n, 4).T
+
     edges = np.cumsum([0] + [f.wandering.dim for f in sys.factors])
     E = np.zeros((chain.at.size, edges[-1]), dtype=complex)
     align = 0.0
@@ -561,12 +561,10 @@ def wandering_E(sys, chain):
         if lo == hi:
             continue
         rows = chain.columns(["Q" * i + "S" + "Q" * (sys.n - i - 1)])
-        X = _kron_chain([f.wandering.basis if j == i else (f.Q.basis.conj().T @ e[1])[:, None]
-                         for j, (f, e) in enumerate(zip(sys.factors, eigens))])
-        E[rows, lo:hi] = X
-        X_h = X.conj().T
-        align = max(align, *_svds([X_h @ C - lam * X_h for C, lam in zip(
-            compressed_at(sys, chain.at[rows]), shift_points[i])], compute_uv=False)[:, 0])
+        E[rows, lo:hi] = _kron_chain([sys.factors[i].wandering.basis if j == i else x
+                                      for j, x in enumerate(xs)])
+        size, res = np.where(np.arange(sys.n) == i, (size_S, res_S), (size_Q, res_Q))
+        align = max(align, *(r * math.prod(np.delete(size, j)) for j, r in enumerate(res)))
 
     return WanderingDecomposition(
         E=Subspace(E, tol=sys.tol, _checked=False),

@@ -9,8 +9,9 @@ but simple, for ambient dimensions up to ~10, and up to N = 36 at a tight
 rank tolerance.
 Principal angles come from scipy.linalg.subspace_angles; the package itself
 does not import scipy.  Dense references that only tests read live here too:
-pairwise commutator norms, the X_i projections, the N x N embedded operators
-T~_i that the package applies only slot by slot, the chain's N-row bases
+a tuple compressed to a subspace (``compressed``), pairwise commutator
+norms, the X_i projections, the N x N embedded operators T~_i that the
+package applies only slot by slot, the chain's N-row bases
 (``chain_spaces``, built on ``joint_invariant_S``, the one helper here that
 reads the package's kind-blocks), every structural residual family of
 ``verify_compression_structure`` from N x N projectors, and the
@@ -24,7 +25,7 @@ import types
 import numpy as np
 import scipy.linalg
 
-from shiftlab import Subspace
+from shiftlab import OperatorTuple, Subspace, compress
 from shiftlab.tensorized import _kron_chain, _S_blocks
 
 
@@ -164,6 +165,12 @@ def max_principal_angle(a, b):
     return float(principal_angles(a, b).max())
 
 
+def compressed(ops, L):
+    """The tuple of ``ops`` compressed to the Subspace L, in L's coordinates; an
+    InputError when L lives in another ambient space."""
+    return OperatorTuple(tuple(compress(A, L) for A in ops))
+
+
 def commutator_residual(ops):
     """Largest ||A_i A_j - A_j A_i||_2 over pairs of the operators."""
     return max((np.linalg.norm(a @ b - b @ a, 2) for a, b in itertools.combinations(ops, 2)),
@@ -298,11 +305,10 @@ def dense_commutativity(sys_, chain):
             for name, B in zip(names, spaces)}
 
 
-def dense_structure_residuals(sys_, chain, seed=42):
+def dense_structure_residuals(sys_, chain):
     """block_structure, semi_invariance and power_identity as products of
     N x N projectors, the reference for the slot and basis forms (powers of
-    degree 1..3 on 4 random vectors, as verify_compression_structure draws
-    them)."""
+    degree 1..3, each the exact operator norm on F)."""
     ops = embedded_ops(sys_)
     amb = chain_spaces(sys_, chain)
     P_F = _projector(amb.F)
@@ -318,10 +324,6 @@ def dense_structure_residuals(sys_, chain, seed=42):
     for idx, (big, gap) in enumerate(zip(spaces, gaps)):
         P_big, P_gap = big @ big.conj().T, gap @ gap.conj().T
         semi[f"gap_{idx}"] = max(_norm2(P_big @ T @ gap - P_gap @ T @ gap) for T in ops)
-    rng = np.random.default_rng(seed)
-    V = amb.F.basis @ (rng.standard_normal((amb.F.dim, 4))
-                       + 1j * rng.standard_normal((amb.F.dim, 4)))
-    V /= np.linalg.norm(V, axis=0)
     worst = 0.0
     for kk in itertools.product(range(4), repeat=sys_.n):
         if not 1 <= sum(kk) <= 3:
@@ -331,7 +333,7 @@ def dense_structure_residuals(sys_, chain, seed=42):
             lhs = np.linalg.matrix_power(P_F @ T @ P_F, p) @ lhs
             mono = np.linalg.matrix_power(T, p) @ mono
         rhs = sum(P @ mono @ P for P in Pm)
-        worst = max(worst, np.linalg.norm((lhs - rhs) @ V, axis=0).max())
+        worst = max(worst, _norm2((lhs - rhs) @ amb.F.basis))
     return {"block_structure": block, "semi_invariance": semi,
             "power_identity": {"summandwise_powers": worst}}
 
@@ -352,10 +354,10 @@ def dense_projection_identities(sys_, S):
     }
 
 
-def dense_structure_report(sys_, chain, seed=42):
+def dense_structure_report(sys_, chain):
     """Every structural family of verify_compression_structure, from dense N x N
     operators and projectors, keyed as the package keys them."""
     return {"projection_identities": dense_projection_identities(sys_, chain_spaces(sys_, chain).S),
             "chain": dense_chain_residuals(sys_, chain),
             "commutativity": dense_commutativity(sys_, chain),
-            **dense_structure_residuals(sys_, chain, seed=seed)}
+            **dense_structure_residuals(sys_, chain)}

@@ -12,7 +12,6 @@ import numpy as np
 
 import oracle
 from shiftlab import (
-    OperatorTuple,
     build_system,
     f_chain,
     krylov_closure,
@@ -244,7 +243,7 @@ def test_criterion_6_wandering_rank_consistency():
     mismatches = []
     for name, sys_ in systems:
         S = oracle.chain_spaces(sys_, f_chain(sys_)).S
-        A = OperatorTuple(oracle.embedded_ops(sys_)).compressed(S)
+        A = oracle.compressed(oracle.embedded_ops(sys_), S)
         W = wandering_subspace(A, tol=S.tol)
         # does W generate S?  Closed under A compressed to S, in S's coordinates
         if krylov_closure(A, W.basis, tol=S.tol).dim != S.dim:
@@ -297,7 +296,7 @@ def test_criterion_8_bruteforce_crosscheck():
         assert sys_.N <= 8
         S = oracle.chain_spaces(sys_, f_chain(sys_)).S
         ops = list(oracle.embedded_ops(sys_))
-        comp_S = OperatorTuple(ops).compressed(S)
+        comp_S = oracle.compressed(ops, S)
         basis = S.basis
 
         res = multiplicity(comp_S, lambda_samples=sys_.joint_spectrum(), tol=S.tol)

@@ -82,7 +82,7 @@ def test_krylov_closure_single_shift():
 
 def close_inside(A, L, G):
     """The closure of G inside L, under A compressed to L, lifted back to C^N."""
-    local = OperatorTuple(tuple(A)).compressed(L)
+    local = oracle.compressed(A, L)
     closure = krylov_closure(local, L.basis.conj().T @ G, tol=L.tol)
     return Subspace(L.basis @ closure.basis, tol=L.tol, _checked=True)
 
@@ -90,7 +90,7 @@ def close_inside(A, L, G):
 def wandering_generates(A, L):
     """Does L's wandering subspace generate L under A compressed to L?  Both the
     wandering subspace and the closure are in L's coordinates."""
-    local = OperatorTuple(tuple(A)).compressed(L)
+    local = oracle.compressed(A, L)
     return krylov_closure(local, wandering_subspace(local, tol=L.tol).basis, tol=L.tol).dim == L.dim
 
 
@@ -108,8 +108,8 @@ def test_krylov_closure_restricted():
 def test_closure_in_a_zero_space_is_zero():
     """A tuple compressed to the zero subspace acts on C^0, where every closure,
     wandering subspace and corank is {0} or 0."""
-    L = Subspace.zero(3)
-    local = OperatorTuple((np.eye(3),)).compressed(L)
+    L = Subspace(np.zeros((3, 0)))
+    local = oracle.compressed((np.eye(3),), L)
     assert local.dim == 0
     for G in (np.zeros((0, 0)), L.basis.conj().T @ np.ones((3, 2))):
         closure = krylov_closure(local, G)
@@ -121,14 +121,15 @@ def test_closure_in_a_zero_space_is_zero():
 
 
 def test_ambient_tuple_on_a_proper_subspace_is_an_input_error():
-    """A tuple reaches L only through ``compressed``, which refuses a subspace of
-    another ambient space; the compressed tuple is its own space, and its
-    multiplicity and wandering subspace are in L's coordinates."""
+    """A tuple reaches L only by compression (``oracle.compressed``, through
+    ``compress``), which refuses a subspace of another ambient space; the
+    compressed tuple is its own space, and its multiplicity and wandering
+    subspace are in L's coordinates."""
     T = make_shift(SpaceKind.hardy(), 5).operator
     L = Subspace(np.eye(5)[:, 2:], _checked=True)
     with pytest.raises(InputError):
-        OperatorTuple((T,)).compressed(Subspace(np.eye(4)[:, 2:], _checked=True))
-    local = OperatorTuple((T,)).compressed(L)
+        oracle.compressed((T,), Subspace(np.eye(4)[:, 2:], _checked=True))
+    local = oracle.compressed((T,), L)
     res = multiplicity(local, lambda_samples=ORIGIN)
     assert res.upper == 1 and res.witness_generators[0].shape == (L.dim,)
     assert wandering_subspace(local).dim == 1
@@ -504,15 +505,15 @@ def test_multiplicity_zero_operator_needs_full_basis():
 
 
 def test_multiplicity_zero_subspace():
-    L = Subspace.zero(3)
-    res = multiplicity(OperatorTuple((np.eye(3),)).compressed(L), lambda_samples=[(1.0,)])
+    L = Subspace(np.zeros((3, 0)))
+    res = multiplicity(oracle.compressed((np.eye(3),), L), lambda_samples=[(1.0,)])
     assert (res.lower, res.upper, res.certified) == (0, 0, True)
 
 
 def test_multiplicity_on_invariant_subspace():
     T = make_shift(SpaceKind.bergman(), 6).operator
     L = Subspace(np.eye(6)[:, 3:], _checked=True)
-    res = multiplicity(OperatorTuple((T,)).compressed(L), lambda_samples=ORIGIN)
+    res = multiplicity(oracle.compressed((T,), L), lambda_samples=ORIGIN)
     assert (res.lower, res.upper, res.certified) == (1, 1, True)
 
 

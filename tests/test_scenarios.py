@@ -341,9 +341,8 @@ def test_a_slot_draw_near_the_cut_is_marginal(weight, expected):
 def test_an_exact_all_checks_run_closes_nothing_and_builds_no_compression_to_S(monkeypatch):
     """hardy 4^3 k2 (dim S = 56) with every check: mult(S) certifies W_S by the
     local test, and the shift lemma reads its six draws from the shifted slots.
-    So no closure runs, on S's coordinates or any other, and the only compressions
-    built are the three M_i's: none at S's positions, and none at F's, as the power
-    identity maps both of its sides by the slots."""
+    So no closure runs, on S's coordinates or any other, and no compression is
+    built: the power identity and E's alignment are read from slot norms."""
     mm = importlib.import_module("shiftlab.multiplicity")
     dims, real = [], mm._closure
     monkeypatch.setattr(mm, "_closure", lambda ops, G, tol, lam=None:
@@ -353,7 +352,7 @@ def test_an_exact_all_checks_run_closes_nothing_and_builds_no_compression_to_S(m
     rep = run_scenario(scenario_from_json(obj))
     assert rep.succeeded and rep.dim_S == 56 and list(rep.verdicts) == list(ALL_CHECKS)
     assert dims == []
-    assert sorted(built) == [8, 8, 8]
+    assert built == []
     assert rep.verdicts["shift_lemma"] == {"status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
 
 
@@ -780,7 +779,7 @@ def test_slot_points_alone_give_full_corank():
     S = oracle.chain_spaces(sys_, f_chain(sys_)).S
     points = sys_.joint_spectrum()
     assert len(points) == 4
-    comp_S = OperatorTuple(oracle.embedded_ops(sys_)).compressed(S)
+    comp_S = oracle.compressed(oracle.embedded_ops(sys_), S)
     assert max(wandering_subspace(comp_S.shifted(p)).dim for p in points) == 3
     rep = run_scenario(scenario_from_json({"factors": factors, "seed": 2}))
     for m in rep.multiplicities.values():
@@ -869,7 +868,7 @@ def test_local_tests_decide_as_closures(monkeypatch, group):
         rep = run_scenario(scn)
         for i, spec in enumerate(scn.factor_specs):
             f = resolve_factor(spec, scn.tol, scn.base_dir)
-            restriction = OperatorTuple((f.T,)).compressed(f.S)
+            restriction = oracle.compressed((f.T,), f.S)
             closed = krylov_closure(restriction, f.wandering.basis, tol=f.S.tol)
             assert f.wandering_generates == (closed.dim == f.S.dim), (scn.label, f.label)
             cyc = real_multiplicity((f.T,), lambda_samples=[(z,) for z in f.spectrum],
@@ -1008,23 +1007,23 @@ def test_hardy_4x4_k2_multiplicity_stays_inside_its_memory_bound(monkeypatch):
 
 def spy_compressions(monkeypatch):
     """Record the number of positions of every compression built from now on."""
-    sizes, real = [], importlib.import_module("shiftlab.slots").compressed_at
-    for module in ("shiftlab.slots", "shiftlab.tensorized"):
-        monkeypatch.setattr(importlib.import_module(module), "compressed_at",
-                            lambda sys_, at: sizes.append(at.size) or real(sys_, at))
+    slots = importlib.import_module("shiftlab.slots")
+    sizes, real = [], slots.compressed_at
+    monkeypatch.setattr(slots, "compressed_at",
+                        lambda sys_, at: sizes.append(at.size) or real(sys_, at))
     return sizes
 
 
 def test_a_run_without_the_shift_lemma_builds_no_compression_to_S(monkeypatch):
-    """On a prefix run, only wandering_E (each M_i's) reads compressed operators, so
-    the compressions to S and to F are never built (with the shift lemma too: see
+    """On a prefix run nothing reads compressed operators, so no compression is
+    built, to S, to F or to an M_i (with the shift lemma too: see
     test_an_exact_all_checks_run_closes_nothing_and_builds_no_compression_to_S)."""
     obj = {"factors": [{"kind": "hardy", "m": 4, "coinvariant": {"prefix": 2}} for _ in range(3)],
            "checks": [c for c in ALL_CHECKS if c != "shift_lemma"]}
     built = spy_compressions(monkeypatch)
     rep = run_scenario(scenario_from_json(obj))
     assert rep.succeeded and (rep.dim_S, rep.dim_F) == (56, 24)
-    assert sorted(built) == [8, 8, 8]
+    assert built == []
 
 
 def _compressed_to_S(sys_, chain):
@@ -1066,7 +1065,7 @@ def test_compressions_built_on_demand_are_the_slices_of_the_compression_to_S(gro
 def test_hardy_6x4_k3_certifies_from_slot_sized_stacks(monkeypatch):
     """hardy 6^4 k3 (dim S = 1215) with every check but the shift lemma certifies
     mult(S) = mult(F) = 4, no stacked SVD runs and no slot kernel's SVD is wider than
-    a slot, and no compression to S or to F is built: only the M_i's."""
+    a slot, and no compression is built."""
     mm = importlib.import_module("shiftlab.multiplicity")
     slots = importlib.import_module("shiftlab.slots")
     stacks, widths, real_svd = [], [], slots._svd
@@ -1080,7 +1079,7 @@ def test_hardy_6x4_k3_certifies_from_slot_sized_stacks(monkeypatch):
     assert rep.succeeded and rep.dim_S == 1215
     assert [(m["upper"], m["certified"]) for m in rep.multiplicities.values()] == [(4, True)] * 2
     assert stacks == [] and widths and max(widths) <= 6
-    assert built and rep.dim_S not in built and rep.dim_F not in built
+    assert built == []
 
 
 def test_a_slot_corank_disagreement_leaves_the_bracket_uncertified(monkeypatch):
@@ -1197,17 +1196,16 @@ def test_a_conjugated_jordan_factor_keeps_its_generating_wandering_subspace():
 def test_structure_path_forms_no_dense_operator(monkeypatch):
     """A cube-structure-style run with every check, the shift lemma included,
     binds no N x N array to a name in any Python frame, and no array with N
-    rows and more columns than the power identity's one block, which carries
-    both of its sides, (n + 1) samples wide: S, its chain and the tuple's
+    rows and more columns than SlotTuple.cokernel's inclusion residual places
+    W_lam in, dim W_lam <= the largest corank: S, its chain and the tuple's
     compressions come from kind-blocks, positions and slot blocks, no N-row
-    basis of S is formed, and the system has no dense T~_i to build.  No factor
-    is compressed: its wandering subspace, gws test and eigenpair, which
-    wandering_E reuses, read its slot kernels, each (slot, z) factored once.
+    basis of S is formed, and the system has no dense T~_i to build.  A factor's
+    wandering subspace, gws test and eigenpair, which wandering_E reuses, read
+    its slot kernels, each (slot, z) factored once.
     The shift lemma closes inside S under the compression the structure check
     made.  The wandering subspaces, the generator search and E stay in the
     coordinates of their space: those frames bind no array with N rows."""
     tz = importlib.import_module("shiftlab.tensorized")
-    mm = importlib.import_module("shiftlab.multiplicity")
     # dim S = 23 and dim F = 6: no array of the run has N = 24 rows by coincidence
     # (with prefix 2 the stack of F's compression, n dim F x dim F, is 24 x 8)
     obj = {
@@ -1220,23 +1218,19 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
     }
     N = 4 * 3 * 2
 
-    compressions = []
-    real_compress = mm.compress
-    monkeypatch.setattr(mm, "compress", lambda T, s: compressions.append(s) or real_compress(T, s))
     tables, real_kernels = [], tz.slot_kernels
     monkeypatch.setattr(tz, "slot_kernels", lambda f, z, tol: tables.append((id(f), z))
                         or real_kernels(f, z, tol))
 
-    seen, local_only = [], {"wandering_subspace", "multiplicity", "wandering_E",
+    seen, local_only = set(), {"wandering_subspace", "multiplicity", "wandering_E",
                             "_shift_lemma_verdict", "shifted_closure_check"}
 
     def scan(frame, values):
         name = frame.f_code.co_name
         for v in values:
-            if isinstance(v, np.ndarray) and v.ndim and v.shape[0] == N and (
-                    v.ndim == 2 and v.shape[1] > (len(obj["factors"]) + 1) * tz._POWER_SAMPLES
-                    or name in local_only):
-                seen.append(f"{name} ({frame.f_code.co_filename})")
+            if isinstance(v, np.ndarray) and v.ndim and v.shape[0] == N:
+                width = v.shape[1] if v.ndim == 2 else 0
+                seen.add((name, frame.f_code.co_filename, width))
 
     def local(frame, event, arg):
         scan(frame, list(frame.f_locals.values()) + ([arg] if event == "return" else []))
@@ -1257,8 +1251,8 @@ def test_structure_path_forms_no_dense_operator(monkeypatch):
     assert rep.verdicts["shift_lemma"]["agreed"] == 6
     assert not hasattr(tz.TensorSystem, "ops")
     assert not hasattr(build_system([resolve_factor(f, scn.tol) for f in obj["factors"]]), "ops")
-    assert seen == []
-    assert compressions == []
+    lower = max(m["lower"] for m in rep.multiplicities.values())
+    assert [s for s in seen if s[2] > lower or s[0] in local_only] == []
     assert tables and len(set(tables)) == len(tables)
 
 

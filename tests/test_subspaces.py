@@ -41,7 +41,7 @@ def test_subspace_requires_orthonormal_basis():
 
 
 def test_zero_and_full_subspaces():
-    z = Subspace.zero(3)
+    z = Subspace(np.zeros((3, 0)))
     f = Subspace.full(3)
     assert z.dim == 0 and f.dim == 3
     assert np.allclose(f.projector(), np.eye(3))
@@ -150,7 +150,7 @@ def test_principal_angles_known_rotation():
 
 
 def test_max_principal_angle_degenerate_cases():
-    z = Subspace.zero(3)
+    z = Subspace(np.zeros((3, 0)))
     f = Subspace.full(3)
     assert max_principal_angle(z, z) == 0.0
     assert max_principal_angle(z, f) == pytest.approx(np.pi / 2)
@@ -193,9 +193,9 @@ def test_same_subspace_agrees_with_largest_principal_angle():
 def test_same_subspace_zero_and_full():
     rng = np.random.default_rng(47)
     U, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-    zero, full = Subspace.zero(5), Subspace.full(5)
+    zero, full = Subspace(np.zeros((5, 0))), Subspace.full(5)
     line = orthonormalize(rng.standard_normal((5, 1)))
-    assert same_subspace(zero, Subspace.zero(5))
+    assert same_subspace(zero, Subspace(np.zeros((5, 0))))
     assert same_subspace(full, Subspace(U, _checked=True))
     assert not same_subspace(zero, full)
     assert not same_subspace(zero, line)

@@ -1,7 +1,7 @@
 import dataclasses
 import functools
 import itertools
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,12 +28,7 @@ from shiftlab import (
     verify_compression_structure,
     wandering_E,
 )
-from shiftlab.tensorized import (
-    _POWER_DEGREE,
-    _chain_slot_kinds,
-    _powers,
-    _projection_identities,
-)
+from shiftlab.tensorized import _chain_slot_kinds, _projection_identities, _summandwise_powers
 from test_subspaces import _fail_once
 
 RESID = 1e-11
@@ -155,7 +150,8 @@ def rotated_system(seed=5):
 
 # Families whose slot form is an upper bound of the dense norm; the rest are exact.
 BOUNDS = {("projection_identities", key) for key in
-          ("inclusion_exclusion", "idempotent", "hermitian", "sum_equals_PS")}
+          ("inclusion_exclusion", "idempotent", "hermitian", "sum_equals_PS")} | {
+    ("power_identity", "summandwise_powers")}
 
 
 @pytest.mark.parametrize("builder", [hardy_2x2_system, mixed_3_system,
@@ -212,7 +208,8 @@ def test_slot_forms_match_dense_on_a_skewed_chain(slot):
     """Q_s turned by 0.1 towards S_s in one slot, with S_s its new complement:
     U_s stays unitary, so the slot forms stay exact (or bounds), while
     semi-invariance, commutativity and the power identity read about 0.1 on
-    both sides.  A slot form that drops a term shows here, not on the systems
+    both sides.  One slot carries the defect, so the power bound is the exact
+    norm on F.  A slot form that drops a term shows here, not on the systems
     above, where both sides read about 1e-16."""
     sys_ = mixed_3_system()
     factors = list(sys_.factors)
@@ -222,9 +219,12 @@ def test_slot_forms_match_dense_on_a_skewed_chain(slot):
     skewed = build_system(factors)
     chain = f_chain(skewed)
     report = verify_compression_structure(skewed, chain)
-    _assert_matches_dense(report, oracle.dense_structure_report(skewed, chain))
+    dense = oracle.dense_structure_report(skewed, chain)
+    _assert_matches_dense(report, dense)
     assert max(report.semi_invariance.values()) > 0.01
-    assert report.commutativity["S"] > 0.01 and report.power_identity["summandwise_powers"] > 0.01
+    powers = report.power_identity["summandwise_powers"]
+    assert report.commutativity["S"] > 0.01 and powers > 0.01
+    assert abs(powers - dense["power_identity"]["summandwise_powers"]) <= 1e-13
 
 
 def test_rotated_system_residuals_are_not_structural_zeros():
@@ -447,6 +447,27 @@ def test_block_diagonality_is_specific_to_F():
     assert cross > 0.1
 
 
+def test_structure_and_E_at_hardy_10x4_k5_stay_under_2_mb():
+    """hardy 10^4 k5 (N = 10^4, dim S = 9375, dim F = 2500): verify_compression_structure
+    and wandering_E read every residual from slot norms and blocks, so with the factors'
+    facts read first, together they peak under 2 MB of tracemalloc'd memory.  One
+    N-row block of 16 complex columns would take 2.4 MB, and the n compressions to the
+    M_i 4 x 5.0 MB."""
+    sys_ = build_system([hardy_factor(10, 5) for _ in range(4)])
+    chain = f_chain(sys_)
+    for f in sys_.factors:
+        f.eigenpair, f.wandering, f.block_norms
+    tracemalloc.start()
+    try:
+        report = verify_compression_structure(sys_, chain)
+        wd = wandering_E(sys_, chain)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert report.ok(RESID) and wd.E.dim == 4 and wd.alignment_residual < RESID
+    assert chain.at.size == 9375 and peak < 2, peak
+
+
 def test_factor_eigenpair_prefix_shift():
     """Hardy on C^5 with Q = span(e_1, e_2): the first spectrum point 0 has
     ker (Q^H T Q)^H = C e_1, so the eigenpair is (0, e_1) exactly."""
@@ -517,14 +538,14 @@ def test_factor_facts_are_computed_once():
     # S = 0 and Q = 0
     full_Q = tensor_factor(make_shift(SpaceKind.hardy(), 3).operator, Subspace.full(3))
     assert (full_Q.wandering.dim, full_Q.wandering_generates) == (0, True)
-    no_Q = tensor_factor(make_shift(SpaceKind.hardy(), 3).operator, Subspace.zero(3))
+    no_Q = tensor_factor(make_shift(SpaceKind.hardy(), 3).operator, Subspace(np.zeros((3, 0))))
     assert no_Q.eigenpair is None
 
 
 def test_wandering_E_needs_an_eigenpair_in_every_Q():
     """A zero co-invariant subspace holds no adjoint eigenvector."""
     T = make_shift(SpaceKind.hardy(), 3).operator
-    sys_ = build_system([tensor_factor(T, Subspace.zero(3)), hardy_factor(3, 1)])
+    sys_ = build_system([tensor_factor(T, Subspace(np.zeros((3, 0)))), hardy_factor(3, 1)])
     with pytest.raises(EigenError):
         distinguished(sys_)
 
@@ -575,61 +596,22 @@ def test_joint_spectrum_is_the_product_of_slot_spectra():
     assert hardy_2x2_system().joint_spectrum() == [(0j, 0j)]
 
 
-def naive_powers(ops, V):
-    """{k: A_n^{k_n} .. A_1^{k_1} V} from scratch for each k with 1 <= |k| <= _POWER_DEGREE."""
-    out = {}
-    for kk in itertools.product(range(_POWER_DEGREE + 1), repeat=len(ops)):
-        if 1 <= sum(kk) <= _POWER_DEGREE:
-            W = V
-            for op, p in zip(ops, kk):
-                for _ in range(p):
-                    W = op(W)
-            out[kk] = W
-    return out
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_memoized_powers_are_the_naive_products_bit_for_bit(n):
-    """The depth-first walk yields each multi-index once, and each A^k V reuses
-    A^{k - e_j} V and applies A_j last, as the naive product does: bit for bit the
-    same, keyed by k, for matrix maps on random tuples (which do not commute, so any
-    other order shows) and on a kron-embedded commuting tuple (where only rounding
-    would).  At most _POWER_DEGREE powers are alive in the walk at once."""
-    rng = np.random.default_rng(n)
-    V = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-    mats = [rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) for _ in range(n)]
-    sys_ = build_system([hardy_factor(3, 1), hardy_factor(2, 1)])
-    slot_maps = [functools.partial(sys_.apply, i % 2) for i in range(n)]
-    for ops in ([lambda W, A=A: A @ W for A in mats], slot_maps):
-        got, want = list(_powers(ops, V)), naive_powers(ops, V)
-        assert len(got) == len(want) == math.comb(n + _POWER_DEGREE, n) - 1
-        assert {k for k, _ in got} == set(want)
-        assert all(np.array_equal(W, want[k]) for k, W in got)
-    alive = []
-    walk = _powers([lambda W: W + 1] * n, np.zeros(1))
-    for _ in walk:
-        alive.append(sum(f.f_locals.get("W") is not None for f in _frames(walk)))
-    assert max(alive) == _POWER_DEGREE
-
-
-def _frames(gen):
-    """The frames of a suspended chain of ``yield from`` generators."""
-    while gen is not None:
-        yield gen.gi_frame
-        gen = gen.gi_yieldfrom
-
-
 def test_batched_norms_survive_a_non_converging_svd(monkeypatch):
-    """When the batched SVD of a factor's 16 projector matrices, or of
-    wandering_E's n alignment matrices, does not converge, each matrix's
-    opnorm (which retries) gives the same numbers, none of them a structural 0."""
+    """When the stacked SVD of a factor's 16 projector matrices, of the power
+    bound's 9 powers of a slot block, or of wandering_E's 4n slot alignment
+    matrices does not converge, each matrix's SVD (which retries) gives the same
+    numbers, none of them a structural 0."""
     sys_ = rotated_system()
     chain = f_chain(sys_)
     want, want_E = _projection_identities(sys_), wandering_E(sys_, chain)
-    assert min(want.values()) > 0 and want_E.alignment_residual > 0
+    want_P = _summandwise_powers(sys_)
+    assert min(want.values()) > 0 and want_P > 0 and want_E.alignment_residual > 0
     calls = _fail_once(monkeypatch)
     assert _projection_identities(sys_) == want
     assert calls[0] == (16, 3, 3) and len(calls) > 17
     calls = _fail_once(monkeypatch)
+    assert _summandwise_powers(sys_) == want_P
+    assert calls[0] == (9, 1, 1) and len(calls) > 10
+    calls = _fail_once(monkeypatch)
     assert wandering_E(sys_, chain).alignment_residual == want_E.alignment_residual
-    assert calls[0][0] == sys_.n and len(calls) > sys_.n + 1
+    assert calls[0][0] == 4 * sys_.n and len(calls) == 4 * sys_.n + 1

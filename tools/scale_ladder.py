@@ -5,12 +5,14 @@
 A SIZE is ``M^n:K``: n Hardy factors of size M, each with the prefix of
 length K as its co-invariant subspace, so that the space has dimension
 ``N = M^n`` and ``dim S = M^n - K^n``.  The default ladder is
-``8^3:4 10^3:5 6^4:3 8^5:4``, up to ``N = 32768``;
-the scale gates of ROADMAP item 2 are ``10^4:5 6^5:3 8^4:4`` at one BLAS thread,
-where each run certifies ``mult(S) = n`` under 500 MB.  The gates of ROADMAP item 1
-(the closed-form slot ``W_lam``) are ``6^5:3`` and ``8^5:4`` with every check at one
-BLAS thread: each certifies ``mult(S) = n`` and passes the shift lemma 6/6 with 0
-marginal draws, ``6^5:3`` under 1.5 s and ``8^5:4`` under 3 s and 300 MB.  Each size runs at seed 1
+``8^3:4 10^3:5 6^4:3 8^5:4``, up to ``N = 32768``.  The scale gates of ROADMAP
+item 2 (the power identity and E's alignment from slot norms) are
+``10^5:5 20^4:10 4^9:2`` with every check at one BLAS thread: each run certifies
+``mult(S) = n`` and passes the shift lemma 6/6 with 0 marginal draws, under 10 s
+and 1 GB.  The gates of the closed-form slot ``W_lam`` are ``6^5:3`` and ``8^5:4``
+with every check at one BLAS thread: each certifies ``mult(S) = n`` and passes
+the shift lemma 6/6 with 0 marginal draws, ``6^5:3`` under 1.5 s and ``8^5:4``
+under 3 s and 300 MB.  Each size runs at seed 1
 once with every check and once without ``shift_lemma``
 (with ``--no-shift``, only without it, to see what the shift lemma's six slot
 draws add), each run one ``run_scenario`` in its own Python process, with the
