@@ -711,6 +711,17 @@ def test_scenario_from_json_rejects_non_finite_tolerances(key):
             scenario_from_json(obj)
 
 
+def test_a_tol_at_rounding_level_returns_a_report():
+    """mixed-3 at tol 1e-17, a valid tolerance below rounding: E's columns have
+    disjoint supports and are orthonormal by construction, so its 2.2e-16 rounding
+    raises nothing.  The run reports, with brackets its second routes uncertify."""
+    scn = load_scenario(SCENARIO_DIR / "mixed-3.json")
+    scn.tol = 1e-17
+    rep = run_scenario(scn)
+    assert rep.distinguished_dim == 3 and not rep.succeeded
+    assert not rep.multiplicities["S"]["certified"] and rep.notes
+
+
 def _quotient(p_roots, q_roots):
     return {"kind": {"quotient_roots": p_roots}, "coinvariant": {"ideal_roots": q_roots}}
 
