@@ -62,11 +62,12 @@ print("all identities hold at 1e-10:", report.ok(1e-10))
 # --- the distinguished wandering summands ---------------------------------------
 # Inside each block M_i sits E_i = (S_i (-) T_i S_i) tensored with adjoint
 # eigenvectors of the other factors; the compressed tuple acts on E_i like a
-# fixed scalar point with slot i zeroed out.  E is built in S's coordinates,
-# and its alignment is read from slot norms, as each E_i is a Kronecker product.
-wd = wandering_E(system, chain)
+# fixed scalar point with slot i zeroed out.  Each E_i is a Kronecker product, so
+# its alignment is read from slot norms and dim E is the sum of the factors'
+# wandering dims: no E is formed.
+wd = wandering_E(system)
 print("\nfactor wandering dims:", wd.factor_wandering_dims)
-print("dim E =", wd.E.dim)
+print("dim E =", sum(wd.factor_wandering_dims))
 print("per-summand shifted points:",
       [tuple(complex(round(z.real, 4), round(z.imag, 4)) for z in pt)
        for pt in wd.shift_points])

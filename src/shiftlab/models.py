@@ -247,26 +247,27 @@ def make_quotient(p_roots):
     return QuotientModel(roots=tuple(roots), m=m, coefficients=coeffs, operator=T)
 
 
-def _subtract_roots(p_roots, q_roots, match_tol=1e-9):
-    """Check q's roots form a sub-multiset of p's and return the quotient multiset."""
+def _match_roots(p_roots, q_roots, match_tol=1e-9):
+    """q's roots as the roots of p they match: each the nearest root of p within
+    ``match_tol`` that has the multiplicity left; InputError if none has."""
     remaining = [[lam, mult] for lam, mult in p_roots]
+    matched = []
     for lam, mult in q_roots:
-        hit = None
-        for slot in remaining:
-            if abs(slot[0] - lam) <= match_tol and slot[1] >= mult:
-                hit = slot
-                break
-        if hit is None:
+        near = [slot for slot in remaining if abs(slot[0] - lam) <= match_tol and slot[1] >= mult]
+        if not near:
             raise InputError(f"root {lam} (multiplicity {mult}) does not divide p")
+        hit = min(near, key=lambda slot: abs(slot[0] - lam))
         hit[1] -= mult
-    return [(lam, mult) for lam, mult in remaining if mult > 0]
+        matched.append((hit[0], mult))
+    return matched
 
 
 def ideal_subspace(model, q_roots, tol=DEFAULT_TOL):
     """The ideal (q)/(p) inside a quotient model, as a subspace.
 
     q is given by its roots in the forms ``parse_roots`` reads; they must
-    form a proper sub-multiset of p's.
+    form a proper sub-multiset of p's, each within 1e-9 of its root of p, which
+    q takes so that it divides p exactly.
     The basis consists of the coefficient vectors of q(z) z^j for
     j = 0 .. deg(p) - deg(q) - 1; the resulting subspace is exactly
     invariant under the companion operator and its members vanish at the
@@ -278,8 +279,7 @@ def ideal_subspace(model, q_roots, tol=DEFAULT_TOL):
     deg_q = sum(mult for _, mult in q)
     if deg_q >= model.m:
         raise InputError("q must be a proper divisor of p")
-    _subtract_roots(model.roots, q)
-    q_coeffs = _poly_from_roots(q)  # length deg_q + 1
+    q_coeffs = _poly_from_roots(_match_roots(model.roots, q))  # length deg_q + 1, q | p
     cols = []
     for j in range(model.m - deg_q):
         col = np.zeros(model.m, dtype=complex)

@@ -402,7 +402,7 @@ def run_scenario(scn):
     notes = []
     wdec = None
     try:
-        wdec = wandering_E(sys, chain)
+        wdec = wandering_E(sys)
     except EigenError as exc:
         notes.append(f"distinguished summands unavailable: {exc}")
 
@@ -410,12 +410,12 @@ def run_scenario(scn):
     mult_S, mult_F = (multiplicity(C, lambda_samples=sys.joint_spectrum(), trials=scn.trials,
                                    seed=scn.seed, tol=scn.tol, exact_points=True)
                       for C in (comp_S, comp_F))
-    # a second route to each lower bound: dim W_lam off the slot formula uncertifies the bracket
+    # only W_lam(S)'s dim is a rank: W_lam(F) is built with sum_t cS_t prod_{s != t} cQ_s columns
     second = slot_coranks(sys, scn.tol)
-    for name, res, route, C in (("S", mult_S, 0, comp_S), ("F", mult_F, 1, comp_F)):
-        if off := sum(c[route] != res.coranks.get(lam, 0) for lam, c in second.items()):
-            res.certified = False
-            notes.append(f"mult({name}) uncertified: dim W_lam is off slot_coranks at {off} points")
+    if off := sum(c[0] != mult_S.coranks.get(lam, 0) for lam, c in second.items()):
+        mult_S.certified = False
+        notes.append(f"mult(S) uncertified: dim W_lam is off slot_coranks at {off} points")
+    for name, res, C in (("S", mult_S, comp_S), ("F", mult_F, comp_F)):
         if leaks := len(C.leaks):  # the slot formula's W_lam fails its inclusion residual
             res.certified = False
             notes.append(f"mult({name}) uncertified: W_lam leaves the cokernel at {leaks} points")
@@ -447,7 +447,7 @@ def run_scenario(scn):
                 "status": "pass" if ok else "fail",
                 "mode": mode,
                 "predicted_sum": predicted,
-                "distinguished_dim": None if wdec is None else int(wdec.E.dim),
+                "distinguished_dim": predicted,
                 "mult_S": _mult_to_json(mult_S),
                 "mult_F": _mult_to_json(mult_F),
             }
@@ -472,7 +472,7 @@ def run_scenario(scn):
         x_ranks=list(chain.x_ranks),
         wandering_dim_S=int(mult_S.wandering.dim),
         factor_wandering_dims=None if wdec is None else list(map(int, wdec.factor_wandering_dims)),
-        distinguished_dim=None if wdec is None else int(wdec.E.dim),
+        distinguished_dim=None if wdec is None else int(sum(wdec.factor_wandering_dims)),
         eigenvalues=None if wdec is None else [complex_to_pair(e[0]) for e in wdec.eigen_data],
         shift_points=(
             None if wdec is None

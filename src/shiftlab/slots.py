@@ -8,8 +8,8 @@ orthonormal as built.  Cut down to S by 0 -> S -> H -> (x)_s Q_s, W_lam(S) is W_
 + P_S (x)_s ker (A_s - lam_s)^H: each (A_j - lam_j)^H maps Q_j's coordinates into
 themselves, so P_S (T~_j - lam_j)^H kills both terms, and their dimensions add up to
 ``slot_coranks``' Tor count.  ``SlotTuple.cokernel`` builds them from ``slot_kernels`` as
-Kronecker rows at L's positions, with one thin SVD for S, and checks their inclusion;
-``shifted_slot_check`` does so for shifted slots, and ``compressed_at`` compresses on demand.
+Kronecker rows at L's positions, with one thin SVD for S, and checks their inclusion from
+``slot_grams``; ``shifted_slot_check`` does so for shifted slots; ``compressed_at`` compresses.
 """
 
 import functools
@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .multiplicity import OperatorTuple
-from .subspaces import _svd, _svds, numerical_rank, opnorm, rank_margin
+from .subspaces import _svd, _svds, numerical_rank, rank_margin
 
 
 def compressed_at(sys, at):
@@ -48,6 +48,24 @@ def slot_kernels(f, z, tol):
     return np.pad(K, ((q, 0), (0, 0))), np.pad(kQ, ((0, len(A) - q), (0, 0))), kH
 
 
+def slot_grams(f, z, tol):
+    """The Grams of the Q and S rows of V = [K | kQ | kH] (``slot_kernels`` at z) and of
+    D = (A - z)^H V, A = U^H T U, stacked: V_Q^H V_Q, V_S^H V_S, D_Q^H D_Q, D_S^H D_S."""
+    V = np.hstack(f.kernels(z, tol))
+    q, D = f.Q.dim, f.adapted.conj().T @ V - np.conj(z) * V
+    return np.array([B.conj().T @ B for B in (V[:q], V[q:], D[:q], D[q:])])
+
+
+@functools.cache
+def _columns(widths, is_S):
+    """Per slot s, the column of [K | kQ | kH]_s at each column of W_lam's spanning set X,
+    for kernel ``widths`` (cS, cQ, cH): summand t is K_t (x) kQ.., then S's (x)_s kH_s."""
+    groups = [[(c[0], 0) if s == t else (c[1], c[0]) for s, c in enumerate(widths)]
+              for t in range(len(widths))] + [[(c[2], c[0] + c[1]) for c in widths]] * is_S
+    return np.concatenate([np.indices([w for w, _ in g]).reshape(len(g), -1) + [[o] for _, o in g]
+                           for g in groups], axis=1)
+
+
 class SlotTuple(OperatorTuple):
     """``sys``'s tuple compressed to L = S or F (S if L holds every position but Q..Q's) at
     L's positions ``at`` in (x)_s U_s, with ``cokernel`` read from the slots and ``ops``
@@ -57,38 +75,46 @@ class SlotTuple(OperatorTuple):
         self.sys, self.at, self.dim, self.n, self.leaks = sys, at, at.size, sys.n, []
         self.is_S = at.size == sys.N - math.prod(f.Q.dim for f in sys.factors)
         self.rows = np.unravel_index(at, sys.dims)  # L's slot indices, an array per slot
+        self.norms = np.array([np.linalg.norm(f.adapted) for f in sys.factors])  # ||A_j||_F
 
     ops = functools.cached_property(lambda self: compressed_at(self.sys, self.at))
 
-    def _kron(self, vecs):
-        """The columns of (x)_s vecs[s] at L's positions; the vecs may share leading axes."""
-        out = np.ones(vecs[0].shape[:-2] + (self.dim, 1), dtype=complex)
-        for r, V in zip(self.rows, vecs):
-            out = (out[..., None] * V[..., r, None, :]).reshape(out.shape[:-1] + (-1,))
-        return out
-
     def span(self, kernels, cut):
-        """W_lam per draw from each slot's ``slot_kernels`` (which may share a leading axis):
-        W_lam(F)'s summands, or the thin SVD of them and P_S (x)_s kH_s, cut at ``cut(d, s)``."""
-        K, kQ, kH = zip(*kernels)
-        X = np.concatenate([self._kron(kQ[:t] + (K[t],) + kQ[t + 1:]) for t in range(self.n)]
-                           + [self._kron(kH)] * self.is_S, axis=-1)
+        """(W, C) per draw from each slot's ``slot_kernels`` (which may share a leading axis):
+        W = X C spans W_lam, for X the ``_columns``' (x)_s at L's positions.  For F, W = X
+        (C = I); for S, X = U Sigma V^H cut at r = ``cut(d, s)``, W = U_r, C = V_r / Sigma_r."""
+        idx = _columns(tuple(tuple(V.shape[-1] for V in ks) for ks in kernels), self.is_S)
+        Z = [np.concatenate(ks, axis=-1)[..., i] for ks, i in zip(kernels, idx)]
+        X = Z[0][..., self.rows[0], :]
+        for V, r in zip(Z[1:], self.rows[1:]):
+            X *= V[..., r, :]
         if not self.is_S or not X.shape[-1]:
-            return list(X)
-        return [U[:, :cut(d, s)] for d, (U, s, _) in enumerate(_svds(X))]
+            return [(W, np.eye(W.shape[1])) for W in X]
+        return [(U[:, :r], Vh[:r].conj().T / s[:r])
+                for d, (U, s, Vh) in enumerate(_svds(X)) for r in [cut(d, s)]]
+
+    def inclusion_residual(self, lam, tol, C):
+        """max_j ||P_L (T~_j - lam_j)^H X C||_2 for ``span``'s X and C at lam.  P_L sums the
+        orthogonal patterns Q^i S R^(n-i-1) (R = I for S, whose kH's Q..Q part stays in Q..Q;
+        Q for F), and the Gram of a pattern's (x)_s is the Hadamard product of the slots'
+        ``slot_grams`` at X's columns (Van Loan 2000), (A_j - lam_j)^H's at slot j."""
+        fz = list(zip(self.sys.factors, lam))
+        idx = _columns(tuple(tuple(V.shape[1] for V in f.kernels(z, tol)) for f, z in fz), self.is_S)
+        g = np.array([f.grams(z, tol)[:, i[:, None], i] for (f, z), i in zip(fz, idx)])
+        HQ, HS = (np.where(np.eye(self.n, dtype=bool)[:, :, None, None], g[:, None, k + 2],
+                           g[:, None, k]) for k in (0, 1))  # [s, j]: slot s in G_j's products
+        one = np.ones((1,) + HQ.shape[1:])
+        pre = np.cumprod(np.concatenate([one, HQ[:-1]]), axis=0)
+        suf = np.cumprod(np.concatenate([one, (HQ + HS if self.is_S else HQ)[:0:-1]]), axis=0)
+        G = C.conj().T @ (pre * HS * suf[::-1]).sum(axis=0) @ C
+        return math.sqrt(max(0.0, np.linalg.eigvalsh(G)[:, -1].max())) if G.shape[-1] else 0.0
 
     def cokernel(self, lam, tol):
-        """W_lam, the one-draw case of ``span``.  lam joins ``leaks`` when the inclusion
-        residual max_j ||P_L (T~_j - lam_j)^H W_lam||_2, from mode products on W_lam placed
-        at L's positions, passes tol max(1, max_j ||A_j||_F + |lam_j|)."""
-        sys, fz = self.sys, list(zip(self.sys.factors, lam))
-        W, = self.span([[V[None] for V in f.kernels(z, tol)] for f, z in fz],
-                       lambda d, s: numerical_rank(s, tol))
-        Y = np.zeros((sys.N, W.shape[1]), dtype=complex)
-        Y[self.at] = W
-        worst = max(opnorm((f.adapted.conj().T @ Y.reshape(sys._lead[j], len(f.T), -1)).reshape(
-            Y.shape)[self.at] - np.conj(z) * W) for j, (f, z) in enumerate(fz))
-        if worst > tol * max(1, *(np.linalg.norm(f.adapted) + abs(z) for f, z in fz)):
+        """W_lam, the one-draw case of ``span``.  lam joins ``leaks`` when its
+        ``inclusion_residual`` passes tol max(1, max_j ||A_j||_F + |lam_j|)."""
+        (W, C), = self.span([[V[None] for V in f.kernels(z, tol)] for f, z in zip(
+            self.sys.factors, lam)], lambda d, s: numerical_rank(s, tol))
+        if self.inclusion_residual(lam, tol, C) > tol * max(1, *(self.norms + np.abs(lam))):
             self.leaks.append(lam)
         return W
 
@@ -147,7 +173,7 @@ def shifted_slot_check(L, G, coranks, points, tol):
         return out
 
     for mu, c in coranks.items():
-        Ws = L.span([kernels(s, z) for s, z in enumerate(mu)], cut)
+        Ws = [W for W, _ in L.span([kernels(s, z) for s, z in enumerate(mu)], cut)]
         agree[:] = [a and W.shape[1] == c for a, W in zip(agree, Ws)]
         if ok := [d for d in range(len(lams)) if agree[d] and c]:
             for d, s in zip(ok, _svds([Ws[d].conj().T @ G for d in ok], compute_uv=False)):

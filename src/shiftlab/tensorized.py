@@ -26,13 +26,13 @@ differences.  In the coordinates of (x)_s U_s, S's coordinates are a set of
 positions, and T~_j is I (x) .. U_j^H T_j U_j .. (x) I: it maps block k into k
 and into k with slot j switched only, so the measured structural residuals, the
 power identity and E's alignment among them, are read from slot-block norms, and
-E_i is built in M_i's block of S's coordinates: no N-row array is formed.  Three
-identities hold by word combinatorics and are recorded as 0, not computed: the
-chain nests with S (-) F_1 = ran(P~_{n-1} P~_n), the tuple cannot couple two M_i
-(one slot flip of e_i leaves F), and distinct slots doubly commute.  The
-compressions to S and F are ``slots.SlotTuple``s, which read their wandering
-subspaces from the slots and build their operators from U_j^H T_j U_j at their
-positions only when read (``slots.compressed_at``).
+dim E is the sum of the factors' wandering dims: no N-row array, and no E, is
+formed.  Three identities hold by word combinatorics and are recorded as 0, not
+computed: the chain nests with S (-) F_1 = ran(P~_{n-1} P~_n), the tuple cannot
+couple two M_i (one slot flip of e_i leaves F), and distinct slots doubly
+commute.  The compressions to S and F are ``slots.SlotTuple``s, which read their
+wandering subspaces from the slots and build their operators from U_j^H T_j U_j
+at their positions only when read (``slots.compressed_at``).
 """
 
 import collections
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import EigenError, InputError, InternalConsistencyError, ModelError
 from .multiplicity import _generates
-from .slots import SlotTuple, slot_kernels
+from .slots import SlotTuple, slot_grams, slot_kernels
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -56,9 +56,6 @@ from .subspaces import (
     numerical_rank,
     opnorm,
 )
-
-def _kron_chain(mats):
-    return functools.reduce(np.kron, mats, np.ones((1, 1), dtype=complex))
 
 
 def _certified_spectrum(T, r, tol):
@@ -114,7 +111,7 @@ class TensorFactor:
     tol: float
     coinvariance_residual: float
     spectrum: tuple  # the distinct eigenvalues of T, by modulus
-    _kernels: dict = field(default_factory=dict, init=False, repr=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
     def eigenpair(self):
@@ -144,9 +141,16 @@ class TensorFactor:
 
     def kernels(self, z, tol):
         """``slots.slot_kernels`` at z, once per (z, tol); the first is ``wandering`` at 0."""
-        if (key := (complex(z), tol)) not in self._kernels:
-            self._kernels[key] = slot_kernels(self, z, tol)
-        return self._kernels[key]
+        return self._once(slot_kernels, z, tol)
+
+    def grams(self, z, tol):
+        """``slots.slot_grams`` at z, once per (z, tol)."""
+        return self._once(slot_grams, z, tol)
+
+    def _once(self, fn, z, tol):
+        if (key := (fn, complex(z), tol)) not in self._tables:
+            self._tables[key] = fn(self, z, tol)
+        return self._tables[key]
 
     @functools.cached_property
     def wandering(self):
@@ -208,19 +212,9 @@ class TensorSystem:
     N: int
     tol: float
 
-    def __post_init__(self):  # rows before slot i, for apply
-        self._lead = tuple(math.prod(self.dims[:i]) for i in range(len(self.dims)))
-
     @property
     def n(self):
         return len(self.factors)
-
-    def apply(self, i, V):
-        """T~_i V in the coordinates of (x)_s U_s, where T~_i is I (x) .. U_i^H T_i U_i
-        .. (x) I, for V of shape (N,) or (N, k), by a mode-i product: V reshaped to
-        (m_1 .. m_{i-1}, m_i, rest) and one matmul, O(N k m_i) instead of O(N^2 k)."""
-        V3 = V.reshape(self._lead[i], self.dims[i], -1)
-        return (self.factors[i].adapted @ V3).reshape(V.shape)
 
     def joint_spectrum(self):
         """sigma(T_1) x ... x sigma(T_n): the joint eigenvalues of the embedded tuple."""
@@ -487,81 +481,60 @@ def verify_compression_structure(sys, chain):
 
 @dataclass(eq=False)
 class WanderingDecomposition:
-    """The summands E_i = (S_i (-) T_i S_i) (x) (x)_{j != i} C v_j, in S's coordinates."""
+    """The summands E_i = (S_i (-) T_i S_i) (x) (x)_{j != i} C v_j by their slot data (see
+    ``wandering_E``): dim E = sum ``factor_wandering_dims``."""
 
-    E: Subspace
-    summands: list
     factor_wandering_dims: list
     eigen_data: list  # (alpha_i, v_i, residual_i) per factor
     shift_points: list  # per i, the tuple (alpha_1, .., 0 at i, .., alpha_n)
     alignment_residual: float
 
 
-def wandering_E(sys, chain):
-    """Build the E summands in S's coordinates from factor wandering subspaces
-    and adjoint eigenvectors.
+def wandering_E(sys):
+    """The E summands' slot data, factor wandering subspaces and adjoint eigenvectors; no
+    E_i is formed.
 
     Each factor's ``eigenpair`` T_i^H v_i = conj(alpha_i) v_i with v_i in Q_i
     is used; EigenError is raised when there is none or its residual exceeds
-    sys.tol.  E_i fills M_i's kind-block columns of S (``chain``) with the kron
-    product of the factor's ``wandering`` coordinates at slot i and Q_j^H v_j
-    at each other slot j.  Also computes, for every i and j, the residual of
+    sys.tol.  Also computes, for every i and j, the residual of
 
         E_i^H T~_j M_i - lam^{(i)}_j E_i^H M_i = 0
 
     (the basis form of P_{E_i} (P_{M_i} T~_j P_{M_i} - lam^{(i)}_j P_{M_i}) = 0, as E_i
     lies in M_i), where lam^{(i)} has alpha_j off slot i and 0 at slot i.  These
-    ``shift_points`` go into the report only; coranks use joint_spectrum.  E_i is
-    (x)_s x_s (x_j = Q_j^H v_j) and the tuple compressed to M_i is I (x) .. B_j .. (x) I
-    (B_i = b_i, B_j = a_j; ``slots``), so the residual is exactly ||x_j^H B_j - lam_j x_j^H||_2
-    prod_{s != j} ||x_s||_2, as ||A (x) B||_2 = ||A||_2 ||B||_2 (Van Loan 2000): 4n slot
-    norms from one stacked SVD, each matrix zero-padded, which keeps its norm.
-    E's columns, kron products of orthonormal columns and unit vectors in
-    disjoint blocks, are orthonormal by construction, so E is not re-checked.
+    ``shift_points`` go into the report only; coranks use joint_spectrum.  E_i, in M_i's
+    kind-block, is (x)_s x_s: factor i's ``wandering`` coordinates at slot i, x_j = Q_j^H v_j
+    at each other slot j.  The tuple compressed to M_i is I (x) .. B_j .. (x) I (B_i = b_i,
+    B_j = a_j; ``slots``), so the residual is exactly ||x_j^H B_j - lam_j x_j^H||_2 prod_{s != j}
+    ||x_s||_2, as ||A (x) B||_2 = ||A||_2 ||B||_2 (Van Loan 2000): 4n slot norms from one
+    stacked SVD, each matrix zero-padded, which keeps its norm.
     """
     eigens = []
     for i, f in enumerate(sys.factors):
         if f.eigenpair is None:
             raise EigenError(f"factor {i}: no adjoint eigenvector in the co-invariant subspace")
         if f.eigenpair[2] > sys.tol:
-            raise EigenError(
-                f"factor {i}: best eigen residual {f.eigenpair[2]:.3e} exceeds tolerance "
-                f"{sys.tol:.1e}"
-            )
+            raise EigenError(f"factor {i}: best eigen residual {f.eigenpair[2]:.3e} exceeds "
+                             f"tolerance {sys.tol:.1e}")
         eigens.append(f.eigenpair)
 
-    shift_points = [
-        tuple(0.0 + 0.0j if j == i else eigens[j][0] for j in range(sys.n)) for i in range(sys.n)
-    ]
+    shift_points = [tuple(0.0 + 0.0j if j == i else eigens[j][0] for j in range(sys.n))
+                    for i in range(sys.n)]
 
-    xs = [(f.Q.basis.conj().T @ e[1])[:, None] for f, e in zip(sys.factors, eigens)]
     slot = []  # per slot: x^H, x^H a - alpha x^H, W^H and W^H b, W its wandering coordinates
-    for f, x, (alpha, _, _) in zip(sys.factors, xs, eigens):
-        q, x_h, W_h = f.Q.dim, x.conj().T, f.wandering.basis.conj().T
+    for f, (alpha, v, _) in zip(sys.factors, eigens):
+        q, x_h, W_h = f.Q.dim, (f.Q.basis.conj().T @ v)[None].conj(), f.wandering.basis.conj().T
         slot += [x_h, x_h @ f.adapted[:q, :q] - alpha * x_h, W_h, W_h @ f.adapted[q:, q:]]
     padded = np.zeros((len(slot), *np.max([M.shape for M in slot], axis=0)), dtype=complex)
     for P, M in zip(padded, slot):
         P[:M.shape[0], :M.shape[1]] = M
     size_Q, res_Q, size_S, res_S = _svds(padded, compute_uv=False)[:, 0].reshape(sys.n, 4).T
 
-    edges = np.cumsum([0] + [f.wandering.dim for f in sys.factors])
-    E = np.zeros((chain.at.size, edges[-1]), dtype=complex)
     align = 0.0
-    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        if lo == hi:
-            continue
-        rows = chain.columns(["Q" * i + "S" + "Q" * (sys.n - i - 1)])
-        E[rows, lo:hi] = _kron_chain([sys.factors[i].wandering.basis if j == i else x
-                                      for j, x in enumerate(xs)])
-        size, res = np.where(np.arange(sys.n) == i, (size_S, res_S), (size_Q, res_Q))
-        align = max(align, *(r * math.prod(np.delete(size, j)) for j, r in enumerate(res)))
+    for i, f in enumerate(sys.factors):
+        if f.wandering.dim:
+            size, res = np.where(np.arange(sys.n) == i, (size_S, res_S), (size_Q, res_Q))
+            align = max(align, *(r * math.prod(np.delete(size, j)) for j, r in enumerate(res)))
 
-    return WanderingDecomposition(
-        E=Subspace(E, tol=sys.tol, _checked=True),
-        summands=[Subspace(E[:, lo:hi], tol=sys.tol, _checked=True)
-                  for lo, hi in zip(edges, edges[1:])],
-        factor_wandering_dims=[f.wandering.dim for f in sys.factors],
-        eigen_data=eigens,
-        shift_points=shift_points,
-        alignment_residual=float(align),
-    )
+    return WanderingDecomposition([f.wandering.dim for f in sys.factors], eigens, shift_points,
+                                  float(align))

@@ -15,7 +15,9 @@ package applies only slot by slot, the chain's N-row bases
 (``chain_spaces``, built on ``joint_invariant_S``, the one helper here that
 reads the package's kind-blocks), every structural residual family of
 ``verify_compression_structure`` from N x N projectors, and the
-distinguished summands E_i as N-row kron products.
+distinguished summands E_i, as N-row kron products and in S's coordinates
+(``distinguished_E``), and the inclusion residual of a compression's W_lam from
+its N-row placement (``dense_inclusion_residual``).
 """
 
 import functools
@@ -26,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from shiftlab import OperatorTuple, Subspace, compress
-from shiftlab.tensorized import _kron_chain, _S_blocks
+from shiftlab.tensorized import _S_blocks
 
 
 def orbit_dim(ops, G, tol=1e-8, max_degree=None):
@@ -209,6 +211,34 @@ def distinguished_summands(sys_, alphas, tol=1e-10):
     return out
 
 
+def distinguished_E(sys_, chain, wd):
+    """(E, [E_i]) in S's coordinates, as Subspaces, from ``wandering_E``'s slot data
+    ``wd``: E_i fills M_i's kind-block columns of S (``chain``) with the kron product of
+    factor i's ``wandering`` coordinates at slot i and x_j = Q_j^H v_j at each other
+    slot j, v_j the eigenvector of ``wd.eigen_data``; E is the E_i side by side."""
+    xs = [f.Q.basis.conj().T @ v[:, None] for f, (_, v, _) in zip(sys_.factors, wd.eigen_data)]
+    summands = []
+    for i, f in enumerate(sys_.factors):
+        E_i = np.zeros((chain.at.size, f.wandering.dim), dtype=complex)
+        if f.wandering.dim:
+            E_i[chain.columns(["Q" * i + "S" + "Q" * (sys_.n - i - 1)])] = functools.reduce(
+                np.kron, [f.wandering.basis if j == i else x for j, x in enumerate(xs)])
+        summands.append(Subspace(E_i, tol=sys_.tol, _checked=True))
+    E = Subspace(np.hstack([E_i.basis for E_i in summands]), tol=sys_.tol, _checked=True)
+    return E, summands
+
+
+def dense_inclusion_residual(L, W, lam):
+    """max_j ||P_L (T~_j - lam_j)^H W||_2 for a ``slots.SlotTuple`` L and W in the
+    coordinates of L's positions: W placed at those rows of an N-row Y, the dense
+    N x N T~_j = I (x) .. U_j^H T_j U_j .. (x) I applied, and L's rows kept."""
+    sys_ = L.sys
+    Y = np.zeros((sys_.N, W.shape[1]), dtype=complex)
+    Y[L.at] = W
+    return max(_norm2((slot_matrix(sys_, j, f.adapted).conj().T @ Y)[L.at] - np.conj(z) * W)
+               for j, (f, z) in enumerate(zip(sys_.factors, lam)))
+
+
 def x_projections(sys_):
     """X_i = P~_i Q~_{i+1} ... Q~_n as dense N x N matrices: by the mixed-product
     property, the kron chain I (x) .. (x) I (x) P_{S_i} (x) P_{Q_{i+1}} (x) .. (x) P_{Q_n}
@@ -252,7 +282,8 @@ def joint_invariant_S(sys_):
     Q..Q form an orthonormal basis of C^N (and each has a last S slot, so S is
     also sum ran X_i, block by block).  Its columns for the blocks of an F_i or
     an M_i (``ChainDecomposition.columns``) are that space's basis."""
-    cols = [_kron_chain([f.Q.basis if k == "Q" else f.S.basis for f, k in zip(sys_.factors, b)])
+    cols = [functools.reduce(np.kron, [f.Q.basis if k == "Q" else f.S.basis
+                                       for f, k in zip(sys_.factors, b)])
             for b in _S_blocks(sys_)]
     basis = np.hstack(cols) if cols else np.zeros((sys_.N, 0), dtype=complex)
     return Subspace(basis, ambient_dim=sys_.N, tol=sys_.tol, _checked=True)

@@ -12,7 +12,10 @@ item 2 (the power identity and E's alignment from slot norms) are
 and 1 GB.  The gates of the closed-form slot ``W_lam`` are ``6^5:3`` and ``8^5:4``
 with every check at one BLAS thread: each certifies ``mult(S) = n`` and passes
 the shift lemma 6/6 with 0 marginal draws, ``6^5:3`` under 1.5 s and ``8^5:4``
-under 3 s and 300 MB.  Each size runs at seed 1
+under 3 s and 300 MB.  The gates of ROADMAP item 17 (the inclusion residual from
+slot Grams, and no dense ``E``) are ``--no-shift 30^4:15 4^9:2`` at one BLAS
+thread: each certifies ``mult(S) = n``, and neither is slower or peaks higher
+than before that change in the same session.  Each size runs at seed 1
 once with every check and once without ``shift_lemma``
 (with ``--no-shift``, only without it, to see what the shift lemma's six slot
 draws add), each run one ``run_scenario`` in its own Python process, with the
