@@ -6,9 +6,10 @@ Embedding factor operators as I (x) ... (x) T_i (x) ... (x) I produces a
 doubly commuting tuple.  The joint invariant subspace
 S = (Q_1 (x) ... (x) Q_n)-perp carries a nested family
 S >= F_1 >= ... >= F_{n-1} = F whose last member splits into blocks the
-compressed tuple cannot couple.  Every space of the chain is a union of kind-blocks,
-one per word in {Q, S}^n in the slot bases U_s = [Q_s | S_s], so its
-dimension is a count of block columns.  This script builds the chain and
+compressed tuple cannot couple.  Every space of the chain is a union of at most n
+slot-kind patterns, words over {Q, S, I} in the slot bases U_s = [Q_s | S_s] whose I
+slot stands for both kinds, so its dimension is a sum over its patterns of products
+of slot dimensions, and no step lists the 2^n kind-blocks.  This script builds the chain and
 re-verifies the structural identities numerically: the projection
 identities from per-slot norms, the rest from the slot blocks U_s^H T_s U_s
 and their norms, never from N x N matrices.  Three identities hold by
@@ -45,13 +46,12 @@ print("distinct slots doubly commute exactly (mixed-product property), so report
 
 # --- the chain ----------------------------------------------------------------
 chain = f_chain(system)
-print("\nkind-blocks of S and their columns:",
-      {block: len(cols) for block, cols in chain.block_columns.items()})
-dims = [chain.at.size] + [chain.columns(blocks).size for blocks in chain.F_blocks]
-print("chain dims (S >= F_1 >= ... >= F):", " >= ".join(str(d) for d in dims))
+for name, patterns in zip(["S"] + [f"F_{i}" for i in range(1, system.n)], chain.patterns):
+    print(f"patterns of {name}:", ", ".join(patterns))
+print("chain dims (S >= F_1 >= ... >= F):", " >= ".join(str(d) for d in chain.dims))
 # rank X_i = m_1 ... m_{i-1} dim S_i dim Q_{i+1} ... dim Q_n, from slot dimensions
 print("X projection ranks:", chain.x_ranks)
-print("block summand dims of F:", [chain.columns(blocks).size for blocks in chain.F_summands[-1]])
+print("positions of S and of F in (x) U_s:", chain.at.size, chain.F_at.size)
 
 # --- re-verify the structure ----------------------------------------------------
 report = verify_compression_structure(system, chain)

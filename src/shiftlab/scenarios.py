@@ -466,9 +466,9 @@ def run_scenario(scn):
         label=scn.label,
         dims=list(sys.dims),
         factor_labels=[f.label for f in factors],
-        dim_S=int(chain.at.size),
+        dim_S=chain.dims[0],
         dim_F=int(comp_F.dim),
-        chain_dims=[int(chain.columns(bs).size) for bs in chain.F_blocks],
+        chain_dims=chain.dims[1:],
         x_ranks=list(chain.x_ranks),
         wandering_dim_S=int(mult_S.wandering.dim),
         factor_wandering_dims=None if wdec is None else list(map(int, wdec.factor_wandering_dims)),

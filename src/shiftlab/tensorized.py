@@ -20,19 +20,21 @@ F useful for multiplicity bookkeeping.
 
 Everything here is exact linear algebra in the slot-adapted bases
 U_s = [Q_s | S_s].  They split C^N into kind-blocks, one per word k in
-{Q, S}^n, with kron bases (x)_s (Q_s or S_s).  S is every block but Q..Q,
-each F_i and M_i is a union of blocks, and the gaps of the chain are set
-differences.  In the coordinates of (x)_s U_s, S's coordinates are a set of
-positions, and T~_j is I (x) .. U_j^H T_j U_j .. (x) I: it maps block k into k
-and into k with slot j switched only, so the measured structural residuals, the
-power identity and E's alignment among them, are read from slot-block norms, and
-dim E is the sum of the factors' wandering dims: no N-row array, and no E, is
-formed.  Three identities hold by word combinatorics and are recorded as 0, not
-computed: the chain nests with S (-) F_1 = ran(P~_{n-1} P~_n), the tuple cannot
-couple two M_i (one slot flip of e_i leaves F), and distinct slots doubly
-commute.  The compressions to S and F are ``slots.SlotTuple``s, which read their
-wandering subspaces from the slots and build their operators from U_j^H T_j U_j
-at their positions only when read (``slots.compressed_at``).
+{Q, S}^n, with kron bases (x)_s (Q_s or S_s).  S, each F_i and each M_i is a
+union of at most n slot-kind patterns, words over {Q, S, I} with I = Q (+) S,
+and the chain's gaps and sums over words come from a dynamic program over the
+slots, which lists none of the 2^n words.  In the coordinates of (x)_s U_s, S's
+coordinates are a set of positions, and T~_j is I (x) .. U_j^H T_j U_j .. (x) I:
+it maps block k into k and into k with slot j switched only, so the measured
+structural residuals, the power identity and E's alignment among them, are read
+from slot-block norms, and dim E is the sum of the factors' wandering dims: no
+N-row array, and no E, is formed.  Three identities hold by word combinatorics
+and are recorded as 0, not computed: the chain nests with S (-) F_1 =
+ran(P~_{n-1} P~_n), the tuple cannot couple two M_i (one slot flip of e_i leaves
+F), and distinct slots doubly commute.  The compressions to S and F are
+``slots.SlotTuple``s, which read their wandering subspaces from the slots and
+build their operators from U_j^H T_j U_j at their positions only when read
+(``slots.compressed_at``).
 """
 
 import collections
@@ -140,7 +142,11 @@ class TensorFactor:
                 for a in cut for b in cut for B in [self.adapted[cut[a], cut[b]]]}
 
     def kernels(self, z, tol):
-        """``slots.slot_kernels`` at z, once per (z, tol); the first is ``wandering`` at 0."""
+        """``slots.slot_kernels`` at z, once per (z, tol); the first is ``wandering`` at 0.
+        Empty (m, 0) blocks with no ``spectrum`` point within tol of z, where the SVD of
+        a non-normal slot would rank pseudospectral directions (J_m + a I: |a|^m)."""
+        if np.abs(np.subtract(self.spectrum, z)).min(initial=math.inf) > tol:
+            return (np.zeros((len(self.T), 0), dtype=complex),) * 3
         return self._once(slot_kernels, z, tol)
 
     def grams(self, z, tol):
@@ -220,20 +226,6 @@ class TensorSystem:
         """sigma(T_1) x ... x sigma(T_n): the joint eigenvalues of the embedded tuple."""
         return list(itertools.product(*(f.spectrum for f in self.factors)))
 
-    def block_dim(self, block):
-        """The dimension of a kind-block, a word with one 'Q' or 'S' per slot."""
-        return math.prod(f.Q.dim if k == "Q" else f.S.dim for f, k in zip(self.factors, block))
-
-    def blocks(self, kinds):
-        """The nonempty kind-blocks of slot kinds 'Q', 'S' and 'I' (= Q (+) S), in word order."""
-        words = ("".join(b) for b in itertools.product(*("QS" if k == "I" else k for k in kinds)))
-        return [b for b in words if self.block_dim(b)]
-
-
-def _flip(block, s):
-    """``block`` with slot s switched between Q and S."""
-    return block[:s] + ("S" if block[s] == "Q" else "Q") + block[s + 1:]
-
 
 def build_system(factors, tol=None):
     """Embed the factors into their tensor product as a doubly commuting tuple."""
@@ -246,68 +238,120 @@ def build_system(factors, tol=None):
     return TensorSystem(factors=factors, dims=dims, N=math.prod(dims), tol=tol)
 
 
-def _S_blocks(sys):
-    """S's kind-blocks: every block but Q..Q, in word order."""
-    return [b for b in sys.blocks("I" * sys.n) if "S" in b]
+@functools.cache
+def _masks(patterns):
+    """Per slot and kind (0 = Q, 1 = S), the bitmask of the ``patterns`` that admit it."""
+    return [[sum(1 << p for p, w in enumerate(patterns) if w[s] in kinds) for kinds in ("QI", "SI")]
+            for s in range(len(patterns[0]))]
 
 
-def _chain_slot_kinds(n, i, j):
-    """Slot kinds of the j-th summand (1-based) of F_i, for i in 1..n-1."""
-    if j < n:
-        return ["Q"] * min(j - 1, i - 1) + ["I"] * max(j - i, 0) + ["S"] + ["Q"] * (n - j)
-    return ["Q"] * (i - 1) + ["I"] * (n - 1 - i) + ["Q", "S"]
+@functools.cache
+def _admits(tracks, r):
+    """(start, need, guard, at) for ``_word_sums``: the tracks' pattern bitmasks side by
+    side in one int, n bits a track and a 0 guard bit above each.  start holds every
+    pattern; at[s][f][c] per track its ``_masks`` at slot s for kind c, switched where it
+    flips at the f-th chosen slot (f = r: none chosen at s).  need holds the needed
+    tracks' n bits, so (m & need) + need sets each of their guard bits iff their masks in
+    m are all nonzero."""
+    n, full = len(tracks[0][0][0]), (1 << len(tracks[0][0][0])) - 1
+    needed = [t for t, (_, _, is_needed) in enumerate(tracks) if is_needed]
+    return (sum(full << t * (n + 1) for t in range(len(tracks))),
+            sum(full << t * (n + 1) for t in needed), sum(1 << t * (n + 1) + n for t in needed),
+            [[[sum(_masks(patterns)[s][c ^ (f in flips)] << t * (n + 1)
+                   for t, (patterns, flips, _) in enumerate(tracks)) for c in (0, 1)]
+              for f in range(r + 1)] for s in range(n)])
+
+
+def _word_sums(dims, tracks, r=0, flip_weights=None):
+    """[(((s_1, c_1), .., (s_r, c_r)), masks, sum)]: by one dynamic program over the
+    slots, sums over the words k in {Q, S}^n (kinds 0 = Q, 1 = S) and the slots s_1 < ..
+    < s_r, c_i = k at s_i, of the product of dims[s][k_s], or flip_weights[s][k_s] at the
+    s_i.  Each track (n patterns, flips, needed) follows k with its flips-th chosen slots
+    switched, and its mask holds the patterns that match that word; k is dropped once a
+    needed track's mask is 0."""
+    n, (start, need, guard, at) = len(dims), _admits(tuple(tracks), r)
+    states = {((), start): 1}
+    for s, d in enumerate(dims):  # moves[k]: (choice, mask, weight) after k chosen slots
+        chosen_here = [(c, v) for c, v in enumerate(flip_weights[s]) if v] if r else []
+        moves = [[((), at[s][r][c], d[c]) for c in (0, 1) if d[c]]
+                 + [(((s, c),), at[s][k][c], v) for c, v in chosen_here if k < r]
+                 for k in range(r + 1)]
+        new = collections.defaultdict(float)
+        for (chosen, m), w in states.items():
+            for grow, mask, v in moves[len(chosen)]:
+                if (((mc := m & mask) & need) + need) & guard == guard:
+                    new[chosen + grow, mc] += w * v
+        states = new
+    return [(chosen, [m >> t * (n + 1) & (1 << n) - 1 for t in range(len(tracks))], w)
+            for (chosen, m), w in states.items() if len(chosen) == r]
+
+
+@functools.cache
+def _chain_patterns(n):
+    """[S's patterns, F_1's, .., F_{n-1}'s]: S is Q^i S I^(n-i-1), i = n-1 .. 0 (its blocks
+    in word order), and F_i the n summands Q^min(j-1, i-1) I^max(j-i, 0) S Q^(n-j), j < n,
+    and Q^(i-1) I^(n-1-i) QS, so F's are the e_j.  Raises InternalConsistencyError
+    unless each space's words are among the one before's (``_word_sums``)."""
+    patterns = [tuple("Q" * i + "S" + "I" * (n - i - 1) for i in reversed(range(n)))] + [
+        tuple("Q" * min(j - 1, i - 1) + "I" * max(j - i, 0) + "S" + "Q" * (n - j)
+              for j in range(1, n)) + ("Q" * (i - 1) + "I" * (n - 1 - i) + "QS",)
+        for i in range(1, n)]
+    if not all(m[1] for big, small in zip(patterns, patterns[1:])
+               for _, m, _ in _word_sums([(1, 1)] * n, [(small, (), True), (big, (), False)])):
+        raise InternalConsistencyError("chain containment fails: a block of F_i is not in F_{i-1}")
+    return patterns
+
+
+def _dims(sys, patterns):
+    """Each slot-kind pattern's dimension: the product of its slots' Q, S or I (= Q (+) S)."""
+    sizes = [{"Q": f.Q.dim, "S": f.S.dim, "I": m} for f, m in zip(sys.factors, sys.dims)]
+    return [math.prod(d[k] for d, k in zip(sizes, p)) for p in patterns]
+
+
+def _positions(sys, pattern):
+    """A pattern's positions in (x)_s U_s in word order: kron order within each kind-block
+    it matches, the blocks by their kinds at its I slots (Q first, the first I slot most
+    significant).  One sparse meshgrid gives kron order, and a stable argsort of the I
+    slots' kind bits, a small unsigned key, groups it block by block."""
+    grid = np.meshgrid(*(np.arange(*{"Q": (0, f.Q.dim), "S": (f.Q.dim, m), "I": (0, m)}[k])
+                         for f, m, k in zip(sys.factors, sys.dims, pattern)),
+                       indexing="ij", sparse=True)
+    key = np.zeros((), dtype=np.min_scalar_type(2 ** pattern.count("I") - 1))
+    for g, f, k in zip(grid, sys.factors, pattern):
+        key = key << 1 | (g >= f.Q.dim) if k == "I" else key
+    at = np.ravel_multi_index(grid, sys.dims)
+    return at.ravel()[np.argsort(np.broadcast_to(key, at.shape), axis=None, kind="stable")]
 
 
 @dataclass(eq=False)
 class ChainDecomposition:
-    """S with its nested family F_1 >= ... >= F_{n-1} = F and F's block summands
-    M_i, as kind-blocks.  S is every block but Q..Q, and each F_i and M_i a union
-    of S's blocks; in S's coordinates a union's basis is S's columns for its
-    blocks.  In the coordinates of (x)_s U_s, S's basis vectors are the unit
-    vectors at the positions ``at``."""
+    """S with its nested family F_1 >= ... >= F_{n-1} = F as slot-kind patterns, words
+    over 'Q', 'S' and 'I' (= Q (+) S), each the union of the kind-blocks (x)_s (Q_s or S_s)
+    that it matches (``_chain_patterns``).  In the coordinates of (x)_s U_s, S's basis
+    vectors are the unit vectors at the positions ``at``, and F's at ``F_at``."""
 
-    at: np.ndarray  # per column of S, its position in (x)_s U_s: kron order, block by block
-    block_columns: dict  # kind-block -> its columns of S, for S's blocks in order
-    x_ranks: list  # rank X_i = m_1 .. m_{i-1} dim S_i dim Q_{i+1} .. dim Q_n
-    F_summands: list  # per F_i, the kind-blocks of each of its n summands, in column order
-
-    def columns(self, blocks):
-        """The columns of S that hold ``blocks``, in order."""
-        return np.array([c for b in blocks for c in self.block_columns[b]], dtype=int)
-
-    @property
-    def F_blocks(self):  # [the blocks of F_1, ..., of F_{n-1} = F], each in column order
-        return [sum(summands, []) for summands in self.F_summands]
+    at: np.ndarray  # per column of S, its position in (x)_s U_s: its blocks in word order
+    F_at: np.ndarray  # F's positions: e_1's, .., e_n's
+    x_ranks: list  # rank X_i, the dimension of the pattern I^i S Q^(n-i-1)
+    patterns: list  # [S's, F_1's, .., F_{n-1}'s], each a tuple of patterns in column order
+    dims: list  # [dim S, dim F_1, .., dim F], each a sum over its patterns
 
 
 def f_chain(sys):
-    """Build S's kind-blocks and positions, the ranks of the X projections, the
-    nested F_i family, and F's summands.
-
-    Each F_i is an orthogonal direct sum of n summands, each a union of
-    kind-blocks, so a compression to F has the M_i blocks in order.  Raises
-    InternalConsistencyError unless each space's blocks are among the one
-    before's, which is why the report records every containment residual as 0.
-    """
+    """S's and F's positions, the ranks of the X projections, and S and the nested F_i
+    family as patterns.  S's positions are its patterns' ``_positions`` in turn, and F's
+    summand e_i is the first block of Q^i S I^(n-i-1).  ``_chain_patterns`` raises
+    InternalConsistencyError unless they nest, which is why the report records every
+    containment residual as 0."""
     if sys.n < 2:
         raise InputError("the subspace chain needs at least two tensor factors")
-    S_blocks = _S_blocks(sys)
-    edges = np.cumsum([0] + [sys.block_dim(b) for b in S_blocks])
-    F_summands = [[sys.blocks(_chain_slot_kinds(sys.n, i, j)) for j in range(1, sys.n + 1)]
-                  for i in range(1, sys.n)]
-    spaces = [S_blocks] + [sum(summands, []) for summands in F_summands]
-    if any(not set(small) <= set(big) for big, small in zip(spaces, spaces[1:])):
-        raise InternalConsistencyError("chain containment fails: a block of F_i is not in F_{i-1}")
-    spans = [{"Q": (0, f.Q.dim), "S": (f.Q.dim, m)} for f, m in zip(sys.factors, sys.dims)]
-    grids = (np.meshgrid(*(np.arange(*sp[k]) for sp, k in zip(spans, b)), indexing="ij")
-             for b in S_blocks)
+    patterns, n = _chain_patterns(sys.n), sys.n
+    parts = [_positions(sys, p) for p in patterns[0]]
     return ChainDecomposition(
-        at=np.concatenate([np.zeros(0, dtype=int)]
-                          + [np.ravel_multi_index(g, sys.dims).ravel() for g in grids]),
-        block_columns={b: range(lo, hi) for b, lo, hi in zip(S_blocks, edges, edges[1:])},
-        x_ranks=[math.prod(sys.dims[:i]) * f.S.dim * math.prod(g.Q.dim for g in sys.factors[i + 1:])
-                 for i, f in enumerate(sys.factors)],
-        F_summands=F_summands)
+        at=np.concatenate(parts),
+        F_at=np.concatenate([at[:d] for at, d in zip(parts[::-1], _dims(sys, patterns[-1]))]),
+        x_ranks=_dims(sys, ["I" * i + "S" + "Q" * (n - i - 1) for i in range(n)]),
+        patterns=patterns, dims=[sum(_dims(sys, ps)) for ps in patterns])
 
 
 @dataclass
@@ -382,35 +426,50 @@ def _projection_identities(sys):
     }
 
 
-def _cross_norm(sys, rows, cols):
-    """max_j ||rows^H T~_j cols||_2 for disjoint sets of kind-blocks, exactly: T~_j
-    couples k only to _flip(k, j), a partial permutation of blocks
-    I (x) .. U_a^H T_j U_b .. (x) I, so the norm is their largest."""
-    return max((f.block_norms[_flip(k, j)[j], k[j]][0] for k in cols
-                for j, f in enumerate(sys.factors) if _flip(k, j) in rows), default=0.0)
+def _slot_sums(sys, tracks, r, p):
+    """``_word_sums`` over the nonempty kind-blocks, slot dimensions as weights, and at a
+    chosen slot the block norm p (0: ||.||_2, 1: ||.||_F^2) of U_a^H T U_c, a not c."""
+    return _word_sums([(f.Q.dim, f.S.dim) for f in sys.factors], tracks, r, [
+        (f.block_norms["S", "Q"][p], f.block_norms["Q", "S"][p]) for f in sys.factors])
 
 
-def _commutator_bound(sys, blocks):
-    """max_{i<j} ||[C_i, C_j]||_F for the tuple C compressed to the union L of ``blocks``.
+def _cross_norm(sys, big, small):
+    """max_j ||small^H T~_j (big (-) small)||_2, exactly: T~_j couples block k only to k
+    with slot j switched, a partial permutation of blocks I (x) .. U_a^H T_j U_b .. (x) I,
+    so the norm is the largest ||U_a^H T_j U_b||_2 over the words k in big, not in small,
+    whose switch at j is in small, and b = k_j (``_slot_sums``)."""
+    return max((sys.factors[j].block_norms["QS"[1 - c], "QS"[c]][0] for ((j, c),), (_, ms, _), _ in
+                _slot_sums(sys, [(big, (), True), (small, (), False), (small, (0,), True)], 1, 0)
+                if not ms), default=0.0)
 
-    Block (k2, k) of [C_i, C_j] vanishes unless k2 is k with slots i and j
-    switched, when it is (1[_flip(k, j) in L] - 1[_flip(k, i) in L]) times one
-    kron of slot blocks and identities (the two orders pass through those two
-    blocks).  So ||.||_F^2 is an exact sum of products of slot norms, with no
-    cancellation, and it bounds ||.||_2^2."""
-    dims = [{"Q": f.Q.dim, "S": f.S.dim} for f in sys.factors]
-    worst = 0.0
-    for i, j in itertools.combinations(range(sys.n), 2):
-        total = 0.0
-        for k in blocks:
-            k2 = _flip(_flip(k, i), j)
-            if k2 in blocks and (_flip(k, j) in blocks) != (_flip(k, i) in blocks):
-                total += (sys.factors[i].block_norms[k2[i], k[i]][1]
-                          * sys.factors[j].block_norms[k2[j], k[j]][1]
-                          * math.prod(d[c] for s, (d, c) in enumerate(zip(dims, k))
-                                      if s not in (i, j)))
-        worst = max(worst, math.sqrt(total))
-    return worst
+
+def _commutator_bound(sys, patterns):
+    """max_{i<j} ||[C_i, C_j]||_F for the tuple C compressed to the union L of ``patterns``.
+
+    Block (k2, k) of [C_i, C_j] vanishes unless k2 is k with slots i and j switched,
+    when it is (1[k switched at j in L] - 1[k switched at i in L]) times one kron of slot
+    blocks and identities (the two orders pass through those two blocks).  So ||.||_F^2
+    is an exact sum of products of slot norms, with no cancellation, and it bounds
+    ||.||_2^2: ``_slot_sums`` tracks k, k switched at i, at j and at both."""
+    totals = collections.defaultdict(float)
+    for ((i, _), (j, _)), (_, mi, mj, _), w in _slot_sums(sys, [
+            (patterns, (), True), (patterns, (0,), False), (patterns, (1,), False),
+            (patterns, (0, 1), True)], 2, 1):
+        if bool(mi) != bool(mj):
+            totals[i, j] += w
+    return math.sqrt(max(totals.values(), default=0.0))
+
+
+def _commutator_bound_S(sys):
+    """``_commutator_bound`` on S, every word but Q..Q, in closed form: only k = S at i, Q
+    elsewhere, and its mirror have one switch at Q..Q, so ||[C_i, C_j]||_F^2 is
+    prod_{s != i, j} dim Q_s (gamma_i delta_j + delta_i gamma_j), gamma = ||S^H T Q||_F^2
+    and delta = ||Q^H T S||_F^2 at each slot."""
+    q = [f.Q.dim for f in sys.factors]
+    gamma, delta = ([f.block_norms[ab][1] for f in sys.factors] for ab in (("S", "Q"), ("Q", "S")))
+    return math.sqrt(max((math.prod(q[:i] + q[i + 1:j] + q[j + 1:])
+                          * (gamma[i] * delta[j] + delta[i] * gamma[j])
+                          for i, j in itertools.combinations(range(sys.n), 2)), default=0.0))
 
 
 def _summandwise_powers(sys):
@@ -430,7 +489,8 @@ def _summandwise_powers(sys):
                 Bp, Ap = [B, B @ B, B @ B @ B], [P[cut, cut] for P in (A, A @ A, A @ A @ A)]
                 norms[s, c] = _svds(Bp + [X - Y for X, Y in zip(Bp, Ap)] + Ap,
                                     compute_uv=False)[:, 0].reshape(3, 3).T.tolist()
-    words = [w for i in range(sys.n) if sys.block_dim(w := "Q" * i + "S" + "Q" * (sys.n - i - 1))]
+    e = _chain_patterns(sys.n)[-1]
+    words = [w for w, d in zip(e, _dims(sys, e)) if d]
     worst = 0.0
     for ks in itertools.chain.from_iterable(
             itertools.combinations_with_replacement(range(sys.n), r) for r in (1, 2, 3)):
@@ -453,26 +513,24 @@ def verify_compression_structure(sys, chain):
       otherwise), and S (-) F_1 = ran(P~_{n-1} P~_n), as F_1's summands are the
       words whose last S sits at a slot j < n, and those ending in QS;
     * semi_invariance -- ||small^H T~ gap||_2 for each gap G_{i-1} (-) G_i
-      (G_0 = S), a set difference of blocks (see _cross_norm);
+      (G_0 = S), a set difference of patterns (see _cross_norm);
     * commutativity -- of the compressions to S and to each F_i (Frobenius
-      bounds; see _commutator_bound);
+      bounds; see _commutator_bound and _commutator_bound_S);
     * block_structure -- recorded 0: each M_i is the word e_i, and e_p and e_q
       differ in two slots, so no one-slot flip couples two M summands;
     * power_identity -- compressed powers act summand-by-summand:
       (P_F T~ P_F)^k = sum_i P_{M_i} T~^k P_{M_i} on F for 1 <= |k| <= 3 (a bound;
       see _summandwise_powers).
     """
-    blocks = [list(chain.block_columns)] + chain.F_blocks
-    sets = [set(bs) for bs in blocks]
     chain_res = dict.fromkeys([f"containment_{idx}" for idx in range(sys.n - 1)]
                               + ["head_gap_dim_match", "head_gap_sine"], 0.0)
-    semi = {f"gap_{idx}": _cross_norm(sys, small, big - small)
-            for idx, (big, small) in enumerate(zip(sets, sets[1:]))}
-    names = ["S"] + [f"F_{i + 1}" for i in range(len(chain.F_summands))]
-    comm = {name: _commutator_bound(sys, L) for name, L in zip(names, sets)}
+    semi = {f"gap_{idx}": _cross_norm(sys, big, small)
+            for idx, (big, small) in enumerate(zip(chain.patterns, chain.patterns[1:]))}
+    comm = {"S": _commutator_bound_S(sys)} | {
+        f"F_{i}": _commutator_bound(sys, ps) for i, ps in enumerate(chain.patterns[1:], 1)}
     block = dict.fromkeys(["off_diagonal", "diagonal_sum"], 0.0)
 
-    comp_S, comp_F = SlotTuple(sys, chain.at), SlotTuple(sys, chain.at[chain.columns(blocks[-1])])
+    comp_S, comp_F = SlotTuple(sys, chain.at), SlotTuple(sys, chain.F_at)
     families = (_projection_identities(sys), chain_res, semi, comm, block,
                 {"summandwise_powers": _summandwise_powers(sys)})
     return StructureReport(*({k: float(v) for k, v in fam.items()} for fam in families),

@@ -11,10 +11,12 @@ Principal angles come from scipy.linalg.subspace_angles; the package itself
 does not import scipy.  Dense references that only tests read live here too:
 a tuple compressed to a subspace (``compressed``), pairwise commutator
 norms, the X_i projections, the N x N embedded operators T~_i that the
-package applies only slot by slot, the chain's N-row bases
-(``chain_spaces``, built on ``joint_invariant_S``, the one helper here that
-reads the package's kind-blocks), every structural residual family of
-``verify_compression_structure`` from N x N projectors, and the
+package applies only slot by slot, the chain as word lists over its 2^n
+kind-blocks (``word_chain``, the reference for ``f_chain``'s slot-kind patterns,
+with the word forms of semi-invariance and commutativity, ``word_structure``),
+its N-row bases (``chain_spaces``, built on ``joint_invariant_S``), every
+structural residual family of ``verify_compression_structure`` from N x N
+projectors, and the
 distinguished summands E_i, as N-row kron products and in S's coordinates
 (``distinguished_E``), and the inclusion residual of a compression's W_lam from
 its N-row placement (``dense_inclusion_residual``).
@@ -28,7 +30,6 @@ import numpy as np
 import scipy.linalg
 
 from shiftlab import OperatorTuple, Subspace, compress
-from shiftlab.tensorized import _S_blocks
 
 
 def orbit_dim(ops, G, tol=1e-8, max_degree=None):
@@ -211,13 +212,13 @@ def distinguished_summands(sys_, alphas, tol=1e-10):
     return out
 
 
-def distinguished_E(sys_, chain, wd):
+def distinguished_E(sys_, wd):
     """(E, [E_i]) in S's coordinates, as Subspaces, from ``wandering_E``'s slot data
-    ``wd``: E_i fills M_i's kind-block columns of S (``chain``) with the kron product of
+    ``wd``: E_i fills M_i's kind-block columns of S (``word_chain``) with the kron product of
     factor i's ``wandering`` coordinates at slot i and x_j = Q_j^H v_j at each other
     slot j, v_j the eigenvector of ``wd.eigen_data``; E is the E_i side by side."""
     xs = [f.Q.basis.conj().T @ v[:, None] for f, (_, v, _) in zip(sys_.factors, wd.eigen_data)]
-    summands = []
+    chain, summands = word_chain(sys_), []
     for i, f in enumerate(sys_.factors):
         E_i = np.zeros((chain.at.size, f.wandering.dim), dtype=complex)
         if f.wandering.dim:
@@ -276,25 +277,116 @@ def _norm2(A):
     return float(np.linalg.norm(A, 2)) if A.size else 0.0
 
 
+def block_dim(sys_, block):
+    """The dimension of a kind-block, a word with one 'Q' or 'S' per slot."""
+    return int(np.prod([f.Q.dim if k == "Q" else f.S.dim for f, k in zip(sys_.factors, block)]))
+
+
+def blocks(sys_, kinds):
+    """The nonempty kind-blocks of slot kinds 'Q', 'S' and 'I' (= Q (+) S), in word order."""
+    words = ("".join(b) for b in itertools.product(*("QS" if k == "I" else k for k in kinds)))
+    return [b for b in words if block_dim(sys_, b)]
+
+
+def flip(block, s):
+    """``block`` with slot s switched between Q and S."""
+    return block[:s] + ("S" if block[s] == "Q" else "Q") + block[s + 1:]
+
+
+def S_blocks(sys_):
+    """S's kind-blocks: every block but Q..Q, in word order."""
+    return [b for b in blocks(sys_, "I" * sys_.n) if "S" in b]
+
+
+def chain_slot_kinds(n, i, j):
+    """Slot kinds of the j-th summand (1-based) of F_i, for i in 1..n-1, kept here apart
+    from the package's patterns: Q^min(j-1, i-1) I^max(j-i, 0) S Q^(n-j) for j < n, and
+    Q^(i-1) I^(n-1-i) QS for j = n."""
+    if j < n:
+        return ["Q"] * min(j - 1, i - 1) + ["I"] * max(j - i, 0) + ["S"] + ["Q"] * (n - j)
+    return ["Q"] * (i - 1) + ["I"] * (n - 1 - i) + ["Q", "S"]
+
+
+def word_chain(sys_):
+    """The chain as word lists, the reference for ``f_chain``'s patterns: ``block_columns``
+    maps S's blocks, in word order, to their columns of S, ``F_summands`` lists per F_i
+    the blocks of each of its summands, ``F_blocks`` per F_i its blocks, ``columns`` a
+    union's columns of S, ``at`` S's positions in (x)_s U_s (one meshgrid per block, in
+    kron order) and ``nested`` whether each space's blocks are among the one before's."""
+    S_bl = S_blocks(sys_)
+    edges = np.cumsum([0] + [block_dim(sys_, b) for b in S_bl])
+    block_columns = {b: range(lo, hi) for b, lo, hi in zip(S_bl, edges, edges[1:])}
+    F_summands = [[blocks(sys_, chain_slot_kinds(sys_.n, i, j)) for j in range(1, sys_.n + 1)]
+                  for i in range(1, sys_.n)]
+    F_blocks = [sum(summands, []) for summands in F_summands]
+    spaces = [S_bl] + F_blocks
+    spans = [{"Q": (0, f.Q.dim), "S": (f.Q.dim, m)} for f, m in zip(sys_.factors, sys_.dims)]
+    grids = (np.meshgrid(*(np.arange(*sp[k]) for sp, k in zip(spans, b)), indexing="ij")
+             for b in S_bl)
+    return types.SimpleNamespace(
+        at=np.concatenate([np.zeros(0, dtype=int)]
+                          + [np.ravel_multi_index(g, sys_.dims).ravel() for g in grids]),
+        block_columns=block_columns, F_summands=F_summands, F_blocks=F_blocks,
+        columns=lambda bs: np.array([c for b in bs for c in block_columns[b]], dtype=int),
+        nested=all(set(small) <= set(big) for big, small in zip(spaces, spaces[1:])))
+
+
+def cross_norm(sys_, rows, cols):
+    """max_j ||rows^H T~_j cols||_2 for disjoint sets of kind-blocks, word by word: T~_j
+    couples k only to flip(k, j), by the slot block U_a^H T_j U_b."""
+    return max((f.block_norms[flip(k, j)[j], k[j]][0] for k in cols
+                for j, f in enumerate(sys_.factors) if flip(k, j) in rows), default=0.0)
+
+
+def commutator_bound(sys_, L):
+    """max_{i<j} ||[C_i, C_j]||_F on the union of the set L of kind-blocks, word by word:
+    block (k2, k), k2 = k switched at i and j, is (1[flip(k, j) in L] - 1[flip(k, i) in L])
+    times a kron of slot blocks and identities."""
+    dims = [{"Q": f.Q.dim, "S": f.S.dim} for f in sys_.factors]
+    worst = 0.0
+    for i, j in itertools.combinations(range(sys_.n), 2):
+        total = 0.0
+        for k in L:
+            k2 = flip(flip(k, i), j)
+            if k2 in L and (flip(k, j) in L) != (flip(k, i) in L):
+                total += (sys_.factors[i].block_norms[k2[i], k[i]][1]
+                          * sys_.factors[j].block_norms[k2[j], k[j]][1]
+                          * np.prod([d[c] for s, (d, c) in enumerate(zip(dims, k))
+                                     if s not in (i, j)]))
+        worst = max(worst, float(np.sqrt(total)))
+    return worst
+
+
+def word_structure(sys_):
+    """semi_invariance and commutativity keyed as ``verify_compression_structure`` keys
+    them, from the word lists of ``word_chain``."""
+    chain = word_chain(sys_)
+    sets = [set(chain.block_columns)] + [set(bs) for bs in chain.F_blocks]
+    return {"semi_invariance": {f"gap_{idx}": cross_norm(sys_, small, big - small)
+                                for idx, (big, small) in enumerate(zip(sets, sets[1:]))},
+            "commutativity": {name: commutator_bound(sys_, L) for name, L in zip(
+                ["S"] + [f"F_{i}" for i in range(1, len(sets))], sets)}}
+
+
 def joint_invariant_S(sys_):
     """S = (Q_1 (x) ... (x) Q_n)-perp as an N-row basis: the kron bases
     (x)_s (Q_s or S_s) of every kind-block but Q..Q, side by side, which with
     Q..Q form an orthonormal basis of C^N (and each has a last S slot, so S is
     also sum ran X_i, block by block).  Its columns for the blocks of an F_i or
-    an M_i (``ChainDecomposition.columns``) are that space's basis."""
+    an M_i (``word_chain``'s ``columns``) are that space's basis."""
     cols = [functools.reduce(np.kron, [f.Q.basis if k == "Q" else f.S.basis
                                        for f, k in zip(sys_.factors, b)])
-            for b in _S_blocks(sys_)]
+            for b in S_blocks(sys_)]
     basis = np.hstack(cols) if cols else np.zeros((sys_.N, 0), dtype=complex)
     return Subspace(basis, ambient_dim=sys_.N, tol=sys_.tol, _checked=True)
 
 
-def chain_spaces(sys_, chain):
+def chain_spaces(sys_):
     """The chain as N-row bases, as Subspaces: ``S`` = joint_invariant_S, and S's
     columns for the kind-blocks of each F_i (``F_chain``, whose last is ``F``)
-    and of each of F's summands (``M_summands``).  A scenario run forms none of
-    them: it works in S's coordinates."""
-    S = joint_invariant_S(sys_)
+    and of each of F's summands (``M_summands``), from ``word_chain``.  A scenario
+    run forms none of them: it works in S's coordinates."""
+    S, chain = joint_invariant_S(sys_), word_chain(sys_)
 
     def part(blocks):
         return Subspace(S.basis[:, chain.columns(blocks)], tol=S.tol, _checked=True)
@@ -304,17 +396,17 @@ def chain_spaces(sys_, chain):
                                  M_summands=[part(blocks) for blocks in chain.F_summands[-1]])
 
 
-def dense_chain_spaces(sys_, chain):
+def dense_chain_spaces(sys_):
     """Orthonormal bases of S, F_1, ..., F_{n-1} and of the gaps between them."""
-    amb = chain_spaces(sys_, chain)
+    amb = chain_spaces(sys_)
     spaces = [_orth(space.basis) for space in [amb.S] + amb.F_chain]
     return spaces, [_complement(big, small) for big, small in zip(spaces, spaces[1:])]
 
 
-def dense_chain_residuals(sys_, chain):
+def dense_chain_residuals(sys_):
     """The chain family from N x N projectors: containments, and S (-) F_1 against
     ran(P~_{n-1} P~_n) by the sine of the largest angle."""
-    spaces, gaps = dense_chain_spaces(sys_, chain)
+    spaces, gaps = dense_chain_spaces(sys_)
     res = {f"containment_{idx}": float(np.linalg.norm(small - big @ (big.conj().T @ small),
                                                       axis=0).max(initial=0.0))
            for idx, (big, small) in enumerate(zip(spaces, spaces[1:]))}
@@ -327,21 +419,21 @@ def dense_chain_residuals(sys_, chain):
     return res
 
 
-def dense_commutativity(sys_, chain):
+def dense_commutativity(sys_):
     """max ||[C_i, C_j]||_2 of the dense compressions to S and to each F_i."""
     ops = embedded_ops(sys_)
-    spaces, _ = dense_chain_spaces(sys_, chain)
+    spaces, _ = dense_chain_spaces(sys_)
     names = ["S"] + [f"F_{i + 1}" for i in range(len(spaces) - 1)]
     return {name: commutator_residual([B.conj().T @ T @ B for T in ops])
             for name, B in zip(names, spaces)}
 
 
-def dense_structure_residuals(sys_, chain):
+def dense_structure_residuals(sys_):
     """block_structure, semi_invariance and power_identity as products of
     N x N projectors, the reference for the slot and basis forms (powers of
     degree 1..3, each the exact operator norm on F)."""
     ops = embedded_ops(sys_)
-    amb = chain_spaces(sys_, chain)
+    amb = chain_spaces(sys_)
     P_F = _projector(amb.F)
     Pm = [_projector(M) for M in amb.M_summands]
     n = len(Pm)
@@ -350,7 +442,7 @@ def dense_structure_residuals(sys_, chain):
                             for p in range(n) for q in range(n) if p != q for T in ops),
         "diagonal_sum": max(_norm2(P_F @ T @ P_F - sum(P @ T @ P for P in Pm)) for T in ops),
     }
-    spaces, gaps = dense_chain_spaces(sys_, chain)
+    spaces, gaps = dense_chain_spaces(sys_)
     semi = {}
     for idx, (big, gap) in enumerate(zip(spaces, gaps)):
         P_big, P_gap = big @ big.conj().T, gap @ gap.conj().T
@@ -385,10 +477,10 @@ def dense_projection_identities(sys_, S):
     }
 
 
-def dense_structure_report(sys_, chain):
+def dense_structure_report(sys_):
     """Every structural family of verify_compression_structure, from dense N x N
     operators and projectors, keyed as the package keys them."""
-    return {"projection_identities": dense_projection_identities(sys_, chain_spaces(sys_, chain).S),
-            "chain": dense_chain_residuals(sys_, chain),
-            "commutativity": dense_commutativity(sys_, chain),
-            **dense_structure_residuals(sys_, chain)}
+    return {"projection_identities": dense_projection_identities(sys_, chain_spaces(sys_).S),
+            "chain": dense_chain_residuals(sys_),
+            "commutativity": dense_commutativity(sys_),
+            **dense_structure_residuals(sys_)}

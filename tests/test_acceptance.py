@@ -13,7 +13,6 @@ import numpy as np
 import oracle
 from shiftlab import (
     build_system,
-    f_chain,
     krylov_closure,
     load_scenario,
     multiplicity,
@@ -242,7 +241,7 @@ def test_criterion_6_wandering_rank_consistency():
     applicable = 0
     mismatches = []
     for name, sys_ in systems:
-        S = oracle.chain_spaces(sys_, f_chain(sys_)).S
+        S = oracle.chain_spaces(sys_).S
         A = oracle.compressed(oracle.embedded_ops(sys_), S)
         W = wandering_subspace(A, tol=S.tol)
         # does W generate S?  Closed under A compressed to S, in S's coordinates
@@ -294,7 +293,7 @@ def test_criterion_8_bruteforce_crosscheck():
         factors = [resolve_factor(s, scn.tol, scn.base_dir) for s in scn.factor_specs]
         sys_ = build_system(factors)
         assert sys_.N <= 8
-        S = oracle.chain_spaces(sys_, f_chain(sys_)).S
+        S = oracle.chain_spaces(sys_).S
         ops = list(oracle.embedded_ops(sys_))
         comp_S = oracle.compressed(ops, S)
         basis = S.basis

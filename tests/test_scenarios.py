@@ -237,7 +237,7 @@ def test_non_zero_based_quotient_downgrades(tmp_path):
     assert ms["certified"] and ms["lower"] == ms["upper"] == 1
 
     sys_ = build_system([resolve_factor(spec, scn.tol) for spec in scn.factor_specs], tol=scn.tol)
-    S = oracle.chain_spaces(sys_, f_chain(sys_)).S
+    S = oracle.chain_spaces(sys_).S
     assert oracle.mult_bruteforce(list(oracle.embedded_ops(sys_)), S.basis) == (1, 1)
     assert rep.verdicts["additive_formula"]["status"] == "pass"
     assert rep.passed
@@ -815,7 +815,7 @@ def test_slot_points_alone_give_full_corank():
         {"kind": {"matrix": nilpotent}, "coinvariant": {"prefix": 3}},
     ]
     sys_ = build_system([resolve_factor(f, 1e-10) for f in factors])
-    S = oracle.chain_spaces(sys_, f_chain(sys_)).S
+    S = oracle.chain_spaces(sys_).S
     points = sys_.joint_spectrum()
     assert len(points) == 4
     comp_S = oracle.compressed(oracle.embedded_ops(sys_), S)
@@ -831,8 +831,9 @@ def test_scenario_evaluates_each_joint_eigenvalue_once(monkeypatch):
     is factored once, by one SVD per kind-block (S^H T S, Q^H T Q, U^H T U), and
     nothing else decides a slot rank.  So multiplicity runs twice (S and F),
     reading its coranks from the slots, and no eigensolver or stacked SVD runs.
-    hardy-2x2 reads each slot at 0; quotient-zeros its ideal slot at both roots
-    and at 0 (for the wandering subspace and zero_based), the Hardy slot at 0."""
+    hardy-2x2 reads each slot at 0; quotient-zeros its ideal slot at both roots, the
+    Hardy slot at 0.  0 is off the ideal slot's spectrum, so its wandering subspace
+    and zero_based read the empty kernels there, and no SVD."""
     mm = importlib.import_module("shiftlab.multiplicity")
     sc = importlib.import_module("shiftlab.scenarios")
     slots = importlib.import_module("shiftlab.slots")
@@ -847,7 +848,7 @@ def test_scenario_evaluates_each_joint_eigenvalue_once(monkeypatch):
                         or real_kernels(f, z, tol))
     monkeypatch.setattr(sc, "multiplicity", lambda A, **kw: mults.append(A.dim)
                         or real_mult(A, **kw))
-    for name, points in (("hardy-2x2", 2), ("quotient-zeros", 4)):
+    for name, points in (("hardy-2x2", 2), ("quotient-zeros", 3)):
         del eigs[:], stacks[:], blocks[:], tables[:], mults[:]
         rep = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"))
         assert rep.succeeded
@@ -1015,17 +1016,48 @@ def test_the_slot_gram_inclusion_residual_is_the_dense_one(monkeypatch, group):
 
 
 def test_the_slot_gram_inclusion_residual_fires_where_the_dense_one_does(monkeypatch):
-    """On the three inputs where the guard fires, the slot-Gram residual makes the dense
-    one's decision at every point: Finding 5's shifted hardy at the origin only (3.19e-7
-    in both forms), the rotated Jordan pair at 0 (W_0 of S ranks a direction too many, so
-    the forms differ by up to 42 %, 1.7e-6 against 2.9e-6)."""
+    """On the three inputs where the guard fired, the slot-Gram residual makes the dense
+    one's decision at every point.  The rotated Jordan pair fires at 0 (W_0 of S ranks a
+    direction too many, so the forms differ by up to 42 %, 1.7e-6 against 2.9e-6).  The
+    shifted hardy no longer fires: 0 is off its slots' spectrum, so its kernels there are
+    empty, where the SVD of T + (0.05 + 0.02i) I ranked a pseudospectral direction and
+    W_0 left the cokernel by 3.19e-7."""
     fired = []
     for scn in _firing_scenarios():
         rows = _inclusion_residuals(monkeypatch, scn)
         assert all((gram > bound) == (dense > bound) == leaked
                    for gram, dense, bound, leaked in rows)
         fired.append(sum(leaked for *_, leaked in rows))
-    assert fired == [1, 2, 2]
+    assert fired == [0, 2, 2]
+
+
+def _shifted_hardy_pair(m, k, shift):
+    """hardy m prefix k given as the matrix T + shift I, (x) itself."""
+    T = make_shift(SpaceKind.hardy(), m).operator + shift * np.eye(m)
+    factor = {"kind": {"matrix": matrix_to_json(T)}, "coinvariant": {"prefix": k}}
+    return run_scenario(scenario_from_json({"factors": [factor, factor]}))
+
+
+def test_a_shifted_hardy_matrix_is_not_zero_based():
+    """hardy 40 prefix 20 as T + 0.2 I, (x) itself: 0 is not an eigenvalue, so no factor
+    is zero-based, S_i (-) T_i S_i = 0 and W_0(S) = 0, and the run is inequality_only.
+    Read at 0 itself, the SVD of the non-normal slot ranked 0.2^20 as a kernel and
+    reported a false equality with [1, 1] and wandering_dim_S 2."""
+    rep = _shifted_hardy_pair(40, 20, 0.2)
+    assert rep.mode == "inequality_only" and rep.notes == []
+    assert not any(h["zero_based"] for h in rep.hypotheses.values())
+    assert rep.factor_wandering_dims == [0, 0] and rep.wandering_dim_S == 0
+    assert [(m["upper"], m["certified"]) for m in rep.multiplicities.values()] == [(2, True)] * 2
+
+
+def test_a_kernel_off_the_spectrum_keeps_mult_S_certified():
+    """hardy 10 prefix 5 as T + (0.05 + 0.02i) I, (x) itself: the kernels at the origin,
+    off every slot spectrum, are empty, so W_0(S) = 0 passes its inclusion residual and
+    mult(S) = 2 is certified.  The pseudospectral W_0 that an SVD at 0 gave left the
+    cokernel and uncertified it."""
+    rep = _shifted_hardy_pair(10, 5, 0.05 + 0.02j)
+    assert rep.notes == [] and rep.wandering_dim_S == 0
+    assert rep.multiplicities["S"]["certified"] and rep.multiplicities["S"]["upper"] == 2
 
 
 def test_zero_slot_operators_give_W_0_equal_to_L():
@@ -1173,14 +1205,15 @@ def test_compressions_built_on_demand_are_the_slices_of_the_compression_to_S(gro
     for scn in scenarios:
         sys_ = build_system([resolve_factor(f, scn.tol, scn.base_dir) for f in scn.factor_specs],
                             tol=scn.tol)
-        chain = f_chain(sys_)
+        chain, words = f_chain(sys_), oracle.word_chain(sys_)
         comp_S, comp_F = verify_compression_structure(sys_, chain).compressions
         assert all(map(np.array_equal, comp_S.ops, _compressed_to_S(sys_, chain))), scn.label
-        assert np.array_equal(comp_F.at, chain.at[chain.columns(chain.F_blocks[-1])])
-        for blocks, ops in [(chain.F_blocks[-1], comp_F.ops)] + [
-                (bs, slots.compressed_at(sys_, chain.at[chain.columns(bs)]))
-                for bs in chain.F_summands[-1]]:
-            cols = chain.columns(blocks)
+        assert np.array_equal(chain.at, words.at)
+        assert np.array_equal(comp_F.at, chain.at[words.columns(words.F_blocks[-1])])
+        for blocks, ops in [(words.F_blocks[-1], comp_F.ops)] + [
+                (bs, slots.compressed_at(sys_, chain.at[words.columns(bs)]))
+                for bs in words.F_summands[-1]]:
+            cols = words.columns(blocks)
             assert all(np.array_equal(D, A[np.ix_(cols, cols)]) for D, A in zip(ops, comp_S.ops))
 
 

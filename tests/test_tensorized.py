@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -30,10 +31,11 @@ from shiftlab import (
     wandering_E,
 )
 from shiftlab.tensorized import (
-    _chain_slot_kinds,
-    _flip,
+    _chain_patterns,
+    _dims,
     _projection_identities,
     _summandwise_powers,
+    _word_sums,
 )
 from test_subspaces import _fail_once
 
@@ -119,23 +121,22 @@ def summand(sys_, kinds):
     (x)_s (Q_s or S_s) side by side."""
     bases = [functools.reduce(np.kron, [f.Q.basis if k == "Q" else f.S.basis
                                         for f, k in zip(sys_.factors, block)])
-             for block in sys_.blocks(kinds)]
+             for block in oracle.blocks(sys_, kinds)]
     return Subspace(np.hstack(bases), tol=sys_.tol, _checked=True)
 
 
 def distinguished(sys_):
-    """The chain, wandering_E's slot data, and the oracle's E and E_i in S's coordinates."""
-    chain = f_chain(sys_)
+    """wandering_E's slot data, and the oracle's E and E_i in S's coordinates."""
     wd = wandering_E(sys_)
-    return (chain, wd) + oracle.distinguished_E(sys_, chain, wd)
+    return (wd,) + oracle.distinguished_E(sys_, wd)
 
 
-def dense_alignment(sys_, chain, wd):
+def dense_alignment(sys_, wd):
     """max ||P_{E_i} (P_{M_i} T~_j P_{M_i} - lam_j P_{M_i})||_2 from N x N projectors,
     the oracle's E_i lifted from S's coordinates."""
     ops = oracle.embedded_ops(sys_)
-    S = oracle.chain_spaces(sys_, chain).S.basis
-    summands = oracle.distinguished_E(sys_, chain, wd)[1]
+    S = oracle.chain_spaces(sys_).S.basis
+    summands = oracle.distinguished_E(sys_, wd)[1]
     align = 0.0
     for i in range(sys_.n):
         P_M = oracle.summand_projector(sys_, i)
@@ -175,9 +176,9 @@ def test_basis_residuals_match_dense_projector_forms(builder):
     sys_ = builder()
     chain = f_chain(sys_)
     report = verify_compression_structure(sys_, chain)
-    _assert_matches_dense(report, oracle.dense_structure_report(sys_, chain), cap=RESID)
+    _assert_matches_dense(report, oracle.dense_structure_report(sys_), cap=RESID)
     wd = wandering_E(sys_)
-    assert abs(wd.alignment_residual - dense_alignment(sys_, chain, wd)) <= 1e-13
+    assert abs(wd.alignment_residual - dense_alignment(sys_, wd)) <= 1e-13
 
 
 @pytest.mark.parametrize("builder", [hardy_2x2_system, mixed_3_system, quotient_system,
@@ -189,8 +190,8 @@ def test_E_in_S_coordinates_matches_the_dense_kronecker_E(builder):
     kron product of the slot wandering subspace and the adjoint eigenvectors, E's
     columns are orthonormal, its dim is the report's sum, and E lies in F."""
     sys_ = builder()
-    chain, wd, E, summands = distinguished(sys_)
-    amb = oracle.chain_spaces(sys_, chain)
+    wd, E, summands = distinguished(sys_)
+    amb = oracle.chain_spaces(sys_)
     assert E.ambient_dim == amb.S.dim
     want = oracle.distinguished_summands(sys_, [alpha for alpha, _, _ in wd.eigen_data])
     for E_i, W in zip(summands, want):
@@ -233,7 +234,7 @@ def test_slot_forms_match_dense_on_a_skewed_chain(slot):
     skewed = build_system(factors)
     chain = f_chain(skewed)
     report = verify_compression_structure(skewed, chain)
-    dense = oracle.dense_structure_report(skewed, chain)
+    dense = oracle.dense_structure_report(skewed)
     _assert_matches_dense(report, dense)
     assert max(report.semi_invariance.values()) > 0.01
     powers = report.power_identity["summandwise_powers"]
@@ -248,7 +249,7 @@ def test_rotated_system_residuals_are_not_structural_zeros():
     sys_ = rotated_system()
     chain = f_chain(sys_)
     report = verify_compression_structure(sys_, chain)
-    dense = oracle.dense_structure_report(sys_, chain)
+    dense = oracle.dense_structure_report(sys_)
     for got in (report.families(), dense):
         assert min(got["semi_invariance"].values()) > 0
         assert got["commutativity"]["S"] > 0 and got["commutativity"]["F_1"] > 0
@@ -271,7 +272,7 @@ def test_slot_forms_fail_on_a_tilted_slot_basis():
     bad = build_system([sys_.factors[0], dataclasses.replace(f, Q=Q), sys_.factors[2]])
     chain = f_chain(bad)
     report = verify_compression_structure(bad, chain)
-    dense = oracle.dense_structure_report(bad, chain)
+    dense = oracle.dense_structure_report(bad)
     for family in ("commutativity", "semi_invariance", "projection_identities"):
         slot = max(getattr(report, family).values())
         assert slot > 1e-4 and max(dense[family].values()) > 1e-4, (family, slot)
@@ -309,7 +310,7 @@ def test_slot_products_match_dense_operators(builder):
     ops = oracle.embedded_ops(sys_)
     chain = f_chain(sys_)
     report = verify_compression_structure(sys_, chain)
-    amb = oracle.chain_spaces(sys_, chain)
+    amb = oracle.chain_spaces(sys_)
     spaces = [amb.S, amb.F]
     assert len(report.compressions) == len(spaces)
     for space, comp in zip(spaces, report.compressions):
@@ -354,22 +355,20 @@ def test_x_projections_are_orthogonal_resolution_of_S():
 
 
 def test_f_chain_frozen_dimensions():
-    """The chain's dimensions, from its block columns and from its N-row bases."""
+    """The chain's dimensions, from its patterns and from its N-row bases."""
     sys_ = hardy_2x2_system()
     chain = f_chain(sys_)
-    amb = oracle.chain_spaces(sys_, chain)
+    amb = oracle.chain_spaces(sys_)
     assert chain.at.size == amb.S.dim == 12
-    assert [chain.columns(bs).size for bs in chain.F_blocks] == [F.dim for F in amb.F_chain] == [8]
-    assert amb.F.dim == 8
-    assert [chain.columns(bs).size for bs in chain.F_summands[-1]] == [4, 4]
-    assert [M.dim for M in amb.M_summands] == [4, 4]
+    assert chain.dims == [amb.S.dim] + [F.dim for F in amb.F_chain] == [12, 8]
+    assert chain.patterns[-1] == ("SQ", "QS")
+    assert _dims(sys_, chain.patterns[-1]) == [M.dim for M in amb.M_summands] == [4, 4]
 
     sys3 = mixed_3_system()
     chain3 = f_chain(sys3)
-    amb3 = oracle.chain_spaces(sys3, chain3)
+    amb3 = oracle.chain_spaces(sys3)
     assert chain3.at.size == amb3.S.dim == 26
-    assert [chain3.columns(bs).size for bs in chain3.F_blocks] == [14, 6]
-    assert [F.dim for F in amb3.F_chain] == [14, 6]
+    assert chain3.dims[1:] == [F.dim for F in amb3.F_chain] == [14, 6]
     assert [M.dim for M in amb3.M_summands] == [2, 2, 2]
 
 
@@ -383,7 +382,7 @@ def test_f_chain_needs_two_factors():
 def test_chain_is_nested_and_semi_invariant():
     sys_ = mixed_3_system()
     chain = f_chain(sys_)
-    amb = oracle.chain_spaces(sys_, chain)
+    amb = oracle.chain_spaces(sys_)
     spaces = [amb.S] + amb.F_chain
     resids = [big.containment_residual(small) for big, small in zip(spaces, spaces[1:])]
     assert max(resids) < RESID
@@ -395,24 +394,80 @@ def test_chain_is_nested_and_semi_invariant():
 
 def test_chain_and_block_structure_hold_for_every_emptiness_pattern():
     """The proof of the chain and block_structure families, which reports record as
-    0: word combinatorics on the kind-blocks, for every pattern of empty slot parts
-    (per slot Q = 0, S = 0 or neither) at 2 <= n <= 6, and none empty at n = 7, 8.
-    The F_i nest.  S (-) F_1 is the blocks of I..ISS, as F_1's summands are the
-    words whose last S sits at a slot j < n and those ending in QS.  No one-slot
-    flip maps a block of M_q into M_p, as e_p and e_q differ in two slots.  Both
-    sides drop empty blocks alike (``blocks``)."""
+    0: word combinatorics on the kind-blocks (``oracle.word_chain``, which ``f_chain``'s
+    patterns equal), for every pattern of empty slot parts (per slot Q = 0, S = 0 or
+    neither) at 2 <= n <= 6, and none empty at n = 7, 8.  The F_i nest.  S (-) F_1 is the
+    blocks of I..ISS, as F_1's summands are the words whose last S sits at a slot j < n
+    and those ending in QS.  No one-slot flip maps a block of M_q into M_p, as e_p and
+    e_q differ in two slots.  Both sides drop empty blocks alike (``oracle.blocks``)."""
     T = make_shift(SpaceKind.hardy(), 2).operator
     by_kind = [tensor_factor(T, Subspace(np.eye(2)[:, :k], _checked=True)) for k in (0, 1, 2)]
     patterns = [p for n in range(2, 7) for p in itertools.product((0, 1, 2), repeat=n)]
     for pattern in patterns + [(1,) * 7, (1,) * 8]:
         sys_ = build_system([by_kind[k] for k in pattern])
-        chain = f_chain(sys_)
+        chain = oracle.word_chain(sys_)
         spaces = [set(chain.block_columns)] + [set(bs) for bs in chain.F_blocks]
         assert all(small <= big for big, small in zip(spaces, spaces[1:])), pattern
-        assert spaces[0] - spaces[1] == set(sys_.blocks("I" * (sys_.n - 2) + "SS")), pattern
+        assert chain.nested, pattern
+        assert spaces[0] - spaces[1] == set(oracle.blocks(sys_, "I" * (sys_.n - 2) + "SS")), pattern
         Ms = [set(bs) for bs in chain.F_summands[-1]]
-        assert not any(_flip(k, j) in Mp for Mp, Mq in itertools.permutations(Ms, 2)
+        assert not any(oracle.flip(k, j) in Mp for Mp, Mq in itertools.permutations(Ms, 2)
                        for k in Mq for j in range(sys_.n)), pattern
+
+
+def random_defect_system(rng, n, defect=1e-3):
+    """n slots of sizes 2..3, each with Q = 0 or S = 0 at chance 1/5, T random and block
+    lower triangular in [Q | S] before a planted co-invariance defect Q^H T S of size
+    ``defect``, so that semi-invariance and commutativity read nonzero values."""
+    factors = []
+    for _ in range(n):
+        m = int(rng.integers(2, 4))
+        q = int(rng.choice([0, m]) if rng.random() < 0.2 else rng.integers(1, m))
+        T = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        T[:q, q:] = 0
+        f = tensor_factor(T, Subspace(np.eye(m)[:, :q], _checked=True),
+                          spectrum=np.linalg.eigvals(T))
+        D = np.zeros_like(T)
+        D[:q, q:] = defect * rng.standard_normal((q, m - q))
+        factors.append(dataclasses.replace(f, T=T + D))
+    return build_system(factors)
+
+
+def words(patterns):
+    """Every word over {Q, S} that one of the slot-kind ``patterns`` matches."""
+    return {"".join(w) for p in patterns
+            for w in itertools.product(*(k.replace("I", "QS") for k in p))}
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_pattern_forms_equal_the_word_lists(n):
+    """f_chain's patterns and the dynamic program over slots against
+    ``oracle.word_chain``'s 2^n kind-blocks, on random systems with empty Q or S slots
+    and a planted co-invariance defect: S's and F's positions and the chain's dimensions
+    are equal, the containment guard passes as the word lists nest, and its word-level
+    ``_word_sums`` decides every pair of spaces as their word sets do, semi_invariance is equal and
+    commutativity (the closed form on S, the dynamic program on each F_i) equal to
+    rounding."""
+    rng = np.random.default_rng(n)
+    nonzero = collections.Counter()
+    for _ in range(40 if n < 6 else 8):
+        sys_ = random_defect_system(rng, n)
+        chain, words_ = f_chain(sys_), oracle.word_chain(sys_)
+        assert words_.nested
+        assert np.array_equal(chain.at, words_.at)
+        assert chain.dims == [words_.at.size] + [words_.columns(bs).size for bs in words_.F_blocks]
+        report = verify_compression_structure(sys_, chain)
+        assert np.array_equal(report.compressions[1].at,
+                              words_.at[words_.columns(words_.F_blocks[-1])])
+        want = oracle.word_structure(sys_)
+        assert report.semi_invariance == want["semi_invariance"]
+        for key, value in want["commutativity"].items():
+            assert abs(report.commutativity[key] - value) <= 1e-12 * value, key
+        nonzero.update(key for fam in want.values() for key, v in fam.items() if v > 0)
+    assert nonzero["S"] and nonzero["gap_0"] and (n < 3 or nonzero["F_1"]), nonzero
+    assert [[all(m[1] for _, m, _ in _word_sums([(1, 1)] * n, [(a, (), True), (b, (), False)]))
+             for b in chain.patterns] for a in chain.patterns] == [
+        [words(a) <= words(b) for b in chain.patterns] for a in chain.patterns]
 
 
 @pytest.mark.parametrize("builder", [hardy_2x2_system, mixed_3_system, quotient_system])
@@ -434,15 +489,14 @@ def test_block_diagonality_is_specific_to_F():
     chain = f_chain(sys_)
     # F's summands: all off-diagonal blocks vanish
     ops = oracle.embedded_ops(sys_)
-    projs = [M.projector() for M in oracle.chain_spaces(sys_, chain).M_summands]
+    projs = [M.projector() for M in oracle.chain_spaces(sys_).M_summands]
     worst = max(
         opnorm(projs[p] @ T @ projs[q])
         for p in range(3) for q in range(3) if p != q for T in ops
     )
     assert worst < RESID
     # F_1's second summand has a full slot; couplings are expected
-    kinds = [_chain_slot_kinds(3, 1, j) for j in (1, 2, 3)]
-    subs = [summand(sys_, k) for k in kinds]
+    subs = [summand(sys_, kinds) for kinds in _chain_patterns(3)[1]]
     cross = max(
         opnorm(subs[p].projector() @ T @ subs[q].projector())
         for p in range(3) for q in range(3) if p != q for T in ops
@@ -541,12 +595,12 @@ def test_factor_eigenpair_quotient_complement():
 
 def test_wandering_E_hardy_case():
     sys_ = hardy_2x2_system()
-    chain, wd, E, summands = distinguished(sys_)
+    wd, E, summands = distinguished(sys_)
     assert wd.factor_wandering_dims == [1, 1]
     assert E.dim == 2
     assert wd.alignment_residual < RESID
     # E, lifted from S's coordinates, sits inside F, summand by summand inside the M_i
-    amb = oracle.chain_spaces(sys_, chain)
+    amb = oracle.chain_spaces(sys_)
     S = amb.S.basis
     assert amb.F.containment_residual(Subspace(S @ E.basis, _checked=True)) < RESID
     for E_i, M_i in zip(summands, amb.M_summands):
@@ -556,7 +610,7 @@ def test_wandering_E_hardy_case():
 
 def test_wandering_E_quotient_case():
     """The ideal factor contributes no wandering directions."""
-    _, wd, E, _ = distinguished(quotient_system())
+    wd, E, _ = distinguished(quotient_system())
     assert wd.factor_wandering_dims == [0, 1]
     assert E.dim == 1
     # the second summand's shifted point carries the first factor's eigenvalue

@@ -15,7 +15,11 @@ the shift lemma 6/6 with 0 marginal draws, ``6^5:3`` under 1.5 s and ``8^5:4``
 under 3 s and 300 MB.  The gates of ROADMAP item 17 (the inclusion residual from
 slot Grams, and no dense ``E``) are ``--no-shift 30^4:15 4^9:2`` at one BLAS
 thread: each certifies ``mult(S) = n``, and neither is slower or peaks higher
-than before that change in the same session.  Each size runs at seed 1
+than before that change in the same session.  The gates of ROADMAP item 9 (the
+chain and structure check from slot-kind patterns, with no list of the 2^n
+kind-blocks) are ``2^14:1`` and ``2^16:1`` at one BLAS thread: each certifies
+``mult(S) = n``, and ``2^16:1`` with every check passes the shift lemma 6/6 with
+0 marginal draws under 10 s and 500 MB.  Each size runs at seed 1
 once with every check and once without ``shift_lemma``
 (with ``--no-shift``, only without it, to see what the shift lemma's six slot
 draws add), each run one ``run_scenario`` in its own Python process, with the
