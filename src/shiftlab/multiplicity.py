@@ -91,6 +91,7 @@ class MultiplicityResult:
     witness_closure: Subspace | None
     wandering: Subspace
     coranks: dict  # point -> dim W_lam, for each distinct point given
+    ranked: dict | None = None  # point -> the local test's singular values, if it took G
 
 
 def _as_tuple(A):
@@ -128,10 +129,15 @@ def _commutes(ops, tol):
     return all(fits(i, j) for i in range(len(ops)) for j in range(i))
 
 
+def _ranked(cuts, G):
+    """(lam, dim W_lam, the singular values of W_lam^H G) for each (lam, W_lam) in ``cuts``
+    with dim W_lam > 0, W_lam as columns, lazily."""
+    return ((p, W.shape[1], _svd(W.conj().T @ G, compute_uv=False)) for p, W in cuts if W.shape[1])
+
+
 def _generates(cuts, G, tol):
     """The local test: rank(W_lam^H G) = dim W_lam for each W_lam (as columns) in ``cuts``."""
-    return all(numerical_rank(_svd(W.conj().T @ G, compute_uv=False), tol) == W.shape[1]
-               for W in cuts if W.shape[1])
+    return all(numerical_rank(s, tol) == c for _, c, s in _ranked(enumerate(cuts), G))
 
 
 def krylov_closure(A, G, tol=DEFAULT_TOL):
@@ -248,7 +254,8 @@ def multiplicity(A, *, lambda_samples, trials=64, seed=42, tol=DEFAULT_TOL, exac
     ``trials_used`` counts them.  ``upper`` is the size of the set found, k on
     a miss; the result is certified when it is ``lower``.  The set found is the
     witness, in A's coordinates; ``witness_closure`` is its closure (None on a
-    miss or a local test), and ``wandering`` is W.
+    miss or a local test), and ``wandering`` is W.  ``ranked`` maps each point with
+    dim W_lam > 0 to the singular values of W_lam^H G, if a local test took G.
     """
     t = _as_tuple(A)
     k = t.dim
@@ -296,4 +303,6 @@ def multiplicity(A, *, lambda_samples, trials=64, seed=42, tol=DEFAULT_TOL, exac
         witness_closure=None if G is None else closure,
         wandering=W,
         coranks=coranks,
+        ranked=None if G is None or not local else {
+            p: s for p, _, s in _ranked(((p, cuts[p]) for p in pts), G)},
     )

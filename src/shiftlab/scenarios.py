@@ -41,8 +41,8 @@ from .models import (
     make_shift,
     matrix_from_json,
 )
-from .multiplicity import multiplicity
-from .slots import shifted_slot_check, slot_coranks
+from .multiplicity import _ranked, multiplicity
+from .slots import shift_bound, slot_coranks
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -368,19 +368,20 @@ SHIFT_LEMMA_MIN_MARGIN = 100.0
 def _shift_lemma_verdict(scn, comp_S, mult_S):
     """mult(S)'s witness, or with no witness ``lower`` seeded Gaussian vectors, must
     generate inside S under ``comp_S`` shifted by six seeded points as it does
-    unshifted.  Each draw is read from the shifted slots (``slots.shifted_slot_check``),
-    with no closure and no compressed operator.  A draw agrees when it agrees with a
-    margin of at least M = SHIFT_LEMMA_MIN_MARGIN and is marginal when its margin is
-    below M.  The check fails on any other draw, and when no draw agrees: near-ties
-    show nothing."""
+    unshifted.  Each draw is bounded from mult(S)'s rank decisions (``slots.shift_bound``),
+    with no shifted factorization; a set that no local test took is tested here once,
+    unshifted.  A draw agrees when it agrees with a margin of at least M =
+    SHIFT_LEMMA_MIN_MARGIN and is marginal when its margin is below M.  The check fails
+    on any other draw, and when no draw agrees: near-ties show nothing."""
     rng = np.random.default_rng([scn.seed, 101])
     n, tol, M = comp_S.n, scn.tol, SHIFT_LEMMA_MIN_MARGIN
     points = [0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
               for _ in range(6)]
-    G = mult_S.witness_generators
-    G = (rng.standard_normal((comp_S.dim, mult_S.lower, 2)) @ [1, 1j] if G is None
-         else np.transpose(G))
-    checks = shifted_slot_check(comp_S, G, mult_S.coranks, points, tol)
+    G = mult_S.witness_generators or list(
+        (rng.standard_normal((comp_S.dim, mult_S.lower, 2)) @ [1, 1j]).T)
+    ranked = mult_S.ranked or {mu: s for mu, _, s in _ranked(
+        ((mu, comp_S.cokernel(mu, tol)) for mu, c in mult_S.coranks.items() if c), np.transpose(G))}
+    checks = shift_bound(comp_S, G, mult_S.coranks, ranked, points, tol)
     agreed = sum(bool(agree and margin >= M) for agree, margin in checks)
     marginal = sum(margin < M for _, margin in checks)
     status = "pass" if agreed and agreed + marginal == len(checks) else "fail"

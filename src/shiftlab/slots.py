@@ -9,7 +9,8 @@ orthonormal as built.  Cut down to S by 0 -> S -> H -> (x)_s Q_s, W_lam(S) is W_
 themselves, so P_S (T~_j - lam_j)^H kills both terms, and their dimensions add up to
 ``slot_coranks``' Tor count.  ``SlotTuple.cokernel`` builds them from ``slot_kernels`` as
 Kronecker rows at L's positions, with one thin SVD for S, and checks their inclusion from
-``slot_grams``; ``shifted_slot_check`` does so for shifted slots; ``compressed_at`` compresses.
+``slot_grams``; ``shift_bound`` reads the shift lemma's draws from those rank decisions;
+``compressed_at`` compresses.
 """
 
 import functools
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from .multiplicity import OperatorTuple
-from .subspaces import _svd, _svds, numerical_rank, rank_margin
+from .subspaces import _svd, _svds, numerical_rank
 
 
 def compressed_at(sys, at):
@@ -38,14 +39,22 @@ def compressed_at(sys, at):
     return ops
 
 
+def slot_cuts(f, z, _tol):
+    """The SVDs (U, s, Vh) of M - z for the blocks M = S^H T S, Q^H T Q and U^H T U of a
+    ``TensorFactor`` f's ``adapted``: the three slot cuts that ``slot_kernels`` ranks."""
+    q, A = f.Q.dim, f.adapted
+    return tuple(_svd(M - z * np.eye(len(M))) for M in (A[q:, q:], A[:q, :q], A))
+
+
 def slot_kernels(f, z, tol):
     """(K, kQ, kH) of a ``TensorFactor`` f at z: ker (M - z)^H ranked at ``tol`` for
     M = S^H T S (K = S (-) (T - z) S), Q^H T Q and U^H T U, in [Q | S] coordinates,
-    each the left singular vectors of M - z past its rank, from one SVD per block."""
-    q, A = f.Q.dim, f.adapted
-    K, kQ, kH = (U[:, numerical_rank(s, tol):] for U, s, _ in (
-        _svd(M - z * np.eye(len(M))) for M in (A[q:, q:], A[:q, :q], A)))
-    return np.pad(K, ((q, 0), (0, 0))), np.pad(kQ, ((0, len(A) - q), (0, 0))), kH
+    each the left singular vectors of M - z past its rank, from f's ``slot_cuts``."""
+    q, m = f.Q.dim, len(f.adapted)
+    K, kQ, kH = (U[:, numerical_rank(s, tol):] for U, s, _ in f.table(slot_cuts, z, tol))
+    out = np.zeros((m, K.shape[1]), dtype=complex), np.zeros((m, kQ.shape[1]), dtype=complex)
+    out[0][q:], out[1][:q] = K, kQ
+    return (*out, kH)
 
 
 def slot_grams(f, z, tol):
@@ -72,35 +81,23 @@ class SlotTuple(OperatorTuple):
     built on first read; its ``shifted`` copy is a plain tuple."""
 
     def __init__(self, sys, at):
-        self.sys, self.at, self.dim, self.n, self.leaks = sys, at, at.size, sys.n, []
+        self.sys, self.at, self.dim, self.n = sys, at, at.size, sys.n
+        self.leaks, self.floors = [], {}  # ``cokernel``'s
         self.is_S = at.size == sys.N - math.prod(f.Q.dim for f in sys.factors)
         self.rows = np.unravel_index(at, sys.dims)  # L's slot indices, an array per slot
         self.norms = np.array([np.linalg.norm(f.adapted) for f in sys.factors])  # ||A_j||_F
 
     ops = functools.cached_property(lambda self: compressed_at(self.sys, self.at))
 
-    def span(self, kernels, cut):
-        """(W, C) per draw from each slot's ``slot_kernels`` (which may share a leading axis):
-        W = X C spans W_lam, for X the ``_columns``' (x)_s at L's positions.  For F, W = X
-        (C = I); for S, X = U Sigma V^H cut at r = ``cut(d, s)``, W = U_r, C = V_r / Sigma_r."""
-        idx = _columns(tuple(tuple(V.shape[-1] for V in ks) for ks in kernels), self.is_S)
-        Z = [np.concatenate(ks, axis=-1)[..., i] for ks, i in zip(kernels, idx)]
-        X = Z[0][..., self.rows[0], :]
-        for V, r in zip(Z[1:], self.rows[1:]):
-            X *= V[..., r, :]
-        if not self.is_S or not X.shape[-1]:
-            return [(W, np.eye(W.shape[1])) for W in X]
-        return [(U[:, :r], Vh[:r].conj().T / s[:r])
-                for d, (U, s, Vh) in enumerate(_svds(X)) for r in [cut(d, s)]]
-
     def inclusion_residual(self, lam, tol, C):
-        """max_j ||P_L (T~_j - lam_j)^H X C||_2 for ``span``'s X and C at lam.  P_L sums the
+        """max_j ||P_L (T~_j - lam_j)^H X C||_2 for ``cokernel``'s X and C at lam.  P_L sums the
         orthogonal patterns Q^i S R^(n-i-1) (R = I for S, whose kH's Q..Q part stays in Q..Q;
         Q for F), and the Gram of a pattern's (x)_s is the Hadamard product of the slots'
         ``slot_grams`` at X's columns (Van Loan 2000), (A_j - lam_j)^H's at slot j."""
         fz = list(zip(self.sys.factors, lam))
         idx = _columns(tuple(tuple(V.shape[1] for V in f.kernels(z, tol)) for f, z in fz), self.is_S)
-        g = np.array([f.grams(z, tol)[:, i[:, None], i] for (f, z), i in zip(fz, idx)])
+        g = np.array([f.table(slot_grams, z, tol)[:, i[:, None], i]
+                      for (f, z), i in zip(fz, idx)])
         HQ, HS = (np.where(np.eye(self.n, dtype=bool)[:, :, None, None], g[:, None, k + 2],
                            g[:, None, k]) for k in (0, 1))  # [s, j]: slot s in G_j's products
         one = np.ones((1,) + HQ.shape[1:])
@@ -110,11 +107,24 @@ class SlotTuple(OperatorTuple):
         return math.sqrt(max(0.0, np.linalg.eigvalsh(G)[:, -1].max())) if G.shape[-1] else 0.0
 
     def cokernel(self, lam, tol):
-        """W_lam, the one-draw case of ``span``.  lam joins ``leaks`` when its
-        ``inclusion_residual`` passes tol max(1, max_j ||A_j||_F + |lam_j|)."""
-        (W, C), = self.span([[V[None] for V in f.kernels(z, tol)] for f, z in zip(
-            self.sys.factors, lam)], lambda d, s: numerical_rank(s, tol))
-        if self.inclusion_residual(lam, tol, C) > tol * max(1, *(self.norms + np.abs(lam))):
+        """W_lam = X C, for X the ``_columns``' (x)_s of the slots' ``slot_kernels`` at L's
+        positions.  For F, W = X (C = I); for S, X = U Sigma V^H cut at r = ``numerical_rank``,
+        W = U_r and C = V_r / Sigma_r.  X's smallest kept singular value (1 for F, or with
+        none kept) joins ``floors``; lam joins ``leaks``, once, when its ``inclusion_residual``
+        passes tol max(1, max_j ||A_j||_F + |lam_j|)."""
+        kernels = [f.kernels(z, tol) for f, z in zip(self.sys.factors, lam)]
+        idx = _columns(tuple(tuple(V.shape[1] for V in ks) for ks in kernels), self.is_S)
+        Z = [np.concatenate(ks, axis=1)[:, i] for ks, i in zip(kernels, idx)]
+        W = Z[0][self.rows[0]]
+        for V, r in zip(Z[1:], self.rows[1:]):
+            W *= V[r]
+        C, self.floors[lam] = np.eye(W.shape[1]), 1.0
+        if self.is_S and W.shape[1]:
+            (U, s, Vh), = _svds(W[None])
+            r = numerical_rank(s, tol)
+            W, C, self.floors[lam] = U[:, :r], Vh[:r].conj().T / s[:r], s[r - 1] if r else 1.0
+        if lam not in self.leaks and (self.inclusion_residual(lam, tol, C)
+                                      > tol * max(1, *(self.norms + np.abs(lam)))):
             self.leaks.append(lam)
         return W
 
@@ -141,41 +151,43 @@ def slot_coranks(sys, tol):
     return out
 
 
-def shifted_slot_check(L, G, coranks, points, tol):
-    """The shift lemma from the slots: one ``(agree, margin)`` per point lam, as from
-    ``shifted_closure_check``, for a ``SlotTuple`` L with exact slot spectra, generators G
-    of its tuple and their ``coranks`` {mu: dim W_mu}.  L - lam is L in the system with
-    slots T_s - lam_s and joint spectrum sigma - lam, so W_{mu - lam} is ``span`` of the
-    kernels of each draw's own shifted slot matrices at mu_s - lam_s.  A draw agrees when
-    every slot kernel keeps its unshifted width, every dim W_{mu - lam} is coranks[mu] (a
-    shift of T_s or of its spectrum alone makes them 0, passing the local test vacuously)
-    and G passes the local test there; its margin is the smallest ``rank_margin`` of its
-    SVDs.  The draws run in lockstep, each factorization stacked over them."""
-    lams = np.array(points, dtype=complex)
-    agree, margin = [True] * len(lams), [math.inf] * len(lams)
-
-    def cut(d, s):  # numerical_rank, keeping draw d's smallest rank_margin
-        rank = numerical_rank(s, tol)
-        margin[d] = min(margin[d], rank_margin(s, rank, tol))
-        return rank
-
-    @functools.cache
-    def kernels(s, z):  # slot s's kernels at z - lam_s, stacked over the draws
-        f, q = L.sys.factors[s], L.sys.factors[s].Q.dim
-        A, zs, out = f.adapted - lams[:, s, None, None] * np.eye(len(f.T)), z - lams[:, s], []
-        for blk, V in zip((slice(q, None), slice(0, q), slice(None)), f.kernels(z, tol)):
-            svds = _svds(A[:, blk, blk] - zs[:, None, None] * np.eye(len(V[blk])))
-            rank = len(V[blk]) - V.shape[1]  # each kernel's width moves with the shift
-            for d, (_, sv, _) in enumerate(svds):
-                agree[d] &= cut(d, sv) == rank
-            out.append(np.zeros((len(lams),) + V.shape, dtype=complex))
-            out[-1][:, blk] = [U[:, rank:] for U, _, _ in svds]
-        return out
-
+@np.errstate(divide="ignore", invalid="ignore")
+def shift_bound(L, G, coranks, ranked, points, tol):
+    """The shift lemma from L's own rank decisions: one ``(agree, margin)`` per point lam
+    for generators G (a list of columns).  A draw shifted by lam would factor each slot
+    cut (``slot_cuts``) at z = mu_s as (A_s - lam_s) - (z - lam_s): A_s - z plus a
+    diagonal of rounding, d its largest entry (0 where the two agree bitwise).  By Weyl's
+    inequality no singular value moves by more than d, so the cut keeps its rank while
+    kept - d and dropped + d stay on their sides of tol max(1, s_0 +- d); the draw's margin
+    is the least such bound of ``rank_margin``.  By Wedin's sin theta theorem each slot
+    kernel turns by at most d / (gap - d), gap the cut's smallest kept value, so the
+    singular values of W_mu^H G that the local test ranked (``ranked``, at each mu with
+    coranks[mu] > 0) move by at most ||G||_2 times the turns summed over the slots, over
+    ``L.floors[mu]``.  A draw agrees when each local test keeps rank coranks[mu]; the first
+    that falls short ends the reading, its margin read at its own rank."""
+    lams, cuts, turn, agree = np.asarray(points, dtype=complex), [], {}, True
+    for s, f in enumerate(L.sys.factors):
+        a, lam, q = np.diag(f.adapted), lams[:, s, None], f.Q.dim
+        for z in dict.fromkeys(mu[s] for mu in coranks):
+            e, turn[s, z] = np.abs((a - lam) - (z - lam) - (a - z)), np.zeros(len(lams))
+            for (_, sv, _), E in zip(f.table(slot_cuts, z, tol), (e[:, q:], e[:, :q], e)):
+                d, r = E.max(axis=1, initial=0.0), numerical_rank(sv, tol)
+                cuts.append((sv, r, d))
+                if 0 < r < len(sv):
+                    turn[s, z] = np.maximum(turn[s, z], d / np.maximum(sv[r - 1] - d, 0.0))
+    norm = 0.0
     for mu, c in coranks.items():
-        Ws = [W for W, _ in L.span([kernels(s, z) for s, z in enumerate(mu)], cut)]
-        agree[:] = [a and W.shape[1] == c for a, W in zip(agree, Ws)]
-        if ok := [d for d in range(len(lams)) if agree[d] and c]:
-            for d, s in zip(ok, _svds([Ws[d].conj().T @ G for d in ok], compute_uv=False)):
-                agree[d] &= cut(d, s) == c
-    return list(zip(agree, margin))
+        if c:
+            moved, rank = sum(turn[s, z] for s, z in enumerate(mu)), numerical_rank(ranked[mu], tol)
+            if not norm and moved.any():  # ||G||_2, from the Gram of G's columns
+                norm = math.sqrt(np.linalg.eigvalsh([[np.vdot(g, h) for h in G] for g in G])[-1])
+            cuts.append((ranked[mu], rank, norm * moved / L.floors[mu]))
+            if rank != c:
+                agree = False
+                break
+    s0, kept, drop = np.reshape([(s[0], s[r - 1] if r else np.inf, s[r] if r < len(s) else np.nan)
+                                 for s, r, _ in cuts if len(s)], (-1, 3)).T[..., None]
+    d = np.reshape([d for s, _, d in cuts if len(s)], (-1, len(lams)))  # no cuts when S = 0
+    low = np.where(kept > d, (kept - d) / (tol * np.maximum(1.0, s0 + d)), 0.0)
+    high = np.where(drop >= 0, tol * np.maximum(1.0, s0 - d) / (drop + d), np.inf)
+    return [(agree, float(m)) for m in np.minimum(low, high).min(axis=0, initial=np.inf)]

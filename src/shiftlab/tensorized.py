@@ -28,13 +28,13 @@ coordinates are a set of positions, and T~_j is I (x) .. U_j^H T_j U_j .. (x) I:
 it maps block k into k and into k with slot j switched only, so the measured
 structural residuals, the power identity and E's alignment among them, are read
 from slot-block norms, and dim E is the sum of the factors' wandering dims: no
-N-row array, and no E, is formed.  Three identities hold by word combinatorics
+N-row array, and no E, is formed.  Four identities hold by word combinatorics
 and are recorded as 0, not computed: the chain nests with S (-) F_1 =
 ran(P~_{n-1} P~_n), the tuple cannot couple two M_i (one slot flip of e_i leaves
-F), and distinct slots doubly commute.  The compressions to S and F are
-``slots.SlotTuple``s, which read their wandering subspaces from the slots and
-build their operators from U_j^H T_j U_j at their positions only when read
-(``slots.compressed_at``).
+F) and its compression to F commutes, and distinct slots doubly commute.  The
+compressions to S and F are ``slots.SlotTuple``s, which read their wandering
+subspaces from the slots and build their operators from U_j^H T_j U_j at their
+positions only when read (``slots.compressed_at``).
 """
 
 import collections
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import EigenError, InputError, InternalConsistencyError, ModelError
 from .multiplicity import _generates
-from .slots import SlotTuple, slot_grams, slot_kernels
+from .slots import SlotTuple, slot_kernels
 from .subspaces import (
     DEFAULT_TOL,
     Subspace,
@@ -147,13 +147,10 @@ class TensorFactor:
         a non-normal slot would rank pseudospectral directions (J_m + a I: |a|^m)."""
         if np.abs(np.subtract(self.spectrum, z)).min(initial=math.inf) > tol:
             return (np.zeros((len(self.T), 0), dtype=complex),) * 3
-        return self._once(slot_kernels, z, tol)
+        return self.table(slot_kernels, z, tol)
 
-    def grams(self, z, tol):
-        """``slots.slot_grams`` at z, once per (z, tol)."""
-        return self._once(slot_grams, z, tol)
-
-    def _once(self, fn, z, tol):
+    def table(self, fn, z, tol):
+        """fn(self, z, tol) once per (fn, z, tol): ``slots``' slot cuts, kernels and Grams."""
         if (key := (fn, complex(z), tol)) not in self._tables:
             self._tables[key] = fn(self, z, tol)
         return self._tables[key]
@@ -504,7 +501,7 @@ def verify_compression_structure(sys, chain):
     """Numerically re-check the structural identities behind the chain.
 
     Families of residuals from slot norms (exact, or upper bounds of the dense
-    N x N norms where noted), and two families of recorded facts:
+    N x N norms where noted), and recorded facts:
 
     * projection_identities -- the inclusion-exclusion expansion of P_S, the
       X_i being Hermitian idempotents with orthogonal ranges, sum X_i = P_S
@@ -515,7 +512,8 @@ def verify_compression_structure(sys, chain):
     * semi_invariance -- ||small^H T~ gap||_2 for each gap G_{i-1} (-) G_i
       (G_0 = S), a set difference of patterns (see _cross_norm);
     * commutativity -- of the compressions to S and to each F_i (Frobenius
-      bounds; see _commutator_bound and _commutator_bound_S);
+      bounds; see _commutator_bound and _commutator_bound_S), recorded 0 on F: its
+      words have one S, so for k and k switched at i and j in F, neither switch is;
     * block_structure -- recorded 0: each M_i is the word e_i, and e_p and e_q
       differ in two slots, so no one-slot flip couples two M summands;
     * power_identity -- compressed powers act summand-by-summand:
@@ -527,7 +525,8 @@ def verify_compression_structure(sys, chain):
     semi = {f"gap_{idx}": _cross_norm(sys, big, small)
             for idx, (big, small) in enumerate(zip(chain.patterns, chain.patterns[1:]))}
     comm = {"S": _commutator_bound_S(sys)} | {
-        f"F_{i}": _commutator_bound(sys, ps) for i, ps in enumerate(chain.patterns[1:], 1)}
+        f"F_{i}": _commutator_bound(sys, ps) if i < sys.n - 1 else 0.0
+        for i, ps in enumerate(chain.patterns[1:], 1)}
     block = dict.fromkeys(["off_diagonal", "diagonal_sum"], 0.0)
 
     comp_S, comp_F = SlotTuple(sys, chain.at), SlotTuple(sys, chain.F_at)

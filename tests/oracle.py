@@ -19,7 +19,9 @@ structural residual family of ``verify_compression_structure`` from N x N
 projectors, and the
 distinguished summands E_i, as N-row kron products and in S's coordinates
 (``distinguished_E``), and the inclusion residual of a compression's W_lam from
-its N-row placement (``dense_inclusion_residual``).
+its N-row placement (``dense_inclusion_residual``), and the shift lemma's six draws as
+real shifted slot factorizations (``shifted_slot_check``), the reference for the bound
+that the package reads them by.
 """
 
 import functools
@@ -30,6 +32,8 @@ import numpy as np
 import scipy.linalg
 
 from shiftlab import OperatorTuple, Subspace, compress
+from shiftlab.slots import _columns
+from shiftlab.subspaces import _svds, numerical_rank, rank_margin
 
 
 def orbit_dim(ops, G, tol=1e-8, max_degree=None):
@@ -238,6 +242,62 @@ def dense_inclusion_residual(L, W, lam):
     Y[L.at] = W
     return max(_norm2((slot_matrix(sys_, j, f.adapted).conj().T @ Y)[L.at] - np.conj(z) * W)
                for j, (f, z) in enumerate(zip(sys_.factors, lam)))
+
+
+def shifted_span(L, kernels, cut):
+    """``slots.SlotTuple.span`` with a leading draw axis: (W, C) per draw from each slot's
+    kernels, stacked over the draws; X = U Sigma V^H of each draw's spanning set cut at
+    r = ``cut(d, s)``, which may record draw d's margin."""
+    idx = _columns(tuple(tuple(V.shape[-1] for V in ks) for ks in kernels), L.is_S)
+    Z = [np.concatenate(ks, axis=-1)[..., i] for ks, i in zip(kernels, idx)]
+    X = Z[0][..., L.rows[0], :]
+    for V, r in zip(Z[1:], L.rows[1:]):
+        X *= V[..., r, :]
+    if not L.is_S or not X.shape[-1]:
+        return [(W, np.eye(W.shape[1])) for W in X]
+    return [(U[:, :r], Vh[:r].conj().T / s[:r])
+            for d, (U, s, Vh) in enumerate(_svds(X)) for r in [cut(d, s)]]
+
+
+def shifted_slot_check(L, G, coranks, points, tol):
+    """The shift lemma's six draws, each a real shifted factorization: the reference for
+    ``slots.shift_bound``.  One ``(agree, margin)`` per point lam for a ``SlotTuple`` L with
+    exact slot spectra, generators G of its tuple and their ``coranks`` {mu: dim W_mu}.
+    L - lam is L in the system with slots T_s - lam_s and joint spectrum sigma - lam, so
+    W_{mu - lam} is ``shifted_span`` of the kernels of each draw's own shifted slot matrices
+    at mu_s - lam_s.  A draw agrees when every slot kernel keeps its unshifted width, every
+    dim W_{mu - lam} is coranks[mu] (a shift of T_s or of its spectrum alone makes them 0,
+    passing the local test vacuously) and G passes the local test there; its margin is the
+    smallest ``rank_margin`` of its SVDs.  The draws run in lockstep, each factorization
+    stacked over them."""
+    lams = np.array(points, dtype=complex)
+    agree, margin = [True] * len(lams), [np.inf] * len(lams)
+
+    def cut(d, s):  # numerical_rank, keeping draw d's smallest rank_margin
+        rank = numerical_rank(s, tol)
+        margin[d] = min(margin[d], rank_margin(s, rank, tol))
+        return rank
+
+    @functools.cache
+    def kernels(s, z):  # slot s's kernels at z - lam_s, stacked over the draws
+        f, q = L.sys.factors[s], L.sys.factors[s].Q.dim
+        A, zs, out = f.adapted - lams[:, s, None, None] * np.eye(len(f.T)), z - lams[:, s], []
+        for blk, V in zip((slice(q, None), slice(0, q), slice(None)), f.kernels(z, tol)):
+            svds = _svds(A[:, blk, blk] - zs[:, None, None] * np.eye(len(V[blk])))
+            rank = len(V[blk]) - V.shape[1]  # each kernel's width moves with the shift
+            for d, (_, sv, _) in enumerate(svds):
+                agree[d] &= cut(d, sv) == rank
+            out.append(np.zeros((len(lams),) + V.shape, dtype=complex))
+            out[-1][:, blk] = [U[:, rank:] for U, _, _ in svds]
+        return out
+
+    for mu, c in coranks.items():
+        Ws = [W for W, _ in shifted_span(L, [kernels(s, z) for s, z in enumerate(mu)], cut)]
+        agree[:] = [a and W.shape[1] == c for a, W in zip(agree, Ws)]
+        if ok := [d for d in range(len(lams)) if agree[d] and c]:
+            for d, s in zip(ok, _svds([Ws[d].conj().T @ G for d in ok], compute_uv=False)):
+                agree[d] &= cut(d, s) == c
+    return list(zip(agree, margin))
 
 
 def x_projections(sys_):

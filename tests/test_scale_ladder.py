@@ -36,7 +36,22 @@ def test_no_shift_runs_each_size_only_without_the_shift_lemma(ladder, capsys):
     assert all(row.endswith("-") for row in rows)
 
 
-@pytest.mark.parametrize("size", ["3^1:1", "3^2:0", "3^2:3", "3x2:1"])
+def test_distinct_roots_certify_one_generator(ladder, capsys):
+    """roots:3^2: two copies of the quotient with roots 0, (0.8 + 0.1i) / 3 and
+    (0.8 + 0.1i) 2 / 3, its ideal on the first two, so dim S = 9 - 2^2 and the 9 joint
+    eigenvalues are simple: mult(S) = 1, certified, with the shift lemma 6 of 6."""
+    assert ladder.main(["roots:3^2"]) == 0
+    _, *rows = capsys.readouterr().out.splitlines()
+    for row, checks, verdict in zip(rows, ("all", "no-shift"), ("pass (6/6 agreed, 0 marginal)", "-")):
+        size, N, dim_S, got_checks, _, _, _, mult, vs, want = row.split()[:10]
+        assert (size, N, dim_S, got_checks, mult, vs, want) == (
+            "roots:3^2", "9", "5", checks, "1", "vs", "1")
+        assert row.endswith(verdict)
+    assert len(rows) == 2
+
+
+@pytest.mark.parametrize("size", ["3^1:1", "3^2:0", "3^2:3", "3x2:1", "roots:2^2", "roots:3^1",
+                                  "roots:3^2:1"])
 def test_a_size_without_a_closed_form_is_refused(ladder, size):
     with pytest.raises(SystemExit):
         ladder.main([size])

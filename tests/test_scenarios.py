@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -328,10 +329,10 @@ def mult_S_of(scn, sys_, comp_S):
     (50.0, 6, {"status": "fail", "draws": 6, "agreed": 0, "marginal": 6}),
 ], ids=["wide-disagreement", "one-wide-disagreement", "near-tie", "all-near-ties"])
 def test_shift_lemma_verdict_gates_by_margin(monkeypatch, margin, lopsided, expected):
-    """The first ``lopsided`` of the six slot draws disagree: with a wide margin
-    each is a disagreement and the check fails; with a margin below
-    SHIFT_LEMMA_MIN_MARGIN each is marginal, and the check passes on the other
-    draws' agreement, but not when no draw agrees."""
+    """The first ``lopsided`` of the six draws disagree, planted through the per-draw
+    ``slots.shift_bound``: with a wide margin each is a disagreement and the check
+    fails; with a margin below SHIFT_LEMMA_MIN_MARGIN each is marginal, and the check
+    passes on the other draws' agreement, but not when no draw agrees."""
     sc = importlib.import_module("shiftlab.scenarios")
     assert sc.SHIFT_LEMMA_MIN_MARGIN == 100.0
     scn, sys_, comp_S = scenario_comp_S(hardy_obj())
@@ -339,12 +340,12 @@ def test_shift_lemma_verdict_gates_by_margin(monkeypatch, margin, lopsided, expe
     assert sc._shift_lemma_verdict(scn, comp_S, mult_S) == {
         "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
 
-    real = sc.shifted_slot_check
+    real = sc.shift_bound
 
     def lopsided_check(*args):
         return [(False, margin)] * lopsided + real(*args)[lopsided:]
 
-    monkeypatch.setattr(sc, "shifted_slot_check", lopsided_check)
+    monkeypatch.setattr(sc, "shift_bound", lopsided_check)
     assert sc._shift_lemma_verdict(scn, comp_S, mult_S) == expected
 
 
@@ -368,9 +369,10 @@ def test_a_slot_draw_near_the_cut_is_marginal(weight, expected):
 
 def test_an_exact_all_checks_run_closes_nothing_and_builds_no_compression_to_S(monkeypatch):
     """hardy 4^3 k2 (dim S = 56) with every check: mult(S) certifies W_S by the
-    local test, and the shift lemma reads its six draws from the shifted slots.
-    So no closure runs, on S's coordinates or any other, and no compression is
-    built: the power identity and E's alignment are read from slot norms."""
+    local test, and the shift lemma bounds its six draws from mult(S)'s own rank
+    decisions.  So no closure runs, on S's coordinates or any other, and no
+    compression is built: the power identity and E's alignment are read from slot
+    norms."""
     mm = importlib.import_module("shiftlab.multiplicity")
     dims, real = [], mm._closure
     monkeypatch.setattr(mm, "_closure", lambda ops, G, tol, lam=None:
@@ -486,14 +488,15 @@ def test_a_near_tie_closure_decides_no_draw(monkeypatch):
 
 
 def one_sided_shift(side):
-    """slots.shifted_slot_check with each draw's shift applied to one side only: to
-    the slot operators T_s ("operator") or to their spectra ("spectrum").  It runs
-    the real check a point at a time, with the other side moved by +lam first."""
+    """A stand-in for ``slots.shift_bound`` that runs the oracle's real shifted draws
+    (``oracle.shifted_slot_check``) with each draw's shift applied to one side only: to
+    the slot operators T_s ("operator") or to their spectra ("spectrum"), a point at a
+    time, with the other side moved by +lam first."""
     slots = importlib.import_module("shiftlab.slots")
-    real = slots.shifted_slot_check
+    real = oracle.shifted_slot_check
 
-    def check(L, G, coranks, points, tol):
-        out = []
+    def check(L, G, coranks, ranked, points, tol):
+        G, out = np.transpose(G), []
         for lam in points:
             if side == "operator":  # the spectrum stays: (mu + lam) - lam
                 L_, at = L, {tuple(np.add(mu, lam)): c for mu, c in coranks.items()}
@@ -510,45 +513,43 @@ def one_sided_shift(side):
 @pytest.mark.parametrize("side", ["operator", "spectrum"])
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
 def test_a_one_sided_shift_fails_the_shift_lemma(monkeypatch, path, side):
-    """Every shipped scenario passes the shift lemma from the slots, 6 of 6.  A
-    shift of each T_s that leaves its spectrum behind, or of the spectrum alone,
-    puts no joint eigenvalue where one is sought: dim W_{mu - lam} drops to 0, so
-    the witness passes the local test vacuously, but it misses mult(S)'s corank at
-    mu, so no draw agrees and the check fails."""
+    """Every shipped scenario passes the shift lemma from the slots, 6 of 6.  Read by
+    the oracle's real shifted draws, a shift of each T_s that leaves its spectrum
+    behind, or of the spectrum alone, puts no joint eigenvalue where one is sought:
+    dim W_{mu - lam} drops to 0, so the witness passes the local test vacuously, but
+    it misses mult(S)'s corank at mu, so no draw agrees and the check fails."""
     sc = importlib.import_module("shiftlab.scenarios")
     scn = load_scenario(path)
     scn.checks = ("shift_lemma",)
     assert run_scenario(scn).verdicts["shift_lemma"] == {
         "status": "pass", "draws": 6, "agreed": 6, "marginal": 0}
-    monkeypatch.setattr(sc, "shifted_slot_check", one_sided_shift(side))
+    monkeypatch.setattr(sc, "shift_bound", one_sided_shift(side))
     v = run_scenario(scn).verdicts["shift_lemma"]
     assert v["status"] == "fail" and v["agreed"] == 0, v
 
 
 def test_a_slot_frame_rank_that_does_not_move_with_the_shift_disagrees(monkeypatch):
-    """Each draw's slot frames must keep the unshifted frames' widths: draw 0,
-    ranked one direction too many at its first frame, disagrees, and the other
-    five, still stacked with it, agree as before."""
-    slots = importlib.import_module("shiftlab.slots")
+    """Each of the oracle's real draws must keep the unshifted slot frames' widths:
+    draw 0, ranked one direction too many at its first frame, disagrees, and the
+    other five, still stacked with it, agree as before."""
     scn, sys_, comp_S = scenario_comp_S(hardy_obj())
     res = mult_S_of(scn, sys_, comp_S)
     args = (comp_S, np.transpose(res.witness_generators), res.coranks,
             shift_points(scn, comp_S.n)[0], scn.tol)
-    assert [a for a, _ in slots.shifted_slot_check(*args)] == [True] * 6
-    real, calls = slots.numerical_rank, []
+    assert [a for a, _ in oracle.shifted_slot_check(*args)] == [True] * 6
+    real, calls = oracle.numerical_rank, []
 
     def one_more_once(s, tol):
         calls.append(len(s))
         return real(s, tol) + (len(calls) == 1)
 
-    monkeypatch.setattr(slots, "numerical_rank", one_more_once)
-    assert [a for a, _ in slots.shifted_slot_check(*args)] == [False] + [True] * 5
+    monkeypatch.setattr(oracle, "numerical_rank", one_more_once)
+    assert [a for a, _ in oracle.shifted_slot_check(*args)] == [False] + [True] * 5
 
 
 def test_slot_draws_survive_a_non_converging_svd(monkeypatch):
-    """When the stacked SVD of the draws' slot frames does not converge, each
-    matrix's _svd (which retries) gives the same decisions and margins."""
-    slots = importlib.import_module("shiftlab.slots")
+    """When the stacked SVD of the oracle's real draws' slot frames does not converge,
+    each matrix's _svd (which retries) gives the same decisions and margins."""
     scn, sys_, comp_S = scenario_comp_S({"factors": [
         {"kind": {"quotient_roots": [[[0.3, 0.0], 2], [[-0.5, 0.0], 1]]},
          "coinvariant": {"ideal_roots": [[[0.3, 0.0], 1]]}},
@@ -556,12 +557,124 @@ def test_slot_draws_survive_a_non_converging_svd(monkeypatch):
     res = mult_S_of(scn, sys_, comp_S)
     args = (comp_S, np.transpose(res.witness_generators), res.coranks,
             shift_points(scn, comp_S.n)[0], scn.tol)
-    want = slots.shifted_slot_check(*args)
+    want = oracle.shifted_slot_check(*args)
     calls = _fail_once(monkeypatch)
-    got = slots.shifted_slot_check(*args)
+    got = oracle.shifted_slot_check(*args)
     assert calls[0][0] == 6 and len(calls) > 6
     assert [a for a, _ in got] == [a for a, _ in want] == [True] * 6
     assert [m for _, m in got] == pytest.approx([m for _, m in want], rel=1e-6)
+
+
+def synthetic_slot(a, *cuts):
+    """A stand-in for a ``TensorFactor`` with Q = 0, diagonal ``adapted`` a I and the given
+    singular values as its S and H cuts (``slots.slot_cuts``), for ``slots.shift_bound``."""
+    s = np.array(cuts, dtype=float)
+    return types.SimpleNamespace(adapted=a * np.eye(len(s)), Q=types.SimpleNamespace(dim=0),
+                                 table=lambda fn, z, tol: ((None, s, None), (None, s[:0], None),
+                                                           (None, s, None)))
+
+
+def test_the_bound_lets_each_term_decide_a_draw():
+    """shift_bound on synthetic singular values at tol 1e-10: four slots, one local test
+    of rank 1 with singular value 1e-6 at a spanning set floor of 1, and six draws, each
+    shifted at one slot at most, where the rounding delta of (a - lam) - (z - lam) against
+    a - z is 1.5e-8 (a = 1e8) or 1.1e-13 (a = 1e3).  Unshifted draws agree.  Draw 1's delta
+    brings a kept 2e-8 within 100 cuts of the cut, draw 2's brings a dropped 1e-13 within
+    100 of it (the two sides of a slot cut); draw 3's turns a kernel by delta / (2e-8 -
+    delta), which moves the local test by 5.7e-6 (the gap term); draw 4's turns one by
+    delta / 1e-3, which moves it by ||G||_2 1.1e-10, so that it agrees with ||G|| = 1 and
+    is marginal with ||G|| = 1e5.  Unshifted, the least margin is the kept 2e-8's, 200."""
+    slots = importlib.import_module("shiftlab.slots")
+    tol, mu = 1e-10, (0.7, 0.7, 0.7, 0.7)
+    big, small = 0.1 + 0.2j, 0.3 + 0.7j  # shifts that round at a = 1e8 and at a = 1e3
+    factors = [synthetic_slot(1e8, 1.0, 2e-8), synthetic_slot(1e8, 1.0, 1e-13),
+               synthetic_slot(1e3, 1.0, 2e-8, 0.0), synthetic_slot(1e3, 1.0, 1e-3, 0.0)]
+    delta = [abs(((a - lam) - (0.7 - lam)) - (a - 0.7)) for a, lam in ((1e8, big), (1e3, small))]
+    assert delta[0] > 1e-8 and 1e-13 < delta[1] < 1e-12
+    points = [[0, 0, 0, 0], [big, 0, 0, 0], [0, big, 0, 0], [0, 0, small, 0],
+              [0, 0, 0, small], [0, 0, 0, 0]]
+    L = types.SimpleNamespace(sys=types.SimpleNamespace(factors=factors), floors={mu: 1.0})
+
+    def draws(norm):
+        return slots.shift_bound(L, [np.array([norm, 0.0])], {mu: 1}, {mu: np.array([1e-6])},
+                                 points, tol)
+
+    M = importlib.import_module("shiftlab.scenarios").SHIFT_LEMMA_MIN_MARGIN
+    margins = [m for _, m in draws(1.0)]
+    assert all(a for a, _ in draws(1.0))
+    assert [m >= M for m in margins] == [True, False, False, False, True, True]
+    assert margins[0] == margins[4] == margins[5] == pytest.approx(200)  # the kept 2e-8
+    assert margins[1] == pytest.approx((2e-8 - delta[0]) / tol)
+    assert margins[2] == pytest.approx(tol / (1e-13 + delta[0]))
+    assert margins[3] == 0.0  # the local test's 1e-6 may fall to 0
+    assert [m >= M for _, m in draws(1e5)] == [True, False, False, False, False, True]
+
+
+def test_a_local_test_that_falls_short_is_a_disagreement_at_its_own_rank():
+    """shift_bound stops at the first local test whose rank falls short of dim W_mu: every
+    draw disagrees, with the margin of that test at its own rank, and a later point's
+    near-tie is not read."""
+    slots = importlib.import_module("shiftlab.slots")
+    mus = [(0.7,), (0.2,)]
+    L = types.SimpleNamespace(sys=types.SimpleNamespace(factors=[synthetic_slot(1.0, 1.0, 1e-3)]),
+                              floors=dict.fromkeys(mus, 1.0))
+    got = slots.shift_bound(L, [np.ones(2)], dict.fromkeys(mus, 2),
+                            {mus[0]: np.array([1.0, 1e-13]), mus[1]: np.array([1.0, 2e-10])},
+                            [[0.3 + 0.1j]] * 6, 1e-10)
+    assert [a for a, _ in got] == [False] * 6
+    assert [m for _, m in got] == pytest.approx([1e3] * 6)
+
+
+def verdict_pair(monkeypatch, scn, sys_, comp_S):
+    """The verdict as run_scenario gives it, from the bound, and as the oracle's six real
+    shifted draws (``oracle.shifted_slot_check``) give it at the same points and G."""
+    sc = importlib.import_module("shiftlab.scenarios")
+    mult_S = multiplicity(comp_S, lambda_samples=sys_.joint_spectrum(), trials=scn.trials,
+                          seed=scn.seed, tol=scn.tol, exact_points=True)
+    bound = slot_verdict(monkeypatch, scn, comp_S, mult_S)
+    with monkeypatch.context() as m:
+        m.setattr(sc, "shift_bound", lambda L, G, coranks, ranked, points, tol:
+                  oracle.shifted_slot_check(L, np.transpose(G), coranks, points, tol))
+        reference = sc._shift_lemma_verdict(scn, comp_S, mult_S)
+    return [{k: v[k] for k in ("status", "agreed", "marginal")} for v in (bound, reference)]
+
+
+@pytest.mark.parametrize("group", ["shipped", "criterion-4", "pair-grid-1", "pair-grid-2",
+                                   "pair-grid-3", "small-sweep-1"])
+def test_the_bound_reads_the_oracle_draws(monkeypatch, group):
+    """On every scenario of the group, the bound's {status, agreed, marginal} is the
+    oracle's six real shifted draws'."""
+    scenarios = ([load_scenario(p) for p in sorted(SCENARIO_DIR.glob("*.json"))]
+                 if group == "shipped" else list(map(scenario_from_json, _group_objects(group))))
+    for scn in scenarios:
+        sys_ = build_system([resolve_factor(f, scn.tol, scn.base_dir) for f in scn.factor_specs],
+                            tol=scn.tol)
+        comp_S = verify_compression_structure(sys_, f_chain(sys_)).compressions[0]
+        bound, reference = verdict_pair(monkeypatch, scn, sys_, comp_S)
+        assert bound == reference, scn.label
+
+
+HARDY_3_K1 = {"kind": "hardy", "m": 3, "coinvariant": {"prefix": 1}}
+ROOTS_0_03_M05 = {"kind": {"quotient_roots": [[[0.0, 0.0], 1], [[0.3, 0.0], 1], [[-0.5, 0.0], 1]]},
+                  "coinvariant": {"ideal_roots": [[[0.0, 0.0], 1]]}}
+
+
+@pytest.mark.parametrize("slot, tol, expected", [
+    ({"kind": {"custom_weights": [1.0, 1e-9, 1.0]}, "coinvariant": {"prefix": 1}}, None, "fail"),
+    ({"kind": {"custom_weights": [1.0, 3e-10, 1.0]}, "coinvariant": {"prefix": 1}}, None, "fail"),
+    ({"kind": {"custom_weights": [1.0, 2e-8, 1.0]}, "coinvariant": {"prefix": 1}}, None, "pass"),
+    (ROOTS_0_03_M05, 1e-10, "pass"),
+    (ROOTS_0_03_M05, 3e-15, "fail"),
+], ids=["weights-1e-9", "weights-3e-10", "weights-2e-8", "roots-tol-1e-10", "roots-tol-3e-15"])
+def test_the_bound_reads_the_oracle_draws_near_a_tie(monkeypatch, slot, tol, expected):
+    """slot (x) hardy 3 k1: the near-tie weights (margins 10, 3 and 200 at their cut) and
+    the quotient with roots 0, 0.3 and -0.5 and ideal (z), where each draw's rounding
+    delta is not 0, read as the oracle's six real draws: all six agreed, or all six
+    marginal, which fails."""
+    scn, sys_, comp_S = scenario_comp_S({"factors": [slot, HARDY_3_K1]}, tol)
+    bound, reference = verdict_pair(monkeypatch, scn, sys_, comp_S)
+    agreed = 6 if expected == "pass" else 0
+    assert bound == reference == {"status": expected, "agreed": agreed, "marginal": 6 - agreed}
 
 
 def test_run_scenario_reads_W_S_from_mult_S(monkeypatch):

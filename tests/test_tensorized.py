@@ -415,6 +415,33 @@ def test_chain_and_block_structure_hold_for_every_emptiness_pattern():
                        for k in Mq for j in range(sys_.n)), pattern
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_commutativity_on_F_is_zero_by_word_combinatorics(n):
+    """The proof of commutativity on F, which reports record as 0 (F_{n-1}): F's words are
+    the e_i, one S each, so for k and k switched at slots i and j both in F, neither single
+    switch is (one has no S, the other two).  The word form of the commutator bound
+    (``oracle.commutator_bound``, over ``oracle.word_chain``'s blocks) therefore has no
+    term on F, on random systems with empty Q or S slots and a planted co-invariance
+    defect, where the report's F_1 reads the word form's value and, for n >= 3, not 0."""
+    F = words(_chain_patterns(n)[-1])
+    assert F == {"Q" * i + "S" + "Q" * (n - i - 1) for i in range(n)}
+    for k in F:
+        for i, j in itertools.combinations(range(n), 2):
+            if oracle.flip(oracle.flip(k, i), j) in F:
+                assert oracle.flip(k, i) not in F and oracle.flip(k, j) not in F, (k, i, j)
+    rng, nonzero = np.random.default_rng(100 + n), 0
+    for _ in range(10 if n < 6 else 3):
+        sys_ = random_defect_system(rng, n)
+        chain = oracle.word_chain(sys_)
+        report = verify_compression_structure(sys_, f_chain(sys_))
+        assert oracle.commutator_bound(sys_, chain.F_blocks[-1]) == 0.0
+        assert report.commutativity[f"F_{n - 1}"] == 0.0
+        want = oracle.commutator_bound(sys_, chain.F_blocks[0])
+        assert abs(report.commutativity["F_1"] - want) <= 1e-12 * want
+        nonzero += want > 0
+    assert n < 3 or nonzero
+
+
 def random_defect_system(rng, n, defect=1e-3):
     """n slots of sizes 2..3, each with Q = 0 or S = 0 at chance 1/5, T random and block
     lower triangular in [Q | S] before a planted co-invariance defect Q^H T S of size
